@@ -32,6 +32,12 @@ step "audit regression gate + chaos smoke + sync windows (results/baselines/audi
 step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
   cargo run --release -p sigmavp-bench --bin top -- --check-bundle BENCH_postmortem.json
 
+# The benchmark's own guard: every sim_*/count.* bit-identical across repeats
+# and traced vs untraced — the check most likely to catch a change that
+# perturbs execution order. Before the two perf gates, which are red on
+# 2-core hosts.
+step "sigmabench smoke" benchmark/run.sh --smoke
+
 # The perf gate measures BOTH execution tiers each run (scalar reference vs
 # warp lockstep at one worker) and hard-fails unless warp beats scalar on
 # wall clock, in addition to the baseline regression check.

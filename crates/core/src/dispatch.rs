@@ -1,0 +1,1551 @@
+//! The one dispatch core: the host-side state machine of the paper's Fig. 2
+//! (Job Queue → Re-scheduler → dispatcher → VP Control stop/resume, Fig. 4),
+//! with no transport and no clock of its own.
+//!
+//! [`DispatchCore`] owns everything between "a decoded request arrived" and "a
+//! response is ready": effect-once dedup, in-flight and deadline triage, the
+//! pending async window and its re-scheduling, held synchronous launches and
+//! the full → quorum → timeout window trigger, cross-VP planning of a flushed
+//! window, execution with failover, journaling and handle translation, the
+//! hung-VP watchdog, and the ledger ([`DispatchStats`]). It never touches an
+//! endpoint: every answer comes back as a [`Delivery`] for the *driver* to
+//! hand over. Two drivers exist — the dispatcher thread of
+//! [`DispatchedSigmaVp`](crate::dispatcher::DispatchedSigmaVp) (poll the
+//! transports, `offer` each frame, `turn`, send and resume) and each shard
+//! thread of `sigmavp-fleet` (pop the inbox, `offer`, `turn`, complete at the
+//! front) — so both run literally the same decisions.
+//!
+//! Every decision reads simulated time only. The one wall clock in the design,
+//! the [`STALL_WALL_BACKSTOP`], belongs to the driver: when it expires the
+//! driver calls [`DispatchCore::on_stall`], which makes the watchdog testable
+//! without sleeping.
+//!
+//! # Fault tolerance
+//!
+//! The core is the supervision point of the fault model (DESIGN.md §10): it
+//! injects a [`FaultPlan`]'s transient device errors and honours its scheduled
+//! outages, and recovers through three cooperating mechanisms:
+//!
+//! * **effect-once dedup** — guest retries reuse the request's sequence
+//!   number; the last *executed* response per VP is cached and re-delivered
+//!   on a duplicate instead of re-executing, so a lost response never
+//!   double-applies a kernel or memcpy;
+//! * **failover** — per-device circuit breakers trip after consecutive
+//!   failures; VPs on a dead device move to the least-loaded survivor (planned
+//!   by the [`Rebalance`] pass), their device state rebuilt by
+//!   [`Residency::relocate`];
+//! * **liveness** — partial-quorum and sim-time-timeout window flushing,
+//!   end-to-end deadlines, and quarantine of VPs that stop progressing
+//!   (DESIGN.md §15).
+
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
+
+use sigmavp_fault::{CircuitBreaker, DedupCache, FaultPlan, Residency, TRANSIENT_ERROR_PREFIX};
+use sigmavp_gpu::engine::simulate;
+use sigmavp_gpu::GpuArch;
+use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
+use sigmavp_ipc::queue::{Job, JobId, JobKind, JobQueue};
+use sigmavp_sched::{
+    quorum_met, quorum_threshold, DeviceView, JobStream, LoadRebalance, PassCtx, Pipeline, Policy,
+    Rebalance,
+};
+use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
+use sigmavp_telemetry::{job_uid, Lane, TimeDomain};
+use sigmavp_vp::error::{format_deadline_violation, DeadlineStage};
+
+use crate::host::{HostRuntime, JobRecord, RecordKind};
+use crate::plan::{lower_jobs, EngineEvaluator};
+use crate::session::ExecutionSession;
+
+/// How long a driver lets a held sync window sit without any arrival before
+/// calling [`DispatchCore::on_stall`]. The only wall clock in the dispatch
+/// path, and only consulted while [`DispatchCore::stall_armed`]: simulated
+/// time cannot advance on its own when the VP that would advance it is
+/// wedged, so liveness needs one real clock.
+pub const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
+
+/// Statistics from one dispatch core's run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct DispatchStats {
+    /// Requests served.
+    pub requests: u64,
+    /// Reordering passes in which the pending window held more than one job.
+    pub multi_job_windows: u64,
+    /// Largest pending window observed.
+    pub max_window: usize,
+    /// Duplicate requests answered from the dedup cache instead of re-executed.
+    pub dedup_hits: u64,
+    /// VP migrations performed (failover off a dead device or load-triggered).
+    pub migrations: u64,
+    /// Host GPUs taken out of service (scheduled outage or tripped breaker).
+    pub gpu_trips: u64,
+    /// Synchronous launches held for a stop/resume window (Fig. 4b).
+    pub holds: u64,
+    /// Synchronous windows planned and flushed.
+    pub sync_windows: u64,
+    /// Merge groups the live sync planner found (coalesce plus wave-pack).
+    pub live_groups: u64,
+    /// Member launches those live groups absorbed.
+    pub live_members: u64,
+    /// VP stop events issued (0→1 stop-depth edges; one IPC round trip each).
+    pub stop_events: u64,
+    /// VP resume events issued (1→0 edges).
+    pub resume_events: u64,
+    /// Wave slots (λ-aligned block quanta) the live merged launches occupied.
+    pub wave_slots: u64,
+    /// Blocks actually launched into those slots; `wave_slots - wave_filled`
+    /// is the Eq. 9 alignment residual, zero for perfectly packed windows.
+    pub wave_filled: u64,
+    /// Summed Eq. 7 makespan of the executed sync windows under the live plan.
+    pub sync_makespan_s: f64,
+    /// The same windows priced under the reorder-only (no cross-VP merging)
+    /// plan — the async baseline the live path must beat.
+    pub sync_reorder_makespan_s: f64,
+    /// Partial windows flushed because the hold quorum was met before every
+    /// eligible VP was held (`Policy::sync_quorum` below 1.0).
+    pub quorum_flushes: u64,
+    /// Windows flushed because the sim-time window timeout expired before
+    /// any quorum was reached (`Policy::sync_window_timeout`).
+    pub timeout_flushes: u64,
+    /// Wall-clock stall-backstop trips: every unheld VP went silent while a
+    /// window sat held, so the silent VPs were quarantined and the window
+    /// released (only armed when the watchdog is on).
+    pub backstop_trips: u64,
+    /// VPs quarantined by the hung-VP watchdog (removed from the quorum
+    /// denominator and failed over to a healthy placement).
+    pub quarantined: u64,
+    /// Quarantined VPs that showed fresh activity and rejoined the quorum.
+    pub rejoins: u64,
+    /// Requests refused at the admission, hold, or plan boundary because
+    /// their end-to-end deadline had expired (guest-side execute-boundary
+    /// misses surface as typed errors, not here).
+    pub deadline_misses: u64,
+}
+
+/// One answer the core produced, for the driver to hand to the VP.
+#[derive(Debug)]
+pub struct Delivery {
+    /// The request being answered, handed back so a driver that keeps
+    /// guest-side books (the fleet front's journal) needs no copy of its own.
+    pub request: Envelope,
+    /// The response.
+    pub response: ResponseEnvelope,
+    /// The VP was stopped while this request sat in a sync window: resume it
+    /// once the response is on its way (Fig. 4b).
+    pub resume: bool,
+}
+
+/// Everything one [`DispatchCore::turn`] (or `on_stall` / `close`) produced.
+#[derive(Debug, Default)]
+pub struct Turn {
+    /// Responses, in delivery order (a flushed window: planned completion
+    /// order).
+    pub deliveries: Vec<Delivery>,
+    /// VPs the watchdog quarantined, for drivers that gate admission on it.
+    pub quarantined: Vec<VpId>,
+}
+
+/// Whether `request` is a synchronous launch that `policy` parks in a
+/// stop/resume window instead of answering on arrival.
+pub fn holds_launch(policy: &Policy, request: &Request) -> bool {
+    policy.sync_hold && matches!(request, Request::Launch { sync: true, .. })
+}
+
+/// A journal-replay target: executes each replayed request on `runtime`
+/// without recording it as a job, and stitches the work onto the *original*
+/// job's uid so its lifecycle joins into one migration-tagged causal chain.
+/// `label` names the target in the trace (`replay …`).
+pub fn replay_onto<'a>(
+    runtime: &'a mut HostRuntime,
+    vp: VpId,
+    label: &'a str,
+) -> impl FnMut(u64, &Request) -> Response + 'a {
+    let recorder = sigmavp_telemetry::recorder();
+    move |orig_seq, request| {
+        let started_wall_s = recorder.wall_now_s();
+        let started = Instant::now();
+        let body = runtime
+            .process_replay(&Envelope {
+                vp,
+                seq: orig_seq,
+                sent_at_s: 0.0,
+                deadline_s: Envelope::NO_DEADLINE,
+                body: request.clone(),
+            })
+            .body;
+        if recorder.enabled() {
+            recorder.span_for_job(
+                TimeDomain::Wall,
+                Lane::Dispatcher,
+                format!("replay {label}"),
+                started_wall_s,
+                started.elapsed().as_secs_f64(),
+                job_uid(vp.0, orig_seq),
+            );
+        }
+        body
+    }
+}
+
+/// A request waiting in the core, with when it arrived (collector wall clock,
+/// for the latency metric and queue-wait span only).
+struct Arrival {
+    envelope: Envelope,
+    wall_s: f64,
+}
+
+/// A synchronous launch held while its VP is stopped (Fig. 4b): the reply —
+/// and the VP's resume — are deferred until the cross-VP window flushes.
+struct HeldJob {
+    job: Job,
+    arrival: Arrival,
+}
+
+impl HeldJob {
+    /// The canonical window-ordering key.
+    fn key(&self) -> (u32, u64) {
+        (self.job.vp.0, self.job.seq)
+    }
+}
+
+/// Trace-span name for a dispatched job.
+fn dispatch_span_name(job: &Job) -> String {
+    match &job.kind {
+        JobKind::CopyIn { bytes } => format!("h2d {bytes}B (VP {})", job.vp.0),
+        JobKind::CopyOut { bytes } => format!("d2h {bytes}B (VP {})", job.vp.0),
+        JobKind::Kernel { name, .. } => format!("{name} (VP {})", job.vp.0),
+    }
+}
+
+/// Synthetic [`JobRecord`] for a held (not yet executed) job, so the live
+/// window can be planned with the same engine-model oracle as offline logs.
+/// Expected durations stand in for observed ones, and kernels are floored at
+/// the launch overhead so a never-profiled launch still prices its fixed cost.
+fn synth_record(h: &HeldJob, arch: &GpuArch) -> JobRecord {
+    let kind = match &h.job.kind {
+        JobKind::CopyIn { bytes } => RecordKind::H2d { bytes: *bytes, stream: 0 },
+        JobKind::CopyOut { bytes } => RecordKind::D2h { bytes: *bytes, stream: 0 },
+        JobKind::Kernel { name, grid_dim, block_dim } => {
+            let bpw = u64::from(arch.blocks_per_wave(*block_dim));
+            RecordKind::Kernel {
+                name: name.clone(),
+                grid_dim: *grid_dim,
+                block_dim: *block_dim,
+                launch_overhead_s: arch.launch_overhead_us * 1e-6,
+                waves: u64::from(*grid_dim).div_ceil(bpw).max(1),
+                stream: 0,
+            }
+        }
+    };
+    JobRecord {
+        vp: h.job.vp,
+        seq: h.job.seq,
+        kind,
+        duration_s: h.job.expected_duration_s,
+        sent_at_s: h.arrival.envelope.sent_at_s,
+    }
+}
+
+/// Supervision state: per-device health, effect-once dedup, and each VP's
+/// per-device [`Residency`] for failover replay.
+struct Supervision {
+    plan: Option<Arc<FaultPlan>>,
+    breakers: Vec<CircuitBreaker>,
+    /// Whether each device's trip has already been noticed (counted + marked).
+    down_noticed: Vec<bool>,
+    /// Attempted operations per device; indexes the plan's transient schedule.
+    op_count: Vec<u64>,
+    dedup: DedupCache,
+    residency: HashMap<VpId, Residency>,
+    /// Requests accepted but not yet answered, as `(vp, seq)`; guards against
+    /// a delayed duplicate being accepted twice.
+    in_flight: HashSet<(u32, u64)>,
+}
+
+impl Supervision {
+    fn new(plan: Option<Arc<FaultPlan>>, devices: usize) -> Self {
+        let threshold = plan
+            .as_ref()
+            .map_or(sigmavp_fault::plan::DEFAULT_BREAKER_THRESHOLD, |p| p.breaker_threshold());
+        Supervision {
+            plan,
+            breakers: (0..devices).map(|_| CircuitBreaker::new(threshold)).collect(),
+            down_noticed: vec![false; devices],
+            op_count: vec![0; devices],
+            dedup: DedupCache::new(),
+            residency: HashMap::new(),
+            in_flight: HashSet::new(),
+        }
+    }
+
+    /// Is `device` out of service for a request stamped at `sim_s`?
+    fn is_down(&self, session: &ExecutionSession, device: usize, sim_s: f64) -> bool {
+        !session.is_healthy(device)
+            || self.breakers[device].is_open()
+            || self.plan.as_ref().is_some_and(|p| p.device_down(device, sim_s))
+    }
+
+    /// Plan `jobs` through `pipeline` (reorder-only context) with a view of
+    /// per-device health and queued load, so its rebalance pass can plan
+    /// migrations off dead devices — and, given `load`, off overloaded ones.
+    fn plan_window(
+        &self,
+        session: &ExecutionSession,
+        pipeline: &Pipeline,
+        jobs: Vec<Job>,
+        load: Option<LoadRebalance>,
+    ) -> JobStream {
+        let mut queued = vec![0.0f64; session.device_count()];
+        for job in &jobs {
+            if let Some(d) = session.device_of(job.vp) {
+                queued[d] += job.expected_duration_s;
+            }
+        }
+        let route = |vp: VpId| session.device_of(vp);
+        let down_for = |d: usize, t: f64| self.is_down(session, d, t);
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down_for, load };
+        pipeline.plan(jobs, &PassCtx::reorder_only().with_devices(&view))
+    }
+
+    /// Take `device` out of service (idempotent): mark it unhealthy for
+    /// routing, trip its breaker, and emit the trip telemetry exactly once.
+    fn mark_down(
+        &mut self,
+        session: &mut ExecutionSession,
+        stats: &mut DispatchStats,
+        device: usize,
+    ) {
+        if self.down_noticed[device] {
+            return;
+        }
+        self.down_noticed[device] = true;
+        self.breakers[device].trip();
+        session.mark_down(device);
+        stats.gpu_trips += 1;
+        let recorder = sigmavp_telemetry::recorder();
+        recorder.count("fault.gpu_trips", 1);
+        recorder.gauge_set("fault.healthy_gpus", session.healthy_count() as f64);
+        if session.healthy_count() <= 1 {
+            // Graceful degradation: the fleet continues on a single device.
+            recorder.gauge_set("fault.degraded_mode", 1.0);
+        }
+        // Incident hook: an installed flight recorder dumps a post-mortem here.
+        bus::publish(&ObsEvent::Incident(Incident {
+            kind: IncidentKind::BreakerTrip { device },
+            wall_s: recorder.wall_now_s(),
+            detail: format!(
+                "device gpu{device} out of service; {} healthy remain",
+                session.healthy_count()
+            ),
+        }));
+    }
+
+    /// Failover: take `vp`'s current device out of service, then relocate the
+    /// VP onto `target`.
+    fn fail_over(
+        &mut self,
+        session: &mut ExecutionSession,
+        stats: &mut DispatchStats,
+        vp: VpId,
+        target: usize,
+    ) {
+        if let Some(current) = session.device_of(vp).filter(|&current| current != target) {
+            self.mark_down(session, stats, current);
+            self.relocate(session, stats, vp, target);
+        }
+    }
+
+    /// Move `vp` onto `target` without touching the source device's health (a
+    /// load-triggered rebalance moves VPs between *live* devices): rebuild its
+    /// device state there through [`Residency::relocate`] and switch routing.
+    fn relocate(
+        &mut self,
+        session: &mut ExecutionSession,
+        stats: &mut DispatchStats,
+        vp: VpId,
+        target: usize,
+    ) {
+        let Some(current) = session.device_of(vp) else { return };
+        if current == target {
+            return;
+        }
+        let recorder = sigmavp_telemetry::recorder();
+        let started_wall_s = recorder.wall_now_s();
+        let started = Instant::now();
+        let runtime = session.runtime(target);
+        let moved = self.residency.entry(vp).or_default().relocate(
+            current,
+            target,
+            replay_onto(&mut runtime.lock(), vp, &format!("-> gpu{target}")),
+        );
+        if moved.reused {
+            recorder.count("fault.reuse_migrations", 1);
+        }
+        if moved.failed {
+            recorder.count("fault.replay_failures", 1);
+        } else {
+            recorder.count("fault.replayed_jobs", moved.replayed as u64);
+        }
+        session.reassign(vp, target);
+        stats.migrations += 1;
+        recorder.count("fault.migrations", 1);
+        recorder.span(
+            TimeDomain::Wall,
+            Lane::Dispatcher,
+            format!("migrate VP {} -> gpu{target}", vp.0),
+            started_wall_s,
+            started.elapsed().as_secs_f64(),
+        );
+    }
+
+    /// The side effects of quarantining `vp` (the caller owns the quarantine
+    /// set): publish a [`IncidentKind::VpHung`] incident — an installed flight
+    /// recorder dumps a postmortem bundle on it — and fail the VP's journal
+    /// over to the least-loaded healthy *other* device, so when (if) the VP
+    /// wakes its state is already off the placement it wedged on.
+    fn quarantine(
+        &mut self,
+        session: &mut ExecutionSession,
+        stats: &mut DispatchStats,
+        vp: VpId,
+        device_free_s: &[f64],
+        idle_windows: u64,
+    ) {
+        let recorder = sigmavp_telemetry::recorder();
+        stats.quarantined += 1;
+        recorder.count("liveness.quarantined", 1);
+        let current = session.device_of(vp);
+        bus::publish(&ObsEvent::Incident(Incident {
+            kind: IncidentKind::VpHung { vp: vp.0 },
+            wall_s: recorder.wall_now_s(),
+            detail: format!(
+                "VP {} stopped progressing for {idle_windows} flushed windows on gpu{}; \
+                 quarantined out of the sync quorum",
+                vp.0,
+                current.map_or(-1i64, |d| d as i64),
+            ),
+        }));
+        // Least simulated backlog, ties to the lowest index. Single-device
+        // sessions keep the placement; quarantine still shrinks the quorum.
+        if let Some(current) = current {
+            let target = (0..session.device_count())
+                .filter(|&d| d != current && session.is_healthy(d))
+                .min_by(|&a, &b| {
+                    device_free_s[a]
+                        .partial_cmp(&device_free_s[b])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+            if let Some(target) = target {
+                self.relocate(session, stats, vp, target);
+                recorder.count("liveness.quarantine_failovers", 1);
+            }
+        }
+    }
+}
+
+/// The transport-agnostic, clock-free dispatch state machine. See the module
+/// docs; drivers call [`offer`](Self::offer) for each arrival, then
+/// [`turn`](Self::turn), and hand the returned deliveries over.
+pub struct DispatchCore {
+    /// The device set, shared with whoever else routes VPs onto it (the fleet
+    /// front). Locked only to resolve devices and to relocate; never while a
+    /// request executes.
+    session: Arc<Mutex<ExecutionSession>>,
+    pipeline: Pipeline,
+    coalescible: HashMap<VpId, bool>,
+    policy: Policy,
+    /// Journal executed requests: a fault plan or sync windows may relocate a
+    /// VP mid-run, and replay needs its history.
+    journal: bool,
+    sup: Supervision,
+    stats: DispatchStats,
+    queue: JobQueue,
+    /// Arrivals behind the queued jobs, keyed by job id.
+    waiting: HashMap<u64, Arrival>,
+    /// Held sync launches (at most one per stopped VP), in canonical
+    /// `(vp, seq)` order, and the simulated time each device frees up after
+    /// prior windows.
+    held: Vec<HeldJob>,
+    device_free_s: Vec<f64>,
+    /// The profiler feedback loop: last observed duration per kernel name.
+    expected_kernel_s: HashMap<String, f64>,
+    /// The quorum denominator: VPs that can still produce a launch.
+    members: BTreeSet<VpId>,
+    quarantined: HashSet<VpId>,
+    /// Flushed-window count at each VP's last sign of life; a VP
+    /// `hang_windows` behind is quarantined until it speaks again.
+    last_activity_flush: HashMap<VpId, u64>,
+    flush_count: u64,
+    /// Max simulated timestamp on any arrival — the deterministic clock the
+    /// window timeout and the hold deadline run on.
+    sim_now: f64,
+    latency_metric: HashMap<VpId, String>,
+    out: Turn,
+}
+
+impl DispatchCore {
+    /// A core executing on `session` under `policy`, injecting `faults` (if
+    /// any). `coalescible` marks the VPs whose launches may merge in a sync
+    /// window; absent VPs are not coalescible.
+    pub fn new(
+        session: Arc<Mutex<ExecutionSession>>,
+        policy: &Policy,
+        faults: Option<Arc<FaultPlan>>,
+        coalescible: HashMap<VpId, bool>,
+    ) -> Self {
+        let devices = session.lock().device_count();
+        DispatchCore {
+            session,
+            pipeline: Pipeline::from_policy(policy),
+            coalescible,
+            policy: *policy,
+            journal: faults.is_some() || policy.sync_hold,
+            sup: Supervision::new(faults, devices),
+            stats: DispatchStats::default(),
+            queue: JobQueue::new(),
+            waiting: HashMap::new(),
+            held: Vec::new(),
+            device_free_s: vec![0.0; devices],
+            expected_kernel_s: HashMap::new(),
+            members: BTreeSet::new(),
+            quarantined: HashSet::new(),
+            last_activity_flush: HashMap::new(),
+            flush_count: 0,
+            sim_now: 0.0,
+            latency_metric: HashMap::new(),
+            out: Turn::default(),
+        }
+    }
+
+    /// The ledger so far.
+    pub fn stats(&self) -> &DispatchStats {
+        &self.stats
+    }
+
+    /// `vp` counts toward the sync quorum from now on (it connected, was
+    /// readmitted, or migrated here); lifts a quarantine.
+    pub fn join(&mut self, vp: VpId) {
+        self.members.insert(vp);
+        self.quarantined.remove(&vp);
+        self.last_activity_flush.insert(vp, self.flush_count);
+    }
+
+    /// `vp` can no longer produce a launch here (it disconnected, retired, or
+    /// migrated away): windows stop waiting for it.
+    pub fn leave(&mut self, vp: VpId) {
+        self.members.remove(&vp);
+    }
+
+    /// Whether the driver's stall clock should run: launches are parked, the
+    /// watchdog is on, and only a wall-clock timeout can tell a wedged fleet
+    /// from a slow one.
+    pub fn stall_armed(&self) -> bool {
+        self.policy.hang_windows > 0 && !self.held.is_empty()
+    }
+
+    /// Accept one decoded request: duplicates of an executed request are
+    /// answered from the dedup cache, duplicates of a pending one ignored,
+    /// requests already past their deadline refused; a synchronous launch
+    /// under sync-hold is parked for the next window, anything else queued
+    /// for the next [`turn`](Self::turn). Returns `true` when the request was
+    /// parked — the driver stops the VP (Fig. 4b) until the delivery marked
+    /// `resume` comes back.
+    pub fn offer(&mut self, envelope: Envelope) -> bool {
+        let recorder = sigmavp_telemetry::recorder();
+        let vp = envelope.vp;
+        // Any arrival is proof of life. A quarantined VP that speaks again
+        // rejoins the quorum — its late launch rolls into the next window.
+        self.sim_now = self.sim_now.max(envelope.sent_at_s);
+        if self.policy.hang_windows > 0 {
+            self.last_activity_flush.insert(vp, self.flush_count);
+        }
+        if self.quarantined.remove(&vp) {
+            self.stats.rejoins += 1;
+            recorder.count("liveness.rejoins", 1);
+        }
+        if let Some(cached) = self.sup.dedup.lookup(vp, envelope.seq) {
+            // Effect-once: this request already executed but its response was
+            // lost in flight; resend the cached response without re-executing.
+            self.stats.dedup_hits += 1;
+            recorder.count("fault.dedup_hits", 1);
+            let response = cached.clone();
+            self.out.deliveries.push(Delivery { request: envelope, response, resume: false });
+            return false;
+        }
+        if !self.sup.in_flight.insert((vp.0, envelope.seq)) {
+            // A delayed duplicate of a request that is still pending.
+            return false;
+        }
+        // Admission boundary: a request stamped past its own end-to-end
+        // deadline (retries eat into the same budget) is refused before it
+        // enters any queue.
+        if envelope.has_deadline() && envelope.sent_at_s > envelope.deadline_s {
+            let now_s = envelope.sent_at_s;
+            self.refuse(envelope, DeadlineStage::Admission, now_s, false);
+            return false;
+        }
+        let kind = match &envelope.body {
+            Request::MemcpyH2D { data, .. } => JobKind::CopyIn { bytes: data.len() as u64 },
+            Request::MemcpyD2H { len, .. } => JobKind::CopyOut { bytes: *len },
+            Request::Launch { kernel, grid_dim, block_dim, .. } => {
+                JobKind::Kernel { name: kernel.clone(), grid_dim: *grid_dim, block_dim: *block_dim }
+            }
+            // Control requests (malloc/free/sync) are cheap; model them as
+            // zero-byte copies so they flow through the same queue.
+            _ => JobKind::CopyIn { bytes: 0 },
+        };
+        let hold = holds_launch(&self.policy, &envelope.body);
+        let expected = {
+            let mut session = self.session.lock();
+            let device = session.assign(vp);
+            let arch = session.arch(device);
+            match &kind {
+                JobKind::CopyIn { bytes } | JobKind::CopyOut { bytes } => arch.copy_time_s(*bytes),
+                JobKind::Kernel { name, .. } => {
+                    // The profiler feedback loop, observed: a hit means a
+                    // previous launch of this kernel already taught the
+                    // re-scheduler its expected duration.
+                    let known = self.expected_kernel_s.get(name).copied();
+                    recorder.count(
+                        if known.is_some() {
+                            "profiler.feedback.hits"
+                        } else {
+                            "profiler.feedback.misses"
+                        },
+                        1,
+                    );
+                    // A held launch is floored at its launch overhead so the
+                    // window planner prices the fixed cost a merge would save.
+                    let floor = if hold { arch.launch_overhead_us * 1e-6 } else { 0.0 };
+                    known.unwrap_or(0.0).max(floor)
+                }
+            }
+        };
+        let job = Job {
+            id: self.queue.next_id(),
+            vp,
+            seq: envelope.seq,
+            kind,
+            sync: true,
+            enqueued_at_s: envelope.sent_at_s,
+            expected_duration_s: expected,
+        };
+        let arrival = Arrival { envelope, wall_s: recorder.wall_now_s() };
+        if hold {
+            // Dedup and in-flight triage already ran, so a retry of an
+            // executed or already-held request never holds twice. Holds are
+            // placed by (vp, seq) as they land — arrival order races between
+            // VP threads — so every window reads off a sorted slice and a
+            // VP's launches can never interleave out of sequence order.
+            self.stats.holds += 1;
+            recorder.count("dispatch.sync.holds", 1);
+            let h = HeldJob { job, arrival };
+            let at = self.held.partition_point(|x| x.key() < h.key());
+            self.held.insert(at, h);
+            return true;
+        }
+        self.waiting.insert(job.id.0, arrival);
+        self.queue.push(job);
+        false
+    }
+
+    /// One scheduling round: re-schedule and execute everything pending,
+    /// flush a sync window if one is due, sweep the watchdog — and return
+    /// every response produced since the last call.
+    pub fn turn(&mut self) -> Turn {
+        self.run_pending();
+        if let Some(window) = self.due_window() {
+            self.flush(window);
+            self.flush_count += 1;
+            self.sweep_watchdog();
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// The driver's stall clock expired while [`stall_armed`](Self::stall_armed):
+    /// no arrival for [`STALL_WALL_BACKSTOP`] with launches parked means every
+    /// unheld VP is wedged at once — simulated time is frozen, so neither the
+    /// quorum nor the timeout can ever fire. Quarantine the silent VPs and run
+    /// a [`turn`](Self::turn), whose full-house branch releases the window.
+    pub fn on_stall(&mut self) -> Turn {
+        if self.stall_armed() {
+            let stuck: Vec<VpId> = self.eligible().filter(|v| !self.is_held(*v)).collect();
+            if !stuck.is_empty() {
+                self.stats.backstop_trips += 1;
+                sigmavp_telemetry::recorder().count("liveness.backstop_trips", 1);
+                self.quarantine_all(stuck);
+            }
+        }
+        self.turn()
+    }
+
+    /// No more arrivals will come: execute what is pending and flush whatever
+    /// is still held as a final window, so no accepted request is lost.
+    pub fn close(&mut self) -> Turn {
+        self.run_pending();
+        if !self.held.is_empty() {
+            let window = std::mem::take(&mut self.held);
+            self.flush(window);
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// The session died under this core: give back every accepted request it
+    /// has not executed (queued first, then held, each in order) so the
+    /// driver can re-home them.
+    pub fn abandon(&mut self) -> Vec<Envelope> {
+        let queued = self.queue.drain_all();
+        let orphans: Vec<Envelope> = queued
+            .iter()
+            .filter_map(|job| self.waiting.remove(&job.id.0))
+            .chain(self.held.drain(..).map(|h| h.arrival))
+            .map(|arrival| arrival.envelope)
+            .collect();
+        for envelope in &orphans {
+            self.sup.in_flight.remove(&(envelope.vp.0, envelope.seq));
+        }
+        orphans
+    }
+
+    /// Non-quarantined members, ascending.
+    fn eligible(&self) -> impl Iterator<Item = VpId> + '_ {
+        self.members.iter().copied().filter(|v| !self.quarantined.contains(v))
+    }
+
+    fn is_held(&self, vp: VpId) -> bool {
+        // `held` is sorted by (vp, seq), hence by vp.
+        self.held.binary_search_by_key(&vp.0, |h| h.job.vp.0).is_ok()
+    }
+
+    fn quarantine_all(&mut self, vps: Vec<VpId>) {
+        let mut session = self.session.lock();
+        for vp in vps {
+            self.quarantined.insert(vp);
+            self.sup.quarantine(
+                &mut session,
+                &mut self.stats,
+                vp,
+                &self.device_free_s,
+                u64::from(self.policy.hang_windows),
+            );
+            self.out.quarantined.push(vp);
+        }
+    }
+
+    /// Refuse `envelope` with the structured deadline violation and release
+    /// its in-flight guard.
+    fn refuse(&mut self, envelope: Envelope, stage: DeadlineStage, now_s: f64, resume: bool) {
+        self.stats.deadline_misses += 1;
+        sigmavp_telemetry::recorder().count("liveness.deadline_misses", 1);
+        self.sup.in_flight.remove(&(envelope.vp.0, envelope.seq));
+        let response = ResponseEnvelope {
+            vp: envelope.vp,
+            seq: envelope.seq,
+            sent_at_s: envelope.sent_at_s,
+            body: Response::Error {
+                message: format_deadline_violation(stage, envelope.deadline_s, now_s),
+            },
+        };
+        self.out.deliveries.push(Delivery { request: envelope, response, resume });
+    }
+
+    /// Re-schedule the pending window (the paper's asynchronous reordering,
+    /// Fig. 4a) through the shared pipeline — including the rebalance pass,
+    /// which sees per-device health and plans migrations off dead GPUs — then
+    /// execute it.
+    fn run_pending(&mut self) {
+        let window = self.queue.drain_all();
+        if window.is_empty() {
+            return;
+        }
+        let recorder = sigmavp_telemetry::recorder();
+        if window.len() > 1 {
+            self.stats.multi_job_windows += 1;
+            recorder.count("dispatch.multi_job_windows", 1);
+        }
+        recorder.count("dispatch.windows", 1);
+        recorder.observe_s("dispatch.window_jobs", window.len() as f64);
+        self.stats.max_window = self.stats.max_window.max(window.len());
+        let jobs = {
+            let mut session = self.session.lock();
+            // One job on a healthy device: nothing to reorder, nowhere to
+            // migrate — planning would hand the window back unchanged.
+            let trivial = window.len() == 1
+                && session
+                    .device_of(window[0].vp)
+                    .is_some_and(|d| !self.sup.is_down(&session, d, window[0].enqueued_at_s));
+            if trivial {
+                window
+            } else {
+                let planned = self.sup.plan_window(&session, &self.pipeline, window, None);
+                for (vp, target) in planned.migrations {
+                    self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                }
+                planned.jobs
+            }
+        };
+        for job in jobs {
+            let arrival = self.waiting.remove(&job.id.0).expect("every job has an arrival");
+            // Plan boundary: refuse device work whose *projected* completion
+            // already overshoots its deadline, instead of burning device time
+            // on it. Control requests never reach an engine; they are not
+            // priced.
+            let envelope = &arrival.envelope;
+            let projected_s = envelope.sent_at_s + job.expected_duration_s;
+            let device_work = !matches!(
+                envelope.body,
+                Request::Malloc { .. } | Request::Free { .. } | Request::Synchronize
+            );
+            if device_work && envelope.has_deadline() && projected_s > envelope.deadline_s {
+                self.refuse(arrival.envelope, DeadlineStage::Plan, projected_s, false);
+                continue;
+            }
+            let response = self.execute(&job, &arrival);
+            self.stats.requests += 1;
+            self.sup.in_flight.remove(&(job.vp.0, job.seq));
+            self.out.deliveries.push(Delivery {
+                request: arrival.envelope,
+                response,
+                resume: false,
+            });
+        }
+    }
+
+    /// Sync window triage, in precedence order:
+    ///
+    /// * *full* — every eligible (member, non-quarantined) VP has a held
+    ///   launch: the window cannot grow, flush everything. With the default
+    ///   knobs (quorum 100 %, no timeout, no watchdog) this is the only
+    ///   branch and reproduces lockstep flushing exactly. Departures and
+    ///   quarantines shrink the quorum, so a lone survivor still progresses.
+    /// * *quorum* — a configured fraction < 100 % of eligible VPs is held:
+    ///   flush exactly the threshold-sized selection with the earliest
+    ///   `(sent_at, vp)` stamps — deterministic on simulated time and
+    ///   starvation-free — and let late arrivals roll into the next window.
+    /// * *timeout* — the window has been open longer (in simulated time) than
+    ///   the configured limit: flush everything held rather than park VPs
+    ///   behind a straggler indefinitely.
+    fn due_window(&mut self) -> Option<Vec<HeldJob>> {
+        if self.held.is_empty() {
+            return None;
+        }
+        let recorder = sigmavp_telemetry::recorder();
+        let eligible = self.eligible().count();
+        if self.eligible().all(|v| self.is_held(v)) {
+            return Some(std::mem::take(&mut self.held));
+        }
+        let quorum_pct = self.policy.sync_quorum_pct;
+        if quorum_pct < 100 && quorum_met(self.held.len(), eligible, quorum_pct) {
+            self.stats.quorum_flushes += 1;
+            recorder.count("dispatch.sync.quorum_flushes", 1);
+            let threshold = quorum_threshold(eligible, quorum_pct);
+            let held = &self.held;
+            let mut order: Vec<usize> = (0..held.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (&held[a], &held[b]);
+                a.arrival
+                    .envelope
+                    .sent_at_s
+                    .partial_cmp(&b.arrival.envelope.sent_at_s)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.key().cmp(&b.key()))
+            });
+            order.truncate(threshold);
+            // Removing in descending index order keeps the remaining indices
+            // valid; reversing restores canonical (vp, seq).
+            order.sort_unstable();
+            let mut window: Vec<HeldJob> =
+                order.iter().rev().map(|&i| self.held.remove(i)).collect();
+            window.reverse();
+            return Some(window);
+        }
+        let opened_s =
+            self.held.iter().map(|h| h.arrival.envelope.sent_at_s).fold(f64::INFINITY, f64::min);
+        if self.policy.sync_timeout_s().is_some_and(|limit| self.sim_now - opened_s >= limit) {
+            self.stats.timeout_flushes += 1;
+            recorder.count("dispatch.sync.timeout_flushes", 1);
+            return Some(std::mem::take(&mut self.held));
+        }
+        None
+    }
+
+    /// After a flush the fleet has just proved it can make progress without
+    /// the VPs that are neither held nor recently heard from: any eligible VP
+    /// `hang_windows` flushes behind is quarantined — removed from the quorum
+    /// denominator and failed over to a healthy placement.
+    fn sweep_watchdog(&mut self) {
+        let hang_windows = u64::from(self.policy.hang_windows);
+        if hang_windows == 0 {
+            return;
+        }
+        let hung: Vec<VpId> = self
+            .eligible()
+            .filter(|v| {
+                let last = self.last_activity_flush.get(v).copied().unwrap_or(self.flush_count);
+                !self.is_held(*v) && self.flush_count.saturating_sub(last) >= hang_windows
+            })
+            .collect();
+        self.quarantine_all(hung);
+    }
+
+    /// Execute one job end to end — failover safety net, transient injection,
+    /// handle translation, device dispatch, journaling, dedup storage and
+    /// profiler feedback — and return its response.
+    ///
+    /// Every path produces exactly one response; callers differ only in *when*
+    /// they deliver it (immediately on the async path, at window flush on the
+    /// sync-hold path). That single-response invariant is what makes the hold
+    /// protocol deadlock-free under faults: a stopped VP whose device tripped,
+    /// or that migrated mid-window, still gets a (possibly error) answer and a
+    /// resume.
+    fn execute(&mut self, job: &Job, arrival: &Arrival) -> ResponseEnvelope {
+        let recorder = sigmavp_telemetry::recorder();
+        let envelope = &arrival.envelope;
+        let (vp, seq, sent_at_s) = (envelope.vp, envelope.seq, envelope.sent_at_s);
+        let error = |message: String| ResponseEnvelope {
+            vp,
+            seq,
+            sent_at_s,
+            body: Response::Error { message },
+        };
+        // The session lock covers only routing and health; execution below
+        // holds nothing but the device's runtime lock.
+        let (runtime, arch) = {
+            let mut session = self.session.lock();
+            let mut device = session.assign(vp);
+            // Safety net behind the rebalance pass: if the device went down
+            // after planning (or the plan saw an earlier timestamp), fail
+            // over now — or degrade to an error when no survivor is left.
+            if self.sup.is_down(&session, device, sent_at_s) {
+                self.sup.mark_down(&mut session, &mut self.stats, device);
+                let survivor = (0..session.device_count())
+                    .find(|&d| d != device && !self.sup.is_down(&session, d, sent_at_s));
+                let Some(target) = survivor else {
+                    recorder.count("fault.no_survivor", 1);
+                    return error(format!("no surviving host gpu: device {device} is down"));
+                };
+                self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                device = target;
+            }
+            // Transient device-error injection: the plan marks attempted
+            // operation indexes per device; an injected failure feeds the
+            // breaker and is *not* cached, so the guest's retry re-executes.
+            let op = self.sup.op_count[device];
+            self.sup.op_count[device] += 1;
+            if self.sup.plan.as_ref().is_some_and(|p| p.transient_at(device, op)) {
+                recorder.count("fault.injected.transient", 1);
+                if self.sup.breakers[device].record_failure() {
+                    self.sup.mark_down(&mut session, &mut self.stats, device);
+                }
+                return error(format!("{TRANSIENT_ERROR_PREFIX} injected device fault"));
+            }
+            self.sup.breakers[device].record_success();
+            // The arch feeds observation publishing only; skip the clone when
+            // nothing on the bus is listening.
+            (session.runtime(device), bus::has_sinks().then(|| session.arch(device).clone()))
+        };
+        // A relocated VP keeps its original guest handle space; everyone else
+        // executes the request as it arrived, uncopied.
+        let translated;
+        let exec = match self.sup.residency.get(&vp).map(|r| r.translate(&envelope.body)) {
+            None | Some(Ok(Cow::Borrowed(_))) => envelope,
+            Some(Ok(Cow::Owned(body))) => {
+                translated = Envelope { vp, seq, sent_at_s, deadline_s: envelope.deadline_s, body };
+                &translated
+            }
+            Some(Err(message)) => return error(message),
+        };
+        let exec_started_wall_s = recorder.wall_now_s();
+        let exec_started = Instant::now();
+        let mut response = {
+            let mut rt = runtime.lock();
+            let response = rt.process(exec);
+            // Feed the profiler observation back into the expected-time table
+            // and publish it for any live profile store. Guard on (vp, seq):
+            // a non-device request leaves an older job as `last()`.
+            if let Some(record) = rt.records().last().filter(|r| r.vp == vp && r.seq == seq) {
+                if let Some(arch) = &arch {
+                    crate::host::publish_record(arch, record);
+                }
+                if let RecordKind::Kernel { name, .. } = &record.kind {
+                    match self.expected_kernel_s.get_mut(name) {
+                        Some(expected) => *expected = record.duration_s,
+                        None => {
+                            self.expected_kernel_s.insert(name.clone(), record.duration_s);
+                        }
+                    }
+                }
+            }
+            response
+        };
+        if recorder.enabled() {
+            let uid = job_uid(vp.0, seq);
+            recorder.span_for_job(
+                TimeDomain::Wall,
+                Lane::Dispatcher,
+                dispatch_span_name(job),
+                exec_started_wall_s,
+                exec_started.elapsed().as_secs_f64(),
+                uid,
+            );
+            // Queue wait: arrival at the core to execution start, on the
+            // job-queue lane so the lifecycle join sees the wait phase.
+            recorder.span_for_job(
+                TimeDomain::Wall,
+                Lane::JobQueue,
+                dispatch_span_name(job),
+                arrival.wall_s,
+                (exec_started_wall_s - arrival.wall_s).max(0.0),
+                uid,
+            );
+            // Per-VP request latency: arrival to response ready.
+            let metric = self
+                .latency_metric
+                .entry(vp)
+                .or_insert_with(|| format!("dispatch.vp{}.latency_s", vp.0));
+            recorder.observe_s(metric, (recorder.wall_now_s() - arrival.wall_s).max(0.0));
+        }
+        // Keep the guest's handle space stable and journal the guest-visible
+        // effect, so a later failover or load-triggered relocation can
+        // reconstruct device state.
+        if self.journal {
+            self.sup.residency.entry(vp).or_default().settle(
+                seq,
+                &envelope.body,
+                &mut response.body,
+            );
+        }
+        // Effect-once: remember the executed response for dedup resends.
+        self.sup.dedup.store(&response);
+        response
+    }
+
+    /// Flush a selected synchronous window (Fig. 4b): rebalance the held VPs
+    /// across devices (load-triggered moves included), plan each device's
+    /// slice with the *full* pipeline — the VPs are stopped, so cross-VP
+    /// coalescing and wave-packing are safe on live traffic — execute the
+    /// planned jobs, price the window against its reorder-only alternative
+    /// (Eq. 7), and deliver in planned completion order.
+    ///
+    /// The window arrives in canonical `(vp, seq)` order whatever selected it.
+    /// Held launches whose end-to-end deadline expired while waiting are
+    /// refused here (the `hold` boundary) instead of being planned: their VPs
+    /// still resume, carrying the structured violation instead of a
+    /// completion.
+    fn flush(&mut self, window: Vec<HeldJob>) {
+        let recorder = sigmavp_telemetry::recorder();
+        let flush_started_wall_s = recorder.wall_now_s();
+        let flush_started = Instant::now();
+        assert!(
+            window.windows(2).all(|w| w[0].key() < w[1].key()),
+            "sync window must arrive in canonical (vp, seq) order"
+        );
+        self.stats.sync_windows += 1;
+        recorder.count("dispatch.sync.windows", 1);
+        recorder.observe_s("dispatch.sync.window_jobs", window.len() as f64);
+        if self.policy.hang_windows > 0 {
+            // Being flushed is a sign of life: a VP in this window is not
+            // behind once the flush is counted.
+            for h in &window {
+                self.last_activity_flush.insert(h.job.vp, self.flush_count + 1);
+            }
+        }
+
+        // Hold boundary: anything that expired while parked — by the newest
+        // simulated time seen on any arrival — is refused, not planned.
+        let sim_now = self.sim_now;
+        let (window, expired): (Vec<HeldJob>, Vec<HeldJob>) =
+            window.into_iter().partition(|h| sim_now <= h.arrival.envelope.deadline_s);
+        for h in expired {
+            self.refuse(h.arrival.envelope, DeadlineStage::Hold, sim_now, true);
+        }
+
+        // Rebalance over the whole window, then partition it by
+        // (post-migration) device in first-appearance order.
+        let t_now = window.iter().map(|h| h.arrival.envelope.sent_at_s).fold(0.0f64, f64::max);
+        let mut slices: Vec<(usize, GpuArch, Vec<usize>)> = Vec::new();
+        {
+            let mut session = self.session.lock();
+            let jobs: Vec<Job> = window.iter().map(|h| h.job.clone()).collect();
+            let rebalance = Pipeline::new().with_pass(Rebalance);
+            let load = Some(LoadRebalance::DEFAULT);
+            let migrations = self.sup.plan_window(&session, &rebalance, jobs, load).migrations;
+            for (vp, target) in migrations {
+                let Some(current) = session.device_of(vp) else { continue };
+                if current == target {
+                    continue;
+                }
+                if self.sup.is_down(&session, current, t_now) {
+                    self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                } else {
+                    // Load-triggered: the source device stays in service.
+                    self.sup.relocate(&mut session, &mut self.stats, vp, target);
+                }
+            }
+            for (i, h) in window.iter().enumerate() {
+                let d = session.assign(h.job.vp);
+                match slices.iter_mut().find(|(device, _, _)| *device == d) {
+                    Some((_, _, members)) => members.push(i),
+                    None => slices.push((d, session.arch(d).clone(), vec![i])),
+                }
+            }
+        }
+
+        // (window index, absolute completion time, response), across devices.
+        let mut completions: Vec<(usize, f64, ResponseEnvelope)> = Vec::new();
+        for (d, arch, members) in slices {
+            // Local job ids index the device slice (the lowering contract:
+            // `jobs[i].id == JobId(i)` into `records`).
+            let local_jobs: Vec<Job> = members
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| Job { id: JobId(i as u64), ..window[w].job.clone() })
+                .collect();
+            let mut records: Vec<JobRecord> =
+                members.iter().map(|&w| synth_record(&window[w], &arch)).collect();
+            let planned = {
+                let coalescible = |vp: VpId| self.coalescible.get(&vp).copied().unwrap_or(false);
+                let evaluator = EngineEvaluator::new(&arch, &records);
+                let lanes = |block_dim: u32| arch.blocks_per_wave(block_dim);
+                let ctx = PassCtx::new(&coalescible)
+                    .with_evaluator(&evaluator)
+                    .with_wave_lanes(&lanes)
+                    .with_live_sync(true);
+                self.pipeline.plan(local_jobs.clone(), &ctx)
+            };
+
+            // Execute every member functionally (coalescing is a *timing*
+            // merge; each member still runs on its own buffers), in planned
+            // order.
+            let mut responses: Vec<(u64, ResponseEnvelope)> =
+                Vec::with_capacity(planned.jobs.len());
+            for job in &planned.jobs {
+                let h = &window[members[job.id.0 as usize]];
+                let response = self.execute(&h.job, &h.arrival);
+                // Real observed durations re-price the window below.
+                if let Response::Launched { device_time_s } = &response.body {
+                    records[job.id.0 as usize].duration_s = *device_time_s;
+                }
+                responses.push((job.id.0, response));
+            }
+
+            // Price the executed window (Eq. 7): the live merged plan against
+            // the reorder-only plan of the very same jobs — the async baseline.
+            let live_tl =
+                simulate(&arch, &lower_jobs(&planned.jobs, &records, &planned.groups, &arch));
+            let reorder_stream = self.pipeline.plan(local_jobs, &PassCtx::reorder_only());
+            let reorder_tl =
+                simulate(&arch, &lower_jobs(&reorder_stream.jobs, &records, &[], &arch));
+            self.stats.sync_makespan_s += live_tl.makespan_s;
+            self.stats.sync_reorder_makespan_s += reorder_tl.makespan_s;
+            self.stats.live_groups += planned.groups.len() as u64;
+            self.stats.live_members += planned.merged_members() as u64;
+            recorder.observe_s("dispatch.sync.makespan_s", live_tl.makespan_s);
+            recorder.observe_s("dispatch.sync.reorder_makespan_s", reorder_tl.makespan_s);
+            if !planned.groups.is_empty() {
+                recorder.count("dispatch.sync.live_groups", planned.groups.len() as u64);
+                recorder.count("dispatch.sync.live_members", planned.merged_members() as u64);
+            }
+            // Eq. 9 accounting per surviving kernel group: slots = λ-aligned
+            // block quanta of the merged grid, filled = blocks actually
+            // launched; the difference is the alignment residual.
+            let mut anchor_of: HashMap<u64, u64> = HashMap::new();
+            for group in &planned.groups {
+                for member in &group.dropped {
+                    anchor_of.insert(member.0, group.anchor.0);
+                }
+                let geometry: Vec<(u32, u32)> = group
+                    .member_ids()
+                    .filter_map(|id| match &window[members[id.0 as usize]].job.kind {
+                        JobKind::Kernel { grid_dim, block_dim, .. } => {
+                            Some((*grid_dim, *block_dim))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                if let Some(&(_, block_dim)) = geometry.first() {
+                    let total_grid: u64 = geometry.iter().map(|&(g, _)| u64::from(g)).sum();
+                    let bpw = u64::from(arch.blocks_per_wave(block_dim));
+                    self.stats.wave_slots += total_grid.div_ceil(bpw).max(1) * bpw;
+                    self.stats.wave_filled += total_grid;
+                }
+            }
+
+            // Per-VP completion on the shared simulated timeline: the window
+            // opens when its last request was stamped (and no earlier than the
+            // device's previous window draining), members complete at their
+            // op's end — a coalesced-away member at its anchor's.
+            let base = t_now.max(self.device_free_s[d]);
+            for (local_id, mut response) in responses {
+                let op = anchor_of.get(&local_id).copied().unwrap_or(local_id);
+                let end = live_tl.span(op).map_or(live_tl.makespan_s, |s| s.end_s);
+                let w = members[local_id as usize];
+                let abs_end = base + end;
+                if let Response::Launched { device_time_s } = &mut response.body {
+                    // Charge the guest its observed completion: queueing
+                    // behind the window plus its (possibly merged) execution.
+                    let charge = (abs_end - window[w].arrival.envelope.sent_at_s).max(0.0);
+                    *device_time_s = charge.max(*device_time_s);
+                    // Keep the dedup cache consistent with the reply delivered.
+                    self.sup.dedup.store(&response);
+                }
+                completions.push((w, abs_end, response));
+            }
+            self.device_free_s[d] = base + live_tl.makespan_s;
+        }
+
+        // Deliver in planned completion order: the earliest-finishing VP
+        // wakes first, exactly as the merged timeline completes (ties by VP).
+        completions.sort_by(|a, b| {
+            a.1.partial_cmp(&b.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(window[a.0].job.vp.cmp(&window[b.0].job.vp))
+        });
+        let jobs = window.len();
+        let mut window: Vec<Option<HeldJob>> = window.into_iter().map(Some).collect();
+        for (w, _, response) in completions {
+            let h = window[w].take().expect("each held job completes once");
+            self.stats.requests += 1;
+            self.sup.in_flight.remove(&h.key());
+            self.out.deliveries.push(Delivery {
+                request: h.arrival.envelope,
+                response,
+                resume: true,
+            });
+        }
+        recorder.span(
+            TimeDomain::Wall,
+            Lane::Dispatcher,
+            format!("sync window ({jobs} jobs)"),
+            flush_started_wall_s,
+            flush_started.elapsed().as_secs_f64(),
+        );
+    }
+}
+
+/// The core driven directly: no threads, no transports, no sleeps.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sigmavp_ipc::message::WireParam;
+    use sigmavp_ipc::transport::TransportCost;
+    use sigmavp_vp::error::parse_deadline_violation;
+
+    const N: u64 = 64;
+
+    /// A core over `gpus` devices with `vps` joined guests, plus the guest-side
+    /// bookkeeping a driver would own: per-VP sequence numbers, a simulated
+    /// clock that stamps each request one tick (1 µs) after the previous one,
+    /// and the deadline budget stamped with it (none until a test sets one).
+    struct Rig {
+        core: DispatchCore,
+        next_seq: HashMap<VpId, u64>,
+        now_s: f64,
+        tick_s: f64,
+        budget_s: Option<f64>,
+    }
+
+    impl Rig {
+        fn new(policy: Policy, gpus: usize, vps: u32) -> Rig {
+            let registry = [sigmavp_workloads::kernels::vector_add()].into_iter().collect();
+            let session = ExecutionSession::new(
+                vec![GpuArch::quadro_4000(); gpus],
+                registry,
+                TransportCost::shared_memory(),
+            )
+            .expect("at least one device");
+            let mut core =
+                DispatchCore::new(Arc::new(Mutex::new(session)), &policy, None, HashMap::new());
+            for vp in 0..vps {
+                core.join(VpId(vp));
+            }
+            Rig { core, next_seq: HashMap::new(), now_s: 0.0, tick_s: 1e-6, budget_s: None }
+        }
+
+        fn envelope(&mut self, vp: u32, body: Request) -> Envelope {
+            let seq = self.next_seq.entry(VpId(vp)).or_insert(0);
+            *seq += 1;
+            self.now_s += self.tick_s;
+            Envelope {
+                vp: VpId(vp),
+                seq: *seq - 1,
+                sent_at_s: self.now_s,
+                deadline_s: self.budget_s.map_or(Envelope::NO_DEADLINE, |b| self.now_s + b),
+                body,
+            }
+        }
+
+        /// Offer one request and run a turn.
+        fn step(&mut self, vp: u32, body: Request) -> Turn {
+            let envelope = self.envelope(vp, body);
+            self.core.offer(envelope);
+            self.core.turn()
+        }
+
+        /// An async request answered in the same turn.
+        fn serve(&mut self, vp: u32, body: Request) -> Response {
+            let mut turn = self.step(vp, body);
+            assert_eq!(turn.deliveries.len(), 1, "{:?}", turn.deliveries);
+            turn.deliveries.pop().expect("one delivery").response.body
+        }
+
+        /// Three device buffers for `vp` (inputs filled with `fill`) and the
+        /// sync launch adding them.
+        fn prepare(&mut self, vp: u32, fill: f32) -> Request {
+            let mut handles = Vec::new();
+            for input in [true, true, false] {
+                let Response::Malloc { handle } = self.serve(vp, Request::Malloc { bytes: N * 4 })
+                else {
+                    panic!("malloc failed")
+                };
+                if input {
+                    let data = fill.to_le_bytes().repeat(N as usize);
+                    let done = self.serve(vp, Request::MemcpyH2D { handle, data, stream: 0 });
+                    assert_eq!(done, Response::Done);
+                }
+                handles.push(handle);
+            }
+            Request::Launch {
+                kernel: "vector_add".into(),
+                grid_dim: 1,
+                block_dim: N as u32,
+                params: handles
+                    .iter()
+                    .map(|h| WireParam::Buffer(*h))
+                    .chain([WireParam::I64(N as i64)])
+                    .collect(),
+                sync: true,
+                stream: 0,
+            }
+        }
+    }
+
+    fn sum_handle(launch: &Request) -> u64 {
+        let Request::Launch { params, .. } = launch else { panic!("not a launch") };
+        let WireParam::Buffer(handle) = params[2] else { panic!("third param is the output") };
+        handle
+    }
+
+    fn vps_of(turn: &Turn) -> Vec<u32> {
+        turn.deliveries.iter().map(|d| d.response.vp.0).collect()
+    }
+
+    fn sync_policy() -> Policy {
+        Policy::MultiplexedOptimized.with_sync_hold(true)
+    }
+
+    #[test]
+    fn full_house_flushes_one_lockstep_window() {
+        let mut rig = Rig::new(sync_policy(), 1, 2);
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        let first = rig.envelope(0, l0);
+        assert!(rig.core.offer(first), "a sync launch is parked: the driver stops the VP");
+        assert!(rig.core.turn().deliveries.is_empty(), "one of two eligible VPs held");
+        let turn = rig.step(1, l1);
+        assert_eq!(turn.deliveries.len(), 2);
+        assert!(turn.deliveries.iter().all(|d| d.resume));
+        assert!(turn
+            .deliveries
+            .iter()
+            .all(|d| matches!(d.response.body, Response::Launched { .. })));
+        let stats = rig.core.stats();
+        assert_eq!((stats.holds, stats.sync_windows), (2, 1));
+        assert_eq!((stats.quorum_flushes, stats.timeout_flushes), (0, 0));
+        assert!(rig.core.close().deliveries.is_empty(), "nothing left to drain");
+    }
+
+    #[test]
+    fn quorum_takes_the_earliest_stamps_and_leaves_the_rest_held() {
+        let mut rig = Rig::new(sync_policy().sync_quorum(0.5), 1, 4);
+        let launches: Vec<Request> = (0..4).map(|vp| rig.prepare(vp, 1.0)).collect();
+        // Three launches land before the core gets a turn, VP 3's stamped
+        // first: the window is the threshold (2 of 4) with the earliest
+        // stamps, not the lowest VP ids.
+        for vp in [3, 1, 2] {
+            let envelope = rig.envelope(vp, launches[vp as usize].clone());
+            rig.core.offer(envelope);
+        }
+        let turn = rig.core.turn();
+        let mut window = vps_of(&turn);
+        window.sort_unstable();
+        assert_eq!(window, [1, 3]);
+        assert_eq!(rig.core.stats().quorum_flushes, 1);
+        // VP 2 rolls into the next window, which VP 0 completes.
+        let turn = rig.step(0, launches[0].clone());
+        let mut window = vps_of(&turn);
+        window.sort_unstable();
+        assert_eq!(window, [0, 2]);
+        assert_eq!(rig.core.stats().sync_windows, 2);
+    }
+
+    #[test]
+    fn timeout_flushes_on_simulated_time_alone() {
+        let mut rig = Rig::new(sync_policy().with_sync_timeout_us(3), 1, 2);
+        let launch = rig.prepare(0, 1.0);
+        rig.tick_s = 1.25e-6; // off the timeout's grid: no floating-point ties
+        assert!(rig.step(0, launch).deliveries.is_empty(), "lockstep quorum unreachable");
+        // VP 1 never launches; its async traffic is the clock.
+        assert_eq!(vps_of(&rig.step(1, Request::Synchronize)), [1]);
+        assert_eq!(vps_of(&rig.step(1, Request::Synchronize)), [1]);
+        let turn = rig.step(1, Request::Synchronize);
+        assert_eq!(vps_of(&turn), [1, 0], "3.75 µs after it opened, the window flushes");
+        assert_eq!(rig.core.stats().timeout_flushes, 1);
+        assert_eq!(rig.core.stats().quorum_flushes, 0);
+    }
+
+    #[test]
+    fn a_launch_that_expires_while_held_is_refused_at_the_hold_boundary() {
+        let mut rig = Rig::new(sync_policy().with_sync_timeout_us(4), 1, 2);
+        let launch = rig.prepare(0, 1.0);
+        rig.budget_s = Some(2.5e-6);
+        rig.tick_s = 1.25e-6;
+        rig.step(0, launch);
+        let mut last = Turn::default();
+        for _ in 0..4 {
+            last = rig.step(1, Request::Synchronize);
+        }
+        let refused = last.deliveries.iter().find(|d| d.response.vp == VpId(0)).expect("flushed");
+        assert!(refused.resume, "the VP still resumes, carrying the violation");
+        let Response::Error { message } = &refused.response.body else { panic!("not refused") };
+        let (stage, _, _) = parse_deadline_violation(message).expect("structured violation");
+        assert_eq!(stage, DeadlineStage::Hold);
+        let stats = rig.core.stats();
+        assert_eq!((stats.deadline_misses, stats.timeout_flushes, stats.sync_windows), (1, 1, 1));
+    }
+
+    #[test]
+    fn stall_quarantines_fails_over_and_the_sleeper_rejoins() {
+        let mut rig = Rig::new(sync_policy().with_hang_windows(2), 2, 2);
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        rig.step(0, l0.clone());
+        assert_eq!(rig.step(1, l1.clone()).deliveries.len(), 2, "window 1: full house");
+        // VP 1 wedges. VP 0's next launch freezes simulated time, so only the
+        // driver's stall clock can help — fired here by hand, not by sleeping.
+        assert!(!rig.core.stall_armed());
+        assert!(rig.step(0, l0.clone()).deliveries.is_empty());
+        assert!(rig.core.stall_armed());
+        let turn = rig.core.on_stall();
+        assert_eq!(turn.quarantined, [VpId(1)]);
+        assert_eq!(vps_of(&turn), [0], "the shrunken quorum releases the window");
+        let stats = *rig.core.stats();
+        assert_eq!((stats.backstop_trips, stats.quarantined, stats.migrations), (1, 1, 1));
+        // VP 0 runs solo meanwhile.
+        assert_eq!(vps_of(&rig.step(0, l0.clone())), [0]);
+        // The sleeper wakes: it rejoins the quorum, its launch waits for VP 0
+        // again, and its buffers followed it to the other device.
+        assert!(rig.step(1, l1.clone()).deliveries.is_empty());
+        assert_eq!(rig.core.stats().rejoins, 1);
+        assert_eq!(rig.step(0, l0).deliveries.len(), 2);
+        let read = Request::MemcpyD2H { handle: sum_handle(&l1), len: N * 4, stream: 0 };
+        let Response::Data { data } = rig.serve(1, read) else { panic!("read-back failed") };
+        assert_eq!(data, 4.0f32.to_le_bytes().repeat(N as usize), "2 + 2 on the new device");
+        assert_eq!(rig.core.stats().quarantined, 1, "nobody else fell behind");
+    }
+
+    #[test]
+    fn close_drains_what_is_held_and_abandon_returns_it_unexecuted() {
+        let mut rig = Rig::new(sync_policy(), 1, 2);
+        let launch = rig.prepare(0, 1.0);
+        rig.step(0, launch.clone());
+        let turn = rig.core.close();
+        assert_eq!(vps_of(&turn), [0]);
+        assert!(matches!(turn.deliveries[0].response.body, Response::Launched { .. }));
+        assert_eq!(rig.core.stats().sync_windows, 1);
+
+        let held = rig.envelope(0, launch);
+        let queued = rig.envelope(1, Request::Synchronize);
+        rig.core.offer(held.clone());
+        rig.core.offer(queued.clone());
+        assert_eq!(rig.core.abandon(), [queued, held], "queued first, then held");
+        assert!(rig.core.close().deliveries.is_empty());
+    }
+
+    #[test]
+    fn duplicates_are_answered_once_and_executed_once() {
+        let mut rig = Rig::new(Policy::Fifo, 1, 1);
+        let malloc = rig.envelope(0, Request::Malloc { bytes: 64 });
+        // A delayed duplicate of a still-pending request is ignored…
+        rig.core.offer(malloc.clone());
+        rig.core.offer(malloc.clone());
+        let first = rig.core.turn();
+        assert_eq!(first.deliveries.len(), 1);
+        // …and a retry of an executed one gets the cached response back.
+        rig.core.offer(malloc);
+        let again = rig.core.turn();
+        assert_eq!(again.deliveries[0].response, first.deliveries[0].response);
+        let stats = rig.core.stats();
+        assert_eq!((stats.requests, stats.dedup_hits), (1, 1));
+    }
+
+    /// One envelope stream, two driving styles: the dispatcher's (offer every
+    /// frame of a poll sweep, then turn until quiet) and a fleet shard's (one
+    /// offer per turn). Same responses, same window ledger.
+    #[test]
+    fn sweep_driven_and_inbox_driven_cores_agree() {
+        let policies =
+            [sync_policy(), sync_policy().sync_quorum(0.5), sync_policy().with_sync_timeout_us(2)];
+        for policy in policies {
+            let run = |sweep: usize| {
+                let mut rig = Rig::new(policy, 1, 4);
+                // VPs 0–2 launch each round; VP 3 only syncs. Where a timeout
+                // is set it stays in the quorum — it never holds, so every
+                // window must time out, and under the 1.5 µs budget the
+                // window's oldest launch has expired by then.
+                let launches: Vec<Request> = (0..3).map(|vp| rig.prepare(vp, vp as f32)).collect();
+                if policy.sync_timeout_us == 0 {
+                    rig.core.leave(VpId(3));
+                } else {
+                    // Off the timeout's 2 µs grid, so no trigger sits on a
+                    // floating-point tie.
+                    rig.tick_s = 1.25e-6;
+                    rig.budget_s = Some(1.5e-6);
+                }
+                let mut stream = Vec::new();
+                for _round in 0..3 {
+                    for vp in 0..3u32 {
+                        stream.push(rig.envelope(3, Request::Synchronize));
+                        stream.push(rig.envelope(vp, launches[vp as usize].clone()));
+                    }
+                }
+                let mut answers: Vec<(u32, u64, Response)> = Vec::new();
+                for batch in stream.chunks(sweep) {
+                    for envelope in batch {
+                        rig.core.offer(envelope.clone());
+                    }
+                    loop {
+                        let turn = rig.core.turn();
+                        if turn.deliveries.is_empty() {
+                            break;
+                        }
+                        answers.extend(
+                            turn.deliveries
+                                .into_iter()
+                                .map(|d| (d.response.vp.0, d.response.seq, d.response.body)),
+                        );
+                    }
+                }
+                answers.extend(
+                    rig.core
+                        .close()
+                        .deliveries
+                        .into_iter()
+                        .map(|d| (d.response.vp.0, d.response.seq, d.response.body)),
+                );
+                answers.sort_by_key(|(vp, seq, _)| (*vp, *seq));
+                let s = *rig.core.stats();
+                (answers, s.sync_windows, s.quorum_flushes, s.timeout_flushes, s.deadline_misses)
+            };
+            let inbox = run(1);
+            assert_eq!(inbox.0.len(), 18, "every request answered exactly once");
+            assert!(inbox.1 >= 3, "windows flushed: {inbox:?}");
+            assert_eq!(inbox.4 > 0, policy.sync_timeout_us > 0, "expiries: {inbox:?}");
+            assert_eq!(run(2), inbox, "{policy:?}");
+        }
+    }
+}

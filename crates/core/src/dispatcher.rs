@@ -1,17 +1,18 @@
 //! The dispatcher-based live runtime: the full Fig. 2 host-side loop over real
 //! transports.
 //!
-//! Unlike [`threaded`](crate::threaded) (where the host-runtime mutex stands in
-//! for the Job Queue), this module runs the paper's architecture literally:
+//! This module runs the paper's architecture literally:
 //!
 //! * each VP thread talks through a real transport endpoint — frames are
 //!   encoded, sent, and decoded on the other side;
-//! * a **dispatcher thread** polls every VP endpoint, pushes decoded requests into
-//!   the actual [`JobQueue`], *re-orders the pending window* with the scheduling
-//!   [`Pipeline`](sigmavp_sched::Pipeline) using expected durations, executes
-//!   each job on the device its VP was routed to by the
-//!   [`ExecutionSession`](crate::session::ExecutionSession), and sends the
-//!   response back;
+//! * a **dispatcher thread** polls every VP endpoint and feeds the decoded
+//!   requests to the [`DispatchCore`], which pushes them into the actual
+//!   [`JobQueue`](sigmavp_ipc::queue::JobQueue), *re-orders the pending
+//!   window* with the scheduling [`Pipeline`] using expected durations,
+//!   executes each job on the device its VP was routed to by the
+//!   [`ExecutionSession`], and hands back the responses for this thread to
+//!   send — stopping and resuming VPs through [`VpControl`] around held sync
+//!   windows (Fig. 4b);
 //! * expected durations come from the device **profiler feedback loop**: the first
 //!   launch of a kernel is unknown (duration 0), subsequent launches use the last
 //!   observed time — exactly how the paper's Re-scheduler consumes the Profiler's
@@ -19,64 +20,47 @@
 //!
 //! Because guest calls are synchronous, the pending window holds at most one
 //! request per VP — which is precisely why the paper needs VP stop/resume to get
-//! deep interleaving; the window reordering here captures what reordering *can*
-//! do without it.
+//! deep interleaving; the window reordering captures what reordering *can* do
+//! without it, `Policy::with_sync_hold` the rest.
 //!
 //! # Fault tolerance
 //!
-//! The dispatcher is the supervision point of the fault model (DESIGN.md §10).
 //! With [`DispatchedSigmaVp::with_faults`] every VP link is wrapped in a
-//! [`FaultyTransport`] that injects the plan's drops, corruption and delays, and
-//! the dispatcher injects the plan's transient device errors and honours its
-//! scheduled outages. Robustness comes from three cooperating mechanisms:
-//!
-//! * **request-level retry** — [`RemoteGpu`] retries on receive timeout, corrupt
-//!   response, or a `transient:` device error, with exponential backoff and
-//!   jitter from the [`Policy`]'s [`RetryPolicy`];
-//! * **effect-once dedup** — retries reuse the request's sequence number; the
-//!   dispatcher caches the last *executed* response per VP and resends it on a
-//!   duplicate instead of re-executing, so a lost response never double-applies
-//!   a kernel or memcpy;
-//! * **failover** — per-device circuit breakers trip after consecutive
-//!   failures; VPs on a dead device are migrated to the least-loaded survivor
-//!   by the [`Rebalance`](sigmavp_sched::Rebalance) pass, their device state
-//!   reconstructed by replaying the journal of successful mutating requests.
+//! [`FaultyTransport`] that injects the plan's drops, corruption and delays;
+//! the core injects the plan's transient device errors and honours its
+//! scheduled outages (see [`crate::dispatch`]). On the guest side [`RemoteGpu`]
+//! retries on receive timeout, corrupt response, or a `transient:` device
+//! error, with exponential backoff and jitter from the [`Policy`]'s
+//! [`RetryPolicy`]; retries reuse the request's sequence number, which is what
+//! the core's effect-once dedup keys on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sigmavp_fault::{
-    is_transient_error, journal_live_identity, replay_journal, replay_journal_reusing,
-    CircuitBreaker, DedupCache, DropNotice, FaultPlan, FaultyTransport, HandleMap, LinkDirection,
-    VpJournal, TRANSIENT_ERROR_PREFIX,
-};
-use sigmavp_gpu::engine::simulate;
+use parking_lot::Mutex;
+
+use sigmavp_fault::{is_transient_error, DropNotice, FaultPlan, FaultyTransport, LinkDirection};
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::codec;
 use sigmavp_ipc::control::VpControl;
-use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId, WireParam};
-use sigmavp_ipc::queue::{Job, JobId, JobKind, JobQueue};
+use sigmavp_ipc::message::{Envelope, Request, Response, VpId, WireParam};
 use sigmavp_ipc::transport::{pair, Transport, TransportCost};
 use sigmavp_ipc::IpcError;
-use sigmavp_sched::{
-    quorum_met, quorum_threshold, DeviceView, LoadRebalance, PassCtx, Pipeline, Policy, Rebalance,
-    RetryPolicy,
-};
+use sigmavp_sched::{Pipeline, Policy, RetryPolicy};
 use sigmavp_telemetry::{Lane, TimeDomain};
-use sigmavp_vp::error::{
-    format_deadline_violation, parse_deadline_violation, DeadlineStage, VpError,
-};
+use sigmavp_vp::error::{parse_deadline_violation, DeadlineStage, VpError};
 use sigmavp_vp::gate::VpGate;
 use sigmavp_vp::platform::{SimClock, VirtualPlatform};
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::service::GpuService;
 use sigmavp_workloads::app::{AppEnv, Application};
 
-use crate::host::{JobRecord, RecordKind};
-use crate::plan::{lower_jobs, EngineEvaluator};
+pub use crate::dispatch::DispatchStats;
+use crate::dispatch::{DispatchCore, STALL_WALL_BACKSTOP};
+use crate::host::JobRecord;
 use crate::session::ExecutionSession;
-use crate::threaded::{collect_vp_outcomes, ThreadedReport, VpHandle, VpOutcome};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,13 +76,6 @@ use rand::{Rng, SeedableRng};
 /// else surfaces as a [`VpError`] preserving the IPC cause.
 /// Wall-clock floor on every receive wait; see the comment at its use site.
 const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
-
-/// Wall-clock stall backstop for the hung-VP watchdog: if sync launches are
-/// parked but no frame has arrived for this long, every unheld VP is presumed
-/// wedged and quarantined so the held window can flush. Only consulted when
-/// `Policy::hang_windows > 0`; with the watchdog off the dispatcher keeps the
-/// original wait-forever lockstep semantics.
-const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
 
 struct RemoteGpu {
     vp: VpId,
@@ -339,62 +316,94 @@ impl GpuService for RemoteGpu {
     }
 }
 
-/// Statistics from one dispatcher run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DispatchStats {
-    /// Requests served.
-    pub requests: u64,
-    /// Reordering passes in which the pending window held more than one job.
-    pub multi_job_windows: u64,
-    /// Largest pending window observed.
-    pub max_window: usize,
-    /// Duplicate requests answered from the dedup cache instead of re-executed.
-    pub dedup_hits: u64,
-    /// VP migrations performed (failover off a dead device or load-triggered).
-    pub migrations: u64,
-    /// Host GPUs taken out of service (scheduled outage or tripped breaker).
-    pub gpu_trips: u64,
-    /// Synchronous launches held for a stop/resume window (Fig. 4b).
-    pub holds: u64,
-    /// Synchronous windows planned and flushed.
-    pub sync_windows: u64,
-    /// Merge groups the live sync planner found (coalesce plus wave-pack).
-    pub live_groups: u64,
-    /// Member launches those live groups absorbed.
-    pub live_members: u64,
-    /// VP stop events issued (0→1 stop-depth edges; one IPC round trip each).
-    pub stop_events: u64,
-    /// VP resume events issued (1→0 edges).
-    pub resume_events: u64,
-    /// Wave slots (λ-aligned block quanta) the live merged launches occupied.
-    pub wave_slots: u64,
-    /// Blocks actually launched into those slots; `wave_slots - wave_filled`
-    /// is the Eq. 9 alignment residual, zero for perfectly packed windows.
-    pub wave_filled: u64,
-    /// Summed Eq. 7 makespan of the executed sync windows under the live plan.
-    pub sync_makespan_s: f64,
-    /// The same windows priced under the reorder-only (no cross-VP merging)
-    /// plan — the async baseline the live path must beat.
-    pub sync_reorder_makespan_s: f64,
-    /// Partial windows flushed because the hold quorum was met before every
-    /// eligible VP was held (`Policy::sync_quorum` below 1.0).
-    pub quorum_flushes: u64,
-    /// Windows flushed because the sim-time window timeout expired before
-    /// any quorum was reached (`Policy::sync_window_timeout`).
-    pub timeout_flushes: u64,
-    /// Wall-clock stall-backstop trips: every unheld VP went silent while a
-    /// window sat held, so the silent VPs were quarantined and the window
-    /// released (only armed when the watchdog is on).
-    pub backstop_trips: u64,
-    /// VPs quarantined by the hung-VP watchdog (removed from the quorum
-    /// denominator and failed over to a healthy placement).
-    pub quarantined: u64,
-    /// Quarantined VPs that showed fresh activity and rejoined the quorum.
-    pub rejoins: u64,
-    /// Requests refused at the admission, hold, or plan boundary because
-    /// their end-to-end deadline had expired (guest-side execute-boundary
-    /// misses surface as typed errors, not here).
-    pub deadline_misses: u64,
+/// Per-VP result of a live run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VpOutcome {
+    /// The VP.
+    pub vp: VpId,
+    /// Application name it ran.
+    pub app: String,
+    /// Final simulated time of the VP's clock.
+    pub simulated_time_s: f64,
+    /// GPU API calls issued.
+    pub gpu_calls: u64,
+    /// Error message if the application failed (validation or backend).
+    pub error: Option<String>,
+}
+
+/// Result of joining a live run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadedReport {
+    /// Per-VP outcomes, in spawn order.
+    pub outcomes: Vec<VpOutcome>,
+    /// All job records, concatenated device by device (the full log for
+    /// single-device runs, in dispatch order).
+    pub records: Vec<JobRecord>,
+    /// Per-device job logs, each in dispatch order.
+    pub device_records: Vec<Vec<JobRecord>>,
+    /// Fleet device makespan: each device's planned job stream replayed through
+    /// the engine model; the slowest device counts.
+    pub device_makespan_s: f64,
+    /// VPs whose thread failed (application error or panic), with the error.
+    /// A failed VP does not abort the fleet: healthy VPs still complete and
+    /// their outcomes are reported alongside.
+    pub failed_vps: Vec<(VpId, VpError)>,
+}
+
+impl ThreadedReport {
+    /// Whether every VP completed without error.
+    pub fn all_ok(&self) -> bool {
+        self.outcomes.iter().all(|o| o.error.is_none()) && self.failed_vps.is_empty()
+    }
+}
+
+/// Best-effort panic payload extraction for reporting a crashed VP thread.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "unknown panic".to_string()
+    }
+}
+
+/// A spawned VP thread awaiting collection: its id, app name, and the handle
+/// yielding the outcome plus any structured error.
+type VpHandle = (VpId, String, JoinHandle<(VpOutcome, Option<VpError>)>);
+
+/// Join a batch of VP threads without letting one panic abort the fleet: a
+/// panicked thread is reported as a failed VP (with a synthesized outcome) and
+/// every healthy VP's result is still collected. Threads report their
+/// structured [`VpError`] (if any) alongside the outcome.
+fn collect_vp_outcomes(handles: Vec<VpHandle>) -> (Vec<VpOutcome>, Vec<(VpId, VpError)>) {
+    let mut outcomes = Vec::new();
+    let mut failed_vps: Vec<(VpId, VpError)> = Vec::new();
+    for (vp, app, handle) in handles {
+        match handle.join() {
+            Ok((outcome, error)) => {
+                if let Some(error) = error {
+                    failed_vps.push((vp, error));
+                }
+                outcomes.push(outcome);
+            }
+            Err(payload) => {
+                let message = format!("vp thread panicked: {}", panic_message(&*payload));
+                sigmavp_telemetry::recorder().count("fault.vp_panics", 1);
+                failed_vps.push((vp, VpError::Device(message.clone())));
+                outcomes.push(VpOutcome {
+                    vp,
+                    app,
+                    simulated_time_s: 0.0,
+                    gpu_calls: 0,
+                    error: Some(message),
+                });
+            }
+        }
+    }
+    outcomes.sort_by_key(|o| o.vp);
+    failed_vps.sort_by_key(|f| f.0);
+    (outcomes, failed_vps)
 }
 
 /// A live ΣVP system with an explicit dispatcher thread over real transports.
@@ -558,18 +567,24 @@ impl DispatchedSigmaVp {
             handles.push((vp, app_name, handle));
         }
 
+        let session = Arc::new(Mutex::new(session));
+        let coalescible = self.coalescible;
         let dispatcher = {
-            let policy = self.policy;
-            let coalescible = self.coalescible;
-            let faults = self.faults.clone();
+            let core = DispatchCore::new(
+                session.clone(),
+                &self.policy,
+                self.faults.clone(),
+                coalescible.clone(),
+            );
             let control = control.clone();
-            std::thread::spawn(move || {
-                run_dispatcher(session, host_ends, policy, coalescible, faults, control)
-            })
+            std::thread::spawn(move || run_dispatcher(core, host_ends, &control))
         };
 
         let (outcomes, failed_vps) = collect_vp_outcomes(handles);
-        let (outcome, stats) = dispatcher.join().expect("dispatcher must not panic");
+        let stats = dispatcher.join().expect("dispatcher must not panic");
+        let outcome = session.lock().drain_and_plan(&Pipeline::from_policy(&self.policy), &|vp| {
+            coalescible.get(&vp).copied().unwrap_or(false)
+        });
         let report = ThreadedReport {
             outcomes,
             records: outcome.flat_records(),
@@ -581,1148 +596,77 @@ impl DispatchedSigmaVp {
     }
 }
 
-/// Trace-span name for a dispatched job.
-fn dispatch_span_name(job: &Job) -> String {
-    match &job.kind {
-        JobKind::CopyIn { bytes } => format!("h2d {bytes}B (VP {})", job.vp.0),
-        JobKind::CopyOut { bytes } => format!("d2h {bytes}B (VP {})", job.vp.0),
-        JobKind::Kernel { name, .. } => format!("{name} (VP {})", job.vp.0),
-    }
-}
-
-/// Dispatcher-side supervision state: per-device health, effect-once dedup,
-/// and per-VP journals for failover replay.
-struct Supervision {
-    plan: Option<Arc<FaultPlan>>,
-    breakers: Vec<CircuitBreaker>,
-    /// Whether each device's trip has already been noticed (counted + marked).
-    down_noticed: Vec<bool>,
-    /// Attempted operations per device; indexes the plan's transient schedule.
-    op_count: Vec<u64>,
-    dedup: DedupCache,
-    journals: HashMap<VpId, VpJournal>,
-    /// Handle translation for migrated VPs (guest handle space → survivor's).
-    maps: HashMap<VpId, HandleMap>,
-    /// Live handle maps a VP left behind on devices it migrated away from,
-    /// keyed by `(vp, device)`. A later relocation *back* replays through
-    /// [`replay_journal_reusing`], re-adopting the retained buffers instead of
-    /// leaking them and re-mallocing (the §12 fleet fix, applied here).
-    visited: HashMap<(VpId, usize), HandleMap>,
-    /// Requests currently enqueued but not yet executed, as `(vp, seq)`;
-    /// guards against a delayed duplicate being enqueued twice.
-    in_flight: HashSet<(u32, u64)>,
-}
-
-impl Supervision {
-    fn new(plan: Option<Arc<FaultPlan>>, devices: usize) -> Self {
-        let threshold = plan
-            .as_ref()
-            .map_or(sigmavp_fault::plan::DEFAULT_BREAKER_THRESHOLD, |p| p.breaker_threshold());
-        Supervision {
-            plan,
-            breakers: (0..devices).map(|_| CircuitBreaker::new(threshold)).collect(),
-            down_noticed: vec![false; devices],
-            op_count: vec![0; devices],
-            dedup: DedupCache::new(),
-            journals: HashMap::new(),
-            maps: HashMap::new(),
-            visited: HashMap::new(),
-            in_flight: HashSet::new(),
-        }
-    }
-
-    /// Is `device` out of service for a request stamped at `sim_s`?
-    fn is_down(&self, session: &ExecutionSession, device: usize, sim_s: f64) -> bool {
-        !session.is_healthy(device)
-            || self.breakers[device].is_open()
-            || self.plan.as_ref().is_some_and(|p| p.device_down(device, sim_s))
-    }
-}
-
-/// Take `device` out of service (idempotent): mark it unhealthy for routing,
-/// trip its breaker, and emit the trip telemetry exactly once.
-fn mark_device_down(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    device: usize,
-) {
-    if sup.down_noticed[device] {
-        return;
-    }
-    sup.down_noticed[device] = true;
-    sup.breakers[device].trip();
-    session.mark_down(device);
-    stats.gpu_trips += 1;
-    let recorder = sigmavp_telemetry::recorder();
-    recorder.count("fault.gpu_trips", 1);
-    recorder.gauge_set("fault.healthy_gpus", session.healthy_count() as f64);
-    if session.healthy_count() <= 1 {
-        // Graceful degradation: the fleet continues on a single device.
-        recorder.gauge_set("fault.degraded_mode", 1.0);
-    }
-    // Incident hook: an installed flight recorder dumps a post-mortem here.
-    sigmavp_telemetry::bus::publish(&sigmavp_telemetry::bus::ObsEvent::Incident(
-        sigmavp_telemetry::bus::Incident {
-            kind: sigmavp_telemetry::bus::IncidentKind::BreakerTrip { device },
-            wall_s: recorder.wall_now_s(),
-            detail: format!(
-                "device gpu{device} out of service; {} healthy remain",
-                session.healthy_count()
-            ),
-        },
-    ));
-}
-
-/// Failover: take `vp`'s current device out of service, then relocate the VP
-/// onto `target`.
-fn migrate_vp(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    vp: VpId,
-    target: usize,
-) {
-    let Some(current) = session.device_of(vp) else { return };
-    if current == target {
-        return;
-    }
-    mark_device_down(session, sup, stats, current);
-    relocate_vp(session, sup, stats, vp, target);
-}
-
-/// Move `vp` onto `target` without touching the source device's health (a
-/// load-triggered rebalance moves VPs between *live* devices), reconstructing
-/// its device state by replaying the journal of successful mutating requests
-/// (without re-recording them in the timeline) and installing the resulting
-/// handle translation map.
-///
-/// The map of live handles left behind on the departed device is stashed under
-/// `(vp, device)`; a later relocation back to a visited device replays through
-/// [`replay_journal_reusing`], re-adopting still-live retained buffers instead
-/// of leaking them and allocating fresh ones.
-fn relocate_vp(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    vp: VpId,
-    target: usize,
-) {
-    let Some(current) = session.device_of(vp) else { return };
-    if current == target {
-        return;
-    }
-    let recorder = sigmavp_telemetry::recorder();
-    let started_wall_s = recorder.wall_now_s();
-    let started = Instant::now();
-    let journal = sup.journals.entry(vp).or_default();
-    let replayed = journal.len() as u64;
-    // What this VP leaves behind on `current`: its explicit translation map if
-    // it migrated before, else the identity view of its live journal handles.
-    let departing = sup.maps.get(&vp).cloned().unwrap_or_else(|| journal_live_identity(journal));
-    let retained = sup.visited.remove(&(vp, target));
-    let runtime = session.runtime(target);
-    let replay = {
-        let mut rt = runtime.lock();
-        let mut process = |orig_seq: u64, request: &Request| {
-            let envelope = Envelope {
-                vp,
-                seq: u64::MAX,
-                sent_at_s: 0.0,
-                deadline_s: Envelope::NO_DEADLINE,
-                body: request.clone(),
-            };
-            let op_started_wall_s = recorder.wall_now_s();
-            let op_started = Instant::now();
-            let body = rt.process_replay(&envelope).body;
-            // Stitch the replayed work onto the *original* job's uid so its
-            // lifecycle joins into one migration-tagged causal chain.
-            recorder.span_for_job(
-                TimeDomain::Wall,
-                Lane::Dispatcher,
-                format!("replay -> gpu{target}"),
-                op_started_wall_s,
-                op_started.elapsed().as_secs_f64(),
-                sigmavp_telemetry::job_uid(vp.0, orig_seq),
-            );
-            body
-        };
-        match &retained {
-            Some(map) => {
-                recorder.count("fault.reuse_migrations", 1);
-                replay_journal_reusing(journal, map, &mut process)
-            }
-            None => replay_journal(journal, &mut process),
-        }
-    };
-    match replay {
-        Ok(map) => {
-            sup.maps.insert(vp, map);
-            recorder.count("fault.replayed_jobs", replayed);
-        }
-        Err(_) => {
-            // The survivor rejected part of the replay; the VP keeps running but
-            // requests touching unmapped handles will surface as guest errors.
-            recorder.count("fault.replay_failures", 1);
-            sup.maps.insert(vp, HandleMap::new());
-        }
-    }
-    sup.visited.insert((vp, current), departing);
-    session.reassign(vp, target);
-    stats.migrations += 1;
-    recorder.count("fault.migrations", 1);
-    recorder.span(
-        TimeDomain::Wall,
-        Lane::Dispatcher,
-        format!("migrate VP {} -> gpu{target}", vp.0),
-        started_wall_s,
-        started.elapsed().as_secs_f64(),
-    );
-}
-
-/// A synchronous launch the dispatcher is holding while its VP is stopped
-/// (Fig. 4b): the reply — and the VP's resume — are deferred until the
-/// accumulated cross-VP window flushes.
-struct HeldJob {
-    job: Job,
-    envelope: Envelope,
-    arrived: Instant,
-    arrived_wall_s: f64,
-}
-
-impl HeldJob {
-    /// The canonical window-ordering key.
-    fn key(&self) -> (u32, u64) {
-        (self.job.vp.0, self.envelope.seq)
-    }
-}
-
-/// Insert a held launch preserving the canonical `(vp, seq)` order, so every
-/// window — full or quorum-partial — reads off a sorted prefix and a VP's
-/// launches can never interleave out of sequence order across windows.
-fn insert_held(held: &mut Vec<HeldJob>, h: HeldJob) {
-    let key = h.key();
-    let pos = held.partition_point(|x| x.key() < key);
-    held.insert(pos, h);
-    debug_assert!(held.windows(2).all(|w| w[0].key() < w[1].key()), "held must stay sorted");
-}
-
-/// Quarantine `vp`: count it out of the sync-flush quorum, publish a
-/// [`VpHung`](sigmavp_telemetry::bus::IncidentKind::VpHung) incident (an
-/// installed flight recorder dumps a postmortem bundle on it), and fail the
-/// VP's journal over to the least-loaded healthy *other* device through the
-/// retained-map replay path — so when (if) the VP wakes, its state is already
-/// off the placement it wedged on. The caller owns the quarantine set; this
-/// records the side effects.
-fn quarantine_vp(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    vp: VpId,
-    device_free_s: &[f64],
-    idle_windows: u64,
-) {
-    let recorder = sigmavp_telemetry::recorder();
-    stats.quarantined += 1;
-    recorder.count("liveness.quarantined", 1);
-    let current = session.device_of(vp);
-    sigmavp_telemetry::bus::publish(&sigmavp_telemetry::bus::ObsEvent::Incident(
-        sigmavp_telemetry::bus::Incident {
-            kind: sigmavp_telemetry::bus::IncidentKind::VpHung { vp: vp.0 },
-            wall_s: recorder.wall_now_s(),
-            detail: format!(
-                "VP {} stopped progressing for {idle_windows} flushed windows on gpu{}; \
-                 quarantined out of the sync quorum",
-                vp.0,
-                current.map_or(-1i64, |d| d as i64),
-            ),
-        },
-    ));
-    // Failover: move its journal to the healthiest other device (least
-    // simulated backlog, ties to the lowest index). Single-device sessions
-    // keep the placement; quarantine still shrinks the quorum.
-    if let Some(current) = current {
-        let target = (0..session.device_count())
-            .filter(|&d| d != current && session.is_healthy(d))
-            .min_by(|&a, &b| {
-                device_free_s[a]
-                    .partial_cmp(&device_free_s[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-        if let Some(target) = target {
-            relocate_vp(session, sup, stats, vp, target);
-            recorder.count("liveness.quarantine_failovers", 1);
-        }
-    }
-}
-
-/// Build and send the structured deadline-violation reply for a request
-/// refused at a host-side boundary, and release its in-flight guard.
-fn refuse_past_deadline(
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    endpoints: &[(VpId, Box<dyn Transport>)],
-    envelope: &Envelope,
-    stage: DeadlineStage,
-    now_s: f64,
-) {
-    let recorder = sigmavp_telemetry::recorder();
-    stats.deadline_misses += 1;
-    recorder.count("liveness.deadline_misses", 1);
-    sup.in_flight.remove(&(envelope.vp.0, envelope.seq));
-    let response = ResponseEnvelope {
-        vp: envelope.vp,
-        seq: envelope.seq,
-        sent_at_s: envelope.sent_at_s,
-        body: Response::Error {
-            message: format_deadline_violation(stage, envelope.deadline_s, now_s),
-        },
-    };
-    let frame = codec::encode_response(&response);
-    if let Some((_, endpoint)) = endpoints.iter().find(|(v, _)| *v == envelope.vp) {
-        let _ = endpoint.send(frame);
-    }
-}
-
-/// Execute one job end to end — failover safety net, transient injection,
-/// handle translation, device dispatch, journaling, dedup storage and profiler
-/// feedback — and return its response envelope.
-///
-/// Every path produces exactly one response; callers differ only in *when*
-/// they deliver it (immediately on the async path, at window flush on the
-/// sync-hold path). That single-response invariant is what makes the hold
-/// protocol deadlock-free under faults: a stopped VP whose device tripped, or
-/// that migrated mid-window, still gets a (possibly error) answer and a
-/// resume.
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    expected_kernel_s: &mut HashMap<String, f64>,
-    job: &Job,
-    envelope: &Envelope,
-    arrived: Instant,
-    arrived_wall_s: f64,
-    journal: bool,
-) -> ResponseEnvelope {
-    let recorder = sigmavp_telemetry::recorder();
-    let vp = envelope.vp;
-    let sent_at_s = envelope.sent_at_s;
-    let mut device = session.device_of(vp).expect("join assigned every vp");
-    // Safety net behind the rebalance pass: if the device went down after
-    // planning (or the plan saw an earlier timestamp), fail over now — or
-    // degrade to an error when no survivor is left.
-    if sup.is_down(session, device, sent_at_s) {
-        mark_device_down(session, sup, stats, device);
-        let survivor = (0..session.device_count())
-            .find(|&d| d != device && !sup.is_down(session, d, sent_at_s));
-        match survivor {
-            Some(target) => {
-                migrate_vp(session, sup, stats, vp, target);
-                device = target;
-            }
-            None => {
-                recorder.count("fault.no_survivor", 1);
-                return ResponseEnvelope {
-                    vp,
-                    seq: envelope.seq,
-                    sent_at_s,
-                    body: Response::Error {
-                        message: format!("no surviving host gpu: device {device} is down"),
-                    },
-                };
-            }
-        }
-    }
-    // Transient device-error injection: the plan marks attempted operation
-    // indexes per device; an injected failure feeds the breaker and is *not*
-    // cached, so the guest's retry re-executes.
-    let op = sup.op_count[device];
-    sup.op_count[device] += 1;
-    if sup.plan.as_ref().is_some_and(|p| p.transient_at(device, op)) {
-        recorder.count("fault.injected.transient", 1);
-        if sup.breakers[device].record_failure() {
-            mark_device_down(session, sup, stats, device);
-        }
-        return ResponseEnvelope {
-            vp,
-            seq: envelope.seq,
-            sent_at_s,
-            body: Response::Error {
-                message: format!("{TRANSIENT_ERROR_PREFIX} injected device fault"),
-            },
-        };
-    }
-    sup.breakers[device].record_success();
-    // Migrated VPs keep their original guest handle space; translate through
-    // the map built by the journal replay.
-    let exec_body = match sup.maps.get(&vp) {
-        Some(map) => match map.translate(&envelope.body) {
-            Ok(body) => body,
-            Err(handle) => {
-                return ResponseEnvelope {
-                    vp,
-                    seq: envelope.seq,
-                    sent_at_s,
-                    body: Response::Error {
-                        message: format!("handle {handle} was lost in failover"),
-                    },
-                };
-            }
-        },
-        None => envelope.body.clone(),
-    };
-    let exec_envelope = Envelope {
-        vp,
-        seq: envelope.seq,
-        sent_at_s,
-        deadline_s: envelope.deadline_s,
-        body: exec_body,
-    };
-    let runtime = session.runtime(device);
-    let exec_started_wall_s = recorder.wall_now_s();
-    let exec_started = Instant::now();
-    let mut response: ResponseEnvelope = runtime.lock().process(&exec_envelope);
-    if let Some(map) = sup.maps.get_mut(&vp) {
-        // Keep the guest's handle space stable across the migration: new
-        // device handles get virtual guest-side names, frees drop their
-        // mapping.
-        match (&envelope.body, &mut response.body) {
-            (Request::Malloc { .. }, Response::Malloc { handle }) => {
-                *handle = map.virtualize(*handle);
-            }
-            (Request::Free { handle: guest }, Response::Done) => {
-                map.remove(*guest);
-            }
-            _ => {}
-        }
-    }
-    if recorder.enabled() {
-        let uid = sigmavp_telemetry::job_uid(vp.0, envelope.seq);
-        recorder.span_for_job(
-            TimeDomain::Wall,
-            Lane::Dispatcher,
-            dispatch_span_name(job),
-            exec_started_wall_s,
-            exec_started.elapsed().as_secs_f64(),
-            uid,
-        );
-        // Queue wait: dispatcher arrival to execution start, on the job-queue
-        // lane so the lifecycle join sees the wait phase.
-        recorder.span_for_job(
-            TimeDomain::Wall,
-            Lane::JobQueue,
-            dispatch_span_name(job),
-            arrived_wall_s,
-            (exec_started_wall_s - arrived_wall_s).max(0.0),
-            uid,
-        );
-        // Per-VP request latency: dispatcher arrival to response ready.
-        recorder
-            .observe_s(&format!("dispatch.vp{}.latency_s", vp.0), arrived.elapsed().as_secs_f64());
-    }
-    // Journal successful mutating requests (guest handle space) so a later
-    // failover or load-triggered relocation can reconstruct device state.
-    if journal {
-        sup.journals.entry(vp).or_default().record(envelope.seq, &envelope.body, &response.body);
-    }
-    // Effect-once: remember the executed response for dedup resends.
-    sup.dedup.store(&response);
-    // Feed the profiler observation back into the expected-time table, and
-    // publish it on the observation bus for any live profile store. Guard on
-    // (vp, seq): a non-device request leaves an older job as `last()`.
-    if let Some(record) = runtime.lock().records().last() {
-        if record.vp == vp && record.seq == envelope.seq {
-            crate::host::publish_record(session.arch(device), record);
-            if let RecordKind::Kernel { name, .. } = &record.kind {
-                expected_kernel_s.insert(name.clone(), record.duration_s);
-            }
-        }
-    }
-    response
-}
-
-/// Synthetic [`JobRecord`] for a held (not yet executed) job, so the live
-/// window can be planned with the same engine-model oracle as offline logs.
-/// Expected durations stand in for observed ones, and kernels are floored at
-/// the launch overhead so a never-profiled launch still prices its fixed cost.
-fn synth_record(h: &HeldJob, arch: &GpuArch) -> JobRecord {
-    let kind = match &h.job.kind {
-        JobKind::CopyIn { bytes } => RecordKind::H2d { bytes: *bytes, stream: 0 },
-        JobKind::CopyOut { bytes } => RecordKind::D2h { bytes: *bytes, stream: 0 },
-        JobKind::Kernel { name, grid_dim, block_dim } => {
-            let bpw = u64::from(arch.blocks_per_wave(*block_dim));
-            RecordKind::Kernel {
-                name: name.clone(),
-                grid_dim: *grid_dim,
-                block_dim: *block_dim,
-                launch_overhead_s: arch.launch_overhead_us * 1e-6,
-                waves: u64::from(*grid_dim).div_ceil(bpw).max(1),
-                stream: 0,
-            }
-        }
-    };
-    JobRecord {
-        vp: h.job.vp,
-        seq: h.job.seq,
-        kind,
-        duration_s: h.job.expected_duration_s,
-        sent_at_s: h.envelope.sent_at_s,
-    }
-}
-
-/// Flush a selected synchronous window (Fig. 4b): rebalance the held VPs
-/// across devices (load-triggered moves included), plan each device's slice
-/// with the *full* pipeline — the VPs are stopped, so cross-VP coalescing and
-/// wave-packing are safe on live traffic — execute the planned jobs, price the
-/// window against its reorder-only alternative (Eq. 7), and resume the VPs in
-/// planned completion order with their cached responses.
-///
-/// The caller selects the window (full, quorum-partial, or timeout-forced) and
-/// hands it over already in canonical `(vp, seq)` order — the invariant lives
-/// at [`insert_held`], so every selection strategy reads off sorted slices.
-/// Held launches whose end-to-end deadline expired while waiting are refused
-/// here (the `hold` boundary) instead of being planned: their VPs still resume,
-/// carrying the structured violation instead of a completion.
-#[allow(clippy::too_many_arguments)]
-fn flush_sync_window(
-    session: &mut ExecutionSession,
-    sup: &mut Supervision,
-    stats: &mut DispatchStats,
-    expected_kernel_s: &mut HashMap<String, f64>,
-    control: &VpControl,
-    endpoints: &[(VpId, Box<dyn Transport>)],
-    pipeline: &Pipeline,
-    coalescible: &HashMap<VpId, bool>,
-    window: Vec<HeldJob>,
-    device_free_s: &mut [f64],
-) {
-    let recorder = sigmavp_telemetry::recorder();
-    let flush_started_wall_s = recorder.wall_now_s();
-    let flush_started = Instant::now();
-    // Canonical window order is an *insertion* invariant now (`insert_held`):
-    // arrival order races between VP threads, so holds are placed by (vp, seq)
-    // as they land and every selection below reads off a sorted window.
-    assert!(
-        window.windows(2).all(|w| w[0].key() < w[1].key()),
-        "sync window must arrive in canonical (vp, seq) order"
-    );
-    stats.sync_windows += 1;
-    recorder.count("dispatch.sync.windows", 1);
-    recorder.observe_s("dispatch.sync.window_jobs", window.len() as f64);
-
-    // Rebalance over the whole window: down devices drain as in the async
-    // path, and the load trigger may move VPs between *live* devices on
-    // sustained imbalance.
-    let t_now = window.iter().map(|h| h.envelope.sent_at_s).fold(0.0f64, f64::max);
-    // Hold-boundary deadline check: anything that expired while parked is
-    // refused now, before planning, and resumes with the violation.
-    let mut expired: Vec<(VpId, u64, f64, ResponseEnvelope)> = Vec::new();
-    let window: Vec<HeldJob> = window
-        .into_iter()
-        .filter_map(|h| {
-            if t_now <= h.envelope.deadline_s {
-                return Some(h);
-            }
-            stats.deadline_misses += 1;
-            recorder.count("liveness.deadline_misses", 1);
-            let response = ResponseEnvelope {
-                vp: h.job.vp,
-                seq: h.envelope.seq,
-                sent_at_s: h.envelope.sent_at_s,
-                body: Response::Error {
-                    message: format_deadline_violation(
-                        DeadlineStage::Hold,
-                        h.envelope.deadline_s,
-                        t_now,
-                    ),
-                },
-            };
-            expired.push((h.job.vp, h.envelope.seq, h.envelope.sent_at_s, response));
-            None
-        })
-        .collect();
-    let migrations = {
-        let mut queued = vec![0.0f64; session.device_count()];
-        for h in &window {
-            if let Some(d) = session.device_of(h.job.vp) {
-                queued[d] += h.job.expected_duration_s;
-            }
-        }
-        let route = |vp: VpId| session.device_of(vp);
-        let down_for = |d: usize, t: f64| sup.is_down(session, d, t);
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down_for,
-            load: Some(LoadRebalance::DEFAULT),
-        };
-        let ctx = PassCtx::reorder_only().with_devices(&view);
-        Pipeline::new()
-            .with_pass(Rebalance)
-            .plan(window.iter().map(|h| h.job.clone()).collect(), &ctx)
-            .migrations
-    };
-    for (vp, target) in migrations {
-        let Some(current) = session.device_of(vp) else { continue };
-        if current == target {
-            continue;
-        }
-        if sup.is_down(session, current, t_now) {
-            migrate_vp(session, sup, stats, vp, target);
-        } else {
-            // Load-triggered: the source device stays in service.
-            relocate_vp(session, sup, stats, vp, target);
-        }
-    }
-
-    // Partition by (post-migration) device, in first-appearance order of the
-    // canonical window.
-    let mut by_device: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut device_order: Vec<usize> = Vec::new();
-    for (i, h) in window.iter().enumerate() {
-        let d = session.device_of(h.job.vp).expect("held vp is assigned");
-        if !by_device.contains_key(&d) {
-            device_order.push(d);
-        }
-        by_device.entry(d).or_default().push(i);
-    }
-
-    let coalescible_fn = |vp: VpId| coalescible.get(&vp).copied().unwrap_or(false);
-    // (vp, seq, absolute completion time, response), across all devices —
-    // seeded with the deadline-expired refusals so their VPs resume too.
-    let mut completions: Vec<(VpId, u64, f64, ResponseEnvelope)> = expired;
-    for d in device_order {
-        let members = by_device[&d].clone();
-        let arch = session.arch(d).clone();
-        // Local job ids index the device slice (the lowering contract:
-        // `jobs[i].id == JobId(i)` into `records`).
-        let local_jobs: Vec<Job> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                let mut j = window[w].job.clone();
-                j.id = JobId(i as u64);
-                j
-            })
-            .collect();
-        let mut records: Vec<JobRecord> =
-            members.iter().map(|&w| synth_record(&window[w], &arch)).collect();
-        let planned = {
-            let evaluator = EngineEvaluator::new(&arch, &records);
-            let lanes = |block_dim: u32| arch.blocks_per_wave(block_dim);
-            let ctx = PassCtx::new(&coalescible_fn)
-                .with_evaluator(&evaluator)
-                .with_wave_lanes(&lanes)
-                .with_live_sync(true);
-            pipeline.plan(local_jobs.clone(), &ctx)
-        };
-
-        // Execute every member functionally (coalescing is a *timing* merge;
-        // each member still runs on its own buffers), in planned order.
-        let mut responses: Vec<(u64, ResponseEnvelope)> = Vec::with_capacity(planned.jobs.len());
-        for job in &planned.jobs {
-            let h = &window[members[job.id.0 as usize]];
-            let response = execute_job(
-                session,
-                sup,
-                stats,
-                expected_kernel_s,
-                &h.job,
-                &h.envelope,
-                h.arrived,
-                h.arrived_wall_s,
-                true,
-            );
-            // Real observed durations re-price the window below.
-            if let Response::Launched { device_time_s } = &response.body {
-                records[job.id.0 as usize].duration_s = *device_time_s;
-            }
-            responses.push((job.id.0, response));
-        }
-
-        // Price the executed window (Eq. 7): the live merged plan against the
-        // reorder-only plan of the very same jobs — the async baseline.
-        let live_tl = simulate(&arch, &lower_jobs(&planned.jobs, &records, &planned.groups, &arch));
-        let reorder_stream = pipeline.plan(local_jobs, &PassCtx::reorder_only());
-        let reorder_tl = simulate(&arch, &lower_jobs(&reorder_stream.jobs, &records, &[], &arch));
-        stats.sync_makespan_s += live_tl.makespan_s;
-        stats.sync_reorder_makespan_s += reorder_tl.makespan_s;
-        stats.live_groups += planned.groups.len() as u64;
-        stats.live_members += planned.merged_members() as u64;
-        recorder.observe_s("dispatch.sync.makespan_s", live_tl.makespan_s);
-        recorder.observe_s("dispatch.sync.reorder_makespan_s", reorder_tl.makespan_s);
-        if !planned.groups.is_empty() {
-            recorder.count("dispatch.sync.live_groups", planned.groups.len() as u64);
-            recorder.count("dispatch.sync.live_members", planned.merged_members() as u64);
-        }
-        // Eq. 9 accounting per surviving kernel group: slots = λ-aligned block
-        // quanta of the merged grid, filled = blocks actually launched; the
-        // difference is the alignment residual.
-        let mut anchor_of: HashMap<u64, u64> = HashMap::new();
-        for group in &planned.groups {
-            for member in &group.dropped {
-                anchor_of.insert(member.0, group.anchor.0);
-            }
-            let geometry: Vec<(u32, u32)> = group
-                .member_ids()
-                .filter_map(|id| match &window[members[id.0 as usize]].job.kind {
-                    JobKind::Kernel { grid_dim, block_dim, .. } => Some((*grid_dim, *block_dim)),
-                    _ => None,
-                })
-                .collect();
-            if let Some(&(_, block_dim)) = geometry.first() {
-                let total_grid: u64 = geometry.iter().map(|&(g, _)| u64::from(g)).sum();
-                let bpw = u64::from(arch.blocks_per_wave(block_dim));
-                let slots = total_grid.div_ceil(bpw).max(1) * bpw;
-                stats.wave_slots += slots;
-                stats.wave_filled += total_grid;
-            }
-        }
-
-        // Per-VP completion on the shared simulated timeline: the window opens
-        // when its last request was stamped (and no earlier than the device's
-        // previous window draining), members complete at their op's end — a
-        // coalesced-away member at its anchor's.
-        let base = window.iter().map(|h| h.envelope.sent_at_s).fold(device_free_s[d], f64::max);
-        for (local_id, mut response) in responses {
-            let op = anchor_of.get(&local_id).copied().unwrap_or(local_id);
-            let end = live_tl.span(op).map_or(live_tl.makespan_s, |s| s.end_s);
-            let h = &window[members[local_id as usize]];
-            let abs_end = base + end;
-            if let Response::Launched { device_time_s } = &mut response.body {
-                // Charge the guest its observed completion: queueing behind
-                // the window plus its (possibly merged) execution.
-                let charge = (abs_end - h.envelope.sent_at_s).max(0.0);
-                *device_time_s = charge.max(*device_time_s);
-                // Keep the dedup cache consistent with the reply actually sent.
-                sup.dedup.store(&response);
-            }
-            completions.push((h.job.vp, h.envelope.seq, abs_end, response));
-        }
-        device_free_s[d] = base + live_tl.makespan_s;
-    }
-
-    // Resume in planned completion order: the earliest-finishing VP wakes
-    // first, exactly as the merged timeline completes (ties by VP id).
-    completions.sort_by(|a, b| {
-        a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal).then(a.0 .0.cmp(&b.0 .0))
-    });
-    for (vp, seq, _, response) in completions {
-        stats.requests += 1;
-        sup.in_flight.remove(&(vp.0, seq));
-        let frame = codec::encode_response(&response);
-        if let Some((_, endpoint)) = endpoints.iter().find(|(v, _)| *v == vp) {
-            let _ = endpoint.send(frame);
-        }
-        control.resume(vp);
-    }
-    recorder.span(
-        TimeDomain::Wall,
-        Lane::Dispatcher,
-        format!("sync window ({} jobs)", window.len()),
-        flush_started_wall_s,
-        flush_started.elapsed().as_secs_f64(),
-    );
-}
-
-/// The host-side dispatcher loop.
+/// The dispatcher thread: the [`DispatchCore`]'s transport driver. Each
+/// round polls every endpoint once and offers the decoded frames (corrupt
+/// frames are dropped — the guest retries), runs one core turn, and sends what
+/// came back, stopping VPs whose launch was parked and resuming them with
+/// their window's response. It also owns the stall clock.
 fn run_dispatcher(
-    mut session: ExecutionSession,
+    mut core: DispatchCore,
     mut endpoints: Vec<(VpId, Box<dyn Transport>)>,
-    policy: Policy,
-    coalescible: HashMap<VpId, bool>,
-    faults: Option<Arc<FaultPlan>>,
-    control: Arc<VpControl>,
-) -> (crate::session::SessionOutcome, DispatchStats) {
-    let pipeline = Pipeline::from_policy(&policy);
-    let sync_hold = policy.sync_hold;
-    let queue = JobQueue::new();
-    let mut stats = DispatchStats::default();
+    control: &VpControl,
+) -> DispatchStats {
     let recorder = sigmavp_telemetry::recorder();
-    let mut sup = Supervision::new(faults, session.device_count());
-    // Sync windows journal unconditionally: a held VP may be relocated by the
-    // load trigger (or fail over) mid-run, and replay needs its history.
-    let journal = sup.plan.is_some() || sync_hold;
-    // The profiler feedback loop: last observed duration per kernel name.
-    let mut expected_kernel_s: HashMap<String, f64> = HashMap::new();
-    // Envelopes waiting for execution, keyed by job id, with the wall-clock
-    // instant (and collector-relative timestamp) the request arrived at the
-    // dispatcher.
-    let mut waiting: HashMap<u64, (Envelope, Instant, f64)> = HashMap::new();
-    // Held sync launches (at most one per stopped VP) awaiting the window
-    // flush, kept in canonical (vp, seq) order by `insert_held`, and the
-    // simulated time each device frees up after prior windows.
-    let mut held: Vec<HeldJob> = Vec::new();
-    let mut device_free_s = vec![0.0f64; session.device_count()];
-    // Liveness state. `sim_now` is the max simulated timestamp observed on any
-    // arrived envelope — the deterministic clock the window timeout runs on.
-    // The watchdog counts flushed windows since each VP's last frame; VPs that
-    // fall `hang_windows` behind are quarantined out of the quorum until they
-    // speak again. `last_frame` is the wall-clock backstop for the one shape
-    // sim-time cannot see: every unheld VP wedged at once, so no frames arrive
-    // and no window can flush.
-    let quorum_pct = policy.sync_quorum_pct;
-    let sync_timeout_s = policy.sync_timeout_s();
-    let hang_windows = u64::from(policy.hang_windows);
-    let mut quarantined: HashSet<VpId> = HashSet::new();
-    let mut last_activity_flush: HashMap<VpId, u64> = HashMap::new();
-    let mut flush_count: u64 = 0;
-    let mut sim_now: f64 = 0.0;
+    for (vp, _) in &endpoints {
+        core.join(*vp);
+    }
     let mut last_frame = Instant::now();
-
-    loop {
-        // 1. Gather: poll every endpoint once, then triage the frames — corrupt
-        //    frames are dropped (the guest retries), duplicates of an executed
-        //    request are answered from the dedup cache, duplicates of a pending
-        //    request are ignored, the rest are enqueued.
-        let mut any = false;
+    while !endpoints.is_empty() {
         let mut frames: Vec<(VpId, bytes::Bytes)> = Vec::new();
         endpoints.retain(|(vp, endpoint)| match endpoint.try_recv() {
             Ok(Some(frame)) => {
-                any = true;
                 frames.push((*vp, frame));
                 true
             }
             Ok(None) => true,
-            Err(IpcError::Disconnected) => false,
-            Err(_) => false,
+            Err(_) => {
+                // Disconnected: the quorum stops waiting for this VP.
+                core.leave(*vp);
+                false
+            }
         });
+        let idle = frames.is_empty();
         for (vp, frame) in frames {
             let Ok(envelope) = codec::decode_request(&frame) else {
                 recorder.count("fault.corrupt_frames", 1);
                 continue;
             };
             debug_assert_eq!(envelope.vp, vp);
-            // Progress bookkeeping: any decoded frame is proof of life. A
-            // quarantined VP that speaks again rejoins the quorum — its late
-            // launch simply rolls into the next window.
-            sim_now = sim_now.max(envelope.sent_at_s);
             last_frame = Instant::now();
-            last_activity_flush.insert(vp, flush_count);
-            if quarantined.remove(&vp) {
-                stats.rejoins += 1;
-                recorder.count("liveness.rejoins", 1);
-            }
-            if let Some(cached) = sup.dedup.lookup(vp, envelope.seq) {
-                // Effect-once: this request already executed but its response was
-                // lost in flight; resend the cached response without re-executing.
-                stats.dedup_hits += 1;
-                recorder.count("fault.dedup_hits", 1);
-                let resend = codec::encode_response(cached);
-                if let Some((_, endpoint)) = endpoints.iter().find(|(v, _)| *v == vp) {
-                    let _ = endpoint.send(resend);
-                }
-                continue;
-            }
-            if !sup.in_flight.insert((vp.0, envelope.seq)) {
-                // A delayed duplicate of a request that is still queued.
-                continue;
-            }
-            // Admission boundary: a request stamped past its own end-to-end
-            // deadline (retries eat into the same budget) is refused before it
-            // enters any queue.
-            if envelope.has_deadline() && envelope.sent_at_s > envelope.deadline_s {
-                refuse_past_deadline(
-                    &mut sup,
-                    &mut stats,
-                    &endpoints,
-                    &envelope,
-                    DeadlineStage::Admission,
-                    envelope.sent_at_s,
-                );
-                continue;
-            }
-            let id = queue.next_id();
-            let kind = match &envelope.body {
-                Request::MemcpyH2D { data, .. } => JobKind::CopyIn { bytes: data.len() as u64 },
-                Request::MemcpyD2H { len, .. } => JobKind::CopyOut { bytes: *len },
-                Request::Launch { kernel, grid_dim, block_dim, .. } => JobKind::Kernel {
-                    name: kernel.clone(),
-                    grid_dim: *grid_dim,
-                    block_dim: *block_dim,
-                },
-                // Control requests (malloc/free/sync) are cheap; model them as
-                // zero-byte copies so they flow through the same queue.
-                _ => JobKind::CopyIn { bytes: 0 },
-            };
-            let device = session.device_of(vp).expect("join assigned every vp");
-            let expected = match &kind {
-                JobKind::CopyIn { bytes } | JobKind::CopyOut { bytes } => {
-                    session.arch(device).copy_time_s(*bytes)
-                }
-                JobKind::Kernel { name, .. } => {
-                    // The profiler feedback loop, observed: a hit means a
-                    // previous launch of this kernel already taught the
-                    // re-scheduler its expected duration.
-                    if let Some(t) = expected_kernel_s.get(name) {
-                        recorder.count("profiler.feedback.hits", 1);
-                        *t
-                    } else {
-                        recorder.count("profiler.feedback.misses", 1);
-                        0.0
-                    }
-                }
-            };
-            let job = Job {
-                id,
-                vp,
-                seq: envelope.seq,
-                kind,
-                sync: true,
-                enqueued_at_s: envelope.sent_at_s,
-                expected_duration_s: expected,
-            };
-            if sync_hold && matches!(&envelope.body, Request::Launch { sync: true, .. }) {
-                // Hold the launch and stop its VP (Fig. 4b): the reply is
-                // deferred until the cross-VP window flushes. Dedup and
-                // in-flight triage already ran above, so a retry of an
-                // executed or already-held request never holds twice.
+            if core.offer(envelope) {
                 control.stop(vp);
-                stats.holds += 1;
-                recorder.count("dispatch.sync.holds", 1);
-                let mut job = job;
-                // Floor a never-profiled kernel at its launch overhead so the
-                // window planner prices the fixed cost a merge would save.
-                let floor = session.arch(device).launch_overhead_us * 1e-6;
-                job.expected_duration_s = job.expected_duration_s.max(floor);
-                insert_held(
-                    &mut held,
-                    HeldJob {
-                        job,
-                        envelope,
-                        arrived: Instant::now(),
-                        arrived_wall_s: recorder.wall_now_s(),
-                    },
-                );
-                continue;
             }
-            queue.push(job);
-            waiting.insert(id.0, (envelope, Instant::now(), recorder.wall_now_s()));
         }
-
-        // 2. Re-schedule the pending window (the paper's asynchronous reordering,
-        //    Fig. 4a) through the shared pipeline — including the rebalance pass,
-        //    which sees per-device health and plans migrations off dead GPUs —
-        //    then dispatch it.
-        let window = queue.drain_all();
-        if window.len() > 1 {
-            stats.multi_job_windows += 1;
-            recorder.count("dispatch.multi_job_windows", 1);
-        }
-        if !window.is_empty() {
-            recorder.count("dispatch.windows", 1);
-            recorder.observe_s("dispatch.window_jobs", window.len() as f64);
-        }
-        stats.max_window = stats.max_window.max(window.len());
-        let planned = {
-            let mut queued = vec![0.0f64; session.device_count()];
-            for job in &window {
-                if let Some(d) = session.device_of(job.vp) {
-                    queued[d] += job.expected_duration_s;
-                }
-            }
-            let route = |vp: VpId| session.device_of(vp);
-            let down_for = |d: usize, t: f64| sup.is_down(&session, d, t);
-            let view =
-                DeviceView { queued_s: &queued, route: &route, down_for: &down_for, load: None };
-            let ctx = PassCtx::reorder_only().with_devices(&view);
-            pipeline.plan(window, &ctx)
+        let stalled = idle && core.stall_armed() && last_frame.elapsed() >= STALL_WALL_BACKSTOP;
+        let turn = if stalled {
+            last_frame = Instant::now();
+            core.on_stall()
+        } else {
+            core.turn()
         };
-        for (vp, target) in planned.migrations {
-            migrate_vp(&mut session, &mut sup, &mut stats, vp, target);
-        }
-        for job in planned.jobs {
-            let (envelope, arrived, arrived_wall_s) =
-                waiting.remove(&job.id.0).expect("every job has an envelope");
-            let vp = envelope.vp;
-            // Plan boundary: refuse work whose *projected* completion already
-            // overshoots its deadline, instead of burning device time on it.
-            let projected_s = envelope.sent_at_s + job.expected_duration_s;
-            if envelope.has_deadline() && projected_s > envelope.deadline_s {
-                refuse_past_deadline(
-                    &mut sup,
-                    &mut stats,
-                    &endpoints,
-                    &envelope,
-                    DeadlineStage::Plan,
-                    projected_s,
-                );
-                continue;
-            }
-            let response = execute_job(
-                &mut session,
-                &mut sup,
-                &mut stats,
-                &mut expected_kernel_s,
-                &job,
-                &envelope,
-                arrived,
-                arrived_wall_s,
-                journal,
-            );
-            stats.requests += 1;
-            sup.in_flight.remove(&(vp.0, envelope.seq));
-            let frame = codec::encode_response(&response);
-            // Find the endpoint; the VP may have just disconnected after an error,
-            // in which case the response is dropped.
+        for delivery in turn.deliveries {
+            let vp = delivery.response.vp;
+            // The VP may have just disconnected after an error, in which case
+            // the response is dropped.
             if let Some((_, endpoint)) = endpoints.iter().find(|(v, _)| *v == vp) {
-                let _ = endpoint.send(frame);
+                let _ = endpoint.send(codec::encode_response(&delivery.response));
+            }
+            if delivery.resume {
+                control.resume(vp);
             }
         }
-
-        // 3. Sync window triage, in precedence order:
-        //    (a) *full* — every still-connected, non-quarantined VP has a held
-        //        launch: the window cannot grow, flush everything. With the
-        //        default knobs (quorum 100 %, no timeout, no watchdog) this is
-        //        the only branch and reproduces lockstep flushing exactly.
-        //        Disconnections and quarantines shrink the quorum, so a lone
-        //        survivor still progresses.
-        //    (b) *quorum* — a configured fraction < 100 % of eligible VPs is
-        //        held: flush exactly the threshold-sized selection with the
-        //        earliest (sent_at, vp) stamps — deterministic on simulated
-        //        time and starvation-free — and let late arrivals roll into
-        //        the next window.
-        //    (c) *timeout* — the window has been open longer (in simulated
-        //        time) than the configured limit: flush everything held rather
-        //        than park VPs behind a straggler indefinitely.
-        if sync_hold && !held.is_empty() {
-            let eligible = endpoints.iter().filter(|(v, _)| !quarantined.contains(v)).count();
-            let full = endpoints
-                .iter()
-                .filter(|(v, _)| !quarantined.contains(v))
-                .all(|(v, _)| held.iter().any(|h| h.job.vp == *v));
-            let quorum = !full && quorum_pct < 100 && quorum_met(held.len(), eligible, quorum_pct);
-            let window_open_s =
-                held.iter().map(|h| h.envelope.sent_at_s).fold(f64::INFINITY, f64::min);
-            let timed_out = !full
-                && !quorum
-                && sync_timeout_s.is_some_and(|limit| sim_now - window_open_s >= limit);
-            if full || quorum || timed_out {
-                let window: Vec<HeldJob> = if quorum {
-                    stats.quorum_flushes += 1;
-                    recorder.count("dispatch.sync.quorum_flushes", 1);
-                    // Take exactly the quorum threshold, earliest stamps first
-                    // (ties by VP id), so no straggler's launch waits forever.
-                    let threshold = quorum_threshold(eligible, quorum_pct);
-                    let mut order: Vec<usize> = (0..held.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        held[a]
-                            .envelope
-                            .sent_at_s
-                            .partial_cmp(&held[b].envelope.sent_at_s)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(held[a].key().cmp(&held[b].key()))
-                    });
-                    order.truncate(threshold);
-                    // Removing in descending index order keeps the remaining
-                    // indices valid; reversing restores canonical (vp, seq).
-                    order.sort_unstable();
-                    let mut window = Vec::with_capacity(order.len());
-                    for &i in order.iter().rev() {
-                        window.push(held.remove(i));
-                    }
-                    window.reverse();
-                    window
-                } else {
-                    if timed_out {
-                        stats.timeout_flushes += 1;
-                        recorder.count("dispatch.sync.timeout_flushes", 1);
-                    }
-                    std::mem::take(&mut held)
-                };
-                flush_sync_window(
-                    &mut session,
-                    &mut sup,
-                    &mut stats,
-                    &mut expected_kernel_s,
-                    &control,
-                    &endpoints,
-                    &pipeline,
-                    &coalescible,
-                    window,
-                    &mut device_free_s,
-                );
-                flush_count += 1;
-                // Watchdog sweep: the fleet just proved it can make progress
-                // without the VPs that are neither held nor recently heard
-                // from. Any eligible VP `hang_windows` flushes behind is
-                // quarantined — removed from the quorum denominator and failed
-                // over to a healthy placement.
-                if hang_windows > 0 {
-                    let hung: Vec<VpId> = endpoints
-                        .iter()
-                        .map(|(v, _)| *v)
-                        .filter(|v| {
-                            !quarantined.contains(v)
-                                && !held.iter().any(|h| h.job.vp == *v)
-                                && flush_count.saturating_sub(
-                                    last_activity_flush.get(v).copied().unwrap_or(flush_count),
-                                ) >= hang_windows
-                        })
-                        .collect();
-                    for vp in hung {
-                        quarantined.insert(vp);
-                        quarantine_vp(
-                            &mut session,
-                            &mut sup,
-                            &mut stats,
-                            vp,
-                            &device_free_s,
-                            hang_windows,
-                        );
-                    }
-                }
-            }
-        }
-
-        if endpoints.is_empty() {
-            break;
-        }
-        if !any {
-            // Wall-clock stall backstop (watchdog-gated, so default behavior
-            // is untouched): if launches are parked but no frame has arrived
-            // for a long wall interval, *every* unheld VP is wedged at once —
-            // simulated time is frozen, so neither the quorum nor the timeout
-            // can ever fire. Quarantine the silent VPs; the next iteration's
-            // full-flush branch then releases the window.
-            if sync_hold
-                && hang_windows > 0
-                && !held.is_empty()
-                && last_frame.elapsed() >= STALL_WALL_BACKSTOP
-            {
-                let stuck: Vec<VpId> = endpoints
-                    .iter()
-                    .map(|(v, _)| *v)
-                    .filter(|v| !quarantined.contains(v) && !held.iter().any(|h| h.job.vp == *v))
-                    .collect();
-                if !stuck.is_empty() {
-                    stats.backstop_trips += 1;
-                    recorder.count("liveness.backstop_trips", 1);
-                    for vp in stuck {
-                        quarantined.insert(vp);
-                        quarantine_vp(
-                            &mut session,
-                            &mut sup,
-                            &mut stats,
-                            vp,
-                            &device_free_s,
-                            hang_windows,
-                        );
-                    }
-                }
-                last_frame = Instant::now();
-            }
+        if idle {
             std::thread::yield_now();
         }
     }
-    stats.stop_events = control.stop_events();
-    stats.resume_events = control.resume_events();
-    let outcome =
-        session.drain_and_plan(&pipeline, &|vp| coalescible.get(&vp).copied().unwrap_or(false));
-    (outcome, stats)
+    // Every VP is gone, so nothing can be held; close() keeps the invariant
+    // that an accepted request is never dropped unexecuted.
+    core.close();
+    DispatchStats {
+        stop_events: control.stop_events(),
+        resume_events: control.resume_events(),
+        ..*core.stats()
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! [`AdaptiveSelect`](sigmavp_sched::AdaptiveSelect) pass decides — with real
 //! numbers — whether a merged plan beats the plain one.
 //!
-//! Every runtime (scenario, threaded, dispatcher) prices its device work through
+//! Every runtime (scenario, dispatcher, fleet) prices its device work through
 //! [`plan_device`]; none of them carries inline interleave/coalesce logic.
 
 use std::collections::HashMap;

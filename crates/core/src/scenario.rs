@@ -34,14 +34,6 @@ use sigmavp_workloads::app::{AppEnv, Application};
 use crate::error::SigmaVpError;
 use crate::session::ExecutionSession;
 
-/// Legacy name of the scenario backend configuration, now unified with the
-/// threaded runtime's scheduling policy into [`Policy`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sigmavp_sched::Policy` (re-exported as `sigmavp::Policy`)"
-)]
-pub type GpuMode = Policy;
-
 /// The outcome of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
@@ -363,14 +355,5 @@ mod tests {
         let r8 = run_scenario(&refs(&big), Policy::MultiplexedOptimized).unwrap();
         // Eight coalesced VPs must cost less than 4× the two-VP makespan.
         assert!(r8.device_makespan_s < 4.0 * r2.device_makespan_s);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_gpu_mode_alias_still_compiles() {
-        let apps = vector_adds(2);
-        let refs = refs(&apps);
-        let r = run_scenario(&refs, GpuMode::Multiplexed).unwrap();
-        assert_eq!(r.mode, Policy::Multiplexed);
     }
 }

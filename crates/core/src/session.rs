@@ -3,7 +3,7 @@
 //!
 //! The paper's framework "multiplexes the host GPUs": a host with several
 //! devices spreads the VPs across them. [`ExecutionSession`] is that ownership
-//! layer. The scenario engine, the threaded runtime, the dispatcher runtime,
+//! layer. The scenario engine, the dispatcher runtime, every fleet shard,
 //! and the Table 1 paths all build one, so multi-GPU routing, record keeping,
 //! and planner integration live in exactly one place:
 //!

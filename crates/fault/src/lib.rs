@@ -17,8 +17,9 @@
 //!   link faults to every sent frame.
 //! * [`supervise`] — host-side resilience state: a per-device
 //!   [`CircuitBreaker`], the effect-once [`DedupCache`] keyed by request
-//!   sequence numbers, and the per-VP [`VpJournal`]/[`HandleMap`] pair used to
-//!   replay a VP's device state onto a surviving GPU after a failover.
+//!   sequence numbers, and the per-VP [`Residency`] ([`VpJournal`] +
+//!   [`HandleMap`]) that replays a VP's device state onto a surviving GPU or
+//!   another session and keeps its guest handles stable across the move.
 //!
 //! Everything here is deterministic by construction: the same plan seed yields
 //! the same injected faults, retries, trips and migrations, run after run.
@@ -31,8 +32,8 @@ pub mod transport;
 
 pub use plan::{FaultPlan, LinkDirection, LinkFault, LinkFaultConfig, LinkFaults, Outage};
 pub use supervise::{
-    journal_live_identity, replay_journal, replay_journal_reusing, BreakerState, CircuitBreaker,
-    DedupCache, HandleMap, JournalEntry, VpJournal,
+    journal_live_identity, replay_journal, BreakerState, CircuitBreaker, DedupCache, HandleMap,
+    JournalEntry, Relocation, Residency, VpJournal,
 };
 pub use transport::{DropNotice, FaultyTransport};
 

@@ -1,6 +1,7 @@
 //! Host-side resilience state: circuit breakers, effect-once dedup, and the
 //! journal/handle-map pair that replays a VP's device state after a failover.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use sigmavp_ipc::message::{Request, Response, ResponseEnvelope, VpId, WireParam};
@@ -380,47 +381,22 @@ impl HandleMap {
 /// map, or `Err(message)` if the survivor rejected a replayed operation.
 pub fn replay_journal(
     journal: &VpJournal,
-    mut process: impl FnMut(u64, &Request) -> Response,
+    process: impl FnMut(u64, &Request) -> Response,
 ) -> Result<HandleMap, String> {
-    let mut map = HandleMap::new();
-    for entry in journal.entries() {
-        let translated = map
-            .translate(&entry.request)
-            .map_err(|h| format!("replay references unmapped handle {h}"))?;
-        let response = process(entry.seq, &translated);
-        match (&entry.request, &entry.response, &response) {
-            (
-                Request::Malloc { .. },
-                Response::Malloc { handle: guest },
-                Response::Malloc { handle: device },
-            ) => {
-                map.insert(*guest, *device);
-            }
-            (Request::Free { handle }, _, Response::Done) => {
-                map.remove(*handle);
-            }
-            (_, _, Response::Error { message }) => {
-                return Err(format!("replay failed: {message}"));
-            }
-            _ => {}
-        }
-    }
-    Ok(map)
+    replay(journal, None, process)
 }
 
-/// Replay a VP's journal onto a device it has lived on before, reusing the
-/// allocations it left behind (DESIGN.md §12).
-///
-/// `retained` is the guest→device map snapshotted when the VP last migrated
-/// *away* from this device: those buffers were never freed, so a replayed
+/// [`replay_journal`], optionally onto a placement the VP has lived on before
+/// (DESIGN.md §12): `retained` is the guest→device map snapshotted when the VP
+/// last moved *away* from it. Those buffers were never freed, so a replayed
 /// `Malloc` whose guest handle is still retained is remapped in place instead
 /// of allocated a second time. Everything else — memcpys that restore current
 /// data, frees issued while the VP lived elsewhere, mallocs from later
 /// residencies — replays through `process` as usual. Without this, every
 /// A→B→A round trip doubles the VP's footprint on A.
-pub fn replay_journal_reusing(
+fn replay(
     journal: &VpJournal,
-    retained: &HandleMap,
+    retained: Option<&HandleMap>,
     mut process: impl FnMut(u64, &Request) -> Response,
 ) -> Result<HandleMap, String> {
     let mut map = HandleMap::new();
@@ -428,7 +404,7 @@ pub fn replay_journal_reusing(
         if let (Request::Malloc { .. }, Response::Malloc { handle: guest }) =
             (&entry.request, &entry.response)
         {
-            if let Some(device) = retained.device_of(*guest) {
+            if let Some(device) = retained.and_then(|r| r.device_of(*guest)) {
                 map.insert(*guest, device);
                 continue;
             }
@@ -470,6 +446,97 @@ pub fn journal_live_identity(journal: &VpJournal) -> HandleMap {
         }
     }
     map
+}
+
+/// What one [`Residency::relocate`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Relocation {
+    /// Journal entries the move had to reconstruct on the target.
+    pub replayed: usize,
+    /// The VP had lived on the target before and re-adopted the buffers it
+    /// left there instead of allocating them again.
+    pub reused: bool,
+    /// The target rejected part of the replay: the VP keeps running with an
+    /// empty map and requests naming lost handles surface as guest errors.
+    pub failed: bool,
+}
+
+/// One VP's device state as the guest sees it, independent of where it
+/// currently lives: the journal that can rebuild it, the guest→device handle
+/// translation of its current placement, and the maps it left behind on
+/// placements it moved away from.
+///
+/// A *placement* is whatever the owner moves VPs between — a host GPU inside
+/// one session (the dispatch core's instance) or a whole session (the fleet
+/// front's instance); the type only needs its index.
+#[derive(Debug, Clone, Default)]
+pub struct Residency {
+    journal: VpJournal,
+    /// Present once the VP has moved at least once; before that guest handles
+    /// *are* device handles.
+    map: Option<HandleMap>,
+    /// Live maps left behind on departed placements, re-adopted on return
+    /// (DESIGN.md §12 — without them every A→B→A doubles the footprint).
+    visited: HashMap<usize, HandleMap>,
+}
+
+impl Residency {
+    /// The journal of successful mutating requests, in guest handle space.
+    pub fn journal(&self) -> &VpJournal {
+        &self.journal
+    }
+
+    /// `request` in the handle space of the current placement: borrowed as-is
+    /// until the VP first moves, translated through the map afterwards.
+    ///
+    /// # Errors
+    ///
+    /// The guest-visible message for a handle the current placement does not
+    /// back (its allocation was lost in a rejected replay, or never existed).
+    pub fn translate<'a>(&self, request: &'a Request) -> Result<Cow<'a, Request>, String> {
+        match &self.map {
+            None => Ok(Cow::Borrowed(request)),
+            Some(map) => map.translate(request).map(Cow::Owned).map_err(|handle| {
+                format!("guest handle {handle} has no buffer on the VP's current placement")
+            }),
+        }
+    }
+
+    /// Account for an executed request: keep the guest's handle space stable
+    /// (a moved VP's fresh allocations get virtual guest-side names, its frees
+    /// drop their mapping), then journal the guest-visible effect.
+    pub fn settle(&mut self, seq: u64, request: &Request, response: &mut Response) {
+        if let Some(map) = self.map.as_mut() {
+            match (request, &mut *response) {
+                (Request::Malloc { .. }, Response::Malloc { handle }) => {
+                    *handle = map.virtualize(*handle);
+                }
+                (Request::Free { handle }, Response::Done) => map.remove(*handle),
+                _ => {}
+            }
+        }
+        self.journal.record(seq, request, response);
+    }
+
+    /// Move the VP from placement `from` to `to`: stash the map it leaves
+    /// behind, rebuild its state on `to` by replaying the journal through
+    /// `process` (re-adopting buffers retained from an earlier stay), and
+    /// install the resulting translation. Infallible by design — a rejected
+    /// replay is reported in [`Relocation::failed`] and leaves an empty map.
+    pub fn relocate(
+        &mut self,
+        from: usize,
+        to: usize,
+        process: impl FnMut(u64, &Request) -> Response,
+    ) -> Relocation {
+        let departing = self.map.take().unwrap_or_else(|| journal_live_identity(&self.journal));
+        let retained = self.visited.remove(&to);
+        let rebuilt = replay(&self.journal, retained.as_ref(), process);
+        self.visited.insert(from, departing);
+        let failed = rebuilt.is_err();
+        self.map = Some(rebuilt.unwrap_or_default());
+        Relocation { replayed: self.journal.len(), reused: retained.is_some(), failed }
+    }
 }
 
 #[cfg(test)]
@@ -633,7 +700,7 @@ mod tests {
 
         let mut mallocs = 0u32;
         let mut seen = Vec::new();
-        let map = replay_journal_reusing(&j, &retained, |_seq, req| {
+        let map = replay(&j, Some(&retained), |_seq, req| {
             seen.push(req.clone());
             match req {
                 Request::Malloc { .. } => {
@@ -665,7 +732,7 @@ mod tests {
         retained.insert(7, 7);
 
         let mut freed = Vec::new();
-        let map = replay_journal_reusing(&j, &retained, |_seq, req| {
+        let map = replay(&j, Some(&retained), |_seq, req| {
             if let Request::Free { handle } = req {
                 freed.push(*handle);
             }
@@ -686,6 +753,55 @@ mod tests {
         assert_eq!(map.len(), 1);
         assert_eq!(map.device_of(4), Some(4));
         assert_eq!(map.device_of(3), None, "freed handles are not retained");
+    }
+
+    #[test]
+    fn residency_round_trip_reuses_and_keeps_guest_handles_stable() {
+        // A fake placement: hands out device handles from `next`, counts mallocs.
+        fn placement(next: &mut u64) -> impl FnMut(u64, &Request) -> Response + '_ {
+            move |_, req| match req {
+                Request::Malloc { .. } => {
+                    *next += 1;
+                    Response::Malloc { handle: *next }
+                }
+                _ => Response::Done,
+            }
+        }
+        let mut r = Residency::default();
+        let malloc = Request::Malloc { bytes: 16 };
+        // At home guest handles are device handles and requests pass through.
+        assert!(matches!(r.translate(&malloc), Ok(Cow::Borrowed(_))));
+        let mut response = Response::Malloc { handle: 7 };
+        r.settle(0, &malloc, &mut response);
+        assert_eq!(response, Response::Malloc { handle: 7 }, "no map, no virtualisation");
+
+        let (mut on_b, mut on_a) = (40u64, 90u64);
+        let away = r.relocate(0, 1, placement(&mut on_b));
+        assert_eq!(away, Relocation { replayed: 1, reused: false, failed: false });
+        assert_eq!(
+            r.translate(&Request::Free { handle: 7 }).unwrap().into_owned(),
+            Request::Free { handle: 41 }
+        );
+        // Allocations made while away get virtual guest handles.
+        let mut fresh = Response::Malloc { handle: 42 };
+        r.settle(1, &malloc, &mut fresh);
+        let Response::Malloc { handle: virt } = fresh else { panic!() };
+        assert!(virt >= 1 << 32);
+        assert!(r.translate(&Request::Free { handle: 99 }).is_err(), "unknown handle is typed");
+
+        // Returning home re-adopts buffer 7 and only allocates the new one.
+        let back = r.relocate(1, 0, placement(&mut on_a));
+        assert_eq!(back, Relocation { replayed: 2, reused: true, failed: false });
+        assert_eq!(on_a, 91, "one malloc replayed at home, not two");
+        assert_eq!(
+            r.translate(&Request::Free { handle: 7 }).unwrap().into_owned(),
+            Request::Free { handle: 7 }
+        );
+
+        // A rejected replay leaves an empty map instead of failing the move.
+        let lost = r.relocate(0, 2, |_, _| Response::Error { message: "oom".into() });
+        assert!(lost.failed);
+        assert!(r.translate(&Request::Free { handle: 7 }).is_err());
     }
 
     #[test]

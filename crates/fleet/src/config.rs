@@ -94,6 +94,14 @@ impl FleetConfig {
         if self.vnodes == 0 {
             return Err(crate::FleetError::Config("need at least one vnode per session".into()));
         }
+        if self.policy.sync_hold && self.gpus_per_session > 1 {
+            // A sync window may relocate a VP between its session's GPUs
+            // inside the shard's core; the front's cross-session journal
+            // replays straight onto a device and cannot follow that move.
+            return Err(crate::FleetError::Config(
+                "sync_hold needs one gpu per session (scale out with sessions instead)".into(),
+            ));
+        }
         if self.policy.sync_quorum_pct == 0 || self.policy.sync_quorum_pct > 100 {
             return Err(crate::FleetError::Config(format!(
                 "sync quorum must be in 1..=100 percent, got {}",
@@ -116,5 +124,9 @@ mod tests {
         let mut bad = FleetConfig::new(2);
         bad.steal_ratio = 0.5;
         assert!(bad.validate().is_err());
+        let mut held = FleetConfig::new(2).with_gpus_per_session(2);
+        assert!(held.validate().is_ok());
+        held.policy = held.policy.with_sync_hold(true);
+        assert!(held.validate().is_err(), "sync windows relocate inside a session");
     }
 }

@@ -4,10 +4,12 @@
 //! # Architecture
 //!
 //! A [`Fleet`] owns `S` *shards*. Each shard is one
-//! [`ExecutionSession`] (its own host-GPU set and job logs) plus a FIFO job
-//! queue drained by a dedicated dispatcher thread — sessions share nothing, so
-//! fleet throughput scales with shards the way the paper's host-GPU
-//! multiplexing scales with devices.
+//! [`ExecutionSession`] (its own host-GPU set and job logs) plus a FIFO inbox
+//! drained by a dedicated thread that drives a [`DispatchCore`] — the same
+//! state machine the single-session dispatcher runs, so holds, sync windows,
+//! deadlines, the watchdog and execution are decided in one place. Sessions
+//! share nothing, so fleet throughput scales with shards the way the paper's
+//! host-GPU multiplexing scales with devices.
 //!
 //! The *front door* serializes placement state behind one lock:
 //!
@@ -20,38 +22,40 @@
 //!   admission sequence always plans the same steals) and marks the hottest
 //!   VPs for migration to the coolest shard.
 //! * **Migration** — a marked VP moves at its next submit, when it provably
-//!   has no request in flight: its [`VpJournal`] is replayed into the target
-//!   session ([`replay_journal`]) and the resulting [`HandleMap`] translates
-//!   every subsequent request, exactly like PR 4's single-session failover —
-//!   generalized across sessions.
+//!   has no request in flight: its cross-session [`Residency`] replays the
+//!   journal into the target session and translates every subsequent request,
+//!   exactly like the core's single-session failover — generalized across
+//!   sessions. It stays synchronous under the front lock: handing the move to
+//!   the target shard's thread would make its arrival order, hence the
+//!   device's record order, timing-dependent.
 //! * **Supervision** — [`Fleet::kill_session`] retires a shard from the ring,
-//!   drains its queued jobs, and re-homes them (journal replay + re-enqueue)
-//!   onto survivors; VPs that were idle migrate lazily at their next submit.
-//!   With no survivors left, requests fail with
+//!   drains its queued and held jobs, and re-homes them (journal replay +
+//!   re-offer) onto survivors; VPs that were idle migrate lazily at their
+//!   next submit. With no survivors left, requests fail with
 //!   [`FleetError::NoSurvivingSessions`].
 //!
-//! Lock order is `front → {shard queue, session, host runtime}`; dispatcher
-//! threads never hold a shard-side lock while taking the front lock, so the
-//! two sides cannot deadlock.
+//! Lock order is `front → {shard inbox, session, host runtime}`; shard threads
+//! never hold a shard-side lock while taking the front lock, so the two sides
+//! cannot deadlock.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use sigmavp::{ExecutionSession, SessionOutcome, VpQueueWait};
-use sigmavp_fault::{
-    journal_live_identity, replay_journal, replay_journal_reusing, HandleMap, VpJournal,
+use sigmavp::dispatch::{
+    holds_launch, replay_onto, DispatchCore, DispatchStats, Turn, STALL_WALL_BACKSTOP,
 };
+use sigmavp::{ExecutionSession, SessionOutcome, VpQueueWait};
+use sigmavp_fault::Residency;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
-use sigmavp_sched::{quorum_met, HashRing, Pipeline, Policy};
+use sigmavp_sched::{HashRing, Pipeline, Policy};
 use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::metrics::MetricsSnapshot;
 use sigmavp_telemetry::{job_uid, recorder, Lane, Telemetry, TimeDomain};
-use sigmavp_vp::error::format_deadline_violation;
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::{DeadlineStage, VpError};
 
@@ -64,7 +68,7 @@ use crate::error::FleetError;
 /// deterministic: steals are planned from submitted cost (not wall clocks) and
 /// migrations execute at fixed points in the admission order. `rescued_jobs`
 /// counts jobs that were *queued but unexecuted* when a session died, which
-/// depends on how far the dead dispatcher got.
+/// depends on how far the dead shard thread got.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Requests accepted past admission control.
@@ -87,10 +91,12 @@ pub struct FleetStats {
     /// Queued jobs re-homed from a dead session onto survivors.
     pub rescued_jobs: u64,
     /// Synchronous launches parked in a shard's sync window instead of
-    /// executing immediately (sync-hold mode).
+    /// executing immediately (sync-hold mode). A launch re-homed off a killed
+    /// session is parked again on the survivor and counts again.
     pub sync_holds: u64,
     /// Sync windows flushed, whatever the trigger (full house, quorum,
-    /// timeout, or shutdown drain).
+    /// timeout, or shutdown drain). This and the next three counters are the
+    /// shards' dispatch cores' ledgers, summed.
     pub sync_windows: u64,
     /// Sync windows flushed by the partial quorum before every eligible VP
     /// was held.
@@ -98,7 +104,8 @@ pub struct FleetStats {
     /// Sync windows flushed by the simulated-time window timeout.
     pub timeout_flushes: u64,
     /// Requests refused because their end-to-end deadline could not be met
-    /// (at admission) or had already expired (while held).
+    /// (at admission, or at a shard's plan boundary) or had already expired
+    /// (while held).
     pub deadline_misses: u64,
     /// VPs quarantined by the hung-VP watchdog.
     pub quarantined_vps: u64,
@@ -109,24 +116,8 @@ pub struct FleetStats {
     pub readmitted: u64,
 }
 
-/// One in-flight request: the guest-space original (for journaling) and the
-/// device-space translation (for execution).
-#[derive(Debug)]
-struct FleetJob {
-    vp: VpId,
-    seq: u64,
-    guest: Request,
-    exec: Request,
-    sent_at_s: f64,
-    cost_s: f64,
-    /// Absolute simulated-time deadline ([`f64::INFINITY`] when deadlines are
-    /// off), stamped at admission as `sim_s + budget`.
-    deadline_s: f64,
-    enqueued_wall_s: f64,
-}
-
 /// Front-door view of one VP.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct VpState {
     shard: usize,
     next_seq: u64,
@@ -134,23 +125,41 @@ struct VpState {
     sim_s: f64,
     outstanding: bool,
     submitted_wall_s: f64,
+    /// Submitted cost of the outstanding request.
+    cost_s: f64,
+    /// Guest-space original of the outstanding request, kept only when the
+    /// envelope carries a translation of it (the VP has migrated).
+    guest: Option<Request>,
     /// Set by the rebalancer; consumed at the VP's next submit.
     pending_target: Option<usize>,
-    journal: VpJournal,
-    /// Present once the VP has migrated at least once.
-    map: Option<HandleMap>,
-    /// Per visited session: the device the VP lived on there and the
-    /// guest→device map it left behind, so returning reuses those buffers
-    /// instead of allocating them again (DESIGN.md §12).
-    visited: HashMap<usize, (usize, HandleMap)>,
+    /// The VP's device state across *sessions* (placements are shard
+    /// indices). It lives here, not in a shard's core, because it moves
+    /// between cores under the front lock.
+    residency: Residency,
     /// Completed response awaiting [`Fleet::wait`], with its sim-time advance.
     mailbox: Option<(ResponseEnvelope, f64)>,
-    /// Quarantined by the hung-VP watchdog: submissions are shed and the VP
-    /// no longer counts toward its shard's sync quorum until readmitted.
+    /// Quarantined by a shard's hung-VP watchdog: submissions are shed until
+    /// [`Fleet::readmit`].
     quarantined: bool,
     /// Voluntarily retired ([`Fleet::retire`]): a finished guest that must
     /// not hold up its shard's sync quorums.
     retired: bool,
+}
+
+impl VpState {
+    /// Address `request` to the VP's current session: returns the envelope
+    /// body, keeping the guest-space original aside when they differ.
+    ///
+    /// # Errors
+    ///
+    /// The guest-visible message for a handle the session does not back.
+    fn address(&mut self, request: Request) -> Result<Request, String> {
+        let Cow::Owned(translated) = self.residency.translate(&request)? else {
+            return Ok(request);
+        };
+        self.guest = Some(request);
+        Ok(translated)
+    }
 }
 
 #[derive(Debug)]
@@ -163,8 +172,24 @@ struct FrontState {
     admitted_in_window: u64,
     window_cost: Vec<f64>,
     window_cost_by_vp: HashMap<VpId, f64>,
+    /// The front's own counters; [`FrontState::stats`] adds the cores'.
     stats: FleetStats,
+    /// Each shard core's ledger as of its last completed turn.
+    cores: Vec<DispatchStats>,
     closed: bool,
+}
+
+impl FrontState {
+    fn stats(&self) -> FleetStats {
+        let mut stats = self.stats;
+        for core in &self.cores {
+            stats.sync_windows += core.sync_windows;
+            stats.quorum_flushes += core.quorum_flushes;
+            stats.timeout_flushes += core.timeout_flushes;
+            stats.deadline_misses += core.deadline_misses;
+        }
+        stats
+    }
 }
 
 #[derive(Debug)]
@@ -174,369 +199,188 @@ struct Front {
 }
 
 impl Front {
-    /// Deliver a finished job: virtualize handles for migrated VPs, journal
-    /// the guest-visible effect, advance the VP's simulated clock, and park
-    /// the response in the VP's mailbox.
-    fn complete(&self, job: FleetJob, mut response: ResponseEnvelope) {
+    /// Take in one turn of `shard`'s core: mirror its quarantines into
+    /// admission, and for each delivery keep the guest's books — handle
+    /// virtualisation and the journal, in guest space — advance the VP's
+    /// simulated clock, and park the response in the VP's mailbox.
+    fn complete(&self, shard: usize, turn: Turn, core: &DispatchStats) {
         let rec = recorder();
         let mut state = self.state.lock();
-        let st = state.vps.get_mut(&job.vp).expect("completed job belongs to an admitted vp");
-        if let Some(map) = st.map.as_mut() {
-            match (&job.guest, &mut response.body) {
-                (Request::Malloc { .. }, Response::Malloc { handle }) => {
-                    *handle = map.virtualize(*handle);
-                }
-                (Request::Free { handle }, Response::Done) => map.remove(*handle),
-                _ => {}
-            }
+        state.cores[shard] = *core;
+        for vp in turn.quarantined {
+            state.vps.get_mut(&vp).expect("quarantined vp is admitted").quarantined = true;
+            state.stats.quarantined_vps += 1;
+            rec.count("fleet.quarantined_vps", 1);
         }
-        st.journal.record(job.seq, &job.guest, &response.body);
-        let device_s = match &response.body {
-            Response::Launched { device_time_s } => *device_time_s,
-            _ => 0.0,
-        };
-        let advance_s = job.cost_s + device_s;
-        st.sim_s += advance_s;
-        st.outstanding = false;
-        let now = rec.wall_now_s();
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::Vp(job.vp.0),
-            "fleet request",
-            st.submitted_wall_s,
-            (now - st.submitted_wall_s).max(0.0),
-            job_uid(job.vp.0, job.seq),
-        );
-        st.mailbox = Some((response, advance_s));
-        state.depth -= 1;
-        state.stats.completed += 1;
-        rec.count("fleet.completed", 1);
+        for delivery in turn.deliveries {
+            let (request, mut response) = (delivery.request, delivery.response);
+            let st = state.vps.get_mut(&request.vp).expect("delivery belongs to an admitted vp");
+            let guest = st.guest.take().unwrap_or(request.body);
+            st.residency.settle(request.seq, &guest, &mut response.body);
+            let device_s = match &response.body {
+                Response::Launched { device_time_s } => *device_time_s,
+                _ => 0.0,
+            };
+            let advance_s = st.cost_s + device_s;
+            st.sim_s += advance_s;
+            st.outstanding = false;
+            let now = rec.wall_now_s();
+            rec.span_for_job(
+                TimeDomain::Wall,
+                Lane::Vp(request.vp.0),
+                "fleet request",
+                st.submitted_wall_s,
+                (now - st.submitted_wall_s).max(0.0),
+                job_uid(request.vp.0, request.seq),
+            );
+            st.mailbox = Some((response, advance_s));
+            state.depth -= 1;
+            state.stats.completed += 1;
+            rec.count("fleet.completed", 1);
+        }
         rec.gauge_set("fleet.depth", state.depth as f64);
         self.cv.notify_all();
     }
+}
 
-    /// Record a flushed sync window and what triggered it.
-    fn note_window(&self, trigger: WindowTrigger) {
-        let rec = recorder();
-        let mut state = self.state.lock();
-        state.stats.sync_windows += 1;
-        rec.count("fleet.sync_windows", 1);
-        match trigger {
-            WindowTrigger::Quorum => {
-                state.stats.quorum_flushes += 1;
-                rec.count("fleet.quorum_flushes", 1);
-            }
-            WindowTrigger::Timeout => {
-                state.stats.timeout_flushes += 1;
-                rec.count("fleet.timeout_flushes", 1);
-            }
-            WindowTrigger::Full | WindowTrigger::Drain => {}
-        }
-    }
-
-    /// Complete a held job whose deadline expired before its window flushed:
-    /// a typed hold-stage violation instead of burning device time on a
-    /// result nobody can use in time.
-    fn refuse_hold_deadline(&self, job: FleetJob, now_s: f64) {
-        let rec = recorder();
-        self.state.lock().stats.deadline_misses += 1;
-        rec.count("fleet.deadline_misses", 1);
-        let message = format_deadline_violation(DeadlineStage::Hold, job.deadline_s, now_s);
-        let response = ResponseEnvelope {
-            vp: job.vp,
-            seq: job.seq,
-            sent_at_s: job.sent_at_s,
-            body: Response::Error { message },
-        };
-        self.complete(job, response);
-    }
-
-    /// The stall backstop fired on `shard`: quarantine every VP homed there
-    /// that is provably idle — nothing outstanding, nothing waiting in its
-    /// mailbox — so the held window's quorum denominator shrinks and the
-    /// window can flush. Held VPs are never victims (their request *is* the
-    /// window). Publishes a [`IncidentKind::VpHung`] incident per victim so an
-    /// installed flight recorder dumps a post-mortem.
-    fn quarantine_idle(&self, shard: &Shard) {
-        let rec = recorder();
-        let victims: Vec<VpId> = {
-            let mut state = self.state.lock();
-            let victims: Vec<VpId> = state
-                .vps
-                .iter()
-                .filter(|(_, st)| {
-                    st.shard == shard.index
-                        && !st.quarantined
-                        && !st.retired
-                        && !st.outstanding
-                        && st.mailbox.is_none()
-                })
-                .map(|(vp, _)| *vp)
-                .collect();
-            for vp in &victims {
-                state.vps.get_mut(vp).expect("victim is admitted").quarantined = true;
-            }
-            state.stats.quarantined_vps += victims.len() as u64;
-            victims
-        };
-        for vp in &victims {
-            rec.count("fleet.quarantined_vps", 1);
-            bus::publish(&ObsEvent::Incident(Incident {
-                kind: IncidentKind::VpHung { vp: vp.0 },
-                wall_s: rec.wall_now_s(),
-                detail: format!(
-                    "vp{} made no progress while shard s{}'s sync window stalled; \
-                     quarantined from the quorum",
-                    vp.0, shard.index
-                ),
-            }));
-        }
-        if !victims.is_empty() {
-            let mut q = shard.queue.lock();
-            q.eligible = q.eligible.saturating_sub(victims.len());
-            shard.cv.notify_all();
-        }
-    }
+/// What the front sends a shard thread, in one FIFO so the core sees
+/// membership changes and requests in the order the front decided them.
+#[derive(Debug)]
+enum Inbound {
+    /// A request to execute, with the wall time it was enqueued.
+    Offer(Envelope, f64),
+    /// The VP counts toward this shard's sync quorum (admitted, readmitted,
+    /// or migrated here).
+    Join(VpId),
+    /// It no longer does (retired or migrated away).
+    Leave(VpId),
 }
 
 #[derive(Debug, Default)]
-struct ShardQueue {
-    jobs: VecDeque<FleetJob>,
-    /// Synchronous launches parked for this shard's next sync window, kept in
-    /// canonical `(vp, seq)` order at insertion (one entry per VP: guests are
-    /// synchronous).
-    sync_held: Vec<FleetJob>,
-    /// Eligible quorum denominator: VPs homed here that are neither
-    /// quarantined nor retired. Maintained by the front under the
-    /// front → queue lock order.
-    eligible: usize,
-    /// Newest simulated timestamp submitted to this shard — the sync-window
-    /// timeout clock (simulated time, never the wall).
-    sim_now: f64,
-    /// The session died: the dispatcher drains the queue into `orphans`
-    /// and exits.
+struct Inbox {
+    items: VecDeque<Inbound>,
+    /// [`Inbound::Offer`]s among `items` — the shard's queue depth.
+    offers: usize,
+    /// The session died: the shard thread hands everything unexecuted to
+    /// `orphans` and exits.
     down: bool,
-    /// Admission-probe mode: the dispatcher parks without popping.
-    held: bool,
+    /// Admission-probe mode: the shard thread parks without popping.
+    paused: bool,
     closed: bool,
     worker_done: bool,
-    orphans: Vec<FleetJob>,
+    orphans: Vec<Envelope>,
 }
 
 #[derive(Debug)]
 struct Shard {
     index: usize,
-    session: Mutex<ExecutionSession>,
-    queue: Mutex<ShardQueue>,
+    /// Shared with the shard's [`DispatchCore`], which locks it only to
+    /// resolve devices; the front locks it for admit/migrate/live_buffers.
+    session: Arc<Mutex<ExecutionSession>>,
+    inbox: Mutex<Inbox>,
     cv: Condvar,
+    depth_gauge: String,
 }
 
 impl Shard {
-    fn depth_gauge(&self) -> String {
-        format!("fleet.s{}.queue_depth", self.index)
+    fn send(&self, item: Inbound) {
+        let mut q = self.inbox.lock();
+        if matches!(item, Inbound::Offer(..)) {
+            q.offers += 1;
+            recorder().gauge_set(&self.depth_gauge, q.offers as f64);
+        }
+        q.items.push_back(item);
+        self.cv.notify_all();
     }
 }
 
-/// What triggered a sync-window flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowTrigger {
-    /// Every eligible VP held a launch (lockstep — the legacy trigger).
-    Full,
-    /// The partial quorum was met before a full house.
-    Quorum,
-    /// The simulated-time window timeout expired.
-    Timeout,
-    /// Shutdown: the final window flushes whatever is still held so no job
-    /// is lost.
-    Drain,
-}
-
-/// One unit of dispatcher work.
-enum Work {
-    /// An ordinary queued job.
-    One(FleetJob),
-    /// A flushed sync window (canonical `(vp, seq)` order) with its trigger
-    /// and the shard's simulated clock at the flush decision.
-    Window(Vec<FleetJob>, WindowTrigger, f64),
-    /// The wall-clock stall backstop fired while a window was held: ask the
-    /// front to quarantine idle VPs, then re-evaluate.
+/// What woke a shard thread.
+enum Wake {
+    Item(Inbound),
+    /// [`STALL_WALL_BACKSTOP`] passed with launches parked and nothing arriving.
     Stalled,
+    Closed,
 }
 
-/// How long a dispatcher with a held sync window waits for progress before
-/// invoking the hung-VP watchdog. A *wall*-clock backstop, active only when
-/// `hang_windows > 0`: simulated time cannot advance on its own when the VP
-/// that would advance it is wedged, so liveness needs one real clock.
-const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
-
-/// The dispatcher loop: pop, execute on the shard's session, deliver. With
-/// sync-hold on, synchronous launches park in the shard's sync window and
-/// flush together on a full house, a partial quorum, or a simulated-time
-/// window timeout (DESIGN.md §15). Unlike the single-session dispatcher —
-/// which flushes exactly the quorum threshold and leaves the rest held — the
-/// fleet flushes *every* held job: shards are independent sessions, so there
-/// is no cross-shard planning benefit to withholding the stragglers.
-fn dispatch_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) {
+/// A shard thread: the [`DispatchCore`]'s inbox driver. Pops one message,
+/// applies it, runs one core turn and completes what came back at the front
+/// — with every shard-side lock released first. One request per turn keeps
+/// async windows single-job, so a 256-deep inbox never pays for planning it.
+fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) {
     let rec = recorder();
-    let quorum_pct = policy.sync_quorum_pct;
-    let timeout_s = policy.sync_timeout_s();
-    let watchdog = policy.sync_hold && policy.hang_windows > 0;
+    let mut core = DispatchCore::new(shard.session.clone(), &policy, None, HashMap::new());
     loop {
-        let work = {
-            let mut q = shard.queue.lock();
+        let wake = {
+            let mut q = shard.inbox.lock();
             loop {
                 if q.down {
                     let q = &mut *q;
-                    q.orphans.extend(q.jobs.drain(..));
-                    q.orphans.append(&mut q.sync_held);
+                    q.orphans.extend(q.items.drain(..).filter_map(|item| match item {
+                        Inbound::Offer(envelope, _) => Some(envelope),
+                        Inbound::Join(_) | Inbound::Leave(_) => None,
+                    }));
+                    q.orphans.extend(core.abandon());
+                    q.offers = 0;
                     q.worker_done = true;
                     shard.cv.notify_all();
                     return;
                 }
-                if !q.held {
-                    if let Some(job) = q.jobs.pop_front() {
-                        rec.gauge_set(&shard.depth_gauge(), q.jobs.len() as f64);
-                        break Work::One(job);
+                if !q.paused {
+                    if let Some(item) = q.items.pop_front() {
+                        if matches!(item, Inbound::Offer(..)) {
+                            q.offers -= 1;
+                            rec.gauge_set(&shard.depth_gauge, q.offers as f64);
+                        }
+                        break Wake::Item(item);
                     }
-                    if !q.sync_held.is_empty() {
-                        let held_vps = q.sync_held.len();
-                        let full = q.eligible > 0 && held_vps >= q.eligible;
-                        let quorum = !full
-                            && quorum_pct < 100
-                            && quorum_met(held_vps, q.eligible, quorum_pct);
-                        let window_open_s =
-                            q.sync_held.iter().map(|j| j.sent_at_s).fold(f64::INFINITY, f64::min);
-                        let timed_out = !full
-                            && !quorum
-                            && timeout_s.is_some_and(|limit| q.sim_now - window_open_s >= limit);
-                        if full || quorum || timed_out {
-                            let trigger = if full {
-                                WindowTrigger::Full
-                            } else if quorum {
-                                WindowTrigger::Quorum
-                            } else {
-                                WindowTrigger::Timeout
-                            };
-                            break Work::Window(
-                                std::mem::take(&mut q.sync_held),
-                                trigger,
-                                q.sim_now,
-                            );
+                    if q.closed {
+                        break Wake::Closed;
+                    }
+                    if core.stall_armed() {
+                        let timed_out = shard.cv.wait_for(&mut q, STALL_WALL_BACKSTOP).timed_out();
+                        if timed_out && !q.down && !q.paused && !q.closed && q.items.is_empty() {
+                            break Wake::Stalled;
                         }
-                        if q.closed {
-                            break Work::Window(
-                                std::mem::take(&mut q.sync_held),
-                                WindowTrigger::Drain,
-                                q.sim_now,
-                            );
-                        }
-                        if watchdog {
-                            let stalled =
-                                shard.cv.wait_for(&mut q, STALL_WALL_BACKSTOP).timed_out();
-                            if stalled && !q.down && !q.held && q.jobs.is_empty() {
-                                break Work::Stalled;
-                            }
-                            continue;
-                        }
-                    } else if q.closed {
-                        q.worker_done = true;
-                        shard.cv.notify_all();
-                        return;
+                        continue;
                     }
                 }
                 shard.cv.wait(&mut q);
             }
         };
-
-        match work {
-            Work::One(job) => execute_one(&shard, &front, job),
-            Work::Window(window, trigger, flush_now_s) => {
-                debug_assert!(
-                    window.windows(2).all(|w| (w[0].vp.0, w[0].seq) < (w[1].vp.0, w[1].seq)),
-                    "sync window must flush in canonical (vp, seq) order"
-                );
-                front.note_window(trigger);
-                for job in window {
-                    if flush_now_s > job.deadline_s {
-                        front.refuse_hold_deadline(job, flush_now_s);
-                    } else {
-                        execute_one(&shard, &front, job);
+        let turn = match wake {
+            Wake::Item(item) => {
+                match item {
+                    Inbound::Offer(envelope, enqueued_wall_s) => {
+                        if rec.enabled() {
+                            let wait_s = (rec.wall_now_s() - enqueued_wall_s).max(0.0);
+                            rec.observe_s("fleet.queue_wait_s", wait_s);
+                            rec.span_for_job(
+                                TimeDomain::Wall,
+                                Lane::JobQueue,
+                                "fleet queue",
+                                enqueued_wall_s,
+                                wait_s,
+                                job_uid(envelope.vp.0, envelope.seq),
+                            );
+                        }
+                        core.offer(envelope);
                     }
+                    Inbound::Join(vp) => core.join(vp),
+                    Inbound::Leave(vp) => core.leave(vp),
                 }
+                core.turn()
             }
-            Work::Stalled => front.quarantine_idle(&shard),
+            Wake::Stalled => core.on_stall(),
+            Wake::Closed => {
+                front.complete(shard.index, core.close(), core.stats());
+                shard.inbox.lock().worker_done = true;
+                shard.cv.notify_all();
+                return;
+            }
+        };
+        if !(turn.deliveries.is_empty() && turn.quarantined.is_empty()) {
+            front.complete(shard.index, turn, core.stats());
         }
-    }
-}
-
-/// Execute one job on the shard's session and deliver its response.
-fn execute_one(shard: &Shard, front: &Front, job: FleetJob) {
-    let rec = recorder();
-    {
-        let uid = job_uid(job.vp.0, job.seq);
-        let start_wall = rec.wall_now_s();
-        let wait_s = (start_wall - job.enqueued_wall_s).max(0.0);
-        rec.observe_s("fleet.queue_wait_s", wait_s);
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::JobQueue,
-            "fleet queue",
-            job.enqueued_wall_s,
-            wait_s,
-            uid,
-        );
-
-        // Take the session lock only long enough to resolve the device; the
-        // runtime lock only for the execution itself; and the front lock only
-        // after both are released (the lock order that keeps us deadlock-free).
-        let (runtime, arch) = {
-            let mut session = shard.session.lock();
-            let device = session.assign(job.vp);
-            // The arch clone feeds observation publishing; skip it (and the
-            // publish below) when nothing on the bus is listening.
-            let arch = bus::has_sinks().then(|| session.arch(device).clone());
-            (session.runtime(device), arch)
-        };
-        let envelope = Envelope {
-            vp: job.vp,
-            seq: job.seq,
-            sent_at_s: job.sent_at_s,
-            deadline_s: job.deadline_s,
-            body: job.exec.clone(),
-        };
-        let response = {
-            let mut rt = runtime.lock();
-            let response = rt.process(&envelope);
-            if let (Some(arch), Some(record)) = (&arch, rt.records().last()) {
-                // Guard on (vp, seq): a non-device request (malloc/sync)
-                // leaves an older job as `last()`.
-                if record.vp == job.vp && record.seq == job.seq {
-                    sigmavp::host::publish_record(arch, record);
-                }
-            }
-            response
-        };
-        let end_wall = rec.wall_now_s();
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::Dispatcher,
-            request_kind(&job.guest),
-            start_wall,
-            (end_wall - start_wall).max(0.0),
-            uid,
-        );
-        front.complete(job, response);
-    }
-}
-
-fn request_kind(request: &Request) -> &'static str {
-    match request {
-        Request::Malloc { .. } => "malloc",
-        Request::Free { .. } => "free",
-        Request::MemcpyH2D { .. } => "memcpy h2d",
-        Request::MemcpyD2H { .. } => "memcpy d2h",
-        Request::Launch { .. } => "launch",
-        Request::Synchronize => "synchronize",
     }
 }
 
@@ -568,7 +412,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// Build a fleet of `config.sessions` execution sessions, each serving
-    /// kernels from `registry`, and start one dispatcher thread per session.
+    /// kernels from `registry`, and start one shard thread per session.
     ///
     /// # Errors
     ///
@@ -587,9 +431,10 @@ impl Fleet {
             session.set_tier(config.policy.tier);
             shards.push(Arc::new(Shard {
                 index,
-                session: Mutex::new(session),
-                queue: Mutex::new(ShardQueue::default()),
+                session: Arc::new(Mutex::new(session)),
+                inbox: Mutex::new(Inbox::default()),
                 cv: Condvar::new(),
+                depth_gauge: format!("fleet.s{index}.queue_depth"),
             }));
         }
         let front = Arc::new(Front {
@@ -602,6 +447,7 @@ impl Fleet {
                 window_cost: vec![0.0; config.sessions],
                 window_cost_by_vp: HashMap::new(),
                 stats: FleetStats::default(),
+                cores: vec![DispatchStats::default(); config.sessions],
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -612,7 +458,7 @@ impl Fleet {
             .map(|shard| {
                 let shard = Arc::clone(shard);
                 let front = Arc::clone(&front);
-                std::thread::spawn(move || dispatch_loop(shard, front, policy))
+                std::thread::spawn(move || shard_loop(shard, front, policy))
             })
             .collect();
         Ok(Fleet { config, shards, front, workers: Mutex::new(workers) })
@@ -630,7 +476,7 @@ impl Fleet {
 
     /// Snapshot of the fleet counters.
     pub fn stats(&self) -> FleetStats {
-        self.front.state.lock().stats
+        self.front.state.lock().stats()
     }
 
     /// Current fleet-wide in-flight depth (queued + executing jobs).
@@ -662,24 +508,8 @@ impl Fleet {
         }
         let shard = state.ring.slot_of(vp.0 as u64).ok_or(FleetError::NoSurvivingSessions)?;
         self.shards[shard].session.lock().assign(vp);
-        state.vps.insert(
-            vp,
-            VpState {
-                shard,
-                next_seq: 0,
-                sim_s: 0.0,
-                outstanding: false,
-                submitted_wall_s: 0.0,
-                pending_target: None,
-                journal: VpJournal::default(),
-                map: None,
-                visited: HashMap::new(),
-                mailbox: None,
-                quarantined: false,
-                retired: false,
-            },
-        );
-        self.shards[shard].queue.lock().eligible += 1;
+        state.vps.insert(vp, VpState { shard, ..VpState::default() });
+        self.shards[shard].send(Inbound::Join(vp));
         recorder().gauge_set("fleet.vps", state.vps.len() as f64);
         Ok(shard)
     }
@@ -776,32 +606,24 @@ impl Fleet {
         let st = state.vps.get_mut(&vp).expect("checked above");
         let seq = st.next_seq;
         st.next_seq += 1;
-        let exec = match &st.map {
-            Some(map) => match map.translate(&request) {
-                Ok(translated) => translated,
-                Err(handle) => {
-                    // Unmapped handle: answer without touching any device.
-                    st.mailbox = Some((
-                        ResponseEnvelope {
-                            vp,
-                            seq,
-                            sent_at_s: st.sim_s,
-                            body: Response::Error {
-                                message: format!("unmapped guest handle {handle}"),
-                            },
-                        },
-                        0.0,
-                    ));
-                    self.front.cv.notify_all();
-                    return Ok(seq);
-                }
-            },
-            None => request.clone(),
-        };
         let sent_at_s = st.sim_s;
-        let deadline_s = self.config.policy.deadline_s().map_or(f64::INFINITY, |b| sent_at_s + b);
+        let body = match st.address(request) {
+            Ok(body) => body,
+            Err(message) => {
+                // Unmapped handle: answer without touching any device.
+                st.mailbox = Some((
+                    ResponseEnvelope { vp, seq, sent_at_s, body: Response::Error { message } },
+                    0.0,
+                ));
+                self.front.cv.notify_all();
+                return Ok(seq);
+            }
+        };
+        let deadline_s =
+            self.config.policy.deadline_s().map_or(Envelope::NO_DEADLINE, |b| sent_at_s + b);
         let shard_idx = st.shard;
         st.outstanding = true;
+        st.cost_s = cost_s;
         st.submitted_wall_s = rec.wall_now_s();
 
         state.window_cost[shard_idx] += cost_s;
@@ -811,35 +633,14 @@ impl Fleet {
         state.admitted_in_window += 1;
         rec.count("fleet.admitted", 1);
         rec.gauge_set("fleet.depth", state.depth as f64);
-
-        let sync_launch =
-            self.config.policy.sync_hold && matches!(&request, Request::Launch { sync: true, .. });
-        let job = FleetJob {
-            vp,
-            seq,
-            guest: request,
-            exec,
-            sent_at_s,
-            cost_s,
-            deadline_s,
-            enqueued_wall_s: rec.wall_now_s(),
-        };
-        let shard = &self.shards[shard_idx];
-        {
-            let mut q = shard.queue.lock();
-            q.sim_now = q.sim_now.max(sent_at_s);
-            if sync_launch {
-                // Park in the shard's sync window, canonical (vp, seq) order.
-                let at = q.sync_held.partition_point(|j| (j.vp.0, j.seq) < (vp.0, seq));
-                q.sync_held.insert(at, job);
-                state.stats.sync_holds += 1;
-                rec.count("fleet.sync_holds", 1);
-            } else {
-                q.jobs.push_back(job);
-                rec.gauge_set(&shard.depth_gauge(), q.jobs.len() as f64);
-            }
-            shard.cv.notify_one();
+        if holds_launch(&self.config.policy, &body) {
+            state.stats.sync_holds += 1;
+            rec.count("fleet.sync_holds", 1);
         }
+        self.shards[shard_idx].send(Inbound::Offer(
+            Envelope { vp, seq, sent_at_s, deadline_s, body },
+            rec.wall_now_s(),
+        ));
 
         if self.config.steal_interval > 0 && state.admitted_in_window >= self.config.steal_interval
         {
@@ -913,18 +714,9 @@ impl Fleet {
         if st.outstanding || st.mailbox.is_some() {
             return Err(FleetError::Busy(vp));
         }
-        if st.retired {
-            return Ok(());
-        }
-        let counted = !st.quarantined;
-        st.retired = true;
-        let shard = &self.shards[st.shard];
-        if counted {
-            {
-                let mut q = shard.queue.lock();
-                q.eligible = q.eligible.saturating_sub(1);
-            }
-            shard.cv.notify_all();
+        if !st.retired {
+            st.retired = true;
+            self.shards[st.shard].send(Inbound::Leave(vp));
         }
         Ok(())
     }
@@ -944,25 +736,18 @@ impl Fleet {
             return Ok(());
         }
         st.quarantined = false;
-        let counted = !st.retired;
-        let shard_idx = st.shard;
+        if !st.retired {
+            self.shards[st.shard].send(Inbound::Join(vp));
+        }
         state.stats.readmitted += 1;
         recorder().count("fleet.readmitted", 1);
-        if counted {
-            let shard = &self.shards[shard_idx];
-            {
-                let mut q = shard.queue.lock();
-                q.eligible += 1;
-            }
-            shard.cv.notify_all();
-        }
         Ok(())
     }
 
-    /// Kill session `s`: retire it from the placement ring, stop its
-    /// dispatcher, and re-home its queued jobs onto survivors (journal replay
-    /// plus re-enqueue). Idle VPs of the dead session migrate lazily at their
-    /// next submit. Idempotent; returns the number of rescued jobs.
+    /// Kill session `s`: retire it from the placement ring, stop its shard
+    /// thread, and re-home its queued and held jobs onto survivors (journal
+    /// replay plus re-offer). Idle VPs of the dead session migrate lazily at
+    /// their next submit. Idempotent; returns the number of rescued jobs.
     ///
     /// # Errors
     ///
@@ -989,11 +774,11 @@ impl Fleet {
                 detail: format!("session s{s} killed; {survivors} survive"),
             }));
         }
-        // Stop the dispatcher *without* holding the front lock — its final
+        // Stop the shard thread *without* holding the front lock — its final
         // in-flight completion needs it.
         let shard = &self.shards[s];
         let orphans = {
-            let mut q = shard.queue.lock();
+            let mut q = shard.inbox.lock();
             q.down = true;
             shard.cv.notify_all();
             while !q.worker_done {
@@ -1001,71 +786,55 @@ impl Fleet {
             }
             std::mem::take(&mut q.orphans)
         };
-        rec.gauge_set(&shard.depth_gauge(), 0.0);
+        rec.gauge_set(&shard.depth_gauge, 0.0);
 
         let mut rescued = 0;
         let mut state = self.front.state.lock();
-        for job in orphans {
-            let vp = job.vp;
-            let Some(target) = state.ring.slot_of(vp.0 as u64) else {
-                // No survivors: fail the job without unbounded buffering.
-                let st = state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp");
-                st.outstanding = false;
-                st.mailbox = Some((
-                    ResponseEnvelope {
-                        vp,
-                        seq: job.seq,
-                        sent_at_s: job.sent_at_s,
-                        body: Response::Error { message: "no surviving sessions".into() },
-                    },
-                    0.0,
-                ));
-                state.depth -= 1;
-                continue;
-            };
-            state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp").outstanding =
-                false;
-            self.migrate_locked(&mut state, vp, target);
+        for envelope in orphans {
+            let vp = envelope.vp;
+            let target = state.ring.slot_of(vp.0 as u64);
             let st = state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp");
-            let map = st.map.as_ref().expect("migrated vp has a handle map");
-            let exec = match map.translate(&job.guest) {
-                Ok(translated) => translated,
-                Err(handle) => {
+            st.outstanding = false;
+            let guest = st.guest.take().unwrap_or(envelope.body);
+            // Re-home onto the ring's survivor and re-address the request
+            // there; with no survivor, or a handle the replay lost, fail the
+            // job without unbounded buffering.
+            let body = match target {
+                Some(target) => {
+                    self.migrate_locked(&mut state, vp, target);
+                    state.vps.get_mut(&vp).expect("just migrated").address(guest)
+                }
+                None => Err("no surviving sessions".into()),
+            };
+            let st = state.vps.get_mut(&vp).expect("orphaned job belongs to an admitted vp");
+            match body {
+                Ok(body) => {
+                    st.outstanding = true;
+                    // A parked launch is offered like any other: the
+                    // survivor's core holds it again, in a window.
+                    if holds_launch(&self.config.policy, &body) {
+                        state.stats.sync_holds += 1;
+                        rec.count("fleet.sync_holds", 1);
+                    }
+                    self.shards[target.expect("addressed on a survivor")]
+                        .send(Inbound::Offer(Envelope { body, ..envelope }, rec.wall_now_s()));
+                    rescued += 1;
+                    state.stats.rescued_jobs += 1;
+                    rec.count("fleet.rescued_jobs", 1);
+                }
+                Err(message) => {
                     st.mailbox = Some((
                         ResponseEnvelope {
                             vp,
-                            seq: job.seq,
-                            sent_at_s: job.sent_at_s,
-                            body: Response::Error {
-                                message: format!("unmapped guest handle {handle}"),
-                            },
+                            seq: envelope.seq,
+                            sent_at_s: envelope.sent_at_s,
+                            body: Response::Error { message },
                         },
                         0.0,
                     ));
                     state.depth -= 1;
-                    continue;
                 }
-            };
-            st.outstanding = true;
-            let target_shard = &self.shards[target];
-            {
-                let mut q = target_shard.queue.lock();
-                q.jobs.push_back(FleetJob {
-                    vp,
-                    seq: job.seq,
-                    guest: job.guest,
-                    exec,
-                    sent_at_s: job.sent_at_s,
-                    cost_s: job.cost_s,
-                    deadline_s: job.deadline_s,
-                    enqueued_wall_s: rec.wall_now_s(),
-                });
-                rec.gauge_set(&target_shard.depth_gauge(), q.jobs.len() as f64);
-                target_shard.cv.notify_one();
             }
-            rescued += 1;
-            state.stats.rescued_jobs += 1;
-            rec.count("fleet.rescued_jobs", 1);
         }
         self.front.cv.notify_all();
         Ok(rescued)
@@ -1074,7 +843,7 @@ impl Fleet {
     /// A point-in-time fleet-wide observability view: one merged metrics
     /// registry snapshot (every shard records into the shared registry under
     /// `fleet.s{i}.*` names) plus authoritative per-shard state read under the
-    /// fleet's own locks — gauges can lag a racing dispatcher, these cannot.
+    /// fleet's own locks — gauges can lag a racing shard thread, these cannot.
     pub fn observability(&self, telemetry: &Telemetry) -> FleetObservability {
         let state = self.front.state.lock();
         let shards = self
@@ -1085,48 +854,45 @@ impl Fleet {
                 index: i,
                 alive: state.alive[i],
                 vps: state.vps.values().filter(|st| st.shard == i).count(),
-                queue_depth: shard.queue.lock().jobs.len(),
+                queue_depth: shard.inbox.lock().offers,
                 live_buffers: shard.session.lock().live_buffers(),
             })
             .collect();
         FleetObservability {
             metrics: telemetry.snapshot(),
             depth: state.depth,
-            stats: state.stats,
+            stats: state.stats(),
             shards,
         }
     }
 
-    /// Park every dispatcher without popping (deterministic admission probes:
-    /// with workers held, `capacity + k` submits shed exactly `k` requests).
+    /// Park every shard thread without popping (deterministic admission
+    /// probes: with workers held, `capacity + k` submits shed exactly `k`
+    /// requests).
     pub fn hold_workers(&self) {
         for shard in &self.shards {
-            shard.queue.lock().held = true;
+            shard.inbox.lock().paused = true;
         }
     }
 
-    /// Resume held dispatchers.
+    /// Resume held shard threads.
     pub fn release_workers(&self) {
         for shard in &self.shards {
-            let mut q = shard.queue.lock();
-            q.held = false;
+            shard.inbox.lock().paused = false;
             shard.cv.notify_all();
         }
     }
 
-    /// Shut the fleet down: stop accepting work, let every dispatcher drain
-    /// its queue, join the threads, and price each session's job log through
-    /// the configured scheduling policy. Call once, after collecting every
-    /// outstanding response.
+    /// Shut the fleet down: stop accepting work, let every shard drain its
+    /// inbox and flush what its core still holds, join the threads, and price
+    /// each session's job log through the configured scheduling policy. Call
+    /// once, after collecting every outstanding response.
     pub fn shutdown(&self) -> FleetOutcome {
-        {
-            let mut state = self.front.state.lock();
-            state.closed = true;
-        }
+        self.front.state.lock().closed = true;
         for shard in &self.shards {
-            let mut q = shard.queue.lock();
+            let mut q = shard.inbox.lock();
             q.closed = true;
-            q.held = false;
+            q.paused = false;
             shard.cv.notify_all();
         }
         for handle in self.workers.lock().drain(..) {
@@ -1138,7 +904,7 @@ impl Fleet {
             .iter()
             .map(|shard| shard.session.lock().drain_and_plan(&pipeline, &|_| false))
             .collect();
-        let stats = self.front.state.lock().stats;
+        let stats = self.front.state.lock().stats();
         FleetOutcome { sessions, stats }
     }
 
@@ -1149,98 +915,47 @@ impl Fleet {
     /// counted in `replay_failures`.
     fn migrate_locked(&self, state: &mut FrontState, vp: VpId, target: usize) {
         let rec = recorder();
-        let (journal, sim_s, source, departing) = {
-            let st = state.vps.get(&vp).expect("migrating an admitted vp");
-            debug_assert!(!st.outstanding, "migration requires an idle vp");
-            // The guest→device map this residency leaves behind: explicit for
-            // a previously-migrated VP, the identity over live handles on the
-            // VP's home session.
-            let departing = match &st.map {
-                Some(map) => map.clone(),
-                None => journal_live_identity(&st.journal),
-            };
-            (st.journal.clone(), st.sim_s, st.shard, departing)
-        };
-        let source_device = self.shards[source].session.lock().device_of(vp);
-        let (runtime, device) = {
+        let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
+        debug_assert!(!st.outstanding, "migration requires an idle vp");
+        let source = st.shard;
+        let runtime = {
             let mut session = self.shards[target].session.lock();
             let device = session.assign(vp);
-            (session.runtime(device), device)
+            session.runtime(device)
         };
-        // Stash the departing map so a later return to `source` reuses the
-        // buffers stranded there; consume any stash for `target` now
-        // (DESIGN.md §12 — without this every A→B→A doubles the footprint).
-        let retained = {
-            let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
-            if let Some(d) = source_device {
-                st.visited.insert(source, (d, departing));
-            }
-            st.visited.remove(&target).and_then(|(d, map)| (d == device).then_some(map))
-        };
-        let mut rt = runtime.lock();
-        let process = |orig_seq: u64, request: &Request| {
-            let started_wall_s = rec.wall_now_s();
-            let body = rt
-                .process_replay(&Envelope {
-                    vp,
-                    seq: 0,
-                    sent_at_s: sim_s,
-                    deadline_s: f64::INFINITY,
-                    body: request.clone(),
-                })
-                .body;
-            // Stitch the replayed work onto the *original* job's uid so its
-            // lifecycle joins into one migration-tagged causal chain.
+        let moved = st.residency.relocate(
+            source,
+            target,
+            replay_onto(&mut runtime.lock(), vp, &format!("s{target}")),
+        );
+        st.shard = target;
+        // Move the VP's quorum slot with it; a window on the source that was
+        // waiting on this VP can now flush.
+        self.shards[source].send(Inbound::Leave(vp));
+        if !st.quarantined && !st.retired {
+            self.shards[target].send(Inbound::Join(vp));
+        }
+        if rec.enabled() {
+            // Zero-width marker carrying the uid of the first post-migration
+            // job, so its lifecycle is tagged `migrated` even if nothing was
+            // replayed.
             rec.span_for_job(
                 TimeDomain::Wall,
                 Lane::Dispatcher,
-                format!("replay s{target}"),
-                started_wall_s,
-                (rec.wall_now_s() - started_wall_s).max(0.0),
-                job_uid(vp.0, orig_seq),
+                format!("migration edge s{source} -> s{target}"),
+                rec.wall_now_s(),
+                0.0,
+                job_uid(vp.0, st.next_seq),
             );
-            body
-        };
-        let replayed = match &retained {
-            Some(map) => replay_journal_reusing(&journal, map, process),
-            None => replay_journal(&journal, process),
-        };
-        drop(rt);
-        if retained.is_some() {
+        }
+        if moved.reused {
             state.stats.reuse_migrations += 1;
             rec.count("fleet.reuse_migrations", 1);
         }
-        let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
-        match replayed {
-            Ok(map) => st.map = Some(map),
-            Err(_) => {
-                st.map = Some(HandleMap::new());
-                state.stats.replay_failures += 1;
-                rec.count("fleet.replay_failures", 1);
-            }
+        if moved.failed {
+            state.stats.replay_failures += 1;
+            rec.count("fleet.replay_failures", 1);
         }
-        let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
-        st.shard = target;
-        // Move the VP's quorum-denominator slot with it; waking the source
-        // dispatcher lets a window that was waiting on this VP flush.
-        if !st.quarantined && !st.retired {
-            {
-                let mut q = self.shards[source].queue.lock();
-                q.eligible = q.eligible.saturating_sub(1);
-            }
-            self.shards[source].cv.notify_all();
-            self.shards[target].queue.lock().eligible += 1;
-        }
-        // Zero-width marker carrying the uid of the first post-migration job,
-        // so its lifecycle is tagged `migrated` even if nothing was replayed.
-        rec.span_for_job(
-            TimeDomain::Wall,
-            Lane::Dispatcher,
-            format!("migration edge s{source} -> s{target}"),
-            rec.wall_now_s(),
-            0.0,
-            job_uid(vp.0, st.next_seq),
-        );
         state.stats.migrations += 1;
         rec.count("fleet.migrations", 1);
     }

@@ -550,6 +550,54 @@ fn shutdown_drains_a_held_sync_window() {
 }
 
 #[test]
+fn killing_a_session_re_holds_its_parked_launch_on_the_survivor() {
+    let mut config = FleetConfig::new(2);
+    config.policy = Policy::Fifo.with_sync_hold(true);
+    let fleet = Fleet::new(config, registry()).expect("fleet builds");
+    // Two VPs homed on the same session, so A's launch parks there waiting
+    // for a peer that never launches.
+    let mut homes: Vec<(VpId, usize)> = Vec::new();
+    let (a, doomed) = loop {
+        let vp = VpId(homes.len() as u32);
+        let home = fleet.admit(vp).unwrap();
+        if let Some((peer, _)) = homes.iter().find(|(_, h)| *h == home) {
+            break (*peer, home);
+        }
+        homes.push((vp, home));
+    };
+    let mut script = VpScript::vector_add(256, 1, 23);
+    let mut last: Option<Response> = None;
+    loop {
+        let request = script.next(last.as_ref()).expect("step validates").expect("not done");
+        let is_launch = matches!(request, Request::Launch { .. });
+        fleet.submit(a, request).unwrap();
+        if is_launch {
+            break;
+        }
+        last = Some(fleet.wait(a).unwrap().0.body);
+    }
+    assert_eq!(fleet.stats().sync_holds, 1);
+
+    assert_eq!(fleet.kill_session(doomed).unwrap(), 1, "the parked launch is rescued");
+    // On the survivor A is the only member: held again, the launch flushes in
+    // a window of its own instead of slipping past the window machinery.
+    last = Some(fleet.wait(a).expect("the re-homed launch completes").0.body);
+    assert!(matches!(last, Some(Response::Launched { .. })), "{last:?}");
+    let stats = fleet.stats();
+    assert_eq!(stats.sync_holds, 2, "held on the dead session, then on the survivor: {stats:?}");
+    assert_eq!(stats.sync_windows, 1, "{stats:?}");
+    // The rest of the script — including the verified read-back — runs on
+    // the survivor against the replayed buffers.
+    while let Some(request) = script.next(last.as_ref()).expect("read-back validates") {
+        fleet.submit(a, request).unwrap();
+        last = Some(fleet.wait(a).unwrap().0.body);
+    }
+    let stats = fleet.shutdown().stats;
+    assert_eq!(stats.completed, stats.admitted);
+    assert_eq!(stats.rescued_jobs, 1);
+}
+
+#[test]
 fn sync_quorum_knob_is_validated() {
     let mut config = FleetConfig::new(1);
     config.policy.sync_quorum_pct = 0;

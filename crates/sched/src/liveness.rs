@@ -7,9 +7,9 @@
 //! the trigger to a *quorum*: flush once `ceil(eligible · fraction)` VPs are
 //! held, where `eligible` is the connected, non-quarantined VP count.
 //!
-//! The functions here are deliberately pure (no clocks, no state) so both
-//! dispatchers share one definition and property tests can drive it over
-//! arbitrary fractions and arrival orders.
+//! The functions here are deliberately pure (no clocks, no state) so the
+//! dispatch core and property tests share one definition over arbitrary
+//! fractions and arrival orders.
 
 /// Number of held VPs required to flush a window: `ceil(eligible · pct / 100)`,
 /// never more than `eligible`. Zero eligible VPs means no quorum is ever met

@@ -1,11 +1,7 @@
 //! The unified scheduling policy consumed by the [`Pipeline`](crate::pipeline).
 //!
-//! Historically the reproduction grew two overlapping configuration enums: the
-//! scenario engine's `GpuMode` (emulation vs multiplexing vs multiplexing plus
-//! the re-scheduler optimizations) and the threaded runtime's
-//! `SchedulingPolicy` (FIFO vs round-robin VP admission). Both are facets of
-//! one question — *how is a job stream planned and admitted?* — so they
-//! collapse into a single [`Policy`] with four orthogonal axes:
+//! One [`Policy`] answers *how is a job stream planned?* for every runtime
+//! (scenario engine, dispatcher, fleet) along three orthogonal axes:
 //!
 //! * [`BackendKind`] — where GPU work executes (software emulation on the VP,
 //!   or host-GPU multiplexing through the ΣVP runtime);
@@ -13,19 +9,16 @@
 //!   window (off, the greedy earliest-start scheduler of Fig. 4a, or the
 //!   critical-path list scheduler);
 //! * `coalesce` — whether Kernel Coalescing (plus the adaptive
-//!   keep-the-better-timeline selection) runs;
-//! * [`Admission`] — how concurrent live VPs are admitted to the host runtime
-//!   (racing FIFO, or the paper's deterministic stop/resume round-robin).
+//!   keep-the-better-timeline selection) runs.
 //!
-//! A fifth axis, [`RetryPolicy`], governs request-level robustness on the
-//! forwarding channel: per-attempt receive timeouts and bounded retry with
-//! exponential backoff plus jitter.
+//! The remaining fields tune the one dispatch core every live runtime drives:
+//! [`RetryPolicy`] (request-level robustness on the forwarding channel),
+//! block-parallel `workers`, the execution [`ExecTier`], and the sync-window
+//! knobs (`sync_hold`, quorum, window timeout, deadlines, watchdog). VP
+//! stop/resume (Fig. 4b) is `sync_hold`; there is no separate admission axis.
 //!
-//! The legacy names survive as `#[deprecated]` type aliases
-//! (`sigmavp::scenario::GpuMode`, `sigmavp::threaded::SchedulingPolicy`) plus
-//! associated constants mirroring the old variant syntax, so existing code
-//! like `GpuMode::MultiplexedOptimized` or `SchedulingPolicy::RoundRobin`
-//! keeps compiling unchanged.
+//! The CamelCase constants ([`Policy::Multiplexed`], [`Policy::Fifo`], …)
+//! name the presets the experiments use.
 
 /// Where the guest's GPU work executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,17 +41,6 @@ pub enum InterleaveMode {
     /// The HEFT-style critical-path list scheduler
     /// ([`reorder_critical_path`](crate::deps::reorder_critical_path)).
     CriticalPath,
-}
-
-/// How concurrent live VPs are admitted to the host runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Admission {
-    /// First-come-first-served: VP threads race (realistic, nondeterministic
-    /// arrival order).
-    Fifo,
-    /// Strict round-robin turns through the VP-control gate — the paper's
-    /// deterministic stop/resume interleaving (Fig. 4b).
-    RoundRobin,
 }
 
 /// Which SPTX interpreter tier executes kernel launches.
@@ -162,8 +144,6 @@ pub struct Policy {
     pub interleave: InterleaveMode,
     /// Whether Kernel Coalescing (with adaptive selection) runs.
     pub coalesce: bool,
-    /// How concurrent live VPs are admitted.
-    pub admission: Admission,
     /// Request-level retry/timeout discipline for the forwarding channel.
     pub retry: RetryPolicy,
     /// Worker threads per kernel launch for block-parallel SPTX execution.
@@ -208,12 +188,11 @@ pub struct Policy {
 
 #[allow(non_upper_case_globals)]
 impl Policy {
-    /// Legacy `GpuMode::EmulatedOnVp`: software GPU emulation on each VP.
+    /// Software GPU emulation on each VP (the slow baseline).
     pub const EmulatedOnVp: Policy = Policy {
         backend: BackendKind::EmulatedOnVp,
         interleave: InterleaveMode::Off,
         coalesce: false,
-        admission: Admission::Fifo,
         retry: RetryPolicy::DEFAULT,
         workers: 0,
         sync_hold: false,
@@ -223,13 +202,11 @@ impl Policy {
         hang_windows: 0,
         tier: ExecTier::Warp,
     };
-    /// Legacy `GpuMode::Multiplexed`: host-GPU multiplexing without the
-    /// re-scheduler optimizations.
+    /// Host-GPU multiplexing without the re-scheduler optimizations.
     pub const Multiplexed: Policy = Policy {
         backend: BackendKind::Multiplexed,
         interleave: InterleaveMode::Off,
         coalesce: false,
-        admission: Admission::Fifo,
         retry: RetryPolicy::DEFAULT,
         workers: 0,
         sync_hold: false,
@@ -239,13 +216,11 @@ impl Policy {
         hang_windows: 0,
         tier: ExecTier::Warp,
     };
-    /// Legacy `GpuMode::MultiplexedOptimized`: multiplexing plus Kernel
-    /// Interleaving and Kernel Coalescing.
+    /// Multiplexing plus Kernel Interleaving and Kernel Coalescing.
     pub const MultiplexedOptimized: Policy = Policy {
         backend: BackendKind::Multiplexed,
         interleave: InterleaveMode::EarliestStart,
         coalesce: true,
-        admission: Admission::Fifo,
         retry: RetryPolicy::DEFAULT,
         workers: 0,
         sync_hold: false,
@@ -255,13 +230,12 @@ impl Policy {
         hang_windows: 0,
         tier: ExecTier::Warp,
     };
-    /// Legacy `SchedulingPolicy::Fifo`: live VPs race for the host runtime;
-    /// the pending window is still interleaved by the re-scheduler.
+    /// Live VPs race for the host runtime; the pending window is interleaved
+    /// by the re-scheduler, nothing is coalesced.
     pub const Fifo: Policy = Policy {
         backend: BackendKind::Multiplexed,
         interleave: InterleaveMode::EarliestStart,
         coalesce: false,
-        admission: Admission::Fifo,
         retry: RetryPolicy::DEFAULT,
         workers: 0,
         sync_hold: false,
@@ -271,23 +245,6 @@ impl Policy {
         hang_windows: 0,
         tier: ExecTier::Warp,
     };
-    /// Legacy `SchedulingPolicy::RoundRobin`: live VPs take strict turns
-    /// through the VP-control gate.
-    pub const RoundRobin: Policy = Policy {
-        backend: BackendKind::Multiplexed,
-        interleave: InterleaveMode::EarliestStart,
-        coalesce: false,
-        admission: Admission::RoundRobin,
-        retry: RetryPolicy::DEFAULT,
-        workers: 0,
-        sync_hold: false,
-        sync_quorum_pct: 100,
-        sync_timeout_us: 0,
-        deadline_us: 0,
-        hang_windows: 0,
-        tier: ExecTier::Warp,
-    };
-
     /// The emulation baseline ([`Policy::EmulatedOnVp`]).
     pub const fn emulated() -> Policy {
         Policy::EmulatedOnVp
@@ -302,12 +259,6 @@ impl Policy {
     /// ([`Policy::MultiplexedOptimized`]).
     pub const fn optimized() -> Policy {
         Policy::MultiplexedOptimized
-    }
-
-    /// Set the admission discipline (builder style).
-    pub const fn with_admission(mut self, admission: Admission) -> Policy {
-        self.admission = admission;
-        self
     }
 
     /// Set the interleaving pass (builder style).
@@ -432,7 +383,7 @@ impl Policy {
 }
 
 impl Default for Policy {
-    /// Plain multiplexing with FIFO admission.
+    /// Plain multiplexing.
     fn default() -> Self {
         Policy::Multiplexed
     }
@@ -447,14 +398,13 @@ mod tests {
         assert_eq!(Policy::EmulatedOnVp.backend, BackendKind::EmulatedOnVp);
         assert_eq!(Policy::Multiplexed.interleave, InterleaveMode::Off);
         assert_eq!(Policy::MultiplexedOptimized.interleave, InterleaveMode::EarliestStart);
-        assert_eq!(Policy::Fifo.admission, Admission::Fifo);
-        assert_eq!(Policy::RoundRobin.admission, Admission::RoundRobin);
+        assert_eq!(Policy::Fifo.interleave, InterleaveMode::EarliestStart);
         let coalescing: Vec<bool> =
-            [Policy::Multiplexed, Policy::MultiplexedOptimized, Policy::Fifo, Policy::RoundRobin]
+            [Policy::Multiplexed, Policy::MultiplexedOptimized, Policy::Fifo]
                 .iter()
                 .map(|p| p.coalesce)
                 .collect();
-        assert_eq!(coalescing, [false, true, false, false]);
+        assert_eq!(coalescing, [false, true, false]);
     }
 
     #[test]
@@ -462,7 +412,6 @@ mod tests {
         let p = Policy::multiplexed()
             .with_interleave(InterleaveMode::CriticalPath)
             .with_coalesce(true)
-            .with_admission(Admission::RoundRobin)
             .with_workers(3);
         assert!(p.plans());
         assert_eq!(p.workers, 3);
@@ -471,7 +420,6 @@ mod tests {
         assert_eq!(p.with_tier(ExecTier::Scalar).tier, ExecTier::Scalar);
         assert_eq!(p.interleave, InterleaveMode::CriticalPath);
         assert!(p.coalesce);
-        assert_eq!(p.admission, Admission::RoundRobin);
         assert!(!Policy::Multiplexed.plans());
     }
 

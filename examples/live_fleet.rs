@@ -6,13 +6,15 @@
 //! ```
 //!
 //! Eight VP threads — a mixed fleet of option pricing, sorting and filtering —
-//! share a Quadro-4000-class device through the ΣVP host runtime. With the
-//! round-robin VP-control policy the arrival order is deterministic (the paper's
-//! Fig. 4b stop/resume interleaving); with FIFO the threads race. A final run
-//! splits the same fleet across two host GPUs via the execution session's
+//! share a Quadro-4000-class device through the dispatcher runtime: real
+//! transports, one dispatcher thread driving the dispatch core. With FIFO the
+//! threads race and only the pending window is reordered; with sync-hold the
+//! dispatcher stops each VP at its synchronous launch and plans the cross-VP
+//! window (the paper's Fig. 4b stop/resume interleaving). A final run splits
+//! the same fleet across two host GPUs via the execution session's
 //! least-loaded routing, shrinking the device makespan.
 
-use sigmavp::threaded::ThreadedSigmaVp;
+use sigmavp::dispatcher::DispatchedSigmaVp;
 use sigmavp::Policy;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::transport::TransportCost;
@@ -43,16 +45,16 @@ fn run(policy: Policy, gpus: usize, label: &str) {
     // Serve SPTX-optimized kernels, like a real driver stack would.
     let registry = registry.optimized();
 
-    let mut system = ThreadedSigmaVp::new(
+    let mut system = DispatchedSigmaVp::new(
         vec![GpuArch::quadro_4000(); gpus],
         registry,
         TransportCost::shared_memory(),
-        policy,
-    );
+    )
+    .with_policy(policy);
     for app in fleet() {
         system.spawn(app);
     }
-    let report = system.join();
+    let (report, stats) = system.join();
 
     println!("{label}:");
     for o in &report.outcomes {
@@ -66,16 +68,18 @@ fn run(policy: Policy, gpus: usize, label: &str) {
         );
     }
     println!(
-        "  host dispatched {} device jobs across {} gpu(s); device makespan {:.3} ms\n",
+        "  host dispatched {} device jobs across {} gpu(s) in {} sync windows; \
+         device makespan {:.3} ms\n",
         report.records.len(),
         report.device_records.len(),
+        stats.sync_windows,
         report.device_makespan_s * 1e3,
     );
     assert!(report.all_ok(), "a VP failed validation");
 }
 
 fn main() {
-    run(Policy::RoundRobin, 1, "round-robin VP control (deterministic interleave)");
     run(Policy::Fifo, 1, "fifo (threads race for the device)");
+    run(Policy::Fifo.with_sync_hold(true), 1, "sync-hold VP control (stop/resume windows)");
     run(Policy::Fifo, 2, "fifo, fleet split across two host gpus");
 }

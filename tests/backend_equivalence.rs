@@ -111,9 +111,7 @@ fn optimizer_does_not_change_results() {
 fn runtimes_agree_on_the_planned_device_timeline() {
     use sigmavp::dispatcher::DispatchedSigmaVp;
     use sigmavp::scenario::run_scenario;
-    use sigmavp::threaded::ThreadedSigmaVp;
     use sigmavp::{plan_device, Pipeline, Policy};
-    use sigmavp_gpu::engine::Timeline;
     use sigmavp_workloads::app::Application;
     use sigmavp_workloads::apps::VectorAddApp;
 
@@ -126,19 +124,6 @@ fn runtimes_agree_on_the_planned_device_timeline() {
     let apps: Vec<&dyn Application> = vec![&app, &app, &app];
     let scenario = run_scenario(&apps, policy).expect("scenario");
 
-    // Live threads racing for the runtime mutex.
-    let mut threaded = ThreadedSigmaVp::single(
-        arch.clone(),
-        registry.clone(),
-        TransportCost::shared_memory(),
-        policy,
-    );
-    for _ in 0..3 {
-        threaded.spawn(Box::new(VectorAddApp { n: 2048 }));
-    }
-    let threaded = threaded.join();
-    assert!(threaded.all_ok());
-
     // The dispatcher loop over real transports.
     let mut dispatched =
         DispatchedSigmaVp::single(arch.clone(), registry, TransportCost::shared_memory())
@@ -149,27 +134,14 @@ fn runtimes_agree_on_the_planned_device_timeline() {
     let (dispatched, _) = dispatched.join();
     assert!(dispatched.all_ok());
 
-    // Ignore op ids (they index each runtime's own arrival order) and compare
-    // the physical schedule: engine, stream, start, end of every span.
-    let shape = |t: &Timeline| {
-        let mut spans: Vec<_> = t
-            .spans
-            .iter()
-            .map(|s| (s.stream.0, format!("{:?}", s.engine), s.start_s, s.end_s))
-            .collect();
-        spans.sort_by(|a, b| a.partial_cmp(b).expect("finite span times"));
-        spans
-    };
+    // Replan the dispatcher's own job log (op ids index its arrival order;
+    // the physical schedule does not depend on them).
     let pipeline = Pipeline::from_policy(&policy);
-    let t_threaded = plan_device(&pipeline, &threaded.device_records[0], &|_| false, &arch);
     let t_dispatched = plan_device(&pipeline, &dispatched.device_records[0], &|_| false, &arch);
-    assert_eq!(shape(&t_threaded.timeline), shape(&t_dispatched.timeline));
-    assert!((t_threaded.timeline.makespan_s - t_dispatched.timeline.makespan_s).abs() < 1e-12);
-    // Both live runtimes priced their own logs through the same pipeline…
-    assert!((threaded.device_makespan_s - t_threaded.timeline.makespan_s).abs() < 1e-12);
+    // The live runtime priced its own log through the same pipeline…
     assert!((dispatched.device_makespan_s - t_dispatched.timeline.makespan_s).abs() < 1e-12);
     // …and the deterministic scenario engine lands on the same device makespan.
-    assert!((scenario.device_makespan_s - t_threaded.timeline.makespan_s).abs() < 1e-12);
+    assert!((scenario.device_makespan_s - t_dispatched.timeline.makespan_s).abs() < 1e-12);
 }
 
 #[test]

@@ -225,12 +225,7 @@ proptest! {
             );
         }
         // The composed pipelines of every policy honour the contract too.
-        for policy in [
-            Policy::Multiplexed,
-            Policy::MultiplexedOptimized,
-            Policy::Fifo,
-            Policy::RoundRobin,
-        ] {
+        for policy in [Policy::Multiplexed, Policy::MultiplexedOptimized, Policy::Fifo] {
             let out = Pipeline::from_policy(&policy).plan(jobs.clone(), &ctx);
             prop_assert!(preserves_partial_order(&jobs, &out.jobs));
         }
@@ -502,9 +497,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Partial-quorum sync flushing: for any quorum fraction and any arrival order,
-// the flushed windows partition the held jobs — every job exactly once, each
-// VP's sequence order preserved across windows (DESIGN.md §15).
+// Partial-quorum sync flushing, on the real dispatch core: for any quorum
+// fraction and any arrival order, every offered request yields exactly one
+// delivery, each VP's sequence order is preserved across windows, and a
+// quorum-triggered window is exactly threshold-sized (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -514,79 +510,118 @@ proptest! {
         pct in 1u32..101,
         choices in proptest::collection::vec(any::<usize>(), 1..128),
     ) {
-        use sigmavp_sched::{quorum_met, quorum_threshold};
+        use std::collections::HashMap;
+        use std::sync::Arc;
 
-        // Model of the dispatcher's hold loop: each VP is parked while one of
-        // its launches is held (at most one held job per VP), arrivals are an
-        // adversarial interleaving, and a window flushes the moment the
-        // quorum is met — taking the earliest-arrived jobs, exactly like the
-        // dispatcher's threshold selection. Whenever no VP can arrive (every
-        // remaining job belongs to an already-held VP, or its peers are done
-        // — the timeout/retire case) the held window drains whole, releasing
-        // its VPs so their later jobs roll into subsequent windows.
-        let eligible = job_counts.len();
-        let threshold = quorum_threshold(eligible, pct);
-        let total: usize = job_counts.iter().sum();
-        let mut next_seq = vec![0usize; eligible];
-        let mut held: Vec<(usize, usize, usize)> = Vec::new(); // (arrival, vp, seq)
-        let mut arrivals = 0usize;
-        // (quorum-triggered, window of (vp, seq))
-        let mut windows: Vec<(bool, Vec<(usize, usize)>)> = Vec::new();
+        use sigmavp::dispatch::{DispatchCore, Turn};
+        use sigmavp::{ExecutionSession, Policy};
+        use sigmavp_ipc::transport::TransportCost;
+        use sigmavp_sched::quorum_threshold;
+
+        // Each VP is parked while one of its launches is held (guests are
+        // synchronous), arrivals are an adversarial interleaving, and a VP
+        // that has issued its last launch leaves the quorum, so the core can
+        // never be left waiting for a launch that will not come.
+        let vps = job_counts.len();
+        let policy = Policy::MultiplexedOptimized.with_sync_hold(true).with_sync_quorum_pct(pct);
+        let session = ExecutionSession::single(
+            GpuArch::quadro_4000(),
+            [sigmavp_workloads::kernels::vector_add()].into_iter().collect(),
+            TransportCost::shared_memory(),
+        );
+        let mut core =
+            DispatchCore::new(Arc::new(parking_lot::Mutex::new(session)), &policy, None, HashMap::new());
+        let mut next_seq = vec![0u64; vps];
+        let mut now_s = 0.0f64;
+        let mut offered: Vec<(u32, u64)> = Vec::new();
+        let mut envelope = |vp: usize, body: Request| {
+            now_s += 1e-6;
+            next_seq[vp] += 1;
+            offered.push((vp as u32, next_seq[vp] - 1));
+            Envelope {
+                vp: VpId(vp as u32),
+                seq: next_seq[vp] - 1,
+                sent_at_s: now_s,
+                deadline_s: Envelope::NO_DEADLINE,
+                body,
+            }
+        };
+        let mut launches = Vec::new();
+        let mut delivered: Vec<(u32, u64)> = Vec::new();
+        for vp in 0..vps {
+            core.join(VpId(vp as u32));
+            let mut params = Vec::new();
+            for _ in 0..3 {
+                core.offer(envelope(vp, Request::Malloc { bytes: 128 }));
+                let turn = core.turn();
+                prop_assert_eq!(turn.deliveries.len(), 1);
+                let Response::Malloc { handle } = turn.deliveries[0].response.body else {
+                    panic!("malloc failed")
+                };
+                delivered.push((vp as u32, turn.deliveries[0].response.seq));
+                params.push(WireParam::Buffer(handle));
+            }
+            params.push(WireParam::I64(32));
+            launches.push(Request::Launch {
+                kernel: "vector_add".into(),
+                grid_dim: 1,
+                block_dim: 32,
+                params,
+                sync: true,
+                stream: 0,
+            });
+        }
+
+        let mut left = job_counts.clone();
+        let mut parked = vec![false; vps];
+        let mut member = vec![true; vps];
+        let mut collect = |turn: Turn, parked: &mut Vec<bool>| {
+            for delivery in &turn.deliveries {
+                let resumed = matches!(delivery.response.body, Response::Launched { .. });
+                assert!(resumed && delivery.resume, "{delivery:?}");
+                parked[delivery.response.vp.0 as usize] = false;
+                delivered.push((delivery.response.vp.0, delivery.response.seq));
+            }
+            turn.deliveries.len()
+        };
         let mut step = 0usize;
         loop {
-            let ready: Vec<usize> = (0..eligible)
-                .filter(|&v| {
-                    next_seq[v] < job_counts[v] && !held.iter().any(|&(_, hv, _)| hv == v)
-                })
-                .collect();
-            let Some(&pick) = ready.get(choices[step % choices.len()] % ready.len().max(1))
-            else {
-                if held.is_empty() {
-                    break;
+            for vp in 0..vps {
+                if member[vp] && left[vp] == 0 && !parked[vp] {
+                    member[vp] = false;
+                    core.leave(VpId(vp as u32));
+                    collect(core.turn(), &mut parked);
                 }
-                // Timeout drain: flush everything held, whole.
-                held.sort_by_key(|&(arrived, _, _)| arrived);
-                windows.push((false, held.drain(..).map(|(_, v, s)| (v, s)).collect()));
-                continue;
-            };
+            }
+            let ready: Vec<usize> = (0..vps).filter(|&v| left[v] > 0 && !parked[v]).collect();
+            if ready.is_empty() {
+                break;
+            }
+            let pick = ready[choices[step % choices.len()] % ready.len()];
             step += 1;
-            held.push((arrivals, pick, next_seq[pick]));
-            next_seq[pick] += 1;
-            arrivals += 1;
-            if quorum_met(held.len(), eligible, pct) {
-                held.sort_by_key(|&(arrived, _, _)| arrived);
-                let take = threshold.min(held.len());
-                windows.push((true, held.drain(..take).map(|(_, v, s)| (v, s)).collect()));
+            left[pick] -= 1;
+            parked[pick] = true;
+            let eligible = member.iter().filter(|m| **m).count();
+            let quorum_flushes = core.stats().quorum_flushes;
+            prop_assert!(core.offer(envelope(pick, launches[pick].clone())), "a sync launch is held");
+            let flushed = collect(core.turn(), &mut parked);
+            if core.stats().quorum_flushes > quorum_flushes {
+                prop_assert_eq!(flushed, quorum_threshold(eligible, pct));
             }
         }
+        prop_assert!(core.close().deliveries.is_empty(), "every departure released its window");
 
-        // Coverage: the union of all windows is every held job, exactly once.
-        let mut seen = std::collections::HashSet::new();
-        for (_, window) in &windows {
-            prop_assert!(window.len() <= eligible, "at most one held job per VP");
-            for &job in window {
-                prop_assert!(seen.insert(job), "job {job:?} flushed twice");
-            }
-        }
-        prop_assert_eq!(seen.len(), total, "every held job flushed exactly once");
-
-        // Order: each VP's jobs appear across windows in sequence order, so a
-        // late arrival rolls into a *later* window, never an earlier one.
-        let mut last_seq = vec![None; eligible];
-        for (_, window) in &windows {
-            for &(vp, seq) in window {
-                prop_assert!(last_seq[vp].is_none_or(|prev| prev < seq));
-                last_seq[vp] = Some(seq);
-            }
-        }
-
-        // Quorum-triggered windows are exactly threshold-sized: held grows
-        // one arrival at a time, so the trigger fires the instant the
-        // threshold is reached.
-        for (by_quorum, window) in &windows {
-            if *by_quorum {
-                prop_assert_eq!(window.len(), threshold);
-            }
+        // Exactly one delivery per offered request…
+        let mut sorted = delivered.clone();
+        sorted.sort_unstable();
+        offered.sort_unstable();
+        prop_assert_eq!(&sorted, &offered);
+        // …and each VP's requests answered in sequence order, so a late
+        // arrival rolls into a *later* window, never an earlier one.
+        let mut last_seq: Vec<Option<u64>> = vec![None; vps];
+        for (vp, seq) in delivered {
+            prop_assert!(last_seq[vp as usize].is_none_or(|prev| prev < seq));
+            last_seq[vp as usize] = Some(seq);
         }
     }
 }
