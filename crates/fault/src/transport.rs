@@ -13,6 +13,11 @@ use sigmavp_telemetry::recorder;
 
 use crate::plan::{LinkFault, LinkFaults};
 
+/// How long a wait blocks before looking at an attached [`DropNotice`] again:
+/// the peer that raises it cannot wake this end's channel, so the notice is
+/// the one thing a blocked receiver has to look up for.
+const NOTICE_SLICE: Duration = Duration::from_micros(200);
+
 struct FaultState {
     link: LinkFaults,
     /// Frames held back by injected delays, with their release times.
@@ -68,6 +73,9 @@ pub struct FaultyTransport<T: Transport> {
     /// trip is dead), false on the host end (the guest sees the corrupt
     /// response and retries without waiting for a timeout).
     raise_on_corrupt: bool,
+    /// Run after held frames were released to the peer; see
+    /// [`FaultyTransport::on_release`].
+    on_release: Option<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -78,6 +86,7 @@ impl<T: Transport> FaultyTransport<T> {
             state: Mutex::new(FaultState { link, delayed: Vec::new(), consumed: 0 }),
             notice: None,
             raise_on_corrupt: false,
+            on_release: None,
         }
     }
 
@@ -90,18 +99,39 @@ impl<T: Transport> FaultyTransport<T> {
         self
     }
 
+    /// Run `hook` whenever this end releases held frames to the peer. A late
+    /// frame reaches a peer that no send call of its sender announces: an
+    /// event-driven receiver hangs its wake-up here. The hook runs on the
+    /// releasing thread with none of this transport's locks held.
+    pub fn on_release(mut self, hook: impl Fn() + Send + Sync + 'static) -> Self {
+        self.on_release = Some(Box::new(hook));
+        self
+    }
+
     /// Release every held frame whose delay has elapsed. Send errors are
     /// ignored: a frame for a departed peer is indistinguishable from a drop.
     fn flush_due(&self) {
-        let now = Instant::now();
-        let mut state = self.state.lock();
-        let mut i = 0;
-        while i < state.delayed.len() {
-            if state.delayed[i].0 <= now {
-                let (_, frame) = state.delayed.remove(i);
-                let _ = self.inner.send(frame);
-            } else {
-                i += 1;
+        let mut released = false;
+        {
+            let mut state = self.state.lock();
+            if state.delayed.is_empty() {
+                return;
+            }
+            let now = Instant::now();
+            let mut i = 0;
+            while i < state.delayed.len() {
+                if state.delayed[i].0 <= now {
+                    let (_, frame) = state.delayed.remove(i);
+                    let _ = self.inner.send(frame);
+                    released = true;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        if released {
+            if let Some(hook) = &self.on_release {
+                hook();
             }
         }
     }
@@ -147,10 +177,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn recv(&self) -> Result<Bytes, IpcError> {
         loop {
             self.flush_due();
-            if let Some(frame) = self.inner.try_recv()? {
+            let frame = match self.next_release() {
+                Some(release) => self.inner.recv_deadline(release)?,
+                None => Some(self.inner.recv()?),
+            };
+            if let Some(frame) = frame {
                 return Ok(frame);
             }
-            std::thread::sleep(Duration::from_micros(20));
         }
     }
 
@@ -176,11 +209,25 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                     return Ok(None);
                 }
             }
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return Ok(None);
             }
-            std::thread::sleep(Duration::from_micros(20));
+            // Block on the link, so an arriving frame wakes this end at once,
+            // but no longer than until this end has something of its own to
+            // do: release a frame it holds back, or look at the notice.
+            let mut until = self.next_release().map_or(deadline, |release| release.min(deadline));
+            if self.notice.is_some() {
+                until = until.min(now + NOTICE_SLICE);
+            }
+            if let Some(frame) = self.inner.recv_deadline(until)? {
+                return Ok(Some(frame));
+            }
         }
+    }
+
+    fn next_release(&self) -> Option<Instant> {
+        self.state.lock().delayed.iter().map(|(release, _)| *release).min()
     }
 
     fn cost(&self) -> TransportCost {
@@ -266,6 +313,61 @@ mod tests {
         for i in 0..20u8 {
             assert_eq!(rx.recv().unwrap(), Bytes::from(vec![i; 4]));
         }
+    }
+
+    #[test]
+    fn release_runs_the_hook_and_clears_next_release() {
+        let (tx, rx) = faulty(LinkFaultConfig {
+            drop_prob: 0.0,
+            corrupt_prob: 0.0,
+            delay_prob: 1.0,
+            delay_s: 1e-3,
+        });
+        let released = Arc::new(AtomicU64::new(0));
+        let tx = {
+            let released = released.clone();
+            tx.on_release(move || {
+                released.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        assert_eq!(tx.next_release(), None);
+        tx.send(Bytes::from_static(b"late")).unwrap();
+        let due = tx.next_release().expect("a frame is held back");
+        assert_eq!(released.load(Ordering::SeqCst), 0);
+        // Nothing will ever arrive on tx: the wait wakes for its own release.
+        assert_eq!(tx.recv_deadline(due + Duration::from_millis(20)).unwrap(), None);
+        assert_eq!(released.load(Ordering::SeqCst), 1, "one release, one hook call");
+        assert_eq!(tx.next_release(), None);
+        assert_eq!(rx.try_recv().unwrap(), Some(Bytes::from_static(b"late")));
+    }
+
+    #[test]
+    fn a_raised_notice_times_the_wait_out_at_once_but_a_queued_frame_wins() {
+        let plan = FaultPlan::seeded(3).with_link(LinkFaultConfig {
+            drop_prob: 1.0,
+            corrupt_prob: 0.0,
+            delay_prob: 0.0,
+            delay_s: 0.0,
+        });
+        let (guest, host) = shared_memory_pair();
+        let notice = DropNotice::new();
+        let guest =
+            FaultyTransport::new(guest, plan.link_faults(VpId(0), LinkDirection::GuestToHost))
+                .with_notice(notice.clone(), true);
+        // A far deadline: only the notice can end these waits.
+        let far = Instant::now() + Duration::from_secs(30);
+        guest.send(Bytes::from_static(b"dropped")).unwrap();
+        assert_eq!(guest.recv_deadline(far).unwrap(), None, "the drop is an immediate timeout");
+        // Raised from the other end while this one is already blocked: seen
+        // within a slice, long before the deadline.
+        let raiser = std::thread::spawn(move || notice.raise());
+        assert_eq!(guest.recv_deadline(far).unwrap(), None);
+        raiser.join().unwrap();
+        // One notice, one timeout — and a frame already on the link beats it.
+        guest.send(Bytes::from_static(b"dropped too")).unwrap();
+        host.send(Bytes::from_static(b"reply")).unwrap();
+        assert_eq!(guest.recv_deadline(far).unwrap(), Some(Bytes::from_static(b"reply")));
+        assert_eq!(guest.recv_deadline(far).unwrap(), None);
     }
 
     #[test]

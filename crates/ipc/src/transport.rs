@@ -7,8 +7,10 @@
 //! copy cost. The modeled delay is returned from [`Transport::send`] so the
 //! simulation clock can account for it; the ablation benches compare the two.
 
+use std::time::Instant;
+
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::IpcError;
 
@@ -69,27 +71,24 @@ pub trait Transport: Send {
     /// channel is drained.
     fn try_recv(&self) -> Result<Option<Bytes>, IpcError>;
 
-    /// Receive the next frame, giving up at `deadline`. Returns `Ok(None)` when
-    /// the deadline passed with no frame.
+    /// Receive the next frame, blocking until one arrives or `deadline`
+    /// passes. Returns `Ok(None)` when the deadline passed with no frame; a
+    /// frame already queued is returned even when `deadline` is in the past.
     ///
-    /// The default implementation polls [`Transport::try_recv`]; decorated
-    /// transports that hold frames back (delays) should override it so held
-    /// frames are released while waiting.
+    /// Decorated transports that hold frames back (delays) release their own
+    /// held frames while waiting.
     ///
     /// # Errors
     ///
     /// Returns [`IpcError::Disconnected`] when the peer endpoint was dropped and the
     /// channel is drained.
-    fn recv_deadline(&self, deadline: std::time::Instant) -> Result<Option<Bytes>, IpcError> {
-        loop {
-            if let Some(frame) = self.try_recv()? {
-                return Ok(Some(frame));
-            }
-            if std::time::Instant::now() >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        }
+    fn recv_deadline(&self, deadline: Instant) -> Result<Option<Bytes>, IpcError>;
+
+    /// When this endpoint next needs servicing without an arrival: the release
+    /// time of the earliest frame it is holding back. `None` (the default)
+    /// for transports that deliver every frame at once.
+    fn next_release(&self) -> Option<Instant> {
+        None
     }
 
     /// The transport's cost model.
@@ -121,6 +120,14 @@ impl Transport for ChannelTransport {
             Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(IpcError::Disconnected),
+        }
+    }
+
+    fn recv_deadline(&self, deadline: Instant) -> Result<Option<Bytes>, IpcError> {
+        match self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(frame) => Ok(Some(frame)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(IpcError::Disconnected),
         }
     }
 
@@ -205,8 +212,9 @@ mod tests {
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(2);
         assert_eq!(host.recv_deadline(deadline).unwrap(), None, "empty channel times out");
         vp.send(Bytes::from_static(b"x")).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
-        assert!(host.recv_deadline(deadline).unwrap().is_some());
+        assert!(host.recv_deadline(deadline).unwrap().is_some(), "queued beats a past deadline");
+        drop(vp);
+        assert_eq!(host.recv_deadline(deadline).unwrap_err(), IpcError::Disconnected);
     }
 
     #[test]

@@ -253,6 +253,10 @@ mod tests {
 
     #[test]
     fn audit_push_publishes_residual_gauges() {
+        // The recorder slot is process-wide: without the lock this install /
+        // uninstall wipes the events of whichever flight or lifecycle test is
+        // mid-run on another thread.
+        let _guard = crate::flight::test_bus_lock();
         let telemetry = sigmavp_telemetry::install();
         let mut report = AuditReport::new(0.10);
         report.push("eq7.makespan", 2.0, 2.1);

@@ -7,7 +7,8 @@
 //!
 //! Eight VP threads — a mixed fleet of option pricing, sorting and filtering —
 //! share a Quadro-4000-class device through the dispatcher runtime: real
-//! transports, one dispatcher thread driving the dispatch core. With FIFO the
+//! transports, the dispatch core pumped by whichever guest thread brings a
+//! request. With FIFO the
 //! threads race and only the pending window is reordered; with sync-hold the
 //! dispatcher stops each VP at its synchronous launch and plans the cross-VP
 //! window (the paper's Fig. 4b stop/resume interleaving). A final run splits
