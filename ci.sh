@@ -26,8 +26,8 @@ step "cargo bench --no-run" cargo bench --workspace --no-run
 
 step "cargo test" cargo test -q --workspace
 
-step "audit regression gate + chaos smoke + sync windows (results/baselines/audit.json)" \
-  cargo run --release -p sigmavp-bench --bin audit -- --faults 42 --sync --check
+step "audit: model residuals + same-seed ledgers, counts exact (results/baselines/audit.json)" \
+  cargo run --release -p sigmavp-bench --bin audit -- --check
 
 step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
   cargo run --release -p sigmavp-bench --bin top -- --check-bundle BENCH_postmortem.json
@@ -36,16 +36,5 @@ step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
 # and traced vs untraced — the check most likely to catch a change that
 # perturbs execution order.
 step "sigmabench smoke" benchmark/run.sh --smoke
-
-# The perf gate measures BOTH execution tiers each run (scalar reference vs
-# warp lockstep at one worker) and hard-fails unless warp beats scalar on
-# wall clock, in addition to the baseline regression check. Its workers-N
-# ratio bar (and the fleet gate's S=N one) is enforced with 4+ hardware
-# threads and printed as skipped below that.
-step "perf throughput + tier (warp >= scalar) + observability-overhead gate (results/baselines/perf.json)" \
-  cargo run --release -p sigmavp-bench --bin perf -- --check --tolerance 0.25
-
-step "fleet scaling + failover gate (results/baselines/fleet.json)" \
-  cargo run --release -p sigmavp-bench --bin perf -- --fleet --check --tolerance 0.25
 
 echo "CI green."

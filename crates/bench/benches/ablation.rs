@@ -4,8 +4,14 @@
 //! Unlike the figure benches this one reports *simulated makespans* through
 //! Criterion's timing of the planning pipeline, and prints the makespan table once
 //! at start-up so the ablation numbers land in bench_output.txt.
+//! The `flight` group is the one wall-clock ablation (DESIGN §14): a
+//! measurement, not a gate.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sigmavp::dispatcher::DispatchedSigmaVp;
 use sigmavp::scenario::run_scenario_with;
 use sigmavp::Policy;
 use sigmavp_gpu::engine::{simulate, Engine, GpuOp, StreamId};
@@ -13,10 +19,12 @@ use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::queue::{Job, JobId, JobKind};
 use sigmavp_ipc::transport::TransportCost;
+use sigmavp_obs::{FlightConfig, FlightRecorder, SharedProfileStore};
 use sigmavp_sched::deps::reorder_critical_path;
 use sigmavp_sched::interleave::reorder_async;
+use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::Application;
-use sigmavp_workloads::apps::MergeSortApp;
+use sigmavp_workloads::apps::{MandelbrotApp, MatrixMulApp, MergeSortApp, NbodyApp};
 
 fn print_ablation_table() {
     let app = MergeSortApp { n: 256 };
@@ -124,5 +132,56 @@ fn bench_ablation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ablation);
+/// Four compute-heavy VPs (Mandelbrot ×2, MatrixMul, N-body at scale 2)
+/// through the live dispatcher on one host GPU.
+fn compute_fleet() {
+    let apps = || -> Vec<Box<dyn Application + Send>> {
+        vec![
+            Box::new(MandelbrotApp::new(2)),
+            Box::new(MatrixMulApp::new(2)),
+            Box::new(NbodyApp::new(2)),
+            Box::new(MandelbrotApp::new(2)),
+        ]
+    };
+    let registry: KernelRegistry = apps().iter().flat_map(|app| app.kernels()).collect();
+    let mut sys =
+        DispatchedSigmaVp::single(GpuArch::quadro_4000(), registry, TransportCost::shared_memory());
+    for app in apps() {
+        sys.spawn(app);
+    }
+    let (report, _) = sys.join();
+    assert!(report.all_ok(), "{:?}", report.outcomes);
+}
+
+/// Flight-off vs flight-on: the same fleet with nothing listening on the
+/// observation bus, then with the profile store folding every completion and
+/// the flight recorder sampling on a 2 ms cadence.
+fn bench_flight(c: &mut Criterion) {
+    let telemetry = sigmavp_telemetry::install();
+    let mut g = c.benchmark_group("flight");
+    g.sample_size(10);
+    g.bench_function("off", |b| b.iter(compute_fleet));
+
+    let profiles = SharedProfileStore::new();
+    profiles.install();
+    let recorder = FlightRecorder::new(FlightConfig::default());
+    recorder.attach(telemetry);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                recorder.sample();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        g.bench_function("on", |b| b.iter(compute_fleet));
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(profiles.updates() > 0 && recorder.taken() > 0, "the instruments captured nothing");
+    sigmavp_telemetry::bus::clear_sinks();
+    sigmavp_telemetry::uninstall();
+    g.finish();
+}
+
+criterion_group!(benches, bench_ablation, bench_flight);
 criterion_main!(benches);

@@ -14,6 +14,9 @@
 //! | [`fig11`]   | Fig. 11 — the 22-application suite on 8 VPs, three modes |
 //! | [`fig12`]   | Fig. 12 — timing estimation (H, T, C, C′, C″) |
 //! | [`fig13`]   | Fig. 13 — power estimation (T vs P) |
+//!
+//! [`scenarios`] is the table `--bin audit` runs: the planned Eq. 7/8/9 rows and
+//! the live same-seed-ledger rows, with the gate keys each one feeds.
 #![warn(missing_docs)]
 
 pub mod fig10;
@@ -22,6 +25,7 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig9;
 pub mod profiles;
+pub mod scenarios;
 pub mod table1;
 
 /// Render a ratio as the paper prints it.

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `audit` regression-gate binary: the default audit
 //! passes with near-zero residuals, a written baseline round-trips through
-//! `--check`, and a synthetic slowdown trips the gate with a non-zero exit.
+//! `--check`, and a synthetic slowdown — or a count that differs from the
+//! baseline in either direction — trips the gate with a non-zero exit.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -13,8 +14,10 @@ fn audit(dir: &std::path::Path, extra: &[&str]) -> Output {
         .expect("audit binary runs")
 }
 
+/// A per-test working directory under cargo's own target tmpdir (the audit
+/// leaves a report and a ~260 KB post-mortem behind in it).
 fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sigmavp_audit_{name}_{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("audit_{name}"));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -79,12 +82,10 @@ fn written_baseline_round_trips_through_check() {
 
 #[test]
 fn committed_baseline_passes_check() {
-    // The committed baseline includes the sync.* keys, so the gate run needs
-    // the sync scenario enabled (as ci.sh does).
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/baselines/audit.json");
     assert!(std::path::Path::new(baseline).exists(), "committed baseline at {baseline}");
     let dir = tmp_dir("committed");
-    let check = audit(&dir, &["--sync", "--check", "--baseline", baseline]);
+    let check = audit(&dir, &["--check", "--baseline", baseline]);
     assert!(
         check.status.success(),
         "committed baseline must gate green:\n{}{}",
@@ -97,8 +98,7 @@ fn committed_baseline_passes_check() {
 fn sync_scenario_gates_and_reports() {
     let dir = tmp_dir("sync");
     let baseline = dir.join("baseline.json");
-    let write =
-        audit(&dir, &["--sync", "--write-baseline", "--baseline", baseline.to_str().unwrap()]);
+    let write = audit(&dir, &["--write-baseline", "--baseline", baseline.to_str().unwrap()]);
     assert!(write.status.success(), "{}", String::from_utf8_lossy(&write.stderr));
 
     let json = std::fs::read_to_string(dir.join("BENCH_audit.json")).expect("report written");
@@ -111,7 +111,7 @@ fn sync_scenario_gates_and_reports() {
         "live window plan beats reorder-only"
     );
 
-    let check = audit(&dir, &["--sync", "--check", "--baseline", baseline.to_str().unwrap()]);
+    let check = audit(&dir, &["--check", "--baseline", baseline.to_str().unwrap()]);
     assert!(
         check.status.success(),
         "sync self-check must pass:\n{}{}",
@@ -136,4 +136,50 @@ fn injected_slowdown_trips_the_gate() {
     let stderr = String::from_utf8_lossy(&check.stderr);
     assert!(stderr.contains("REGRESSION"), "{stderr}");
     assert!(stderr.contains("async4.makespan_s"), "{stderr}");
+}
+
+#[test]
+fn raised_counters_trip_the_gate_in_the_direction_it_used_to_miss() {
+    // Before counts gated exactly, every count was lower-is-better, so a run
+    // producing *fewer* migrations / merged members / quarantines than the
+    // baseline passed. Raise three baseline counters above what the run
+    // produces (2 / 6 / 1): the gate must name exactly those keys.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/baselines/audit.json");
+    let raised = [
+        ("chaos.migrations", "2.000000000e0", "4.000000000e0"),
+        ("coalesce6.merged_members", "6.000000000e0", "1.200000000e1"),
+        ("liveness.hang_quarantined", "1.000000000e0", "3.000000000e0"),
+    ];
+    let mut text = std::fs::read_to_string(committed).expect("committed baseline readable");
+    for (key, from, to) in raised {
+        let (old, new) = (format!("\"{key}\": {from}"), format!("\"{key}\": {to}"));
+        assert!(text.contains(&old), "committed baseline has {old}");
+        text = text.replace(&old, &new);
+    }
+    let dir = tmp_dir("raised");
+    let baseline = dir.join("raised.json");
+    std::fs::write(&baseline, text).expect("write raised baseline");
+
+    let check = audit(&dir, &["--check", "--baseline", baseline.to_str().unwrap()]);
+    assert!(!check.status.success(), "raised counters must trip the gate");
+    let stderr = String::from_utf8_lossy(&check.stderr);
+    let named: Vec<&str> = stderr
+        .lines()
+        .filter_map(|line| line.strip_prefix("REGRESSION "))
+        .map(|rest| rest.split(':').next().unwrap_or(rest))
+        .collect();
+    assert_eq!(
+        named,
+        ["coalesce6.merged_members", "chaos.migrations", "liveness.hang_quarantined"]
+    );
+}
+
+#[test]
+fn removed_flags_are_usage_errors() {
+    for flag in ["--sync", "--faults", "--tier", "--passes"] {
+        let out = audit(&tmp_dir("usage"), &[flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("usage: audit [--check] [--write-baseline]"), "{stderr}");
+    }
 }

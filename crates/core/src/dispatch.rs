@@ -71,6 +71,12 @@ use crate::session::ExecutionSession;
 pub const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
 
 /// Statistics from one dispatch core's run.
+///
+/// The sync-window side of the ledger is a function of the window algebra
+/// alone and repeats bit for bit across same-configuration runs; the request
+/// and pending-window counts and the four driver fields depend on thread
+/// timing. [`DispatchStats::window_ledger`] is the one definition of which is
+/// which.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DispatchStats {
     /// Requests served.
@@ -129,7 +135,8 @@ pub struct DispatchStats {
     /// Request frames picked up by a pump session running on the sending
     /// VP's own thread — no hand-off (`dispatch.driver.inline`). The four
     /// driver fields are filled by the dispatcher's caller-runs driver only
-    /// and, unlike the rest of the ledger, depend on thread timing.
+    /// and depend on thread timing ([`DispatchStats::window_ledger`] leaves
+    /// them out).
     pub inline_requests: u64,
     /// Request frames picked up by another thread's pump session because the
     /// pump was busy when their VP kicked (`dispatch.driver.combined`).
@@ -140,6 +147,36 @@ pub struct DispatchStats {
     /// Times the driver's timer thread woke (`dispatch.driver.timer_wakeups`):
     /// a VP left, the stall backstop or a delayed frame came due.
     pub timer_wakeups: u64,
+}
+
+impl DispatchStats {
+    /// The sync-window ledger that is byte-identical across same-configuration
+    /// runs: every hold, window and liveness count, and the two simulated
+    /// makespans as bits. Left out because they follow thread timing:
+    /// `requests`, `dedup_hits`, `multi_job_windows`, `max_window` and the
+    /// four `dispatch.driver.*` fields (`migrations` and `gpu_trips` are
+    /// seed-determined only under a calibrated fault plan, so they stay out
+    /// too).
+    pub fn window_ledger(&self) -> [u64; 16] {
+        [
+            self.holds,
+            self.sync_windows,
+            self.live_groups,
+            self.live_members,
+            self.stop_events,
+            self.resume_events,
+            self.wave_slots,
+            self.wave_filled,
+            self.quorum_flushes,
+            self.timeout_flushes,
+            self.backstop_trips,
+            self.quarantined,
+            self.rejoins,
+            self.deadline_misses,
+            self.sync_makespan_s.to_bits(),
+            self.sync_reorder_makespan_s.to_bits(),
+        ]
+    }
 }
 
 /// One answer the core produced, for the driver to hand to the VP.
@@ -1562,5 +1599,27 @@ mod tests {
             assert_eq!(inbox.4 > 0, policy.sync_timeout_us > 0, "expiries: {inbox:?}");
             assert_eq!(run(2), inbox, "{policy:?}");
         }
+    }
+
+    #[test]
+    fn window_ledger_sees_one_ulp_and_ignores_timing_shaped_fields() {
+        let base = DispatchStats { holds: 4, sync_makespan_s: 7.5e-6, ..Default::default() };
+        let noisy = DispatchStats {
+            requests: 99,
+            dedup_hits: 3,
+            multi_job_windows: 2,
+            max_window: 7,
+            inline_requests: 40,
+            combined_requests: 59,
+            pump_rounds: 80,
+            timer_wakeups: 5,
+            ..base
+        };
+        assert_eq!(base.window_ledger(), noisy.window_ledger());
+        let ulp = f64::from_bits(base.sync_makespan_s.to_bits() + 1);
+        let moved = DispatchStats { sync_makespan_s: ulp, ..base };
+        assert_ne!(base.window_ledger(), moved.window_ledger());
+        let one_more = DispatchStats { rejoins: 1, ..base };
+        assert_ne!(base.window_ledger(), one_more.window_ledger());
     }
 }

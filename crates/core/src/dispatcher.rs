@@ -918,7 +918,7 @@ impl Drop for RingOnDrop {
 mod tests {
     use super::*;
     use sigmavp_fault::LinkFaultConfig;
-    use sigmavp_workloads::apps::{BlackScholesApp, VectorAddApp};
+    use sigmavp_workloads::apps::{BlackScholesApp, CopyStream, StaggeredAdd, VectorAddApp};
 
     #[test]
     fn dispatched_fleet_validates_end_to_end() {
@@ -1051,16 +1051,7 @@ mod tests {
         // Windows are lockstep (quorum = every connected VP held), so the
         // whole sync-side ledger — counts and simulated makespans — must be
         // byte-identical run to run; only wall-clock-shaped fields may differ.
-        assert_eq!(a.holds, b.holds);
-        assert_eq!(a.sync_windows, b.sync_windows);
-        assert_eq!(a.live_groups, b.live_groups);
-        assert_eq!(a.live_members, b.live_members);
-        assert_eq!(a.stop_events, b.stop_events);
-        assert_eq!(a.resume_events, b.resume_events);
-        assert_eq!(a.wave_slots, b.wave_slots);
-        assert_eq!(a.wave_filled, b.wave_filled);
-        assert_eq!(a.sync_makespan_s.to_bits(), b.sync_makespan_s.to_bits());
-        assert_eq!(a.sync_reorder_makespan_s.to_bits(), b.sync_reorder_makespan_s.to_bits());
+        assert_eq!(a.window_ledger(), b.window_ledger(), "{a:?} vs {b:?}");
         assert!(a.sync_windows >= 3, "one window per lockstep iteration: {a:?}");
     }
 
@@ -1122,79 +1113,6 @@ mod tests {
         assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
-    /// A vector-add guest with configurable wall-clock stalls: `pre_ms` before
-    /// its first sync launch (staggers arrival against other VPs), `mid_ms`
-    /// between launches (simulates a VP that wedges mid-run and later wakes).
-    struct SleepyAdd {
-        n: u64,
-        pre_ms: u64,
-        mid_ms: u64,
-        launches: u32,
-    }
-    impl Application for SleepyAdd {
-        fn name(&self) -> &str {
-            "sleepyAdd"
-        }
-        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
-            vec![sigmavp_workloads::kernels::vector_add()]
-        }
-        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
-            sigmavp_workloads::AppTraits::pure_cuda()
-        }
-        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
-            use sigmavp_workloads::app::{download, p, pi, upload};
-            let n = self.n;
-            let bytes = vec![1u8; (n * 4) as usize];
-            let mut cuda = env.cuda();
-            let da = upload(&mut cuda, &bytes)?;
-            let db = upload(&mut cuda, &bytes)?;
-            let dc = cuda.malloc(n * 4)?;
-            if self.pre_ms > 0 {
-                std::thread::sleep(Duration::from_millis(self.pre_ms));
-            }
-            for launch in 0..self.launches {
-                cuda.launch_sync(
-                    "vector_add",
-                    n.div_ceil(256) as u32,
-                    256,
-                    &[p(da), p(db), p(dc), pi(n as i64)],
-                )?;
-                if self.mid_ms > 0 && launch + 1 < self.launches {
-                    std::thread::sleep(Duration::from_millis(self.mid_ms));
-                }
-            }
-            download(&mut cuda, dc)?;
-            Ok(())
-        }
-    }
-
-    /// A guest that only moves bytes — it never launches, so it never holds,
-    /// and its steady frame stream is what advances the dispatcher's
-    /// deterministic `sim_now` clock past a held window's timeout.
-    struct CopiesOnly {
-        iterations: u32,
-    }
-    impl Application for CopiesOnly {
-        fn name(&self) -> &str {
-            "copiesOnly"
-        }
-        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
-            vec![]
-        }
-        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
-            sigmavp_workloads::AppTraits::pure_cuda()
-        }
-        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
-            use sigmavp_workloads::app::{download, upload};
-            let mut cuda = env.cuda();
-            for _ in 0..self.iterations {
-                let buf = upload(&mut cuda, &[7u8; 4096])?;
-                download(&mut cuda, buf)?;
-            }
-            Ok(())
-        }
-    }
-
     #[test]
     fn quorum_flush_releases_a_partial_window() {
         // Two VPs, quorum 0.5 → threshold 1: the prompt VP's held launch must
@@ -1207,8 +1125,20 @@ mod tests {
             TransportCost::shared_memory(),
         )
         .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).sync_quorum(0.5));
-        sys.spawn(Box::new(SleepyAdd { n: 2048, pre_ms: 0, mid_ms: 0, launches: 1 }));
-        sys.spawn(Box::new(SleepyAdd { n: 2048, pre_ms: 60, mid_ms: 0, launches: 1 }));
+        sys.spawn(Box::new(StaggeredAdd {
+            n: 2048,
+            launches: 1,
+            pre_ms: 0,
+            mid_ms: 0,
+            post_ms: 0,
+        }));
+        sys.spawn(Box::new(StaggeredAdd {
+            n: 2048,
+            launches: 1,
+            pre_ms: 60,
+            mid_ms: 0,
+            post_ms: 0,
+        }));
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.holds, 2);
@@ -1231,8 +1161,14 @@ mod tests {
             TransportCost::shared_memory(),
         )
         .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).with_sync_timeout_us(1));
-        sys.spawn(Box::new(SleepyAdd { n: 2048, pre_ms: 0, mid_ms: 0, launches: 1 }));
-        sys.spawn(Box::new(CopiesOnly { iterations: 400 }));
+        sys.spawn(Box::new(StaggeredAdd {
+            n: 2048,
+            launches: 1,
+            pre_ms: 0,
+            mid_ms: 0,
+            post_ms: 0,
+        }));
+        sys.spawn(Box::new(CopyStream { iterations: 400 }));
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.holds, 1);
@@ -1267,7 +1203,13 @@ mod tests {
                 ..BlackScholesApp::new(1)
             }));
         }
-        sys.spawn(Box::new(SleepyAdd { n: 1024, pre_ms: 0, mid_ms: 150, launches: 2 }));
+        sys.spawn(Box::new(StaggeredAdd {
+            n: 1024,
+            launches: 2,
+            pre_ms: 0,
+            mid_ms: 150,
+            post_ms: 0,
+        }));
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert!(stats.quarantined >= 1, "{stats:?}");
@@ -1291,9 +1233,15 @@ mod tests {
             TransportCost::shared_memory(),
         )
         .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).with_hang_windows(2));
-        sys.spawn(Box::new(SleepyAdd { n: 1024, pre_ms: 0, mid_ms: 0, launches: 2 }));
+        sys.spawn(Box::new(StaggeredAdd {
+            n: 1024,
+            launches: 2,
+            pre_ms: 0,
+            mid_ms: 0,
+            post_ms: 0,
+        }));
         let mid_ms = STALL_WALL_BACKSTOP.as_millis() as u64 + 200;
-        sys.spawn(Box::new(SleepyAdd { n: 1024, pre_ms: 0, mid_ms, launches: 2 }));
+        sys.spawn(Box::new(StaggeredAdd { n: 1024, launches: 2, pre_ms: 0, mid_ms, post_ms: 0 }));
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.backstop_trips, 1, "{stats:?}");

@@ -23,7 +23,8 @@
 //!
 //! [`script`] provides self-checking per-VP workloads ([`VpScript`]) and the
 //! deterministic wavefront driver ([`drive`]) used by the integration tests
-//! and the `perf --fleet` benchmark.
+//! and the `fleet` example (sigmabench's `fleet_s1`/`fleet_s2` workloads run
+//! the same scripts under their own timed driver).
 #![warn(missing_docs)]
 
 pub mod config;

@@ -102,7 +102,10 @@ fn work_stealing_rebalances_and_counters_are_deterministic() {
         let submitted = drive(&fleet, &mut scripts).expect("every script validates");
         let outcome = fleet.shutdown();
         assert_eq!(outcome.stats.completed, submitted);
-        (outcome.stats.admitted, outcome.stats.steals, outcome.stats.migrations)
+        // The simulated p99 queue wait is the no-starvation quantity: it is
+        // priced from modeled cost, so it repeats to the bit as well.
+        let p99_wait = outcome.p99_queue_wait_s().to_bits();
+        (outcome.stats.admitted, outcome.stats.steals, outcome.stats.migrations, p99_wait)
     };
     let first = run();
     let second = run();

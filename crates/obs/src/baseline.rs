@@ -4,34 +4,43 @@
 //! The audit binary persists its gated metrics as a *flat* JSON object —
 //! string keys to finite numbers, nothing nested — which keeps the parser
 //! here trivial (the build environment has no serde) and the committed
-//! baseline diff-friendly. [`compare`] knows which direction is bad for each
-//! key (`*_s` and `*residual*` regress upward, `*overlap*`/`*speedup*`
-//! regress downward) and reports every metric that moved beyond tolerance in
-//! its bad direction.
+//! baseline diff-friendly. [`compare`] knows which movement is bad for each
+//! key: `*overlap*`/`*speedup*`/`*utilization*` regress downward, `*_s`
+//! durations and `*_frac`/`*fraction*` residuals regress upward — both beyond
+//! a tolerance — and everything else is a deterministic count that regresses
+//! on *any* difference.
 
-/// Which way a metric is allowed to move freely.
+/// Which movement of a metric is a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Smaller is better (durations, residuals, stalls, drops): a regression
-    /// is an *increase* beyond tolerance.
+    /// Smaller is better (durations, residuals, stalls): a regression is an
+    /// *increase* beyond tolerance.
     LowerIsBetter,
     /// Larger is better (overlap fractions, speedups, utilizations): a
     /// regression is a *decrease* beyond tolerance.
     HigherIsBetter,
+    /// A deterministic count (holds, flushes, migrations, retries, events):
+    /// neither direction is better, so a regression is *any* difference at
+    /// the baseline's printed precision, whatever the tolerance.
+    Exact,
 }
 
-/// Classify a metric key by naming convention.
+/// Classify a metric key by the naming convention of its last dot-separated
+/// segment — the metric, not the scenario that owns it (`speedup4.makespan_s`
+/// is a duration).
 pub fn direction_for(key: &str) -> Direction {
-    if key.contains("overlap") || key.contains("speedup") || key.contains("utilization") {
+    let metric = key.rsplit('.').next().unwrap_or(key);
+    if metric.contains("overlap") || metric.contains("speedup") || metric.contains("utilization") {
         Direction::HigherIsBetter
-    } else {
-        // `*_s` durations, `*residual*`, stall/drop counts, and anything
-        // unrecognized: treat growth as the bad direction (conservative).
+    } else if metric.ends_with("_s") || metric.ends_with("_frac") || metric.contains("fraction") {
         Direction::LowerIsBetter
+    } else {
+        Direction::Exact
     }
 }
 
-/// One metric that moved beyond tolerance in its bad direction — or vanished.
+/// One metric that moved beyond tolerance in its bad direction, differs from
+/// an exact baseline — or vanished.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// The metric key.
@@ -41,7 +50,8 @@ pub struct Regression {
     /// Its current value (`None` when the metric disappeared from the run).
     pub current: Option<f64>,
     /// Relative movement in the bad direction (`(cur−base)/|base|` for
-    /// lower-is-better keys, negated for higher-is-better; 0 for vanished).
+    /// lower-is-better keys, negated for higher-is-better, its magnitude for
+    /// exact keys; 0 for vanished).
     pub delta_frac: f64,
 }
 
@@ -49,6 +59,10 @@ impl Regression {
     /// Human-readable one-liner for gate output.
     pub fn describe(&self) -> String {
         match self.current {
+            Some(cur) if direction_for(&self.key) == Direction::Exact => format!(
+                "{}: {:.9e} -> {:.9e} (a deterministic count must match exactly)",
+                self.key, self.baseline, cur
+            ),
             Some(cur) => format!(
                 "{}: {:.6e} -> {:.6e} ({:+.1}% in the bad direction)",
                 self.key,
@@ -62,9 +76,10 @@ impl Regression {
 }
 
 /// Compare a run against a baseline: every baseline key whose current value
-/// moved more than `tolerance` (relative) in its bad direction — or is
-/// missing — is a [`Regression`]. Keys new in `current` are not regressions
-/// (they become gated once the baseline is refreshed).
+/// moved more than `tolerance` (relative) in its bad direction, differs at all
+/// for a [`Direction::Exact`] key, or is missing, is a [`Regression`]. Keys
+/// new in `current` are not regressions (they become gated once the baseline
+/// is refreshed).
 pub fn compare(
     baseline: &[(String, f64)],
     current: &[(String, f64)],
@@ -84,11 +99,12 @@ pub fn compare(
         };
         let scale = base.abs().max(1e-12);
         let raw = (cur - base) / scale;
-        let bad = match direction_for(key) {
-            Direction::LowerIsBetter => raw,
-            Direction::HigherIsBetter => -raw,
+        let (bad, regressed) = match direction_for(key) {
+            Direction::LowerIsBetter => (raw, raw > tolerance),
+            Direction::HigherIsBetter => (-raw, -raw > tolerance),
+            Direction::Exact => (raw.abs(), printed(cur) != printed(*base)),
         };
-        if bad > tolerance {
+        if regressed {
             regressions.push(Regression {
                 key: key.clone(),
                 baseline: *base,
@@ -100,17 +116,22 @@ pub fn compare(
     regressions
 }
 
+/// A value as the baseline file prints it — the precision at which exact
+/// keys are compared.
+fn printed(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.9e}")
+    } else {
+        "0".to_string()
+    }
+}
+
 /// Render metric pairs as the flat JSON object [`parse_flat_json`] reads,
 /// one key per line, preserving input order.
 pub fn format_flat_json(pairs: &[(String, f64)]) -> String {
     use sigmavp_telemetry::export::escape_json;
-    let rows: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| {
-            let val = if v.is_finite() { format!("{v:.9e}") } else { "0".to_string() };
-            format!("  \"{}\": {}", escape_json(k), val)
-        })
-        .collect();
+    let rows: Vec<String> =
+        pairs.iter().map(|(k, v)| format!("  \"{}\": {}", escape_json(k), printed(*v))).collect();
     format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
@@ -218,62 +239,54 @@ pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, ParseError> {
     Ok(pairs)
 }
 
-/// Everything the bench binaries' shared baseline-gate tail needs: write the
-/// baseline when asked, then load/parse/compare when checking.
-#[derive(Debug, Clone)]
-pub struct GateConfig<'a> {
-    /// Tool name used as the prefix of error messages (`audit`, `perf`, …).
-    pub tool: &'a str,
-    /// Path of the committed baseline file.
-    pub baseline: &'a str,
-    /// Relative tolerance passed to [`compare`].
-    pub tolerance: f64,
-    /// Rewrite the baseline from the current gate values (`--write-baseline`).
-    pub write_baseline: bool,
-    /// Compare against the committed baseline (`--check`).
-    pub check: bool,
-}
-
-/// Run the baseline write/check tail shared by the bench binaries: optionally
-/// rewrite the baseline (creating parent directories), then — when checking —
-/// load it with [`parse_flat_json`], [`compare`], and print either the
-/// `check: N metrics within X%` line or one `REGRESSION …` line per failure.
-///
-/// Returns `Ok(true)` when the check found regressions (the caller's gate
-/// should fail), `Ok(false)` otherwise.
+/// Write `gate` to `baseline` as flat JSON (`--write-baseline`), creating
+/// parent directories.
 ///
 /// # Errors
 ///
-/// `Err` carries an already-prefixed fatal message (I/O failure, malformed
-/// baseline) for the caller to print before exiting non-zero.
-pub fn run_gate(config: &GateConfig<'_>, gate: &[(String, f64)]) -> Result<bool, String> {
-    let GateConfig { tool, baseline, tolerance, write_baseline, check } = *config;
-    if write_baseline {
-        if let Some(dir) = std::path::Path::new(baseline).parent() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("{tool}: cannot create {}: {e}", dir.display()))?;
-        }
-        std::fs::write(baseline, format_flat_json(gate))
-            .map_err(|e| format!("{tool}: cannot write baseline {baseline}: {e}"))?;
-        println!("wrote baseline {baseline}");
+/// An I/O failure, as a message for the caller to print before exiting
+/// non-zero.
+pub fn write_baseline(baseline: &str, gate: &[(String, f64)]) -> Result<(), String> {
+    if let Some(dir) = std::path::Path::new(baseline).parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    if !check {
-        return Ok(false);
-    }
+    std::fs::write(baseline, format_flat_json(gate))
+        .map_err(|e| format!("cannot write baseline {baseline}: {e}"))?;
+    println!("wrote baseline {baseline}");
+    Ok(())
+}
+
+/// Gate `gate` against the committed `baseline` (`--check`): load it with
+/// [`parse_flat_json`], [`compare`], and print either the
+/// `check: N metrics within X%` line or one `REGRESSION …` line per failure.
+/// Returns whether the check found regressions (the caller's gate should
+/// fail).
+///
+/// # Errors
+///
+/// An unreadable or malformed baseline, as a message for the caller to print
+/// before exiting non-zero.
+pub fn check_baseline(
+    baseline: &str,
+    tolerance: f64,
+    gate: &[(String, f64)],
+) -> Result<bool, String> {
     let text = std::fs::read_to_string(baseline)
-        .map_err(|e| format!("{tool}: cannot read baseline {baseline}: {e}"))?;
-    let base = parse_flat_json(&text)
-        .map_err(|e| format!("{tool}: malformed baseline {baseline}: {e}"))?;
+        .map_err(|e| format!("cannot read baseline {baseline}: {e}"))?;
+    let base = parse_flat_json(&text).map_err(|e| format!("malformed baseline {baseline}: {e}"))?;
     let regressions = compare(&base, gate, tolerance);
-    if regressions.is_empty() {
-        println!("check: {} metrics within {:.0}% of {baseline}", base.len(), tolerance * 100.0);
-        Ok(false)
-    } else {
-        for r in &regressions {
-            eprintln!("REGRESSION {}", r.describe());
-        }
-        Ok(true)
+    for r in &regressions {
+        eprintln!("REGRESSION {}", r.describe());
     }
+    if regressions.is_empty() {
+        println!(
+            "check: {} metrics within {:.0}% of {baseline} (counts exact)",
+            base.len(),
+            tolerance * 100.0
+        );
+    }
+    Ok(!regressions.is_empty())
 }
 
 #[cfg(test)]
@@ -344,30 +357,21 @@ mod tests {
         let path_str = path.to_str().unwrap().to_string();
         let gate = pairs(&[("g.makespan_s", 1.0), ("g.speedup", 2.0)]);
 
-        // Write pass: creates parent dirs and the file; no check requested.
-        let cfg = GateConfig {
-            tool: "test",
-            baseline: &path_str,
-            tolerance: 0.10,
-            write_baseline: true,
-            check: false,
-        };
-        assert_eq!(run_gate(&cfg, &gate), Ok(false));
+        // Write pass: creates parent dirs and the file.
+        assert_eq!(write_baseline(&path_str, &gate), Ok(()));
         assert!(path.exists());
 
         // Clean check against what was just written.
-        let cfg = GateConfig { write_baseline: false, check: true, ..cfg };
-        assert_eq!(run_gate(&cfg, &gate), Ok(false));
+        assert_eq!(check_baseline(&path_str, 0.10, &gate), Ok(false));
 
         // A bad-direction move beyond tolerance fails the gate (Ok(true)).
         let slow = pairs(&[("g.makespan_s", 1.5), ("g.speedup", 2.0)]);
-        assert_eq!(run_gate(&cfg, &slow), Ok(true));
+        assert_eq!(check_baseline(&path_str, 0.10, &slow), Ok(true));
 
-        // Missing baseline is a fatal, prefixed error.
+        // Missing baseline is a fatal error naming the file.
         let missing = format!("{path_str}.does-not-exist");
-        let cfg = GateConfig { baseline: &missing, ..cfg };
-        let err = run_gate(&cfg, &gate).unwrap_err();
-        assert!(err.starts_with("test:"), "{err}");
+        let err = check_baseline(&missing, 0.10, &gate).unwrap_err();
+        assert!(err.starts_with("cannot read baseline") && err.contains(&missing), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -375,10 +379,38 @@ mod tests {
     fn directions_follow_naming_conventions() {
         assert_eq!(direction_for("async4.makespan_s"), Direction::LowerIsBetter);
         assert_eq!(direction_for("eq7.residual_frac"), Direction::LowerIsBetter);
-        assert_eq!(direction_for("trace.dropped_events"), Direction::LowerIsBetter);
+        assert_eq!(direction_for("async4.critical_path_stall_s"), Direction::LowerIsBetter);
         assert_eq!(direction_for("async4.overlap_fraction"), Direction::HigherIsBetter);
         assert_eq!(direction_for("eq8.measured_speedup"), Direction::HigherIsBetter);
         assert_eq!(direction_for("compute.utilization"), Direction::HigherIsBetter);
+        // The scenario's name does not leak into its metrics' direction.
+        assert_eq!(direction_for("speedup4.async_makespan_s"), Direction::LowerIsBetter);
+        assert_eq!(direction_for("speedup4.eq8_residual_frac"), Direction::LowerIsBetter);
+        assert_eq!(direction_for("speedup4.measured_speedup"), Direction::HigherIsBetter);
+        // Everything else is a count: neither direction is "better".
+        for key in ["trace.dropped_events", "chaos.migrations", "sync.holds", "obs.snapshots"] {
+            assert_eq!(direction_for(key), Direction::Exact, "{key}");
+        }
+    }
+
+    #[test]
+    fn exact_keys_regress_on_any_difference_whatever_the_tolerance() {
+        let base = pairs(&[("chaos.migrations", 2.0), ("hang.makespan_s", 1.0)]);
+        assert!(compare(&base, &base, 0.5).is_empty(), "equal passes");
+        for moved in [1.0, 3.0] {
+            // ±1 on a count is a regression even under a 50 % tolerance; the
+            // duration next to it stays directional (−20 % is an improvement).
+            let cur = pairs(&[("chaos.migrations", moved), ("hang.makespan_s", 0.8)]);
+            let regs = compare(&base, &cur, 0.5);
+            assert_eq!(regs.len(), 1, "{regs:?}");
+            assert_eq!(regs[0].key, "chaos.migrations");
+            assert!((regs[0].delta_frac - 0.5).abs() < 1e-12);
+            assert!(regs[0].describe().contains("must match exactly"), "{}", regs[0].describe());
+        }
+        // Exact means "at the baseline's printed precision": a difference the
+        // file cannot represent is not a regression.
+        let cur = pairs(&[("chaos.migrations", 2.0 + 1e-12), ("hang.makespan_s", 1.0)]);
+        assert!(compare(&base, &cur, 0.0).is_empty());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! Cost model: sampling is explicit (callers decide cadence), incident sinks
 //! are one atomic load when nothing is installed, and the ring/window are
-//! bounded — "always-on" stays cheap enough for the perf gate's overhead bar.
+//! bounded — "always-on" stays cheap (the `flight` group of the `ablation`
+//! bench measures what it costs).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};

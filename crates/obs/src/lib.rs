@@ -33,8 +33,8 @@ pub mod model;
 pub mod profile;
 
 pub use baseline::{
-    compare, format_flat_json, parse_flat_json, run_gate, Direction, GateConfig, ParseError,
-    Regression,
+    check_baseline, compare, format_flat_json, parse_flat_json, write_baseline, Direction,
+    ParseError, Regression,
 };
 pub use flight::{
     validate_bundle, well_formed_json, Bundle, FlightConfig, FlightRecorder, Snapshot,

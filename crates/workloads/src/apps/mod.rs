@@ -3,12 +3,15 @@
 //! Grouped by domain; every type implements [`Application`](crate::app::Application)
 //! and is re-exported here. Constructors take a `scale` factor (1 = test scale,
 //! larger values grow the data sizes linearly) so the same apps serve unit tests
-//! and the Fig. 11 experiments.
+//! and the Fig. 11 experiments. [`StaggeredAdd`] and [`CopyStream`] are not
+//! suite members: they are the guests the live sync-window and liveness
+//! scenarios are built from.
 
 mod finance;
 mod imaging;
 mod linalg;
 mod misc;
+mod scenario;
 
 pub use finance::{BlackScholesApp, MonteCarloApp};
 pub use imaging::{
@@ -20,6 +23,7 @@ pub use misc::{
     HistogramApp, MandelbrotApp, MarchingCubesApp, MergeSortApp, NbodyApp, SegmentationTreeApp,
     SimpleGlApp, SmokeParticlesApp,
 };
+pub use scenario::{CopyStream, StaggeredAdd};
 
 #[cfg(test)]
 pub(crate) mod testenv {
