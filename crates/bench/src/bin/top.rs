@@ -141,14 +141,15 @@ fn main() -> ExitCode {
     // --- The dashboard. -------------------------------------------------------
     println!(
         "sigmavp-top | {} session(s), {} vp(s) | depth {} | completed {} shed {} \
-         steals {} migrations {}",
+         steals {} migrations {} replayed {}",
         view.shards.len(),
         args.vps,
         view.depth,
         outcome.stats.completed,
         outcome.stats.shed,
         outcome.stats.steals,
-        outcome.stats.migrations
+        outcome.stats.migrations,
+        view.metrics.counter("fleet.replayed_jobs").unwrap_or(0)
     );
     for shard in &view.shards {
         println!(

@@ -318,9 +318,15 @@ pub struct LiveRun {
     /// Outcomes and job logs.
     pub report: ThreadedReport,
     /// Guest-side request retries during the run (`fault.retries`, as a
-    /// snapshot delta so earlier runs cannot contaminate it) — the one gated
-    /// quantity neither the ledger nor the report carries.
+    /// snapshot delta so earlier runs cannot contaminate it) — with
+    /// `replayed_jobs`, the gated quantities neither the ledger nor the
+    /// report carries.
     pub retries: u64,
+    /// Journal entries the run's migrations replayed (`fault.replayed_jobs`,
+    /// a snapshot delta too): the journal's length at each move, summed. 0 in
+    /// `chaos`, whose calibrated kill lands just before the moved guests'
+    /// first request — they fail over holding nothing.
+    pub replayed_jobs: u64,
 }
 
 fn adds(guests: &[(u64, u32, u64, u64, u64)]) -> Vec<Box<dyn Application + Send>> {
@@ -368,6 +374,7 @@ impl Live {
             gates: &[
                 ("chaos.makespan_s", |r| r.report.device_makespan_s),
                 ("chaos.fault_retries", |r| r.retries as f64),
+                ("chaos.replayed_jobs", |r| r.replayed_jobs as f64),
                 ("chaos.gpu_trips", |r| r.stats.gpu_trips as f64),
                 ("chaos.migrations", |r| r.stats.migrations as f64),
             ],
@@ -511,10 +518,20 @@ impl Live {
         for guest in guests {
             sys.spawn(guest);
         }
-        let retries = || telemetry.snapshot().counter("fault.retries").unwrap_or(0);
-        let before = retries();
+        let counters = || {
+            let snapshot = telemetry.snapshot();
+            ["fault.retries", "fault.replayed_jobs"].map(|name| snapshot.counter(name).unwrap_or(0))
+        };
+        let before = counters();
         let (report, stats) = sys.join();
-        LiveRun { row: *self, stats, report, retries: retries().saturating_sub(before) }
+        let [retries, replayed_jobs] = counters();
+        LiveRun {
+            row: *self,
+            stats,
+            report,
+            retries: retries.saturating_sub(before[0]),
+            replayed_jobs: replayed_jobs.saturating_sub(before[1]),
+        }
     }
 
     /// Run the row twice — fault-free, then under its calibrated plan if it
@@ -580,7 +597,7 @@ mod tests {
         let baseline = sigmavp_obs::parse_flat_json(&text).expect("committed baseline parses");
         let committed: std::collections::BTreeSet<&str> =
             baseline.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(committed.len(), 39);
+        assert_eq!(committed.len(), 40);
         assert_eq!(unique, committed, "a scenario dropped out of (or into) the gate");
     }
 }

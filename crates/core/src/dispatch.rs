@@ -46,7 +46,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use sigmavp_fault::{CircuitBreaker, DedupCache, FaultPlan, Residency, TRANSIENT_ERROR_PREFIX};
+use sigmavp_fault::{
+    CircuitBreaker, DedupCache, FaultPlan, Relocation, Residency, TRANSIENT_ERROR_PREFIX,
+};
 use sigmavp_gpu::engine::simulate;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
@@ -208,11 +210,31 @@ pub fn holds_launch(policy: &Policy, request: &Request) -> bool {
     policy.sync_hold && matches!(request, Request::Launch { sync: true, .. })
 }
 
+/// The one relocation path: move `vp`'s device state onto `target` by
+/// replaying its journal there, then free what the move left behind — the
+/// buffers on `source` (`None` when that placement is out of service and
+/// cannot be asked) and whatever a rejected replay stranded on `target` — so a
+/// VP's buffers only ever live on its current placement. `label` names the
+/// target in the trace (`replay …`).
+pub fn relocate_between(
+    residency: &mut Residency,
+    vp: VpId,
+    source: Option<&Mutex<HostRuntime>>,
+    target: &Mutex<HostRuntime>,
+    label: &str,
+) -> Relocation {
+    let moved = residency.relocate(replay_onto(&mut target.lock(), vp, label));
+    if let Some(source) = source {
+        release(&mut source.lock(), vp, &moved.departed);
+    }
+    release(&mut target.lock(), vp, &moved.stranded);
+    moved
+}
+
 /// A journal-replay target: executes each replayed request on `runtime`
 /// without recording it as a job, and stitches the work onto the *original*
 /// job's uid so its lifecycle joins into one migration-tagged causal chain.
-/// `label` names the target in the trace (`replay …`).
-pub fn replay_onto<'a>(
+fn replay_onto<'a>(
     runtime: &'a mut HostRuntime,
     vp: VpId,
     label: &'a str,
@@ -221,15 +243,7 @@ pub fn replay_onto<'a>(
     move |orig_seq, request| {
         let started_wall_s = recorder.wall_now_s();
         let started = Instant::now();
-        let body = runtime
-            .process_replay(&Envelope {
-                vp,
-                seq: orig_seq,
-                sent_at_s: 0.0,
-                deadline_s: Envelope::NO_DEADLINE,
-                body: request.clone(),
-            })
-            .body;
+        let body = runtime.process_replay(&unrecorded(vp, orig_seq, request.clone())).body;
         if recorder.enabled() {
             recorder.span_for_job(
                 TimeDomain::Wall,
@@ -242,6 +256,20 @@ pub fn replay_onto<'a>(
         }
         body
     }
+}
+
+/// Free `handles` on `runtime` on `vp`'s behalf: like a replay, neither a
+/// request nor a recorded job.
+fn release(runtime: &mut HostRuntime, vp: VpId, handles: &[u64]) {
+    for &handle in handles {
+        runtime.process_replay(&unrecorded(vp, 0, Request::Free { handle }));
+    }
+}
+
+/// The envelope of a request the guest never sent as such: no send time, no
+/// deadline.
+fn unrecorded(vp: VpId, seq: u64, body: Request) -> Envelope {
+    Envelope { vp, seq, sent_at_s: 0.0, deadline_s: Envelope::NO_DEADLINE, body }
 }
 
 /// A request waiting in the core, with when it arrived (collector wall clock,
@@ -414,7 +442,9 @@ impl Supervision {
 
     /// Move `vp` onto `target` without touching the source device's health (a
     /// load-triggered rebalance moves VPs between *live* devices): rebuild its
-    /// device state there through [`Residency::relocate`] and switch routing.
+    /// device state there through [`relocate_between`] — which frees the
+    /// buffers on the source unless that device is out of service — and
+    /// switch routing.
     fn relocate(
         &mut self,
         session: &mut ExecutionSession,
@@ -429,15 +459,14 @@ impl Supervision {
         let recorder = sigmavp_telemetry::recorder();
         let started_wall_s = recorder.wall_now_s();
         let started = Instant::now();
-        let runtime = session.runtime(target);
-        let moved = self.residency.entry(vp).or_default().relocate(
-            current,
-            target,
-            replay_onto(&mut runtime.lock(), vp, &format!("-> gpu{target}")),
+        let source = session.is_healthy(current).then(|| session.runtime(current));
+        let moved = relocate_between(
+            self.residency.entry(vp).or_default(),
+            vp,
+            source.as_deref(),
+            &session.runtime(target),
+            &format!("-> gpu{target}"),
         );
-        if moved.reused {
-            recorder.count("fault.reuse_migrations", 1);
-        }
         if moved.failed {
             recorder.count("fault.replay_failures", 1);
         } else {
@@ -1297,6 +1326,7 @@ mod tests {
     /// and the deadline budget stamped with it (none until a test sets one).
     struct Rig {
         core: DispatchCore,
+        session: Arc<Mutex<ExecutionSession>>,
         next_seq: HashMap<VpId, u64>,
         now_s: f64,
         tick_s: f64,
@@ -1305,6 +1335,10 @@ mod tests {
 
     impl Rig {
         fn new(policy: Policy, gpus: usize, vps: u32) -> Rig {
+            Rig::with_faults(policy, gpus, vps, None)
+        }
+
+        fn with_faults(policy: Policy, gpus: usize, vps: u32, faults: Option<FaultPlan>) -> Rig {
             let registry = [sigmavp_workloads::kernels::vector_add()].into_iter().collect();
             let session = ExecutionSession::new(
                 vec![GpuArch::quadro_4000(); gpus],
@@ -1312,12 +1346,20 @@ mod tests {
                 TransportCost::shared_memory(),
             )
             .expect("at least one device");
+            let session = Arc::new(Mutex::new(session));
             let mut core =
-                DispatchCore::new(Arc::new(Mutex::new(session)), &policy, None, HashMap::new());
+                DispatchCore::new(session.clone(), &policy, faults.map(Arc::new), HashMap::new());
             for vp in 0..vps {
                 core.join(VpId(vp));
             }
-            Rig { core, next_seq: HashMap::new(), now_s: 0.0, tick_s: 1e-6, budget_s: None }
+            let next_seq = HashMap::new();
+            Rig { core, session, next_seq, now_s: 0.0, tick_s: 1e-6, budget_s: None }
+        }
+
+        /// Buffers currently allocated on each device.
+        fn live_per_device(&self) -> Vec<usize> {
+            let session = self.session.lock();
+            (0..session.device_count()).map(|d| session.runtime(d).lock().live_handles()).collect()
         }
 
         fn envelope(&mut self, vp: u32, body: Request) -> Envelope {
@@ -1378,10 +1420,20 @@ mod tests {
         }
     }
 
-    fn sum_handle(launch: &Request) -> u64 {
+    /// The launch's buffer parameters: two inputs, then the output.
+    fn buffers_of(launch: &Request) -> Vec<u64> {
         let Request::Launch { params, .. } = launch else { panic!("not a launch") };
-        let WireParam::Buffer(handle) = params[2] else { panic!("third param is the output") };
-        handle
+        params
+            .iter()
+            .filter_map(|p| match p {
+                WireParam::Buffer(handle) => Some(*handle),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn sum_handle(launch: &Request) -> u64 {
+        buffers_of(launch)[2]
     }
 
     fn vps_of(turn: &Turn) -> Vec<u32> {
@@ -1498,6 +1550,75 @@ mod tests {
         let Response::Data { data } = rig.serve(1, read) else { panic!("read-back failed") };
         assert_eq!(data, 4.0f32.to_le_bytes().repeat(N as usize), "2 + 2 on the new device");
         assert_eq!(rig.core.stats().quarantined, 1, "nobody else fell behind");
+    }
+
+    #[test]
+    fn a_move_between_live_devices_frees_the_source_copies() {
+        let mut rig = Rig::new(sync_policy().with_hang_windows(2), 2, 2);
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        assert_eq!(rig.live_per_device(), [3, 3], "one VP per device");
+        rig.step(0, l0.clone());
+        rig.step(1, l1.clone());
+        // VP 1 wedges and is quarantined off gpu1; both devices stay healthy.
+        rig.step(0, l0.clone());
+        assert_eq!(rig.core.on_stall().quarantined, [VpId(1)]);
+        assert_eq!(rig.core.stats().migrations, 1);
+        assert_eq!(rig.live_per_device(), [6, 0], "the move left nothing on its source");
+        // Both guests free what they hold: the session is back to zero.
+        for (vp, launch) in [(1, &l1), (0, &l0)] {
+            for handle in buffers_of(launch) {
+                assert_eq!(rig.serve(vp, Request::Free { handle }), Response::Done);
+            }
+        }
+        assert_eq!(rig.session.lock().live_buffers(), 0);
+    }
+
+    #[test]
+    fn a_rejected_replay_leaks_nothing_on_the_target() {
+        const BIG: u64 = 40 << 20; // two of these do not fit one 64 MB device
+        let mut rig = Rig::new(sync_policy().with_hang_windows(2), 2, 2);
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        for vp in [0, 1] {
+            assert!(matches!(
+                rig.serve(vp, Request::Malloc { bytes: BIG }),
+                Response::Malloc { .. }
+            ));
+        }
+        assert_eq!(rig.live_per_device(), [4, 4]);
+        rig.step(0, l0.clone());
+        rig.step(1, l1.clone());
+        // VP 1 is quarantined onto gpu0, which has no room for its big buffer:
+        // the replay is rejected after the three small allocations landed.
+        rig.step(0, l0);
+        assert_eq!(rig.core.on_stall().quarantined, [VpId(1)]);
+        assert_eq!(rig.live_per_device(), [4, 0], "neither stranded on gpu0 nor left on gpu1");
+        // The move itself succeeded; the lost handles are the guest's errors.
+        let read = Request::MemcpyD2H { handle: sum_handle(&l1), len: N * 4, stream: 0 };
+        let Response::Error { message } = rig.serve(1, read) else { panic!("handle survived") };
+        assert!(message.contains("no buffer on the VP's current placement"), "{message}");
+    }
+
+    #[test]
+    fn a_failover_off_a_dead_device_leaves_its_buffers_alone() {
+        let outage = FaultPlan::seeded(1).with_outage(1, 1.0);
+        let mut rig = Rig::with_faults(Policy::Fifo, 2, 2, Some(outage));
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        assert_eq!(rig.live_per_device(), [3, 3]);
+        // gpu1 dies; VP 1's next request fails over and completes on gpu0.
+        rig.now_s = 2.0;
+        assert!(matches!(rig.serve(1, l1.clone()), Response::Launched { .. }));
+        let stats = *rig.core.stats();
+        assert_eq!((stats.gpu_trips, stats.migrations), (1, 1));
+        assert_eq!(rig.live_per_device(), [6, 3], "a dead device is not asked to free");
+        let read = Request::MemcpyD2H { handle: sum_handle(&l1), len: N * 4, stream: 0 };
+        let Response::Data { data } = rig.serve(1, read) else { panic!("read-back failed") };
+        assert_eq!(data, 4.0f32.to_le_bytes().repeat(N as usize), "2 + 2 on the survivor");
+        for (vp, launch) in [(1, &l1), (0, &l0)] {
+            for handle in buffers_of(launch) {
+                assert_eq!(rig.serve(vp, Request::Free { handle }), Response::Done);
+            }
+        }
+        assert_eq!(rig.live_per_device(), [0, 3]);
     }
 
     #[test]

@@ -150,8 +150,8 @@ impl HostRuntime {
         &self.records
     }
 
-    /// Number of device buffers currently allocated (leak accounting:
-    /// DESIGN.md §12's re-migration fix is asserted against this).
+    /// Number of device buffers currently allocated (leak accounting: a
+    /// relocation must leave none behind, DESIGN.md §12).
     pub fn live_handles(&self) -> usize {
         self.handles.len()
     }

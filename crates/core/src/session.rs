@@ -105,7 +105,7 @@ impl ExecutionSession {
     }
 
     /// Device buffers currently allocated across every device in the session
-    /// (leak accounting for the DESIGN.md §12 re-migration fix).
+    /// (leak accounting: a relocation must leave none behind, DESIGN.md §12).
     pub fn live_buffers(&self) -> usize {
         self.devices.iter().map(|d| d.runtime.lock().live_handles()).sum()
     }

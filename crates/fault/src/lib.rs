@@ -18,8 +18,9 @@
 //! * [`supervise`] — host-side resilience state: a per-device
 //!   [`CircuitBreaker`], the effect-once [`DedupCache`] keyed by request
 //!   sequence numbers, and the per-VP [`Residency`] ([`VpJournal`] +
-//!   [`HandleMap`]) that replays a VP's device state onto a surviving GPU or
-//!   another session and keeps its guest handles stable across the move.
+//!   [`HandleMap`]) that replays a VP's live device state onto a surviving GPU
+//!   or another session, keeps its guest handles stable across the move and
+//!   names the buffers the move leaves for its owner to free.
 //!
 //! Everything here is deterministic by construction: the same plan seed yields
 //! the same injected faults, retries, trips and migrations, run after run.
@@ -32,8 +33,8 @@ pub mod transport;
 
 pub use plan::{FaultPlan, LinkDirection, LinkFault, LinkFaultConfig, LinkFaults, Outage};
 pub use supervise::{
-    journal_live_identity, replay_journal, BreakerState, CircuitBreaker, DedupCache, HandleMap,
-    JournalEntry, Relocation, Residency, VpJournal,
+    replay_journal, BreakerState, CircuitBreaker, DedupCache, HandleMap, JournalEntry, Relocation,
+    Residency, VpJournal,
 };
 pub use transport::{DropNotice, FaultyTransport};
 

@@ -13,147 +13,49 @@ pub enum BreakerState {
     Closed,
     /// Tripped: the device is treated as down.
     Open,
-    /// Cooldown elapsed: exactly one probe request is admitted. Success
-    /// closes the breaker; failure re-trips it.
-    HalfOpen,
 }
 
 /// Per-device consecutive-failure counter that opens after a threshold.
 ///
 /// The dispatcher records every attempted operation outcome; once `threshold`
 /// consecutive failures accumulate the breaker opens and the device is
-/// treated as down (its VPs are migrated to survivors).
-///
-/// With no cooldown configured (the default, and the legacy behavior) an open
-/// breaker latches open forever. [`CircuitBreaker::with_cooldown`] enables
-/// half-open recovery: after `cooldown` *simulated* seconds, [`allow_at`]
-/// admits exactly one probe request. [`record_success`] on the probe closes
-/// the breaker (the transiently-down GPU rejoins); [`record_failure_at`]
-/// re-trips it and restarts the cooldown. The cooldown is simulated time, not
-/// wall time, so recovery points are a function of the workload and seed —
-/// same-seed runs probe at identical instants.
-///
-/// [`allow_at`]: CircuitBreaker::allow_at
-/// [`record_success`]: CircuitBreaker::record_success
-/// [`record_failure_at`]: CircuitBreaker::record_failure_at
+/// treated as down (its VPs are migrated to survivors). An open breaker
+/// latches open: nothing is kept on a dead device for a VP to come back to.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     threshold: u32,
     consecutive: u32,
-    cooldown_us: u64,
     state: BreakerState,
-    opened_at_s: f64,
-    probe_in_flight: bool,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker tripping after `threshold` consecutive failures, with
-    /// half-open recovery disabled (an open breaker latches open).
+    /// A closed breaker tripping after `threshold` consecutive failures.
     pub fn new(threshold: u32) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            consecutive: 0,
-            cooldown_us: 0,
-            state: BreakerState::Closed,
-            opened_at_s: 0.0,
-            probe_in_flight: false,
-        }
-    }
-
-    /// Enable half-open recovery: an open breaker admits a single probe once
-    /// `cooldown_s` simulated seconds have elapsed since it tripped (builder
-    /// style). `0.0` disables recovery again.
-    pub fn with_cooldown(mut self, cooldown_s: f64) -> Self {
-        self.cooldown_us = if cooldown_s <= 0.0 { 0 } else { (cooldown_s * 1e6).ceil() as u64 };
-        self
+        CircuitBreaker { threshold: threshold.max(1), consecutive: 0, state: BreakerState::Closed }
     }
 
     /// Record a failed operation. Returns `true` iff this failure trips the
     /// breaker (open edge — reported exactly once per trip).
-    ///
-    /// Time-less legacy entry point: equivalent to [`record_failure_at`] at
-    /// the last known trip instant, so half-open re-trips restart their
-    /// cooldown from the original trip when no clock is supplied.
-    ///
-    /// [`record_failure_at`]: CircuitBreaker::record_failure_at
     pub fn record_failure(&mut self) -> bool {
-        self.record_failure_at(self.opened_at_s)
-    }
-
-    /// Record a failed operation observed at simulated time `sim_s`. Returns
-    /// `true` iff this failure trips the breaker — either the threshold was
-    /// crossed while closed, or a half-open probe failed and the breaker
-    /// re-tripped (each open edge is reported exactly once).
-    pub fn record_failure_at(&mut self, sim_s: f64) -> bool {
-        match self.state {
-            BreakerState::Open => false,
-            BreakerState::HalfOpen => {
-                // The probe failed: re-trip and restart the cooldown.
-                self.state = BreakerState::Open;
-                self.opened_at_s = sim_s;
-                self.probe_in_flight = false;
-                self.consecutive = self.threshold;
-                true
-            }
-            BreakerState::Closed => {
-                self.consecutive += 1;
-                if self.consecutive >= self.threshold {
-                    self.state = BreakerState::Open;
-                    self.opened_at_s = sim_s;
-                    return true;
-                }
-                false
-            }
+        if self.is_open() {
+            return false;
         }
+        self.consecutive += 1;
+        if self.consecutive >= self.threshold {
+            self.state = BreakerState::Open;
+        }
+        self.is_open()
     }
 
-    /// Record a successful operation. Closed: resets the consecutive-failure
-    /// count. Half-open: the probe succeeded — the breaker closes and the
-    /// device rejoins. Open: ignored.
+    /// Record a successful operation: resets the consecutive-failure count
+    /// (ignored once open).
     pub fn record_success(&mut self) {
-        match self.state {
-            BreakerState::Closed => self.consecutive = 0,
-            BreakerState::HalfOpen => {
-                self.state = BreakerState::Closed;
-                self.consecutive = 0;
-                self.probe_in_flight = false;
-            }
-            BreakerState::Open => {}
+        if !self.is_open() {
+            self.consecutive = 0;
         }
     }
 
-    /// Whether a request may proceed at simulated time `sim_s`, advancing the
-    /// Open → HalfOpen transition when the cooldown has elapsed. Half-open
-    /// admits exactly one probe; further requests are refused until the probe
-    /// resolves via [`record_success`](CircuitBreaker::record_success) or
-    /// [`record_failure_at`](CircuitBreaker::record_failure_at).
-    pub fn allow_at(&mut self, sim_s: f64) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::HalfOpen => {
-                if self.probe_in_flight {
-                    false
-                } else {
-                    self.probe_in_flight = true;
-                    true
-                }
-            }
-            BreakerState::Open => {
-                if self.cooldown_us > 0
-                    && sim_s - self.opened_at_s >= self.cooldown_us as f64 * 1e-6
-                {
-                    self.state = BreakerState::HalfOpen;
-                    self.probe_in_flight = true;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Whether the breaker is open (device considered down). Half-open counts
-    /// as *not* open: it is probing its way back.
+    /// Whether the breaker is open (device considered down).
     pub fn is_open(&self) -> bool {
         self.state == BreakerState::Open
     }
@@ -166,15 +68,7 @@ impl CircuitBreaker {
     /// Force the breaker open (e.g. a scheduled outage was noticed).
     pub fn trip(&mut self) {
         self.state = BreakerState::Open;
-        self.probe_in_flight = false;
         self.consecutive = self.consecutive.max(self.threshold);
-    }
-
-    /// Force the breaker open at simulated time `sim_s`, arming the cooldown
-    /// from that instant.
-    pub fn trip_at(&mut self, sim_s: f64) {
-        self.trip();
-        self.opened_at_s = sim_s;
     }
 }
 
@@ -228,9 +122,17 @@ pub struct JournalEntry {
 /// Only operations that change device state the guest can later observe are
 /// kept: `Malloc`, `Free`, `MemcpyH2D` and `Launch`. Reads (`MemcpyD2H`) and
 /// `Synchronize` are stateless; failed operations changed nothing.
+///
+/// The journal forgets: a `Free` that leaves the VP without a live buffer
+/// leaves it without guest-visible device state, so there is nothing a replay
+/// could rebuild and the log restarts empty. A guest that returns to zero
+/// buffers between iterations is replayed at the cost of its current
+/// iteration; one that keeps a buffer alive keeps its whole history.
 #[derive(Debug, Clone, Default)]
 pub struct VpJournal {
     entries: Vec<JournalEntry>,
+    /// Guest handles `entries` allocated and has not freed, oldest first.
+    live: Vec<u64>,
 }
 
 impl VpJournal {
@@ -239,20 +141,24 @@ impl VpJournal {
     /// so a later replay can be stitched back onto the original job's
     /// telemetry uid.
     pub fn record(&mut self, seq: u64, request: &Request, response: &Response) {
-        let mutating = matches!(
-            (request, response),
-            (Request::Malloc { .. }, Response::Malloc { .. })
-                | (Request::Free { .. }, Response::Done)
-                | (Request::MemcpyH2D { .. }, Response::Done)
-                | (Request::Launch { .. }, Response::Launched { .. })
-        );
-        if mutating {
-            self.entries.push(JournalEntry {
-                seq,
-                request: request.clone(),
-                response: response.clone(),
-            });
+        match (request, response) {
+            (Request::Malloc { .. }, Response::Malloc { handle }) => self.live.push(*handle),
+            (Request::Free { handle }, Response::Done) => {
+                self.live.retain(|live| live != handle);
+                if self.live.is_empty() {
+                    self.entries.clear();
+                    return;
+                }
+            }
+            (Request::MemcpyH2D { .. }, Response::Done)
+            | (Request::Launch { .. }, Response::Launched { .. }) => {}
+            _ => return,
         }
+        self.entries.push(JournalEntry {
+            seq,
+            request: request.clone(),
+            response: response.clone(),
+        });
     }
 
     /// Number of journaled operations.
@@ -336,6 +242,14 @@ impl HandleMap {
         self.map.is_empty()
     }
 
+    /// The device handles behind the live mappings, ascending (a reproducible
+    /// order out of a hash map).
+    fn device_handles(&self) -> Vec<u64> {
+        let mut handles: Vec<u64> = self.map.values().copied().collect();
+        handles.sort_unstable();
+        handles
+    }
+
     /// Rewrite every guest handle in `request` to its device handle.
     ///
     /// Returns the translated request, or `Err(handle)` naming the first guest
@@ -383,32 +297,18 @@ pub fn replay_journal(
     journal: &VpJournal,
     process: impl FnMut(u64, &Request) -> Response,
 ) -> Result<HandleMap, String> {
-    replay(journal, None, process)
+    let mut map = HandleMap::new();
+    replay_into(journal, &mut map, process).map(|()| map)
 }
 
-/// [`replay_journal`], optionally onto a placement the VP has lived on before
-/// (DESIGN.md §12): `retained` is the guest→device map snapshotted when the VP
-/// last moved *away* from it. Those buffers were never freed, so a replayed
-/// `Malloc` whose guest handle is still retained is remapped in place instead
-/// of allocated a second time. Everything else — memcpys that restore current
-/// data, frees issued while the VP lived elsewhere, mallocs from later
-/// residencies — replays through `process` as usual. Without this, every
-/// A→B→A round trip doubles the VP's footprint on A.
-fn replay(
+/// [`replay_journal`] into the caller's `map`, so a rejected replay still
+/// shows what it had allocated on the survivor before the rejection.
+fn replay_into(
     journal: &VpJournal,
-    retained: Option<&HandleMap>,
+    map: &mut HandleMap,
     mut process: impl FnMut(u64, &Request) -> Response,
-) -> Result<HandleMap, String> {
-    let mut map = HandleMap::new();
+) -> Result<(), String> {
     for entry in journal.entries() {
-        if let (Request::Malloc { .. }, Response::Malloc { handle: guest }) =
-            (&entry.request, &entry.response)
-        {
-            if let Some(device) = retained.and_then(|r| r.device_of(*guest)) {
-                map.insert(*guest, device);
-                continue;
-            }
-        }
         let translated = map
             .translate(&entry.request)
             .map_err(|h| format!("replay references unmapped handle {h}"))?;
@@ -430,54 +330,41 @@ fn replay(
             _ => {}
         }
     }
-    Ok(map)
+    Ok(())
 }
 
-/// The guest→device map a VP leaves behind on its *home* device: guest
-/// handles equal device handles there, so the departure snapshot is the
-/// identity over the handles the journal says are still live.
-pub fn journal_live_identity(journal: &VpJournal) -> HandleMap {
-    let mut map = HandleMap::new();
-    for entry in journal.entries() {
-        match (&entry.request, &entry.response) {
-            (Request::Malloc { .. }, Response::Malloc { handle }) => map.insert(*handle, *handle),
-            (Request::Free { handle }, Response::Done) => map.remove(*handle),
-            _ => {}
-        }
-    }
-    map
-}
-
-/// What one [`Residency::relocate`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one [`Residency::relocate`] did. The two handle lists are device
+/// buffers the VP no longer names; the owner frees them so that a move leaves
+/// nothing behind.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relocation {
     /// Journal entries the move had to reconstruct on the target.
     pub replayed: usize,
-    /// The VP had lived on the target before and re-adopted the buffers it
-    /// left there instead of allocating them again.
-    pub reused: bool,
     /// The target rejected part of the replay: the VP keeps running with an
     /// empty map and requests naming lost handles surface as guest errors.
     pub failed: bool,
+    /// Device handles of the buffers the VP held on the placement it left:
+    /// to be freed there if that placement is still in service.
+    pub departed: Vec<u64>,
+    /// Device handles a rejected replay had already allocated on the target:
+    /// to be freed there.
+    pub stranded: Vec<u64>,
 }
 
 /// One VP's device state as the guest sees it, independent of where it
-/// currently lives: the journal that can rebuild it, the guest→device handle
-/// translation of its current placement, and the maps it left behind on
-/// placements it moved away from.
+/// currently lives: the journal that can rebuild it and the guest→device
+/// handle translation of its current placement — the only placement that
+/// holds any of it.
 ///
 /// A *placement* is whatever the owner moves VPs between — a host GPU inside
 /// one session (the dispatch core's instance) or a whole session (the fleet
-/// front's instance); the type only needs its index.
+/// front's instance).
 #[derive(Debug, Clone, Default)]
 pub struct Residency {
     journal: VpJournal,
     /// Present once the VP has moved at least once; before that guest handles
     /// *are* device handles.
     map: Option<HandleMap>,
-    /// Live maps left behind on departed placements, re-adopted on return
-    /// (DESIGN.md §12 — without them every A→B→A doubles the footprint).
-    visited: HashMap<usize, HandleMap>,
 }
 
 impl Residency {
@@ -518,24 +405,24 @@ impl Residency {
         self.journal.record(seq, request, response);
     }
 
-    /// Move the VP from placement `from` to `to`: stash the map it leaves
-    /// behind, rebuild its state on `to` by replaying the journal through
-    /// `process` (re-adopting buffers retained from an earlier stay), and
-    /// install the resulting translation. Infallible by design — a rejected
-    /// replay is reported in [`Relocation::failed`] and leaves an empty map.
-    pub fn relocate(
-        &mut self,
-        from: usize,
-        to: usize,
-        process: impl FnMut(u64, &Request) -> Response,
-    ) -> Relocation {
-        let departing = self.map.take().unwrap_or_else(|| journal_live_identity(&self.journal));
-        let retained = self.visited.remove(&to);
-        let rebuilt = replay(&self.journal, retained.as_ref(), process);
-        self.visited.insert(from, departing);
-        let failed = rebuilt.is_err();
-        self.map = Some(rebuilt.unwrap_or_default());
-        Relocation { replayed: self.journal.len(), reused: retained.is_some(), failed }
+    /// Move the VP to another placement: rebuild its state there by replaying
+    /// the journal through `process`, install the resulting translation, and
+    /// report the buffers of the placement it left ([`Relocation::departed`]).
+    /// Infallible by design — a rejected replay is reported in
+    /// [`Relocation::failed`], hands back what it had allocated
+    /// ([`Relocation::stranded`]) and leaves an empty map.
+    pub fn relocate(&mut self, process: impl FnMut(u64, &Request) -> Response) -> Relocation {
+        let departed = match self.map.take() {
+            Some(map) => map.device_handles(),
+            // Never moved: guest handles are device handles.
+            None => self.journal.live.clone(),
+        };
+        let mut rebuilt = HandleMap::new();
+        let failed = replay_into(&self.journal, &mut rebuilt, process).is_err();
+        let stranded =
+            if failed { std::mem::take(&mut rebuilt).device_handles() } else { Vec::new() };
+        self.map = Some(rebuilt);
+        Relocation { replayed: self.journal.len(), failed, departed, stranded }
     }
 }
 
@@ -554,59 +441,8 @@ mod tests {
         assert!(b.record_failure(), "third consecutive failure trips");
         assert!(b.is_open());
         assert!(!b.record_failure(), "trip edge reported once");
-    }
-
-    #[test]
-    fn breaker_without_cooldown_latches_open_forever() {
-        let mut b = CircuitBreaker::new(1);
-        assert!(b.allow_at(0.0), "closed breaker admits requests");
-        assert!(b.record_failure_at(1.0));
-        assert_eq!(b.state(), BreakerState::Open);
-        for t in [1.0, 100.0, 1e9] {
-            assert!(!b.allow_at(t), "no cooldown: open latches at t={t}");
-        }
         b.record_success();
-        assert!(b.is_open(), "success while open is ignored");
-    }
-
-    #[test]
-    fn half_open_probe_success_closes_the_breaker() {
-        let mut b = CircuitBreaker::new(2).with_cooldown(5.0);
-        assert!(!b.record_failure_at(0.0));
-        assert!(b.record_failure_at(1.0), "threshold trips");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow_at(5.9), "cooldown runs from the trip instant");
-        assert!(b.allow_at(6.0), "cooldown elapsed: one probe admitted");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.is_open(), "half-open is probing, not down");
-        assert!(!b.allow_at(6.1), "only a single probe until it resolves");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow_at(6.2), "closed again: the device rejoined");
-        assert!(!b.record_failure_at(7.0), "failure count restarted on close");
-    }
-
-    #[test]
-    fn half_open_probe_failure_retrips_and_rearms_the_cooldown() {
-        let mut b = CircuitBreaker::new(1).with_cooldown(2.0);
-        assert!(b.record_failure_at(0.0));
-        assert!(b.allow_at(2.0), "first probe");
-        assert!(b.record_failure_at(2.5), "probe failure is a fresh trip edge");
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow_at(4.0), "cooldown restarted from the re-trip");
-        assert!(b.allow_at(4.5), "second probe after the new cooldown");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn trip_at_arms_the_cooldown_from_the_given_instant() {
-        let mut b = CircuitBreaker::new(3).with_cooldown(1.0);
-        b.trip_at(10.0);
-        assert!(b.is_open());
-        assert!(!b.allow_at(10.5));
-        assert!(b.allow_at(11.0));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.state(), BreakerState::Open, "an open breaker latches");
     }
 
     #[test]
@@ -684,91 +520,91 @@ mod tests {
     }
 
     #[test]
-    fn reusing_replay_skips_retained_mallocs_but_restores_data() {
-        let mut j = VpJournal::default();
-        j.record(4, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 7 });
-        j.record(5, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 8 });
-        j.record(
-            105,
-            &Request::MemcpyH2D { handle: 7, data: b"abcd".to_vec(), stream: 0 },
-            &Response::Done,
-        );
-        // Guest 7 still has its original buffer on this device; guest 8 was
-        // allocated during a later residency elsewhere.
-        let mut retained = HandleMap::new();
-        retained.insert(7, 7);
-
-        let mut mallocs = 0u32;
-        let mut seen = Vec::new();
-        let map = replay(&j, Some(&retained), |_seq, req| {
-            seen.push(req.clone());
-            match req {
-                Request::Malloc { .. } => {
-                    mallocs += 1;
-                    Response::Malloc { handle: 40 + u64::from(mallocs) }
-                }
-                _ => Response::Done,
-            }
-        })
-        .expect("replay succeeds");
-
-        assert_eq!(mallocs, 1, "the retained buffer is not allocated again");
-        assert_eq!(map.device_of(7), Some(7), "guest 7 reuses its old buffer");
-        assert_eq!(map.device_of(8), Some(41), "guest 8 gets a fresh one");
-        match &seen[1] {
-            Request::MemcpyH2D { handle, .. } => {
-                assert_eq!(*handle, 7, "data restored into the reused buffer");
-            }
-            other => panic!("unexpected replayed request {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reusing_replay_frees_buffers_freed_while_away() {
-        let mut j = VpJournal::default();
-        j.record(6, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 7 });
-        j.record(0, &Request::Free { handle: 7 }, &Response::Done);
-        let mut retained = HandleMap::new();
-        retained.insert(7, 7);
-
-        let mut freed = Vec::new();
-        let map = replay(&j, Some(&retained), |_seq, req| {
-            if let Request::Free { handle } = req {
-                freed.push(*handle);
-            }
-            Response::Done
-        })
-        .expect("replay succeeds");
-        assert_eq!(freed, vec![7], "the free issued while away lands here");
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn journal_identity_tracks_live_handles() {
+    fn journal_forgets_when_the_last_live_buffer_is_freed() {
+        let upload = |handle| Request::MemcpyH2D { handle, data: b"abcd".to_vec(), stream: 0 };
         let mut j = VpJournal::default();
         j.record(1, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 3 });
         j.record(2, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 4 });
-        j.record(3, &Request::Free { handle: 3 }, &Response::Done);
-        let map = journal_live_identity(&j);
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.device_of(4), Some(4));
-        assert_eq!(map.device_of(3), None, "freed handles are not retained");
+        j.record(3, &upload(3), &Response::Done);
+        j.record(4, &Request::Free { handle: 3 }, &Response::Done);
+        assert_eq!(j.len(), 4, "buffer 4 is live: the whole history stays");
+        j.record(5, &Request::Free { handle: 4 }, &Response::Done);
+        assert!(j.is_empty(), "no live buffer, nothing a replay could rebuild");
+        j.record(6, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 5 });
+        j.record(7, &upload(5), &Response::Done);
+        assert_eq!(j.len(), 2, "the next epoch starts from scratch");
     }
 
     #[test]
-    fn residency_round_trip_reuses_and_keeps_guest_handles_stable() {
-        // A fake placement: hands out device handles from `next`, counts mallocs.
-        fn placement(next: &mut u64) -> impl FnMut(u64, &Request) -> Response + '_ {
-            move |_, req| match req {
-                Request::Malloc { .. } => {
-                    *next += 1;
-                    Response::Malloc { handle: *next }
-                }
+    fn replay_covers_only_the_current_live_epoch() {
+        let upload =
+            |handle, data: &[u8]| Request::MemcpyH2D { handle, data: data.into(), stream: 0 };
+        let mut j = VpJournal::default();
+        j.record(4, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 7 });
+        j.record(5, &upload(7, b"old!"), &Response::Done);
+        j.record(6, &Request::Free { handle: 7 }, &Response::Done);
+        j.record(7, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 8 });
+        j.record(8, &upload(8, b"abcd"), &Response::Done);
+
+        let mut seen = Vec::new();
+        let map = replay_journal(&j, |seq, req| {
+            seen.push((seq, req.clone()));
+            match req {
+                Request::Malloc { .. } => Response::Malloc { handle: 41 },
                 _ => Response::Done,
             }
+        })
+        .expect("replay succeeds");
+        assert_eq!(
+            seen,
+            [(7, Request::Malloc { bytes: 16 }), (8, upload(41, b"abcd"))],
+            "the freed epoch is not re-executed"
+        );
+        assert_eq!(map.len(), 1);
+        assert_eq!(map.device_of(8), Some(41));
+    }
+
+    #[test]
+    fn a_free_inside_a_live_epoch_is_replayed_and_unmapped() {
+        let mut j = VpJournal::default();
+        j.record(6, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 7 });
+        j.record(7, &Request::Malloc { bytes: 16 }, &Response::Malloc { handle: 8 });
+        j.record(8, &Request::Free { handle: 7 }, &Response::Done);
+
+        let (mut next, mut freed) = (40u64, Vec::new());
+        let map = replay_journal(&j, |_seq, req| match req {
+            Request::Malloc { .. } => {
+                next += 1;
+                Response::Malloc { handle: next }
+            }
+            Request::Free { handle } => {
+                freed.push(*handle);
+                Response::Done
+            }
+            _ => Response::Done,
+        })
+        .expect("replay succeeds");
+        assert_eq!(freed, [41], "the free lands on the buffer the replay allocated for 7");
+        assert_eq!(map.device_of(7), None);
+        assert_eq!(map.device_of(8), Some(42));
+    }
+
+    /// A fake placement: hands out device handles from `next` upwards.
+    fn placement(next: &mut u64) -> impl FnMut(u64, &Request) -> Response + '_ {
+        move |_, req| match req {
+            Request::Malloc { .. } => {
+                *next += 1;
+                Response::Malloc { handle: *next }
+            }
+            _ => Response::Done,
         }
+    }
+
+    #[test]
+    fn residency_round_trip_keeps_guest_handles_stable_and_reports_what_it_left() {
         let mut r = Residency::default();
         let malloc = Request::Malloc { bytes: 16 };
+        let free = |handle| Request::Free { handle };
         // At home guest handles are device handles and requests pass through.
         assert!(matches!(r.translate(&malloc), Ok(Cow::Borrowed(_))));
         let mut response = Response::Malloc { handle: 7 };
@@ -776,32 +612,67 @@ mod tests {
         assert_eq!(response, Response::Malloc { handle: 7 }, "no map, no virtualisation");
 
         let (mut on_b, mut on_a) = (40u64, 90u64);
-        let away = r.relocate(0, 1, placement(&mut on_b));
-        assert_eq!(away, Relocation { replayed: 1, reused: false, failed: false });
-        assert_eq!(
-            r.translate(&Request::Free { handle: 7 }).unwrap().into_owned(),
-            Request::Free { handle: 41 }
-        );
+        let away = r.relocate(placement(&mut on_b));
+        assert_eq!((away.replayed, away.failed), (1, false));
+        assert_eq!(away.departed, [7], "home keeps nothing: its buffer is the owner's to free");
+        assert_eq!(r.translate(&free(7)).unwrap().into_owned(), free(41));
         // Allocations made while away get virtual guest handles.
         let mut fresh = Response::Malloc { handle: 42 };
         r.settle(1, &malloc, &mut fresh);
         let Response::Malloc { handle: virt } = fresh else { panic!() };
         assert!(virt >= 1 << 32);
-        assert!(r.translate(&Request::Free { handle: 99 }).is_err(), "unknown handle is typed");
+        assert!(r.translate(&free(99)).is_err(), "unknown handle is typed");
 
-        // Returning home re-adopts buffer 7 and only allocates the new one.
-        let back = r.relocate(1, 0, placement(&mut on_a));
-        assert_eq!(back, Relocation { replayed: 2, reused: true, failed: false });
-        assert_eq!(on_a, 91, "one malloc replayed at home, not two");
+        // Returning home is one more ordinary move: both buffers are
+        // allocated afresh and both of B's are handed back.
+        let back = r.relocate(placement(&mut on_a));
+        assert_eq!((back.replayed, back.failed), (2, false));
+        assert_eq!(back.departed, [41, 42]);
+        assert_eq!(r.translate(&free(7)).unwrap().into_owned(), free(91));
+        assert_eq!(r.translate(&free(virt)).unwrap().into_owned(), free(92));
+
+        // Once the guest has freed everything a move replays nothing.
+        for (seq, handle) in [(2, 7), (3, virt)] {
+            r.settle(seq, &free(handle), &mut Response::Done);
+        }
+        let idle = r.relocate(placement(&mut on_b));
         assert_eq!(
-            r.translate(&Request::Free { handle: 7 }).unwrap().into_owned(),
-            Request::Free { handle: 7 }
+            idle,
+            Relocation { replayed: 0, failed: false, departed: vec![], stranded: vec![] }
         );
+        assert_eq!(on_b, 41, "nothing was allocated for an empty journal");
+    }
 
-        // A rejected replay leaves an empty map instead of failing the move.
-        let lost = r.relocate(0, 2, |_, _| Response::Error { message: "oom".into() });
+    #[test]
+    fn rejected_replay_hands_back_what_it_allocated() {
+        let mut r = Residency::default();
+        for (seq, handle) in [(0, 7), (1, 8), (2, 9)] {
+            r.settle(seq, &Request::Malloc { bytes: 16 }, &mut Response::Malloc { handle });
+        }
+        // A placement with room for two buffers: the third entry is rejected.
+        let mut live: Vec<u64> = Vec::new();
+        let (mut mallocs, mut frees) = (0u32, 0u32);
+        let lost = r.relocate(|_, req| match req {
+            Request::Malloc { .. } if live.len() == 2 => Response::Error { message: "oom".into() },
+            Request::Malloc { .. } => {
+                mallocs += 1;
+                live.push(50 + u64::from(mallocs));
+                Response::Malloc { handle: 50 + u64::from(mallocs) }
+            }
+            _ => Response::Done,
+        });
         assert!(lost.failed);
-        assert!(r.translate(&Request::Free { handle: 7 }).is_err());
+        assert_eq!(lost.departed, [7, 8, 9]);
+        // The owner frees what the partial replay left on the target.
+        for handle in &lost.stranded {
+            live.retain(|h| h != handle);
+            frees += 1;
+        }
+        assert_eq!((mallocs, frees), (2, 2), "mallocs issued == frees issued");
+        assert!(live.is_empty(), "a rejected replay leaks nothing on the target");
+        // The move itself does not fail: lost handles surface as typed errors.
+        let err = r.translate(&Request::Free { handle: 7 }).unwrap_err();
+        assert!(err.contains("no buffer on the VP's current placement"), "{err}");
     }
 
     #[test]

@@ -32,13 +32,6 @@ pub struct FleetConfig {
     /// jobs the rebalancer compares per-session submitted cost and plans
     /// migrations. `0` disables stealing.
     pub steal_interval: u64,
-    /// Steal trigger: rebalance when the hottest session's window cost exceeds
-    /// `steal_ratio` × the coolest session's. Must be > 1.
-    pub steal_ratio: f64,
-    /// Most VPs marked for migration per steal round.
-    pub max_steals_per_round: usize,
-    /// Virtual nodes per session on the consistent-hash placement ring.
-    pub vnodes: usize,
 }
 
 impl FleetConfig {
@@ -53,9 +46,6 @@ impl FleetConfig {
             workers: 1,
             admission_capacity: 1024,
             steal_interval: 64,
-            steal_ratio: 1.25,
-            max_steals_per_round: 2,
-            vnodes: 16,
         }
     }
 
@@ -88,12 +78,6 @@ impl FleetConfig {
         if self.admission_capacity == 0 {
             return Err(crate::FleetError::Config("admission capacity must be positive".into()));
         }
-        if self.steal_interval > 0 && self.steal_ratio <= 1.0 {
-            return Err(crate::FleetError::Config("steal ratio must exceed 1".into()));
-        }
-        if self.vnodes == 0 {
-            return Err(crate::FleetError::Config("need at least one vnode per session".into()));
-        }
         if self.policy.sync_hold && self.gpus_per_session > 1 {
             // A sync window may relocate a VP between its session's GPUs
             // inside the shard's core; the front's cross-session journal
@@ -121,9 +105,6 @@ mod tests {
         assert!(FleetConfig::new(4).validate().is_ok());
         assert!(FleetConfig::new(0).validate().is_err());
         assert!(FleetConfig::new(1).with_capacity(0).validate().is_err());
-        let mut bad = FleetConfig::new(2);
-        bad.steal_ratio = 0.5;
-        assert!(bad.validate().is_err());
         let mut held = FleetConfig::new(2).with_gpus_per_session(2);
         assert!(held.validate().is_ok());
         held.policy = held.policy.with_sync_hold(true);

@@ -23,16 +23,20 @@
 //!   VPs for migration to the coolest shard.
 //! * **Migration** — a marked VP moves at its next submit, when it provably
 //!   has no request in flight: its cross-session [`Residency`] replays the
-//!   journal into the target session and translates every subsequent request,
-//!   exactly like the core's single-session failover — generalized across
-//!   sessions. It stays synchronous under the front lock: handing the move to
-//!   the target shard's thread would make its arrival order, hence the
-//!   device's record order, timing-dependent.
+//!   journal — the VP's history since it last held no buffer, nothing for a
+//!   guest that has freed everything — into the target session, the buffers
+//!   it held on the source are freed there, and every subsequent request is
+//!   translated: exactly the core's single-session relocation
+//!   ([`relocate_between`]), generalized across sessions. A VP's device state
+//!   lives in one place. The move stays synchronous under the front lock:
+//!   handing it to the target shard's thread would make its arrival order,
+//!   hence the device's record order, timing-dependent.
 //! * **Supervision** — [`Fleet::kill_session`] retires a shard from the ring,
 //!   drains its queued and held jobs, and re-homes them (journal replay +
 //!   re-offer) onto survivors; VPs that were idle migrate lazily at their
-//!   next submit. With no survivors left, requests fail with
-//!   [`FleetError::NoSurvivingSessions`].
+//!   next submit. A dead session is never asked to free anything: what its
+//!   VPs held there stays until teardown. With no survivors left, requests
+//!   fail with [`FleetError::NoSurvivingSessions`].
 //!
 //! Lock order is `front → {shard inbox, session, host runtime}`; shard threads
 //! never hold a shard-side lock while taking the front lock, so the two sides
@@ -46,7 +50,7 @@ use std::thread::JoinHandle;
 use parking_lot::{Condvar, Mutex};
 
 use sigmavp::dispatch::{
-    holds_launch, replay_onto, DispatchCore, DispatchStats, Turn, STALL_WALL_BACKSTOP,
+    holds_launch, relocate_between, DispatchCore, DispatchStats, Turn, STALL_WALL_BACKSTOP,
 };
 use sigmavp::{ExecutionSession, SessionOutcome, VpQueueWait};
 use sigmavp_fault::Residency;
@@ -83,9 +87,6 @@ pub struct FleetStats {
     pub migrations: u64,
     /// Journal replays the target session rejected.
     pub replay_failures: u64,
-    /// Migrations that returned a VP to a session it had lived on before and
-    /// reused the buffers it left there (DESIGN.md §12).
-    pub reuse_migrations: u64,
     /// Sessions killed ([`Fleet::kill_session`]).
     pub session_trips: u64,
     /// Queued jobs re-homed from a dead session onto survivors.
@@ -401,6 +402,16 @@ fn request_cost(arch: &GpuArch, request: &Request) -> f64 {
     }
 }
 
+/// Virtual nodes per session on the consistent-hash placement ring.
+const RING_VNODES: usize = 16;
+
+/// Steal trigger: rebalance when the hottest session's window cost exceeds
+/// this many times the coolest session's.
+const STEAL_RATIO: f64 = 1.25;
+
+/// Most VPs marked for migration per steal round.
+const MAX_STEALS_PER_ROUND: usize = 2;
+
 /// The sharded multi-session front-end. See the module docs for the design.
 #[derive(Debug)]
 pub struct Fleet {
@@ -440,7 +451,7 @@ impl Fleet {
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
                 vps: HashMap::new(),
-                ring: HashRing::new(config.sessions, config.vnodes),
+                ring: HashRing::new(config.sessions, RING_VNODES),
                 alive: vec![true; config.sessions],
                 depth: 0,
                 admitted_in_window: 0,
@@ -484,8 +495,9 @@ impl Fleet {
         self.front.state.lock().depth
     }
 
-    /// Device buffers currently allocated per session (leak accounting for
-    /// the DESIGN.md §12 re-migration fix).
+    /// Device buffers currently allocated per session. A VP's buffers live on
+    /// its current session only (DESIGN.md §12), so once every guest has freed
+    /// what it allocated, every live session reads zero.
     pub fn live_buffers(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.session.lock().live_buffers()).collect()
     }
@@ -908,25 +920,29 @@ impl Fleet {
         FleetOutcome { sessions, stats }
     }
 
-    /// Replay `vp`'s journal into `target`'s session and switch its placement.
-    /// Caller holds the front lock and guarantees nothing is in flight for
-    /// `vp`. Infallible: a rejected replay leaves the VP with an empty handle
-    /// map (subsequent requests fail with typed per-request errors) and is
-    /// counted in `replay_failures`.
+    /// Move `vp`'s device state into `target`'s session and switch its
+    /// placement: its journal replays there and, when the source session is
+    /// still alive, the buffers it held on the source are freed — a move
+    /// leaves nothing behind. Caller holds the front lock and guarantees
+    /// nothing is in flight for `vp`. Infallible: a rejected replay leaves the
+    /// VP with an empty handle map (subsequent requests fail with typed
+    /// per-request errors) and is counted in `replay_failures`.
     fn migrate_locked(&self, state: &mut FrontState, vp: VpId, target: usize) {
         let rec = recorder();
         let st = state.vps.get_mut(&vp).expect("migrating an admitted vp");
         debug_assert!(!st.outstanding, "migration requires an idle vp");
         let source = st.shard;
-        let runtime = {
-            let mut session = self.shards[target].session.lock();
+        let runtime_on = |shard: usize| {
+            let mut session = self.shards[shard].session.lock();
             let device = session.assign(vp);
             session.runtime(device)
         };
-        let moved = st.residency.relocate(
-            source,
-            target,
-            replay_onto(&mut runtime.lock(), vp, &format!("s{target}")),
+        let moved = relocate_between(
+            &mut st.residency,
+            vp,
+            state.alive[source].then(|| runtime_on(source)).as_deref(),
+            &runtime_on(target),
+            &format!("s{target}"),
         );
         st.shard = target;
         // Move the VP's quorum slot with it; a window on the source that was
@@ -948,19 +964,17 @@ impl Fleet {
                 job_uid(vp.0, st.next_seq),
             );
         }
-        if moved.reused {
-            state.stats.reuse_migrations += 1;
-            rec.count("fleet.reuse_migrations", 1);
-        }
         if moved.failed {
             state.stats.replay_failures += 1;
             rec.count("fleet.replay_failures", 1);
+        } else {
+            rec.count("fleet.replayed_jobs", moved.replayed as u64);
         }
         state.stats.migrations += 1;
         rec.count("fleet.migrations", 1);
     }
 
-    /// Plan up to `max_steals_per_round` migrations from the hottest alive
+    /// Plan up to [`MAX_STEALS_PER_ROUND`] migrations from the hottest alive
     /// shard to the coolest, by submitted cost over the closing window.
     /// Deterministic: costs are pure functions of the admitted requests, and
     /// every tie breaks on the lowest index.
@@ -980,9 +994,7 @@ impl Fleet {
             }
         }
         if let (Some(hot), Some(cool)) = (hottest, coolest) {
-            if hot != cool
-                && state.window_cost[hot] > self.config.steal_ratio * state.window_cost[cool]
-            {
+            if hot != cool && state.window_cost[hot] > STEAL_RATIO * state.window_cost[cool] {
                 let mut candidates: Vec<(VpId, f64)> = state
                     .window_cost_by_vp
                     .iter()
@@ -999,7 +1011,7 @@ impl Fleet {
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.0 .0.cmp(&b.0 .0))
                 });
-                for (vp, _) in candidates.into_iter().take(self.config.max_steals_per_round) {
+                for (vp, _) in candidates.into_iter().take(MAX_STEALS_PER_ROUND) {
                     state.vps.get_mut(&vp).expect("candidate is admitted").pending_target =
                         Some(cool);
                     state.stats.steals += 1;

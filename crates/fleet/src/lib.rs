@@ -8,8 +8,9 @@
 //! the single-session runtime runs — behind one front door that provides:
 //!
 //! * **consistent-hash placement** plus a **work-stealing rebalancer** that
-//!   migrates whole VPs between sessions (journal replay + handle
-//!   translation, the PR 4 failover machinery generalized across sessions);
+//!   migrates whole VPs between sessions (replay of the live journal, free on
+//!   the source, handle translation — the core's relocation path generalized
+//!   across sessions, so a VP's buffers only ever live on one session);
 //! * a **bounded admission queue with backpressure** — saturation sheds work
 //!   with a typed [`FleetError::Saturated`] instead of buffering without
 //!   bound;

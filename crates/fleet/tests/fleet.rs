@@ -83,23 +83,30 @@ fn scripts_complete_end_to_end_across_sessions() {
     assert!(outcome.p99_queue_wait_s() >= 0.0);
 }
 
+/// Skewed load: even VPs run 6 launches, odd VPs run 1, so whichever shard
+/// the ring loads more heavily stays hot until steals spread it. Returns the
+/// fleet *before* shutdown, every script's last request (its third free)
+/// submitted but not yet collected.
+fn skewed_stealing_drive() -> (Fleet, u64) {
+    let config = FleetConfig::new(2).with_steal_interval(16);
+    let fleet = Fleet::new(config, registry()).expect("fleet builds");
+    let mut scripts: Vec<(VpId, VpScript)> = (0..16u32)
+        .map(|vp| {
+            let launches = if vp % 2 == 0 { 6 } else { 1 };
+            (VpId(vp), VpScript::vector_add(4096, launches, 2000 + vp as u64))
+        })
+        .collect();
+    for (vp, _) in &scripts {
+        fleet.admit(*vp).unwrap();
+    }
+    let submitted = drive(&fleet, &mut scripts).expect("every script validates");
+    (fleet, submitted)
+}
+
 #[test]
 fn work_stealing_rebalances_and_counters_are_deterministic() {
     let run = || {
-        let config = FleetConfig::new(2).with_steal_interval(16);
-        let fleet = Fleet::new(config, registry()).expect("fleet builds");
-        // Skewed load: even VPs run 6 launches, odd VPs run 1, so whichever
-        // shard the ring loads more heavily stays hot until steals spread it.
-        let mut scripts: Vec<(VpId, VpScript)> = (0..16u32)
-            .map(|vp| {
-                let launches = if vp % 2 == 0 { 6 } else { 1 };
-                (VpId(vp), VpScript::vector_add(4096, launches, 2000 + vp as u64))
-            })
-            .collect();
-        for (vp, _) in &scripts {
-            fleet.admit(*vp).unwrap();
-        }
-        let submitted = drive(&fleet, &mut scripts).expect("every script validates");
+        let (fleet, submitted) = skewed_stealing_drive();
         let outcome = fleet.shutdown();
         assert_eq!(outcome.stats.completed, submitted);
         // The simulated p99 queue wait is the no-starvation quantity: it is
@@ -115,10 +122,24 @@ fn work_stealing_rebalances_and_counters_are_deterministic() {
 }
 
 #[test]
-fn remigration_reuses_original_buffers() {
-    // DESIGN.md §12: an A→B→A round trip must not leave two copies of the
-    // VP's buffers on A — the return replay reuses the allocations the VP
-    // left behind instead of allocating them again.
+fn stealing_drive_returns_every_session_to_zero_buffers() {
+    // Every guest has freed everything it allocated; stolen VPs moved while
+    // holding buffers. No session may still hold a copy of any of them.
+    let (fleet, _) = skewed_stealing_drive();
+    for vp in 0..16 {
+        let (last, _) = fleet.wait(VpId(vp)).expect("the final free is outstanding");
+        assert_eq!(last.body, Response::Done);
+    }
+    assert!(fleet.stats().migrations > 0, "the drive migrated: {:?}", fleet.stats());
+    assert_eq!(fleet.live_buffers(), [0, 0], "a move leaves nothing on its source");
+    fleet.shutdown();
+}
+
+#[test]
+fn remigration_leaves_nothing_behind() {
+    // DESIGN.md §12: a VP's buffers live on its current session only. Every
+    // move frees what the VP held on the session it leaves, so an A→B→A round
+    // trip is two ordinary moves and no session accumulates copies.
     let fleet = Fleet::new(FleetConfig::new(2), registry()).expect("fleet builds");
     let vp = VpId(3);
     let home = fleet.admit(vp).unwrap();
@@ -140,37 +161,31 @@ fn remigration_reuses_original_buffers() {
 
     fleet.migrate(vp, away).expect("idle vp migrates away");
     assert_eq!(fleet.live_buffers()[away], 1, "replay re-created the buffer on B");
+    assert_eq!(fleet.live_buffers()[home], 0, "and the move freed the one on A");
     // Overwrite the data while away so the return replay provably restores
-    // the *current* contents into the reused buffer, not the stale ones.
+    // the *current* contents, not the ones A last saw.
     let fresh: Vec<u8> = (100u8..116).collect();
     assert!(matches!(
         roundtrip(Request::MemcpyH2D { handle, data: fresh.clone(), stream: 0 }),
         Response::Done
     ));
 
+    // Two full round trips: the footprint is one buffer, wherever the VP is.
     fleet.migrate(vp, home).expect("idle vp migrates back");
-    assert_eq!(
-        fleet.live_buffers()[home],
-        1,
-        "the return replay reuses the original allocation instead of leaking it"
-    );
-    assert_eq!(fleet.stats().reuse_migrations, 1);
+    fleet.migrate(vp, away).expect("second hop away");
+    fleet.migrate(vp, home).expect("second hop back");
+    assert_eq!(fleet.live_buffers()[away], 0);
+    assert_eq!(fleet.live_buffers()[home], 1);
+    assert_eq!(fleet.stats().migrations, 4);
 
     let Response::Data { data } = roundtrip(Request::MemcpyD2H { handle, len: 16, stream: 0 })
     else {
         panic!("read-back failed after re-migration")
     };
-    assert_eq!(data, fresh, "reused buffer holds the data written while away");
-
-    // A second bounce keeps the footprint stable on both sessions.
-    fleet.migrate(vp, away).expect("second hop away");
-    fleet.migrate(vp, home).expect("second hop back");
-    assert_eq!(fleet.live_buffers()[home], 1);
-    assert_eq!(fleet.live_buffers()[away], 1);
-    assert_eq!(fleet.stats().reuse_migrations, 3, "both returns and the away hop reused");
+    assert_eq!(data, fresh, "data written while away reads back at home");
 
     assert!(matches!(roundtrip(Request::Free { handle }), Response::Done));
-    assert_eq!(fleet.live_buffers()[home], 0, "the reused buffer frees cleanly");
+    assert_eq!(fleet.live_buffers(), [0, 0]);
     fleet.shutdown();
 }
 

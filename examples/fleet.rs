@@ -11,6 +11,8 @@ use sigmavp_workloads::app::Application;
 use sigmavp_workloads::apps::VectorAddApp;
 
 fn main() {
+    // What the moves cost (`fleet.replayed_jobs`) is a telemetry counter.
+    let telemetry = sigmavp_telemetry::install();
     let registry: KernelRegistry = VectorAddApp { n: 256 }.kernels().into_iter().collect();
     let config = FleetConfig::new(2).with_steal_interval(32).with_capacity(64);
     let fleet = Fleet::new(config, registry).expect("fleet builds");
@@ -34,12 +36,13 @@ fn main() {
     let outcome = fleet.shutdown();
     println!(
         "submitted {submitted} jobs over {} sessions: completed={} shed={} steals={} \
-         migrations={} rescued={} trips={}",
+         migrations={} replayed={} rescued={} trips={}",
         outcome.sessions.len(),
         outcome.stats.completed,
         outcome.stats.shed,
         outcome.stats.steals,
         outcome.stats.migrations,
+        telemetry.snapshot().counter("fleet.replayed_jobs").unwrap_or(0),
         outcome.stats.rescued_jobs,
         outcome.stats.session_trips,
     );
