@@ -26,6 +26,12 @@ step "cargo bench --no-run" cargo bench --workspace --no-run
 
 step "cargo test" cargo test -q --workspace
 
+# The interpreter differentials again with a wider search. Seeds derive from
+# the test names, so these are the same 1024 cases on every run.
+step "sptx differentials x1024 (warp vs scalar, workers N vs 1, optimised vs not)" \
+  env PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx \
+  --test warp_differential --test parallel_differential --test opt_differential
+
 step "audit: model residuals + same-seed ledgers, counts exact (results/baselines/audit.json)" \
   cargo run --release -p sigmavp-bench --bin audit -- --check
 

@@ -7,7 +7,10 @@
 //! * **No shrinking** — a failing case reports its inputs (via the assertion
 //!   message) but is not minimized.
 //! * **Deterministic seeding** — the RNG seed derives from the test's module
-//!   path and name, so failures reproduce exactly across runs.
+//!   path and name, so failures reproduce exactly across runs. `PROPTEST_CASES`
+//!   in the environment overrides every block's case count (a wider search
+//!   extends the same sequence: the first cases are the ones a default run
+//!   generates).
 //! * `&str` strategies support only the char-class regex subset actually used
 //!   (`[class]` items with optional `{min,max}` repetition).
 
@@ -34,6 +37,25 @@ pub mod test_runner {
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
         }
+
+        /// The number of cases a test actually runs: `PROPTEST_CASES` from the
+        /// environment when set, else the configured `cases`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `PROPTEST_CASES` is set but is not a whole number, so a
+        /// typo cannot quietly run the default search.
+        pub fn effective_cases(&self) -> u32 {
+            cases_from(std::env::var("PROPTEST_CASES").ok().as_deref(), self.cases)
+        }
+    }
+
+    pub(crate) fn cases_from(env: Option<&str>, configured: u32) -> u32 {
+        env.map_or(configured, |v| {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("PROPTEST_CASES must be a whole number, got {v:?}"))
+        })
     }
 
     /// A failed property assertion.
@@ -540,7 +562,8 @@ macro_rules! __proptest_fns {
             let mut rng = $crate::test_runner::TestRng::from_name(
                 concat!(module_path!(), "::", stringify!($name)),
             );
-            for case in 0..config.cases {
+            let cases = config.effective_cases();
+            for case in 0..cases {
                 let result = (|| -> ::core::result::Result<(), $crate::test_runner::TestCaseError> {
                     $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut rng);)+
                     $body
@@ -549,7 +572,7 @@ macro_rules! __proptest_fns {
                 if let ::core::result::Result::Err(e) = result {
                     panic!(
                         "proptest {} failed at case {}/{}: {}",
-                        stringify!($name), case, config.cases, e
+                        stringify!($name), case, cases, e
                     );
                 }
             }
@@ -572,6 +595,15 @@ mod tests {
             let f = Strategy::generate(&(-2.0f64..2.0), &mut rng);
             assert!((-2.0..2.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn proptest_cases_overrides_the_configured_count() {
+        use crate::test_runner::cases_from;
+        assert_eq!(cases_from(None, 64), 64);
+        assert_eq!(cases_from(Some("1024"), 64), 1024);
+        assert_eq!(cases_from(Some(" 8\n"), 64), 8);
+        assert!(std::panic::catch_unwind(|| cases_from(Some("lots"), 64)).is_err());
     }
 
     #[test]

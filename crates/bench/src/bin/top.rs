@@ -139,9 +139,11 @@ fn main() -> ExitCode {
     recorder.sample();
 
     // --- The dashboard. -------------------------------------------------------
+    let counter = |name: &str| view.metrics.counter(name).unwrap_or(0);
     println!(
         "sigmavp-top | {} session(s), {} vp(s) | depth {} | completed {} shed {} \
-         steals {} migrations {} replayed {}",
+         steals {} migrations {} replayed {} | scalar-fallback ctas {} \
+         (hazard {} fault {} budget {})",
         view.shards.len(),
         args.vps,
         view.depth,
@@ -149,7 +151,11 @@ fn main() -> ExitCode {
         outcome.stats.shed,
         outcome.stats.steals,
         outcome.stats.migrations,
-        view.metrics.counter("fleet.replayed_jobs").unwrap_or(0)
+        counter("fleet.replayed_jobs"),
+        counter("sptx.warp.fallback_ctas"),
+        counter("sptx.warp.fallback_ctas.hazard"),
+        counter("sptx.warp.fallback_ctas.fault"),
+        counter("sptx.warp.fallback_ctas.budget")
     );
     for shard in &view.shards {
         println!(

@@ -21,7 +21,8 @@ use sigmavp_workloads::app::{AppEnv, Application};
 ///
 /// # Panics
 ///
-/// Panics if the application fails (these are the suite's own validated apps).
+/// Panics if the application fails (these are the suite's own validated apps),
+/// or if it launched more kernels than the device's bounded log keeps.
 pub fn host_profiles(app: &dyn Application, arch: GpuArch) -> Vec<HardwareProfile> {
     let registry: KernelRegistry = app.kernels().into_iter().collect();
     let runtime = Arc::new(Mutex::new(HostRuntime::new(arch, registry)));
@@ -34,7 +35,9 @@ pub fn host_profiles(app: &dyn Application, arch: GpuArch) -> Vec<HardwareProfil
     let mut env = AppEnv::new(&mut vp, &mut gpu);
     app.run_once(&mut env).unwrap_or_else(|e| panic!("{} failed: {e}", app.name()));
     let rt = runtime.lock();
-    rt.device().profiler_log().to_vec()
+    let log = rt.device().profiler_log();
+    assert_eq!(log.len() as u64, rt.device().stats().launches, "the bounded log dropped a launch");
+    log.to_vec()
 }
 
 /// The launch that dominated the app's device time — the kernel the estimation
@@ -77,5 +80,16 @@ mod tests {
         let p = profile_from_hw(hw);
         assert_eq!(p.counts, hw.counts);
         assert_eq!(p.threads, hw.threads);
+    }
+
+    #[test]
+    fn every_suite_app_fits_the_profiler_log() {
+        // `host_profiles` itself asserts that nothing was dropped.
+        let longest = sigmavp_workloads::suite::fig11_suite(1)
+            .iter()
+            .map(|app| host_profiles(app.as_ref(), GpuArch::quadro_4000()).len())
+            .max()
+            .expect("the suite is not empty");
+        assert!(longest > 1 && longest <= sigmavp_gpu::device::PROFILER_LOG_CAP);
     }
 }

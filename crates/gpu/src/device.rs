@@ -22,6 +22,11 @@ use sigmavp_sptx::Tier;
 /// reproduction scale, small enough to allocate eagerly.
 pub const DEFAULT_SIM_MEMORY_BYTES: u64 = 64 * 1024 * 1024;
 
+/// Launches the profiler log keeps. Every reader wants the latest launch or one
+/// application run's worth; a long-lived device must not grow by a profile per
+/// launch forever.
+pub const PROFILER_LOG_CAP: usize = 1024;
+
 /// Result of one kernel launch: functional profile plus modeled cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRun {
@@ -105,7 +110,8 @@ impl GpuDevice {
         self.stats
     }
 
-    /// The launch log — one [`HardwareProfile`] per kernel launch, oldest first.
+    /// The launch log — one [`HardwareProfile`] per kernel launch, oldest first,
+    /// holding the most recent launches only (at most [`PROFILER_LOG_CAP`]).
     /// This is the interface the paper's Profile-Based Execution Analysis reads.
     pub fn profiler_log(&self) -> &[HardwareProfile] {
         &self.launches
@@ -197,6 +203,10 @@ impl GpuDevice {
         self.stats.launches += 1;
         self.stats.kernel_time_s += cost.time_s;
         self.stats.energy_j += cost.energy_j;
+        if self.launches.len() == PROFILER_LOG_CAP {
+            // Drop the older half in one move, so the log stays a slice.
+            self.launches.drain(..PROFILER_LOG_CAP / 2);
+        }
         self.launches.push(HardwareProfile::from_run(program.name(), *cfg, &profile, &cost));
         Ok(KernelRun { profile, cost })
     }
@@ -259,6 +269,28 @@ mod tests {
         assert_eq!(stats.bytes_copied, 2 * n * 4);
         assert_eq!(dev.profiler_log().len(), 1);
         assert_eq!(dev.profiler_log()[0].kernel, "scale");
+    }
+
+    #[test]
+    fn profiler_log_keeps_the_most_recent_launches_oldest_first() {
+        let mut dev = GpuDevice::new(GpuArch::quadro_4000());
+        let buf = dev.malloc(4 * 32).unwrap();
+        let kernel = scale_kernel();
+        // The n-th launch runs n % 32 + 1 threads, so a log entry names its launch.
+        let total = PROFILER_LOG_CAP + PROFILER_LOG_CAP / 2 + 7;
+        for n in 0..total {
+            let cfg = LaunchConfig::linear(1, n as u32 % 32 + 1);
+            dev.launch(&kernel, &cfg, &[ParamValue::Ptr(buf.addr())]).unwrap();
+            assert!(dev.profiler_log().len() <= PROFILER_LOG_CAP);
+        }
+        assert_eq!(dev.stats().launches, total as u64);
+        let log = dev.profiler_log();
+        // Two halvings so far; what is left is the tail of the launch sequence.
+        assert_eq!(log.len(), total - PROFILER_LOG_CAP);
+        let first = total - log.len();
+        for (i, hw) in log.iter().enumerate() {
+            assert_eq!(hw.launch.block_dim, (first + i) as u32 % 32 + 1);
+        }
     }
 
     #[test]

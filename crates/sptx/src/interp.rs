@@ -271,6 +271,21 @@ impl Value {
     }
 }
 
+/// A float `Bin`/`Mad` result with any NaN made the canonical quiet NaN. The
+/// hardware takes a NaN result's sign and payload from its *first* NaN
+/// operand and the compiler may commute `+` and `*`, so the separately
+/// compiled copies of this arithmetic (scalar engine, warp lane loops,
+/// constant folder) would otherwise disagree on bits a `st.f64` / `ld.i64`
+/// of one slot turns into an integer.
+#[inline(always)]
+pub(crate) fn canonical_nan(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NAN
+    } else {
+        v
+    }
+}
+
 /// The data space a thread's loads and stores resolve against.
 ///
 /// The sequential path executes directly on [`Memory`]; the block-parallel
@@ -284,20 +299,33 @@ pub(crate) trait DataSpace {
     fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError>;
     fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError>;
     fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError>;
-    /// Bounds-check a whole span at once; the warp tier uses this to validate
-    /// a coalesced access with one check instead of one per lane.
-    fn check_span(&self, addr: u64, len: u64) -> Result<(), SptxError>;
-    /// Reads for spans already validated by [`DataSpace::check_span`]. The
-    /// defaults fall back to the checked reads, so implementors only override
-    /// them when skipping the per-access check is worth it.
-    fn read_f32_unchecked(&self, addr: u64) -> f32 {
-        self.read_f32(addr).expect("span pre-checked")
+    /// Read `out.len() / width` consecutive `width`-byte elements (4 or 8)
+    /// starting at `addr`, as their little-endian bytes; the caller has
+    /// checked that the span's end does not overflow. The default is the
+    /// per-element checked reads; flat memories override it with one bounds
+    /// check and one copy, which is what a coalesced warp load pays.
+    fn read_span(&self, addr: u64, width: usize, out: &mut [u8]) -> Result<(), SptxError> {
+        for (i, chunk) in out.chunks_exact_mut(width).enumerate() {
+            let a = addr + (i * width) as u64;
+            match width {
+                4 => chunk.copy_from_slice(&self.read_f32(a)?.to_le_bytes()),
+                _ => chunk.copy_from_slice(&self.read_i64(a)?.to_le_bytes()),
+            }
+        }
+        Ok(())
     }
-    fn read_f64_unchecked(&self, addr: u64) -> f64 {
-        self.read_f64(addr).expect("span pre-checked")
-    }
-    fn read_i64_unchecked(&self, addr: u64) -> i64 {
-        self.read_i64(addr).expect("span pre-checked")
+    /// Write counterpart of [`DataSpace::read_span`]. The default issues the
+    /// same per-element writes, in the same order, as a lane loop would, so a
+    /// journaling space records exactly the entries it always did.
+    fn write_span(&mut self, addr: u64, width: usize, bytes: &[u8]) -> Result<(), SptxError> {
+        for (i, chunk) in bytes.chunks_exact(width).enumerate() {
+            let a = addr + (i * width) as u64;
+            match width {
+                4 => self.write_f32(a, f32::from_le_bytes(chunk.try_into().expect("width 4")))?,
+                _ => self.write_i64(a, i64::from_le_bytes(chunk.try_into().expect("width 8")))?,
+            }
+        }
+        Ok(())
     }
 }
 
@@ -320,20 +348,12 @@ impl DataSpace for Memory {
     fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
         Memory::write_i64(self, addr, v)
     }
-    fn check_span(&self, addr: u64, len: u64) -> Result<(), SptxError> {
-        self.check(addr, len).map(|_| ())
+    fn read_span(&self, addr: u64, _width: usize, out: &mut [u8]) -> Result<(), SptxError> {
+        out.copy_from_slice(self.read_slice(addr, out.len() as u64)?);
+        Ok(())
     }
-    fn read_f32_unchecked(&self, addr: u64) -> f32 {
-        let o = addr as usize;
-        f32::from_le_bytes(self.bytes[o..o + 4].try_into().expect("span pre-checked"))
-    }
-    fn read_f64_unchecked(&self, addr: u64) -> f64 {
-        let o = addr as usize;
-        f64::from_le_bytes(self.bytes[o..o + 8].try_into().expect("span pre-checked"))
-    }
-    fn read_i64_unchecked(&self, addr: u64) -> i64 {
-        let o = addr as usize;
-        i64::from_le_bytes(self.bytes[o..o + 8].try_into().expect("span pre-checked"))
+    fn write_span(&mut self, addr: u64, _width: usize, bytes: &[u8]) -> Result<(), SptxError> {
+        self.write_slice(addr, bytes)
     }
 }
 
@@ -601,10 +621,12 @@ impl Interpreter {
                 regs[dst.0 as usize] = match ty {
                     // GPU mad/fma fuses the multiply and add with a single
                     // rounding, like `f32::mul_add`.
-                    ScalarType::F32 => Value::F(
+                    ScalarType::F32 => Value::F(canonical_nan(
                         (av.as_f64() as f32).mul_add(bv.as_f64() as f32, cv.as_f64() as f32) as f64,
-                    ),
-                    ScalarType::F64 => Value::F(av.as_f64() * bv.as_f64() + cv.as_f64()),
+                    )),
+                    ScalarType::F64 => {
+                        Value::F(canonical_nan(av.as_f64() * bv.as_f64() + cv.as_f64()))
+                    }
                     ScalarType::I64 => {
                         Value::I(av.as_i64().wrapping_mul(bv.as_i64()).wrapping_add(cv.as_i64()))
                     }
@@ -754,7 +776,7 @@ pub(crate) fn eval_bin(
         (BinOp::Max, _) => x.max(y),
         (bw, _) => unreachable!("bitwise op {bw:?} handled above"),
     };
-    Ok(Value::F(v))
+    Ok(Value::F(canonical_nan(v)))
 }
 
 pub(crate) fn eval_un(op: UnaryOp, ty: ScalarType, a: Value) -> Value {

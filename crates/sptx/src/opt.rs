@@ -20,6 +20,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::error::SptxError;
+use crate::interp::canonical_nan;
 use crate::isa::{BinOp, Imm, Instr, Reg, ScalarType, UnaryOp};
 use crate::program::{BasicBlock, KernelProgram};
 use crate::validate::validate;
@@ -181,10 +182,10 @@ fn try_fold(instr: &Instr, known: &HashMap<Reg, Known>) -> Option<Instr> {
                 ScalarType::I64 => {
                     Imm::I(x.as_i64().wrapping_mul(y.as_i64()).wrapping_add(z.as_i64()))
                 }
-                ScalarType::F32 => {
-                    Imm::F((x.as_f64() as f32).mul_add(y.as_f64() as f32, z.as_f64() as f32) as f64)
-                }
-                ScalarType::F64 => Imm::F(x.as_f64() * y.as_f64() + z.as_f64()),
+                ScalarType::F32 => Imm::F(canonical_nan(
+                    (x.as_f64() as f32).mul_add(y.as_f64() as f32, z.as_f64() as f32) as f64,
+                )),
+                ScalarType::F64 => Imm::F(canonical_nan(x.as_f64() * y.as_f64() + z.as_f64())),
             };
             Some(Instr::MovImm { dst: *dst, imm })
         }
@@ -253,7 +254,7 @@ fn fold_binary(op: BinOp, ty: ScalarType, x: Known, y: Known) -> Option<Imm> {
         BinOp::Max => a.max(b),
         _ => return None,
     };
-    Some(Imm::F(if ty == ScalarType::F32 { v as f32 as f64 } else { v }))
+    Some(Imm::F(canonical_nan(if ty == ScalarType::F32 { v as f32 as f64 } else { v })))
 }
 
 /// Remove instructions whose destination register is dead at the point of

@@ -47,7 +47,7 @@ use crate::exec::WorkerPool;
 use crate::interp::{DataSpace, Interpreter, LaunchConfig, Memory, ParamValue, Value};
 use crate::isa::BlockId;
 use crate::program::KernelProgram;
-use crate::warp::{CtaCounters, CtaOutcome, WarpExec, WarpStats};
+use crate::warp::{CtaCounters, WarpExec, WarpStats};
 
 /// One journaled global-memory write: up to 8 little-endian bytes at `addr`.
 struct JournalEntry {
@@ -161,9 +161,6 @@ impl DataSpace for OverlayMem<'_> {
     fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
         self.write(addr, &v.to_le_bytes())
     }
-    fn check_span(&self, addr: u64, len: u64) -> Result<(), SptxError> {
-        self.base.check(addr, len).map(|_| ())
-    }
 }
 
 /// Outcome of one block's isolated execution.
@@ -175,6 +172,8 @@ struct BlockRecord {
     journal_start: usize,
     journal_len: usize,
     error: Option<SptxError>,
+    /// The block's `sptx.warp.*` contribution, summed by the merge walk.
+    stats: WarpStats,
 }
 
 /// Everything one pool participant accumulated across the blocks it claimed.
@@ -185,7 +184,6 @@ struct WorkerLog {
     segments: SegmentSet,
     journal: Vec<JournalEntry>,
     records: Vec<BlockRecord>,
-    stats: WarpStats,
 }
 
 impl WorkerLog {
@@ -197,7 +195,6 @@ impl WorkerLog {
             segments: SegmentSet::new(),
             journal: Vec::new(),
             records: Vec::new(),
-            stats: WarpStats::default(),
         }
     }
 }
@@ -241,6 +238,7 @@ pub(crate) fn run_parallel(
             let journal_start = log.journal.len();
             let mut executed = 0u64;
             let mut error = None;
+            let mut stats = WarpStats::default();
 
             // Warp-lockstep attempt first: a clean CTA leaves exactly the
             // journal, counters and instruction count the scalar loop below
@@ -265,7 +263,7 @@ pub(crate) fn run_parallel(
                     )
                 };
                 match outcome {
-                    CtaOutcome::Done => {
+                    Ok(()) => {
                         executed = cc.instrs;
                         for (a, b) in log.class_counts.iter_mut().zip(cc.class_counts) {
                             *a += b;
@@ -277,13 +275,13 @@ pub(crate) fn run_parallel(
                         log.trace.load_bytes += cc.trace.load_bytes;
                         log.trace.store_bytes += cc.trace.store_bytes;
                         log.segments.absorb(std::mem::take(&mut cc.segments));
-                        log.stats.merge_cta(cc);
+                        stats.merge_cta(cc);
                         lockstep_done = true;
                     }
-                    CtaOutcome::Abort => {
+                    Err(cause) => {
                         log.journal.truncate(journal_start);
                         slots.clear();
-                        log.stats.fallback_ctas += 1;
+                        stats.fallback_ctas[cause as usize] += 1;
                     }
                 }
             }
@@ -319,6 +317,7 @@ pub(crate) fn run_parallel(
                 journal_start,
                 journal_len: log.journal.len() - journal_start,
                 error,
+                stats,
             });
             if faulted {
                 min_error.fetch_min(ctaid, Ordering::AcqRel);
@@ -340,11 +339,16 @@ pub(crate) fn run_parallel(
         }
     }
 
+    // `sptx.warp.*` covers the blocks the walk reaches: on a failing launch
+    // those up to the fault, as sequentially, not what other workers ran past it.
+    let mut stats = WarpStats::default();
+    let mut failed = None;
     let mut cum = 0u64;
     for ctaid in 0..grid {
         let (s, i) = order[ctaid as usize].expect("blocks before the first fault always execute");
         let log = &logs[s as usize];
         let rec = &log.records[i as usize];
+        stats.absorb(&rec.stats);
         let fits = cum.saturating_add(rec.instrs) <= interp.budget;
         match (&rec.error, fits) {
             (None, true) => {
@@ -356,7 +360,8 @@ pub(crate) fn run_parallel(
                 // block's partial journal is exactly the sequential partial
                 // state.
                 replay(mem, &log.journal[rec.journal_start..rec.journal_start + rec.journal_len]);
-                return Err(e.clone());
+                failed = Some(e.clone());
+                break;
             }
             (_, false) => {
                 // The cumulative budget runs out somewhere inside this block:
@@ -364,7 +369,10 @@ pub(crate) fn run_parallel(
                 // with the cumulative count primed, reproducing the abort at
                 // the exact instruction with the exact partial writes.
                 match rerun_block(interp, program, cfg, params, mem, ctaid, cum) {
-                    Err(e) => return Err(e),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
                     // Unreachable for race-free programs; if a cross-block
                     // race made the parallel count an overestimate, keep the
                     // (authoritative) sequential outcome and continue.
@@ -373,6 +381,12 @@ pub(crate) fn run_parallel(
             }
         }
     }
+    if dec.is_some() {
+        stats.emit();
+    }
+    if let Some(e) = failed {
+        return Err(e);
+    }
 
     let mut class_counts = [0u64; 7];
     let mut block_iters = vec![0u64; program.blocks().len()];
@@ -380,9 +394,7 @@ pub(crate) fn run_parallel(
     let mut segments = SegmentSet::new();
     let mut journal_bytes = 0u64;
     let mut steals = 0u64;
-    let mut stats = WarpStats::default();
     for (s, log) in logs.into_iter().enumerate() {
-        stats.absorb(&log.stats);
         for (a, b) in class_counts.iter_mut().zip(log.class_counts) {
             *a += b;
         }
@@ -421,9 +433,6 @@ pub(crate) fn run_parallel(
         r.count("sptx.parallel.blocks", grid as u64);
         r.count("sptx.parallel.steals", steals);
         r.count("sptx.parallel.journal_bytes", journal_bytes);
-    }
-    if dec.is_some() {
-        stats.emit();
     }
     Ok(profile)
 }

@@ -1,14 +1,20 @@
 //! Stage 2 of the tiered interpreter: warp-lockstep execution.
 //!
 //! The warp tier runs all 32 threads of a warp in lockstep over the decoded
-//! op stream from [`crate::decode`]: registers live in SoA banks
-//! (`Vec<[Value; 32]>`), control flow uses a SIMT divergence stack with
-//! reconvergence at each branch's immediate post-dominator, and wide memory
-//! ops detect uniform/consecutive lane addresses so a coalesced access
-//! bounds-checks and touches the [`SegmentSet`] per segment instead of per
-//! lane. Dispatch, class accounting, and the budget check are paid once per
-//! op (or once per block) instead of once per lane, which is where the
-//! speedup over the scalar tier comes from.
+//! op stream from [`crate::decode`]. A register is a [`Row`]: 32 raw 64-bit
+//! lanes plus one bit per lane saying "this lane holds an `f64`". An op takes
+//! its operands through a float or integer *view* of the row (a bit-cast when
+//! every active lane already has the wanted type), computes **all 32 lanes**
+//! in a fixed-width loop the compiler vectorises, and writes back under the
+//! active mask. Inactive lanes are computed and discarded: none of the ops
+//! computed this way can fault, and the write-back never lets a discarded
+//! result reach a register. Ops that can fault or call libm keep a loop over
+//! the active lanes only. Control flow uses a SIMT divergence stack with
+//! reconvergence at each branch's immediate post-dominator; predicates are
+//! one `u32` per predicate register. Wide memory ops classify the lane
+//! addresses, so a coalesced access is one bounds check, one copy
+//! ([`DataSpace::read_span`] / [`DataSpace::write_span`]) and one
+//! [`SegmentSet`] insert per 128-byte segment instead of one of each per lane.
 //!
 //! # Byte-identity with the scalar tier
 //!
@@ -20,16 +26,27 @@
 //! * **Warps commit in tid order.** A CTA's warps run one after another
 //!   against the CTA's memory view, so any cross-warp dependence is exactly
 //!   sequential.
-//! * **Intra-warp hazards abort.** Every store records its 4-byte slots in a
-//!   per-warp map; a load or store touching a slot written by a *different*
-//!   lane aborts the CTA. (Same-lane program order is preserved by lockstep,
-//!   so own-slot traffic is exact.)
+//! * **Intra-warp hazards abort.** Every store records which lane owns each
+//!   4-byte slot it wrote; a load or store touching a slot owned by a
+//!   *different* lane aborts the CTA. (Same-lane program order is preserved
+//!   by lockstep, so own-slot traffic is exact.) A coalesced store — active
+//!   lanes consecutive, first address slot-aligned — is remembered as one
+//!   range, a lossless encoding of its slot→lane entries: a later access is
+//!   hazard-free without per-lane work when it misses every range or *is* a
+//!   recorded range's access (same first address, width and mask). On any
+//!   doubt the ranges are flushed into the per-slot map and the exact
+//!   per-lane check runs, so the set of CTAs that abort does not depend on
+//!   the encoding.
 //! * **Any abort falls back to the scalar tier for the whole CTA.** The
 //!   CTA's writes are rolled back, its counter deltas discarded, and the CTA
 //!   is re-run thread-by-thread via [`Interpreter::run_thread`] — so faults,
 //!   partial writes, and budget exhaustion land at the exact `(ctaid, tid)`
 //!   and instruction the scalar tier would produce. Lane faults, hazards,
-//!   and budget crossings all take this path.
+//!   and budget crossings all take this path, counted by cause ([`Abort`]).
+//! * **NaN results are canonical.** The lane loops are a second compiled copy
+//!   of the scalar engine's arithmetic, and which operand a NaN result takes
+//!   its sign and payload from is the compiler's choice in each. Both pass
+//!   float `Bin`/`Mad` results through [`canonical_nan`], so the bits agree.
 //! * **Counters are additive and order-insensitive.** Class counts and λ
 //!   block iterations advance by the active-lane count per op/visit, and the
 //!   memory trace by the active-lane count per access, so the aggregate
@@ -49,9 +66,10 @@ use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
 use crate::decode::{DOp, DTerm, DecodedProgram, EXIT, NO_INDEX};
 use crate::error::SptxError;
 use crate::interp::{
-    DataSpace, Interpreter, LaunchConfig, Memory, ParamValue, Value, MEMORY_SEGMENT_BYTES,
+    canonical_nan, DataSpace, Interpreter, LaunchConfig, Memory, ParamValue, Value,
+    MEMORY_SEGMENT_BYTES,
 };
-use crate::isa::{BlockId, InstrClass, ScalarType, Special};
+use crate::isa::{BinOp, BlockId, CmpOp, InstrClass, ScalarType, Special, UnaryOp};
 use crate::parallel::SlotHasher;
 use crate::program::KernelProgram;
 
@@ -59,6 +77,9 @@ use crate::program::KernelProgram;
 pub(crate) const WARP_WIDTH: usize = 32;
 
 const BRANCH_CLASS: usize = 4; // InstrClass::Branch.index(), asserted in tests
+
+/// One value per lane of a warp.
+type Lanes<T> = [T; WARP_WIDTH];
 
 /// Iterate the set lane indices of `mask`; the full-mask case takes the
 /// unmasked fixed loop, which the compiler unrolls.
@@ -77,6 +98,159 @@ macro_rules! for_lanes {
             }
         }
     };
+}
+
+/// `f` over every lane of one or two operands. A zipped loop over fixed-width
+/// arrays is the shape the compiler turns into straight vector code.
+#[inline(always)]
+fn map1<A: Copy, R: Copy + Default>(a: &Lanes<A>, f: impl Fn(A) -> R) -> Lanes<R> {
+    let mut out = [R::default(); WARP_WIDTH];
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+    out
+}
+
+#[inline(always)]
+fn map2<A: Copy, B: Copy, R: Copy + Default>(
+    a: &Lanes<A>,
+    b: &Lanes<B>,
+    f: impl Fn(A, B) -> R,
+) -> Lanes<R> {
+    let mut out = [R::default(); WARP_WIDTH];
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+    out
+}
+
+/// `f(l)` for the active lanes only (the rest stay default): for ops that can
+/// fault on a discarded lane (integer `div`/`rem`) or call into libm, where
+/// one costs a full call — a loop of `exp.f64` or `cos.f64` with 1 lane in 32
+/// active ran 2.7x longer through [`map1`] (32 ms against 12 ms; 1 in 2: 34
+/// against 23 ms) and no faster under a full mask.
+#[inline(always)]
+fn map_active<R: Copy + Default>(mask: u32, f: impl Fn(usize) -> R) -> Lanes<R> {
+    let mut out = [R::default(); WARP_WIDTH];
+    for_lanes!(mask, l, {
+        out[l] = f(l);
+    });
+    out
+}
+
+/// Why a CTA left lockstep for the scalar tier.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Abort {
+    /// A lane touched a 4-byte slot another lane of its warp had stored.
+    Hazard,
+    /// A lane faulted: division by zero, out-of-bounds access, missing
+    /// parameter.
+    Fault,
+    /// The launch's cumulative instruction budget runs out inside the CTA.
+    Budget,
+}
+
+impl Abort {
+    const COUNTERS: [&'static str; 3] = [
+        "sptx.warp.fallback_ctas.hazard",
+        "sptx.warp.fallback_ctas.fault",
+        "sptx.warp.fallback_ctas.budget",
+    ];
+}
+
+/// The active mask of the block being executed and its per-lane expansion
+/// (`keep[l]` is all-ones where lane `l` is active), which makes a masked
+/// write-back a branch-free select. Unused for the full mask.
+#[derive(Clone, Copy)]
+struct Active {
+    mask: u32,
+    keep: Lanes<u64>,
+}
+
+impl Active {
+    const FULL: Active = Active { mask: u32::MAX, keep: [u64::MAX; WARP_WIDTH] };
+
+    fn new(mask: u32) -> Self {
+        Self { mask, keep: std::array::from_fn(|l| 0u64.wrapping_sub(u64::from(mask >> l & 1))) }
+    }
+}
+
+/// One register across the warp: raw 64-bit payloads, and in `fmask` one bit
+/// per lane that is set when the lane holds an `f64` (clear: an `i64`). The
+/// mask is per lane, not per row, because the arms of a divergent branch can
+/// leave floats in some lanes and integers in others.
+#[derive(Clone, Copy)]
+struct Row {
+    bits: Lanes<u64>,
+    fmask: u32,
+}
+
+impl Row {
+    /// Thread-entry state: integer zero in every lane.
+    const ZERO: Row = Row { bits: [0; WARP_WIDTH], fmask: 0 };
+
+    /// The row as floats, `Value::as_f64` per lane. Only the lanes of `mask`
+    /// are meaningful: when all of them hold floats (or none does) every lane
+    /// is read that way, and an inactive lane of the other type yields a
+    /// value the masked write-back discards.
+    #[inline]
+    fn floats(&self, mask: u32) -> Lanes<f64> {
+        let held = self.fmask & mask;
+        if held == mask {
+            map1(&self.bits, f64::from_bits)
+        } else if held == 0 {
+            map1(&self.bits, |b| b as i64 as f64)
+        } else {
+            let held = Active::new(self.fmask).keep;
+            map2(&self.bits, &held, |b, h| if h != 0 { f64::from_bits(b) } else { b as i64 as f64 })
+        }
+    }
+
+    /// The row as integers, `Value::as_i64` per lane; see [`Row::floats`].
+    #[inline]
+    fn ints(&self, mask: u32) -> Lanes<i64> {
+        let held = self.fmask & mask;
+        if held == 0 {
+            map1(&self.bits, |b| b as i64)
+        } else if held == mask {
+            map1(&self.bits, |b| f64::from_bits(b) as i64)
+        } else {
+            let held = Active::new(self.fmask).keep;
+            map2(&self.bits, &held, |b, h| if h != 0 { f64::from_bits(b) as i64 } else { b as i64 })
+        }
+    }
+
+    /// Write `bits` (typed by `fmask`) into the active lanes, leaving the
+    /// others untouched.
+    #[inline]
+    fn put(&mut self, act: &Active, bits: &Lanes<u64>, fmask: u32) {
+        if act.mask == u32::MAX {
+            self.bits = *bits;
+        } else {
+            for ((d, &v), &k) in self.bits.iter_mut().zip(bits).zip(&act.keep) {
+                *d = (v & k) | (*d & !k);
+            }
+        }
+        self.fmask = (self.fmask & !act.mask) | (fmask & act.mask);
+    }
+
+    #[inline]
+    fn put_f(&mut self, act: &Active, vals: &Lanes<f64>) {
+        self.put(act, &map1(vals, f64::to_bits), u32::MAX);
+    }
+
+    #[inline]
+    fn put_i(&mut self, act: &Active, vals: &Lanes<i64>) {
+        self.put(act, &map1(vals, |v| v as u64), 0);
+    }
+}
+
+/// A runtime [`Value`] as a lane payload and its type bit (splatted).
+fn raw(v: Value) -> (u64, u32) {
+    match v {
+        Value::F(v) => (v.to_bits(), u32::MAX),
+        Value::I(v) => (v as u64, 0),
+    }
 }
 
 /// One SIMT stack frame: `mask` lanes execute from block `next` until control
@@ -143,8 +317,9 @@ pub(crate) struct WarpStats {
     pub warps: u64,
     pub uniform_loads: u64,
     pub divergent_branches: u64,
-    /// CTAs that aborted lockstep and re-ran on the scalar tier.
-    pub fallback_ctas: u64,
+    /// CTAs that aborted lockstep and re-ran on the scalar tier, by
+    /// [`Abort`] cause.
+    pub fallback_ctas: [u64; 3],
 }
 
 impl WarpStats {
@@ -158,7 +333,9 @@ impl WarpStats {
         self.warps += other.warps;
         self.uniform_loads += other.uniform_loads;
         self.divergent_branches += other.divergent_branches;
-        self.fallback_ctas += other.fallback_ctas;
+        for (a, b) in self.fallback_ctas.iter_mut().zip(other.fallback_ctas) {
+            *a += b;
+        }
     }
 
     pub(crate) fn emit(&self) {
@@ -167,51 +344,287 @@ impl WarpStats {
             r.count("sptx.warp.warps", self.warps);
             r.count("sptx.warp.uniform_loads", self.uniform_loads);
             r.count("sptx.warp.divergent_branches", self.divergent_branches);
-            if self.fallback_ctas > 0 {
-                r.count("sptx.warp.fallback_ctas", self.fallback_ctas);
+            let total: u64 = self.fallback_ctas.iter().sum();
+            if total > 0 {
+                r.count("sptx.warp.fallback_ctas", total);
+            }
+            for (name, n) in Abort::COUNTERS.into_iter().zip(self.fallback_ctas) {
+                if n > 0 {
+                    r.count(name, n);
+                }
             }
         }
     }
 }
 
-/// Reusable warp-execution state: SoA register/predicate banks, the SIMT
-/// stack, the per-warp store-slot map, and the lane address buffer. One of
-/// these lives per sequential launch or per parallel worker.
+/// One coalesced store: the `k`-th active lane of `mask` owns the slots of
+/// bytes `first + k * w .. first + (k + 1) * w`, up to `end`. `first` and `w`
+/// are multiples of the 4-byte slot, so the byte range is a whole slot range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StoreRange {
+    first: u64,
+    end: u64,
+    w: u64,
+    mask: u32,
+}
+
+/// Bound on the linear scan every access makes over the ranges. A store that
+/// would add one more flushes them into the per-slot map instead and the warp
+/// goes on per lane: slower, never different. A warp holds one range per
+/// distinct span it has stored — at most 2 on the sigmabench workloads and 4
+/// on the suite kernels (one-off counter, not kept), so neither gets here.
+const MAX_RANGES: usize = 8;
+
+/// Which lane owns each 4-byte slot the warp has stored. Coalesced stores are
+/// held as [`StoreRange`]s while every access can be judged against them
+/// without per-lane work; the first access that cannot flushes them into the
+/// per-slot `map`, which then serves the rest of the warp exactly as it
+/// always did. Ranges are pairwise disjoint, and `ranges` is non-empty only
+/// while `map` is empty.
+#[derive(Default)]
+struct StoreTracker {
+    ranges: Vec<StoreRange>,
+    map: HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
+}
+
+impl StoreTracker {
+    fn clear(&mut self) {
+        self.ranges.clear();
+        self.map.clear();
+    }
+
+    /// Whether the ranges alone prove bytes `lo..hi` hazard-free: the span
+    /// misses every range, or the access is the very one (`key`) a range
+    /// recorded, so each lane meets only its own slots.
+    fn ranges_clear(&self, lo: u64, hi: u64, key: Option<StoreRange>) -> bool {
+        self.ranges.iter().all(|r| hi <= r.first || r.end <= lo || key == Some(*r))
+    }
+
+    fn flush(&mut self) {
+        for r in self.ranges.drain(..) {
+            let mut slot = r.first >> 2;
+            for_lanes!(r.mask, l, {
+                for _ in 0..r.w / 4 {
+                    self.map.insert(slot, l as u8);
+                    slot += 1;
+                }
+            });
+        }
+    }
+
+    /// Abort if any active lane loads a slot another lane has stored.
+    fn check_load(&mut self, acc: &Access, mask: u32) -> Result<(), Abort> {
+        if self.map.is_empty() {
+            if self.ranges.is_empty() {
+                return Ok(());
+            }
+            let (lo, hi) = acc.extent(mask);
+            if self.ranges_clear(lo, hi, acc.range(mask)) {
+                return Ok(());
+            }
+            self.flush();
+        }
+        for_lanes!(mask, l, {
+            let a0 = acc.addrs[l] >> 2;
+            let a1 = acc.addrs[l].wrapping_add(acc.w - 1) >> 2;
+            let mut s = a0;
+            while s <= a1 {
+                if self.map.get(&s).is_some_and(|&lane| lane != l as u8) {
+                    return Err(Abort::Hazard);
+                }
+                s += 1;
+            }
+        });
+        Ok(())
+    }
+
+    /// Record a store's slots, aborting if another lane already owns one. A
+    /// cross-lane overlap is a hazard even if the write itself would fault,
+    /// so this runs before the data moves.
+    fn note_store(
+        &mut self,
+        acc: &Access,
+        mask: u32,
+        coalesced: Option<StoreRange>,
+    ) -> Result<(), Abort> {
+        if self.map.is_empty() {
+            if let Some(key) = coalesced {
+                let known = self.ranges.contains(&key);
+                if self.ranges_clear(key.first, key.end, Some(key))
+                    && (known || self.ranges.len() < MAX_RANGES)
+                {
+                    if !known {
+                        self.ranges.push(key);
+                    }
+                    return Ok(());
+                }
+            }
+            self.flush();
+        }
+        for_lanes!(mask, l, {
+            let a0 = acc.addrs[l] >> 2;
+            let a1 = acc.addrs[l].wrapping_add(acc.w - 1) >> 2;
+            let mut s = a0;
+            while s <= a1 {
+                if self.map.insert(s, l as u8).is_some_and(|prev| prev != l as u8) {
+                    return Err(Abort::Hazard);
+                }
+                s += 1;
+            }
+        });
+        Ok(())
+    }
+}
+
+/// How a warp-wide access's active lanes are laid out in memory.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Every active lane has this address.
+    Uniform(u64),
+    /// Each active lane's address follows the previous active lane's by
+    /// exactly the access width: bytes `.0 .. .1`, which does not overflow.
+    Consecutive(u64, u64),
+    Scatter,
+}
+
+/// One warp-wide load or store: every lane's effective address (only the
+/// active lanes' are meaningful), the access width, and the layout.
+struct Access {
+    addrs: Lanes<u64>,
+    w: u64,
+    shape: Shape,
+}
+
+impl Access {
+    #[inline]
+    fn new(regs: &[Row], base: u16, index: u16, offset: i64, w: u64, mask: u32) -> Self {
+        let b = regs[base as usize].ints(mask);
+        let addrs: Lanes<u64> = if index == NO_INDEX {
+            map1(&b, |b| b.wrapping_add(offset) as u64)
+        } else {
+            let i = regs[index as usize].ints(mask);
+            map2(&b, &i, |b, i| {
+                b.wrapping_add(i.wrapping_mul(w as i64)).wrapping_add(offset) as u64
+            })
+        };
+        let first = addrs[mask.trailing_zeros() as usize];
+        let (mut uniform, mut consec, mut want) = (true, true, first);
+        for_lanes!(mask, l, {
+            uniform &= addrs[l] == first;
+            consec &= addrs[l] == want;
+            want = want.wrapping_add(w);
+        });
+        let shape = if uniform {
+            Shape::Uniform(first)
+        } else if let (true, Some(end)) =
+            (consec, first.checked_add(u64::from(mask.count_ones()) * w))
+        {
+            Shape::Consecutive(first, end)
+        } else {
+            Shape::Scatter
+        };
+        Self { addrs, w, shape }
+    }
+
+    /// A byte span covering every active lane's access (saturating: a span
+    /// that would wrap only has to read as "overlaps everything above it").
+    fn extent(&self, mask: u32) -> (u64, u64) {
+        match self.shape {
+            Shape::Uniform(a) => (a, a.saturating_add(self.w)),
+            Shape::Consecutive(lo, hi) => (lo, hi),
+            Shape::Scatter => {
+                let (mut lo, mut hi) = (u64::MAX, 0);
+                for_lanes!(mask, l, {
+                    lo = lo.min(self.addrs[l]);
+                    hi = hi.max(self.addrs[l]);
+                });
+                (lo, hi.saturating_add(self.w))
+            }
+        }
+    }
+
+    /// The range this access would be recorded as, if it is consecutive.
+    fn range(&self, mask: u32) -> Option<StoreRange> {
+        match self.shape {
+            Shape::Consecutive(first, end) => Some(StoreRange { first, end, w: self.w, mask }),
+            _ => None,
+        }
+    }
+}
+
+/// Record the segments of `n` consecutive `w`-byte elements from `first`:
+/// one insert per distinct segment an element starts in, which leaves the set
+/// exactly as the per-lane inserts would.
+fn touch_span(segments: &mut SegmentSet, first: u64, n: u64, w: u64) {
+    for seg in first / MEMORY_SEGMENT_BYTES..=(first + (n - 1) * w) / MEMORY_SEGMENT_BYTES {
+        segments.insert(seg);
+    }
+}
+
+/// Move the active lanes' values to the front, in lane order.
+fn compress(vals: &Lanes<u64>, mask: u32) -> Lanes<u64> {
+    if mask == u32::MAX {
+        return *vals;
+    }
+    let mut dense = [0; WARP_WIDTH];
+    let mut k = 0;
+    for_lanes!(mask, l, {
+        dense[k] = vals[l];
+        k += 1;
+    });
+    dense
+}
+
+/// Inverse of [`compress`]: the `k`-th value goes to the `k`-th active lane.
+fn expand(dense: &Lanes<u64>, mask: u32) -> Lanes<u64> {
+    if mask == u32::MAX {
+        return *dense;
+    }
+    let mut vals = [0; WARP_WIDTH];
+    let mut k = 0;
+    for_lanes!(mask, l, {
+        vals[l] = dense[k];
+        k += 1;
+    });
+    vals
+}
+
+/// Reusable warp-execution state: register rows, predicate masks, the SIMT
+/// stack, the store tracker, and the expansion of the last active mask seen.
+/// One of these lives per sequential launch or per parallel worker.
 pub(crate) struct WarpExec {
-    regs: Vec<[Value; WARP_WIDTH]>,
-    preds: Vec<[bool; WARP_WIDTH]>,
+    regs: Vec<Row>,
+    preds: Vec<u32>,
     stack: Vec<Frame>,
-    store_map: HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
-    addrs: [u64; WARP_WIDTH],
+    stores: StoreTracker,
+    act: Active,
 }
 
 impl WarpExec {
     pub(crate) fn new(dec: &DecodedProgram) -> Self {
         Self {
-            regs: vec![[Value::I(0); WARP_WIDTH]; dec.num_regs as usize],
-            preds: vec![[false; WARP_WIDTH]; dec.num_preds as usize],
+            regs: vec![Row::ZERO; dec.num_regs as usize],
+            preds: vec![0; dec.num_preds as usize],
             stack: Vec::with_capacity(8),
-            store_map: HashMap::default(),
-            addrs: [0; WARP_WIDTH],
+            stores: StoreTracker::default(),
+            act: Active::FULL,
         }
     }
 }
 
-/// Outcome of one lockstep CTA attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CtaOutcome {
-    /// The CTA completed; `cta.instrs` instructions were executed and its
-    /// memory writes are in place.
-    Done,
-    /// Lockstep hit a hazard, lane fault, or budget crossing. The caller must
-    /// roll back the CTA's writes, discard its counters, and re-run it on
-    /// the scalar tier.
-    Abort,
+/// What every lane of a CTA's warps shares: the launch, and where in it the
+/// warp sits.
+struct WarpCtx<'a> {
+    cfg: &'a LaunchConfig,
+    params: &'a [ParamValue],
+    ctaid: u32,
+    base_tid: u32,
 }
 
 /// Run one CTA (all its warps, in tid order) in lockstep. `executed_before`
 /// is the launch's dynamic instruction count when this CTA starts, used for
-/// the budget-crossing check.
+/// the budget-crossing check. On `Err` the caller must roll back the CTA's
+/// writes, discard its counters, and re-run it on the scalar tier.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cta<M: DataSpace>(
     exec: &mut WarpExec,
@@ -223,55 +636,37 @@ pub(crate) fn run_cta<M: DataSpace>(
     budget: u64,
     executed_before: u64,
     cta: &mut CtaCounters,
-) -> CtaOutcome {
+) -> Result<(), Abort> {
     let nwarps = (cfg.block_dim as usize).div_ceil(WARP_WIDTH);
     for w in 0..nwarps {
         let base_tid = (w * WARP_WIDTH) as u32;
         let lanes = ((cfg.block_dim - base_tid) as usize).min(WARP_WIDTH);
         let full: u32 = if lanes == WARP_WIDTH { u32::MAX } else { (1u32 << lanes) - 1 };
         cta.warps += 1;
-        if run_warp(
-            exec,
-            dec,
-            cfg,
-            params,
-            mem,
-            ctaid,
-            base_tid,
-            full,
-            budget,
-            executed_before,
-            cta,
-        )
-        .is_err()
-        {
-            return CtaOutcome::Abort;
-        }
+        let ctx = WarpCtx { cfg, params, ctaid, base_tid };
+        run_warp(exec, dec, &ctx, mem, full, budget.saturating_sub(executed_before), cta)?;
     }
-    CtaOutcome::Done
+    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Run one warp to completion; `budget` is what the launch has left for this
+/// CTA.
 fn run_warp<M: DataSpace>(
     exec: &mut WarpExec,
     dec: &DecodedProgram,
-    cfg: &LaunchConfig,
-    params: &[ParamValue],
+    ctx: &WarpCtx,
     mem: &mut M,
-    ctaid: u32,
-    base_tid: u32,
     full_mask: u32,
     budget: u64,
-    executed_before: u64,
     cta: &mut CtaCounters,
-) -> Result<(), ()> {
-    for row in &mut exec.regs {
-        *row = [Value::I(0); WARP_WIDTH];
+) -> Result<(), Abort> {
+    exec.regs.fill(Row::ZERO);
+    // Not `fill`: on an empty slice that is still a `memset` call, which a
+    // kernel without predicates would pay for on every warp.
+    for p in &mut exec.preds {
+        *p = 0;
     }
-    for row in &mut exec.preds {
-        *row = [false; WARP_WIDTH];
-    }
-    exec.store_map.clear();
+    exec.stores.clear();
     exec.stack.clear();
     exec.stack.push(Frame { next: 0, mask: full_mask, reconv: EXIT });
 
@@ -292,26 +687,21 @@ fn run_warp<M: DataSpace>(
         cta.instrs += blk.cost * active;
         // One total-crossing check per visit detects exact budget exhaustion
         // (see module docs) and bounds runaway loops.
-        if executed_before + cta.instrs > budget {
-            return Err(());
+        if cta.instrs > budget {
+            return Err(Abort::Budget);
         }
 
+        if exec.act.mask != mask {
+            exec.act = Active::new(mask);
+        }
         for dop in &dec.ops[blk.start as usize..(blk.start + blk.len) as usize] {
             cta.class_counts[dop.class as usize] += active;
-            exec_op(
-                &dop.op,
-                &mut exec.regs,
-                &mut exec.preds,
-                &mut exec.store_map,
-                &mut exec.addrs,
-                cta,
-                mem,
-                cfg,
-                params,
-                ctaid,
-                base_tid,
-                mask,
-            )?;
+            match dop.op {
+                DOp::Ld { .. } | DOp::St { .. } => {
+                    exec_mem(&dop.op, &mut exec.regs, &mut exec.stores, cta, mem, &exec.act)?
+                }
+                _ => exec_alu(&dop.op, &mut exec.regs, &mut exec.preds, &exec.act, ctx)?,
+            }
         }
 
         match blk.term {
@@ -326,13 +716,7 @@ fn run_warp<M: DataSpace>(
             }
             DTerm::CondBra { pred, if_true, if_false } => {
                 cta.class_counts[BRANCH_CLASS] += active;
-                let bank = &exec.preds[pred as usize];
-                let mut taken = 0u32;
-                for_lanes!(mask, l, {
-                    if bank[l] {
-                        taken |= 1 << l;
-                    }
-                });
+                let taken = exec.preds[pred as usize] & mask;
                 let top = exec.stack.last_mut().expect("frame present");
                 if taken == mask {
                     top.next = if_true;
@@ -358,554 +742,436 @@ fn run_warp<M: DataSpace>(
     }
 }
 
-/// Apply `f` over the float view of two register rows. The op/type dispatch
+/// `dst = f(a, b)` over the float view of two rows. The op/type dispatch
 /// happens once per warp-op at the call site; the lane loop only touches
-/// values. Rows are copied to the stack so the loop indexes fixed-size arrays
-/// without bounds checks (and `dst` may alias `a`/`b`).
+/// values.
 #[inline(always)]
 fn bin_f(
-    regs: &mut [[Value; WARP_WIDTH]],
-    mask: u32,
+    regs: &mut [Row],
+    act: &Active,
     dst: usize,
     a: usize,
     b: usize,
     f: impl Fn(f64, f64) -> f64,
 ) {
-    let ra = regs[a];
-    let rb = regs[b];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::F(f(ra[l].as_f64(), rb[l].as_f64()));
-    });
+    let out =
+        map2(&regs[a].floats(act.mask), &regs[b].floats(act.mask), |x, y| canonical_nan(f(x, y)));
+    regs[dst].put_f(act, &out);
 }
 
 /// Integer-view counterpart of [`bin_f`].
 #[inline(always)]
 fn bin_i(
-    regs: &mut [[Value; WARP_WIDTH]],
-    mask: u32,
+    regs: &mut [Row],
+    act: &Active,
     dst: usize,
     a: usize,
     b: usize,
     f: impl Fn(i64, i64) -> i64,
 ) {
-    let ra = regs[a];
-    let rb = regs[b];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::I(f(ra[l].as_i64(), rb[l].as_i64()));
-    });
+    let out = map2(&regs[a].ints(act.mask), &regs[b].ints(act.mask), f);
+    regs[dst].put_i(act, &out);
 }
 
-/// Unary float op over one register row; `f` already folds in any F32
-/// round-tripping.
+/// Unary float op over one row; `f` already folds in any F32 round-tripping.
+/// `all_lanes` is false for the libm calls, which run on active lanes only.
 #[inline(always)]
-fn un_f(regs: &mut [[Value; WARP_WIDTH]], mask: u32, dst: usize, a: usize, f: impl Fn(f64) -> f64) {
-    let ra = regs[a];
-    let rd = &mut regs[dst];
-    for_lanes!(mask, l, {
-        rd[l] = Value::F(f(ra[l].as_f64()));
-    });
-}
-
-/// Predicate compare over the integer view of two rows.
-#[inline(always)]
-fn setp_i(
-    regs: &[[Value; WARP_WIDTH]],
-    pb: &mut [bool; WARP_WIDTH],
-    mask: u32,
+fn un_f(
+    regs: &mut [Row],
+    act: &Active,
+    dst: usize,
     a: usize,
-    b: usize,
-    f: impl Fn(i64, i64) -> bool,
+    all_lanes: bool,
+    f: impl Fn(f64) -> f64,
 ) {
-    let ra = regs[a];
-    let rb = regs[b];
-    for_lanes!(mask, l, {
-        pb[l] = f(ra[l].as_i64(), rb[l].as_i64());
-    });
+    let x = regs[a].floats(act.mask);
+    let out = if all_lanes { map1(&x, f) } else { map_active(act.mask, |l| f(x[l])) };
+    regs[dst].put_f(act, &out);
 }
 
-/// Predicate compare over the float view of two rows; `f32_round` pins F32
-/// semantics (compare the values after a round-trip through f32).
+/// One predicate bit per lane: `cmp(a, b)`.
 #[inline(always)]
-fn setp_f(
-    regs: &[[Value; WARP_WIDTH]],
-    pb: &mut [bool; WARP_WIDTH],
-    mask: u32,
-    a: usize,
-    b: usize,
-    f32_round: bool,
-    f: impl Fn(f64, f64) -> bool,
-) {
-    let ra = regs[a];
-    let rb = regs[b];
-    if f32_round {
-        for_lanes!(mask, l, {
-            pb[l] = f(ra[l].as_f64() as f32 as f64, rb[l].as_f64() as f32 as f64);
-        });
-    } else {
-        for_lanes!(mask, l, {
-            pb[l] = f(ra[l].as_f64(), rb[l].as_f64());
-        });
+fn compare<T: Copy + PartialOrd>(cmp: CmpOp, a: &Lanes<T>, b: &Lanes<T>) -> u32 {
+    #[inline(always)]
+    fn bits<T: Copy>(a: &Lanes<T>, b: &Lanes<T>, f: impl Fn(T, T) -> bool) -> u32 {
+        let mut bits = 0u32;
+        for (l, (&x, &y)) in a.iter().zip(b).enumerate() {
+            bits |= u32::from(f(x, y)) << l;
+        }
+        bits
+    }
+    match cmp {
+        CmpOp::Eq => bits(a, b, |x, y| x == y),
+        CmpOp::Ne => bits(a, b, |x, y| x != y),
+        CmpOp::Lt => bits(a, b, |x, y| x < y),
+        CmpOp::Le => bits(a, b, |x, y| x <= y),
+        CmpOp::Gt => bits(a, b, |x, y| x > y),
+        CmpOp::Ge => bits(a, b, |x, y| x >= y),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_op<M: DataSpace>(
+/// Every op that does not touch memory. Deliberately not generic over the
+/// [`DataSpace`]: the lane loops are most of the tier's code, and the
+/// sequential and block-parallel drivers share one copy of them.
+fn exec_alu(
     op: &DOp,
-    regs: &mut [[Value; WARP_WIDTH]],
-    preds: &mut [[bool; WARP_WIDTH]],
-    store_map: &mut HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
-    addrs: &mut [u64; WARP_WIDTH],
-    cta: &mut CtaCounters,
-    mem: &mut M,
-    cfg: &LaunchConfig,
-    params: &[ParamValue],
-    ctaid: u32,
-    base_tid: u32,
-    mask: u32,
-) -> Result<(), ()> {
+    regs: &mut [Row],
+    preds: &mut [u32],
+    act: &Active,
+    ctx: &WarpCtx,
+) -> Result<(), Abort> {
+    let mask = act.mask;
     match *op {
         DOp::Bin { op, ty, dst, a, b } => {
             let (d, a, b) = (dst as usize, a as usize, b as usize);
-            use crate::isa::BinOp as B;
+            use BinOp as B;
             if op.is_bitwise() || ty == ScalarType::I64 {
                 match op {
-                    B::Add => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_add(y)),
-                    B::Sub => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_sub(y)),
-                    B::Mul => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_mul(y)),
-                    B::Min => bin_i(regs, mask, d, a, b, i64::min),
-                    B::Max => bin_i(regs, mask, d, a, b, i64::max),
-                    B::And => bin_i(regs, mask, d, a, b, |x, y| x & y),
-                    B::Or => bin_i(regs, mask, d, a, b, |x, y| x | y),
-                    B::Xor => bin_i(regs, mask, d, a, b, |x, y| x ^ y),
-                    B::Shl => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
-                    B::Shr => bin_i(regs, mask, d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
+                    B::Add => bin_i(regs, act, d, a, b, |x, y| x.wrapping_add(y)),
+                    B::Sub => bin_i(regs, act, d, a, b, |x, y| x.wrapping_sub(y)),
+                    B::Mul => bin_i(regs, act, d, a, b, |x, y| x.wrapping_mul(y)),
+                    B::Min => bin_i(regs, act, d, a, b, i64::min),
+                    B::Max => bin_i(regs, act, d, a, b, i64::max),
+                    B::And => bin_i(regs, act, d, a, b, |x, y| x & y),
+                    B::Or => bin_i(regs, act, d, a, b, |x, y| x | y),
+                    B::Xor => bin_i(regs, act, d, a, b, |x, y| x ^ y),
+                    B::Shl => bin_i(regs, act, d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
+                    B::Shr => bin_i(regs, act, d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
                     B::Div | B::Rem => {
-                        // Fault-capable: a zero divisor in any lane aborts the
-                        // CTA; the scalar rerun reproduces the exact error.
+                        // Fault-capable: a zero divisor in any active lane
+                        // aborts the CTA; the scalar rerun reproduces the
+                        // exact error.
+                        let (x, y) = (regs[a].ints(mask), regs[b].ints(mask));
                         for_lanes!(mask, l, {
-                            let y = regs[b][l].as_i64();
-                            if y == 0 {
-                                return Err(());
+                            if y[l] == 0 {
+                                return Err(Abort::Fault);
                             }
-                            let x = regs[a][l].as_i64();
-                            regs[d][l] = Value::I(if matches!(op, B::Div) {
-                                x.wrapping_div(y)
-                            } else {
-                                x.wrapping_rem(y)
-                            });
                         });
+                        let out = if matches!(op, B::Div) {
+                            map_active(mask, |l| x[l].wrapping_div(y[l]))
+                        } else {
+                            map_active(mask, |l| x[l].wrapping_rem(y[l]))
+                        };
+                        regs[d].put_i(act, &out);
                     }
                 }
+            } else if matches!(op, B::Rem) {
+                // Float `%` is libm's `fmod`: active lanes only.
+                let (x, y) = (regs[a].floats(mask), regs[b].floats(mask));
+                let out = if ty == ScalarType::F32 {
+                    map_active(mask, |l| canonical_nan(((x[l] as f32) % (y[l] as f32)) as f64))
+                } else {
+                    map_active(mask, |l| canonical_nan(x[l] % y[l]))
+                };
+                regs[d].put_f(act, &out);
             } else if ty == ScalarType::F32 {
                 match op {
-                    B::Add => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) + (y as f32)) as f64),
-                    B::Sub => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) - (y as f32)) as f64),
-                    B::Mul => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) * (y as f32)) as f64),
-                    B::Div => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) / (y as f32)) as f64),
-                    B::Rem => bin_f(regs, mask, d, a, b, |x, y| ((x as f32) % (y as f32)) as f64),
-                    B::Min => bin_f(regs, mask, d, a, b, |x, y| (x as f32).min(y as f32) as f64),
-                    B::Max => bin_f(regs, mask, d, a, b, |x, y| (x as f32).max(y as f32) as f64),
-                    _ => unreachable!("bitwise handled above"),
+                    B::Add => bin_f(regs, act, d, a, b, |x, y| ((x as f32) + (y as f32)) as f64),
+                    B::Sub => bin_f(regs, act, d, a, b, |x, y| ((x as f32) - (y as f32)) as f64),
+                    B::Mul => bin_f(regs, act, d, a, b, |x, y| ((x as f32) * (y as f32)) as f64),
+                    B::Div => bin_f(regs, act, d, a, b, |x, y| ((x as f32) / (y as f32)) as f64),
+                    B::Min => bin_f(regs, act, d, a, b, |x, y| (x as f32).min(y as f32) as f64),
+                    B::Max => bin_f(regs, act, d, a, b, |x, y| (x as f32).max(y as f32) as f64),
+                    _ => unreachable!("bitwise and rem handled above"),
                 }
             } else {
                 match op {
-                    B::Add => bin_f(regs, mask, d, a, b, |x, y| x + y),
-                    B::Sub => bin_f(regs, mask, d, a, b, |x, y| x - y),
-                    B::Mul => bin_f(regs, mask, d, a, b, |x, y| x * y),
-                    B::Div => bin_f(regs, mask, d, a, b, |x, y| x / y),
-                    B::Rem => bin_f(regs, mask, d, a, b, |x, y| x % y),
-                    B::Min => bin_f(regs, mask, d, a, b, f64::min),
-                    B::Max => bin_f(regs, mask, d, a, b, f64::max),
-                    _ => unreachable!("bitwise handled above"),
+                    B::Add => bin_f(regs, act, d, a, b, |x, y| x + y),
+                    B::Sub => bin_f(regs, act, d, a, b, |x, y| x - y),
+                    B::Mul => bin_f(regs, act, d, a, b, |x, y| x * y),
+                    B::Div => bin_f(regs, act, d, a, b, |x, y| x / y),
+                    B::Min => bin_f(regs, act, d, a, b, f64::min),
+                    B::Max => bin_f(regs, act, d, a, b, f64::max),
+                    _ => unreachable!("bitwise and rem handled above"),
                 }
             }
         }
         DOp::Un { op, ty, dst, a } => {
             let (d, a) = (dst as usize, a as usize);
-            use crate::isa::UnaryOp as U;
-            // `f32r` folds F32's round-trip (input and result through f32)
-            // into the hoisted closure, matching `eval_un` exactly.
+            use UnaryOp as U;
+            // F32's round-trip (input and result through f32) is folded into
+            // the hoisted closure, matching `eval_un` exactly.
             macro_rules! un_float {
-                ($f:expr) => {{
+                ($all_lanes:expr, $f:expr) => {{
                     if ty == ScalarType::F32 {
-                        un_f(regs, mask, d, a, |x| {
+                        un_f(regs, act, d, a, $all_lanes, |x| {
                             let v: f64 = $f(x as f32 as f64);
                             v as f32 as f64
                         })
                     } else {
-                        un_f(regs, mask, d, a, $f)
+                        un_f(regs, act, d, a, $all_lanes, $f)
                     }
                 }};
             }
             if op.is_bitwise() {
-                let ra = regs[a];
-                let rd = &mut regs[d];
-                for_lanes!(mask, l, {
-                    rd[l] = Value::I(!ra[l].as_i64());
-                });
+                let out = map1(&regs[a].ints(mask), |x| !x);
+                regs[d].put_i(act, &out);
             } else if ty == ScalarType::I64 && matches!(op, U::Neg | U::Abs) {
-                let ra = regs[a];
-                let rd = &mut regs[d];
-                if matches!(op, U::Neg) {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(ra[l].as_i64().wrapping_neg());
-                    });
+                let x = regs[a].ints(mask);
+                let out = if matches!(op, U::Neg) {
+                    map1(&x, i64::wrapping_neg)
                 } else {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(ra[l].as_i64().wrapping_abs());
-                    });
-                }
+                    map1(&x, i64::wrapping_abs)
+                };
+                regs[d].put_i(act, &out);
             } else {
                 match op {
-                    U::Neg => un_float!(|x: f64| -x),
-                    U::Abs => un_float!(|x: f64| x.abs()),
-                    U::Sqrt => un_float!(|x: f64| x.sqrt()),
-                    U::Exp => un_float!(|x: f64| x.exp()),
-                    U::Log => un_float!(|x: f64| x.ln()),
-                    U::Sin => un_float!(|x: f64| x.sin()),
-                    U::Cos => un_float!(|x: f64| x.cos()),
+                    U::Neg => un_float!(true, |x: f64| -x),
+                    U::Abs => un_float!(true, |x: f64| x.abs()),
+                    U::Sqrt => un_float!(true, |x: f64| x.sqrt()),
+                    U::Exp => un_float!(false, |x: f64| x.exp()),
+                    U::Log => un_float!(false, |x: f64| x.ln()),
+                    U::Sin => un_float!(false, |x: f64| x.sin()),
+                    U::Cos => un_float!(false, |x: f64| x.cos()),
                     U::Not => unreachable!("bitwise handled above"),
                 }
             }
         }
         DOp::Mad { ty, dst, a, b, c } => {
             let (d, a, b, c) = (dst as usize, a as usize, b as usize, c as usize);
-            let ra = regs[a];
-            let rb = regs[b];
-            let rc = regs[c];
-            let rd = &mut regs[d];
             match ty {
                 ScalarType::F32 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(
-                            (ra[l].as_f64() as f32)
-                                .mul_add(rb[l].as_f64() as f32, rc[l].as_f64() as f32)
-                                as f64,
-                        );
+                    // `f32::mul_add` is a libm call without an FMA target
+                    // feature: active lanes only.
+                    let x = regs[a].floats(mask);
+                    let (y, z) = (regs[b].floats(mask), regs[c].floats(mask));
+                    let out = map_active(mask, |l| {
+                        canonical_nan((x[l] as f32).mul_add(y[l] as f32, z[l] as f32) as f64)
                     });
+                    regs[d].put_f(act, &out);
                 }
                 ScalarType::F64 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(ra[l].as_f64() * rb[l].as_f64() + rc[l].as_f64());
-                    });
+                    let xy = map2(&regs[a].floats(mask), &regs[b].floats(mask), |x, y| x * y);
+                    let out = map2(&xy, &regs[c].floats(mask), |xy, z| canonical_nan(xy + z));
+                    regs[d].put_f(act, &out);
                 }
                 ScalarType::I64 => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(
-                            ra[l]
-                                .as_i64()
-                                .wrapping_mul(rb[l].as_i64())
-                                .wrapping_add(rc[l].as_i64()),
-                        );
-                    });
+                    let xy = map2(&regs[a].ints(mask), &regs[b].ints(mask), i64::wrapping_mul);
+                    let out = map2(&xy, &regs[c].ints(mask), i64::wrapping_add);
+                    regs[d].put_i(act, &out);
                 }
             }
         }
         DOp::MovImm { dst, val } => {
-            let dst = dst as usize;
-            for_lanes!(mask, l, {
-                regs[dst][l] = val;
-            });
+            let (bits, fmask) = raw(val);
+            regs[dst as usize].put(act, &[bits; WARP_WIDTH], fmask);
         }
         DOp::Mov { dst, src } => {
-            let (dst, src) = (dst as usize, src as usize);
             if dst != src {
-                let rs = regs[src];
-                let rd = &mut regs[dst];
-                for_lanes!(mask, l, {
-                    rd[l] = rs[l];
-                });
+                let s = regs[src as usize];
+                regs[dst as usize].put(act, &s.bits, s.fmask);
             }
         }
         DOp::Cvt { to, from, dst, src } => {
-            let (d, s) = (dst as usize, src as usize);
-            let rs = regs[s];
-            let rd = &mut regs[d];
+            let s = &regs[src as usize];
             match (from, to) {
                 (_, ScalarType::I64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::I(rs[l].as_i64());
-                    });
+                    let out = s.ints(mask);
+                    regs[dst as usize].put_i(act, &out);
                 }
-                (ScalarType::I64, ScalarType::F32) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_i64() as f32 as f64);
-                    });
-                }
-                (ScalarType::I64, ScalarType::F64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_i64() as f64);
-                    });
+                (ScalarType::I64, _) => {
+                    let f32_round = to == ScalarType::F32;
+                    let out =
+                        map1(&s.ints(mask), |x| if f32_round { x as f32 as f64 } else { x as f64 });
+                    regs[dst as usize].put_f(act, &out);
                 }
                 (_, ScalarType::F32) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_f64() as f32 as f64);
-                    });
+                    let out = map1(&s.floats(mask), |x| x as f32 as f64);
+                    regs[dst as usize].put_f(act, &out);
                 }
                 (_, ScalarType::F64) => {
-                    for_lanes!(mask, l, {
-                        rd[l] = Value::F(rs[l].as_f64());
-                    });
+                    let out = s.floats(mask);
+                    regs[dst as usize].put_f(act, &out);
                 }
             }
         }
         DOp::Setp { cmp, ty, pred, a, b } => {
-            let (p, a, b) = (pred as usize, a as usize, b as usize);
-            use crate::isa::CmpOp as C;
-            let pb = &mut preds[p];
-            match ty {
-                ScalarType::I64 => match cmp {
-                    C::Eq => setp_i(regs, pb, mask, a, b, |x, y| x == y),
-                    C::Ne => setp_i(regs, pb, mask, a, b, |x, y| x != y),
-                    C::Lt => setp_i(regs, pb, mask, a, b, |x, y| x < y),
-                    C::Le => setp_i(regs, pb, mask, a, b, |x, y| x <= y),
-                    C::Gt => setp_i(regs, pb, mask, a, b, |x, y| x > y),
-                    C::Ge => setp_i(regs, pb, mask, a, b, |x, y| x >= y),
-                },
-                ScalarType::F32 | ScalarType::F64 => {
-                    let r32 = ty == ScalarType::F32;
-                    match cmp {
-                        C::Eq => setp_f(regs, pb, mask, a, b, r32, |x, y| x == y),
-                        C::Ne => setp_f(regs, pb, mask, a, b, r32, |x, y| x != y),
-                        C::Lt => setp_f(regs, pb, mask, a, b, r32, |x, y| x < y),
-                        C::Le => setp_f(regs, pb, mask, a, b, r32, |x, y| x <= y),
-                        C::Gt => setp_f(regs, pb, mask, a, b, r32, |x, y| x > y),
-                        C::Ge => setp_f(regs, pb, mask, a, b, r32, |x, y| x >= y),
-                    }
-                }
-            }
+            let (a, b) = (&regs[a as usize], &regs[b as usize]);
+            let bits = match ty {
+                ScalarType::I64 => compare(cmp, &a.ints(mask), &b.ints(mask)),
+                // F32 compares the values after a round-trip through f32.
+                ScalarType::F32 => compare(
+                    cmp,
+                    &map1(&a.floats(mask), |x| x as f32 as f64),
+                    &map1(&b.floats(mask), |x| x as f32 as f64),
+                ),
+                ScalarType::F64 => compare(cmp, &a.floats(mask), &b.floats(mask)),
+            };
+            let p = &mut preds[pred as usize];
+            *p = (*p & !mask) | (bits & mask);
         }
         DOp::ReadSpecial { dst, special } => {
-            let dst = dst as usize;
-            match special {
-                Special::TidX => {
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = Value::I(base_tid as i64 + l as i64);
-                    });
-                }
+            // The value in lane 0 and its step from lane to lane.
+            let (lane0, step) = match special {
+                Special::TidX => (ctx.base_tid as i64, 1),
                 Special::GlobalTid => {
-                    let base = ctaid as i64 * cfg.block_dim as i64 + base_tid as i64;
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = Value::I(base + l as i64);
-                    });
+                    (ctx.ctaid as i64 * ctx.cfg.block_dim as i64 + ctx.base_tid as i64, 1)
                 }
-                Special::NTidX | Special::CtaIdX | Special::NCtaIdX => {
-                    let v = Value::I(match special {
-                        Special::NTidX => cfg.block_dim as i64,
-                        Special::CtaIdX => ctaid as i64,
-                        _ => cfg.grid_dim as i64,
-                    });
-                    for_lanes!(mask, l, {
-                        regs[dst][l] = v;
-                    });
-                }
-            }
+                Special::NTidX => (ctx.cfg.block_dim as i64, 0),
+                Special::CtaIdX => (ctx.ctaid as i64, 0),
+                Special::NCtaIdX => (ctx.cfg.grid_dim as i64, 0),
+            };
+            let out: Lanes<u64> = std::array::from_fn(|l| (lane0 + step * l as i64) as u64);
+            regs[dst as usize].put(act, &out, 0);
         }
         DOp::LdParam { dst, index } => {
-            let dst = dst as usize;
-            let Some(p) = params.get(index as usize) else {
-                return Err(());
-            };
-            let v = match *p {
+            let (bits, fmask) = raw(match *ctx.params.get(index as usize).ok_or(Abort::Fault)? {
                 ParamValue::Ptr(a) => Value::I(a as i64),
                 ParamValue::F64(v) => Value::F(v),
                 ParamValue::F32(v) => Value::F(v as f64),
                 ParamValue::I64(v) => Value::I(v),
-            };
-            for_lanes!(mask, l, {
-                regs[dst][l] = v;
             });
+            regs[dst as usize].put(act, &[bits; WARP_WIDTH], fmask);
         }
-        DOp::Ld { ty, dst, base, index, offset } => {
-            let dst = dst as usize;
-            let w = ty.width();
-            let (uniform, consec, first) = lane_addrs(regs, addrs, base, index, offset, w, mask);
-            let active = mask.count_ones() as u64;
-            cta.trace.accesses += active;
-            cta.trace.load_bytes += w * active;
-            if !store_map.is_empty() {
-                check_load_hazards(store_map, addrs, w, mask)?;
-            }
-            if uniform {
-                cta.uniform_loads += 1;
-                cta.segments.insert(first / MEMORY_SEGMENT_BYTES);
-                let v = load_val(mem, ty, first).map_err(drop)?;
-                for_lanes!(mask, l, {
-                    regs[dst][l] = v;
-                });
-            } else if consec {
-                // One bounds check covers the whole coalesced span; segment
-                // inserts hit SegmentSet's last-value fast path. The type
-                // dispatch is hoisted out of the lane loop.
-                mem.check_span(first, active * w).map_err(drop)?;
-                match ty {
-                    ScalarType::F32 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::F(mem.read_f32_unchecked(addrs[l]) as f64);
-                        });
-                    }
-                    ScalarType::F64 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::F(mem.read_f64_unchecked(addrs[l]));
-                        });
-                    }
-                    ScalarType::I64 => {
-                        for_lanes!(mask, l, {
-                            cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                            regs[dst][l] = Value::I(mem.read_i64_unchecked(addrs[l]));
-                        });
-                    }
-                }
-            } else {
-                for_lanes!(mask, l, {
-                    cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                    regs[dst][l] = load_val(mem, ty, addrs[l]).map_err(drop)?;
-                });
-            }
-        }
-        DOp::St { ty, base, index, offset, src } => {
-            let src = src as usize;
-            let w = ty.width();
-            let (_, _, _) = lane_addrs(regs, addrs, base, index, offset, w, mask);
-            let active = mask.count_ones() as u64;
-            cta.trace.accesses += active;
-            cta.trace.store_bytes += w * active;
-            // Record slots first: a cross-lane overlap is a hazard even if
-            // the write itself would fault.
-            for_lanes!(mask, l, {
-                let a0 = addrs[l] >> 2;
-                let a1 = addrs[l].wrapping_add(w - 1) >> 2;
-                let mut s = a0;
-                while s <= a1 {
-                    if let Some(prev) = store_map.insert(s, l as u8) {
-                        if prev != l as u8 {
-                            return Err(());
-                        }
-                    }
-                    s += 1;
-                }
-            });
-            for_lanes!(mask, l, {
-                cta.segments.insert(addrs[l] / MEMORY_SEGMENT_BYTES);
-                let v = regs[src][l];
-                match ty {
-                    ScalarType::F32 => mem.write_f32(addrs[l], v.as_f64() as f32),
-                    ScalarType::F64 => mem.write_f64(addrs[l], v.as_f64()),
-                    ScalarType::I64 => mem.write_i64(addrs[l], v.as_i64()),
-                }
-                .map_err(drop)?;
-            });
-        }
+        DOp::Ld { .. } | DOp::St { .. } => unreachable!("memory ops go to exec_mem"),
     }
     Ok(())
 }
 
-/// Compute every active lane's effective address into `addrs`, returning
-/// `(uniform, consecutive, first_addr)` — `consecutive` meaning each active
-/// lane's address follows the previous active lane's by exactly the access
-/// width.
-#[inline]
-fn lane_addrs(
-    regs: &[[Value; WARP_WIDTH]],
-    addrs: &mut [u64; WARP_WIDTH],
-    base: u16,
-    index: u16,
-    offset: i64,
-    width: u64,
-    mask: u32,
-) -> (bool, bool, u64) {
-    let base = base as usize;
-    let has_index = index != NO_INDEX;
-    let index = index as usize;
-    let mut first = 0u64;
-    let mut prev = 0u64;
-    let mut started = false;
-    let mut uniform = true;
-    let mut consec = true;
-    for_lanes!(mask, l, {
-        let bv = regs[base][l].as_i64();
-        let iv = if has_index { regs[index][l].as_i64() } else { 0 };
-        let addr = bv.wrapping_add(iv.wrapping_mul(width as i64)).wrapping_add(offset) as u64;
-        addrs[l] = addr;
-        if started {
-            uniform &= addr == first;
-            consec &= addr == prev.wrapping_add(width);
-        } else {
-            started = true;
-            first = addr;
+/// Loads and stores: the only ops that need the [`DataSpace`].
+fn exec_mem<M: DataSpace>(
+    op: &DOp,
+    regs: &mut [Row],
+    stores: &mut StoreTracker,
+    cta: &mut CtaCounters,
+    mem: &mut M,
+    act: &Active,
+) -> Result<(), Abort> {
+    let mask = act.mask;
+    let n = u64::from(mask.count_ones());
+    let fault = |_: SptxError| Abort::Fault;
+    match *op {
+        DOp::Ld { ty, dst, base, index, offset } => {
+            let w = ty.width();
+            let acc = Access::new(regs, base, index, offset, w, mask);
+            cta.trace.accesses += n;
+            cta.trace.load_bytes += w * n;
+            stores.check_load(&acc, mask)?;
+            let vals: Lanes<u64> = match acc.shape {
+                Shape::Uniform(first) => {
+                    cta.uniform_loads += 1;
+                    cta.segments.insert(first / MEMORY_SEGMENT_BYTES);
+                    [load_bits(mem, ty, first).map_err(fault)?; WARP_WIDTH]
+                }
+                Shape::Consecutive(first, _) => {
+                    // One bounds check and one copy cover the whole span.
+                    touch_span(&mut cta.segments, first, n, w);
+                    let mut buf = [0u8; 8 * WARP_WIDTH];
+                    let buf = &mut buf[..(n * w) as usize];
+                    mem.read_span(first, w as usize, buf).map_err(fault)?;
+                    let mut dense = [0u64; WARP_WIDTH];
+                    if ty == ScalarType::F32 {
+                        for (v, c) in dense.iter_mut().zip(buf.chunks_exact(4)) {
+                            let x = f32::from_le_bytes(c.try_into().expect("chunk of 4"));
+                            *v = (x as f64).to_bits();
+                        }
+                    } else {
+                        for (v, c) in dense.iter_mut().zip(buf.chunks_exact(8)) {
+                            *v = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
+                        }
+                    }
+                    expand(&dense, mask)
+                }
+                Shape::Scatter => {
+                    let mut vals = [0u64; WARP_WIDTH];
+                    for_lanes!(mask, l, {
+                        cta.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
+                        vals[l] = load_bits(mem, ty, acc.addrs[l]).map_err(fault)?;
+                    });
+                    vals
+                }
+            };
+            let fmask = if ty == ScalarType::I64 { 0 } else { u32::MAX };
+            regs[dst as usize].put(act, &vals, fmask);
         }
-        prev = addr;
-    });
-    (uniform, consec && !uniform, first)
-}
-
-/// Abort if any active lane loads a slot another lane has stored this warp.
-fn check_load_hazards(
-    store_map: &HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
-    addrs: &[u64; WARP_WIDTH],
-    width: u64,
-    mask: u32,
-) -> Result<(), ()> {
-    for_lanes!(mask, l, {
-        let a0 = addrs[l] >> 2;
-        let a1 = addrs[l].wrapping_add(width - 1) >> 2;
-        let mut s = a0;
-        while s <= a1 {
-            if let Some(&lane) = store_map.get(&s) {
-                if lane != l as u8 {
-                    return Err(());
+        DOp::St { ty, base, index, offset, src } => {
+            let w = ty.width();
+            let acc = Access::new(regs, base, index, offset, w, mask);
+            cta.trace.accesses += n;
+            cta.trace.store_bytes += w * n;
+            // Coalesced: consecutive and slot-aligned, so no two lanes share
+            // a 4-byte slot and the store can be tracked as one range.
+            let coalesced = acc.range(mask).filter(|r| r.first % 4 == 0);
+            stores.note_store(&acc, mask, coalesced)?;
+            // What `write_f32/f64/i64` of each lane's value puts in memory.
+            let src = &regs[src as usize];
+            let vals: Lanes<u64> = match ty {
+                ScalarType::F32 => map1(&src.floats(mask), |v| u64::from((v as f32).to_bits())),
+                ScalarType::F64 => map1(&src.floats(mask), f64::to_bits),
+                ScalarType::I64 => map1(&src.ints(mask), |v| v as u64),
+            };
+            match coalesced {
+                Some(StoreRange { first, .. }) => {
+                    touch_span(&mut cta.segments, first, n, w);
+                    let dense = compress(&vals, mask);
+                    let mut buf = [0u8; 8 * WARP_WIDTH];
+                    if w == 4 {
+                        for (c, &v) in buf.chunks_exact_mut(4).zip(&dense) {
+                            c.copy_from_slice(&(v as u32).to_le_bytes());
+                        }
+                    } else {
+                        for (c, &v) in buf.chunks_exact_mut(8).zip(&dense) {
+                            c.copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                    mem.write_span(first, w as usize, &buf[..(n * w) as usize]).map_err(fault)?;
+                }
+                None => {
+                    for_lanes!(mask, l, {
+                        cta.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
+                        let bytes = vals[l].to_le_bytes();
+                        mem.write_span(acc.addrs[l], w as usize, &bytes[..w as usize])
+                            .map_err(fault)?;
+                    });
                 }
             }
-            s += 1;
         }
-    });
+        _ => unreachable!("only memory ops reach exec_mem"),
+    }
     Ok(())
 }
 
-fn load_val<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<Value, SptxError> {
+/// One element as a lane payload: floats widen to `f64`, like a scalar load.
+fn load_bits<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<u64, SptxError> {
     Ok(match ty {
-        ScalarType::F32 => Value::F(mem.read_f32(addr)? as f64),
-        ScalarType::F64 => Value::F(mem.read_f64(addr)?),
-        ScalarType::I64 => Value::I(mem.read_i64(addr)?),
+        ScalarType::F32 => (mem.read_f32(addr)? as f64).to_bits(),
+        ScalarType::F64 => mem.read_f64(addr)?.to_bits(),
+        ScalarType::I64 => mem.read_i64(addr)? as u64,
     })
 }
 
-/// Direct-to-[`Memory`] data space for the sequential warp path, with an undo
-/// journal so an aborted CTA's writes can be rolled back before the scalar
-/// rerun. Reads pay no overlay cost — they hit `Memory` straight.
-pub(crate) struct DirectMem<'a> {
-    mem: &'a mut Memory,
-    undo: Vec<(u64, [u8; 8], u8)>,
+/// The bytes a CTA overwrote, so an aborted CTA can be rolled back before the
+/// scalar rerun: one `(addr, len)` record per write over one shared blob of
+/// old bytes. Both vectors keep their capacity from CTA to CTA.
+#[derive(Default)]
+struct UndoLog {
+    spans: Vec<(u64, u32)>,
+    old: Vec<u8>,
 }
 
-impl<'a> DirectMem<'a> {
-    pub(crate) fn new(mem: &'a mut Memory) -> Self {
-        Self { mem, undo: Vec::new() }
+impl UndoLog {
+    /// Keep the CTA's writes.
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.old.clear();
     }
 
-    /// Keep the CTA's writes; the undo log is discarded.
-    pub(crate) fn commit(self) {}
-
-    /// Restore every byte this CTA wrote, newest first.
-    pub(crate) fn rollback(self) {
-        let DirectMem { mem, undo } = self;
-        for (addr, old, width) in undo.into_iter().rev() {
-            let o = addr as usize;
-            mem.as_bytes_mut()[o..o + width as usize].copy_from_slice(&old[..width as usize]);
+    /// Restore every byte the CTA wrote, newest first.
+    fn rollback(&mut self, mem: &mut Memory) {
+        for (addr, len) in self.spans.drain(..).rev() {
+            let kept = self.old.len() - len as usize;
+            mem.as_bytes_mut()[addr as usize..][..len as usize].copy_from_slice(&self.old[kept..]);
+            self.old.truncate(kept);
         }
     }
+}
 
-    fn record(&mut self, addr: u64, width: usize) -> Result<(), SptxError> {
-        let o = self.mem.check(addr, width as u64)?;
-        let mut old = [0u8; 8];
-        old[..width].copy_from_slice(&self.mem.as_bytes()[o..o + width]);
-        self.undo.push((addr, old, width as u8));
-        Ok(())
-    }
+/// Direct-to-[`Memory`] data space for the sequential warp path, logging what
+/// it overwrites in an [`UndoLog`]. Reads pay no overlay cost — they hit
+/// `Memory` straight.
+struct DirectMem<'a> {
+    mem: &'a mut Memory,
+    undo: &'a mut UndoLog,
 }
 
 impl DataSpace for DirectMem<'_> {
@@ -919,28 +1185,22 @@ impl DataSpace for DirectMem<'_> {
         self.mem.read_i64(addr)
     }
     fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
-        self.record(addr, 4)?;
-        self.mem.write_f32(addr, v)
+        self.write_span(addr, 4, &v.to_le_bytes())
     }
     fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError> {
-        self.record(addr, 8)?;
-        self.mem.write_f64(addr, v)
+        self.write_span(addr, 8, &v.to_le_bytes())
     }
     fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
-        self.record(addr, 8)?;
-        self.mem.write_i64(addr, v)
+        self.write_span(addr, 8, &v.to_le_bytes())
     }
-    fn check_span(&self, addr: u64, len: u64) -> Result<(), SptxError> {
-        self.mem.check(addr, len).map(|_| ())
+    fn read_span(&self, addr: u64, width: usize, out: &mut [u8]) -> Result<(), SptxError> {
+        self.mem.read_span(addr, width, out)
     }
-    fn read_f32_unchecked(&self, addr: u64) -> f32 {
-        self.mem.read_f32_unchecked(addr)
-    }
-    fn read_f64_unchecked(&self, addr: u64) -> f64 {
-        self.mem.read_f64_unchecked(addr)
-    }
-    fn read_i64_unchecked(&self, addr: u64) -> i64 {
-        self.mem.read_i64_unchecked(addr)
+    fn write_span(&mut self, addr: u64, _width: usize, bytes: &[u8]) -> Result<(), SptxError> {
+        let old = self.mem.read_slice(addr, bytes.len() as u64)?;
+        self.undo.spans.push((addr, bytes.len() as u32));
+        self.undo.old.extend_from_slice(old);
+        self.mem.write_slice(addr, bytes)
     }
 }
 
@@ -965,13 +1225,14 @@ pub(crate) fn run_sequential(
     let mut stats = WarpStats::default();
 
     let mut exec = WarpExec::new(dec);
+    let mut undo = UndoLog::default();
     let mut cta = CtaCounters::new(nblocks);
     let mut scalar_regs = vec![Value::I(0); program.num_regs() as usize];
     let mut scalar_preds = vec![false; program.num_preds() as usize];
 
     for ctaid in 0..cfg.grid_dim {
         cta.reset();
-        let mut dmem = DirectMem::new(mem);
+        let mut dmem = DirectMem { mem, undo: &mut undo };
         let outcome = run_cta(
             &mut exec,
             dec,
@@ -984,8 +1245,8 @@ pub(crate) fn run_sequential(
             &mut cta,
         );
         match outcome {
-            CtaOutcome::Done => {
-                dmem.commit();
+            Ok(()) => {
+                undo.clear();
                 executed += cta.instrs;
                 for (g, c) in class_counts.iter_mut().zip(cta.class_counts) {
                     *g += c;
@@ -999,13 +1260,13 @@ pub(crate) fn run_sequential(
                 trace.store_bytes += cta.trace.store_bytes;
                 stats.merge_cta(&cta);
             }
-            CtaOutcome::Abort => {
-                dmem.rollback();
-                stats.fallback_ctas += 1;
+            Err(cause) => {
+                undo.rollback(mem);
+                stats.fallback_ctas[cause as usize] += 1;
                 for tid in 0..cfg.block_dim {
                     scalar_regs.iter_mut().for_each(|r| *r = Value::I(0));
                     scalar_preds.iter_mut().for_each(|p| *p = false);
-                    interp.run_thread(
+                    let rerun = interp.run_thread(
                         program,
                         cfg,
                         params,
@@ -1019,7 +1280,13 @@ pub(crate) fn run_sequential(
                         &mut segments,
                         &mut trace,
                         &mut executed,
-                    )?;
+                    );
+                    if let Err(e) = rerun {
+                        // A failing launch still says why its CTAs fell back:
+                        // fault and budget aborts end in exactly this error.
+                        stats.emit();
+                        return Err(e);
+                    }
                 }
             }
         }
