@@ -14,6 +14,22 @@ step() {
   echo "    [$label: $((SECONDS - t0))s]"
 }
 
+# Non-test lines per crate: everything above each file's `#[cfg(test)]` +
+# `mod tests`. The number ROADMAP's simplicity gates quote; run it in two
+# checkouts to compare them. Informational, never red.
+nontest_lines() {
+  find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { test = 0; attr = 0 }
+    attr && /^mod tests/ { test = 1; n[crate]--; total-- }
+    { attr = ($0 == "#[cfg(test)]") }
+    !test { split(FILENAME, path, "/"); crate = path[2]; n[crate]++; total++ }
+    END {
+      for (crate in n) printf "    %-10s %6d\n", crate, n[crate] | "sort"
+      close("sort")
+      printf "    %-10s %6d\n", "total", total
+    }'
+}
+
 step "cargo fmt --check" cargo fmt --all -- --check
 
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
@@ -42,5 +58,7 @@ step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
 # and traced vs untraced — the check most likely to catch a change that
 # perturbs execution order.
 step "sigmabench smoke" benchmark/run.sh --smoke
+
+step "non-test lines per crate (informational)" nontest_lines
 
 echo "CI green."

@@ -40,19 +40,17 @@
 //!   (DESIGN.md §15).
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use sigmavp_fault::{
-    CircuitBreaker, DedupCache, FaultPlan, Relocation, Residency, TRANSIENT_ERROR_PREFIX,
-};
+use sigmavp_fault::{CircuitBreaker, FaultPlan, Relocation, Residency, TRANSIENT_ERROR_PREFIX};
 use sigmavp_gpu::engine::simulate;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
-use sigmavp_ipc::queue::{Job, JobId, JobKind, JobQueue};
+use sigmavp_ipc::queue::{Job, JobId, JobKind};
 use sigmavp_sched::{
     quorum_met, quorum_threshold, DeviceView, JobStream, LoadRebalance, PassCtx, Pipeline, Policy,
     Rebalance,
@@ -242,7 +240,6 @@ fn replay_onto<'a>(
     let recorder = sigmavp_telemetry::recorder();
     move |orig_seq, request| {
         let started_wall_s = recorder.wall_now_s();
-        let started = Instant::now();
         let body = runtime.process_replay(&unrecorded(vp, orig_seq, request.clone())).body;
         if recorder.enabled() {
             recorder.span_for_job(
@@ -250,7 +247,7 @@ fn replay_onto<'a>(
                 Lane::Dispatcher,
                 format!("replay {label}"),
                 started_wall_s,
-                started.elapsed().as_secs_f64(),
+                recorder.wall_now_s() - started_wall_s,
                 job_uid(vp.0, orig_seq),
             );
         }
@@ -266,30 +263,97 @@ fn release(runtime: &mut HostRuntime, vp: VpId, handles: &[u64]) {
     }
 }
 
+/// The error answer to `request`.
+fn error_reply(request: &Envelope, message: String) -> ResponseEnvelope {
+    let body = Response::Error { message };
+    ResponseEnvelope { vp: request.vp, seq: request.seq, sent_at_s: request.sent_at_s, body }
+}
+
 /// The envelope of a request the guest never sent as such: no send time, no
 /// deadline.
 fn unrecorded(vp: VpId, seq: u64, body: Request) -> Envelope {
     Envelope { vp, seq, sent_at_s: 0.0, deadline_s: Envelope::NO_DEADLINE, body }
 }
 
-/// A request waiting in the core, with when it arrived (collector wall clock,
-/// for the latency metric and queue-wait span only).
-struct Arrival {
+/// One accepted, not yet answered request — the same record whether it waits
+/// in the async window or is a synchronous launch held while its VP is
+/// stopped (Fig. 4b). Within a window being planned, `job.id` is the record's
+/// index in that window.
+struct Pending {
+    job: Job,
     envelope: Envelope,
+    /// When it arrived (collector wall clock; zero without a recorder): feeds
+    /// the queue-wait and latency metrics only.
     wall_s: f64,
 }
 
-/// A synchronous launch held while its VP is stopped (Fig. 4b): the reply —
-/// and the VP's resume — are deferred until the cross-VP window flushes.
-struct HeldJob {
-    job: Job,
-    arrival: Arrival,
-}
-
-impl HeldJob {
+impl Pending {
     /// The canonical window-ordering key.
     fn key(&self) -> (u32, u64) {
         (self.job.vp.0, self.job.seq)
+    }
+}
+
+/// Everything the core knows about one VP.
+#[derive(Default)]
+struct VpRecord {
+    /// Counts toward the sync quorum: it can still produce a launch.
+    member: bool,
+    quarantined: bool,
+    /// Its launches may merge in a sync window.
+    coalescible: bool,
+    /// Flushed-window count at its last sign of life; a member
+    /// `hang_windows` behind is quarantined until it speaks again.
+    last_activity_flush: u64,
+    /// Journal and handle translation, for failover replay.
+    residency: Residency,
+    /// Effect-once: the last *executed* response, resent when the guest
+    /// retries its sequence number. Guests are synchronous, so one slot
+    /// suffices; injected transient errors are never stored, so the retry
+    /// after one reaches the device again.
+    answered: Option<ResponseEnvelope>,
+    /// Accepted but not yet answered: a delayed duplicate of it is dropped.
+    in_flight: Option<u64>,
+    /// `dispatch.vp<N>.latency_s`, built on first use.
+    latency_metric: Option<String>,
+}
+
+/// Everything the core knows about one host GPU.
+#[derive(Clone)]
+struct DeviceRecord {
+    breaker: CircuitBreaker,
+    /// The trip has been noticed (counted and marked) already.
+    down_noticed: bool,
+    /// Attempted operations; indexes the plan's transient schedule.
+    op_count: u64,
+    /// Simulated time the device frees up after prior sync windows.
+    free_s: f64,
+}
+
+/// The async window is the paper's Job Queue: its depth as the `queue.depth`
+/// gauge and a wall-clock counter track on the job-queue lane.
+fn record_queue_depth(recorder: &sigmavp_telemetry::Recorder, depth: usize) {
+    recorder.gauge_set("queue.depth", depth as f64);
+    recorder.counter_event(
+        TimeDomain::Wall,
+        Lane::JobQueue,
+        "queue depth",
+        recorder.wall_now_s(),
+        depth as f64,
+    );
+}
+
+/// `window` leaves the job queue: the dequeue count, each job's queue wait,
+/// and the depth back at zero.
+fn record_dequeue(window: &[Pending]) {
+    let recorder = sigmavp_telemetry::recorder();
+    if recorder.enabled() && !window.is_empty() {
+        recorder.count("jobs.dequeued", window.len() as u64);
+        let now_s = recorder.wall_now_s();
+        for p in window {
+            recorder.observe_s("queue.wait_s", (now_s - p.wall_s).max(0.0));
+        }
+        record_queue_depth(&recorder, 0);
     }
 }
 
@@ -306,7 +370,7 @@ fn dispatch_span_name(job: &Job) -> String {
 /// window can be planned with the same engine-model oracle as offline logs.
 /// Expected durations stand in for observed ones, and kernels are floored at
 /// the launch overhead so a never-profiled launch still prices its fixed cost.
-fn synth_record(h: &HeldJob, arch: &GpuArch) -> JobRecord {
+fn synth_record(h: &Pending, arch: &GpuArch) -> JobRecord {
     let kind = match &h.job.kind {
         JobKind::CopyIn { bytes } => RecordKind::H2d { bytes: *bytes, stream: 0 },
         JobKind::CopyOut { bytes } => RecordKind::D2h { bytes: *bytes, stream: 0 },
@@ -327,46 +391,51 @@ fn synth_record(h: &HeldJob, arch: &GpuArch) -> JobRecord {
         seq: h.job.seq,
         kind,
         duration_s: h.job.expected_duration_s,
-        sent_at_s: h.arrival.envelope.sent_at_s,
+        sent_at_s: h.envelope.sent_at_s,
     }
 }
 
-/// Supervision state: per-device health, effect-once dedup, and each VP's
-/// per-device [`Residency`] for failover replay.
+/// The core's records — one per host GPU, one per VP — with the ledger and
+/// the recovery actions over them. A struct of its own so those actions can
+/// run while the session lock, a borrow of the core, is held.
 struct Supervision {
     plan: Option<Arc<FaultPlan>>,
-    breakers: Vec<CircuitBreaker>,
-    /// Whether each device's trip has already been noticed (counted + marked).
-    down_noticed: Vec<bool>,
-    /// Attempted operations per device; indexes the plan's transient schedule.
-    op_count: Vec<u64>,
-    dedup: DedupCache,
-    residency: HashMap<VpId, Residency>,
-    /// Requests accepted but not yet answered, as `(vp, seq)`; guards against
-    /// a delayed duplicate being accepted twice.
-    in_flight: HashSet<(u32, u64)>,
+    stats: DispatchStats,
+    /// Indexed by device.
+    devices: Vec<DeviceRecord>,
+    /// Ordered rather than dense — VP ids are the caller's choice — so every
+    /// observable iteration (quorum ties, quarantine order) is ascending.
+    vps: BTreeMap<VpId, VpRecord>,
 }
 
 impl Supervision {
-    fn new(plan: Option<Arc<FaultPlan>>, devices: usize) -> Self {
+    fn new(plan: Option<Arc<FaultPlan>>, devices: usize, coalescible: HashMap<VpId, bool>) -> Self {
         let threshold = plan
             .as_ref()
             .map_or(sigmavp_fault::plan::DEFAULT_BREAKER_THRESHOLD, |p| p.breaker_threshold());
+        let breaker = CircuitBreaker::new(threshold);
+        let device = DeviceRecord { breaker, down_noticed: false, op_count: 0, free_s: 0.0 };
+        let vp = |(vp, coalescible)| (vp, VpRecord { coalescible, ..VpRecord::default() });
         Supervision {
             plan,
-            breakers: (0..devices).map(|_| CircuitBreaker::new(threshold)).collect(),
-            down_noticed: vec![false; devices],
-            op_count: vec![0; devices],
-            dedup: DedupCache::new(),
-            residency: HashMap::new(),
-            in_flight: HashSet::new(),
+            stats: DispatchStats::default(),
+            devices: vec![device; devices],
+            vps: coalescible.into_iter().map(vp).collect(),
+        }
+    }
+
+    /// `(vp, seq)` has its answer, or was handed back unexecuted: lift the
+    /// in-flight guard, unless it has moved on to a newer request.
+    fn clear_in_flight(&mut self, vp: VpId, seq: u64) {
+        if let Some(record) = self.vps.get_mut(&vp).filter(|r| r.in_flight == Some(seq)) {
+            record.in_flight = None;
         }
     }
 
     /// Is `device` out of service for a request stamped at `sim_s`?
     fn is_down(&self, session: &ExecutionSession, device: usize, sim_s: f64) -> bool {
         !session.is_healthy(device)
-            || self.breakers[device].is_open()
+            || self.devices[device].breaker.is_open()
             || self.plan.as_ref().is_some_and(|p| p.device_down(device, sim_s))
     }
 
@@ -394,19 +463,15 @@ impl Supervision {
 
     /// Take `device` out of service (idempotent): mark it unhealthy for
     /// routing, trip its breaker, and emit the trip telemetry exactly once.
-    fn mark_down(
-        &mut self,
-        session: &mut ExecutionSession,
-        stats: &mut DispatchStats,
-        device: usize,
-    ) {
-        if self.down_noticed[device] {
+    fn mark_down(&mut self, session: &mut ExecutionSession, device: usize) {
+        let record = &mut self.devices[device];
+        if record.down_noticed {
             return;
         }
-        self.down_noticed[device] = true;
-        self.breakers[device].trip();
+        record.down_noticed = true;
+        record.breaker.trip();
         session.mark_down(device);
-        stats.gpu_trips += 1;
+        self.stats.gpu_trips += 1;
         let recorder = sigmavp_telemetry::recorder();
         recorder.count("fault.gpu_trips", 1);
         recorder.gauge_set("fault.healthy_gpus", session.healthy_count() as f64);
@@ -427,16 +492,10 @@ impl Supervision {
 
     /// Failover: take `vp`'s current device out of service, then relocate the
     /// VP onto `target`.
-    fn fail_over(
-        &mut self,
-        session: &mut ExecutionSession,
-        stats: &mut DispatchStats,
-        vp: VpId,
-        target: usize,
-    ) {
+    fn fail_over(&mut self, session: &mut ExecutionSession, vp: VpId, target: usize) {
         if let Some(current) = session.device_of(vp).filter(|&current| current != target) {
-            self.mark_down(session, stats, current);
-            self.relocate(session, stats, vp, target);
+            self.mark_down(session, current);
+            self.relocate(session, vp, target);
         }
     }
 
@@ -445,23 +504,15 @@ impl Supervision {
     /// device state there through [`relocate_between`] — which frees the
     /// buffers on the source unless that device is out of service — and
     /// switch routing.
-    fn relocate(
-        &mut self,
-        session: &mut ExecutionSession,
-        stats: &mut DispatchStats,
-        vp: VpId,
-        target: usize,
-    ) {
-        let Some(current) = session.device_of(vp) else { return };
-        if current == target {
+    fn relocate(&mut self, session: &mut ExecutionSession, vp: VpId, target: usize) {
+        let Some(current) = session.device_of(vp).filter(|&current| current != target) else {
             return;
-        }
+        };
         let recorder = sigmavp_telemetry::recorder();
         let started_wall_s = recorder.wall_now_s();
-        let started = Instant::now();
         let source = session.is_healthy(current).then(|| session.runtime(current));
         let moved = relocate_between(
-            self.residency.entry(vp).or_default(),
+            &mut self.vps.entry(vp).or_default().residency,
             vp,
             source.as_deref(),
             &session.runtime(target),
@@ -473,32 +524,26 @@ impl Supervision {
             recorder.count("fault.replayed_jobs", moved.replayed as u64);
         }
         session.reassign(vp, target);
-        stats.migrations += 1;
+        self.stats.migrations += 1;
         recorder.count("fault.migrations", 1);
         recorder.span(
             TimeDomain::Wall,
             Lane::Dispatcher,
             format!("migrate VP {} -> gpu{target}", vp.0),
             started_wall_s,
-            started.elapsed().as_secs_f64(),
+            recorder.wall_now_s() - started_wall_s,
         );
     }
 
-    /// The side effects of quarantining `vp` (the caller owns the quarantine
-    /// set): publish a [`IncidentKind::VpHung`] incident — an installed flight
-    /// recorder dumps a postmortem bundle on it — and fail the VP's journal
-    /// over to the least-loaded healthy *other* device, so when (if) the VP
-    /// wakes its state is already off the placement it wedged on.
-    fn quarantine(
-        &mut self,
-        session: &mut ExecutionSession,
-        stats: &mut DispatchStats,
-        vp: VpId,
-        device_free_s: &[f64],
-        idle_windows: u64,
-    ) {
+    /// Quarantine `vp` out of the sync quorum: publish a
+    /// [`IncidentKind::VpHung`] incident — an installed flight recorder dumps
+    /// a postmortem bundle on it — and fail the VP's journal over to the
+    /// least-loaded healthy *other* device, so when (if) the VP wakes its
+    /// state is already off the placement it wedged on.
+    fn quarantine(&mut self, session: &mut ExecutionSession, vp: VpId, idle_windows: u64) {
         let recorder = sigmavp_telemetry::recorder();
-        stats.quarantined += 1;
+        self.vps.entry(vp).or_default().quarantined = true;
+        self.stats.quarantined += 1;
         recorder.count("liveness.quarantined", 1);
         let current = session.device_of(vp);
         bus::publish(&ObsEvent::Incident(Incident {
@@ -513,19 +558,12 @@ impl Supervision {
         }));
         // Least simulated backlog, ties to the lowest index. Single-device
         // sessions keep the placement; quarantine still shrinks the quorum.
-        if let Some(current) = current {
-            let target = (0..session.device_count())
-                .filter(|&d| d != current && session.is_healthy(d))
-                .min_by(|&a, &b| {
-                    device_free_s[a]
-                        .partial_cmp(&device_free_s[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-            if let Some(target) = target {
-                self.relocate(session, stats, vp, target);
-                recorder.count("liveness.quarantine_failovers", 1);
-            }
+        let target = (0..session.device_count())
+            .filter(|&d| current.is_some_and(|current| d != current) && session.is_healthy(d))
+            .min_by(|&a, &b| self.devices[a].free_s.total_cmp(&self.devices[b].free_s));
+        if let Some(target) = target {
+            self.relocate(session, vp, target);
+            recorder.count("liveness.quarantine_failovers", 1);
         }
     }
 }
@@ -539,34 +577,25 @@ pub struct DispatchCore {
     /// request executes.
     session: Arc<Mutex<ExecutionSession>>,
     pipeline: Pipeline,
-    coalescible: HashMap<VpId, bool>,
     policy: Policy,
     /// Journal executed requests: a fault plan or sync windows may relocate a
-    /// VP mid-run, and replay needs its history.
+    /// VP mid-run, and replay needs its history — on a session with a second
+    /// device to relocate to.
     journal: bool,
     sup: Supervision,
-    stats: DispatchStats,
-    queue: JobQueue,
-    /// Arrivals behind the queued jobs, keyed by job id.
-    waiting: HashMap<u64, Arrival>,
+    /// The async window: requests accepted since the last turn, in arrival
+    /// order (`pending[i].job.id == JobId(i)`).
+    pending: Vec<Pending>,
     /// Held sync launches (at most one per stopped VP), in canonical
-    /// `(vp, seq)` order, and the simulated time each device frees up after
-    /// prior windows.
-    held: Vec<HeldJob>,
-    device_free_s: Vec<f64>,
+    /// `(vp, seq)` order.
+    held: Vec<Pending>,
     /// The profiler feedback loop: last observed duration per kernel name.
     expected_kernel_s: HashMap<String, f64>,
-    /// The quorum denominator: VPs that can still produce a launch.
-    members: BTreeSet<VpId>,
-    quarantined: HashSet<VpId>,
-    /// Flushed-window count at each VP's last sign of life; a VP
-    /// `hang_windows` behind is quarantined until it speaks again.
-    last_activity_flush: HashMap<VpId, u64>,
+    /// Sync windows flushed so far: the watchdog's clock.
     flush_count: u64,
     /// Max simulated timestamp on any arrival — the deterministic clock the
     /// window timeout and the hold deadline run on.
     sim_now: f64,
-    latency_metric: HashMap<VpId, String>,
     out: Turn,
 }
 
@@ -584,43 +613,38 @@ impl DispatchCore {
         DispatchCore {
             session,
             pipeline: Pipeline::from_policy(policy),
-            coalescible,
             policy: *policy,
-            journal: faults.is_some() || policy.sync_hold,
-            sup: Supervision::new(faults, devices),
-            stats: DispatchStats::default(),
-            queue: JobQueue::new(),
-            waiting: HashMap::new(),
+            journal: (faults.is_some() || policy.sync_hold) && devices > 1,
+            sup: Supervision::new(faults, devices, coalescible),
+            pending: Vec::new(),
             held: Vec::new(),
-            device_free_s: vec![0.0; devices],
             expected_kernel_s: HashMap::new(),
-            members: BTreeSet::new(),
-            quarantined: HashSet::new(),
-            last_activity_flush: HashMap::new(),
             flush_count: 0,
             sim_now: 0.0,
-            latency_metric: HashMap::new(),
             out: Turn::default(),
         }
     }
 
     /// The ledger so far.
     pub fn stats(&self) -> &DispatchStats {
-        &self.stats
+        &self.sup.stats
     }
 
     /// `vp` counts toward the sync quorum from now on (it connected, was
     /// readmitted, or migrated here); lifts a quarantine.
     pub fn join(&mut self, vp: VpId) {
-        self.members.insert(vp);
-        self.quarantined.remove(&vp);
-        self.last_activity_flush.insert(vp, self.flush_count);
+        let record = self.sup.vps.entry(vp).or_default();
+        record.member = true;
+        record.quarantined = false;
+        record.last_activity_flush = self.flush_count;
     }
 
     /// `vp` can no longer produce a launch here (it disconnected, retired, or
     /// migrated away): windows stop waiting for it.
     pub fn leave(&mut self, vp: VpId) {
-        self.members.remove(&vp);
+        if let Some(record) = self.sup.vps.get_mut(&vp) {
+            record.member = false;
+        }
     }
 
     /// Whether the driver's stall clock should run: launches are parked, the
@@ -631,7 +655,7 @@ impl DispatchCore {
     }
 
     /// Accept one decoded request: duplicates of an executed request are
-    /// answered from the dedup cache, duplicates of a pending one ignored,
+    /// answered from the VP's record, duplicates of a pending one ignored,
     /// requests already past their deadline refused; a synchronous launch
     /// under sync-hold is parked for the next window, anything else queued
     /// for the next [`turn`](Self::turn). Returns `true` when the request was
@@ -639,30 +663,32 @@ impl DispatchCore {
     /// `resume` comes back.
     pub fn offer(&mut self, envelope: Envelope) -> bool {
         let recorder = sigmavp_telemetry::recorder();
-        let vp = envelope.vp;
+        let (vp, seq) = (envelope.vp, envelope.seq);
+        self.sim_now = self.sim_now.max(envelope.sent_at_s);
         // Any arrival is proof of life. A quarantined VP that speaks again
         // rejoins the quorum — its late launch rolls into the next window.
-        self.sim_now = self.sim_now.max(envelope.sent_at_s);
-        if self.policy.hang_windows > 0 {
-            self.last_activity_flush.insert(vp, self.flush_count);
-        }
-        if self.quarantined.remove(&vp) {
-            self.stats.rejoins += 1;
+        let record = self.sup.vps.entry(vp).or_default();
+        record.last_activity_flush = self.flush_count;
+        if std::mem::take(&mut record.quarantined) {
+            self.sup.stats.rejoins += 1;
             recorder.count("liveness.rejoins", 1);
         }
-        if let Some(cached) = self.sup.dedup.lookup(vp, envelope.seq) {
+        if let Some(cached) = record.answered.as_ref().filter(|cached| cached.seq == seq) {
             // Effect-once: this request already executed but its response was
             // lost in flight; resend the cached response without re-executing.
-            self.stats.dedup_hits += 1;
+            self.sup.stats.dedup_hits += 1;
             recorder.count("fault.dedup_hits", 1);
             let response = cached.clone();
             self.out.deliveries.push(Delivery { request: envelope, response, resume: false });
             return false;
         }
-        if !self.sup.in_flight.insert((vp.0, envelope.seq)) {
+        if record.in_flight == Some(seq) {
             // A delayed duplicate of a request that is still pending.
             return false;
         }
+        // Sequence numbers only grow, so the guard stays on the newest one
+        // even if a stale frame of an older request turns up meanwhile.
+        record.in_flight = record.in_flight.max(Some(seq));
         // Admission boundary: a request stamped past its own end-to-end
         // deadline (retries eat into the same budget) is refused before it
         // enters any queue.
@@ -709,30 +735,34 @@ impl DispatchCore {
             }
         };
         let job = Job {
-            id: self.queue.next_id(),
+            // The async window's index; a sync window numbers its own jobs
+            // when it is flushed.
+            id: JobId(self.pending.len() as u64),
             vp,
-            seq: envelope.seq,
+            seq,
             kind,
             sync: true,
             enqueued_at_s: envelope.sent_at_s,
             expected_duration_s: expected,
         };
-        let arrival = Arrival { envelope, wall_s: recorder.wall_now_s() };
+        let accepted = Pending { job, envelope, wall_s: recorder.wall_now_s() };
         if hold {
             // Dedup and in-flight triage already ran, so a retry of an
             // executed or already-held request never holds twice. Holds are
             // placed by (vp, seq) as they land — arrival order races between
             // VP threads — so every window reads off a sorted slice and a
             // VP's launches can never interleave out of sequence order.
-            self.stats.holds += 1;
+            self.sup.stats.holds += 1;
             recorder.count("dispatch.sync.holds", 1);
-            let h = HeldJob { job, arrival };
-            let at = self.held.partition_point(|x| x.key() < h.key());
-            self.held.insert(at, h);
+            let at = self.held.partition_point(|x| x.key() < accepted.key());
+            self.held.insert(at, accepted);
             return true;
         }
-        self.waiting.insert(job.id.0, arrival);
-        self.queue.push(job);
+        self.pending.push(accepted);
+        if recorder.enabled() {
+            recorder.count("jobs.enqueued", 1);
+            record_queue_depth(&recorder, self.pending.len());
+        }
         false
     }
 
@@ -758,7 +788,7 @@ impl DispatchCore {
         if self.stall_armed() {
             let stuck: Vec<VpId> = self.eligible().filter(|v| !self.is_held(*v)).collect();
             if !stuck.is_empty() {
-                self.stats.backstop_trips += 1;
+                self.sup.stats.backstop_trips += 1;
                 sigmavp_telemetry::recorder().count("liveness.backstop_trips", 1);
                 self.quarantine_all(stuck);
             }
@@ -781,22 +811,18 @@ impl DispatchCore {
     /// has not executed (queued first, then held, each in order) so the
     /// driver can re-home them.
     pub fn abandon(&mut self) -> Vec<Envelope> {
-        let queued = self.queue.drain_all();
-        let orphans: Vec<Envelope> = queued
-            .iter()
-            .filter_map(|job| self.waiting.remove(&job.id.0))
-            .chain(self.held.drain(..).map(|h| h.arrival))
-            .map(|arrival| arrival.envelope)
-            .collect();
+        record_dequeue(&self.pending);
+        let orphans: Vec<Envelope> =
+            self.pending.drain(..).chain(self.held.drain(..)).map(|p| p.envelope).collect();
         for envelope in &orphans {
-            self.sup.in_flight.remove(&(envelope.vp.0, envelope.seq));
+            self.sup.clear_in_flight(envelope.vp, envelope.seq);
         }
         orphans
     }
 
     /// Non-quarantined members, ascending.
     fn eligible(&self) -> impl Iterator<Item = VpId> + '_ {
-        self.members.iter().copied().filter(|v| !self.quarantined.contains(v))
+        self.sup.vps.iter().filter(|(_, r)| r.member && !r.quarantined).map(|(vp, _)| *vp)
     }
 
     fn is_held(&self, vp: VpId) -> bool {
@@ -806,15 +832,9 @@ impl DispatchCore {
 
     fn quarantine_all(&mut self, vps: Vec<VpId>) {
         let mut session = self.session.lock();
+        let idle_windows = u64::from(self.policy.hang_windows);
         for vp in vps {
-            self.quarantined.insert(vp);
-            self.sup.quarantine(
-                &mut session,
-                &mut self.stats,
-                vp,
-                &self.device_free_s,
-                u64::from(self.policy.hang_windows),
-            );
+            self.sup.quarantine(&mut session, vp, idle_windows);
             self.out.quarantined.push(vp);
         }
     }
@@ -822,17 +842,11 @@ impl DispatchCore {
     /// Refuse `envelope` with the structured deadline violation and release
     /// its in-flight guard.
     fn refuse(&mut self, envelope: Envelope, stage: DeadlineStage, now_s: f64, resume: bool) {
-        self.stats.deadline_misses += 1;
+        self.sup.stats.deadline_misses += 1;
         sigmavp_telemetry::recorder().count("liveness.deadline_misses", 1);
-        self.sup.in_flight.remove(&(envelope.vp.0, envelope.seq));
-        let response = ResponseEnvelope {
-            vp: envelope.vp,
-            seq: envelope.seq,
-            sent_at_s: envelope.sent_at_s,
-            body: Response::Error {
-                message: format_deadline_violation(stage, envelope.deadline_s, now_s),
-            },
-        };
+        self.sup.clear_in_flight(envelope.vp, envelope.seq);
+        let violation = format_deadline_violation(stage, envelope.deadline_s, now_s);
+        let response = error_reply(&envelope, violation);
         self.out.deliveries.push(Delivery { request: envelope, response, resume });
     }
 
@@ -841,61 +855,67 @@ impl DispatchCore {
     /// which sees per-device health and plans migrations off dead GPUs — then
     /// execute it.
     fn run_pending(&mut self) {
-        let window = self.queue.drain_all();
-        if window.is_empty() {
+        if self.pending.is_empty() {
             return;
         }
+        let mut window = std::mem::take(&mut self.pending);
+        record_dequeue(&window);
         let recorder = sigmavp_telemetry::recorder();
         if window.len() > 1 {
-            self.stats.multi_job_windows += 1;
+            self.sup.stats.multi_job_windows += 1;
             recorder.count("dispatch.multi_job_windows", 1);
         }
         recorder.count("dispatch.windows", 1);
         recorder.observe_s("dispatch.window_jobs", window.len() as f64);
-        self.stats.max_window = self.stats.max_window.max(window.len());
-        let jobs = {
+        self.sup.stats.max_window = self.sup.stats.max_window.max(window.len());
+        // Each job's planned position, by id (its window index).
+        let rank: Option<Vec<usize>> = {
             let mut session = self.session.lock();
             // One job on a healthy device: nothing to reorder, nowhere to
             // migrate — planning would hand the window back unchanged.
+            let first = &window[0].job;
             let trivial = window.len() == 1
                 && session
-                    .device_of(window[0].vp)
-                    .is_some_and(|d| !self.sup.is_down(&session, d, window[0].enqueued_at_s));
-            if trivial {
-                window
-            } else {
-                let planned = self.sup.plan_window(&session, &self.pipeline, window, None);
+                    .device_of(first.vp)
+                    .is_some_and(|d| !self.sup.is_down(&session, d, first.enqueued_at_s));
+            (!trivial).then(|| {
+                let jobs = window.iter().map(|p| p.job.clone()).collect();
+                let planned = self.sup.plan_window(&session, &self.pipeline, jobs, None);
                 for (vp, target) in planned.migrations {
-                    self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                    self.sup.fail_over(&mut session, vp, target);
                 }
-                planned.jobs
-            }
+                let mut rank = vec![0; window.len()];
+                for (position, job) in planned.jobs.iter().enumerate() {
+                    rank[job.id.0 as usize] = position;
+                }
+                rank
+            })
         };
-        for job in jobs {
-            let arrival = self.waiting.remove(&job.id.0).expect("every job has an arrival");
+        if let Some(rank) = rank {
+            window.sort_by_key(|p| rank[p.job.id.0 as usize]);
+        }
+        for p in window.drain(..) {
             // Plan boundary: refuse device work whose *projected* completion
             // already overshoots its deadline, instead of burning device time
             // on it. Control requests never reach an engine; they are not
             // priced.
-            let envelope = &arrival.envelope;
-            let projected_s = envelope.sent_at_s + job.expected_duration_s;
+            let envelope = &p.envelope;
+            let projected_s = envelope.sent_at_s + p.job.expected_duration_s;
             let device_work = !matches!(
                 envelope.body,
                 Request::Malloc { .. } | Request::Free { .. } | Request::Synchronize
             );
             if device_work && envelope.has_deadline() && projected_s > envelope.deadline_s {
-                self.refuse(arrival.envelope, DeadlineStage::Plan, projected_s, false);
+                self.refuse(p.envelope, DeadlineStage::Plan, projected_s, false);
                 continue;
             }
-            let response = self.execute(&job, &arrival);
-            self.stats.requests += 1;
-            self.sup.in_flight.remove(&(job.vp.0, job.seq));
-            self.out.deliveries.push(Delivery {
-                request: arrival.envelope,
-                response,
-                resume: false,
-            });
+            let response = self.execute(&p);
+            self.sup.stats.requests += 1;
+            self.sup.clear_in_flight(p.job.vp, p.job.seq);
+            self.out.deliveries.push(Delivery { request: p.envelope, response, resume: false });
         }
+        // Emptied, not dropped: the steady state allocates no window.
+        self.pending = window;
     }
 
     /// Sync window triage, in precedence order:
@@ -912,7 +932,7 @@ impl DispatchCore {
     /// * *timeout* — the window has been open longer (in simulated time) than
     ///   the configured limit: flush everything held rather than park VPs
     ///   behind a straggler indefinitely.
-    fn due_window(&mut self) -> Option<Vec<HeldJob>> {
+    fn due_window(&mut self) -> Option<Vec<Pending>> {
         if self.held.is_empty() {
             return None;
         }
@@ -923,33 +943,27 @@ impl DispatchCore {
         }
         let quorum_pct = self.policy.sync_quorum_pct;
         if quorum_pct < 100 && quorum_met(self.held.len(), eligible, quorum_pct) {
-            self.stats.quorum_flushes += 1;
+            self.sup.stats.quorum_flushes += 1;
             recorder.count("dispatch.sync.quorum_flushes", 1);
             let threshold = quorum_threshold(eligible, quorum_pct);
             let held = &self.held;
             let mut order: Vec<usize> = (0..held.len()).collect();
             order.sort_by(|&a, &b| {
                 let (a, b) = (&held[a], &held[b]);
-                a.arrival
-                    .envelope
-                    .sent_at_s
-                    .partial_cmp(&b.arrival.envelope.sent_at_s)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.key().cmp(&b.key()))
+                a.envelope.sent_at_s.total_cmp(&b.envelope.sent_at_s).then(a.key().cmp(&b.key()))
             });
             order.truncate(threshold);
             // Removing in descending index order keeps the remaining indices
             // valid; reversing restores canonical (vp, seq).
             order.sort_unstable();
-            let mut window: Vec<HeldJob> =
+            let mut window: Vec<Pending> =
                 order.iter().rev().map(|&i| self.held.remove(i)).collect();
             window.reverse();
             return Some(window);
         }
-        let opened_s =
-            self.held.iter().map(|h| h.arrival.envelope.sent_at_s).fold(f64::INFINITY, f64::min);
+        let opened_s = self.held.iter().map(|h| h.envelope.sent_at_s).fold(f64::INFINITY, f64::min);
         if self.policy.sync_timeout_s().is_some_and(|limit| self.sim_now - opened_s >= limit) {
-            self.stats.timeout_flushes += 1;
+            self.sup.stats.timeout_flushes += 1;
             recorder.count("dispatch.sync.timeout_flushes", 1);
             return Some(std::mem::take(&mut self.held));
         }
@@ -968,7 +982,7 @@ impl DispatchCore {
         let hung: Vec<VpId> = self
             .eligible()
             .filter(|v| {
-                let last = self.last_activity_flush.get(v).copied().unwrap_or(self.flush_count);
+                let last = self.sup.vps[v].last_activity_flush;
                 !self.is_held(*v) && self.flush_count.saturating_sub(last) >= hang_windows
             })
             .collect();
@@ -985,16 +999,11 @@ impl DispatchCore {
     /// protocol deadlock-free under faults: a stopped VP whose device tripped,
     /// or that migrated mid-window, still gets a (possibly error) answer and a
     /// resume.
-    fn execute(&mut self, job: &Job, arrival: &Arrival) -> ResponseEnvelope {
+    fn execute(&mut self, p: &Pending) -> ResponseEnvelope {
         let recorder = sigmavp_telemetry::recorder();
-        let envelope = &arrival.envelope;
+        let envelope = &p.envelope;
         let (vp, seq, sent_at_s) = (envelope.vp, envelope.seq, envelope.sent_at_s);
-        let error = |message: String| ResponseEnvelope {
-            vp,
-            seq,
-            sent_at_s,
-            body: Response::Error { message },
-        };
+        let error = |message: String| error_reply(envelope, message);
         // The session lock covers only routing and health; execution below
         // holds nothing but the device's runtime lock.
         let (runtime, arch) = {
@@ -1004,29 +1013,30 @@ impl DispatchCore {
             // after planning (or the plan saw an earlier timestamp), fail
             // over now — or degrade to an error when no survivor is left.
             if self.sup.is_down(&session, device, sent_at_s) {
-                self.sup.mark_down(&mut session, &mut self.stats, device);
+                self.sup.mark_down(&mut session, device);
                 let survivor = (0..session.device_count())
                     .find(|&d| d != device && !self.sup.is_down(&session, d, sent_at_s));
                 let Some(target) = survivor else {
                     recorder.count("fault.no_survivor", 1);
                     return error(format!("no surviving host gpu: device {device} is down"));
                 };
-                self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                self.sup.fail_over(&mut session, vp, target);
                 device = target;
             }
             // Transient device-error injection: the plan marks attempted
             // operation indexes per device; an injected failure feeds the
             // breaker and is *not* cached, so the guest's retry re-executes.
-            let op = self.sup.op_count[device];
-            self.sup.op_count[device] += 1;
+            let record = &mut self.sup.devices[device];
+            let op = record.op_count;
+            record.op_count += 1;
             if self.sup.plan.as_ref().is_some_and(|p| p.transient_at(device, op)) {
                 recorder.count("fault.injected.transient", 1);
-                if self.sup.breakers[device].record_failure() {
-                    self.sup.mark_down(&mut session, &mut self.stats, device);
+                if record.breaker.record_failure() {
+                    self.sup.mark_down(&mut session, device);
                 }
                 return error(format!("{TRANSIENT_ERROR_PREFIX} injected device fault"));
             }
-            self.sup.breakers[device].record_success();
+            record.breaker.record_success();
             // The arch feeds observation publishing only; skip the clone when
             // nothing on the bus is listening.
             (session.runtime(device), bus::has_sinks().then(|| session.arch(device).clone()))
@@ -1034,7 +1044,8 @@ impl DispatchCore {
         // A relocated VP keeps its original guest handle space; everyone else
         // executes the request as it arrived, uncopied.
         let translated;
-        let exec = match self.sup.residency.get(&vp).map(|r| r.translate(&envelope.body)) {
+        let translation = self.sup.vps.get(&vp).map(|r| r.residency.translate(&envelope.body));
+        let exec = match translation {
             None | Some(Ok(Cow::Borrowed(_))) => envelope,
             Some(Ok(Cow::Owned(body))) => {
                 translated = Envelope { vp, seq, sent_at_s, deadline_s: envelope.deadline_s, body };
@@ -1043,7 +1054,6 @@ impl DispatchCore {
             Some(Err(message)) => return error(message),
         };
         let exec_started_wall_s = recorder.wall_now_s();
-        let exec_started = Instant::now();
         let mut response = {
             let mut rt = runtime.lock();
             let response = rt.process(exec);
@@ -1065,14 +1075,15 @@ impl DispatchCore {
             }
             response
         };
+        let record = self.sup.vps.entry(vp).or_default();
         if recorder.enabled() {
             let uid = job_uid(vp.0, seq);
             recorder.span_for_job(
                 TimeDomain::Wall,
                 Lane::Dispatcher,
-                dispatch_span_name(job),
+                dispatch_span_name(&p.job),
                 exec_started_wall_s,
-                exec_started.elapsed().as_secs_f64(),
+                recorder.wall_now_s() - exec_started_wall_s,
                 uid,
             );
             // Queue wait: arrival at the core to execution start, on the
@@ -1080,30 +1091,25 @@ impl DispatchCore {
             recorder.span_for_job(
                 TimeDomain::Wall,
                 Lane::JobQueue,
-                dispatch_span_name(job),
-                arrival.wall_s,
-                (exec_started_wall_s - arrival.wall_s).max(0.0),
+                dispatch_span_name(&p.job),
+                p.wall_s,
+                (exec_started_wall_s - p.wall_s).max(0.0),
                 uid,
             );
             // Per-VP request latency: arrival to response ready.
-            let metric = self
+            let metric = record
                 .latency_metric
-                .entry(vp)
-                .or_insert_with(|| format!("dispatch.vp{}.latency_s", vp.0));
-            recorder.observe_s(metric, (recorder.wall_now_s() - arrival.wall_s).max(0.0));
+                .get_or_insert_with(|| format!("dispatch.vp{}.latency_s", vp.0));
+            recorder.observe_s(metric, (recorder.wall_now_s() - p.wall_s).max(0.0));
         }
         // Keep the guest's handle space stable and journal the guest-visible
         // effect, so a later failover or load-triggered relocation can
         // reconstruct device state.
         if self.journal {
-            self.sup.residency.entry(vp).or_default().settle(
-                seq,
-                &envelope.body,
-                &mut response.body,
-            );
+            record.residency.settle(seq, &envelope.body, &mut response.body);
         }
         // Effect-once: remember the executed response for dedup resends.
-        self.sup.dedup.store(&response);
+        record.answered = Some(response.clone());
         response
     }
 
@@ -1119,54 +1125,52 @@ impl DispatchCore {
     /// refused here (the `hold` boundary) instead of being planned: their VPs
     /// still resume, carrying the structured violation instead of a
     /// completion.
-    fn flush(&mut self, window: Vec<HeldJob>) {
+    fn flush(&mut self, window: Vec<Pending>) {
         let recorder = sigmavp_telemetry::recorder();
         let flush_started_wall_s = recorder.wall_now_s();
-        let flush_started = Instant::now();
         assert!(
             window.windows(2).all(|w| w[0].key() < w[1].key()),
             "sync window must arrive in canonical (vp, seq) order"
         );
-        self.stats.sync_windows += 1;
+        self.sup.stats.sync_windows += 1;
         recorder.count("dispatch.sync.windows", 1);
         recorder.observe_s("dispatch.sync.window_jobs", window.len() as f64);
-        if self.policy.hang_windows > 0 {
-            // Being flushed is a sign of life: a VP in this window is not
-            // behind once the flush is counted.
-            for h in &window {
-                self.last_activity_flush.insert(h.job.vp, self.flush_count + 1);
-            }
+        // Being flushed is a sign of life: a VP in this window is not behind
+        // once the flush is counted.
+        for h in &window {
+            self.sup.vps.entry(h.job.vp).or_default().last_activity_flush = self.flush_count + 1;
         }
 
         // Hold boundary: anything that expired while parked — by the newest
         // simulated time seen on any arrival — is refused, not planned.
         let sim_now = self.sim_now;
-        let (window, expired): (Vec<HeldJob>, Vec<HeldJob>) =
-            window.into_iter().partition(|h| sim_now <= h.arrival.envelope.deadline_s);
+        let (window, expired): (Vec<Pending>, Vec<Pending>) =
+            window.into_iter().partition(|h| sim_now <= h.envelope.deadline_s);
         for h in expired {
-            self.refuse(h.arrival.envelope, DeadlineStage::Hold, sim_now, true);
+            self.refuse(h.envelope, DeadlineStage::Hold, sim_now, true);
         }
 
         // Rebalance over the whole window, then partition it by
         // (post-migration) device in first-appearance order.
-        let t_now = window.iter().map(|h| h.arrival.envelope.sent_at_s).fold(0.0f64, f64::max);
+        let t_now = window.iter().map(|h| h.envelope.sent_at_s).fold(0.0f64, f64::max);
         let mut slices: Vec<(usize, GpuArch, Vec<usize>)> = Vec::new();
         {
             let mut session = self.session.lock();
-            let jobs: Vec<Job> = window.iter().map(|h| h.job.clone()).collect();
+            let jobs: Vec<Job> = window
+                .iter()
+                .enumerate()
+                .map(|(i, h)| Job { id: JobId(i as u64), ..h.job.clone() })
+                .collect();
             let rebalance = Pipeline::new().with_pass(Rebalance);
             let load = Some(LoadRebalance::DEFAULT);
             let migrations = self.sup.plan_window(&session, &rebalance, jobs, load).migrations;
             for (vp, target) in migrations {
-                let Some(current) = session.device_of(vp) else { continue };
-                if current == target {
-                    continue;
-                }
-                if self.sup.is_down(&session, current, t_now) {
-                    self.sup.fail_over(&mut session, &mut self.stats, vp, target);
+                let current = session.device_of(vp);
+                if current.is_some_and(|current| self.sup.is_down(&session, current, t_now)) {
+                    self.sup.fail_over(&mut session, vp, target);
                 } else {
                     // Load-triggered: the source device stays in service.
-                    self.sup.relocate(&mut session, &mut self.stats, vp, target);
+                    self.sup.relocate(&mut session, vp, target);
                 }
             }
             for (i, h) in window.iter().enumerate() {
@@ -1191,7 +1195,7 @@ impl DispatchCore {
             let mut records: Vec<JobRecord> =
                 members.iter().map(|&w| synth_record(&window[w], &arch)).collect();
             let planned = {
-                let coalescible = |vp: VpId| self.coalescible.get(&vp).copied().unwrap_or(false);
+                let coalescible = |vp: VpId| self.sup.vps.get(&vp).is_some_and(|r| r.coalescible);
                 let evaluator = EngineEvaluator::new(&arch, &records);
                 let lanes = |block_dim: u32| arch.blocks_per_wave(block_dim);
                 let ctx = PassCtx::new(&coalescible)
@@ -1208,7 +1212,7 @@ impl DispatchCore {
                 Vec::with_capacity(planned.jobs.len());
             for job in &planned.jobs {
                 let h = &window[members[job.id.0 as usize]];
-                let response = self.execute(&h.job, &h.arrival);
+                let response = self.execute(h);
                 // Real observed durations re-price the window below.
                 if let Response::Launched { device_time_s } = &response.body {
                     records[job.id.0 as usize].duration_s = *device_time_s;
@@ -1223,10 +1227,10 @@ impl DispatchCore {
             let reorder_stream = self.pipeline.plan(local_jobs, &PassCtx::reorder_only());
             let reorder_tl =
                 simulate(&arch, &lower_jobs(&reorder_stream.jobs, &records, &[], &arch));
-            self.stats.sync_makespan_s += live_tl.makespan_s;
-            self.stats.sync_reorder_makespan_s += reorder_tl.makespan_s;
-            self.stats.live_groups += planned.groups.len() as u64;
-            self.stats.live_members += planned.merged_members() as u64;
+            self.sup.stats.sync_makespan_s += live_tl.makespan_s;
+            self.sup.stats.sync_reorder_makespan_s += reorder_tl.makespan_s;
+            self.sup.stats.live_groups += planned.groups.len() as u64;
+            self.sup.stats.live_members += planned.merged_members() as u64;
             recorder.observe_s("dispatch.sync.makespan_s", live_tl.makespan_s);
             recorder.observe_s("dispatch.sync.reorder_makespan_s", reorder_tl.makespan_s);
             if !planned.groups.is_empty() {
@@ -1253,8 +1257,8 @@ impl DispatchCore {
                 if let Some(&(_, block_dim)) = geometry.first() {
                     let total_grid: u64 = geometry.iter().map(|&(g, _)| u64::from(g)).sum();
                     let bpw = u64::from(arch.blocks_per_wave(block_dim));
-                    self.stats.wave_slots += total_grid.div_ceil(bpw).max(1) * bpw;
-                    self.stats.wave_filled += total_grid;
+                    self.sup.stats.wave_slots += total_grid.div_ceil(bpw).max(1) * bpw;
+                    self.sup.stats.wave_filled += total_grid;
                 }
             }
 
@@ -1262,7 +1266,7 @@ impl DispatchCore {
             // opens when its last request was stamped (and no earlier than the
             // device's previous window draining), members complete at their
             // op's end — a coalesced-away member at its anchor's.
-            let base = t_now.max(self.device_free_s[d]);
+            let base = t_now.max(self.sup.devices[d].free_s);
             for (local_id, mut response) in responses {
                 let op = anchor_of.get(&local_id).copied().unwrap_or(local_id);
                 let end = live_tl.span(op).map_or(live_tl.makespan_s, |s| s.end_s);
@@ -1271,41 +1275,35 @@ impl DispatchCore {
                 if let Response::Launched { device_time_s } = &mut response.body {
                     // Charge the guest its observed completion: queueing
                     // behind the window plus its (possibly merged) execution.
-                    let charge = (abs_end - window[w].arrival.envelope.sent_at_s).max(0.0);
+                    let charge = (abs_end - window[w].envelope.sent_at_s).max(0.0);
                     *device_time_s = charge.max(*device_time_s);
-                    // Keep the dedup cache consistent with the reply delivered.
-                    self.sup.dedup.store(&response);
+                    // Keep the effect-once record consistent with the reply
+                    // delivered.
+                    self.sup.vps.entry(response.vp).or_default().answered = Some(response.clone());
                 }
                 completions.push((w, abs_end, response));
             }
-            self.device_free_s[d] = base + live_tl.makespan_s;
+            self.sup.devices[d].free_s = base + live_tl.makespan_s;
         }
 
         // Deliver in planned completion order: the earliest-finishing VP
         // wakes first, exactly as the merged timeline completes (ties by VP).
-        completions.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(window[a.0].job.vp.cmp(&window[b.0].job.vp))
-        });
+        completions
+            .sort_by(|a, b| a.1.total_cmp(&b.1).then(window[a.0].job.vp.cmp(&window[b.0].job.vp)));
         let jobs = window.len();
-        let mut window: Vec<Option<HeldJob>> = window.into_iter().map(Some).collect();
+        let mut window: Vec<Option<Pending>> = window.into_iter().map(Some).collect();
         for (w, _, response) in completions {
             let h = window[w].take().expect("each held job completes once");
-            self.stats.requests += 1;
-            self.sup.in_flight.remove(&h.key());
-            self.out.deliveries.push(Delivery {
-                request: h.arrival.envelope,
-                response,
-                resume: true,
-            });
+            self.sup.stats.requests += 1;
+            self.sup.clear_in_flight(h.job.vp, h.job.seq);
+            self.out.deliveries.push(Delivery { request: h.envelope, response, resume: true });
         }
         recorder.span(
             TimeDomain::Wall,
             Lane::Dispatcher,
             format!("sync window ({jobs} jobs)"),
             flush_started_wall_s,
-            flush_started.elapsed().as_secs_f64(),
+            recorder.wall_now_s() - flush_started_wall_s,
         );
     }
 }
@@ -1654,6 +1652,139 @@ mod tests {
         assert_eq!(again.deliveries[0].response, first.deliveries[0].response);
         let stats = rig.core.stats();
         assert_eq!((stats.requests, stats.dedup_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_core_journals_only_when_it_has_somewhere_to_relocate_to() {
+        for (gpus, journaled) in [(1, false), (2, true)] {
+            let mut rig = Rig::new(sync_policy(), gpus, 2);
+            let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+            rig.step(0, l0);
+            assert_eq!(rig.step(1, l1).deliveries.len(), 2, "the window flushed");
+            for (vp, record) in &rig.core.sup.vps {
+                let journal = record.residency.journal();
+                assert_eq!(!journal.is_empty(), journaled, "{vp} on {gpus} gpu(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_stays_in_flight_once_answered_refused_or_handed_back() {
+        let mut rig = Rig::new(sync_policy(), 2, 3);
+        let in_flight = |rig: &Rig| -> Vec<Option<u64>> {
+            rig.core.sup.vps.values().map(|record| record.in_flight).collect()
+        };
+        let launch = rig.prepare(0, 1.0);
+        let held = rig.envelope(0, launch);
+        let queued = rig.envelope(1, Request::Synchronize);
+        rig.budget_s = Some(-1.0); // stamped past its own deadline
+        let expired = rig.envelope(2, Request::Synchronize);
+        for envelope in [&held, &held, &queued, &queued, &expired] {
+            rig.core.offer(envelope.clone());
+        }
+        assert_eq!(in_flight(&rig), [Some(held.seq), Some(queued.seq), None], "refused at once");
+        assert_eq!(vps_of(&rig.core.turn()), [2, 1], "each duplicate was dropped");
+        assert_eq!(in_flight(&rig), [Some(held.seq), None, None], "VP 0 is still parked");
+        assert_eq!(rig.core.abandon(), std::slice::from_ref(&held));
+        assert_eq!(in_flight(&rig), [None; 3]);
+        // Handed back, so the guard is gone: the re-homed launch is accepted,
+        // and the final window answers it.
+        assert!(rig.core.offer(held));
+        assert_eq!(vps_of(&rig.core.close()), [0]);
+        assert_eq!(in_flight(&rig), [None; 3]);
+        assert!(rig.core.pending.is_empty() && rig.core.held.is_empty());
+    }
+
+    #[test]
+    fn a_reordered_window_answers_each_request_with_its_own_response() {
+        let mut rig = Rig::new(Policy::MultiplexedOptimized, 1, 3);
+        let launches: Vec<Request> = (0..3).map(|vp| rig.prepare(vp, vp as f32)).collect();
+        // Teach the re-scheduler the kernel's duration, then land one window
+        // of copies and async launches from all three VPs before a turn.
+        assert!(matches!(rig.serve(0, launches[0].clone()), Response::Launched { .. }));
+        let upload = |launch: &Request| Request::MemcpyH2D {
+            handle: buffers_of(launch)[0],
+            data: 7.0f32.to_le_bytes().repeat(N as usize),
+            stream: 0,
+        };
+        let read = |launch: &Request| Request::MemcpyD2H {
+            handle: sum_handle(launch),
+            len: N * 4,
+            stream: 0,
+        };
+        let arrivals = [
+            (0, launches[0].clone()),
+            (0, read(&launches[0])),
+            (1, upload(&launches[1])),
+            (1, launches[1].clone()),
+            (2, launches[2].clone()),
+            (2, read(&launches[2])),
+        ];
+        for (vp, body) in &arrivals {
+            let envelope = rig.envelope(*vp, body.clone());
+            assert!(!rig.core.offer(envelope), "no sync-hold: launches are queued");
+        }
+        let turn = rig.core.turn();
+        assert_eq!(turn.deliveries.len(), arrivals.len());
+        for d in &turn.deliveries {
+            assert_eq!((d.request.vp, d.request.seq), (d.response.vp, d.response.seq));
+            match (&d.request.body, &d.response.body) {
+                (Request::Launch { .. }, Response::Launched { .. })
+                | (Request::MemcpyH2D { .. }, Response::Done)
+                | (Request::MemcpyD2H { .. }, Response::Data { .. }) => {}
+                mismatch => panic!("answered with another request's response: {mismatch:?}"),
+            }
+        }
+        assert_ne!(vps_of(&turn), [0, 0, 1, 1, 2, 2], "the plan interleaved the VPs");
+        assert_eq!(rig.core.stats().max_window, arrivals.len());
+    }
+
+    #[test]
+    fn a_stall_quarantines_in_ascending_vp_order_whatever_the_join_order() {
+        let mut rig = Rig::new(sync_policy().with_hang_windows(2), 2, 0);
+        for vp in [40, 7, 900, 12] {
+            rig.core.join(VpId(vp));
+        }
+        let launch = rig.prepare(12, 1.0);
+        assert!(rig.step(12, launch).deliveries.is_empty(), "three of four not held");
+        let turn = rig.core.on_stall();
+        assert_eq!(turn.quarantined, [VpId(7), VpId(40), VpId(900)]);
+        assert_eq!(vps_of(&turn), [12], "the shrunken quorum releases the window");
+    }
+
+    #[test]
+    fn a_stale_frame_does_not_lift_the_guard_on_the_newer_request() {
+        let mut rig = Rig::new(sync_policy(), 1, 2);
+        let launch = rig.prepare(0, 1.0);
+        let old = rig.envelope(0, Request::Synchronize);
+        rig.core.offer(old.clone());
+        assert_eq!(rig.core.turn().deliveries.len(), 1);
+        assert_eq!(rig.serve(0, Request::Synchronize), Response::Done);
+        let held = rig.envelope(0, launch);
+        assert!(rig.core.offer(held.clone()));
+        // A delayed frame of a request answered two requests ago is neither
+        // the answered nor the in-flight one: it runs again (effect-once
+        // covers the latest request only) — and the held launch stays guarded.
+        rig.core.offer(old);
+        assert_eq!(vps_of(&rig.core.turn()), [0]);
+        assert!(!rig.core.offer(held), "held twice");
+        assert_eq!(rig.core.close().deliveries.len(), 1);
+        assert_eq!(rig.core.stats().holds, 1);
+    }
+
+    #[test]
+    fn the_constructors_coalescible_map_decides_which_launches_merge() {
+        for (marked, groups) in [(vec![0, 1], 1), (vec![0], 0), (vec![], 0)] {
+            let mut rig = Rig::new(sync_policy(), 1, 2);
+            let coalescible = marked.iter().map(|&vp| (VpId(vp), true)).collect();
+            rig.core = DispatchCore::new(rig.session.clone(), &sync_policy(), None, coalescible);
+            rig.core.join(VpId(0));
+            rig.core.join(VpId(1));
+            let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+            rig.step(0, l0);
+            assert_eq!(rig.step(1, l1).deliveries.len(), 2);
+            assert_eq!(rig.core.stats().live_groups, groups, "coalescible: {marked:?}");
+        }
     }
 
     /// One envelope stream, two driving styles: the dispatcher's (offer every

@@ -7,9 +7,9 @@
 //!   encoded, sent, and decoded on the other side;
 //! * there is **no polling dispatcher thread**: the guest thread that brings a
 //!   request *pumps* the dispatch side itself (caller-runs, see [`Driver`]) —
-//!   it feeds the decoded requests to the [`DispatchCore`], which pushes them
-//!   into the actual [`JobQueue`](sigmavp_ipc::queue::JobQueue), *re-orders
-//!   the pending window* with the scheduling [`Pipeline`] using expected
+//!   it feeds the decoded requests to the [`DispatchCore`], which queues them
+//!   in its pending window (the paper's Job Queue), *re-orders that window*
+//!   with the scheduling [`Pipeline`] using expected
 //!   durations, executes each job on the device its VP was routed to by the
 //!   [`ExecutionSession`], and hands back the responses to send — stopping and
 //!   resuming VPs through [`VpControl`] around held sync windows (Fig. 4b). A

@@ -16,8 +16,7 @@
 //!   [`Transport`](sigmavp_ipc::transport::Transport) that applies the plan's
 //!   link faults to every sent frame.
 //! * [`supervise`] — host-side resilience state: a per-device
-//!   [`CircuitBreaker`], the effect-once [`DedupCache`] keyed by request
-//!   sequence numbers, and the per-VP [`Residency`] ([`VpJournal`] +
+//!   [`CircuitBreaker`] and the per-VP [`Residency`] ([`VpJournal`] +
 //!   [`HandleMap`]) that replays a VP's live device state onto a surviving GPU
 //!   or another session, keeps its guest handles stable across the move and
 //!   names the buffers the move leaves for its owner to free.
@@ -33,8 +32,8 @@ pub mod transport;
 
 pub use plan::{FaultPlan, LinkDirection, LinkFault, LinkFaultConfig, LinkFaults, Outage};
 pub use supervise::{
-    replay_journal, BreakerState, CircuitBreaker, DedupCache, HandleMap, JournalEntry, Relocation,
-    Residency, VpJournal,
+    replay_journal, BreakerState, CircuitBreaker, HandleMap, JournalEntry, Relocation, Residency,
+    VpJournal,
 };
 pub use transport::{DropNotice, FaultyTransport};
 

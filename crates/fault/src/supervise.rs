@@ -1,10 +1,10 @@
-//! Host-side resilience state: circuit breakers, effect-once dedup, and the
-//! journal/handle-map pair that replays a VP's device state after a failover.
+//! Host-side resilience state: circuit breakers and the journal/handle-map
+//! pair that replays a VP's device state after a failover.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use sigmavp_ipc::message::{Request, Response, ResponseEnvelope, VpId, WireParam};
+use sigmavp_ipc::message::{Request, Response, WireParam};
 
 /// Observable circuit-breaker state (see [`CircuitBreaker`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,37 +69,6 @@ impl CircuitBreaker {
     pub fn trip(&mut self) {
         self.state = BreakerState::Open;
         self.consecutive = self.consecutive.max(self.threshold);
-    }
-}
-
-/// Effect-once guard: remembers the last *executed* response per VP so a
-/// retried request (same sequence number) is answered from cache instead of
-/// being applied twice.
-///
-/// Guests are synchronous — at most one request is outstanding per VP — so one
-/// slot per VP suffices. Only actually-executed responses are stored; injected
-/// transient errors never are, so a retry after a transient failure reaches the
-/// device again.
-#[derive(Debug, Default)]
-pub struct DedupCache {
-    last: HashMap<VpId, (u64, ResponseEnvelope)>,
-}
-
-impl DedupCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached response for `(vp, seq)`, if this exact request was already
-    /// executed.
-    pub fn lookup(&self, vp: VpId, seq: u64) -> Option<&ResponseEnvelope> {
-        self.last.get(&vp).filter(|(s, _)| *s == seq).map(|(_, r)| r)
-    }
-
-    /// Remember an executed response as the latest for its VP.
-    pub fn store(&mut self, response: &ResponseEnvelope) {
-        self.last.insert(response.vp, (response.seq, response.clone()));
     }
 }
 
@@ -443,16 +412,6 @@ mod tests {
         assert!(!b.record_failure(), "trip edge reported once");
         b.record_success();
         assert_eq!(b.state(), BreakerState::Open, "an open breaker latches");
-    }
-
-    #[test]
-    fn dedup_caches_latest_seq_per_vp() {
-        let mut cache = DedupCache::new();
-        let r = ResponseEnvelope { vp: VpId(1), seq: 5, sent_at_s: 0.0, body: Response::Done };
-        cache.store(&r);
-        assert!(cache.lookup(VpId(1), 5).is_some());
-        assert!(cache.lookup(VpId(1), 4).is_none(), "older seqs are gone");
-        assert!(cache.lookup(VpId(2), 5).is_none(), "per-vp isolation");
     }
 
     #[test]

@@ -9,6 +9,8 @@ use sigmavp_sched::Policy;
 /// Defaults are chosen so `FleetConfig::new(sessions)` gives a working fleet:
 /// one Quadro-4000 host GPU per session, shared-memory transport, a bounded
 /// admission queue of 1024 jobs, and a steal round every 64 admissions.
+/// Host runtimes are sequential (one interpreter worker): a fleet scales out
+/// with sessions, one shard thread each.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of independent execution sessions (shards).
@@ -21,9 +23,6 @@ pub struct FleetConfig {
     pub transport: TransportCost,
     /// Scheduling policy used when draining sessions at shutdown.
     pub policy: Policy,
-    /// Block-parallel worker count per host runtime (`1` = sequential,
-    /// `0` = one worker per core).
-    pub workers: u32,
     /// Maximum in-flight jobs (queued + executing) across the whole fleet;
     /// admissions beyond this are shed with
     /// [`FleetError::Saturated`](crate::FleetError::Saturated).
@@ -43,7 +42,6 @@ impl FleetConfig {
             arch: GpuArch::quadro_4000(),
             transport: TransportCost::shared_memory(),
             policy: Policy::Fifo,
-            workers: 1,
             admission_capacity: 1024,
             steal_interval: 64,
         }

@@ -438,7 +438,7 @@ impl Fleet {
                 config.transport,
             )
             .map_err(|e| FleetError::Config(e.to_string()))?;
-            session.set_workers(config.workers);
+            session.set_workers(1); // fleets scale out with sessions (`FleetConfig`)
             session.set_tier(config.policy.tier);
             shards.push(Arc::new(Shard {
                 index,

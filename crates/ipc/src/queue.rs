@@ -1,4 +1,6 @@
-//! The Job Queue: the host-side buffer of pending GPU jobs from all VPs.
+//! The Job Queue's vocabulary: [`Job`], [`JobId`], [`JobKind`] and the per-VP
+//! partial-order contract the re-scheduler must keep. (The host-side buffer of
+//! pending jobs itself is the dispatch core's async window.)
 //!
 //! The re-scheduler (in `sigmavp-sched`) reorders the queue's *asynchronous* jobs to
 //! interleave copy- and compute-engine work, and merges identical kernel jobs for
@@ -81,6 +83,12 @@ struct QueueInner {
 }
 
 /// Thread-safe FIFO job queue with bulk drain/replace for rescheduling.
+///
+/// **No runtime path uses this type.** The dispatch core has exactly one
+/// `&mut self` owner, so its async window is a plain `Vec` and it emits the
+/// queue metrics below itself. The type is still here only because sigmabench's
+/// `ipc.queue.push_pop_ns` micro-benchmark builds one and `benchmark/**`
+/// changes only in a `[benchmark]` PR (ROADMAP item 1 drops both).
 ///
 /// When a telemetry collector is installed the queue reports
 /// `jobs.enqueued`/`jobs.dequeued` counters, a `queue.depth` gauge (plus a

@@ -5,9 +5,8 @@
 //! (kernel time, tracked *per block* and *per wave*), and the ξ/λ wave
 //! alignment of each launch (Eq. 9's fill fraction). This module maintains
 //! streaming estimates of all three, updated incrementally as jobs complete
-//! on the dispatch/flush path — the signal the Eq. 7/9 model-predictive
-//! pipeline and the fleet's `request_cost` will consume ([`ProfileSnapshot`]
-//! is the read API; the scheduling change itself is a later PR).
+//! on the dispatch/flush path. It is pure observation ([`ProfileSnapshot`] is
+//! the read API): no scheduling decision consumes it.
 //!
 //! # Determinism: canonical-order folding
 //!
@@ -262,8 +261,7 @@ pub struct KernelStats {
 }
 
 /// The deterministic read side: folded estimates keyed by architecture and
-/// (architecture, kernel), plus the Eq. 7/9-shaped predictors downstream
-/// schedulers hook into.
+/// (architecture, kernel).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileSnapshot {
     /// Observations folded into this snapshot.
@@ -278,32 +276,6 @@ impl ProfileSnapshot {
     /// Number of distinct profiled entries (copy archs + kernel pairs).
     pub fn entries(&self) -> usize {
         self.copies.len() + self.kernels.len()
-    }
-
-    /// Predicted duration of a `bytes`-sized copy on `arch` from the observed
-    /// per-byte Tm EWMA. `None` until a copy has been observed there.
-    pub fn predicted_copy_s(&self, arch: &str, bytes: u64) -> Option<f64> {
-        let stats = self.copies.get(arch)?;
-        (stats.copies > 0).then_some(stats.tm_per_byte_s.ewma * bytes as f64)
-    }
-
-    /// Predicted duration of launching `xi_blocks` of `kernel` on `arch` with
-    /// wave alignment `lambda_blocks` — Eq. 9 priced from observed estimates:
-    /// `To_ewma + Te_ewma · ⌈ξ/λ⌉`. `None` until the kernel has been
-    /// observed on that architecture.
-    pub fn predicted_kernel_s(
-        &self,
-        arch: &str,
-        kernel: &str,
-        xi_blocks: u64,
-        lambda_blocks: u64,
-    ) -> Option<f64> {
-        let stats = self.kernels.get(&(arch.to_string(), kernel.to_string()))?;
-        if stats.launches == 0 {
-            return None;
-        }
-        let waves = xi_blocks.div_ceil(lambda_blocks.max(1));
-        Some(stats.launch_overhead_s.ewma + stats.te_per_wave_s.ewma * waves as f64)
     }
 
     /// Serialize deterministically: `BTreeMap` iteration order plus fixed
@@ -471,21 +443,6 @@ mod tests {
         assert!((kernel.tk_per_block_s.mean - 2e-4 / 9.0).abs() < 1e-15);
         // ξ/(waves·λ) = 9/16.
         assert!((kernel.alignment.mean - 9.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predictors_price_eq9_from_observed_estimates() {
-        let mut store = ProfileStore::new();
-        store.observe(&kernel_event(1, 2.1e-4));
-        store.observe(&copy_event(2, 1000, 1e-5));
-        let snap = store.snapshot();
-        // To + Te·⌈24/8⌉ = 1e-5 + 1e-4·3.
-        let k = snap.predicted_kernel_s("Quadro 4000", "vector_add", 24, 8).unwrap();
-        assert!((k - 3.1e-4).abs() < 1e-12);
-        let c = snap.predicted_copy_s("Quadro 4000", 4000).unwrap();
-        assert!((c - 4e-5).abs() < 1e-12);
-        assert!(snap.predicted_kernel_s("Quadro 4000", "unknown", 8, 8).is_none());
-        assert!(snap.predicted_copy_s("other-arch", 8).is_none());
     }
 
     #[test]

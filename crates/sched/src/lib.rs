@@ -11,9 +11,8 @@
 //!    the contiguous-memory layout planning of Fig. 5 and the grid-alignment
 //!    analysis behind Eq. 9.
 //!
-//! Both transformations operate on [`Job`](sigmavp_ipc::queue::Job) lists drained
-//! from the [`JobQueue`](sigmavp_ipc::queue::JobQueue) and are *order-contract
-//! checked*: every reordering they produce satisfies
+//! Both transformations operate on [`Job`](sigmavp_ipc::queue::Job) lists — the
+//! dispatch core's pending window — and are *order-contract checked*: every reordering they produce satisfies
 //! [`preserves_partial_order`](sigmavp_ipc::queue::preserves_partial_order).
 //!
 //! The [`pipeline`] module composes these mechanisms into the shared planning
@@ -32,7 +31,7 @@ pub mod policy;
 pub mod rebalance;
 pub mod wavepack;
 
-pub use coalesce::{CoalescePlan, MemoryLayout};
+pub use coalesce::MemoryLayout;
 pub use deps::{reorder_critical_path, JobDag};
 pub use interleave::reorder_async;
 pub use liveness::{quorum_met, quorum_threshold};

@@ -625,3 +625,164 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Effect-once on the real dispatch core, whose per-VP record holds both the
+// last answered response and the in-flight guard: under any interleaving of
+// fresh requests, duplicates (of the answered seq, of a pending one, of a held
+// launch), turns and quorum changes, every accepted request executes and is
+// delivered exactly once, a duplicate of the answered seq gets the same bytes
+// again, and a duplicate of an unanswered one gets nothing.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn accepted_requests_execute_once_and_duplicates_never_do(
+        sync_hold in any::<bool>(),
+        ops in proptest::collection::vec((0u8..8, 0usize..3), 1..96),
+    ) {
+        use std::collections::HashMap;
+        use std::sync::Arc;
+
+        use sigmavp::dispatch::{DispatchCore, Turn};
+        use sigmavp::{ExecutionSession, Policy};
+        use sigmavp_ipc::transport::TransportCost;
+
+        const VPS: usize = 3;
+        let policy = Policy::MultiplexedOptimized.with_sync_hold(sync_hold);
+        let session = ExecutionSession::new(
+            vec![GpuArch::quadro_4000(); 2],
+            [sigmavp_workloads::kernels::vector_add()].into_iter().collect(),
+            TransportCost::shared_memory(),
+        )
+        .expect("two devices");
+        let mut core =
+            DispatchCore::new(Arc::new(parking_lot::Mutex::new(session)), &policy, None, HashMap::new());
+
+        // The guest side of the books. A VP with a held launch is stopped and
+        // sends nothing new; an async request may be followed by another
+        // before the core gets its turn.
+        #[derive(Default)]
+        struct Guests {
+            outstanding: [Vec<Envelope>; VPS],
+            parked: [bool; VPS],
+            /// Per VP, the newest request answered and the bytes of its answer.
+            answered: [Option<(Envelope, Vec<u8>)>; VPS],
+            /// Resends the core owes, per `(vp, seq)`.
+            owed: HashMap<(usize, u64), u32>,
+        }
+        impl Guests {
+            fn settle(&mut self, turn: Turn) {
+                for delivery in turn.deliveries {
+                    let (vp, seq) = (delivery.response.vp.0 as usize, delivery.response.seq);
+                    let bytes = encode_response(&delivery.response).to_vec();
+                    match self.outstanding[vp].iter().position(|e| e.seq == seq) {
+                        Some(at) => {
+                            self.outstanding[vp].remove(at);
+                            self.parked[vp] &= !delivery.resume;
+                            if self.answered[vp].as_ref().is_none_or(|(last, _)| last.seq < seq) {
+                                self.answered[vp] = Some((delivery.request, bytes));
+                            }
+                        }
+                        None => {
+                            let due = self.owed.get_mut(&(vp, seq)).filter(|n| **n > 0);
+                            *due.expect("an answer nobody is waiting for") -= 1;
+                            let (_, first) = self.answered[vp].as_ref().expect("answered before");
+                            assert_eq!(&bytes, first, "a resend differs from the first answer");
+                        }
+                    }
+                }
+            }
+        }
+        let mut guests = Guests::default();
+        let mut next_seq = [0u64; VPS];
+        let mut now_s = 0.0f64;
+        let mut member = [true; VPS];
+        let (mut accepted, mut holds, mut resent) = (0u64, 0u64, 0u64);
+        let mut fresh = |vp: usize, body: Request| {
+            now_s += 1e-6;
+            next_seq[vp] += 1;
+            Envelope {
+                vp: VpId(vp as u32),
+                seq: next_seq[vp] - 1,
+                sent_at_s: now_s,
+                deadline_s: Envelope::NO_DEADLINE,
+                body,
+            }
+        };
+
+        let mut launches = Vec::new();
+        for vp in 0..VPS {
+            core.join(VpId(vp as u32));
+            let mut params = Vec::new();
+            for _ in 0..3 {
+                let malloc = fresh(vp, Request::Malloc { bytes: 128 });
+                guests.outstanding[vp].push(malloc.clone());
+                accepted += 1;
+                core.offer(malloc);
+                let turn = core.turn();
+                let Response::Malloc { handle } = turn.deliveries[0].response.body else {
+                    panic!("malloc failed")
+                };
+                guests.settle(turn);
+                params.push(WireParam::Buffer(handle));
+            }
+            params.push(WireParam::I64(32));
+            launches.push(Request::Launch {
+                kernel: "vector_add".into(),
+                grid_dim: 1,
+                block_dim: 32,
+                params,
+                sync: true,
+                stream: 0,
+            });
+        }
+
+        for (op, vp) in ops {
+            match op {
+                // A fresh request: async, or a launch (held under sync-hold).
+                0..=3 if !guests.parked[vp] => {
+                    let body = if op < 2 { Request::Synchronize } else { launches[vp].clone() };
+                    let envelope = fresh(vp, body);
+                    guests.outstanding[vp].push(envelope.clone());
+                    accepted += 1;
+                    guests.parked[vp] = core.offer(envelope);
+                    prop_assert_eq!(guests.parked[vp], sync_hold && op >= 2);
+                    holds += u64::from(guests.parked[vp]);
+                }
+                // A retry of the request answered last: its answer again.
+                4 => {
+                    if let Some((request, _)) = &guests.answered[vp] {
+                        prop_assert!(!core.offer(request.clone()));
+                        *guests.owed.entry((vp, request.seq)).or_default() += 1;
+                        resent += 1;
+                    }
+                }
+                // A delayed duplicate of the newest unanswered request, held
+                // or pending: dropped.
+                5 => {
+                    if let Some(duplicate) = guests.outstanding[vp].last() {
+                        prop_assert!(!core.offer(duplicate.clone()), "held twice");
+                    }
+                }
+                6 => guests.settle(core.turn()),
+                7 => {
+                    member[vp] = !member[vp];
+                    if member[vp] {
+                        core.join(VpId(vp as u32));
+                    } else {
+                        core.leave(VpId(vp as u32));
+                    }
+                }
+                _ => {}
+            }
+        }
+        guests.settle(core.close());
+
+        let Guests { outstanding, owed, .. } = guests;
+        prop_assert!(outstanding.iter().all(Vec::is_empty), "unanswered: {:?}", outstanding);
+        prop_assert!(owed.values().all(|n| *n == 0), "resends never made: {:?}", owed);
+        let stats = core.stats();
+        prop_assert_eq!((stats.requests, stats.dedup_hits, stats.holds), (accepted, resent, holds));
+    }
+}
