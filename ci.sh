@@ -48,6 +48,10 @@ step "sptx differentials x1024 (warp vs scalar, workers N vs 1, optimised vs not
   env PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx \
   --test warp_differential --test parallel_differential --test opt_differential
 
+# The fleet's threaded tests again, optimised: shard threads race guests and
+# hold toggles at full speed, where a lost wake-up strands a request.
+step "fleet tests, release build" cargo test --release -q -p sigmavp-fleet
+
 step "audit: model residuals + same-seed ledgers, counts exact (results/baselines/audit.json)" \
   cargo run --release -p sigmavp-bench --bin audit -- --check
 

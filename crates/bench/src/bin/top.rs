@@ -159,11 +159,12 @@ fn main() -> ExitCode {
     );
     for shard in &view.shards {
         println!(
-            "  s{} {} vps={} queue={} buffers={}",
+            "  s{} {} vps={} queue={} handoffs={} buffers={}",
             shard.index,
             if shard.alive { "up  " } else { "DOWN" },
             shard.vps,
             shard.queue_depth,
+            shard.handoffs,
             shard.live_buffers
         );
     }

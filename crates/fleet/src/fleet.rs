@@ -44,6 +44,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -200,10 +201,10 @@ struct Front {
 }
 
 impl Front {
-    /// Take in one turn of `shard`'s core: mirror its quarantines into
-    /// admission, and for each delivery keep the guest's books — handle
-    /// virtualisation and the journal, in guest space — advance the VP's
-    /// simulated clock, and park the response in the VP's mailbox.
+    /// Take in a batch of `shard`'s core turns with one lock and one wake:
+    /// mirror its quarantines into admission, and for each delivery keep the
+    /// guest's books — handle virtualisation and the journal, in guest space —
+    /// advance the VP's simulated clock, and park the response in its mailbox.
     fn complete(&self, shard: usize, turn: Turn, core: &DispatchStats) {
         let rec = recorder();
         let mut state = self.state.lock();
@@ -260,16 +261,11 @@ enum Inbound {
 #[derive(Debug, Default)]
 struct Inbox {
     items: VecDeque<Inbound>,
-    /// [`Inbound::Offer`]s among `items` — the shard's queue depth.
-    offers: usize,
-    /// The session died: the shard thread hands everything unexecuted to
-    /// `orphans` and exits.
-    down: bool,
-    /// Admission-probe mode: the shard thread parks without popping.
+    /// Times the shard thread has taken `items`, one batch each.
+    handoffs: u64,
+    /// Admission-probe mode: the shard thread parks without taking `items`.
     paused: bool,
     closed: bool,
-    worker_done: bool,
-    orphans: Vec<Envelope>,
 }
 
 #[derive(Debug)]
@@ -280,66 +276,78 @@ struct Shard {
     session: Arc<Mutex<ExecutionSession>>,
     inbox: Mutex<Inbox>,
     cv: Condvar,
+    /// The session died: the shard thread stops between two messages and
+    /// exits; `send` drops what comes after. The inbox lock orders it.
+    down: AtomicBool,
     depth_gauge: String,
 }
 
 impl Shard {
+    /// Queue `item`, waking the shard thread only when the inbox turns
+    /// non-empty — the one state in which it can be parked on it.
     fn send(&self, item: Inbound) {
         let mut q = self.inbox.lock();
-        if matches!(item, Inbound::Offer(..)) {
-            q.offers += 1;
-            recorder().gauge_set(&self.depth_gauge, q.offers as f64);
+        if self.down.load(Ordering::Relaxed) {
+            debug_assert!(!matches!(item, Inbound::Offer(..)), "submit re-targets off dead shards");
+            return;
         }
         q.items.push_back(item);
-        self.cv.notify_all();
+        if q.items.len() == 1 {
+            self.cv.notify_all();
+        }
     }
+}
+
+/// Requests among `items`: a shard's queue depth.
+fn offers(items: &VecDeque<Inbound>) -> usize {
+    items.iter().filter(|item| matches!(item, Inbound::Offer(..))).count()
 }
 
 /// What woke a shard thread.
 enum Wake {
-    Item(Inbound),
+    Batch,
     /// [`STALL_WALL_BACKSTOP`] passed with launches parked and nothing arriving.
     Stalled,
     Closed,
 }
 
-/// A shard thread: the [`DispatchCore`]'s inbox driver. Pops one message,
-/// applies it, runs one core turn and completes what came back at the front
-/// — with every shard-side lock released first. One request per turn keeps
-/// async windows single-job, so a 256-deep inbox never pays for planning it.
-fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) {
+/// A shard thread: the [`DispatchCore`]'s inbox driver. Takes its whole inbox
+/// under one lock, applies each message in FIFO order with one core turn each
+/// (async windows stay single-job, so a 256-deep inbox never pays for
+/// planning) and completes the batch at the front under one lock and one wake,
+/// every shard-side lock released. Returns what a kill left unexecuted, for
+/// [`Fleet::kill_session`] to re-home.
+fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) -> Vec<Envelope> {
     let rec = recorder();
     let mut core = DispatchCore::new(shard.session.clone(), &policy, None, HashMap::new());
+    let down = || shard.down.load(Ordering::Relaxed);
+    let mut batch = VecDeque::new(); // swapped with the inbox when empty: both buffers are reused
     loop {
         let wake = {
             let mut q = shard.inbox.lock();
             loop {
-                if q.down {
-                    let q = &mut *q;
-                    q.orphans.extend(q.items.drain(..).filter_map(|item| match item {
-                        Inbound::Offer(envelope, _) => Some(envelope),
-                        Inbound::Join(_) | Inbound::Leave(_) => None,
-                    }));
-                    q.orphans.extend(core.abandon());
-                    q.offers = 0;
-                    q.worker_done = true;
-                    shard.cv.notify_all();
-                    return;
+                if down() {
+                    let unapplied = batch.drain(..).chain(q.items.drain(..));
+                    return unapplied
+                        .filter_map(|item| match item {
+                            Inbound::Offer(envelope, _) => Some(envelope),
+                            Inbound::Join(_) | Inbound::Leave(_) => None,
+                        })
+                        .chain(core.abandon())
+                        .collect();
                 }
                 if !q.paused {
-                    if let Some(item) = q.items.pop_front() {
-                        if matches!(item, Inbound::Offer(..)) {
-                            q.offers -= 1;
-                            rec.gauge_set(&shard.depth_gauge, q.offers as f64);
-                        }
-                        break Wake::Item(item);
+                    if !q.items.is_empty() {
+                        std::mem::swap(&mut q.items, &mut batch);
+                        q.handoffs += 1;
+                        break Wake::Batch;
                     }
                     if q.closed {
                         break Wake::Closed;
                     }
                     if core.stall_armed() {
                         let timed_out = shard.cv.wait_for(&mut q, STALL_WALL_BACKSTOP).timed_out();
-                        if timed_out && !q.down && !q.paused && !q.closed && q.items.is_empty() {
+                        if timed_out && !down() && !q.paused && !q.closed && q.items.is_empty() {
                             break Wake::Stalled;
                         }
                         continue;
@@ -349,34 +357,41 @@ fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) {
             }
         };
         let turn = match wake {
-            Wake::Item(item) => {
-                match item {
-                    Inbound::Offer(envelope, enqueued_wall_s) => {
-                        if rec.enabled() {
-                            let wait_s = (rec.wall_now_s() - enqueued_wall_s).max(0.0);
-                            rec.observe_s("fleet.queue_wait_s", wait_s);
-                            rec.span_for_job(
-                                TimeDomain::Wall,
-                                Lane::JobQueue,
-                                "fleet queue",
-                                enqueued_wall_s,
-                                wait_s,
-                                job_uid(envelope.vp.0, envelope.seq),
-                            );
+            Wake::Batch => {
+                rec.gauge_set(&shard.depth_gauge, offers(&batch) as f64);
+                let mut done = Turn::default();
+                // A kill stops the batch here; the top of the loop orphans the rest.
+                while !down() {
+                    let Some(item) = batch.pop_front() else { break };
+                    match item {
+                        Inbound::Offer(envelope, enqueued_wall_s) => {
+                            if rec.enabled() {
+                                let wait_s = (rec.wall_now_s() - enqueued_wall_s).max(0.0);
+                                rec.observe_s("fleet.queue_wait_s", wait_s);
+                                rec.span_for_job(
+                                    TimeDomain::Wall,
+                                    Lane::JobQueue,
+                                    "fleet queue",
+                                    enqueued_wall_s,
+                                    wait_s,
+                                    job_uid(envelope.vp.0, envelope.seq),
+                                );
+                            }
+                            core.offer(envelope);
                         }
-                        core.offer(envelope);
+                        Inbound::Join(vp) => core.join(vp),
+                        Inbound::Leave(vp) => core.leave(vp),
                     }
-                    Inbound::Join(vp) => core.join(vp),
-                    Inbound::Leave(vp) => core.leave(vp),
+                    let turn = core.turn();
+                    done.deliveries.extend(turn.deliveries);
+                    done.quarantined.extend(turn.quarantined);
                 }
-                core.turn()
+                done
             }
             Wake::Stalled => core.on_stall(),
             Wake::Closed => {
                 front.complete(shard.index, core.close(), core.stats());
-                shard.inbox.lock().worker_done = true;
-                shard.cv.notify_all();
-                return;
+                return Vec::new();
             }
         };
         if !(turn.deliveries.is_empty() && turn.quarantined.is_empty()) {
@@ -418,7 +433,7 @@ pub struct Fleet {
     config: FleetConfig,
     shards: Vec<Arc<Shard>>,
     front: Arc<Front>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Vec<Option<JoinHandle<Vec<Envelope>>>>>,
 }
 
 impl Fleet {
@@ -445,6 +460,7 @@ impl Fleet {
                 session: Arc::new(Mutex::new(session)),
                 inbox: Mutex::new(Inbox::default()),
                 cv: Condvar::new(),
+                down: AtomicBool::new(false),
                 depth_gauge: format!("fleet.s{index}.queue_depth"),
             }));
         }
@@ -469,7 +485,7 @@ impl Fleet {
             .map(|shard| {
                 let shard = Arc::clone(shard);
                 let front = Arc::clone(&front);
-                std::thread::spawn(move || shard_loop(shard, front, policy))
+                Some(std::thread::spawn(move || shard_loop(shard, front, policy)))
             })
             .collect();
         Ok(Fleet { config, shards, front, workers: Mutex::new(workers) })
@@ -789,15 +805,12 @@ impl Fleet {
         // Stop the shard thread *without* holding the front lock — its final
         // in-flight completion needs it.
         let shard = &self.shards[s];
-        let orphans = {
-            let mut q = shard.inbox.lock();
-            q.down = true;
-            shard.cv.notify_all();
-            while !q.worker_done {
-                shard.cv.wait(&mut q);
-            }
-            std::mem::take(&mut q.orphans)
-        };
+        shard.down.store(true, Ordering::Relaxed);
+        // Passing through the inbox lock, the thread is parked or sees `down`.
+        drop(shard.inbox.lock());
+        shard.cv.notify_all();
+        let worker = self.workers.lock()[s].take();
+        let orphans = worker.map(|w| w.join().expect("shard thread panicked")).unwrap_or_default();
         rec.gauge_set(&shard.depth_gauge, 0.0);
 
         let mut rescued = 0;
@@ -862,12 +875,16 @@ impl Fleet {
             .shards
             .iter()
             .enumerate()
-            .map(|(i, shard)| ShardView {
-                index: i,
-                alive: state.alive[i],
-                vps: state.vps.values().filter(|st| st.shard == i).count(),
-                queue_depth: shard.inbox.lock().offers,
-                live_buffers: shard.session.lock().live_buffers(),
+            .map(|(i, shard)| {
+                let q = shard.inbox.lock();
+                ShardView {
+                    index: i,
+                    alive: state.alive[i],
+                    vps: state.vps.values().filter(|st| st.shard == i).count(),
+                    queue_depth: offers(&q.items),
+                    handoffs: q.handoffs,
+                    live_buffers: shard.session.lock().live_buffers(),
+                }
             })
             .collect();
         FleetObservability {
@@ -878,7 +895,7 @@ impl Fleet {
         }
     }
 
-    /// Park every shard thread without popping (deterministic admission
+    /// Park every shard thread without taking its inbox (deterministic admission
     /// probes: with workers held, `capacity + k` submits shed exactly `k`
     /// requests).
     pub fn hold_workers(&self) {
@@ -907,7 +924,7 @@ impl Fleet {
             q.paused = false;
             shard.cv.notify_all();
         }
-        for handle in self.workers.lock().drain(..) {
+        for handle in self.workers.lock().iter_mut().filter_map(Option::take) {
             let _ = handle.join();
         }
         let pipeline = Pipeline::from_policy(&self.config.policy);
@@ -1035,8 +1052,10 @@ pub struct ShardView {
     pub alive: bool,
     /// VPs currently homed on this session.
     pub vps: usize,
-    /// Jobs queued (not yet executing) on this session.
+    /// Requests queued on this session that its shard thread has not taken yet.
     pub queue_depth: usize,
+    /// Times the shard thread took its inbox: admitted ÷ handoffs is the mean batch.
+    pub handoffs: u64,
     /// Device buffers currently allocated across the session's GPUs.
     pub live_buffers: usize,
 }
@@ -1107,5 +1126,105 @@ impl FleetOutcome {
         worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let rank = (worst.len() * 99).div_ceil(100);
         worst[rank - 1]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
+
+    use sigmavp_workloads::app::Application;
+    use sigmavp_workloads::apps::VectorAddApp;
+
+    use super::*;
+    use crate::script::{drive, VpScript};
+
+    fn two_shard_fleet() -> Fleet {
+        let registry = VectorAddApp { n: 256 }.kernels().into_iter().collect();
+        Fleet::new(FleetConfig::new(2), registry).expect("fleet builds")
+    }
+
+    #[test]
+    fn a_dead_shards_inbox_stops_growing() {
+        let fleet = two_shard_fleet();
+        let mut on_s0 = Vec::new();
+        for vp in 0..16 {
+            if fleet.admit(VpId(vp)).unwrap() == 0 {
+                on_s0.push((VpId(vp), VpScript::vector_add(64, 1, vp as u64)));
+            }
+        }
+        assert!(!on_s0.is_empty(), "the ring homes some of 16 VPs on s0");
+        fleet.kill_session(0).unwrap();
+        drive(&fleet, &mut on_s0).expect("every script validates on the survivor");
+        assert_eq!(fleet.stats().migrations, on_s0.len() as u64, "each of s0's VPs failed over");
+        // Each failover told the dead source its VP left; nobody is there to hear it.
+        assert!(fleet.shards[0].inbox.lock().items.is_empty());
+        fleet.shutdown();
+    }
+
+    /// The shard thread is only woken when its inbox turns non-empty, so a
+    /// missed edge would strand a request for good: four guest threads and a
+    /// thread toggling holds race for that edge, and every request must come
+    /// back before the deadline. Toggling stops halfway, because every
+    /// `release_workers` wakes the shards and would mask a missing notify.
+    #[test]
+    fn no_wake_up_is_lost_while_holds_toggle() {
+        let fleet = two_shard_fleet();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let answered = AtomicU64::new(0);
+        let half = 4 * 32 * VpScript::vector_add(64, 2, 0).jobs_total() / 2;
+        let submitted: u64 = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while answered.load(Ordering::Relaxed) < half && Instant::now() < deadline {
+                    fleet.hold_workers();
+                    std::thread::yield_now();
+                    fleet.release_workers();
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            });
+            let guests: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let (fleet, answered) = (&fleet, &answered);
+                    scope.spawn(move || {
+                        let mut scripts: Vec<(VpId, VpScript)> = (t * 32..(t + 1) * 32)
+                            .map(|vp| {
+                                fleet.admit(VpId(vp)).unwrap();
+                                (VpId(vp), VpScript::vector_add(64, 2, vp as u64))
+                            })
+                            .collect();
+                        let mut last: Vec<Option<Response>> = vec![None; scripts.len()];
+                        let mut submitted = 0;
+                        loop {
+                            let mut live = Vec::new();
+                            for (i, (vp, script)) in scripts.iter_mut().enumerate() {
+                                if let Some(request) = script.next(last[i].take().as_ref()).unwrap()
+                                {
+                                    fleet.submit(*vp, request).expect("capacity covers every VP");
+                                    live.push((i, *vp));
+                                }
+                            }
+                            if live.is_empty() {
+                                return submitted;
+                            }
+                            submitted += live.len() as u64;
+                            for (i, vp) in live {
+                                last[i] = loop {
+                                    if let Some((response, _)) = fleet.try_take(vp) {
+                                        answered.fetch_add(1, Ordering::Relaxed);
+                                        break Some(response.body);
+                                    }
+                                    assert!(Instant::now() < deadline, "{vp}: request stranded");
+                                    std::thread::sleep(Duration::from_micros(20));
+                                };
+                            }
+                        }
+                    })
+                })
+                .collect();
+            guests.into_iter().map(|guest| guest.join().unwrap()).sum()
+        });
+        assert_eq!(fleet.stats().completed, submitted);
+        fleet.shutdown();
     }
 }
