@@ -10,6 +10,14 @@
 //! approach the core count; on a single core they bound the parallel
 //! engine's overhead instead. Warp rows should beat their scalar
 //! counterparts outright — that is the tier's whole claim.
+//!
+//! The `overlay_rmw` group times the block-parallel overlay on the case that
+//! stresses it: every thread runs `out[i * stride] += in[i * stride]` many
+//! times, so each CTA re-reads and re-writes its own fresh stores. Stride 1
+//! is one coalesced span per warp store, re-written in place; stride 2 is one
+//! span per lane, which takes a 256-thread CTA past the overlay's span bound
+//! onto its slot index. Run `cargo bench -p sigmavp-bench --bench interp` and
+//! compare `workers_2` against `workers_1`, and against the parent commit.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sigmavp_sptx::asm;
@@ -43,6 +51,67 @@ done:
     ret
 "#;
 
+/// `out[gtid * stride] += in[gtid * stride]`, `trips` times (params: in,
+/// out, stride, trips).
+const ACCUMULATE: &str = r#".kernel accumulate
+entry:
+    rs r0, gtid
+    ldp r1, 0
+    ldp r2, 1
+    ldp r3, 2
+    ldp r4, 3
+    mul.i64 r5, r0, r3
+    mov r6, 4
+    mul.i64 r5, r5, r6
+    add.i64 r7, r5, r1
+    add.i64 r8, r5, r2
+    mov r9, 0
+    mov r10, 1
+    bra loop
+loop:
+    ld.f32 r11, [r7]
+    ld.f32 r12, [r8]
+    add.f32 r12, r12, r11
+    st.f32 [r8], r12
+    add.i64 r9, r9, r10
+    setp.lt.i64 p0, r9, r4
+    @p0 bra loop, done
+done:
+    ret
+"#;
+
+fn bench_overlay_rmw(c: &mut Criterion) {
+    let program = asm::parse(ACCUMULATE).expect("kernel parses");
+    let (grid, block, trips) = (32u32, 256u32, 100i64);
+    let cfg = LaunchConfig::linear(grid, block);
+    let mut g = c.benchmark_group("overlay_rmw");
+    g.sample_size(10);
+    for (stride, name) in [(1u64, "coalesced"), (2, "scatter")] {
+        let span = u64::from(grid * block) * stride * 4;
+        for workers in [1u32, 2] {
+            let interp = Interpreter::new().with_workers(workers);
+            g.bench_function(format!("{name}_workers_{workers}"), |b| {
+                let mut mem = Memory::new(2 * span as usize);
+                for i in 0..span / 4 {
+                    mem.write_f32(i * 4, 0.25 + (i % 7) as f32).unwrap();
+                }
+                let params = [
+                    ParamValue::Ptr(0),
+                    ParamValue::Ptr(span),
+                    ParamValue::I64(stride as i64),
+                    ParamValue::I64(trips),
+                ];
+                b.iter(|| {
+                    interp
+                        .run(&program, &cfg, black_box(&params), &mut mem)
+                        .expect("launch succeeds")
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_interp(c: &mut Criterion) {
     let program = asm::parse(KERNEL).expect("kernel parses");
     let (grid, block) = (32u32, 64u32);
@@ -69,5 +138,5 @@ fn bench_interp(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_interp);
+criterion_group!(benches, bench_interp, bench_overlay_rmw);
 criterion_main!(benches);

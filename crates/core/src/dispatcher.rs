@@ -919,6 +919,7 @@ mod tests {
     use super::*;
     use sigmavp_fault::LinkFaultConfig;
     use sigmavp_workloads::apps::{BlackScholesApp, CopyStream, StaggeredAdd, VectorAddApp};
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn dispatched_fleet_validates_end_to_end() {
@@ -1148,11 +1149,55 @@ mod tests {
         assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
+    /// Runs `inner`, then raises `done`.
+    struct RaiseWhenDone<A> {
+        inner: A,
+        done: Arc<AtomicBool>,
+    }
+    impl<A: Application> Application for RaiseWhenDone<A> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
+            self.inner.kernels()
+        }
+        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
+            self.inner.characteristics()
+        }
+        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
+            let result = self.inner.run_once(env);
+            self.done.store(true, Ordering::Release);
+            result
+        }
+    }
+
+    /// Copy round trips of one buffer until the flag is raised.
+    struct CopyUntil(Arc<AtomicBool>);
+    impl Application for CopyUntil {
+        fn name(&self) -> &str {
+            "copyUntil"
+        }
+        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
+            vec![]
+        }
+        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
+            sigmavp_workloads::AppTraits::pure_cuda()
+        }
+        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
+            while !self.0.load(Ordering::Acquire) {
+                CopyStream { iterations: 1 }.run_once(env)?;
+            }
+            Ok(())
+        }
+    }
+
     #[test]
     fn window_timeout_flushes_without_quorum() {
         // One sync VP held behind a copies-only companion that never holds:
         // the full-quorum predicate can never fire, so only the sim-time
         // window timeout (advanced by the companion's frames) releases it.
+        // The companion copies until the held VP is done: one that finished
+        // first would leave the held VP a full quorum of one.
         let registry: KernelRegistry =
             vec![sigmavp_workloads::kernels::vector_add()].into_iter().collect();
         let mut sys = DispatchedSigmaVp::single(
@@ -1161,14 +1206,12 @@ mod tests {
             TransportCost::shared_memory(),
         )
         .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).with_sync_timeout_us(1));
-        sys.spawn(Box::new(StaggeredAdd {
-            n: 2048,
-            launches: 1,
-            pre_ms: 0,
-            mid_ms: 0,
-            post_ms: 0,
+        let done = Arc::new(AtomicBool::new(false));
+        sys.spawn(Box::new(RaiseWhenDone {
+            inner: StaggeredAdd { n: 2048, launches: 1, pre_ms: 0, mid_ms: 0, post_ms: 0 },
+            done: Arc::clone(&done),
         }));
-        sys.spawn(Box::new(CopyStream { iterations: 400 }));
+        sys.spawn(Box::new(CopyUntil(done)));
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.holds, 1);

@@ -290,70 +290,123 @@ pub(crate) fn canonical_nan(v: f64) -> f64 {
 ///
 /// The sequential path executes directly on [`Memory`]; the block-parallel
 /// path executes each block on an overlay (base memory plus the block's own
-/// journaled writes) so independent blocks never contend. Both paths share
-/// the same thread-execution code via this trait.
+/// logged writes) so independent blocks never contend. Both paths share the
+/// same thread-execution code via this trait. Every access is one span of
+/// bytes: a coalesced warp access moves all its lanes' bytes at once.
 pub(crate) trait DataSpace {
-    fn read_f32(&self, addr: u64) -> Result<f32, SptxError>;
-    fn read_f64(&self, addr: u64) -> Result<f64, SptxError>;
-    fn read_i64(&self, addr: u64) -> Result<i64, SptxError>;
-    fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError>;
-    fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError>;
-    fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError>;
-    /// Read `out.len() / width` consecutive `width`-byte elements (4 or 8)
-    /// starting at `addr`, as their little-endian bytes; the caller has
-    /// checked that the span's end does not overflow. The default is the
-    /// per-element checked reads; flat memories override it with one bounds
-    /// check and one copy, which is what a coalesced warp load pays.
-    fn read_span(&self, addr: u64, width: usize, out: &mut [u8]) -> Result<(), SptxError> {
-        for (i, chunk) in out.chunks_exact_mut(width).enumerate() {
-            let a = addr + (i * width) as u64;
-            match width {
-                4 => chunk.copy_from_slice(&self.read_f32(a)?.to_le_bytes()),
-                _ => chunk.copy_from_slice(&self.read_i64(a)?.to_le_bytes()),
-            }
-        }
-        Ok(())
+    /// Read `out.len()` bytes starting at `addr`.
+    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError>;
+    /// Write `bytes` starting at `addr`.
+    fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError>;
+    fn read_f32(&self, addr: u64) -> Result<f32, SptxError> {
+        let mut b = [0; 4];
+        self.read_span(addr, &mut b)?;
+        Ok(f32::from_le_bytes(b))
     }
-    /// Write counterpart of [`DataSpace::read_span`]. The default issues the
-    /// same per-element writes, in the same order, as a lane loop would, so a
-    /// journaling space records exactly the entries it always did.
-    fn write_span(&mut self, addr: u64, width: usize, bytes: &[u8]) -> Result<(), SptxError> {
-        for (i, chunk) in bytes.chunks_exact(width).enumerate() {
-            let a = addr + (i * width) as u64;
-            match width {
-                4 => self.write_f32(a, f32::from_le_bytes(chunk.try_into().expect("width 4")))?,
-                _ => self.write_i64(a, i64::from_le_bytes(chunk.try_into().expect("width 8")))?,
-            }
-        }
-        Ok(())
+    fn read_f64(&self, addr: u64) -> Result<f64, SptxError> {
+        Ok(f64::from_bits(self.read_i64(addr)? as u64))
+    }
+    fn read_i64(&self, addr: u64) -> Result<i64, SptxError> {
+        let mut b = [0; 8];
+        self.read_span(addr, &mut b)?;
+        Ok(i64::from_le_bytes(b))
+    }
+    fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
+        self.write_span(addr, &v.to_le_bytes())
+    }
+    fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError> {
+        self.write_span(addr, &v.to_le_bytes())
+    }
+    fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
+        self.write_span(addr, &v.to_le_bytes())
     }
 }
 
 impl DataSpace for Memory {
-    fn read_f32(&self, addr: u64) -> Result<f32, SptxError> {
-        Memory::read_f32(self, addr)
-    }
-    fn read_f64(&self, addr: u64) -> Result<f64, SptxError> {
-        Memory::read_f64(self, addr)
-    }
-    fn read_i64(&self, addr: u64) -> Result<i64, SptxError> {
-        Memory::read_i64(self, addr)
-    }
-    fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
-        Memory::write_f32(self, addr, v)
-    }
-    fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError> {
-        Memory::write_f64(self, addr, v)
-    }
-    fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
-        Memory::write_i64(self, addr, v)
-    }
-    fn read_span(&self, addr: u64, _width: usize, out: &mut [u8]) -> Result<(), SptxError> {
+    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
         out.copy_from_slice(self.read_slice(addr, out.len() as u64)?);
         Ok(())
     }
-    fn write_span(&mut self, addr: u64, _width: usize, bytes: &[u8]) -> Result<(), SptxError> {
+    fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {
         self.write_slice(addr, bytes)
+    }
+}
+
+/// A position in a [`SpanLog`]: its span and byte counts at that moment.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Mark(usize, usize);
+
+/// Byte spans in write order: one `(addr, len)` header per span over one
+/// shared blob of bytes, both reused from CTA to CTA. The sequential warp
+/// driver logs the bytes each write overwrites and rolls them back newest
+/// first; a block-parallel overlay logs the bytes it writes and the merge
+/// replays them oldest first.
+#[derive(Default)]
+pub(crate) struct SpanLog {
+    spans: Vec<(u64, u32)>,
+    bytes: Vec<u8>,
+}
+
+impl SpanLog {
+    pub(crate) fn mark(&self) -> Mark {
+        Mark(self.spans.len(), self.bytes.len())
+    }
+
+    /// Forget every span logged after `m`.
+    pub(crate) fn truncate(&mut self, m: Mark) {
+        self.spans.truncate(m.0);
+        self.bytes.truncate(m.1);
+    }
+
+    pub(crate) fn push(&mut self, addr: u64, bytes: &[u8]) {
+        self.spans.push((addr, bytes.len() as u32));
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// The spans from `m` on, oldest first, each with its bytes.
+    pub(crate) fn iter(&self, m: Mark) -> impl ExactSizeIterator<Item = (u64, &[u8])> {
+        let mut at = m.1;
+        self.spans[m.0..].iter().map(move |&(addr, len)| {
+            at += len as usize;
+            (addr, &self.bytes[at - len as usize..at])
+        })
+    }
+
+    /// The newest span from `m` on that overlaps bytes `lo..hi`, with its
+    /// bytes, which the caller may rewrite in place.
+    pub(crate) fn newest_overlap(&mut self, m: Mark, lo: u64, hi: u64) -> Option<(u64, &mut [u8])> {
+        let mut at = self.bytes.len();
+        for &(addr, len) in self.spans[m.0..].iter().rev() {
+            at -= len as usize;
+            if addr < hi && lo < addr + u64::from(len) {
+                return Some((addr, &mut self.bytes[at..at + len as usize]));
+            }
+        }
+        None
+    }
+
+    /// Write the spans from `from` up to `to` into `mem`, oldest first.
+    pub(crate) fn replay(&self, from: Mark, to: Mark, mem: &mut Memory) {
+        let bytes = mem.as_bytes_mut();
+        for (addr, b) in self.iter(from).take(to.0 - from.0) {
+            // Bounds were checked against the same-sized memory when logged.
+            bytes[addr as usize..][..b.len()].copy_from_slice(b);
+        }
+    }
+
+    /// Write every span back into `mem`, newest first, and empty the log.
+    pub(crate) fn rollback(&mut self, mem: &mut Memory) {
+        for (addr, len) in self.spans.drain(..).rev() {
+            let kept = self.bytes.len() - len as usize;
+            mem.as_bytes_mut()[addr as usize..][..len as usize]
+                .copy_from_slice(&self.bytes[kept..]);
+            self.bytes.truncate(kept);
+        }
+    }
+
+    /// Bytes held: span headers plus the blob.
+    pub(crate) fn footprint(&self) -> usize {
+        self.spans.len() * std::mem::size_of::<(u64, u32)>() + self.bytes.len()
     }
 }
 

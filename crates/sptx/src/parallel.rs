@@ -11,19 +11,19 @@
 //!
 //! How the contract is met:
 //!
-//! * **Isolation** — each block executes against an [`OverlayMem`]: reads hit
-//!   the launch-entry base memory unless the block itself wrote the location;
-//!   writes go to a private overlay *and* an append-only journal. Blocks
-//!   therefore never observe each other mid-launch.
-//! * **Deterministic replay** — after all workers finish, journals are
-//!   replayed into the real memory in ascending `ctaid` order (entries within
-//!   a block are already in `(tid, program)` order), so overlapping writes
-//!   resolve exactly as the sequential `for ctaid { for tid { .. } }` loop
-//!   would, including last-writer-wins races *between* journal entries of
-//!   different blocks.
+//! * **Isolation** — each block executes against an [`OverlayMem`]: a read
+//!   copies the launch-entry base memory and patches in the block's own
+//!   writes where it overlaps them; a write is logged as a byte span in the
+//!   worker's [`SpanLog`]. Blocks therefore never observe each other
+//!   mid-launch.
+//! * **Deterministic replay** — after all workers finish, each block's spans
+//!   are replayed oldest first into the real memory in ascending `ctaid`
+//!   order, so a block leaves its bytes as the sequential
+//!   `for ctaid { for tid { .. } }` loop would, and overlapping writes of
+//!   different blocks resolve last-writer-wins in block order.
 //! * **First-error selection** — a worker stops claiming blocks past the
 //!   lowest known-faulting `ctaid`; the merge walk replays completed blocks
-//!   up to that block, replays its partial journal, and returns its error —
+//!   up to that block, replays its partial spans, and returns its error —
 //!   the same error and the same partial memory state the sequential
 //!   interpreter produces.
 //! * **Exact budget accounting** — the sequential instruction budget is
@@ -37,6 +37,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
@@ -44,21 +45,16 @@ use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
 use crate::decode::DecodedProgram;
 use crate::error::SptxError;
 use crate::exec::WorkerPool;
-use crate::interp::{DataSpace, Interpreter, LaunchConfig, Memory, ParamValue, Value};
+use crate::interp::{
+    DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, Value,
+};
 use crate::isa::BlockId;
 use crate::program::KernelProgram;
-use crate::warp::{CtaCounters, WarpExec, WarpStats};
-
-/// One journaled global-memory write: up to 8 little-endian bytes at `addr`.
-struct JournalEntry {
-    addr: u64,
-    bytes: [u8; 8],
-    width: u8,
-}
+use crate::warp::{run_cta, CtaCounters, WarpExec, WarpStats};
 
 /// Identity-strength hasher for 8-byte-aligned slot indices (splitmix-style
-/// finalizer); cheaper than SipHash on the per-access overlay lookups. Also
-/// used by the warp tier's store-slot hazard map.
+/// finalizer); cheaper than SipHash on the overlay's slot index. Also used
+/// by the warp tier's store-slot hazard map.
 #[derive(Default)]
 pub(crate) struct SlotHasher(u64);
 
@@ -80,86 +76,141 @@ impl Hasher for SlotHasher {
     }
 }
 
-/// Overlay slot: one 8-byte-aligned span of block-private bytes.
-#[derive(Clone, Copy)]
-struct Slot {
-    bytes: [u8; 8],
-    mask: u8,
-}
+/// Bound on the spans a block's reads and re-writes scan. The write that
+/// would log one more moves the block's bytes into a per-8-byte-slot index,
+/// which then takes every write and serves every read for the rest of the
+/// block, and is logged back as spans when the block ends: slower per span,
+/// never quadratic, and one span per slot however often it is re-written. A
+/// coalesced block logs one span per warp store site and re-writes it in
+/// place, so the sigmabench workloads stay under it.
+const MAX_SPANS: usize = 32;
 
-type SlotMap = HashMap<u64, Slot, BuildHasherDefault<SlotHasher>>;
+/// A block's own bytes per 8-byte slot, each with a mask of the bytes set.
+type SlotIndex = HashMap<u64, ([u8; 8], u8), BuildHasherDefault<SlotHasher>>;
 
 /// A block's view of global memory: launch-entry base bytes shadowed by the
-/// block's own writes, with every write also journaled for ordered replay.
+/// block's own writes, which are logged as spans for ordered replay.
 struct OverlayMem<'a> {
     base: &'a Memory,
-    slots: &'a mut SlotMap,
-    journal: &'a mut Vec<JournalEntry>,
+    log: &'a mut SpanLog,
+    /// Where the block's spans start in `log`.
+    start: Mark,
+    /// Bytes `lo..hi` cover every byte the block has written.
+    lo: u64,
+    hi: u64,
+    /// Non-empty once the block has crossed [`MAX_SPANS`]; it then holds
+    /// all of the block's bytes, and `log` none.
+    slots: &'a mut SlotIndex,
 }
 
-impl OverlayMem<'_> {
-    fn read<const W: usize>(&self, addr: u64) -> Result<[u8; W], SptxError> {
-        let a = self.base.check(addr, W as u64)?;
-        let mut out = [0u8; W];
-        out.copy_from_slice(&self.base.as_bytes()[a..a + W]);
-        if !self.slots.is_empty() {
-            let first = addr >> 3;
-            let last = (addr + W as u64 - 1) >> 3;
-            for s in first..=last {
-                if let Some(slot) = self.slots.get(&s) {
-                    for off in 0..8u64 {
-                        if slot.mask & (1 << off) != 0 {
-                            let p = s * 8 + off;
-                            if p >= addr && p < addr + W as u64 {
-                                out[(p - addr) as usize] = slot.bytes[off as usize];
-                            }
+impl<'a> OverlayMem<'a> {
+    fn new(base: &'a Memory, log: &'a mut SpanLog, slots: &'a mut SlotIndex) -> Self {
+        slots.clear();
+        OverlayMem { base, start: log.mark(), log, lo: u64::MAX, hi: 0, slots }
+    }
+
+    /// Forget every write of the block, as if it had not started.
+    fn reset(&mut self) {
+        self.log.truncate(self.start);
+        self.slots.clear();
+        (self.lo, self.hi) = (u64::MAX, 0);
+    }
+
+    /// End the block: log an indexed block's bytes, one span per run of set
+    /// bytes in a slot. Which write of a byte came last no longer matters to
+    /// the merge, which replays whole blocks. Returns where the block's spans
+    /// start and whether it was indexed.
+    fn finish(self) -> (Mark, bool) {
+        for (&s, &(bytes, mask)) in self.slots.iter() {
+            let mut m = u16::from(mask);
+            while m != 0 {
+                let (lo, run) = (m.trailing_zeros(), (m >> m.trailing_zeros()).trailing_ones());
+                self.log.push(s * 8 + u64::from(lo), &bytes[lo as usize..(lo + run) as usize]);
+                m &= !(((1 << run) - 1) << lo);
+            }
+        }
+        (self.start, !self.slots.is_empty())
+    }
+}
+
+/// The 8-byte slots that bytes `addr..addr + len` touch, each with the range
+/// of those bytes within the slot and the first one's offset from `addr`.
+fn slots_of(addr: u64, len: usize) -> impl Iterator<Item = (u64, Range<usize>, usize)> {
+    let end = addr + len as u64;
+    (addr >> 3..=(end - 1) >> 3).map(move |s| {
+        let (lo, hi) = (addr.max(s << 3), end.min((s << 3) + 8));
+        (s, (lo & 7) as usize..((hi - 1) & 7) as usize + 1, (lo - addr) as usize)
+    })
+}
+
+fn index(slots: &mut SlotIndex, addr: u64, bytes: &[u8]) {
+    for (s, r, at) in slots_of(addr, bytes.len()) {
+        let slot = slots.entry(s).or_insert(([0; 8], 0));
+        for (i, &b) in r.zip(&bytes[at..]) {
+            slot.0[i] = b;
+            slot.1 |= 1 << i;
+        }
+    }
+}
+
+impl DataSpace for OverlayMem<'_> {
+    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
+        self.base.read_span(addr, out)?;
+        let end = addr + out.len() as u64;
+        if end <= self.lo || self.hi <= addr {
+            return Ok(());
+        }
+        if self.slots.is_empty() {
+            // Oldest first, so the newest write of each byte wins.
+            for (a, b) in self.log.iter(self.start) {
+                let (lo, hi) = (a.max(addr), (a + b.len() as u64).min(end));
+                if lo < hi {
+                    out[(lo - addr) as usize..(hi - addr) as usize]
+                        .copy_from_slice(&b[(lo - a) as usize..(hi - a) as usize]);
+                }
+            }
+        } else {
+            for (s, r, at) in slots_of(addr, out.len()) {
+                if let Some((bytes, mask)) = self.slots.get(&s) {
+                    for (i, o) in r.zip(&mut out[at..]) {
+                        if mask >> i & 1 != 0 {
+                            *o = bytes[i];
                         }
                     }
                 }
             }
         }
-        Ok(out)
-    }
-
-    fn write(&mut self, addr: u64, src: &[u8]) -> Result<(), SptxError> {
-        self.base.check(addr, src.len() as u64)?;
-        let mut bytes = [0u8; 8];
-        bytes[..src.len()].copy_from_slice(src);
-        self.journal.push(JournalEntry { addr, bytes, width: src.len() as u8 });
-        let first = addr >> 3;
-        let last = (addr + src.len() as u64 - 1) >> 3;
-        for s in first..=last {
-            let slot = self.slots.entry(s).or_insert(Slot { bytes: [0; 8], mask: 0 });
-            for off in 0..8u64 {
-                let p = s * 8 + off;
-                if p >= addr && p < addr + src.len() as u64 {
-                    slot.bytes[off as usize] = src[(p - addr) as usize];
-                    slot.mask |= 1 << off;
-                }
-            }
-        }
         Ok(())
     }
-}
 
-impl DataSpace for OverlayMem<'_> {
-    fn read_f32(&self, addr: u64) -> Result<f32, SptxError> {
-        Ok(f32::from_le_bytes(self.read::<4>(addr)?))
-    }
-    fn read_f64(&self, addr: u64) -> Result<f64, SptxError> {
-        Ok(f64::from_le_bytes(self.read::<8>(addr)?))
-    }
-    fn read_i64(&self, addr: u64) -> Result<i64, SptxError> {
-        Ok(i64::from_le_bytes(self.read::<8>(addr)?))
-    }
-    fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-    fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError> {
-        self.write(addr, &v.to_le_bytes())
-    }
-    fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
-        self.write(addr, &v.to_le_bytes())
+    fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {
+        self.base.check(addr, bytes.len() as u64)?;
+        let end = addr + bytes.len() as u64;
+        let overlaps = addr < self.hi && self.lo < end;
+        (self.lo, self.hi) = (self.lo.min(addr), self.hi.max(end));
+        if self.slots.is_empty() {
+            // Re-writing exactly the bytes of the newest span that overlaps
+            // them: replay and every later read see the same bytes whether
+            // the span is updated in place or a new one is logged.
+            if overlaps {
+                if let Some((a, old)) = self.log.newest_overlap(self.start, addr, end) {
+                    if a == addr && old.len() == bytes.len() {
+                        old.copy_from_slice(bytes);
+                        return Ok(());
+                    }
+                }
+            }
+            if self.log.iter(self.start).len() < MAX_SPANS {
+                self.log.push(addr, bytes);
+                return Ok(());
+            }
+            for (a, b) in self.log.iter(self.start) {
+                index(self.slots, a, b);
+            }
+            self.log.truncate(self.start);
+        }
+        index(self.slots, addr, bytes);
+        Ok(())
     }
 }
 
@@ -169,8 +220,8 @@ struct BlockRecord {
     /// Dynamic instructions the block executed (terminators included), i.e.
     /// its contribution to the launch-cumulative budget counter.
     instrs: u64,
-    journal_start: usize,
-    journal_len: usize,
+    /// The block's spans in its worker's log.
+    spans: (Mark, Mark),
     error: Option<SptxError>,
     /// The block's `sptx.warp.*` contribution, summed by the merge walk.
     stats: WarpStats,
@@ -182,8 +233,10 @@ struct WorkerLog {
     block_iters: Vec<u64>,
     trace: MemoryTraceSummary,
     segments: SegmentSet,
-    journal: Vec<JournalEntry>,
+    log: SpanLog,
     records: Vec<BlockRecord>,
+    /// Blocks whose overlay crossed [`MAX_SPANS`].
+    indexed: u64,
 }
 
 impl WorkerLog {
@@ -193,8 +246,9 @@ impl WorkerLog {
             block_iters: vec![0; program_blocks],
             trace: MemoryTraceSummary::default(),
             segments: SegmentSet::new(),
-            journal: Vec::new(),
+            log: SpanLog::default(),
             records: Vec::new(),
+            indexed: 0,
         }
     }
 }
@@ -227,42 +281,26 @@ pub(crate) fn run_parallel(
         let log = &mut *guard;
         let mut regs = vec![Value::I(0); program.num_regs() as usize];
         let mut preds = vec![false; program.num_preds() as usize];
-        let mut slots = SlotMap::default();
+        let mut slots = SlotIndex::default();
         let mut warp = dec.map(|d| (WarpExec::new(d), CtaCounters::new(program.blocks().len())));
         loop {
             let ctaid = next_block.fetch_add(1, Ordering::Relaxed);
             if ctaid >= grid || ctaid > min_error.load(Ordering::Acquire) {
                 break;
             }
-            slots.clear();
-            let journal_start = log.journal.len();
+            let mut overlay = OverlayMem::new(base, &mut log.log, &mut slots);
             let mut executed = 0u64;
             let mut error = None;
             let mut stats = WarpStats::default();
 
             // Warp-lockstep attempt first: a clean CTA leaves exactly the
-            // journal, counters and instruction count the scalar loop below
+            // spans, counters and instruction count the scalar loop below
             // would have produced. On abort the overlay is reset and the CTA
             // re-runs scalar, so records and the merge walk are unchanged.
             let mut lockstep_done = false;
             if let (Some(d), Some((we, cc))) = (dec, warp.as_mut()) {
                 cc.reset();
-                let outcome = {
-                    let mut overlay =
-                        OverlayMem { base, slots: &mut slots, journal: &mut log.journal };
-                    crate::warp::run_cta(
-                        we,
-                        d,
-                        cfg,
-                        params,
-                        &mut overlay,
-                        ctaid,
-                        interp.budget,
-                        0,
-                        cc,
-                    )
-                };
-                match outcome {
+                match run_cta(we, d, cfg, params, &mut overlay, ctaid, interp.budget, 0, cc) {
                     Ok(()) => {
                         executed = cc.instrs;
                         for (a, b) in log.class_counts.iter_mut().zip(cc.class_counts) {
@@ -279,14 +317,12 @@ pub(crate) fn run_parallel(
                         lockstep_done = true;
                     }
                     Err(cause) => {
-                        log.journal.truncate(journal_start);
-                        slots.clear();
+                        overlay.reset();
                         stats.fallback_ctas[cause as usize] += 1;
                     }
                 }
             }
             if !lockstep_done {
-                let mut overlay = OverlayMem { base, slots: &mut slots, journal: &mut log.journal };
                 for tid in 0..cfg.block_dim {
                     regs.iter_mut().for_each(|r| *r = Value::I(0));
                     preds.iter_mut().for_each(|p| *p = false);
@@ -310,12 +346,13 @@ pub(crate) fn run_parallel(
                     }
                 }
             }
+            let (start, indexed) = overlay.finish();
+            log.indexed += u64::from(indexed);
             let faulted = error.is_some();
             log.records.push(BlockRecord {
                 ctaid,
                 instrs: executed,
-                journal_start,
-                journal_len: log.journal.len() - journal_start,
+                spans: (start, log.log.mark()),
                 error,
                 stats,
             });
@@ -352,14 +389,13 @@ pub(crate) fn run_parallel(
         let fits = cum.saturating_add(rec.instrs) <= interp.budget;
         match (&rec.error, fits) {
             (None, true) => {
-                replay(mem, &log.journal[rec.journal_start..rec.journal_start + rec.journal_len]);
+                log.log.replay(rec.spans.0, rec.spans.1, mem);
                 cum += rec.instrs;
             }
             (Some(e), true) => {
                 // The fault happens before the cumulative budget would, so the
-                // block's partial journal is exactly the sequential partial
-                // state.
-                replay(mem, &log.journal[rec.journal_start..rec.journal_start + rec.journal_len]);
+                // block's partial log is exactly the sequential partial state.
+                log.log.replay(rec.spans.0, rec.spans.1, mem);
                 failed = Some(e.clone());
                 break;
             }
@@ -392,8 +428,7 @@ pub(crate) fn run_parallel(
     let mut block_iters = vec![0u64; program.blocks().len()];
     let mut trace = MemoryTraceSummary::default();
     let mut segments = SegmentSet::new();
-    let mut journal_bytes = 0u64;
-    let mut steals = 0u64;
+    let (mut journal_bytes, mut steals, mut indexed) = (0u64, 0u64, 0u64);
     for (s, log) in logs.into_iter().enumerate() {
         for (a, b) in class_counts.iter_mut().zip(log.class_counts) {
             *a += b;
@@ -405,7 +440,8 @@ pub(crate) fn run_parallel(
         trace.store_bytes += log.trace.store_bytes;
         trace.accesses += log.trace.accesses;
         segments.absorb(log.segments);
-        journal_bytes += (log.journal.len() * std::mem::size_of::<JournalEntry>()) as u64;
+        journal_bytes += log.log.footprint() as u64;
+        indexed += log.indexed;
         if s != 0 {
             steals += log.records.len() as u64;
         }
@@ -433,18 +469,9 @@ pub(crate) fn run_parallel(
         r.count("sptx.parallel.blocks", grid as u64);
         r.count("sptx.parallel.steals", steals);
         r.count("sptx.parallel.journal_bytes", journal_bytes);
+        r.count("sptx.parallel.indexed_blocks", indexed);
     }
     Ok(profile)
-}
-
-fn replay(mem: &mut Memory, entries: &[JournalEntry]) {
-    let bytes = mem.as_bytes_mut();
-    for e in entries {
-        // Bounds were checked against the same-sized base at execution time.
-        let a = e.addr as usize;
-        let w = e.width as usize;
-        bytes[a..a + w].copy_from_slice(&e.bytes[..w]);
-    }
 }
 
 /// Sequentially re-execute one block on the merged memory with the launch's

@@ -66,7 +66,7 @@ use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
 use crate::decode::{DOp, DTerm, DecodedProgram, EXIT, NO_INDEX};
 use crate::error::SptxError;
 use crate::interp::{
-    canonical_nan, DataSpace, Interpreter, LaunchConfig, Memory, ParamValue, Value,
+    canonical_nan, DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, Value,
     MEMORY_SEGMENT_BYTES,
 };
 use crate::isa::{BinOp, BlockId, CmpOp, InstrClass, ScalarType, Special, UnaryOp};
@@ -1058,7 +1058,7 @@ fn exec_mem<M: DataSpace>(
                     touch_span(&mut cta.segments, first, n, w);
                     let mut buf = [0u8; 8 * WARP_WIDTH];
                     let buf = &mut buf[..(n * w) as usize];
-                    mem.read_span(first, w as usize, buf).map_err(fault)?;
+                    mem.read_span(first, buf).map_err(fault)?;
                     let mut dense = [0u64; WARP_WIDTH];
                     if ty == ScalarType::F32 {
                         for (v, c) in dense.iter_mut().zip(buf.chunks_exact(4)) {
@@ -1114,14 +1114,13 @@ fn exec_mem<M: DataSpace>(
                             c.copy_from_slice(&v.to_le_bytes());
                         }
                     }
-                    mem.write_span(first, w as usize, &buf[..(n * w) as usize]).map_err(fault)?;
+                    mem.write_span(first, &buf[..(n * w) as usize]).map_err(fault)?;
                 }
                 None => {
                     for_lanes!(mask, l, {
                         cta.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
                         let bytes = vals[l].to_le_bytes();
-                        mem.write_span(acc.addrs[l], w as usize, &bytes[..w as usize])
-                            .map_err(fault)?;
+                        mem.write_span(acc.addrs[l], &bytes[..w as usize]).map_err(fault)?;
                     });
                 }
             }
@@ -1140,66 +1139,20 @@ fn load_bits<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<u64, Sp
     })
 }
 
-/// The bytes a CTA overwrote, so an aborted CTA can be rolled back before the
-/// scalar rerun: one `(addr, len)` record per write over one shared blob of
-/// old bytes. Both vectors keep their capacity from CTA to CTA.
-#[derive(Default)]
-struct UndoLog {
-    spans: Vec<(u64, u32)>,
-    old: Vec<u8>,
-}
-
-impl UndoLog {
-    /// Keep the CTA's writes.
-    fn clear(&mut self) {
-        self.spans.clear();
-        self.old.clear();
-    }
-
-    /// Restore every byte the CTA wrote, newest first.
-    fn rollback(&mut self, mem: &mut Memory) {
-        for (addr, len) in self.spans.drain(..).rev() {
-            let kept = self.old.len() - len as usize;
-            mem.as_bytes_mut()[addr as usize..][..len as usize].copy_from_slice(&self.old[kept..]);
-            self.old.truncate(kept);
-        }
-    }
-}
-
-/// Direct-to-[`Memory`] data space for the sequential warp path, logging what
-/// it overwrites in an [`UndoLog`]. Reads pay no overlay cost — they hit
-/// `Memory` straight.
+/// Direct-to-[`Memory`] data space for the sequential warp path, logging the
+/// bytes each write overwrites, so an aborted CTA can be rolled back before
+/// the scalar rerun. Reads pay no overlay cost — they hit `Memory` straight.
 struct DirectMem<'a> {
     mem: &'a mut Memory,
-    undo: &'a mut UndoLog,
+    undo: &'a mut SpanLog,
 }
 
 impl DataSpace for DirectMem<'_> {
-    fn read_f32(&self, addr: u64) -> Result<f32, SptxError> {
-        self.mem.read_f32(addr)
+    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
+        self.mem.read_span(addr, out)
     }
-    fn read_f64(&self, addr: u64) -> Result<f64, SptxError> {
-        self.mem.read_f64(addr)
-    }
-    fn read_i64(&self, addr: u64) -> Result<i64, SptxError> {
-        self.mem.read_i64(addr)
-    }
-    fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
-        self.write_span(addr, 4, &v.to_le_bytes())
-    }
-    fn write_f64(&mut self, addr: u64, v: f64) -> Result<(), SptxError> {
-        self.write_span(addr, 8, &v.to_le_bytes())
-    }
-    fn write_i64(&mut self, addr: u64, v: i64) -> Result<(), SptxError> {
-        self.write_span(addr, 8, &v.to_le_bytes())
-    }
-    fn read_span(&self, addr: u64, width: usize, out: &mut [u8]) -> Result<(), SptxError> {
-        self.mem.read_span(addr, width, out)
-    }
-    fn write_span(&mut self, addr: u64, _width: usize, bytes: &[u8]) -> Result<(), SptxError> {
-        let old = self.mem.read_slice(addr, bytes.len() as u64)?;
-        self.undo.spans.push((addr, bytes.len() as u32));
-        self.undo.old.extend_from_slice(old);
+    fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {
+        self.undo.push(addr, self.mem.read_slice(addr, bytes.len() as u64)?);
         self.mem.write_slice(addr, bytes)
     }
 }
@@ -1225,7 +1178,7 @@ pub(crate) fn run_sequential(
     let mut stats = WarpStats::default();
 
     let mut exec = WarpExec::new(dec);
-    let mut undo = UndoLog::default();
+    let mut undo = SpanLog::default();
     let mut cta = CtaCounters::new(nblocks);
     let mut scalar_regs = vec![Value::I(0); program.num_regs() as usize];
     let mut scalar_preds = vec![false; program.num_preds() as usize];
@@ -1246,7 +1199,7 @@ pub(crate) fn run_sequential(
         );
         match outcome {
             Ok(()) => {
-                undo.clear();
+                undo.truncate(Mark::default());
                 executed += cta.instrs;
                 for (g, c) in class_counts.iter_mut().zip(cta.class_counts) {
                     *g += c;

@@ -3,7 +3,10 @@
 //! (workers ∈ {2, 4, 7}) must be observationally identical to the sequential
 //! interpreter (`workers = 1`) — same [`ExecutionProfile`], same final memory
 //! bytes, same error value — across success, faulting-block and
-//! budget-exhaustion outcomes.
+//! budget-exhaustion outcomes — and for blocks that read bytes they wrote
+//! themselves, which the overlay must patch over the launch-entry memory.
+
+use std::sync::RwLock;
 
 use proptest::prelude::*;
 
@@ -12,6 +15,7 @@ use sigmavp_sptx::counters::ExecutionProfile;
 use sigmavp_sptx::interp::{Interpreter, LaunchConfig, Memory, ParamValue};
 use sigmavp_sptx::isa::{BinOp, Reg, ScalarType, Special, UnaryOp};
 use sigmavp_sptx::{KernelProgram, SptxError};
+use ScalarType::{F32, F64, I64};
 
 const NREGS: usize = 6;
 const PARALLEL_WORKERS: [u32; 3] = [2, 4, 7];
@@ -138,6 +142,10 @@ fn build_random_kernel(seed_i: i64, seed_f: f64, ops: &[RandomOp], trips: u32) -
     b.build().expect("generated kernel is structurally valid")
 }
 
+/// The telemetry collector is process-global: every run shares this lock,
+/// the one that installs a collector to read a counter takes it exclusively.
+static COLLECTOR: RwLock<()> = RwLock::new(());
+
 /// Run `program` over `cfg` at the given worker count on a fresh memory image
 /// (input region seeded with a deterministic pattern), returning the outcome
 /// and the final memory bytes.
@@ -147,6 +155,7 @@ fn run_with_workers(
     workers: u32,
     budget: Option<u64>,
 ) -> (Result<ExecutionProfile, SptxError>, Vec<u8>) {
+    let _shared = COLLECTOR.read().unwrap_or_else(|e| e.into_inner());
     let threads = cfg.total_threads() as usize;
     let out_base = threads * 8;
     let mut mem = Memory::new(out_base + threads * NREGS * 16);
@@ -306,5 +315,163 @@ fn single_block_grids_use_the_sequential_path() {
         let out =
             i64::from_le_bytes(mem[(t * 8) as usize..(t * 8 + 8) as usize].try_into().unwrap());
         assert_eq!(out, 7);
+    }
+}
+
+/// How a [`self_read_kernel`] block reads bytes it wrote itself.
+#[derive(Debug, Clone, Copy)]
+enum SelfRead {
+    /// Thread `tid` stores its slot, then loads thread `(tid + shift) % ntid`'s:
+    /// later warps read what earlier warps of the CTA stored.
+    LaterWarp { shift: i64 },
+    /// Round trips across widths: `st.f64`, `st.f32` over its upper half and
+    /// an `ld.f64` of both (the newer span wins), then an `st.i64` of exactly
+    /// the first span's bytes and an `ld.f32` of its upper half (no in-place
+    /// re-write past the span between); an `st.i64` read back as two `ld.f32`
+    /// halves; two `st.f32` read back as one `ld.f64` straddling both. Each
+    /// lane logs one span per store, so small CTAs stay under the span bound
+    /// and larger ones cross it.
+    MixedWidths,
+    /// `trips` rounds of `a[gtid * stride] += in[gtid]`: stride 1 is one
+    /// coalesced span per warp, stride 2 one span per lane.
+    Rmw { stride: i64, trips: i64 },
+    /// Thread `tid` loads thread `tid ^ 1`'s fresh store: an intra-warp
+    /// hazard, so the CTA re-runs on the scalar tier.
+    Hazard,
+}
+
+/// A kernel over `in` (an f64 per thread, param 0), a scratch array `a` of
+/// 32 bytes per thread (param 1) and an output array of 32 bytes per thread
+/// (param 2). No block reads a byte another block writes.
+fn self_read_kernel(case: SelfRead) -> KernelProgram {
+    let mut b = ProgramBuilder::new("par_self_read");
+    let [gtid, tid, ntid, cta, inp, a, out, x, y, k] = [(); 10].map(|_| b.reg());
+    b.read_special(gtid, Special::GlobalTid)
+        .read_special(tid, Special::TidX)
+        .read_special(ntid, Special::NTidX)
+        .read_special(cta, Special::CtaIdX)
+        .ld_param(inp, 0)
+        .ld_param(a, 1)
+        .ld_param(out, 2)
+        .ld_indexed(F64, x, inp, gtid, 0);
+    match case {
+        SelfRead::LaterWarp { shift } => {
+            b.st_indexed(F64, a, gtid, 0, x)
+                .mov_imm_i(k, shift)
+                .binop(BinOp::Add, I64, k, tid, k)
+                .binop(BinOp::Rem, I64, k, k, ntid)
+                .mad(I64, k, cta, ntid, k)
+                .ld_indexed(F64, y, a, k, 0)
+                .st_indexed(F64, out, gtid, 0, y);
+        }
+        SelfRead::MixedWidths => {
+            let (p, q) = (b.reg(), b.reg());
+            b.mov_imm_i(k, 32)
+                .mad(I64, p, gtid, k, a)
+                .mad(I64, q, gtid, k, out)
+                .cvt(I64, F64, k, x)
+                .st(F64, p, 16, x)
+                .st(F32, p, 20, x)
+                .ld(F64, y, p, 16)
+                .st(I64, p, 16, k)
+                .ld(F32, x, p, 20)
+                .st(F64, q, 16, y)
+                .st(F32, q, 24, x)
+                .st(I64, p, 0, k)
+                .ld(F32, y, p, 0)
+                .st(F32, q, 0, y)
+                .ld(F32, y, p, 4)
+                .st(F32, q, 4, y)
+                .st(F32, p, 8, x)
+                .st(F32, p, 12, y)
+                .ld(F64, y, p, 8)
+                .st(F64, q, 8, y);
+        }
+        SelfRead::Rmw { stride, trips } => {
+            b.mov_imm_i(k, stride).binop(BinOp::Mul, I64, k, gtid, k);
+            for_loop(&mut b, trips, |b, _| {
+                b.ld_indexed(F32, y, a, k, 0)
+                    .binop(BinOp::Add, F32, y, y, x)
+                    .st_indexed(F32, a, k, 0, y);
+            });
+        }
+        SelfRead::Hazard => {
+            b.st_indexed(F32, a, gtid, 0, x)
+                .mov_imm_i(k, 1)
+                .binop(BinOp::Xor, I64, k, tid, k)
+                .mad(I64, k, cta, ntid, k)
+                .ld_indexed(F32, y, a, k, 0)
+                .st_indexed(F32, out, gtid, 0, y);
+        }
+    }
+    b.ret();
+    b.build().expect("self-read kernel is structurally valid")
+}
+
+/// Run a [`self_read_kernel`] at `workers`; the caller holds [`COLLECTOR`].
+fn run_self_read(
+    program: &KernelProgram,
+    cfg: &LaunchConfig,
+    workers: u32,
+) -> (Result<ExecutionProfile, SptxError>, Vec<u8>) {
+    let threads = cfg.total_threads();
+    let mut mem = Memory::new(threads as usize * 72);
+    for t in 0..threads {
+        mem.write_f64(t * 8, (t as f64).mul_add(0.75, -20.25)).unwrap();
+    }
+    let params = [0, threads * 8, threads * 40].map(ParamValue::Ptr);
+    let result = Interpreter::new().with_workers(workers).run(program, cfg, &params, &mut mem);
+    (result, mem.as_bytes().to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_block_reading_its_own_writes_matches_sequential(
+        case in 0usize..5,
+        shift in 1i64..80,
+        trips in 0i64..5,
+        grid in 2u32..6,
+        block in prop_oneof![1u32..16, 16u32..97],
+    ) {
+        let case = match case {
+            0 => SelfRead::LaterWarp { shift },
+            1 => SelfRead::MixedWidths,
+            2 => SelfRead::Rmw { stride: 1, trips },
+            3 => SelfRead::Rmw { stride: 2, trips },
+            _ => SelfRead::Hazard,
+        };
+        let program = self_read_kernel(case);
+        let cfg = LaunchConfig::linear(grid, block);
+        let _shared = COLLECTOR.read().unwrap_or_else(|e| e.into_inner());
+        let (seq, seq_mem) = run_self_read(&program, &cfg, 1);
+        for workers in PARALLEL_WORKERS {
+            let (par, par_mem) = run_self_read(&program, &cfg, workers);
+            prop_assert_eq!(&seq, &par, "{:?}: outcome diverged at workers={}", case, workers);
+            prop_assert_eq!(&seq_mem, &par_mem, "{:?}: memory diverged at workers={}", case, workers);
+        }
+    }
+}
+
+#[test]
+fn a_scattered_rmw_loop_crosses_to_the_slot_index_and_a_coalesced_one_does_not() {
+    // 256 threads per CTA: one re-written span per warp (8) when coalesced,
+    // one per lane (256) at stride 2 — under and over any span bound between.
+    let cfg = LaunchConfig::linear(4, 256);
+    for (stride, indexed) in [(1, 0), (2, u64::from(cfg.grid_dim))] {
+        let program = self_read_kernel(SelfRead::Rmw { stride, trips: 3 });
+        let (seq, seq_mem) = {
+            let _shared = COLLECTOR.read().unwrap_or_else(|e| e.into_inner());
+            run_self_read(&program, &cfg, 1)
+        };
+        let _exclusive = COLLECTOR.write().unwrap_or_else(|e| e.into_inner());
+        let telemetry = sigmavp_telemetry::install();
+        let (par, par_mem) = run_self_read(&program, &cfg, 2);
+        sigmavp_telemetry::uninstall();
+        assert_eq!(seq, par, "stride {stride}");
+        assert_eq!(seq_mem, par_mem, "stride {stride}");
+        let counted = telemetry.snapshot().counter("sptx.parallel.indexed_blocks");
+        assert_eq!(counted, Some(indexed), "stride {stride}");
     }
 }
