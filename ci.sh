@@ -28,6 +28,10 @@ nontest_lines() {
       close("sort")
       printf "    %-10s %6d\n", "total", total
     }'
+  # ROADMAP item 4's interpreter size gate: every line of every `.rs` file
+  # under crates/sptx/src and crates/sptx/tests, tests and comments included.
+  printf "    %-10s %6d\n" "sptx+tests" \
+    "$(find crates/sptx/src crates/sptx/tests -name '*.rs' -exec cat {} + | wc -l)"
 }
 
 step "cargo fmt --check" cargo fmt --all -- --check

@@ -494,7 +494,6 @@ impl DispatchedSigmaVp {
         let mut session = ExecutionSession::new(self.archs, self.registry, self.cost)
             .expect("constructor checked for at least one device");
         session.set_workers(self.policy.workers);
-        session.set_tier(self.policy.tier);
 
         // One transport pair per VP; route each VP to a device up front. With a
         // fault plan active, both ends of the link go through a FaultyTransport

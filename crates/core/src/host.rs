@@ -138,13 +138,6 @@ impl HostRuntime {
         self.device.set_workers(workers);
     }
 
-    /// Select the SPTX execution tier for kernel launches on this runtime's
-    /// device (warp-lockstep by default; scalar for the reference
-    /// interpreter).
-    pub fn set_tier(&mut self, tier: sigmavp_sptx::Tier) {
-        self.device.set_tier(tier);
-    }
-
     /// The job log so far, in dispatch order.
     pub fn records(&self) -> &[JobRecord] {
         &self.records

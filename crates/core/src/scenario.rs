@@ -167,7 +167,6 @@ fn run_multiplexed(
     let registry = union_registry(apps);
     let mut session = ExecutionSession::new(archs.to_vec(), registry, transport)?;
     session.set_workers(mode.workers);
-    session.set_tier(mode.tier);
 
     let mut vp_times = Vec::with_capacity(apps.len());
     let mut non_gpu = Vec::with_capacity(apps.len());

@@ -26,7 +26,7 @@ use sigmavp_gpu::engine::Engine as GpuEngine;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::transport::TransportCost;
-use sigmavp_sched::{ExecTier, Pipeline, Placement};
+use sigmavp_sched::{Pipeline, Placement};
 use sigmavp_vp::registry::KernelRegistry;
 
 use crate::backend::MultiplexedGpu;
@@ -208,19 +208,6 @@ impl ExecutionSession {
     pub fn set_workers(&mut self, workers: u32) {
         for slot in &self.devices {
             slot.runtime.lock().set_workers(workers);
-        }
-    }
-
-    /// Select the SPTX execution tier used for kernel launches on every
-    /// device, mapping the scheduler's backend-agnostic [`ExecTier`] onto the
-    /// interpreter's own tier enum.
-    pub fn set_tier(&mut self, tier: ExecTier) {
-        let tier = match tier {
-            ExecTier::Scalar => sigmavp_sptx::Tier::Scalar,
-            ExecTier::Warp => sigmavp_sptx::Tier::Warp,
-        };
-        for slot in &self.devices {
-            slot.runtime.lock().set_tier(tier);
         }
     }
 

@@ -454,7 +454,6 @@ impl Fleet {
             )
             .map_err(|e| FleetError::Config(e.to_string()))?;
             session.set_workers(1); // fleets scale out with sessions (`FleetConfig`)
-            session.set_tier(config.policy.tier);
             shards.push(Arc::new(Shard {
                 index,
                 session: Arc::new(Mutex::new(session)),

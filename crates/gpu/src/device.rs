@@ -16,7 +16,6 @@ use crate::timing::{kernel_cost, KernelCost};
 use sigmavp_sptx::counters::ExecutionProfile;
 use sigmavp_sptx::interp::{Interpreter, LaunchConfig, Memory, ParamValue};
 use sigmavp_sptx::program::KernelProgram;
-use sigmavp_sptx::Tier;
 
 /// Default simulated device-memory size: large enough for every paper workload at
 /// reproduction scale, small enough to allocate eagerly.
@@ -90,14 +89,6 @@ impl GpuDevice {
     /// (`0` = one worker per available core, `1` = sequential).
     pub fn set_workers(&mut self, workers: u32) {
         self.interp = self.interp.clone().with_workers(workers);
-    }
-
-    /// Select the SPTX execution tier used for kernel launches
-    /// ([`Tier::Warp`] decoded lockstep by default, [`Tier::Scalar`] for the
-    /// reference interpreter). Both tiers produce byte-identical results and
-    /// profiles.
-    pub fn set_tier(&mut self, tier: Tier) {
-        self.interp = self.interp.clone().with_tier(tier);
     }
 
     /// The device's architecture.

@@ -40,6 +40,6 @@ pub use pipeline::{
     SchedulePass, StreamEvaluator,
 };
 pub use placement::{HashRing, Placement};
-pub use policy::{BackendKind, ExecTier, InterleaveMode, Policy, RetryPolicy};
+pub use policy::{BackendKind, InterleaveMode, Policy, RetryPolicy};
 pub use rebalance::{DeviceView, LoadRebalance, Rebalance};
 pub use wavepack::WavePack;

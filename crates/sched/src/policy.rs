@@ -13,7 +13,7 @@
 //!
 //! The remaining fields tune the one dispatch core every live runtime drives:
 //! [`RetryPolicy`] (request-level robustness on the forwarding channel),
-//! block-parallel `workers`, the execution [`ExecTier`], and the sync-window
+//! block-parallel `workers`, and the sync-window
 //! knobs (`sync_hold`, quorum, window timeout, deadlines, watchdog). VP
 //! stop/resume (Fig. 4b) is `sync_hold`; there is no separate admission axis.
 //!
@@ -41,24 +41,6 @@ pub enum InterleaveMode {
     /// The HEFT-style critical-path list scheduler
     /// ([`reorder_critical_path`](crate::deps::reorder_critical_path)).
     CriticalPath,
-}
-
-/// Which SPTX interpreter tier executes kernel launches.
-///
-/// Mirrors `sigmavp_sptx::Tier` without making `sigmavp-sched` depend on the
-/// interpreter crate; the runtime layer maps this onto the interpreter's own
-/// tier enum when it builds an execution session. Both tiers are
-/// byte-identical in results, profiles, and error reporting — the warp tier is
-/// purely a throughput optimization (pre-decoded op streams executed in
-/// 32-lane lockstep; see `DESIGN.md` §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecTier {
-    /// One thread at a time through the tree-walking scalar interpreter.
-    Scalar,
-    /// 32-lane warp-lockstep execution over a pre-decoded op stream, with a
-    /// transparent per-CTA scalar fallback (the default).
-    #[default]
-    Warp,
 }
 
 /// Bounded-retry configuration for guest→host requests.
@@ -180,10 +162,6 @@ pub struct Policy {
     /// this many consecutive flushed sync windows with no activity from it.
     /// `0` (the default) disables the watchdog.
     pub hang_windows: u32,
-    /// Which SPTX interpreter tier executes kernel launches (warp-lockstep by
-    /// default; scalar for the reference interpreter). Both produce
-    /// byte-identical results and profiles.
-    pub tier: ExecTier,
 }
 
 #[allow(non_upper_case_globals)]
@@ -200,7 +178,6 @@ impl Policy {
         sync_timeout_us: 0,
         deadline_us: 0,
         hang_windows: 0,
-        tier: ExecTier::Warp,
     };
     /// Host-GPU multiplexing without the re-scheduler optimizations.
     pub const Multiplexed: Policy = Policy {
@@ -214,7 +191,6 @@ impl Policy {
         sync_timeout_us: 0,
         deadline_us: 0,
         hang_windows: 0,
-        tier: ExecTier::Warp,
     };
     /// Multiplexing plus Kernel Interleaving and Kernel Coalescing.
     pub const MultiplexedOptimized: Policy = Policy {
@@ -228,7 +204,6 @@ impl Policy {
         sync_timeout_us: 0,
         deadline_us: 0,
         hang_windows: 0,
-        tier: ExecTier::Warp,
     };
     /// Live VPs race for the host runtime; the pending window is interleaved
     /// by the re-scheduler, nothing is coalesced.
@@ -243,7 +218,6 @@ impl Policy {
         sync_timeout_us: 0,
         deadline_us: 0,
         hang_windows: 0,
-        tier: ExecTier::Warp,
     };
     /// The emulation baseline ([`Policy::EmulatedOnVp`]).
     pub const fn emulated() -> Policy {
@@ -352,14 +326,6 @@ impl Policy {
         self
     }
 
-    /// Set the SPTX interpreter tier (builder style). [`ExecTier::Scalar`]
-    /// forces the reference interpreter; [`ExecTier::Warp`] (the default)
-    /// enables decoded warp-lockstep execution.
-    pub const fn with_tier(mut self, tier: ExecTier) -> Policy {
-        self.tier = tier;
-        self
-    }
-
     /// The sync-mode flush quorum as a fraction of eligible VPs.
     pub fn sync_quorum_fraction(&self) -> f64 {
         self.sync_quorum_pct as f64 / 100.0
@@ -416,8 +382,6 @@ mod tests {
         assert!(p.plans());
         assert_eq!(p.workers, 3);
         assert_eq!(Policy::default().workers, 0, "default is one worker per core");
-        assert_eq!(Policy::default().tier, ExecTier::Warp, "warp tier is the default");
-        assert_eq!(p.with_tier(ExecTier::Scalar).tier, ExecTier::Scalar);
         assert_eq!(p.interleave, InterleaveMode::CriticalPath);
         assert!(p.coalesce);
         assert!(!Policy::Multiplexed.plans());

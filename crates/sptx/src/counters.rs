@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use crate::interp::LaunchConfig;
 use crate::isa::{BlockId, InstrClass};
 use crate::program::ClassCounts;
 
@@ -163,6 +164,85 @@ impl ExecutionProfile {
             return 0.0;
         }
         self.counts.get(class) as f64 / total as f64
+    }
+}
+
+/// What a launch counts while it runs. Every driver keeps its counts in these:
+/// the scalar runner and the warp tier count into one, a CTA's own is absorbed
+/// into the launch's once the CTA is kept, and the launch's becomes its
+/// [`ExecutionProfile`].
+#[derive(Debug)]
+pub(crate) struct Tally {
+    /// Dynamic instruction counts by class index.
+    pub class_counts: [u64; 7],
+    /// Per-block visit counts (λ).
+    pub block_iters: Vec<u64>,
+    /// 128-byte segments touched.
+    pub segments: SegmentSet,
+    /// Load/store byte and access totals; `unique_segments` is filled in by
+    /// [`Tally::into_profile`].
+    pub trace: MemoryTraceSummary,
+    /// Dynamic instructions executed, terminators included: the count the
+    /// instruction budget is checked against.
+    pub executed: u64,
+}
+
+impl Tally {
+    pub(crate) fn new(nblocks: usize) -> Self {
+        Tally {
+            class_counts: [0; 7],
+            block_iters: vec![0; nblocks],
+            segments: SegmentSet::new(),
+            trace: MemoryTraceSummary::default(),
+            executed: 0,
+        }
+    }
+
+    /// Zero every count, keeping the allocations.
+    pub(crate) fn reset(&mut self) {
+        self.class_counts = [0; 7];
+        self.block_iters.fill(0);
+        self.segments = SegmentSet::new();
+        self.trace = MemoryTraceSummary::default();
+        self.executed = 0;
+    }
+
+    /// Add `other`'s counts to these, taking its segments.
+    pub(crate) fn absorb(&mut self, other: &mut Tally) {
+        for (a, b) in self.class_counts.iter_mut().zip(other.class_counts) {
+            *a += b;
+        }
+        for (a, b) in self.block_iters.iter_mut().zip(&other.block_iters) {
+            *a += b;
+        }
+        self.segments.absorb(std::mem::take(&mut other.segments));
+        self.trace.accesses += other.trace.accesses;
+        self.trace.load_bytes += other.trace.load_bytes;
+        self.trace.store_bytes += other.trace.store_bytes;
+        self.executed += other.executed;
+    }
+
+    /// The launch's profile. Emits `sptx.launches` and
+    /// `sptx.instructions_executed`.
+    pub(crate) fn into_profile(mut self, cfg: &LaunchConfig) -> ExecutionProfile {
+        let mut profile = ExecutionProfile::new();
+        for (c, n) in InstrClass::ALL.iter().zip(self.class_counts) {
+            profile.counts.add(*c, n);
+        }
+        for (i, &n) in self.block_iters.iter().enumerate() {
+            if n > 0 {
+                profile.block_iterations.insert(BlockId(i as u32), n);
+            }
+        }
+        self.trace.unique_segments = self.segments.distinct();
+        profile.memory = self.trace;
+        profile.threads = cfg.total_threads();
+        let r = sigmavp_telemetry::recorder();
+        if r.enabled() {
+            r.count("sptx.launches", 1);
+            r.count("sptx.instructions_executed", self.executed);
+        }
+        profile
     }
 }
 

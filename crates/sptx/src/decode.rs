@@ -142,13 +142,7 @@ fn lower(program: &KernelProgram) -> Option<DecodedProgram> {
                 Instr::Mad { ty, dst, a, b, c } => {
                     DOp::Mad { ty: *ty, dst: dst.0, a: a.0, b: b.0, c: c.0 }
                 }
-                Instr::MovImm { dst, imm } => {
-                    let val = match imm {
-                        Imm::F(v) => Value::F(*v),
-                        Imm::I(v) => Value::I(*v),
-                    };
-                    DOp::MovImm { dst: dst.0, val }
-                }
+                Instr::MovImm { dst, imm } => DOp::MovImm { dst: dst.0, val: (*imm).into() },
                 Instr::Mov { dst, src } => DOp::Mov { dst: dst.0, src: src.0 },
                 Instr::Cvt { to, from, dst, src } => {
                     DOp::Cvt { to: *to, from: *from, dst: dst.0, src: src.0 }

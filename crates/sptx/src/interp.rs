@@ -1,4 +1,5 @@
-//! A scalar interpreter for SPTX kernels over a CUDA-style grid.
+//! The SPTX interpreter for kernels over a CUDA-style grid, and its scalar
+//! engine.
 //!
 //! The interpreter serves two roles in ΣVP:
 //!
@@ -9,13 +10,21 @@
 //!
 //! SPTX has no inter-thread communication primitives, so sequential execution is
 //! observationally equivalent to any parallel schedule. With `workers = 1` the
-//! interpreter executes the grid sequentially (block by block, thread by thread);
-//! with more workers, independent thread blocks run concurrently on the
-//! process-wide [`exec::WorkerPool`](crate::exec::WorkerPool) and are merged
-//! deterministically so results stay byte-identical to the sequential path
-//! (per-block overlay memory plus journal replay in `(ctaid, tid)` order).
+//! interpreter executes the grid sequentially, block by block; with more workers,
+//! independent thread blocks run concurrently on the process-wide
+//! [`exec::WorkerPool`](crate::exec::WorkerPool) and are merged deterministically
+//! so results stay byte-identical to the sequential path (per-block overlay memory
+//! plus journal replay in `(ctaid, tid)` order). Under [`Tier::Warp`] either driver
+//! tries each block in warp lockstep first. Every block that runs one thread at a
+//! time — all of a [`Tier::Scalar`] launch, a warp fallback, the parallel merge's
+//! budget re-run — goes through the one scalar CTA runner here,
+//! `Interpreter::run_cta_scalar`, and every driver counts into one `Tally`.
+//!
+//! The scalar engine's arithmetic (`eval_bin`, `eval_un`, `eval_mad`, `eval_cvt`)
+//! is the reference semantics. The constant folder in [`crate::opt`] calls it
+//! too, so a folded constant has the bits the instruction computes at run time.
 
-use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
+use crate::counters::{ExecutionProfile, Tally};
 use crate::error::SptxError;
 use crate::isa::{BinOp, BlockId, CmpOp, Imm, Instr, ScalarType, Special, Terminator, UnaryOp};
 use crate::program::KernelProgram;
@@ -271,12 +280,41 @@ impl Value {
     }
 }
 
+impl From<Imm> for Value {
+    fn from(imm: Imm) -> Self {
+        match imm {
+            Imm::F(v) => Value::F(v),
+            Imm::I(v) => Value::I(v),
+        }
+    }
+}
+
+impl From<Value> for Imm {
+    fn from(v: Value) -> Self {
+        match v {
+            Value::F(v) => Imm::F(v),
+            Value::I(v) => Imm::I(v),
+        }
+    }
+}
+
+impl From<ParamValue> for Value {
+    fn from(p: ParamValue) -> Self {
+        match p {
+            ParamValue::Ptr(a) => Value::I(a as i64),
+            ParamValue::F64(v) => Value::F(v),
+            ParamValue::F32(v) => Value::F(v as f64),
+            ParamValue::I64(v) => Value::I(v),
+        }
+    }
+}
+
 /// A float `Bin`/`Mad` result with any NaN made the canonical quiet NaN. The
 /// hardware takes a NaN result's sign and payload from its *first* NaN
 /// operand and the compiler may commute `+` and `*`, so the separately
-/// compiled copies of this arithmetic (scalar engine, warp lane loops,
-/// constant folder) would otherwise disagree on bits a `st.f64` / `ld.i64`
-/// of one slot turns into an integer.
+/// compiled copies of this arithmetic (the scalar engine, which the constant
+/// folder calls too, and the warp lane loops) would otherwise disagree on bits
+/// a `st.f64` / `ld.i64` of one slot turns into an integer.
 #[inline(always)]
 pub(crate) fn canonical_nan(v: f64) -> f64 {
     if v.is_nan() {
@@ -521,144 +559,105 @@ impl Interpreter {
             Tier::Warp => crate::decode::decode(program),
             Tier::Scalar => None,
         };
-
+        let dec = decoded.as_deref();
         let workers = self.effective_workers();
         if workers > 1 && cfg.grid_dim > 1 {
-            return crate::parallel::run_parallel(
-                self,
-                program,
-                decoded.as_deref(),
-                cfg,
-                params,
-                mem,
-                workers,
-            );
+            crate::parallel::run_parallel(self, program, dec, cfg, params, mem, workers)
+        } else {
+            crate::warp::run_sequential(self, program, dec, cfg, params, mem)
         }
-        if let Some(dec) = decoded {
-            return crate::warp::run_sequential(self, program, &dec, cfg, params, mem);
-        }
-
-        let mut class_counts = [0u64; 7];
-        let mut block_iters = vec![0u64; program.blocks().len()];
-        let mut segments = SegmentSet::new();
-        let mut trace = MemoryTraceSummary::default();
-        let mut executed: u64 = 0;
-
-        let mut regs = vec![Value::I(0); program.num_regs() as usize];
-        let mut preds = vec![false; program.num_preds() as usize];
-
-        for ctaid in 0..cfg.grid_dim {
-            for tid in 0..cfg.block_dim {
-                // Registers are per-thread; reset them rather than reallocate.
-                regs.iter_mut().for_each(|r| *r = Value::I(0));
-                preds.iter_mut().for_each(|p| *p = false);
-                self.run_thread(
-                    program,
-                    cfg,
-                    params,
-                    mem,
-                    ctaid,
-                    tid,
-                    &mut regs,
-                    &mut preds,
-                    &mut class_counts,
-                    &mut block_iters,
-                    &mut segments,
-                    &mut trace,
-                    &mut executed,
-                )?;
-            }
-        }
-
-        let mut profile = ExecutionProfile::new();
-        for (c, n) in crate::isa::InstrClass::ALL.iter().zip(class_counts.iter()) {
-            profile.counts.add(*c, *n);
-        }
-        for (i, n) in block_iters.iter().enumerate() {
-            if *n > 0 {
-                profile.block_iterations.insert(BlockId(i as u32), *n);
-            }
-        }
-        trace.unique_segments = segments.distinct();
-        profile.memory = trace;
-        profile.threads = cfg.total_threads();
-        let r = sigmavp_telemetry::recorder();
-        if r.enabled() {
-            r.count("sptx.launches", 1);
-            r.count("sptx.instructions_executed", executed);
-        }
-        Ok(profile)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_thread<M: DataSpace>(
+    /// Run CTA `ctaid` on the scalar engine, thread by thread in tid order,
+    /// counting into `tally`. The budget is checked against `tally.executed`,
+    /// so the caller primes it with what the launch executed before this CTA.
+    pub(crate) fn run_cta_scalar<M: DataSpace>(
         &self,
         program: &KernelProgram,
         cfg: &LaunchConfig,
         params: &[ParamValue],
         mem: &mut M,
         ctaid: u32,
-        tid: u32,
-        regs: &mut [Value],
-        preds: &mut [bool],
-        class_counts: &mut [u64; 7],
-        block_iters: &mut [u64],
-        segments: &mut SegmentSet,
-        trace: &mut MemoryTraceSummary,
-        executed: &mut u64,
+        tally: &mut Tally,
+    ) -> Result<(), SptxError> {
+        let mut t = Thread {
+            cfg,
+            params,
+            ctaid,
+            tid: 0,
+            regs: vec![Value::I(0); program.num_regs() as usize],
+            preds: vec![false; program.num_preds() as usize],
+        };
+        for tid in 0..cfg.block_dim {
+            // Registers are per-thread; reset them rather than reallocate.
+            t.tid = tid;
+            t.regs.fill(Value::I(0));
+            t.preds.fill(false);
+            self.run_thread(program, &mut t, mem, tally)?;
+        }
+        Ok(())
+    }
+
+    fn run_thread<M: DataSpace>(
+        &self,
+        program: &KernelProgram,
+        t: &mut Thread,
+        mem: &mut M,
+        tally: &mut Tally,
     ) -> Result<(), SptxError> {
         let mut block_id = BlockId(0);
         loop {
             let block = program.block(block_id).expect("validated program");
-            block_iters[block_id.0 as usize] += 1;
+            tally.block_iters[block_id.0 as usize] += 1;
 
             for instr in &block.instrs {
-                *executed += 1;
-                if *executed > self.budget {
+                tally.executed += 1;
+                if tally.executed > self.budget {
                     return Err(SptxError::InstructionBudgetExceeded { budget: self.budget });
                 }
-                class_counts[instr.class().index()] += 1;
-                self.exec_instr(
-                    instr, program, cfg, params, mem, ctaid, tid, regs, preds, segments, trace,
-                    block_id,
-                )?;
+                tally.class_counts[instr.class().index()] += 1;
+                t.exec(instr, mem, tally, block_id)?;
             }
 
             match block.terminator {
                 Terminator::Ret => return Ok(()),
-                Terminator::Bra(t) => {
-                    *executed += 1;
-                    class_counts[crate::isa::InstrClass::Branch.index()] += 1;
-                    block_id = t;
+                Terminator::Bra(target) => {
+                    tally.executed += 1;
+                    tally.class_counts[crate::isa::InstrClass::Branch.index()] += 1;
+                    block_id = target;
                 }
                 Terminator::CondBra { pred, if_true, if_false } => {
-                    *executed += 1;
-                    class_counts[crate::isa::InstrClass::Branch.index()] += 1;
-                    block_id = if preds[pred.0 as usize] { if_true } else { if_false };
+                    tally.executed += 1;
+                    tally.class_counts[crate::isa::InstrClass::Branch.index()] += 1;
+                    block_id = if t.preds[pred.0 as usize] { if_true } else { if_false };
                 }
             }
-            if *executed > self.budget {
+            if tally.executed > self.budget {
                 return Err(SptxError::InstructionBudgetExceeded { budget: self.budget });
             }
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_instr<M: DataSpace>(
-        &self,
+/// One scalar thread: its place in the launch and its register file.
+struct Thread<'a> {
+    cfg: &'a LaunchConfig,
+    params: &'a [ParamValue],
+    ctaid: u32,
+    tid: u32,
+    regs: Vec<Value>,
+    preds: Vec<bool>,
+}
+
+impl Thread<'_> {
+    fn exec<M: DataSpace>(
+        &mut self,
         instr: &Instr,
-        _program: &KernelProgram,
-        cfg: &LaunchConfig,
-        params: &[ParamValue],
         mem: &mut M,
-        ctaid: u32,
-        tid: u32,
-        regs: &mut [Value],
-        preds: &mut [bool],
-        segments: &mut SegmentSet,
-        trace: &mut MemoryTraceSummary,
+        tally: &mut Tally,
         block_id: BlockId,
     ) -> Result<(), SptxError> {
+        let regs = &mut self.regs;
         match instr {
             Instr::Bin { op, ty, dst, a, b } => {
                 let av = regs[a.0 as usize];
@@ -671,41 +670,17 @@ impl Interpreter {
             }
             Instr::Mad { ty, dst, a, b, c } => {
                 let (av, bv, cv) = (regs[a.0 as usize], regs[b.0 as usize], regs[c.0 as usize]);
-                regs[dst.0 as usize] = match ty {
-                    // GPU mad/fma fuses the multiply and add with a single
-                    // rounding, like `f32::mul_add`.
-                    ScalarType::F32 => Value::F(canonical_nan(
-                        (av.as_f64() as f32).mul_add(bv.as_f64() as f32, cv.as_f64() as f32) as f64,
-                    )),
-                    ScalarType::F64 => {
-                        Value::F(canonical_nan(av.as_f64() * bv.as_f64() + cv.as_f64()))
-                    }
-                    ScalarType::I64 => {
-                        Value::I(av.as_i64().wrapping_mul(bv.as_i64()).wrapping_add(cv.as_i64()))
-                    }
-                };
+                regs[dst.0 as usize] = eval_mad(*ty, av, bv, cv);
             }
-            Instr::MovImm { dst, imm } => {
-                regs[dst.0 as usize] = match imm {
-                    Imm::F(v) => Value::F(*v),
-                    Imm::I(v) => Value::I(*v),
-                };
-            }
+            Instr::MovImm { dst, imm } => regs[dst.0 as usize] = (*imm).into(),
             Instr::Mov { dst, src } => regs[dst.0 as usize] = regs[src.0 as usize],
             Instr::Cvt { to, from, dst, src } => {
-                let v = regs[src.0 as usize];
-                regs[dst.0 as usize] = match (from, to) {
-                    (_, ScalarType::I64) => Value::I(v.as_i64()),
-                    (ScalarType::I64, ScalarType::F32) => Value::F(v.as_i64() as f32 as f64),
-                    (ScalarType::I64, ScalarType::F64) => Value::F(v.as_i64() as f64),
-                    (_, ScalarType::F32) => Value::F(v.as_f64() as f32 as f64),
-                    (_, ScalarType::F64) => Value::F(v.as_f64()),
-                };
+                regs[dst.0 as usize] = eval_cvt(*to, *from, regs[src.0 as usize]);
             }
             Instr::Setp { cmp, ty, pred, a, b } => {
                 let av = regs[a.0 as usize];
                 let bv = regs[b.0 as usize];
-                preds[pred.0 as usize] = match ty {
+                self.preds[pred.0 as usize] = match ty {
                     ScalarType::I64 => compare_ord(*cmp, av.as_i64().cmp(&bv.as_i64())),
                     ScalarType::F32 => {
                         compare_f(*cmp, av.as_f64() as f32 as f64, bv.as_f64() as f32 as f64)
@@ -714,31 +689,28 @@ impl Interpreter {
                 };
             }
             Instr::ReadSpecial { dst, special } => {
+                let (cfg, ctaid, tid) = (self.cfg, self.ctaid as i64, self.tid as i64);
                 let v = match special {
-                    Special::TidX => tid as i64,
+                    Special::TidX => tid,
                     Special::NTidX => cfg.block_dim as i64,
-                    Special::CtaIdX => ctaid as i64,
+                    Special::CtaIdX => ctaid,
                     Special::NCtaIdX => cfg.grid_dim as i64,
-                    Special::GlobalTid => ctaid as i64 * cfg.block_dim as i64 + tid as i64,
+                    Special::GlobalTid => ctaid * cfg.block_dim as i64 + tid,
                 };
                 regs[dst.0 as usize] = Value::I(v);
             }
             Instr::LdParam { dst, index } => {
-                let p = params
-                    .get(*index)
-                    .ok_or(SptxError::BadParamIndex { index: *index, supplied: params.len() })?;
-                regs[dst.0 as usize] = match p {
-                    ParamValue::Ptr(a) => Value::I(*a as i64),
-                    ParamValue::F64(v) => Value::F(*v),
-                    ParamValue::F32(v) => Value::F(*v as f64),
-                    ParamValue::I64(v) => Value::I(*v),
-                };
+                let p = self.params.get(*index).ok_or(SptxError::BadParamIndex {
+                    index: *index,
+                    supplied: self.params.len(),
+                })?;
+                regs[dst.0 as usize] = (*p).into();
             }
             Instr::Ld { ty, dst, base, index, offset } => {
                 let addr = effective_addr(regs, *base, *index, *offset, *ty);
-                trace.accesses += 1;
-                trace.load_bytes += ty.width();
-                segments.insert(addr / MEMORY_SEGMENT_BYTES);
+                tally.trace.accesses += 1;
+                tally.trace.load_bytes += ty.width();
+                tally.segments.insert(addr / MEMORY_SEGMENT_BYTES);
                 regs[dst.0 as usize] = match ty {
                     ScalarType::F32 => Value::F(mem.read_f32(addr)? as f64),
                     ScalarType::F64 => Value::F(mem.read_f64(addr)?),
@@ -747,9 +719,9 @@ impl Interpreter {
             }
             Instr::St { ty, base, index, offset, src } => {
                 let addr = effective_addr(regs, *base, *index, *offset, *ty);
-                trace.accesses += 1;
-                trace.store_bytes += ty.width();
-                segments.insert(addr / MEMORY_SEGMENT_BYTES);
+                tally.trace.accesses += 1;
+                tally.trace.store_bytes += ty.width();
+                tally.segments.insert(addr / MEMORY_SEGMENT_BYTES);
                 let v = regs[src.0 as usize];
                 match ty {
                     ScalarType::F32 => mem.write_f32(addr, v.as_f64() as f32)?,
@@ -856,6 +828,30 @@ pub(crate) fn eval_un(op: UnaryOp, ty: ScalarType, a: Value) -> Value {
         UnaryOp::Not => unreachable!("bitwise handled above"),
     };
     Value::F(if ty == ScalarType::F32 { v as f32 as f64 } else { v })
+}
+
+pub(crate) fn eval_mad(ty: ScalarType, a: Value, b: Value, c: Value) -> Value {
+    match ty {
+        // GPU mad/fma fuses the multiply and add with a single rounding,
+        // like `f32::mul_add`.
+        ScalarType::F32 => Value::F(canonical_nan(
+            (a.as_f64() as f32).mul_add(b.as_f64() as f32, c.as_f64() as f32) as f64,
+        )),
+        ScalarType::F64 => Value::F(canonical_nan(a.as_f64() * b.as_f64() + c.as_f64())),
+        ScalarType::I64 => Value::I(a.as_i64().wrapping_mul(b.as_i64()).wrapping_add(c.as_i64())),
+    }
+}
+
+/// `cvt.<to>.<from>`: the source is read as `from` says, so a float converted
+/// from `i64` truncates first, and an `i64` reaches `f32` in one rounding.
+pub(crate) fn eval_cvt(to: ScalarType, from: ScalarType, v: Value) -> Value {
+    match (from, to) {
+        (_, ScalarType::I64) => Value::I(v.as_i64()),
+        (ScalarType::I64, ScalarType::F32) => Value::F(v.as_i64() as f32 as f64),
+        (ScalarType::I64, ScalarType::F64) => Value::F(v.as_i64() as f64),
+        (_, ScalarType::F32) => Value::F(v.as_f64() as f32 as f64),
+        (_, ScalarType::F64) => Value::F(v.as_f64()),
+    }
 }
 
 pub(crate) fn compare_ord(cmp: CmpOp, ord: std::cmp::Ordering) -> bool {

@@ -20,8 +20,8 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::error::SptxError;
-use crate::interp::canonical_nan;
-use crate::isa::{BinOp, Imm, Instr, Reg, ScalarType, UnaryOp};
+use crate::interp::{eval_bin, eval_cvt, eval_mad, eval_un, Value};
+use crate::isa::{BinOp, BlockId, Instr, Reg, ScalarType};
 use crate::program::{BasicBlock, KernelProgram};
 use crate::validate::validate;
 
@@ -62,50 +62,24 @@ pub fn optimize(program: &KernelProgram) -> Result<(KernelProgram, OptStats), Sp
     Ok((current, stats))
 }
 
-/// A known constant value during folding.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Known {
-    F(f64),
-    I(i64),
-}
-
-impl Known {
-    fn as_imm(self) -> Imm {
-        match self {
-            Known::F(v) => Imm::F(v),
-            Known::I(v) => Imm::I(v),
-        }
-    }
-
-    fn as_f64(self) -> f64 {
-        match self {
-            Known::F(v) => v,
-            Known::I(v) => v as f64,
-        }
-    }
-
-    fn as_i64(self) -> i64 {
-        match self {
-            Known::F(v) => v as i64,
-            Known::I(v) => v,
-        }
-    }
-}
-
 /// Per-block forward constant propagation: rewrite instructions whose operands are
 /// all known immediates into `MovImm`. Returns the rewritten program and the number
 /// of instructions folded.
 ///
+/// A folded value is computed by the interpreter's own arithmetic, so it has the
+/// bits the instruction would produce at run time.
+///
 /// Folding is intentionally conservative: it never folds loads, stores, parameter
-/// or special-register reads, divisions/remainders (to preserve fault behaviour),
-/// and it resets its knowledge at block boundaries (no cross-block dataflow).
+/// or special-register reads, divisions/remainders (to preserve fault behaviour) or
+/// transcendentals on integers, and it resets its knowledge at block boundaries (no
+/// cross-block dataflow).
 pub fn fold_constants(program: &KernelProgram) -> (KernelProgram, usize) {
     let mut folded = 0;
     let blocks: Vec<BasicBlock> = program
         .blocks()
         .iter()
         .map(|block| {
-            let mut known: HashMap<Reg, Known> = HashMap::new();
+            let mut known: HashMap<Reg, Value> = HashMap::new();
             let instrs = block
                 .instrs
                 .iter()
@@ -118,13 +92,7 @@ pub fn fold_constants(program: &KernelProgram) -> (KernelProgram, usize) {
                     // Update knowledge from the (possibly rewritten) instruction.
                     match &out {
                         Instr::MovImm { dst, imm } => {
-                            known.insert(
-                                *dst,
-                                match imm {
-                                    Imm::F(v) => Known::F(*v),
-                                    Imm::I(v) => Known::I(*v),
-                                },
-                            );
+                            known.insert(*dst, (*imm).into());
                         }
                         other => {
                             if let Some(d) = other.def() {
@@ -150,111 +118,22 @@ pub fn fold_constants(program: &KernelProgram) -> (KernelProgram, usize) {
     )
 }
 
-fn try_fold(instr: &Instr, known: &HashMap<Reg, Known>) -> Option<Instr> {
-    let k = |r: &Reg| known.get(r).copied();
-    match instr {
-        Instr::Mov { dst, src } => {
-            let v = k(src)?;
-            Some(Instr::MovImm { dst: *dst, imm: v.as_imm() })
-        }
-        Instr::Cvt { to, dst, src, .. } => {
-            let v = k(src)?;
-            let imm = match to {
-                ScalarType::I64 => Imm::I(v.as_i64()),
-                ScalarType::F32 => Imm::F(v.as_f64() as f32 as f64),
-                ScalarType::F64 => Imm::F(v.as_f64()),
-            };
-            Some(Instr::MovImm { dst: *dst, imm })
-        }
-        Instr::Un { op, ty, dst, a } => {
-            let v = k(a)?;
-            let imm = fold_unary(*op, *ty, v)?;
-            Some(Instr::MovImm { dst: *dst, imm })
-        }
-        Instr::Bin { op, ty, dst, a, b } => {
-            let (x, y) = (k(a)?, k(b)?);
-            let imm = fold_binary(*op, *ty, x, y)?;
-            Some(Instr::MovImm { dst: *dst, imm })
-        }
-        Instr::Mad { ty, dst, a, b, c } => {
-            let (x, y, z) = (k(a)?, k(b)?, k(c)?);
-            let imm = match ty {
-                ScalarType::I64 => {
-                    Imm::I(x.as_i64().wrapping_mul(y.as_i64()).wrapping_add(z.as_i64()))
-                }
-                ScalarType::F32 => Imm::F(canonical_nan(
-                    (x.as_f64() as f32).mul_add(y.as_f64() as f32, z.as_f64() as f32) as f64,
-                )),
-                ScalarType::F64 => Imm::F(canonical_nan(x.as_f64() * y.as_f64() + z.as_f64())),
-            };
-            Some(Instr::MovImm { dst: *dst, imm })
-        }
-        // Loads, stores, parameters, specials, setp and anything faulting stays.
-        _ => None,
-    }
-}
-
-fn fold_unary(op: UnaryOp, ty: ScalarType, v: Known) -> Option<Imm> {
-    if op.is_bitwise() {
-        return Some(Imm::I(!v.as_i64()));
-    }
-    if ty == ScalarType::I64 {
-        return match op {
-            UnaryOp::Neg => Some(Imm::I(v.as_i64().wrapping_neg())),
-            UnaryOp::Abs => Some(Imm::I(v.as_i64().wrapping_abs())),
-            _ => None, // transcendentals on ints: leave to the interpreter
-        };
-    }
-    let x = if ty == ScalarType::F32 { v.as_f64() as f32 as f64 } else { v.as_f64() };
-    let out = match op {
-        UnaryOp::Neg => -x,
-        UnaryOp::Abs => x.abs(),
-        UnaryOp::Sqrt => x.sqrt(),
-        UnaryOp::Exp => x.exp(),
-        UnaryOp::Log => x.ln(),
-        UnaryOp::Sin => x.sin(),
-        UnaryOp::Cos => x.cos(),
-        UnaryOp::Not => unreachable!("bitwise handled above"),
-    };
-    Some(Imm::F(if ty == ScalarType::F32 { out as f32 as f64 } else { out }))
-}
-
-fn fold_binary(op: BinOp, ty: ScalarType, x: Known, y: Known) -> Option<Imm> {
-    // Never fold div/rem: integer division by zero must keep faulting at runtime.
-    if matches!(op, BinOp::Div | BinOp::Rem) {
-        return None;
-    }
-    if op.is_bitwise() || ty == ScalarType::I64 {
-        let (a, b) = (x.as_i64(), y.as_i64());
-        let v = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Min => a.min(b),
-            BinOp::Max => a.max(b),
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl => a.wrapping_shl(b as u32 & 63),
-            BinOp::Shr => a.wrapping_shr(b as u32 & 63),
-            BinOp::Div | BinOp::Rem => unreachable!("excluded above"),
-        };
-        return Some(Imm::I(v));
-    }
-    let (a, b) = if ty == ScalarType::F32 {
-        (x.as_f64() as f32 as f64, y.as_f64() as f32 as f64)
-    } else {
-        (x.as_f64(), y.as_f64())
-    };
-    let v = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
+fn try_fold(instr: &Instr, known: &HashMap<Reg, Value>) -> Option<Instr> {
+    let k = |r: Reg| known.get(&r).copied();
+    let v = match *instr {
+        Instr::Mov { src, .. } => k(src)?,
+        Instr::Cvt { to, from, src, .. } => eval_cvt(to, from, k(src)?),
+        // Transcendentals on integers are left to the interpreter.
+        Instr::Un { op, ty: ScalarType::I64, .. } if op.is_transcendental() => return None,
+        Instr::Un { op, ty, a, .. } => eval_un(op, ty, k(a)?),
+        // Never fold div/rem: integer division by zero must keep faulting at runtime.
+        Instr::Bin { op: BinOp::Div | BinOp::Rem, .. } => return None,
+        Instr::Bin { op, ty, a, b, .. } => eval_bin(op, ty, k(a)?, k(b)?, BlockId(0)).ok()?,
+        Instr::Mad { ty, a, b, c, .. } => eval_mad(ty, k(a)?, k(b)?, k(c)?),
+        // Loads, stores, parameters, specials and setp stay.
         _ => return None,
     };
-    Some(Imm::F(canonical_nan(if ty == ScalarType::F32 { v as f32 as f64 } else { v })))
+    Some(Instr::MovImm { dst: instr.def()?, imm: v.into() })
 }
 
 /// Remove instructions whose destination register is dead at the point of

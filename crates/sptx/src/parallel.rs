@@ -30,10 +30,15 @@
 //!   cumulative across the whole launch. Each parallel block runs under the
 //!   full budget (a block can never need more than the launch allows), and
 //!   the merge walk re-accumulates per-block counts in `ctaid` order; the
-//!   first block whose count crosses the remaining budget is re-executed
-//!   sequentially on the merged memory with the cumulative count primed, so
-//!   the abort happens at the exact instruction — and with the exact partial
-//!   writes — of the sequential run.
+//!   first block whose count crosses the remaining budget is re-executed by
+//!   the scalar CTA runner on the merged memory with its count primed at the
+//!   cumulative one, so the abort happens at the exact instruction — and with
+//!   the exact partial writes — of the sequential run.
+//!
+//! A block runs in warp lockstep first when the launch has a decoded program;
+//! otherwise, or if lockstep aborts, it runs on the scalar CTA runner
+//! (`Interpreter::run_cta_scalar`) — the same one the sequential driver uses.
+//! Each block counts into its own `Tally`, absorbed into its worker's.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -41,14 +46,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
+use crate::counters::{ExecutionProfile, Tally};
 use crate::decode::DecodedProgram;
 use crate::error::SptxError;
 use crate::exec::WorkerPool;
-use crate::interp::{
-    DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, Value,
-};
-use crate::isa::BlockId;
+use crate::interp::{DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog};
 use crate::program::KernelProgram;
 use crate::warp::{run_cta, CtaCounters, WarpExec, WarpStats};
 
@@ -229,28 +231,11 @@ struct BlockRecord {
 
 /// Everything one pool participant accumulated across the blocks it claimed.
 struct WorkerLog {
-    class_counts: [u64; 7],
-    block_iters: Vec<u64>,
-    trace: MemoryTraceSummary,
-    segments: SegmentSet,
+    tally: Tally,
     log: SpanLog,
     records: Vec<BlockRecord>,
     /// Blocks whose overlay crossed [`MAX_SPANS`].
     indexed: u64,
-}
-
-impl WorkerLog {
-    fn new(program_blocks: usize) -> Self {
-        WorkerLog {
-            class_counts: [0; 7],
-            block_iters: vec![0; program_blocks],
-            trace: MemoryTraceSummary::default(),
-            segments: SegmentSet::new(),
-            log: SpanLog::default(),
-            records: Vec::new(),
-            indexed: 0,
-        }
-    }
 }
 
 /// Execute the grid with up to `workers` concurrent blocks and merge the
@@ -266,9 +251,18 @@ pub(crate) fn run_parallel(
     workers: usize,
 ) -> Result<ExecutionProfile, SptxError> {
     let grid = cfg.grid_dim;
+    let nblocks = program.blocks().len();
     let participants = workers.min(grid as usize);
-    let logs: Vec<Mutex<WorkerLog>> =
-        (0..participants).map(|_| Mutex::new(WorkerLog::new(program.blocks().len()))).collect();
+    let logs: Vec<Mutex<WorkerLog>> = (0..participants)
+        .map(|_| {
+            Mutex::new(WorkerLog {
+                tally: Tally::new(nblocks),
+                log: SpanLog::default(),
+                records: Vec::new(),
+                indexed: 0,
+            })
+        })
+        .collect();
     let next_block = AtomicU32::new(0);
     // Lowest ctaid known to have faulted: blocks past it cannot influence the
     // launch result, so workers stop claiming them. Blocks at or below it are
@@ -279,83 +273,51 @@ pub(crate) fn run_parallel(
     let task = |slot: usize| {
         let mut guard = logs[slot].lock().expect("worker log poisoned");
         let log = &mut *guard;
-        let mut regs = vec![Value::I(0); program.num_regs() as usize];
-        let mut preds = vec![false; program.num_preds() as usize];
         let mut slots = SlotIndex::default();
-        let mut warp = dec.map(|d| (WarpExec::new(d), CtaCounters::new(program.blocks().len())));
+        let mut warp = dec.map(WarpExec::new);
+        let mut cta = CtaCounters::new(nblocks);
         loop {
             let ctaid = next_block.fetch_add(1, Ordering::Relaxed);
             if ctaid >= grid || ctaid > min_error.load(Ordering::Acquire) {
                 break;
             }
             let mut overlay = OverlayMem::new(base, &mut log.log, &mut slots);
-            let mut executed = 0u64;
-            let mut error = None;
-            let mut stats = WarpStats::default();
+            cta.reset();
 
             // Warp-lockstep attempt first: a clean CTA leaves exactly the
-            // spans, counters and instruction count the scalar loop below
-            // would have produced. On abort the overlay is reset and the CTA
-            // re-runs scalar, so records and the merge walk are unchanged.
+            // spans, counters and instruction count the scalar runner would
+            // have produced. On abort the overlay and counters are reset and
+            // the CTA re-runs scalar, so records and the merge walk are
+            // unchanged.
             let mut lockstep_done = false;
-            if let (Some(d), Some((we, cc))) = (dec, warp.as_mut()) {
-                cc.reset();
-                match run_cta(we, d, cfg, params, &mut overlay, ctaid, interp.budget, 0, cc) {
-                    Ok(()) => {
-                        executed = cc.instrs;
-                        for (a, b) in log.class_counts.iter_mut().zip(cc.class_counts) {
-                            *a += b;
-                        }
-                        for (a, b) in log.block_iters.iter_mut().zip(&cc.block_iters) {
-                            *a += b;
-                        }
-                        log.trace.accesses += cc.trace.accesses;
-                        log.trace.load_bytes += cc.trace.load_bytes;
-                        log.trace.store_bytes += cc.trace.store_bytes;
-                        log.segments.absorb(std::mem::take(&mut cc.segments));
-                        stats.merge_cta(cc);
-                        lockstep_done = true;
-                    }
+            if let Some(we) = warp.as_mut() {
+                match run_cta(we, cfg, params, &mut overlay, ctaid, interp.budget, &mut cta) {
+                    Ok(()) => lockstep_done = true,
                     Err(cause) => {
                         overlay.reset();
-                        stats.fallback_ctas[cause as usize] += 1;
+                        cta.reset();
+                        cta.stats.fallback_ctas[cause as usize] += 1;
                     }
                 }
             }
-            if !lockstep_done {
-                for tid in 0..cfg.block_dim {
-                    regs.iter_mut().for_each(|r| *r = Value::I(0));
-                    preds.iter_mut().for_each(|p| *p = false);
-                    if let Err(e) = interp.run_thread(
-                        program,
-                        cfg,
-                        params,
-                        &mut overlay,
-                        ctaid,
-                        tid,
-                        &mut regs,
-                        &mut preds,
-                        &mut log.class_counts,
-                        &mut log.block_iters,
-                        &mut log.segments,
-                        &mut log.trace,
-                        &mut executed,
-                    ) {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
+            let error = if lockstep_done {
+                None
+            } else {
+                interp
+                    .run_cta_scalar(program, cfg, params, &mut overlay, ctaid, &mut cta.tally)
+                    .err()
+            };
             let (start, indexed) = overlay.finish();
             log.indexed += u64::from(indexed);
             let faulted = error.is_some();
             log.records.push(BlockRecord {
                 ctaid,
-                instrs: executed,
+                instrs: cta.tally.executed,
                 spans: (start, log.log.mark()),
                 error,
-                stats,
+                stats: cta.stats,
             });
+            log.tally.absorb(&mut cta.tally);
             if faulted {
                 min_error.fetch_min(ctaid, Ordering::AcqRel);
             }
@@ -401,10 +363,13 @@ pub(crate) fn run_parallel(
             }
             (_, false) => {
                 // The cumulative budget runs out somewhere inside this block:
-                // re-run just this block sequentially on the merged memory
-                // with the cumulative count primed, reproducing the abort at
-                // the exact instruction with the exact partial writes.
-                match rerun_block(interp, program, cfg, params, mem, ctaid, cum) {
+                // re-run just this block on the scalar runner on the merged
+                // memory with its count primed at the cumulative one,
+                // reproducing the abort at the exact instruction with the
+                // exact partial writes.
+                let mut rerun = Tally::new(nblocks);
+                rerun.executed = cum;
+                match interp.run_cta_scalar(program, cfg, params, mem, ctaid, &mut rerun) {
                     Err(e) => {
                         failed = Some(e);
                         break;
@@ -412,7 +377,7 @@ pub(crate) fn run_parallel(
                     // Unreachable for race-free programs; if a cross-block
                     // race made the parallel count an overestimate, keep the
                     // (authoritative) sequential outcome and continue.
-                    Ok(new_cum) => cum = new_cum,
+                    Ok(()) => cum = rerun.executed,
                 }
             }
         }
@@ -424,46 +389,22 @@ pub(crate) fn run_parallel(
         return Err(e);
     }
 
-    let mut class_counts = [0u64; 7];
-    let mut block_iters = vec![0u64; program.blocks().len()];
-    let mut trace = MemoryTraceSummary::default();
-    let mut segments = SegmentSet::new();
+    let mut total = Tally::new(nblocks);
     let (mut journal_bytes, mut steals, mut indexed) = (0u64, 0u64, 0u64);
-    for (s, log) in logs.into_iter().enumerate() {
-        for (a, b) in class_counts.iter_mut().zip(log.class_counts) {
-            *a += b;
-        }
-        for (a, b) in block_iters.iter_mut().zip(log.block_iters) {
-            *a += b;
-        }
-        trace.load_bytes += log.trace.load_bytes;
-        trace.store_bytes += log.trace.store_bytes;
-        trace.accesses += log.trace.accesses;
-        segments.absorb(log.segments);
+    for (s, mut log) in logs.into_iter().enumerate() {
+        total.absorb(&mut log.tally);
         journal_bytes += log.log.footprint() as u64;
         indexed += log.indexed;
         if s != 0 {
             steals += log.records.len() as u64;
         }
     }
-    trace.unique_segments = segments.distinct();
-
-    let mut profile = ExecutionProfile::new();
-    for (c, n) in crate::isa::InstrClass::ALL.iter().zip(class_counts.iter()) {
-        profile.counts.add(*c, *n);
-    }
-    for (i, n) in block_iters.iter().enumerate() {
-        if *n > 0 {
-            profile.block_iterations.insert(BlockId(i as u32), *n);
-        }
-    }
-    profile.memory = trace;
-    profile.threads = cfg.total_threads();
+    // The merge walk's count, which a re-run block may have corrected.
+    total.executed = cum;
+    let profile = total.into_profile(cfg);
 
     let r = sigmavp_telemetry::recorder();
     if r.enabled() {
-        r.count("sptx.launches", 1);
-        r.count("sptx.instructions_executed", cum);
         r.count("sptx.parallel.launches", 1);
         r.count("sptx.parallel.tasks", tasks as u64);
         r.count("sptx.parallel.blocks", grid as u64);
@@ -472,45 +413,4 @@ pub(crate) fn run_parallel(
         r.count("sptx.parallel.indexed_blocks", indexed);
     }
     Ok(profile)
-}
-
-/// Sequentially re-execute one block on the merged memory with the launch's
-/// cumulative instruction count primed at `cum`, returning the updated count
-/// (or, normally, the budget/fault error at its exact sequential position).
-fn rerun_block(
-    interp: &Interpreter,
-    program: &KernelProgram,
-    cfg: &LaunchConfig,
-    params: &[ParamValue],
-    mem: &mut Memory,
-    ctaid: u32,
-    cum: u64,
-) -> Result<u64, SptxError> {
-    let mut regs = vec![Value::I(0); program.num_regs() as usize];
-    let mut preds = vec![false; program.num_preds() as usize];
-    let mut class_counts = [0u64; 7];
-    let mut block_iters = vec![0u64; program.blocks().len()];
-    let mut segments = SegmentSet::new();
-    let mut trace = MemoryTraceSummary::default();
-    let mut executed = cum;
-    for tid in 0..cfg.block_dim {
-        regs.iter_mut().for_each(|r| *r = Value::I(0));
-        preds.iter_mut().for_each(|p| *p = false);
-        interp.run_thread(
-            program,
-            cfg,
-            params,
-            mem,
-            ctaid,
-            tid,
-            &mut regs,
-            &mut preds,
-            &mut class_counts,
-            &mut block_iters,
-            &mut segments,
-            &mut trace,
-            &mut executed,
-        )?;
-    }
-    Ok(executed)
 }

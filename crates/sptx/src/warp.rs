@@ -39,10 +39,11 @@
 //!   the encoding.
 //! * **Any abort falls back to the scalar tier for the whole CTA.** The
 //!   CTA's writes are rolled back, its counter deltas discarded, and the CTA
-//!   is re-run thread-by-thread via [`Interpreter::run_thread`] — so faults,
-//!   partial writes, and budget exhaustion land at the exact `(ctaid, tid)`
-//!   and instruction the scalar tier would produce. Lane faults, hazards,
-//!   and budget crossings all take this path, counted by cause ([`Abort`]).
+//!   is re-run thread-by-thread by the one scalar CTA runner,
+//!   [`Interpreter::run_cta_scalar`] — so faults, partial writes, and budget
+//!   exhaustion land at the exact `(ctaid, tid)` and instruction the scalar
+//!   tier would produce. Lane faults, hazards, and budget crossings all take
+//!   this path, counted by cause ([`Abort`]).
 //! * **NaN results are canonical.** The lane loops are a second compiled copy
 //!   of the scalar engine's arithmetic, and which operand a NaN result takes
 //!   its sign and payload from is the compiler's choice in each. Both pass
@@ -58,18 +59,23 @@
 //! prefix sum over tids crosses the budget iff the total does — so one
 //! total-crossing check per visit both detects exhaustion exactly and bounds
 //! runaway loops (the scalar rerun then reproduces the precise abort point).
+//!
+//! [`run_sequential`] is the single-worker driver for both tiers: with no
+//! decoded program ([`Tier::Scalar`](crate::Tier::Scalar), or a program the
+//! decoder rejects) every CTA goes straight to the scalar runner, with no undo
+//! log.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use crate::counters::{ExecutionProfile, MemoryTraceSummary, SegmentSet};
+use crate::counters::{ExecutionProfile, SegmentSet, Tally};
 use crate::decode::{DOp, DTerm, DecodedProgram, EXIT, NO_INDEX};
 use crate::error::SptxError;
 use crate::interp::{
     canonical_nan, DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, Value,
     MEMORY_SEGMENT_BYTES,
 };
-use crate::isa::{BinOp, BlockId, CmpOp, InstrClass, ScalarType, Special, UnaryOp};
+use crate::isa::{BinOp, CmpOp, ScalarType, Special, UnaryOp};
 use crate::parallel::SlotHasher;
 use crate::program::KernelProgram;
 
@@ -262,60 +268,35 @@ struct Frame {
     reconv: u32,
 }
 
-/// Per-CTA counter deltas, kept separate from the launch accumulators so an
-/// aborted CTA can be discarded wholesale before the scalar rerun.
+/// One CTA's counts, kept apart from the launch's so an aborted CTA can be
+/// discarded wholesale before the scalar rerun. λ and class counts advance
+/// by active lanes.
 #[derive(Debug)]
 pub(crate) struct CtaCounters {
-    /// Dynamic instruction counts by class index.
-    pub class_counts: [u64; 7],
-    /// Per-block visit counts (λ), weighted by active lanes.
-    pub block_iters: Vec<u64>,
-    /// 128-byte segments touched.
-    pub segments: SegmentSet,
-    /// Load/store byte and access totals.
-    pub trace: MemoryTraceSummary,
-    /// Total dynamic instructions executed by the CTA.
-    pub instrs: u64,
+    pub tally: Tally,
+    pub stats: WarpStats,
+}
+
+impl CtaCounters {
+    pub(crate) fn new(nblocks: usize) -> Self {
+        Self { tally: Tally::new(nblocks), stats: WarpStats::default() }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.tally.reset();
+        self.stats = WarpStats::default();
+    }
+}
+
+/// Warp statistics of a CTA or a launch, emitted as `sptx.warp.*` telemetry
+/// by the drivers.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WarpStats {
     /// Warps run.
     pub warps: u64,
     /// Warp-wide loads where every active lane read the same address.
     pub uniform_loads: u64,
     /// Conditional branches where the warp's lanes took both sides.
-    pub divergent_branches: u64,
-}
-
-impl CtaCounters {
-    pub(crate) fn new(nblocks: usize) -> Self {
-        Self {
-            class_counts: [0; 7],
-            block_iters: vec![0; nblocks],
-            segments: SegmentSet::new(),
-            trace: MemoryTraceSummary::default(),
-            instrs: 0,
-            warps: 0,
-            uniform_loads: 0,
-            divergent_branches: 0,
-        }
-    }
-
-    pub(crate) fn reset(&mut self) {
-        self.class_counts = [0; 7];
-        self.block_iters.iter_mut().for_each(|b| *b = 0);
-        self.segments = SegmentSet::new();
-        self.trace = MemoryTraceSummary::default();
-        self.instrs = 0;
-        self.warps = 0;
-        self.uniform_loads = 0;
-        self.divergent_branches = 0;
-    }
-}
-
-/// Launch-level warp statistics, merged from successful CTAs and emitted as
-/// `sptx.warp.*` telemetry by the drivers.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WarpStats {
-    pub warps: u64,
-    pub uniform_loads: u64,
     pub divergent_branches: u64,
     /// CTAs that aborted lockstep and re-ran on the scalar tier, by
     /// [`Abort`] cause.
@@ -323,12 +304,6 @@ pub(crate) struct WarpStats {
 }
 
 impl WarpStats {
-    pub(crate) fn merge_cta(&mut self, cta: &CtaCounters) {
-        self.warps += cta.warps;
-        self.uniform_loads += cta.uniform_loads;
-        self.divergent_branches += cta.divergent_branches;
-    }
-
     pub(crate) fn absorb(&mut self, other: &WarpStats) {
         self.warps += other.warps;
         self.uniform_loads += other.uniform_loads;
@@ -589,10 +564,12 @@ fn expand(dense: &Lanes<u64>, mask: u32) -> Lanes<u64> {
     vals
 }
 
-/// Reusable warp-execution state: register rows, predicate masks, the SIMT
-/// stack, the store tracker, and the expansion of the last active mask seen.
-/// One of these lives per sequential launch or per parallel worker.
-pub(crate) struct WarpExec {
+/// Reusable warp-execution state for one decoded program: register rows,
+/// predicate masks, the SIMT stack, the store tracker, and the expansion of
+/// the last active mask seen. One of these lives per sequential launch or per
+/// parallel worker.
+pub(crate) struct WarpExec<'a> {
+    dec: &'a DecodedProgram,
     regs: Vec<Row>,
     preds: Vec<u32>,
     stack: Vec<Frame>,
@@ -600,9 +577,10 @@ pub(crate) struct WarpExec {
     act: Active,
 }
 
-impl WarpExec {
-    pub(crate) fn new(dec: &DecodedProgram) -> Self {
+impl<'a> WarpExec<'a> {
+    pub(crate) fn new(dec: &'a DecodedProgram) -> Self {
         Self {
+            dec,
             regs: vec![Row::ZERO; dec.num_regs as usize],
             preds: vec![0; dec.num_preds as usize],
             stack: Vec::with_capacity(8),
@@ -621,20 +599,17 @@ struct WarpCtx<'a> {
     base_tid: u32,
 }
 
-/// Run one CTA (all its warps, in tid order) in lockstep. `executed_before`
-/// is the launch's dynamic instruction count when this CTA starts, used for
-/// the budget-crossing check. On `Err` the caller must roll back the CTA's
-/// writes, discard its counters, and re-run it on the scalar tier.
-#[allow(clippy::too_many_arguments)]
+/// Run one CTA (all its warps, in tid order) in lockstep, counting into the
+/// zeroed `cta`. `budget` is what the launch has left for this CTA. On `Err`
+/// the caller must roll back the CTA's writes, discard its counters, and
+/// re-run it on the scalar tier.
 pub(crate) fn run_cta<M: DataSpace>(
     exec: &mut WarpExec,
-    dec: &DecodedProgram,
     cfg: &LaunchConfig,
     params: &[ParamValue],
     mem: &mut M,
     ctaid: u32,
     budget: u64,
-    executed_before: u64,
     cta: &mut CtaCounters,
 ) -> Result<(), Abort> {
     let nwarps = (cfg.block_dim as usize).div_ceil(WARP_WIDTH);
@@ -642,9 +617,9 @@ pub(crate) fn run_cta<M: DataSpace>(
         let base_tid = (w * WARP_WIDTH) as u32;
         let lanes = ((cfg.block_dim - base_tid) as usize).min(WARP_WIDTH);
         let full: u32 = if lanes == WARP_WIDTH { u32::MAX } else { (1u32 << lanes) - 1 };
-        cta.warps += 1;
+        cta.stats.warps += 1;
         let ctx = WarpCtx { cfg, params, ctaid, base_tid };
-        run_warp(exec, dec, &ctx, mem, full, budget.saturating_sub(executed_before), cta)?;
+        run_warp(exec, &ctx, mem, full, budget, cta)?;
     }
     Ok(())
 }
@@ -653,13 +628,13 @@ pub(crate) fn run_cta<M: DataSpace>(
 /// CTA.
 fn run_warp<M: DataSpace>(
     exec: &mut WarpExec,
-    dec: &DecodedProgram,
     ctx: &WarpCtx,
     mem: &mut M,
     full_mask: u32,
     budget: u64,
     cta: &mut CtaCounters,
 ) -> Result<(), Abort> {
+    let dec = exec.dec;
     exec.regs.fill(Row::ZERO);
     // Not `fill`: on an empty slice that is still a `memset` call, which a
     // kernel without predicates would pay for on every warp.
@@ -683,11 +658,11 @@ fn run_warp<M: DataSpace>(
         let blk = dec.blocks[bi];
         let active = mask.count_ones() as u64;
 
-        cta.block_iters[bi] += active;
-        cta.instrs += blk.cost * active;
+        cta.tally.block_iters[bi] += active;
+        cta.tally.executed += blk.cost * active;
         // One total-crossing check per visit detects exact budget exhaustion
         // (see module docs) and bounds runaway loops.
-        if cta.instrs > budget {
+        if cta.tally.executed > budget {
             return Err(Abort::Budget);
         }
 
@@ -695,7 +670,7 @@ fn run_warp<M: DataSpace>(
             exec.act = Active::new(mask);
         }
         for dop in &dec.ops[blk.start as usize..(blk.start + blk.len) as usize] {
-            cta.class_counts[dop.class as usize] += active;
+            cta.tally.class_counts[dop.class as usize] += active;
             match dop.op {
                 DOp::Ld { .. } | DOp::St { .. } => {
                     exec_mem(&dop.op, &mut exec.regs, &mut exec.stores, cta, mem, &exec.act)?
@@ -711,11 +686,11 @@ fn run_warp<M: DataSpace>(
                 }
             }
             DTerm::Bra(t) => {
-                cta.class_counts[BRANCH_CLASS] += active;
+                cta.tally.class_counts[BRANCH_CLASS] += active;
                 exec.stack.last_mut().expect("frame present").next = t;
             }
             DTerm::CondBra { pred, if_true, if_false } => {
-                cta.class_counts[BRANCH_CLASS] += active;
+                cta.tally.class_counts[BRANCH_CLASS] += active;
                 let taken = exec.preds[pred as usize] & mask;
                 let top = exec.stack.last_mut().expect("frame present");
                 if taken == mask {
@@ -723,7 +698,7 @@ fn run_warp<M: DataSpace>(
                 } else if taken == 0 {
                     top.next = if_false;
                 } else {
-                    cta.divergent_branches += 1;
+                    cta.stats.divergent_branches += 1;
                     let r = blk.reconv;
                     // The current frame parks at the reconvergence point with
                     // the pre-divergence mask; each side that is not already
@@ -1015,12 +990,7 @@ fn exec_alu(
             regs[dst as usize].put(act, &out, 0);
         }
         DOp::LdParam { dst, index } => {
-            let (bits, fmask) = raw(match *ctx.params.get(index as usize).ok_or(Abort::Fault)? {
-                ParamValue::Ptr(a) => Value::I(a as i64),
-                ParamValue::F64(v) => Value::F(v),
-                ParamValue::F32(v) => Value::F(v as f64),
-                ParamValue::I64(v) => Value::I(v),
-            });
+            let (bits, fmask) = raw((*ctx.params.get(index as usize).ok_or(Abort::Fault)?).into());
             regs[dst as usize].put(act, &[bits; WARP_WIDTH], fmask);
         }
         DOp::Ld { .. } | DOp::St { .. } => unreachable!("memory ops go to exec_mem"),
@@ -1044,18 +1014,18 @@ fn exec_mem<M: DataSpace>(
         DOp::Ld { ty, dst, base, index, offset } => {
             let w = ty.width();
             let acc = Access::new(regs, base, index, offset, w, mask);
-            cta.trace.accesses += n;
-            cta.trace.load_bytes += w * n;
+            cta.tally.trace.accesses += n;
+            cta.tally.trace.load_bytes += w * n;
             stores.check_load(&acc, mask)?;
             let vals: Lanes<u64> = match acc.shape {
                 Shape::Uniform(first) => {
-                    cta.uniform_loads += 1;
-                    cta.segments.insert(first / MEMORY_SEGMENT_BYTES);
+                    cta.stats.uniform_loads += 1;
+                    cta.tally.segments.insert(first / MEMORY_SEGMENT_BYTES);
                     [load_bits(mem, ty, first).map_err(fault)?; WARP_WIDTH]
                 }
                 Shape::Consecutive(first, _) => {
                     // One bounds check and one copy cover the whole span.
-                    touch_span(&mut cta.segments, first, n, w);
+                    touch_span(&mut cta.tally.segments, first, n, w);
                     let mut buf = [0u8; 8 * WARP_WIDTH];
                     let buf = &mut buf[..(n * w) as usize];
                     mem.read_span(first, buf).map_err(fault)?;
@@ -1075,7 +1045,7 @@ fn exec_mem<M: DataSpace>(
                 Shape::Scatter => {
                     let mut vals = [0u64; WARP_WIDTH];
                     for_lanes!(mask, l, {
-                        cta.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
+                        cta.tally.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
                         vals[l] = load_bits(mem, ty, acc.addrs[l]).map_err(fault)?;
                     });
                     vals
@@ -1087,8 +1057,8 @@ fn exec_mem<M: DataSpace>(
         DOp::St { ty, base, index, offset, src } => {
             let w = ty.width();
             let acc = Access::new(regs, base, index, offset, w, mask);
-            cta.trace.accesses += n;
-            cta.trace.store_bytes += w * n;
+            cta.tally.trace.accesses += n;
+            cta.tally.trace.store_bytes += w * n;
             // Coalesced: consecutive and slot-aligned, so no two lanes share
             // a 4-byte slot and the store can be tracked as one range.
             let coalesced = acc.range(mask).filter(|r| r.first % 4 == 0);
@@ -1102,7 +1072,7 @@ fn exec_mem<M: DataSpace>(
             };
             match coalesced {
                 Some(StoreRange { first, .. }) => {
-                    touch_span(&mut cta.segments, first, n, w);
+                    touch_span(&mut cta.tally.segments, first, n, w);
                     let dense = compress(&vals, mask);
                     let mut buf = [0u8; 8 * WARP_WIDTH];
                     if w == 4 {
@@ -1118,7 +1088,7 @@ fn exec_mem<M: DataSpace>(
                 }
                 None => {
                     for_lanes!(mask, l, {
-                        cta.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
+                        cta.tally.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
                         let bytes = vals[l].to_le_bytes();
                         mem.write_span(acc.addrs[l], &bytes[..w as usize]).map_err(fault)?;
                     });
@@ -1157,118 +1127,63 @@ impl DataSpace for DirectMem<'_> {
     }
 }
 
-/// Sequential (single-worker) warp-tier driver: CTAs run one at a time in
-/// ctaid order directly against `mem`, so cross-CTA visibility matches the
-/// scalar sequential path exactly. Aborted CTAs roll back and re-run on the
-/// scalar tier.
+/// Sequential (single-worker) driver for both tiers: CTAs run one at a time
+/// in ctaid order directly against `mem`, so cross-CTA visibility is exactly
+/// sequential. With `dec`, a CTA runs in lockstep first and, if it aborts,
+/// rolls back; every other CTA runs on the scalar tier.
 pub(crate) fn run_sequential(
     interp: &Interpreter,
     program: &KernelProgram,
-    dec: &DecodedProgram,
+    dec: Option<&DecodedProgram>,
     cfg: &LaunchConfig,
     params: &[ParamValue],
     mem: &mut Memory,
 ) -> Result<ExecutionProfile, SptxError> {
     let nblocks = program.blocks().len();
-    let mut class_counts = [0u64; 7];
-    let mut block_iters = vec![0u64; nblocks];
-    let mut segments = SegmentSet::new();
-    let mut trace = MemoryTraceSummary::default();
-    let mut executed: u64 = 0;
+    let mut total = Tally::new(nblocks);
     let mut stats = WarpStats::default();
-
-    let mut exec = WarpExec::new(dec);
+    let mut warp = dec.map(|d| (WarpExec::new(d), CtaCounters::new(nblocks)));
     let mut undo = SpanLog::default();
-    let mut cta = CtaCounters::new(nblocks);
-    let mut scalar_regs = vec![Value::I(0); program.num_regs() as usize];
-    let mut scalar_preds = vec![false; program.num_preds() as usize];
+    let mut failed = None;
 
     for ctaid in 0..cfg.grid_dim {
-        cta.reset();
-        let mut dmem = DirectMem { mem, undo: &mut undo };
-        let outcome = run_cta(
-            &mut exec,
-            dec,
-            cfg,
-            params,
-            &mut dmem,
-            ctaid,
-            interp.budget,
-            executed,
-            &mut cta,
-        );
-        match outcome {
-            Ok(()) => {
-                undo.truncate(Mark::default());
-                executed += cta.instrs;
-                for (g, c) in class_counts.iter_mut().zip(cta.class_counts) {
-                    *g += c;
+        if let Some((exec, cta)) = warp.as_mut() {
+            cta.reset();
+            let budget = interp.budget.saturating_sub(total.executed);
+            let mut dmem = DirectMem { mem, undo: &mut undo };
+            match run_cta(exec, cfg, params, &mut dmem, ctaid, budget, cta) {
+                Ok(()) => {
+                    undo.truncate(Mark::default());
+                    total.absorb(&mut cta.tally);
+                    stats.absorb(&cta.stats);
+                    continue;
                 }
-                for (g, c) in block_iters.iter_mut().zip(&cta.block_iters) {
-                    *g += c;
-                }
-                segments.absorb(std::mem::take(&mut cta.segments));
-                trace.accesses += cta.trace.accesses;
-                trace.load_bytes += cta.trace.load_bytes;
-                trace.store_bytes += cta.trace.store_bytes;
-                stats.merge_cta(&cta);
-            }
-            Err(cause) => {
-                undo.rollback(mem);
-                stats.fallback_ctas[cause as usize] += 1;
-                for tid in 0..cfg.block_dim {
-                    scalar_regs.iter_mut().for_each(|r| *r = Value::I(0));
-                    scalar_preds.iter_mut().for_each(|p| *p = false);
-                    let rerun = interp.run_thread(
-                        program,
-                        cfg,
-                        params,
-                        mem,
-                        ctaid,
-                        tid,
-                        &mut scalar_regs,
-                        &mut scalar_preds,
-                        &mut class_counts,
-                        &mut block_iters,
-                        &mut segments,
-                        &mut trace,
-                        &mut executed,
-                    );
-                    if let Err(e) = rerun {
-                        // A failing launch still says why its CTAs fell back:
-                        // fault and budget aborts end in exactly this error.
-                        stats.emit();
-                        return Err(e);
-                    }
+                Err(cause) => {
+                    undo.rollback(mem);
+                    stats.fallback_ctas[cause as usize] += 1;
                 }
             }
         }
-    }
-
-    let mut profile = ExecutionProfile::new();
-    for (c, n) in InstrClass::ALL.iter().zip(class_counts.iter()) {
-        profile.counts.add(*c, *n);
-    }
-    for (i, n) in block_iters.iter().enumerate() {
-        if *n > 0 {
-            profile.block_iterations.insert(BlockId(i as u32), *n);
+        if let Err(e) = interp.run_cta_scalar(program, cfg, params, mem, ctaid, &mut total) {
+            failed = Some(e);
+            break;
         }
     }
-    trace.unique_segments = segments.distinct();
-    profile.memory = trace;
-    profile.threads = cfg.total_threads();
-    let r = sigmavp_telemetry::recorder();
-    if r.enabled() {
-        r.count("sptx.launches", 1);
-        r.count("sptx.instructions_executed", executed);
+    // A failing launch still says why its CTAs fell back: fault and budget
+    // aborts end in exactly its error.
+    if dec.is_some() {
+        stats.emit();
     }
-    stats.emit();
-    Ok(profile)
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(total.into_profile(cfg)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::InstrClass;
 
     #[test]
     fn branch_class_index_matches_isa() {

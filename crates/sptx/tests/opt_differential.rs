@@ -10,6 +10,7 @@ use sigmavp_sptx::interp::{Interpreter, LaunchConfig, Memory, ParamValue};
 use sigmavp_sptx::isa::{BinOp, Reg, ScalarType, UnaryOp};
 use sigmavp_sptx::opt::optimize;
 use sigmavp_sptx::KernelProgram;
+use sigmavp_sptx::{asm, Tier};
 
 const NREGS: u16 = 8;
 
@@ -20,7 +21,7 @@ enum RandomOp {
     Un { op: usize, ty: usize, dst: u16, a: u16 },
     Mad { ty: usize, dst: u16, a: u16, b: u16, c: u16 },
     Mov { dst: u16, src: u16 },
-    Cvt { to: usize, dst: u16, src: u16 },
+    Cvt { to: usize, from: usize, dst: u16, src: u16 },
 }
 
 fn arb_op() -> impl Strategy<Value = RandomOp> {
@@ -37,7 +38,12 @@ fn arb_op() -> impl Strategy<Value = RandomOp> {
         (0usize..3, r.clone(), r.clone(), r.clone(), r.clone())
             .prop_map(|(ty, dst, a, b, c)| RandomOp::Mad { ty, dst, a, b, c }),
         (r.clone(), r.clone()).prop_map(|(dst, src)| RandomOp::Mov { dst, src }),
-        (0usize..3, r.clone(), r).prop_map(|(to, dst, src)| RandomOp::Cvt { to, dst, src }),
+        (0usize..3, 0usize..3, r.clone(), r).prop_map(|(to, from, dst, src)| RandomOp::Cvt {
+            to,
+            from,
+            dst,
+            src
+        }),
     ]
 }
 
@@ -113,8 +119,8 @@ fn build_program(seeds_i: &[i64; 4], seeds_f: &[f64; 4], ops: &[RandomOp]) -> Ke
             RandomOp::Mov { dst, src } => {
                 b.mov(regs[*dst as usize], regs[*src as usize]);
             }
-            RandomOp::Cvt { to, dst, src } => {
-                b.cvt(ty_of(*to), ScalarType::F64, regs[*dst as usize], regs[*src as usize]);
+            RandomOp::Cvt { to, from, dst, src } => {
+                b.cvt(ty_of(*to), ty_of(*from), regs[*dst as usize], regs[*src as usize]);
             }
         }
     }
@@ -145,7 +151,12 @@ fn arb_foldable_op() -> impl Strategy<Value = RandomOp> {
         (0usize..3, r.clone(), r.clone(), r.clone(), r.clone())
             .prop_map(|(ty, dst, a, b, c)| RandomOp::Mad { ty, dst, a, b, c }),
         (r.clone(), r.clone()).prop_map(|(dst, src)| RandomOp::Mov { dst, src }),
-        (0usize..3, r.clone(), r).prop_map(|(to, dst, src)| RandomOp::Cvt { to, dst, src }),
+        (0usize..3, 0usize..3, r.clone(), r).prop_map(|(to, from, dst, src)| RandomOp::Cvt {
+            to,
+            from,
+            dst,
+            src
+        }),
     ]
 }
 
@@ -206,8 +217,8 @@ fn build_diamond(
                 RandomOp::Mov { dst, src } => {
                     b.mov(regs[*dst as usize], regs[*src as usize]);
                 }
-                RandomOp::Cvt { to, dst, src } => {
-                    b.cvt(ty_of(*to), ScalarType::F64, regs[*dst as usize], regs[*src as usize]);
+                RandomOp::Cvt { to, from, dst, src } => {
+                    b.cvt(ty_of(*to), ty_of(*from), regs[*dst as usize], regs[*src as usize]);
                 }
             }
         }
@@ -303,5 +314,41 @@ proptest! {
             optimized.static_size(),
             max_remaining
         );
+    }
+}
+
+/// The image one thread leaves at `tier` with eight bytes of memory.
+fn run_on(tier: Tier, program: &KernelProgram) -> Vec<u8> {
+    let mut mem = Memory::new(8);
+    Interpreter::new()
+        .with_tier(tier)
+        .run(program, &LaunchConfig::linear(1, 1), &[ParamValue::Ptr(0)], &mut mem)
+        .expect("program runs");
+    mem.as_bytes().to_vec()
+}
+
+#[test]
+fn folded_cvt_from_i64_stores_what_both_tiers_store() {
+    // `cvt` reads its source as the type it names. An `f64` converted from
+    // `i64` truncates first, and an `i64` reaches `f32` in one rounding, not
+    // two through `f64` (which would give 2^54).
+    let big = (1i64 << 54) + (1 << 30) + 1;
+    let cases = [
+        ("mov.f64 r0, 3.7".to_string(), "cvt.f64.i64", 3.0),
+        (format!("mov r0, {big}"), "cvt.f32.i64", ((1i64 << 54) + (1 << 31)) as f64),
+    ];
+    for (mov, cvt, want) in cases {
+        let text = format!(
+            ".kernel cvt_from_i64\nentry:\n    {mov}\n    {cvt} r1, r0\n    ldp r2, 0\n    \
+             st.f64 [r2], r1\n    ret\n"
+        );
+        let program = asm::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let (folded, stats) = optimize(&program).expect("optimizer succeeds");
+        assert!(stats.folded > 0, "{cvt}: {stats:?}");
+        for tier in [Tier::Scalar, Tier::Warp] {
+            let plain = run_on(tier, &program);
+            assert_eq!(plain, want.to_le_bytes(), "{cvt} on {tier:?}");
+            assert_eq!(run_on(tier, &folded), plain, "{cvt} folded, on {tier:?}");
+        }
     }
 }

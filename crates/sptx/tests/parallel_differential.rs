@@ -27,7 +27,7 @@ enum RandomOp {
     Un { op: usize, ty: usize, dst: usize, a: usize },
     Mad { ty: usize, dst: usize, a: usize, b: usize, c: usize },
     Mov { dst: usize, src: usize },
-    Cvt { to: usize, dst: usize, src: usize },
+    Cvt { to: usize, from: usize, dst: usize, src: usize },
 }
 
 fn arb_op() -> impl Strategy<Value = RandomOp> {
@@ -44,7 +44,12 @@ fn arb_op() -> impl Strategy<Value = RandomOp> {
         (0usize..3, r.clone(), r.clone(), r.clone(), r.clone())
             .prop_map(|(ty, dst, a, b, c)| RandomOp::Mad { ty, dst, a, b, c }),
         (r.clone(), r.clone()).prop_map(|(dst, src)| RandomOp::Mov { dst, src }),
-        (0usize..3, r.clone(), r).prop_map(|(to, dst, src)| RandomOp::Cvt { to, dst, src }),
+        (0usize..3, 0usize..3, r.clone(), r).prop_map(|(to, from, dst, src)| RandomOp::Cvt {
+            to,
+            from,
+            dst,
+            src
+        }),
     ]
 }
 
@@ -97,8 +102,8 @@ fn emit(b: &mut ProgramBuilder, regs: &[Reg], ops: &[RandomOp]) {
             RandomOp::Mov { dst, src } => {
                 b.mov(regs[*dst], regs[*src]);
             }
-            RandomOp::Cvt { to, dst, src } => {
-                b.cvt(ty_of(*to), ScalarType::F64, regs[*dst], regs[*src]);
+            RandomOp::Cvt { to, from, dst, src } => {
+                b.cvt(ty_of(*to), ty_of(*from), regs[*dst], regs[*src]);
             }
         }
     }

@@ -33,7 +33,7 @@ enum RandomOp {
     Bin { op: usize, ty: usize, dst: usize, a: usize, b: usize },
     Un { op: usize, ty: usize, dst: usize, a: usize },
     Mad { ty: usize, dst: usize, a: usize, b: usize, c: usize },
-    Cvt { to: usize, dst: usize, src: usize },
+    Cvt { to: usize, from: usize, dst: usize, src: usize },
     St { ty: usize, src: usize },
     Ld { ty: usize, cross: bool, dst: usize },
 }
@@ -51,7 +51,8 @@ fn arb_op() -> impl Strategy<Value = RandomOp> {
         }),
         (0usize..3, r.clone(), r.clone(), r.clone(), r.clone())
             .prop_map(|(ty, dst, a, b, c)| RandomOp::Mad { ty, dst, a, b, c }),
-        (0usize..3, r.clone(), r.clone()).prop_map(|(to, dst, src)| RandomOp::Cvt { to, dst, src }),
+        (0usize..3, 0usize..3, r.clone(), r.clone())
+            .prop_map(|(to, from, dst, src)| RandomOp::Cvt { to, from, dst, src }),
         (0usize..3, r.clone()).prop_map(|(ty, src)| RandomOp::St { ty, src }),
         (0usize..3, any::<bool>(), r).prop_map(|(ty, cross, dst)| RandomOp::Ld { ty, cross, dst }),
     ]
@@ -108,8 +109,8 @@ fn emit(b: &mut ProgramBuilder, regs: &[Reg], slots: &[Reg; 3], gtid: Reg, ops: 
             RandomOp::Mad { ty, dst, a, b: rb, c } => {
                 b.mad(ty_of(*ty), regs[*dst], regs[*a], regs[*rb], regs[*c]);
             }
-            RandomOp::Cvt { to, dst, src } => {
-                b.cvt(ty_of(*to), ScalarType::F64, regs[*dst], regs[*src]);
+            RandomOp::Cvt { to, from, dst, src } => {
+                b.cvt(ty_of(*to), ty_of(*from), regs[*dst], regs[*src]);
             }
             RandomOp::St { ty, src } => {
                 b.st_indexed(ty_of(*ty), slots[*ty % 3], gtid, 0, regs[*src]);
