@@ -40,6 +40,10 @@ step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D
 
 step "cargo build --release" cargo build --release --workspace
 
+# Every intra-doc link resolves: a deleted or renamed item fails here, not in
+# a reader's browser.
+step "cargo doc (deny warnings)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 step "cargo build --examples" cargo build --examples
 
 step "cargo bench --no-run" cargo bench --workspace --no-run

@@ -404,7 +404,8 @@ impl Live {
                 ("sync.windows", |r| r.stats.sync_windows as f64),
                 ("sync.live_groups", |r| r.stats.live_groups as f64),
                 ("sync.live_members", |r| r.stats.live_members as f64),
-                ("sync.stop_events", |r| r.stats.stop_events as f64),
+                // A stop is a held launch; the key predates that.
+                ("sync.stop_events", |r| r.stats.holds as f64),
                 ("sync.makespan_s", |r| r.stats.sync_makespan_s),
                 ("sync.reorder_makespan_s", |r| r.stats.sync_reorder_makespan_s),
             ],
@@ -547,7 +548,7 @@ impl Live {
             if !run.report.all_ok() {
                 return Err(fail(run, "a guest failed validation"));
             }
-            if run.stats.stop_events != run.stats.resume_events {
+            if run.stats.holds != run.stats.resume_events {
                 return Err(fail(run, "a VP was left stopped"));
             }
             Ok(())

@@ -1,6 +1,9 @@
 //! The one dispatch core: the host-side state machine of the paper's Fig. 2
-//! (Job Queue → Re-scheduler → dispatcher → VP Control stop/resume, Fig. 4),
-//! with no transport and no clock of its own.
+//! (Job Queue → Re-scheduler → dispatcher → VP Control, Fig. 4), with no
+//! transport and no clock of its own. VP Control is the held window: a VP is
+//! stopped exactly while the core holds its synchronous launch
+//! ([`DispatchCore::offer`] returns `true`), and resumed by the delivery that
+//! answers it ([`Delivery::resume`]).
 //!
 //! [`DispatchCore`] owns everything between "a decoded request arrived" and "a
 //! response is ready": effect-once dedup, in-flight and deadline triage, the
@@ -12,7 +15,7 @@
 //! hand over. Two drivers exist — the caller-runs pump of
 //! [`DispatchedSigmaVp`](crate::dispatcher::DispatchedSigmaVp) (whichever
 //! guest thread brought a request sweeps the transports, `offer`s each frame,
-//! `turn`s, sends and resumes) and each shard thread of `sigmavp-fleet` (pop
+//! `turn`s and sends) and each shard thread of `sigmavp-fleet` (pop
 //! the inbox, `offer`, `turn`, complete at the front) — so both run literally
 //! the same decisions.
 //!
@@ -99,9 +102,8 @@ pub struct DispatchStats {
     pub live_groups: u64,
     /// Member launches those live groups absorbed.
     pub live_members: u64,
-    /// VP stop events issued (0→1 stop-depth edges; one IPC round trip each).
-    pub stop_events: u64,
-    /// VP resume events issued (1→0 edges).
+    /// Deliveries marked [`Delivery::resume`]: a held launch answered, its VP
+    /// released. Equals `holds` after [`DispatchCore::close`].
     pub resume_events: u64,
     /// Wave slots (λ-aligned block quanta) the live merged launches occupied.
     pub wave_slots: u64,
@@ -157,13 +159,12 @@ impl DispatchStats {
     /// four `dispatch.driver.*` fields (`migrations` and `gpu_trips` are
     /// seed-determined only under a calibrated fault plan, so they stay out
     /// too).
-    pub fn window_ledger(&self) -> [u64; 16] {
+    pub fn window_ledger(&self) -> [u64; 15] {
         [
             self.holds,
             self.sync_windows,
             self.live_groups,
             self.live_members,
-            self.stop_events,
             self.resume_events,
             self.wave_slots,
             self.wave_filled,
@@ -659,8 +660,8 @@ impl DispatchCore {
     /// requests already past their deadline refused; a synchronous launch
     /// under sync-hold is parked for the next window, anything else queued
     /// for the next [`turn`](Self::turn). Returns `true` when the request was
-    /// parked — the driver stops the VP (Fig. 4b) until the delivery marked
-    /// `resume` comes back.
+    /// parked: its VP is stopped (Fig. 4b) until the delivery marked `resume`
+    /// comes back.
     pub fn offer(&mut self, envelope: Envelope) -> bool {
         let recorder = sigmavp_telemetry::recorder();
         let (vp, seq) = (envelope.vp, envelope.seq);
@@ -825,7 +826,9 @@ impl DispatchCore {
         self.sup.vps.iter().filter(|(_, r)| r.member && !r.quarantined).map(|(vp, _)| *vp)
     }
 
-    fn is_held(&self, vp: VpId) -> bool {
+    /// Whether `vp` has a launch parked in the next sync window — the one
+    /// definition of a stopped VP (Fig. 4b).
+    pub(crate) fn is_held(&self, vp: VpId) -> bool {
         // `held` is sorted by (vp, seq), hence by vp.
         self.held.binary_search_by_key(&vp.0, |h| h.job.vp.0).is_ok()
     }
@@ -843,6 +846,7 @@ impl DispatchCore {
     /// its in-flight guard.
     fn refuse(&mut self, envelope: Envelope, stage: DeadlineStage, now_s: f64, resume: bool) {
         self.sup.stats.deadline_misses += 1;
+        self.sup.stats.resume_events += u64::from(resume);
         sigmavp_telemetry::recorder().count("liveness.deadline_misses", 1);
         self.sup.clear_in_flight(envelope.vp, envelope.seq);
         let violation = format_deadline_violation(stage, envelope.deadline_s, now_s);
@@ -1295,6 +1299,7 @@ impl DispatchCore {
         for (w, _, response) in completions {
             let h = window[w].take().expect("each held job completes once");
             self.sup.stats.requests += 1;
+            self.sup.stats.resume_events += 1;
             self.sup.clear_in_flight(h.job.vp, h.job.seq);
             self.out.deliveries.push(Delivery { request: h.envelope, response, resume: true });
         }
@@ -1519,6 +1524,34 @@ mod tests {
         assert_eq!(stage, DeadlineStage::Hold);
         let stats = rig.core.stats();
         assert_eq!((stats.deadline_misses, stats.timeout_flushes, stats.sync_windows), (1, 1, 1));
+    }
+
+    #[test]
+    fn every_hold_is_answered_by_exactly_one_resume() {
+        // A held launch is the stopped VP: the core counts the hold when it
+        // parks the launch and the resume when it answers it, with a
+        // completion (full house) or a refusal (hold boundary) alike.
+        let mut rig = Rig::new(sync_policy().with_sync_timeout_us(4), 1, 2);
+        let (l0, l1) = (rig.prepare(0, 1.0), rig.prepare(1, 2.0));
+        rig.step(0, l0.clone());
+        assert!(rig.core.is_held(VpId(0)) && !rig.core.is_held(VpId(1)));
+        assert_eq!(rig.step(1, l1).deliveries.len(), 2, "full house");
+        assert!(!rig.core.is_held(VpId(0)));
+        let stats = rig.core.stats();
+        assert_eq!((stats.holds, stats.resume_events), (2, 2));
+        // VP 0's next launch expires while held; VP 1's traffic is the clock.
+        rig.budget_s = Some(2.5e-6);
+        rig.tick_s = 1.25e-6;
+        rig.step(0, l0);
+        assert!(rig.core.is_held(VpId(0)));
+        for _ in 0..4 {
+            rig.step(1, Request::Synchronize);
+        }
+        assert!(!rig.core.is_held(VpId(0)));
+        assert!(rig.core.close().deliveries.is_empty());
+        let stats = rig.core.stats();
+        assert_eq!((stats.deadline_misses, stats.sync_windows), (1, 2));
+        assert_eq!((stats.holds, stats.resume_events), (3, 3));
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! * each VP thread talks through a real transport endpoint — frames are
 //!   encoded, sent, and decoded on the other side;
 //! * there is **no polling dispatcher thread**: the guest thread that brings a
-//!   request *pumps* the dispatch side itself (caller-runs, see [`Driver`]) —
+//!   request *pumps* the dispatch side itself (caller-runs, see `Driver`) —
 //!   it feeds the decoded requests to the [`DispatchCore`], which queues them
 //!   in its pending window (the paper's Job Queue), *re-orders that window*
 //!   with the scheduling [`Pipeline`] using expected
 //!   durations, executes each job on the device its VP was routed to by the
-//!   [`ExecutionSession`], and hands back the responses to send — stopping and
-//!   resuming VPs through [`VpControl`] around held sync windows (Fig. 4b). A
+//!   [`ExecutionSession`], and hands back the responses to send. A VP is
+//!   stopped exactly while the core holds its synchronous launch in a sync
+//!   window (Fig. 4b); the response that ends the hold is its resume. A
 //!   guest that finds the pump busy blocks on its own response channel and
 //!   the holder serves its frame, so windows grow beyond one job exactly when
 //!   there is contention. A **timer thread** owns the only wall clock and
@@ -33,7 +34,7 @@
 //! With [`DispatchedSigmaVp::with_faults`] every VP link is wrapped in a
 //! [`FaultyTransport`] that injects the plan's drops, corruption and delays;
 //! the core injects the plan's transient device errors and honours its
-//! scheduled outages (see [`crate::dispatch`]). On the guest side [`RemoteGpu`]
+//! scheduled outages (see [`crate::dispatch`]). On the guest side `RemoteGpu`
 //! retries on receive timeout, corrupt response, or a `transient:` device
 //! error, with exponential backoff and jitter from the [`Policy`]'s
 //! [`RetryPolicy`]; retries reuse the request's sequence number, which is what
@@ -52,14 +53,12 @@ use parking_lot::{Condvar, Mutex};
 use sigmavp_fault::{is_transient_error, DropNotice, FaultPlan, FaultyTransport, LinkDirection};
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::codec;
-use sigmavp_ipc::control::VpControl;
 use sigmavp_ipc::message::{Envelope, Request, Response, VpId, WireParam};
 use sigmavp_ipc::transport::{pair, Transport, TransportCost};
 use sigmavp_ipc::IpcError;
 use sigmavp_sched::{Pipeline, Policy, RetryPolicy};
 use sigmavp_telemetry::{Lane, TimeDomain};
 use sigmavp_vp::error::{parse_deadline_violation, DeadlineStage, VpError};
-use sigmavp_vp::gate::VpGate;
 use sigmavp_vp::platform::{SimClock, VirtualPlatform};
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::service::GpuService;
@@ -100,19 +99,13 @@ struct RemoteGpu {
     /// Jitter source for backoff; seeded per VP (and from the fault plan when
     /// one is active) so runs are reproducible.
     rng: StdRng,
-    /// The VP half of the stop/resume protocol: pause points before each
-    /// request and inside quiet receive waits, so a dispatcher-held sync
-    /// request parks this thread instead of timing it out.
-    gate: VpGate,
-    /// The dispatch side this VP kicks after every send.
+    /// The dispatch side this VP kicks after every send, and asks whether it
+    /// is holding this VP's launch when the link goes quiet.
     driver: Arc<Driver>,
 }
 
 impl RemoteGpu {
     fn round_trip(&mut self, body: Request) -> Result<(Response, f64), VpError> {
-        // Scheduling point (Fig. 4b): if the host still holds a stop from the
-        // previous sync window, park here before issuing anything new.
-        self.gate.pause_point();
         let seq = self.seq;
         self.seq += 1;
         let recorder = sigmavp_telemetry::recorder();
@@ -152,36 +145,41 @@ impl RemoteGpu {
             // `Some` once a frame for *this* request decoded; stale responses
             // (retries answered twice) are discarded without ending the wait.
             let accepted = loop {
-                match self.transport.recv_deadline(deadline).map_err(VpError::Ipc)? {
-                    Some(resp_frame) => {
-                        let back_delay = self.transport.cost().delay_for(resp_frame.len() as u64);
-                        match codec::decode_response(&resp_frame) {
-                            Ok(decoded) if decoded.seq < seq => {
-                                recorder.count("fault.stale_responses", 1);
-                                continue;
-                            }
-                            Ok(decoded) => break Some((decoded, back_delay)),
-                            Err(e) => {
-                                recorder.count("fault.corrupt_responses", 1);
-                                last_err = e;
-                                break None;
-                            }
-                        }
+                let frame = match self.transport.recv_deadline(deadline).map_err(VpError::Ipc)? {
+                    Some(resp_frame) => Some(resp_frame),
+                    None if self.driver.is_held(self.vp) => {
+                        // The dispatcher is deliberately holding this sync
+                        // request in a cross-VP window (the VP is stopped):
+                        // silence is not a fault. Keep listening without
+                        // charging a timeout or a retry.
+                        deadline =
+                            Instant::now() + self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
+                        continue;
                     }
-                    None => {
-                        if self.gate.is_stopped() {
-                            // The dispatcher is deliberately holding this sync
-                            // request in a cross-VP window: silence is not a
-                            // fault. Park until resumed, then keep listening
-                            // without charging a timeout or a retry.
-                            self.gate.pause_point();
-                            deadline =
-                                Instant::now() + self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
-                            continue;
-                        }
-                        recorder.count("fault.timeouts", 1);
-                        last_err = IpcError::Timeout { waited_us: self.retry.timeout_us };
-                        extra_sim_s += self.retry.timeout_s();
+                    // The backstop ran out (not an injected drop's notice), and
+                    // `is_held` may have waited out the very pump session that
+                    // flushed this window and sent the answer: look once more.
+                    None if Instant::now() >= deadline => {
+                        self.transport.try_recv().map_err(VpError::Ipc)?
+                    }
+                    None => None,
+                };
+                let Some(resp_frame) = frame else {
+                    recorder.count("fault.timeouts", 1);
+                    last_err = IpcError::Timeout { waited_us: self.retry.timeout_us };
+                    extra_sim_s += self.retry.timeout_s();
+                    break None;
+                };
+                let back_delay = self.transport.cost().delay_for(resp_frame.len() as u64);
+                match codec::decode_response(&resp_frame) {
+                    Ok(decoded) if decoded.seq < seq => {
+                        recorder.count("fault.stale_responses", 1);
+                        continue;
+                    }
+                    Ok(decoded) => break Some((decoded, back_delay)),
+                    Err(e) => {
+                        recorder.count("fault.corrupt_responses", 1);
+                        last_err = e;
                         break None;
                     }
                 }
@@ -524,9 +522,6 @@ impl DispatchedSigmaVp {
 
         let retry = self.policy.retry;
         let deadline_us = self.policy.deadline_us;
-        // The stop/resume switchboard, shared by every VP thread and whoever
-        // pumps (only exercised when the policy enables sync holds).
-        let control = Arc::new(VpControl::new());
         let session = Arc::new(Mutex::new(session));
         let coalescible = self.coalescible;
         let core = DispatchCore::new(
@@ -535,7 +530,7 @@ impl DispatchedSigmaVp {
             self.faults.clone(),
             coalescible.clone(),
         );
-        let (driver, timer) = Driver::start(core, host_ends, control.clone());
+        let (driver, timer) = Driver::start(core, host_ends);
 
         let mut handles: Vec<VpHandle> = Vec::new();
         for (vp, app, vp_end, guest_faults) in guests {
@@ -555,7 +550,6 @@ impl DispatchedSigmaVp {
             let jitter_seed = self.faults.as_ref().map_or(0, |p| p.seed())
                 ^ u64::from(vp.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let app_name = app.name().to_string();
-            let gate = VpGate::new(control.clone(), vp);
             let driver = driver.clone();
             let handle = std::thread::spawn(move || {
                 // Declared first so it drops last: the timer is rung only
@@ -571,7 +565,6 @@ impl DispatchedSigmaVp {
                     retry,
                     deadline_us,
                     rng: StdRng::seed_from_u64(jitter_seed),
-                    gate,
                     driver,
                 };
                 let recorder = sigmavp_telemetry::recorder();
@@ -648,10 +641,11 @@ struct Pump {
 impl Pump {
     /// One round: poll every endpoint once and offer the decoded frames
     /// (corrupt frames are dropped — the guest retries), run one core turn,
-    /// and send what came back, stopping VPs whose launch was parked and
-    /// resuming them with their window's response. Returns whether the round
-    /// was idle: no frame found, nothing delivered.
-    fn round(&mut self, control: &VpControl, who: Pumper) -> bool {
+    /// and send what came back. A parked launch needs nothing here: its VP
+    /// is stopped for as long as the core holds it, and its window's
+    /// response is the resume. Returns whether the round was idle: no frame
+    /// found, nothing delivered.
+    fn round(&mut self, who: Pumper) -> bool {
         let recorder = sigmavp_telemetry::recorder();
         self.ledger.pump_rounds += 1;
         recorder.count("dispatch.driver.rounds", 1);
@@ -674,9 +668,7 @@ impl Pump {
                         self.ledger.combined_requests += 1;
                         recorder.count("dispatch.driver.combined", 1);
                     }
-                    if self.core.offer(envelope) {
-                        control.stop(vp);
-                    }
+                    self.core.offer(envelope);
                 }
                 Ok(None) => {}
                 Err(_) => {
@@ -691,29 +683,25 @@ impl Pump {
         }
         let turn = self.core.turn();
         let idle = frames == 0 && turn.deliveries.is_empty();
-        self.deliver(turn, control);
+        self.deliver(turn);
         idle
     }
 
-    fn deliver(&mut self, turn: Turn, control: &VpControl) {
+    fn deliver(&mut self, turn: Turn) {
         for delivery in turn.deliveries {
-            let vp = delivery.response.vp;
             // The VP may have just disconnected after an error, in which case
             // the response is dropped.
-            if let Some(Some(endpoint)) = self.endpoints.get(vp.0 as usize) {
+            if let Some(Some(endpoint)) = self.endpoints.get(delivery.response.vp.0 as usize) {
                 let _ = endpoint.send(codec::encode_response(&delivery.response));
-            }
-            if delivery.resume {
-                control.resume(vp);
             }
         }
     }
 
     /// Rounds until one is idle; on the timer thread — the owner of the stall
     /// clock — also the stall backstop, checked whenever the rounds run dry.
-    fn run(&mut self, control: &VpControl, who: Pumper) {
+    fn run(&mut self, who: Pumper) {
         loop {
-            while !self.round(control, who) {}
+            while !self.round(who) {}
             let stalled = who == Pumper::Timer
                 && self.core.stall_armed()
                 && self.last_frame.elapsed() >= STALL_WALL_BACKSTOP;
@@ -722,7 +710,7 @@ impl Pump {
             }
             self.last_frame = Instant::now();
             let turn = self.core.on_stall();
-            self.deliver(turn, control);
+            self.deliver(turn);
         }
     }
 
@@ -752,7 +740,6 @@ struct Driver {
     pump: Mutex<Pump>,
     /// Kicks no pump session has answered yet.
     pending: AtomicU64,
-    control: Arc<VpControl>,
     /// The timer's doorbell: `true` once rung, cleared by the timer.
     bell: Mutex<bool>,
     bell_rung: Condvar,
@@ -765,7 +752,6 @@ impl Driver {
     fn start(
         mut core: DispatchCore,
         host_ends: Vec<Box<dyn Transport>>,
-        control: Arc<VpControl>,
     ) -> (Arc<Driver>, JoinHandle<DispatchStats>) {
         for vp in 0..host_ends.len() {
             core.join(VpId(vp as u32));
@@ -780,7 +766,6 @@ impl Driver {
                 panic: None,
             }),
             pending: AtomicU64::new(0),
-            control,
             bell: Mutex::new(false),
             bell_rung: Condvar::new(),
         });
@@ -795,6 +780,16 @@ impl Driver {
     fn kick(&self, vp: VpId) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.combine(Pumper::Guest(vp));
+    }
+
+    /// Whether the core is holding `vp`'s launch in a sync window — asked by
+    /// a guest whose link has been quiet for a whole receive deadline.
+    fn is_held(&self, vp: VpId) -> bool {
+        let held = self.pump.lock().core.is_held(vp);
+        // A guest that kicked while the lock was held here went to sleep on
+        // its channel: its frame is this thread's to serve.
+        self.combine(Pumper::Guest(vp));
+        held
     }
 
     /// Pump for as long as kicks are pending and the pump is free. A kicker
@@ -834,7 +829,7 @@ impl Driver {
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             while self.pending.swap(0, Ordering::SeqCst) > 0 {
-                pump.run(&self.control, who);
+                pump.run(who);
             }
         }));
         if let Err(payload) = outcome {
@@ -883,8 +878,6 @@ impl Driver {
                 // unexecuted.
                 pump.core.close();
                 return DispatchStats {
-                    stop_events: self.control.stop_events(),
-                    resume_events: self.control.resume_events(),
                     inline_requests: pump.ledger.inline_requests,
                     combined_requests: pump.ledger.combined_requests,
                     pump_rounds: pump.ledger.pump_rounds,
@@ -1008,7 +1001,7 @@ mod tests {
         // One sync launch per VP, all held into a single lockstep window.
         assert_eq!(stats.holds, 4);
         assert_eq!(stats.sync_windows, 1);
-        assert_eq!(stats.stop_events, 4);
+        assert_eq!(stats.holds, 4);
         assert_eq!(stats.resume_events, 4, "every stopped VP must be resumed");
         // Four identical vector_add launches coalesce live.
         assert!(stats.live_groups >= 1, "{stats:?}");
@@ -1080,7 +1073,7 @@ mod tests {
         let (report, stats) = sys.join();
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert!(stats.holds >= 4);
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
     #[test]
@@ -1110,7 +1103,7 @@ mod tests {
         assert!(stats.gpu_trips >= 1, "{stats:?}");
         assert!(stats.migrations >= 2, "both device-0 VPs fail over: {stats:?}");
         assert!(stats.holds >= 6, "retried launches are held again: {stats:?}");
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
     #[test]
@@ -1145,7 +1138,100 @@ mod tests {
         // Each hold flushed in its own quorum-sized window, exactly once.
         assert_eq!(stats.sync_windows, 2, "{stats:?}");
         assert!(stats.quorum_flushes >= 1, "{stats:?}");
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
+    }
+
+    #[test]
+    fn a_held_launch_outlives_the_wall_backstop() {
+        // Lockstep quorum, one attempt per request: the prompt VP's launch
+        // stays held until the late VP's arrives, longer than the guest's
+        // wall receive backstop. That silence is a hold, not a fault — a
+        // timed-out attempt would be the VP's last and fail it.
+        let registry: KernelRegistry =
+            vec![sigmavp_workloads::kernels::vector_add()].into_iter().collect();
+        let retry = RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT };
+        let mut sys = DispatchedSigmaVp::single(
+            GpuArch::quadro_4000(),
+            registry,
+            TransportCost::shared_memory(),
+        )
+        .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true).with_retry(retry));
+        let add = |pre_ms| StaggeredAdd { n: 2048, launches: 1, pre_ms, mid_ms: 0, post_ms: 0 };
+        sys.spawn(Box::new(add(0)));
+        sys.spawn(Box::new(add(WALL_DEADLINE_BACKSTOP.as_millis() as u64 + 300)));
+        let (report, stats) = sys.join();
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        assert_eq!((stats.holds, stats.sync_windows), (2, 1), "{stats:?}");
+        assert_eq!(stats.resume_events, stats.holds, "{stats:?}");
+    }
+
+    #[test]
+    fn a_backstop_that_waits_out_the_flushing_session_reads_the_answer() {
+        // VP 0's launch is held. The test thread then keeps the pump locked
+        // past VP 0's wall backstop and flushes the window under that lock,
+        // so VP 0's `is_held` waits the whole session out and answers no —
+        // with the response already on VP 0's link. That is an answer, not a
+        // timeout that burns the only attempt.
+        let session = ExecutionSession::new(
+            vec![GpuArch::quadro_4000()],
+            KernelRegistry::new(),
+            TransportCost::shared_memory(),
+        )
+        .expect("one device");
+        let policy = Policy::MultiplexedOptimized.with_sync_hold(true);
+        let core = DispatchCore::new(Arc::new(Mutex::new(session)), &policy, None, HashMap::new());
+        let (guest0, host0) = pair(TransportCost::shared_memory());
+        let (guest1, host1) = pair(TransportCost::shared_memory());
+        let (driver, timer) = Driver::start(core, vec![Box::new(host0), Box::new(host1)]);
+        // The host knows no kernel, so the window answers with an error.
+        let launch = || Request::Launch {
+            kernel: "unregistered".into(),
+            grid_dim: 1,
+            block_dim: 1,
+            params: Vec::new(),
+            sync: true,
+            stream: 0,
+        };
+        let vp0 = {
+            let driver = driver.clone();
+            std::thread::spawn(move || {
+                let mut service = RemoteGpu {
+                    vp: VpId(0),
+                    transport: Box::new(guest0),
+                    seq: 0,
+                    clock: VirtualPlatform::new(VpId(0)).clock_handle(),
+                    retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT },
+                    deadline_us: 0,
+                    rng: StdRng::seed_from_u64(0),
+                    driver,
+                };
+                service.round_trip(launch()).map(|(response, _)| response)
+            })
+        };
+        while !driver.pump.lock().core.is_held(VpId(0)) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        {
+            let mut pump = driver.pump.lock();
+            std::thread::sleep(WALL_DEADLINE_BACKSTOP + Duration::from_millis(300));
+            let envelope = Envelope {
+                vp: VpId(1),
+                seq: 0,
+                sent_at_s: 0.0,
+                deadline_s: Envelope::NO_DEADLINE,
+                body: launch(),
+            };
+            guest1.send(codec::encode_request(&envelope)).unwrap();
+            pump.run(Pumper::Guest(VpId(1)));
+        }
+        let answer = vp0.join().expect("VP 0 must not panic");
+        assert!(matches!(answer, Err(VpError::Device(_))), "{answer:?}");
+        assert!(guest1.try_recv().unwrap().is_some(), "VP 1 was answered in the same window");
+        drop(guest1);
+        driver.ring();
+        let stats = timer.join().expect("dispatcher must not panic");
+        assert_eq!((stats.holds, stats.sync_windows), (2, 1), "{stats:?}");
+        assert_eq!(stats.resume_events, stats.holds, "{stats:?}");
     }
 
     /// Runs `inner`, then raises `done`.
@@ -1215,7 +1301,7 @@ mod tests {
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.holds, 1);
         assert!(stats.timeout_flushes >= 1, "{stats:?}");
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
     #[test]
@@ -1257,7 +1343,7 @@ mod tests {
         assert!(stats.quarantined >= 1, "{stats:?}");
         assert!(stats.rejoins >= 1, "the sleeper must rejoin on wake: {stats:?}");
         assert!(stats.migrations >= 1, "quarantine fails the VP over: {stats:?}");
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
     #[test]
@@ -1288,7 +1374,7 @@ mod tests {
         assert!(report.all_ok(), "{:?}", report.outcomes);
         assert_eq!(stats.backstop_trips, 1, "{stats:?}");
         assert_eq!((stats.quarantined, stats.rejoins), (1, 1), "{stats:?}");
-        assert_eq!(stats.stop_events, stats.resume_events, "no VP left parked: {stats:?}");
+        assert_eq!(stats.holds, stats.resume_events, "no VP left parked: {stats:?}");
     }
 
     #[test]
@@ -1435,7 +1521,7 @@ mod tests {
                 (guest, host_end(host))
             })
             .unzip();
-        let (driver, timer) = Driver::start(core, host_ends, Arc::new(VpControl::new()));
+        let (driver, timer) = Driver::start(core, host_ends);
         (driver, timer, guest_ends)
     }
 

@@ -15,7 +15,7 @@
 //!   host-GPU *timeline makespan* of the recorded job stream, replayed through the
 //!   two-engine [`engine`](sigmavp_gpu::engine) model.
 //! * Planning is **not** done here: the recorded job stream flows through the
-//!   shared scheduling [`Pipeline`](sigmavp_sched::Pipeline) (derived from the
+//!   shared scheduling [`Pipeline`] (derived from the
 //!   run's [`Policy`]) and the [`ExecutionSession`] owns the device set — the
 //!   same spine the live runtimes drive. Under
 //!   [`Policy::MultiplexedOptimized`], that pipeline interleaves the stream

@@ -14,10 +14,10 @@
 //!   connections produce the classic round-robin partition).
 //! * **Planning** — [`ExecutionSession::drain_and_plan`] drains every device's
 //!   [`JobRecord`] log and prices it through a shared scheduling
-//!   [`Pipeline`](sigmavp_sched::Pipeline), yielding a [`SessionOutcome`] with
+//!   [`Pipeline`], yielding a [`SessionOutcome`] with
 //!   per-device timelines and fleet-level aggregates.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -299,6 +299,33 @@ impl VpQueueWait {
             self.total_s / self.jobs as f64
         }
     }
+
+    /// Merge per-VP waits, any number of entries per VP, into one entry per
+    /// VP in ascending VP order.
+    pub fn merge_by_vp(
+        waits: impl IntoIterator<Item = (VpId, VpQueueWait)>,
+    ) -> Vec<(VpId, VpQueueWait)> {
+        let mut by_vp: BTreeMap<VpId, VpQueueWait> = BTreeMap::new();
+        for (vp, wait) in waits {
+            let entry = by_vp.entry(vp).or_default();
+            entry.jobs += wait.jobs;
+            entry.total_s += wait.total_s;
+            entry.max_s = entry.max_s.max(wait.max_s);
+        }
+        by_vp.into_iter().collect()
+    }
+
+    /// The p99 (nearest-rank) of per-VP *worst* queue waits — the starvation
+    /// gate's number. Zero for no VPs.
+    pub fn p99_worst_s(waits: &[(VpId, VpQueueWait)]) -> f64 {
+        let mut worst: Vec<f64> = waits.iter().map(|(_, w)| w.max_s).collect();
+        if worst.is_empty() {
+            return 0.0;
+        }
+        worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let rank = (worst.len() * 99).div_ceil(100);
+        worst[rank - 1]
+    }
 }
 
 /// Fleet-level view of a drained session: per-device outcomes plus aggregates.
@@ -350,30 +377,15 @@ impl SessionOutcome {
     /// anyone re-deriving waits from trace spans. Deterministic for a
     /// deterministic job log (it reads the planned timelines, not wall clocks).
     pub fn queue_wait_by_vp(&self) -> Vec<(VpId, VpQueueWait)> {
-        let mut by_vp: HashMap<VpId, VpQueueWait> = HashMap::new();
-        for device in &self.devices {
-            for (vp, wait_s) in device.queue_waits() {
-                let entry = by_vp.entry(vp).or_default();
-                entry.jobs += 1;
-                entry.total_s += wait_s;
-                entry.max_s = entry.max_s.max(wait_s);
-            }
-        }
-        let mut out: Vec<(VpId, VpQueueWait)> = by_vp.into_iter().collect();
-        out.sort_by_key(|(vp, _)| vp.0);
-        out
+        let jobs = self.devices.iter().flat_map(DeviceOutcome::queue_waits);
+        let one = |(vp, s)| (vp, VpQueueWait { jobs: 1, total_s: s, max_s: s });
+        VpQueueWait::merge_by_vp(jobs.map(one))
     }
 
     /// The p99 (nearest-rank) of per-VP *worst* queue waits — the fleet
     /// starvation gate's number. Zero for an empty session.
     pub fn p99_queue_wait_s(&self) -> f64 {
-        let mut worst: Vec<f64> = self.queue_wait_by_vp().iter().map(|(_, w)| w.max_s).collect();
-        if worst.is_empty() {
-            return 0.0;
-        }
-        worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (worst.len() * 99).div_ceil(100);
-        worst[rank - 1]
+        VpQueueWait::p99_worst_s(&self.queue_wait_by_vp())
     }
 
     /// Every device's job-uid-stamped trace events, concatenated in device

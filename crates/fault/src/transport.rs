@@ -1,4 +1,4 @@
-//! A transport decorator that applies a [`LinkFaults`](crate::LinkFaults)
+//! A transport decorator that applies a [`LinkFaults`]
 //! stream to every sent frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};

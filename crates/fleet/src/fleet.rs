@@ -1101,30 +1101,13 @@ impl FleetOutcome {
     /// order. A migrated VP contributes the jobs it ran on every session it
     /// visited.
     pub fn queue_wait_by_vp(&self) -> Vec<(VpId, VpQueueWait)> {
-        let mut by_vp: HashMap<VpId, VpQueueWait> = HashMap::new();
-        for session in &self.sessions {
-            for (vp, wait) in session.queue_wait_by_vp() {
-                let entry = by_vp.entry(vp).or_default();
-                entry.jobs += wait.jobs;
-                entry.total_s += wait.total_s;
-                entry.max_s = entry.max_s.max(wait.max_s);
-            }
-        }
-        let mut merged: Vec<(VpId, VpQueueWait)> = by_vp.into_iter().collect();
-        merged.sort_by_key(|(vp, _)| vp.0);
-        merged
+        VpQueueWait::merge_by_vp(self.sessions.iter().flat_map(SessionOutcome::queue_wait_by_vp))
     }
 
     /// The fleet starvation signal: p99 (nearest-rank) of per-VP worst
     /// simulated queue waits. Zero for an empty fleet.
     pub fn p99_queue_wait_s(&self) -> f64 {
-        let mut worst: Vec<f64> = self.queue_wait_by_vp().iter().map(|(_, w)| w.max_s).collect();
-        if worst.is_empty() {
-            return 0.0;
-        }
-        worst.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = (worst.len() * 99).div_ceil(100);
-        worst[rank - 1]
+        VpQueueWait::p99_worst_s(&self.queue_wait_by_vp())
     }
 }
 

@@ -7,7 +7,7 @@
 //! and resumes the VPs to support the Kernel Interleaving optimization technique for
 //! synchronous kernel invocations".
 //!
-//! This crate provides all three:
+//! This crate provides the first two:
 //!
 //! * [`message`] — the request/response protocol between a VP's virtual embedded GPU
 //!   model and the host, with a compact binary [`codec`] (length-prefixed frames);
@@ -15,8 +15,10 @@
 //!   shared-memory-like and socket-like implementations, each carrying a latency
 //!   model so simulated time accounts for IPC overhead;
 //! * [`queue`] — the thread-safe Job Queue with the dependency metadata the
-//!   re-scheduler needs to preserve each VP's partial order;
-//! * [`control`] — VP stop/resume control.
+//!   re-scheduler needs to preserve each VP's partial order.
+//!
+//! VP Control lives in the core crate's dispatch core: a stopped VP is a
+//! synchronous launch the core holds, and the response to it is the resume.
 //!
 //! The components are thread-safe (VPs may run as real threads) but equally usable
 //! from a deterministic single-threaded orchestrator, which is how the experiment
@@ -24,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod control;
 pub mod error;
 pub mod message;
 pub mod queue;

@@ -7,7 +7,7 @@
 //!
 //! 1. **Where did the time go?** [`lifecycle`] joins per-job events across
 //!    the envelope-send → queue-wait → copy-engine → compute-engine lanes
-//!    into one [`JobLifecycle`](lifecycle::JobLifecycle) per job (keyed by the
+//!    into one [`JobLifecycle`] per job (keyed by the
 //!    stable [`job_uid`](sigmavp_telemetry::job_uid) every layer stamps), and
 //!    extracts the per-device **critical path** — a gap-free tiling of
 //!    `[0, makespan]` into busy and stall segments, so the breakdown provably
@@ -17,7 +17,7 @@
 //!    `T = 2·Tm + N·max(Tm, Tk)`, the Eq. 8 speedup bound `3N/(N+2)`, and the
 //!    Eq. 9 coalescing alignment `T = To + Te·⌈ξ/λ⌉` — from *observed*
 //!    Tm/Tk/N/ξ/λ, and emits `model.eq7.residual_frac`-style gauges plus a
-//!    structured [`AuditReport`](model::AuditReport) flagging residuals above
+//!    structured [`AuditReport`] flagging residuals above
 //!    tolerance.
 //!
 //! [`baseline`] closes the loop: a flat-JSON baseline store and comparator

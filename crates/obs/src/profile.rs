@@ -15,7 +15,7 @@
 //! order-sensitive, and the audit gate requires byte-identical serialized
 //! profiles across same-seed runs. So the hot path only *appends* each
 //! observation (O(1), tagged with its stable
-//! [`job_uid`](sigmavp_telemetry::job_uid)), and the estimators fold pending
+//! [`job_uid`]), and the estimators fold pending
 //! observations **sorted by uid** — the canonical `(vp, seq)` order every
 //! same-seed run produces identically — when a [`ProfileSnapshot`] is taken.
 //! Incremental on the write path, deterministic on the read path.

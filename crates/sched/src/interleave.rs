@@ -12,11 +12,10 @@
 //!   pipelined schedule of Eq. 7, `T = 2·Tm + N·max(Tm, Tk)`.
 //!
 //! * **synchronous requests** (Fig. 4b) — a synchronous invocation blocks its VP,
-//!   so the queue never holds more than one job per VP; instead ΣVP stops and
-//!   resumes whole VPs. [`SyncInterleaver`] computes the same interleaved turn
-//!   order and drives a [`VpControl`].
+//!   so the queue never holds more than one job per VP; instead ΣVP stops whole
+//!   VPs. The dispatch core holds each VP's synchronous launch (`sync_hold`),
+//!   plans the held window with the same pipeline, and its answer resumes the VP.
 
-use sigmavp_ipc::control::VpControl;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::queue::{Job, JobKind};
 use std::collections::BTreeMap;
@@ -96,90 +95,6 @@ pub fn reorder_async(jobs: Vec<Job>) -> Vec<Job> {
         recorder.count("reorder.displaced_jobs", displaced as u64);
     }
     out
-}
-
-/// An action in a synchronous-interleaving plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncAction {
-    /// Stop a VP (it would otherwise issue its next blocking call).
-    Stop(VpId),
-    /// Resume a VP so it can issue its next call.
-    Resume(VpId),
-    /// Issue the next GPU operation of a VP.
-    Issue(VpId),
-}
-
-/// Plans and drives the stop/resume interleaving for synchronous invocations.
-///
-/// Given `n` VPs each looping over the same `phases` (e.g. copy-in, kernel,
-/// copy-out), the interleaver emits a *phase-round-robin* order: phase 0 of every
-/// VP, then phase 1 of every VP, … within each iteration. Combined with the
-/// two-engine device model this achieves the same pipelining as the asynchronous
-/// reordering: while VP *i*'s kernel computes, VP *i+1*'s copy runs.
-#[derive(Debug, Clone)]
-pub struct SyncInterleaver {
-    vps: Vec<VpId>,
-    phases: usize,
-}
-
-impl SyncInterleaver {
-    /// An interleaver over `vps`, each executing `phases` synchronous GPU calls per
-    /// iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vps` is empty or `phases` is zero.
-    pub fn new(vps: Vec<VpId>, phases: usize) -> Self {
-        assert!(!vps.is_empty(), "need at least one vp");
-        assert!(phases > 0, "need at least one phase");
-        SyncInterleaver { vps, phases }
-    }
-
-    /// The interleaved issue order for one iteration: `(phase, vp)` pairs,
-    /// phase-major.
-    pub fn issue_order(&self) -> Vec<(usize, VpId)> {
-        let mut order = Vec::with_capacity(self.phases * self.vps.len());
-        for phase in 0..self.phases {
-            for &vp in &self.vps {
-                order.push((phase, vp));
-            }
-        }
-        order
-    }
-
-    /// The full control script for one iteration: stop everyone, then for each slot
-    /// resume the VP whose turn it is, let it issue, and stop it again. The final
-    /// action resumes all VPs.
-    pub fn control_script(&self) -> Vec<SyncAction> {
-        let mut script = Vec::new();
-        for &vp in &self.vps {
-            script.push(SyncAction::Stop(vp));
-        }
-        for (_, vp) in self.issue_order() {
-            script.push(SyncAction::Resume(vp));
-            script.push(SyncAction::Issue(vp));
-            script.push(SyncAction::Stop(vp));
-        }
-        for &vp in &self.vps {
-            script.push(SyncAction::Resume(vp));
-        }
-        script
-    }
-
-    /// Execute the control script against a [`VpControl`], invoking `issue` for
-    /// every [`SyncAction::Issue`] slot. Returns the number of stop events issued
-    /// (each one costs an IPC round trip, accounted by the caller).
-    pub fn drive(&self, control: &VpControl, mut issue: impl FnMut(VpId)) -> u64 {
-        let before = control.stop_events();
-        for action in self.control_script() {
-            match action {
-                SyncAction::Stop(vp) => control.stop(vp),
-                SyncAction::Resume(vp) => control.resume(vp),
-                SyncAction::Issue(vp) => issue(vp),
-            }
-        }
-        control.stop_events() - before
-    }
 }
 
 #[cfg(test)]
@@ -302,32 +217,5 @@ mod tests {
         let a = reorder_async(original.clone());
         let b = reorder_async(original);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sync_issue_order_is_phase_round_robin() {
-        let il = SyncInterleaver::new(vec![VpId(0), VpId(1), VpId(2)], 2);
-        let order = il.issue_order();
-        assert_eq!(order.len(), 6);
-        assert_eq!(order[0], (0, VpId(0)));
-        assert_eq!(order[2], (0, VpId(2)));
-        assert_eq!(order[3], (1, VpId(0)));
-    }
-
-    #[test]
-    fn sync_control_script_leaves_all_vps_running() {
-        let il = SyncInterleaver::new(vec![VpId(0), VpId(1)], 3);
-        let control = VpControl::new();
-        let mut issued = Vec::new();
-        let stops = il.drive(&control, |vp| issued.push(vp));
-        assert_eq!(issued.len(), 6);
-        assert_eq!(control.stopped_count(), 0, "all VPs must end resumed");
-        assert!(stops >= 2, "at least the initial stops");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one vp")]
-    fn sync_interleaver_rejects_empty() {
-        SyncInterleaver::new(vec![], 1);
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! 1. "it reorders the asynchronous kernel jobs in the Job Queue by keeping a
 //!    partial order in the original VP. It is a non-preemptive, optimal scheduler
-//!    augmented for job dependencies" — implemented in [`interleave`], which also
-//!    provides the stop/resume plan for *synchronous* invocations (Fig. 4b);
+//!    augmented for job dependencies" — implemented in [`interleave`]; for
+//!    *synchronous* invocations (Fig. 4b) the same pipeline plans the window of
+//!    launches the dispatch core holds;
 //! 2. "it combines identical kernel requests in the Job Queue into one single kernel
 //!    job, by using Kernel Coalescing" — implemented in [`coalesce`], together with
 //!    the contiguous-memory layout planning of Fig. 5 and the grid-alignment

@@ -133,7 +133,7 @@ pub struct Policy {
     /// interpreter (the degenerate case used by differential tests).
     pub workers: u32,
     /// Sync-mode stop/resume dispatching: the dispatcher *holds* synchronous
-    /// launches (stopping their VPs via `VpControl`) until every live VP has
+    /// launches (a held launch is a stopped VP) until every live VP has
     /// one pending, then plans the whole window with the full pipeline —
     /// including the wave-packing pass — and resumes VPs in planned completion
     /// order. Off, synchronous launches are answered as they arrive and only

@@ -10,7 +10,7 @@
 //! of kernel *name*: waves from different kernels of the same block shape pack
 //! back to back like cars of a train.
 //!
-//! [`WavePack`] exploits this: among jobs that [`Coalesce`] left ungrouped, it
+//! [`WavePack`] exploits this: among jobs that `Coalesce` left ungrouped, it
 //! merges kernel launches of coalescing-friendly VPs that share a block size
 //! and whose grids are wave-aligned. It needs the device's wave geometry —
 //! λ as a function of block size — injected via [`PassCtx::with_wave_lanes`];

@@ -7,7 +7,7 @@
 //! know the instant a circuit breaker trips so it can dump a post-mortem.
 //! Routing those through name-keyed metrics would lose the payload, and
 //! making `core`/`fleet` depend on the observability crate would invert the
-//! dependency graph. So this module mirrors the [`recorder`](crate::recorder)
+//! dependency graph. So this module mirrors the [`recorder`](crate::recorder())
 //! facade pattern one level up: the runtime calls [`publish`] (one atomic
 //! load, a no-op when nothing is installed) and observability layers register
 //! closures with [`add_sink`].

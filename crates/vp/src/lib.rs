@@ -29,11 +29,9 @@ pub mod cpu;
 pub mod cuda;
 pub mod emulation;
 pub mod error;
-pub mod gate;
 pub mod platform;
 pub mod registry;
 pub mod service;
 
 pub use error::{DeadlineStage, VpError};
-pub use gate::VpGate;
 pub use platform::{SimClock, VirtualPlatform};
