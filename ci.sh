@@ -34,6 +34,22 @@ nontest_lines() {
     "$(find crates/sptx/src crates/sptx/tests -name '*.rs' -exec cat {} + | wc -l)"
 }
 
+# Every `sigmavp*` entry under a crate's `[dependencies]` is used in that
+# crate's src/ (as `sigmavp_x::`, `sigmavp_x;` or `sigmavp_x as`), so a dead
+# edge fails here instead of lingering. Dev-dependencies are not checked.
+dead_deps() {
+  local status=0 manifest dep
+  for manifest in crates/*/Cargo.toml; do
+    for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]") } deps && /^sigmavp/ { print $1 }' "$manifest"); do
+      if ! grep -rqE "(^|[^a-z_])${dep//-/_}(::| as |;)" "${manifest%Cargo.toml}src"; then
+        echo "    ${manifest}: ${dep} is never used in its src/"
+        status=1
+      fi
+    done
+  done
+  return $status
+}
+
 step "cargo fmt --check" cargo fmt --all -- --check
 
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
@@ -70,6 +86,8 @@ step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
 # and traced vs untraced — the check most likely to catch a change that
 # perturbs execution order.
 step "sigmabench smoke" benchmark/run.sh --smoke
+
+step "no dead sigmavp dependency edges" dead_deps
 
 step "non-test lines per crate (informational)" nontest_lines
 

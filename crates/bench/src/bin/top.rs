@@ -151,7 +151,7 @@ fn main() -> ExitCode {
         outcome.stats.shed,
         outcome.stats.steals,
         outcome.stats.migrations,
-        counter("fleet.replayed_jobs"),
+        outcome.stats.replayed_jobs,
         counter("sptx.warp.fallback_ctas"),
         counter("sptx.warp.fallback_ctas.hazard"),
         counter("sptx.warp.fallback_ctas.fault"),

@@ -95,7 +95,6 @@ fn main() {
     let pipeline = Pipeline::from_policy(&Policy::Fifo);
     let reordered = pipeline.plan(jobs(6), &PassCtx::reorder_only()).jobs;
     let timeline = simulate(&arch, &to_ops(&reordered));
-    timeline.record_metrics();
 
     // One unified trace: wall-clock events drained from the collector plus the
     // simulated-time device events.

@@ -318,15 +318,9 @@ pub struct LiveRun {
     /// Outcomes and job logs.
     pub report: ThreadedReport,
     /// Guest-side request retries during the run (`fault.retries`, as a
-    /// snapshot delta so earlier runs cannot contaminate it) — with
-    /// `replayed_jobs`, the gated quantities neither the ledger nor the
-    /// report carries.
+    /// snapshot delta so earlier runs cannot contaminate it): the one gated
+    /// quantity neither the ledger nor the report carries.
     pub retries: u64,
-    /// Journal entries the run's migrations replayed (`fault.replayed_jobs`,
-    /// a snapshot delta too): the journal's length at each move, summed. 0 in
-    /// `chaos`, whose calibrated kill lands just before the moved guests'
-    /// first request — they fail over holding nothing.
-    pub replayed_jobs: u64,
 }
 
 fn adds(guests: &[(u64, u32, u64, u64, u64)]) -> Vec<Box<dyn Application + Send>> {
@@ -374,7 +368,7 @@ impl Live {
             gates: &[
                 ("chaos.makespan_s", |r| r.report.device_makespan_s),
                 ("chaos.fault_retries", |r| r.retries as f64),
-                ("chaos.replayed_jobs", |r| r.replayed_jobs as f64),
+                ("chaos.replayed_jobs", |r| r.stats.replayed_jobs as f64),
                 ("chaos.gpu_trips", |r| r.stats.gpu_trips as f64),
                 ("chaos.migrations", |r| r.stats.migrations as f64),
             ],
@@ -504,7 +498,7 @@ impl Live {
     }
 
     /// One run of the fleet, optionally under a fault plan.
-    fn run_once(&self, telemetry: Telemetry, plan: Option<FaultPlan>) -> LiveRun {
+    pub fn run_once(&self, telemetry: Telemetry, plan: Option<FaultPlan>) -> LiveRun {
         let guests = (self.guests)();
         let registry: KernelRegistry = guests.iter().flat_map(|g| g.kernels()).collect();
         let mut sys = DispatchedSigmaVp::new(
@@ -519,20 +513,17 @@ impl Live {
         for guest in guests {
             sys.spawn(guest);
         }
-        let counters = || {
-            let snapshot = telemetry.snapshot();
-            ["fault.retries", "fault.replayed_jobs"].map(|name| snapshot.counter(name).unwrap_or(0))
-        };
-        let before = counters();
+        let retries = || telemetry.snapshot().counter("fault.retries").unwrap_or(0);
+        let before = retries();
         let (report, stats) = sys.join();
-        let [retries, replayed_jobs] = counters();
-        LiveRun {
-            row: *self,
-            stats,
-            report,
-            retries: retries.saturating_sub(before[0]),
-            replayed_jobs: replayed_jobs.saturating_sub(before[1]),
-        }
+        LiveRun { row: *self, stats, report, retries: retries().saturating_sub(before) }
+    }
+
+    /// The second run's fault plan, calibrated from the fault-free `first`
+    /// run's simulated end time (`None`: the row runs fault-free twice).
+    pub fn calibrated(&self, first: &LiveRun) -> Option<FaultPlan> {
+        let end_s = first.report.outcomes.iter().map(|o| o.simulated_time_s).fold(0.0, f64::max);
+        self.faults.map(|calibrated| calibrated(end_s))
     }
 
     /// Run the row twice — fault-free, then under its calibrated plan if it
@@ -555,8 +546,7 @@ impl Live {
         };
         let first = self.run_once(telemetry, None);
         vet(&first)?;
-        let end_s = first.report.outcomes.iter().map(|o| o.simulated_time_s).fold(0.0, f64::max);
-        let plan = self.faults.map(|calibrated| calibrated(end_s));
+        let plan = self.calibrated(&first);
         let second = self.run_once(telemetry, plan.clone());
         vet(&second)?;
         let ran_while_down = plan.is_some_and(|plan| {

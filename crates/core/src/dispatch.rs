@@ -73,7 +73,9 @@ use crate::session::ExecutionSession;
 /// wedged, so liveness needs one real clock.
 pub const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
 
-/// Statistics from one dispatch core's run.
+/// Statistics from one dispatch core's run: the one place a dispatch count is
+/// kept. Telemetry sees them only through [`DispatchStats::counts`], published
+/// as deltas at the end of every turn and just before every incident.
 ///
 /// The sync-window side of the ledger is a function of the window algebra
 /// alone and repeats bit for bit across same-configuration runs; the request
@@ -92,8 +94,14 @@ pub struct DispatchStats {
     pub dedup_hits: u64,
     /// VP migrations performed (failover off a dead device or load-triggered).
     pub migrations: u64,
+    /// Journal entries those migrations replayed onto their targets.
+    pub replayed_jobs: u64,
+    /// Migrations whose journal replay the target rejected.
+    pub replay_failures: u64,
     /// Host GPUs taken out of service (scheduled outage or tripped breaker).
     pub gpu_trips: u64,
+    /// Device operations the fault plan failed on purpose (transient errors).
+    pub injected_transients: u64,
     /// Synchronous launches held for a stop/resume window (Fig. 4b).
     pub holds: u64,
     /// Synchronous windows planned and flushed.
@@ -135,30 +143,58 @@ pub struct DispatchStats {
     /// misses surface as typed errors, not here).
     pub deadline_misses: u64,
     /// Request frames picked up by a pump session running on the sending
-    /// VP's own thread — no hand-off (`dispatch.driver.inline`). The four
-    /// driver fields are filled by the dispatcher's caller-runs driver only
-    /// and depend on thread timing ([`DispatchStats::window_ledger`] leaves
-    /// them out).
+    /// VP's own thread — no hand-off. The four driver fields are filled by
+    /// the dispatcher's caller-runs driver only and depend on thread timing
+    /// ([`DispatchStats::window_ledger`] leaves them out).
     pub inline_requests: u64,
     /// Request frames picked up by another thread's pump session because the
-    /// pump was busy when their VP kicked (`dispatch.driver.combined`).
+    /// pump was busy when their VP kicked.
     pub combined_requests: u64,
-    /// Pump rounds run (`dispatch.driver.rounds`): endpoint sweep, one core
-    /// turn, deliveries. An idle system runs none.
+    /// Pump rounds run: endpoint sweep, one core turn, deliveries. An idle
+    /// system runs none.
     pub pump_rounds: u64,
-    /// Times the driver's timer thread woke (`dispatch.driver.timer_wakeups`):
-    /// a VP left, the stall backstop or a delayed frame came due.
+    /// Times the driver's timer thread woke: a VP left, the stall backstop or
+    /// a delayed frame came due.
     pub timer_wakeups: u64,
 }
 
 impl DispatchStats {
+    /// Every count the registry carries, under its one metric name: the only
+    /// place these names are written. A fleet's shard cores all publish under
+    /// the same names, so the registry holds their sum.
+    pub fn counts(&self) -> [(&'static str, u64); 21] {
+        [
+            ("dispatch.multi_job_windows", self.multi_job_windows),
+            ("fault.dedup_hits", self.dedup_hits),
+            ("fault.migrations", self.migrations),
+            ("fault.replayed_jobs", self.replayed_jobs),
+            ("fault.replay_failures", self.replay_failures),
+            ("fault.gpu_trips", self.gpu_trips),
+            ("fault.injected.transient", self.injected_transients),
+            ("dispatch.sync.holds", self.holds),
+            ("dispatch.sync.windows", self.sync_windows),
+            ("dispatch.sync.live_groups", self.live_groups),
+            ("dispatch.sync.live_members", self.live_members),
+            ("dispatch.sync.quorum_flushes", self.quorum_flushes),
+            ("dispatch.sync.timeout_flushes", self.timeout_flushes),
+            ("liveness.backstop_trips", self.backstop_trips),
+            ("liveness.quarantined", self.quarantined),
+            ("liveness.rejoins", self.rejoins),
+            ("liveness.deadline_misses", self.deadline_misses),
+            ("dispatch.driver.inline", self.inline_requests),
+            ("dispatch.driver.combined", self.combined_requests),
+            ("dispatch.driver.rounds", self.pump_rounds),
+            ("dispatch.driver.timer_wakeups", self.timer_wakeups),
+        ]
+    }
+
     /// The sync-window ledger that is byte-identical across same-configuration
     /// runs: every hold, window and liveness count, and the two simulated
     /// makespans as bits. Left out because they follow thread timing:
     /// `requests`, `dedup_hits`, `multi_job_windows`, `max_window` and the
-    /// four `dispatch.driver.*` fields (`migrations` and `gpu_trips` are
-    /// seed-determined only under a calibrated fault plan, so they stay out
-    /// too).
+    /// four `dispatch.driver.*` fields (the fault counts, `migrations` to
+    /// `injected_transients`, are seed-determined only under a calibrated
+    /// fault plan, so they stay out too).
     pub fn window_ledger(&self) -> [u64; 15] {
         [
             self.holds,
@@ -315,8 +351,6 @@ struct VpRecord {
     answered: Option<ResponseEnvelope>,
     /// Accepted but not yet answered: a delayed duplicate of it is dropped.
     in_flight: Option<u64>,
-    /// `dispatch.vp<N>.latency_s`, built on first use.
-    latency_metric: Option<String>,
 }
 
 /// Everything the core knows about one host GPU.
@@ -331,10 +365,9 @@ struct DeviceRecord {
     free_s: f64,
 }
 
-/// The async window is the paper's Job Queue: its depth as the `queue.depth`
-/// gauge and a wall-clock counter track on the job-queue lane.
+/// The async window is the paper's Job Queue: its depth as a wall-clock
+/// counter track on the job-queue lane.
 fn record_queue_depth(recorder: &sigmavp_telemetry::Recorder, depth: usize) {
-    recorder.gauge_set("queue.depth", depth as f64);
     recorder.counter_event(
         TimeDomain::Wall,
         Lane::JobQueue,
@@ -402,6 +435,8 @@ fn synth_record(h: &Pending, arch: &GpuArch) -> JobRecord {
 struct Supervision {
     plan: Option<Arc<FaultPlan>>,
     stats: DispatchStats,
+    /// The ledger as the registry last saw it (`None`: never published).
+    published: Option<DispatchStats>,
     /// Indexed by device.
     devices: Vec<DeviceRecord>,
     /// Ordered rather than dense — VP ids are the caller's choice — so every
@@ -420,8 +455,21 @@ impl Supervision {
         Supervision {
             plan,
             stats: DispatchStats::default(),
+            published: None,
             devices: vec![device; devices],
             vps: coalescible.into_iter().map(vp).collect(),
+        }
+    }
+
+    /// Add each count's change since the last publish to the registry (with
+    /// a recorder installed): at the end of every turn, and before every
+    /// incident so a post-mortem carries the count of its own trigger.
+    fn publish(&mut self) {
+        let recorder = sigmavp_telemetry::recorder();
+        if recorder.enabled() {
+            recorder
+                .count_changes(&self.stats.counts(), self.published.map(|p| p.counts()).as_ref());
+            self.published = Some(self.stats);
         }
     }
 
@@ -463,7 +511,7 @@ impl Supervision {
     }
 
     /// Take `device` out of service (idempotent): mark it unhealthy for
-    /// routing, trip its breaker, and emit the trip telemetry exactly once.
+    /// routing, trip its breaker, and publish the trip exactly once.
     fn mark_down(&mut self, session: &mut ExecutionSession, device: usize) {
         let record = &mut self.devices[device];
         if record.down_noticed {
@@ -473,17 +521,11 @@ impl Supervision {
         record.breaker.trip();
         session.mark_down(device);
         self.stats.gpu_trips += 1;
-        let recorder = sigmavp_telemetry::recorder();
-        recorder.count("fault.gpu_trips", 1);
-        recorder.gauge_set("fault.healthy_gpus", session.healthy_count() as f64);
-        if session.healthy_count() <= 1 {
-            // Graceful degradation: the fleet continues on a single device.
-            recorder.gauge_set("fault.degraded_mode", 1.0);
-        }
+        self.publish();
         // Incident hook: an installed flight recorder dumps a post-mortem here.
         bus::publish(&ObsEvent::Incident(Incident {
             kind: IncidentKind::BreakerTrip { device },
-            wall_s: recorder.wall_now_s(),
+            wall_s: sigmavp_telemetry::recorder().wall_now_s(),
             detail: format!(
                 "device gpu{device} out of service; {} healthy remain",
                 session.healthy_count()
@@ -520,13 +562,12 @@ impl Supervision {
             &format!("-> gpu{target}"),
         );
         if moved.failed {
-            recorder.count("fault.replay_failures", 1);
+            self.stats.replay_failures += 1;
         } else {
-            recorder.count("fault.replayed_jobs", moved.replayed as u64);
+            self.stats.replayed_jobs += moved.replayed as u64;
         }
         session.reassign(vp, target);
         self.stats.migrations += 1;
-        recorder.count("fault.migrations", 1);
         recorder.span(
             TimeDomain::Wall,
             Lane::Dispatcher,
@@ -542,14 +583,13 @@ impl Supervision {
     /// least-loaded healthy *other* device, so when (if) the VP wakes its
     /// state is already off the placement it wedged on.
     fn quarantine(&mut self, session: &mut ExecutionSession, vp: VpId, idle_windows: u64) {
-        let recorder = sigmavp_telemetry::recorder();
         self.vps.entry(vp).or_default().quarantined = true;
         self.stats.quarantined += 1;
-        recorder.count("liveness.quarantined", 1);
+        self.publish();
         let current = session.device_of(vp);
         bus::publish(&ObsEvent::Incident(Incident {
             kind: IncidentKind::VpHung { vp: vp.0 },
-            wall_s: recorder.wall_now_s(),
+            wall_s: sigmavp_telemetry::recorder().wall_now_s(),
             detail: format!(
                 "VP {} stopped progressing for {idle_windows} flushed windows on gpu{}; \
                  quarantined out of the sync quorum",
@@ -564,7 +604,6 @@ impl Supervision {
             .min_by(|&a, &b| self.devices[a].free_s.total_cmp(&self.devices[b].free_s));
         if let Some(target) = target {
             self.relocate(session, vp, target);
-            recorder.count("liveness.quarantine_failovers", 1);
         }
     }
 }
@@ -631,6 +670,13 @@ impl DispatchCore {
         &self.sup.stats
     }
 
+    /// The ledger, for a driver to add its own counts
+    /// ([`DispatchStats::inline_requests`] and the rest of the driver's four);
+    /// they are published with the next turn.
+    pub(crate) fn ledger_mut(&mut self) -> &mut DispatchStats {
+        &mut self.sup.stats
+    }
+
     /// `vp` counts toward the sync quorum from now on (it connected, was
     /// readmitted, or migrated here); lifts a quarantine.
     pub fn join(&mut self, vp: VpId) {
@@ -672,13 +718,11 @@ impl DispatchCore {
         record.last_activity_flush = self.flush_count;
         if std::mem::take(&mut record.quarantined) {
             self.sup.stats.rejoins += 1;
-            recorder.count("liveness.rejoins", 1);
         }
         if let Some(cached) = record.answered.as_ref().filter(|cached| cached.seq == seq) {
             // Effect-once: this request already executed but its response was
             // lost in flight; resend the cached response without re-executing.
             self.sup.stats.dedup_hits += 1;
-            recorder.count("fault.dedup_hits", 1);
             let response = cached.clone();
             self.out.deliveries.push(Delivery { request: envelope, response, resume: false });
             return false;
@@ -754,7 +798,6 @@ impl DispatchCore {
             // VP threads — so every window reads off a sorted slice and a
             // VP's launches can never interleave out of sequence order.
             self.sup.stats.holds += 1;
-            recorder.count("dispatch.sync.holds", 1);
             let at = self.held.partition_point(|x| x.key() < accepted.key());
             self.held.insert(at, accepted);
             return true;
@@ -768,8 +811,8 @@ impl DispatchCore {
     }
 
     /// One scheduling round: re-schedule and execute everything pending,
-    /// flush a sync window if one is due, sweep the watchdog — and return
-    /// every response produced since the last call.
+    /// flush a sync window if one is due, sweep the watchdog, publish the
+    /// ledger — and return every response produced since the last call.
     pub fn turn(&mut self) -> Turn {
         self.run_pending();
         if let Some(window) = self.due_window() {
@@ -777,6 +820,7 @@ impl DispatchCore {
             self.flush_count += 1;
             self.sweep_watchdog();
         }
+        self.sup.publish();
         std::mem::take(&mut self.out)
     }
 
@@ -790,7 +834,6 @@ impl DispatchCore {
             let stuck: Vec<VpId> = self.eligible().filter(|v| !self.is_held(*v)).collect();
             if !stuck.is_empty() {
                 self.sup.stats.backstop_trips += 1;
-                sigmavp_telemetry::recorder().count("liveness.backstop_trips", 1);
                 self.quarantine_all(stuck);
             }
         }
@@ -805,6 +848,7 @@ impl DispatchCore {
             let window = std::mem::take(&mut self.held);
             self.flush(window);
         }
+        self.sup.publish();
         std::mem::take(&mut self.out)
     }
 
@@ -847,7 +891,6 @@ impl DispatchCore {
     fn refuse(&mut self, envelope: Envelope, stage: DeadlineStage, now_s: f64, resume: bool) {
         self.sup.stats.deadline_misses += 1;
         self.sup.stats.resume_events += u64::from(resume);
-        sigmavp_telemetry::recorder().count("liveness.deadline_misses", 1);
         self.sup.clear_in_flight(envelope.vp, envelope.seq);
         let violation = format_deadline_violation(stage, envelope.deadline_s, now_s);
         let response = error_reply(&envelope, violation);
@@ -864,13 +907,9 @@ impl DispatchCore {
         }
         let mut window = std::mem::take(&mut self.pending);
         record_dequeue(&window);
-        let recorder = sigmavp_telemetry::recorder();
         if window.len() > 1 {
             self.sup.stats.multi_job_windows += 1;
-            recorder.count("dispatch.multi_job_windows", 1);
         }
-        recorder.count("dispatch.windows", 1);
-        recorder.observe_s("dispatch.window_jobs", window.len() as f64);
         self.sup.stats.max_window = self.sup.stats.max_window.max(window.len());
         // Each job's planned position, by id (its window index).
         let rank: Option<Vec<usize>> = {
@@ -940,7 +979,6 @@ impl DispatchCore {
         if self.held.is_empty() {
             return None;
         }
-        let recorder = sigmavp_telemetry::recorder();
         let eligible = self.eligible().count();
         if self.eligible().all(|v| self.is_held(v)) {
             return Some(std::mem::take(&mut self.held));
@@ -948,7 +986,6 @@ impl DispatchCore {
         let quorum_pct = self.policy.sync_quorum_pct;
         if quorum_pct < 100 && quorum_met(self.held.len(), eligible, quorum_pct) {
             self.sup.stats.quorum_flushes += 1;
-            recorder.count("dispatch.sync.quorum_flushes", 1);
             let threshold = quorum_threshold(eligible, quorum_pct);
             let held = &self.held;
             let mut order: Vec<usize> = (0..held.len()).collect();
@@ -968,7 +1005,6 @@ impl DispatchCore {
         let opened_s = self.held.iter().map(|h| h.envelope.sent_at_s).fold(f64::INFINITY, f64::min);
         if self.policy.sync_timeout_s().is_some_and(|limit| self.sim_now - opened_s >= limit) {
             self.sup.stats.timeout_flushes += 1;
-            recorder.count("dispatch.sync.timeout_flushes", 1);
             return Some(std::mem::take(&mut self.held));
         }
         None
@@ -1021,7 +1057,6 @@ impl DispatchCore {
                 let survivor = (0..session.device_count())
                     .find(|&d| d != device && !self.sup.is_down(&session, d, sent_at_s));
                 let Some(target) = survivor else {
-                    recorder.count("fault.no_survivor", 1);
                     return error(format!("no surviving host gpu: device {device} is down"));
                 };
                 self.sup.fail_over(&mut session, vp, target);
@@ -1034,7 +1069,7 @@ impl DispatchCore {
             let op = record.op_count;
             record.op_count += 1;
             if self.sup.plan.as_ref().is_some_and(|p| p.transient_at(device, op)) {
-                recorder.count("fault.injected.transient", 1);
+                self.sup.stats.injected_transients += 1;
                 if record.breaker.record_failure() {
                     self.sup.mark_down(&mut session, device);
                 }
@@ -1100,11 +1135,6 @@ impl DispatchCore {
                 (exec_started_wall_s - p.wall_s).max(0.0),
                 uid,
             );
-            // Per-VP request latency: arrival to response ready.
-            let metric = record
-                .latency_metric
-                .get_or_insert_with(|| format!("dispatch.vp{}.latency_s", vp.0));
-            recorder.observe_s(metric, (recorder.wall_now_s() - p.wall_s).max(0.0));
         }
         // Keep the guest's handle space stable and journal the guest-visible
         // effect, so a later failover or load-triggered relocation can
@@ -1137,8 +1167,6 @@ impl DispatchCore {
             "sync window must arrive in canonical (vp, seq) order"
         );
         self.sup.stats.sync_windows += 1;
-        recorder.count("dispatch.sync.windows", 1);
-        recorder.observe_s("dispatch.sync.window_jobs", window.len() as f64);
         // Being flushed is a sign of life: a VP in this window is not behind
         // once the flush is counted.
         for h in &window {
@@ -1235,12 +1263,6 @@ impl DispatchCore {
             self.sup.stats.sync_reorder_makespan_s += reorder_tl.makespan_s;
             self.sup.stats.live_groups += planned.groups.len() as u64;
             self.sup.stats.live_members += planned.merged_members() as u64;
-            recorder.observe_s("dispatch.sync.makespan_s", live_tl.makespan_s);
-            recorder.observe_s("dispatch.sync.reorder_makespan_s", reorder_tl.makespan_s);
-            if !planned.groups.is_empty() {
-                recorder.count("dispatch.sync.live_groups", planned.groups.len() as u64);
-                recorder.count("dispatch.sync.live_members", planned.merged_members() as u64);
-            }
             // Eq. 9 accounting per surviving kernel group: slots = λ-aligned
             // block quanta of the merged grid, filled = blocks actually
             // launched; the difference is the alignment residual.
@@ -1311,6 +1333,15 @@ impl DispatchCore {
             recorder.wall_now_s() - flush_started_wall_s,
         );
     }
+}
+
+/// Held by every test whose core refuses a deadline, so a test that reads
+/// `liveness.deadline_misses` off the process-global collector sees its own
+/// refusals only.
+#[cfg(test)]
+pub(crate) fn refusals_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The core driven directly: no threads, no transports, no sleeps.
@@ -1508,6 +1539,7 @@ mod tests {
 
     #[test]
     fn a_launch_that_expires_while_held_is_refused_at_the_hold_boundary() {
+        let _refusals = refusals_lock();
         let mut rig = Rig::new(sync_policy().with_sync_timeout_us(4), 1, 2);
         let launch = rig.prepare(0, 1.0);
         rig.budget_s = Some(2.5e-6);
@@ -1528,6 +1560,7 @@ mod tests {
 
     #[test]
     fn every_hold_is_answered_by_exactly_one_resume() {
+        let _refusals = refusals_lock();
         // A held launch is the stopped VP: the core counts the hold when it
         // parks the launch and the resume when it answers it, with a
         // completion (full house) or a refusal (hold boundary) alike.
@@ -1703,6 +1736,7 @@ mod tests {
 
     #[test]
     fn nothing_stays_in_flight_once_answered_refused_or_handed_back() {
+        let _refusals = refusals_lock();
         let mut rig = Rig::new(sync_policy(), 2, 3);
         let in_flight = |rig: &Rig| -> Vec<Option<u64>> {
             rig.core.sup.vps.values().map(|record| record.in_flight).collect()
@@ -1825,6 +1859,7 @@ mod tests {
     /// offer per turn). Same responses, same window ledger.
     #[test]
     fn sweep_driven_and_inbox_driven_cores_agree() {
+        let _refusals = refusals_lock();
         let policies =
             [sync_policy(), sync_policy().sync_quorum(0.5), sync_policy().with_sync_timeout_us(2)];
         for policy in policies {

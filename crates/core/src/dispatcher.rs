@@ -165,20 +165,16 @@ impl RemoteGpu {
                     None => None,
                 };
                 let Some(resp_frame) = frame else {
-                    recorder.count("fault.timeouts", 1);
                     last_err = IpcError::Timeout { waited_us: self.retry.timeout_us };
                     extra_sim_s += self.retry.timeout_s();
                     break None;
                 };
                 let back_delay = self.transport.cost().delay_for(resp_frame.len() as u64);
                 match codec::decode_response(&resp_frame) {
-                    Ok(decoded) if decoded.seq < seq => {
-                        recorder.count("fault.stale_responses", 1);
-                        continue;
-                    }
+                    // A stale response: a retry answered twice.
+                    Ok(decoded) if decoded.seq < seq => continue,
                     Ok(decoded) => break Some((decoded, back_delay)),
                     Err(e) => {
-                        recorder.count("fault.corrupt_responses", 1);
                         last_err = e;
                         break None;
                     }
@@ -233,9 +229,9 @@ impl RemoteGpu {
             // Execute boundary: the accumulated recovery cost (timeouts plus
             // backoff, all simulated time) has outlived the request's budget —
             // surface the typed deadline error instead of burning the
-            // remaining attempts.
+            // remaining attempts. It is the guest's to see, not the core's
+            // ledger's: `DispatchStats::deadline_misses` counts refusals only.
             if birth_s + extra_sim_s > deadline_s {
-                recorder.count("liveness.deadline_misses", 1);
                 return Err(VpError::DeadlineExceeded {
                     stage: DeadlineStage::Execute,
                     budget_s,
@@ -398,7 +394,6 @@ fn collect_vp_outcomes(handles: Vec<VpHandle>) -> (Vec<VpOutcome>, Vec<(VpId, Vp
             }
             Err(payload) => {
                 let message = format!("vp thread panicked: {}", panic_message(&*payload));
-                sigmavp_telemetry::recorder().count("fault.vp_panics", 1);
                 failed_vps.push((vp, VpError::Device(message.clone())));
                 outcomes.push(VpOutcome {
                     vp,
@@ -631,8 +626,6 @@ struct Pump {
     /// What the timer thread is sleeping toward (`None`: until rung). A pump
     /// session that needs it up sooner rings it.
     timer_due: Option<Instant>,
-    /// The driver's share of the ledger ([`DispatchStats::inline_requests`] …).
-    ledger: DispatchStats,
     /// The payload of a panic caught under the pump, for the timer thread to
     /// re-raise: a dispatch-side bug must fail `join`, whoever was pumping.
     panic: Option<Box<dyn Any + Send>>,
@@ -646,9 +639,7 @@ impl Pump {
     /// response is the resume. Returns whether the round was idle: no frame
     /// found, nothing delivered.
     fn round(&mut self, who: Pumper) -> bool {
-        let recorder = sigmavp_telemetry::recorder();
-        self.ledger.pump_rounds += 1;
-        recorder.count("dispatch.driver.rounds", 1);
+        self.core.ledger_mut().pump_rounds += 1;
         let mut frames = 0u64;
         for (i, slot) in self.endpoints.iter_mut().enumerate() {
             let Some(endpoint) = slot else { continue };
@@ -657,16 +648,14 @@ impl Pump {
                 Ok(Some(frame)) => {
                     frames += 1;
                     let Ok(envelope) = codec::decode_request(&frame) else {
-                        recorder.count("fault.corrupt_frames", 1);
                         continue;
                     };
                     debug_assert_eq!(envelope.vp, vp);
+                    let ledger = self.core.ledger_mut();
                     if who == Pumper::Guest(vp) {
-                        self.ledger.inline_requests += 1;
-                        recorder.count("dispatch.driver.inline", 1);
+                        ledger.inline_requests += 1;
                     } else {
-                        self.ledger.combined_requests += 1;
-                        recorder.count("dispatch.driver.combined", 1);
+                        ledger.combined_requests += 1;
                     }
                     self.core.offer(envelope);
                 }
@@ -762,7 +751,6 @@ impl Driver {
                 endpoints: host_ends.into_iter().map(Some).collect(),
                 last_frame: Instant::now(),
                 timer_due: None,
-                ledger: DispatchStats::default(),
                 panic: None,
             }),
             pending: AtomicU64::new(0),
@@ -863,9 +851,8 @@ impl Driver {
                 }
                 *rung = false;
             }
-            sigmavp_telemetry::recorder().count("dispatch.driver.timer_wakeups", 1);
             let mut pump = self.pump.lock();
-            pump.ledger.timer_wakeups += 1;
+            pump.core.ledger_mut().timer_wakeups += 1;
             self.pending.fetch_add(1, Ordering::SeqCst);
             self.drain(&mut pump, Pumper::Timer);
             if let Some(payload) = pump.panic.take() {
@@ -877,13 +864,7 @@ impl Driver {
                 // invariant that an accepted request is never dropped
                 // unexecuted.
                 pump.core.close();
-                return DispatchStats {
-                    inline_requests: pump.ledger.inline_requests,
-                    combined_requests: pump.ledger.combined_requests,
-                    pump_rounds: pump.ledger.pump_rounds,
-                    timer_wakeups: pump.ledger.timer_wakeups,
-                    ..*pump.core.stats()
-                };
+                return *pump.core.stats();
             }
             due = pump.next_wake();
             pump.timer_due = due;
@@ -1379,6 +1360,7 @@ mod tests {
 
     #[test]
     fn plan_boundary_refuses_doomed_requests() {
+        let _refusals = crate::dispatch::refusals_lock();
         // A 1 µs budget is below even a zero-byte copy's fixed latency, so the
         // very first projected completion overshoots and the dispatcher
         // refuses at the plan boundary with the typed violation.
@@ -1402,6 +1384,10 @@ mod tests {
         // A lossy link forces retries whose simulated recovery cost (25 ms
         // receive timeout) dwarfs the 5 ms budget: the guest surfaces the
         // execute-stage violation instead of burning its remaining attempts.
+        // That miss is the guest's: the published `liveness.deadline_misses`
+        // is the core's ledger, refusals only.
+        let _refusals = crate::dispatch::refusals_lock();
+        let telemetry = sigmavp_telemetry::install();
         let app = VectorAddApp { n: 2048 };
         let registry: KernelRegistry = app.kernels().into_iter().collect();
         let mut sys = DispatchedSigmaVp::single(
@@ -1417,9 +1403,15 @@ mod tests {
             delay_s: 0.0,
         }));
         sys.spawn(Box::new(app));
-        let (report, _) = sys.join();
+        let (report, stats) = sys.join();
+        // The name `deadline_misses` is published under, from the table.
+        let probe = DispatchStats { deadline_misses: 1, ..DispatchStats::default() };
+        let (name, _) = probe.counts().into_iter().find(|&(_, n)| n == 1).expect("counted");
+        let published = telemetry.snapshot().counter(name);
+        sigmavp_telemetry::uninstall();
         let err = report.outcomes[0].error.as_deref().expect("drops must blow the budget");
         assert!(err.contains("deadline exceeded at execute"), "{err}");
+        assert_eq!(published, Some(stats.deadline_misses), "{stats:?}");
     }
 
     /// A guest that only round-trips: `requests` synchronize calls, with a
@@ -1547,9 +1539,9 @@ mod tests {
             }
         };
         round_trip(0);
-        let before = driver.pump.lock().ledger;
+        let before = *driver.pump.lock().core.stats();
         std::thread::sleep(Duration::from_millis(50));
-        let after = driver.pump.lock().ledger;
+        let after = *driver.pump.lock().core.stats();
         assert_eq!(after.pump_rounds, before.pump_rounds, "nothing pumps while every VP sleeps");
         assert_eq!(after.timer_wakeups, 0, "and the timer has had no reason to wake");
         round_trip(1);

@@ -93,12 +93,6 @@ pub fn estimate_timing(
     let c3_cycles = (c2_cycles - upsilon_host + upsilon_target).max(cp_target);
     let et3_s = c3_cycles / (target_arch.total_cores() as f64 * target_arch.clock_hz())
         + target_arch.launch_overhead_us * 1e-6;
-
-    let r = sigmavp_telemetry::recorder();
-    if r.enabled() {
-        r.count("estimate.timing_runs", 1);
-        r.observe_s("estimate.et3_s", et3_s);
-    }
     TimingEstimates { sigma_target, c1_cycles, c2_cycles, c3_cycles, et1_s, et2_s, et3_s }
 }
 

@@ -9,7 +9,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use sigmavp_ipc::error::IpcError;
 use sigmavp_ipc::transport::{Transport, TransportCost};
-use sigmavp_telemetry::recorder;
 
 use crate::plan::{LinkFault, LinkFaults};
 
@@ -144,7 +143,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         let bytes = frame.len() as u64;
         match fault {
             Some(LinkFault::Drop) => {
-                recorder().count("fault.injected.drops", 1);
                 if let Some(notice) = &self.notice {
                     notice.raise();
                 }
@@ -152,7 +150,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 Ok(self.inner.cost().delay_for(bytes))
             }
             Some(LinkFault::Corrupt) => {
-                recorder().count("fault.injected.corrupt", 1);
                 if self.raise_on_corrupt {
                     if let Some(notice) = &self.notice {
                         notice.raise();
@@ -165,7 +162,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 Ok(self.inner.cost().delay_for(bytes))
             }
             Some(LinkFault::Delay(d)) => {
-                recorder().count("fault.injected.delays", 1);
                 let release = Instant::now() + Duration::from_secs_f64(d);
                 self.state.lock().delayed.push((release, frame));
                 Ok(self.inner.cost().delay_for(bytes) + d)

@@ -67,7 +67,10 @@ use sigmavp_vp::{DeadlineStage, VpError};
 use crate::config::FleetConfig;
 use crate::error::FleetError;
 
-/// Fleet-lifetime counters, mirrored into `fleet.*` telemetry.
+/// Fleet-lifetime counters: the one place a fleet count is kept. The front
+/// publishes its own part ([`FleetStats::counts`]) as deltas at the end of
+/// every completed batch and before every incident; the shard cores publish
+/// their [`DispatchStats`] the same way.
 ///
 /// For a fixed admission sequence every field except `rescued_jobs` is
 /// deterministic: steals are planned from submitted cost (not wall clocks) and
@@ -86,6 +89,8 @@ pub struct FleetStats {
     pub steals: u64,
     /// Cross-session VP migrations performed (steals + failovers).
     pub migrations: u64,
+    /// Journal entries those migrations replayed into their targets.
+    pub replayed_jobs: u64,
     /// Journal replays the target session rejected.
     pub replay_failures: u64,
     /// Sessions killed ([`Fleet::kill_session`]).
@@ -107,7 +112,9 @@ pub struct FleetStats {
     pub timeout_flushes: u64,
     /// Requests refused because their end-to-end deadline could not be met
     /// (at admission, or at a shard's plan boundary) or had already expired
-    /// (while held).
+    /// (while held). The front publishes its admission refusals as
+    /// `fleet.deadline_misses`, the shard cores theirs as
+    /// `liveness.deadline_misses`; the two sum to this.
     pub deadline_misses: u64,
     /// VPs quarantined by the hung-VP watchdog.
     pub quarantined_vps: u64,
@@ -116,6 +123,32 @@ pub struct FleetStats {
     /// Quarantined VPs readmitted after proving liveness
     /// ([`Fleet::readmit`]).
     pub readmitted: u64,
+}
+
+impl FleetStats {
+    /// Every count the front publishes, under its one metric name: the only
+    /// place these names are written. The four window fields are the cores'
+    /// and reach the registry under theirs, and so does the cores' part of
+    /// `deadline_misses`: `fleet.deadline_misses` is the front's admission
+    /// refusals, so it equals the field only while no core has refused.
+    pub fn counts(&self) -> [(&'static str, u64); 14] {
+        [
+            ("fleet.admitted", self.admitted),
+            ("fleet.completed", self.completed),
+            ("fleet.shed", self.shed),
+            ("fleet.steals", self.steals),
+            ("fleet.migrations", self.migrations),
+            ("fleet.replayed_jobs", self.replayed_jobs),
+            ("fleet.replay_failures", self.replay_failures),
+            ("fleet.session_trips", self.session_trips),
+            ("fleet.rescued_jobs", self.rescued_jobs),
+            ("fleet.sync_holds", self.sync_holds),
+            ("fleet.deadline_misses", self.deadline_misses),
+            ("fleet.quarantined_vps", self.quarantined_vps),
+            ("fleet.quarantined", self.quarantined),
+            ("fleet.readmitted", self.readmitted),
+        ]
+    }
 }
 
 /// Front-door view of one VP.
@@ -176,6 +209,9 @@ struct FrontState {
     window_cost_by_vp: HashMap<VpId, f64>,
     /// The front's own counters; [`FrontState::stats`] adds the cores'.
     stats: FleetStats,
+    /// The front's counters as the registry last saw them (`None`: never
+    /// published).
+    published: Option<FleetStats>,
     /// Each shard core's ledger as of its last completed turn.
     cores: Vec<DispatchStats>,
     closed: bool,
@@ -192,6 +228,19 @@ impl FrontState {
         }
         stats
     }
+
+    /// Add each of the front's counts' change since the last publish to the
+    /// registry (with a recorder installed): at the end of every completed
+    /// batch, and before every incident so a post-mortem carries the count
+    /// of its own trigger.
+    fn publish(&mut self) {
+        let recorder = recorder();
+        if recorder.enabled() {
+            recorder
+                .count_changes(&self.stats.counts(), self.published.map(|p| p.counts()).as_ref());
+            self.published = Some(self.stats);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -204,7 +253,8 @@ impl Front {
     /// Take in a batch of `shard`'s core turns with one lock and one wake:
     /// mirror its quarantines into admission, and for each delivery keep the
     /// guest's books — handle virtualisation and the journal, in guest space —
-    /// advance the VP's simulated clock, and park the response in its mailbox.
+    /// advance the VP's simulated clock, and park the response in its mailbox;
+    /// then publish the front's counts.
     fn complete(&self, shard: usize, turn: Turn, core: &DispatchStats) {
         let rec = recorder();
         let mut state = self.state.lock();
@@ -212,7 +262,6 @@ impl Front {
         for vp in turn.quarantined {
             state.vps.get_mut(&vp).expect("quarantined vp is admitted").quarantined = true;
             state.stats.quarantined_vps += 1;
-            rec.count("fleet.quarantined_vps", 1);
         }
         for delivery in turn.deliveries {
             let (request, mut response) = (delivery.request, delivery.response);
@@ -238,9 +287,8 @@ impl Front {
             st.mailbox = Some((response, advance_s));
             state.depth -= 1;
             state.stats.completed += 1;
-            rec.count("fleet.completed", 1);
         }
-        rec.gauge_set("fleet.depth", state.depth as f64);
+        state.publish();
         self.cv.notify_all();
     }
 }
@@ -366,14 +414,12 @@ fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) -> Vec<Envel
                     match item {
                         Inbound::Offer(envelope, enqueued_wall_s) => {
                             if rec.enabled() {
-                                let wait_s = (rec.wall_now_s() - enqueued_wall_s).max(0.0);
-                                rec.observe_s("fleet.queue_wait_s", wait_s);
                                 rec.span_for_job(
                                     TimeDomain::Wall,
                                     Lane::JobQueue,
                                     "fleet queue",
                                     enqueued_wall_s,
-                                    wait_s,
+                                    (rec.wall_now_s() - enqueued_wall_s).max(0.0),
                                     job_uid(envelope.vp.0, envelope.seq),
                                 );
                             }
@@ -473,6 +519,7 @@ impl Fleet {
                 window_cost: vec![0.0; config.sessions],
                 window_cost_by_vp: HashMap::new(),
                 stats: FleetStats::default(),
+                published: None,
                 cores: vec![DispatchStats::default(); config.sessions],
                 closed: false,
             }),
@@ -537,7 +584,6 @@ impl Fleet {
         self.shards[shard].session.lock().assign(vp);
         state.vps.insert(vp, VpState { shard, ..VpState::default() });
         self.shards[shard].send(Inbound::Join(vp));
-        recorder().gauge_set("fleet.vps", state.vps.len() as f64);
         Ok(shard)
     }
 
@@ -568,7 +614,6 @@ impl Fleet {
             // counts toward.
             if st.quarantined {
                 state.stats.quarantined += 1;
-                rec.count("fleet.quarantined", 1);
                 return Err(FleetError::Quarantined {
                     vp,
                     source: VpError::Quarantined { vp: vp.0 },
@@ -582,7 +627,6 @@ impl Fleet {
         if let Some(budget_s) = self.config.policy.deadline_s() {
             if cost_s > budget_s {
                 state.stats.deadline_misses += 1;
-                rec.count("fleet.deadline_misses", 1);
                 return Err(FleetError::DeadlineExceeded {
                     vp,
                     source: VpError::DeadlineExceeded {
@@ -595,7 +639,7 @@ impl Fleet {
         }
         if state.depth >= self.config.admission_capacity {
             state.stats.shed += 1;
-            rec.count("fleet.shed", 1);
+            state.publish();
             // Incident hook: the flight recorder debounces shed bursts into
             // periodic post-mortem dumps.
             bus::publish(&ObsEvent::Incident(Incident {
@@ -658,11 +702,8 @@ impl Fleet {
         state.depth += 1;
         state.stats.admitted += 1;
         state.admitted_in_window += 1;
-        rec.count("fleet.admitted", 1);
-        rec.gauge_set("fleet.depth", state.depth as f64);
         if holds_launch(&self.config.policy, &body) {
             state.stats.sync_holds += 1;
-            rec.count("fleet.sync_holds", 1);
         }
         self.shards[shard_idx].send(Inbound::Offer(
             Envelope { vp, seq, sent_at_s, deadline_s, body },
@@ -767,7 +808,6 @@ impl Fleet {
             self.shards[st.shard].send(Inbound::Join(vp));
         }
         state.stats.readmitted += 1;
-        recorder().count("fleet.readmitted", 1);
         Ok(())
     }
 
@@ -792,7 +832,7 @@ impl Fleet {
             state.alive[s] = false;
             state.ring.retire(s);
             state.stats.session_trips += 1;
-            rec.count("fleet.session_trips", 1);
+            state.publish();
             let survivors = state.alive.iter().filter(|a| **a).count();
             // Incident hook: an installed flight recorder dumps a post-mortem.
             bus::publish(&ObsEvent::Incident(Incident {
@@ -838,13 +878,11 @@ impl Fleet {
                     // survivor's core holds it again, in a window.
                     if holds_launch(&self.config.policy, &body) {
                         state.stats.sync_holds += 1;
-                        rec.count("fleet.sync_holds", 1);
                     }
                     self.shards[target.expect("addressed on a survivor")]
                         .send(Inbound::Offer(Envelope { body, ..envelope }, rec.wall_now_s()));
                     rescued += 1;
                     state.stats.rescued_jobs += 1;
-                    rec.count("fleet.rescued_jobs", 1);
                 }
                 Err(message) => {
                     st.mailbox = Some((
@@ -932,8 +970,11 @@ impl Fleet {
             .iter()
             .map(|shard| shard.session.lock().drain_and_plan(&pipeline, &|_| false))
             .collect();
-        let stats = self.front.state.lock().stats();
-        FleetOutcome { sessions, stats }
+        // What the front counted after the last completed batch (a refusal,
+        // a readmission) reaches the registry here.
+        let mut state = self.front.state.lock();
+        state.publish();
+        FleetOutcome { sessions, stats: state.stats() }
     }
 
     /// Move `vp`'s device state into `target`'s session and switch its
@@ -982,12 +1023,10 @@ impl Fleet {
         }
         if moved.failed {
             state.stats.replay_failures += 1;
-            rec.count("fleet.replay_failures", 1);
         } else {
-            rec.count("fleet.replayed_jobs", moved.replayed as u64);
+            state.stats.replayed_jobs += moved.replayed as u64;
         }
         state.stats.migrations += 1;
-        rec.count("fleet.migrations", 1);
     }
 
     /// Plan up to [`MAX_STEALS_PER_ROUND`] migrations from the hottest alive
@@ -995,7 +1034,6 @@ impl Fleet {
     /// Deterministic: costs are pure functions of the admitted requests, and
     /// every tie breaks on the lowest index.
     fn plan_steals(&self, state: &mut FrontState) {
-        let rec = recorder();
         let mut hottest: Option<usize> = None;
         let mut coolest: Option<usize> = None;
         for s in 0..state.window_cost.len() {
@@ -1031,7 +1069,6 @@ impl Fleet {
                     state.vps.get_mut(&vp).expect("candidate is admitted").pending_target =
                         Some(cool);
                     state.stats.steals += 1;
-                    rec.count("fleet.steals", 1);
                 }
             }
         }

@@ -16,6 +16,13 @@ fn scripts(count: u32, n: u32, launches: u32) -> Vec<(VpId, VpScript)> {
     (0..count).map(|vp| (VpId(vp), VpScript::vector_add(n, launches, 1000 + vp as u64))).collect()
 }
 
+/// Held by the tests whose fleets refuse deadlines, so the one that reads
+/// the process-global collector sees its own refusals only.
+fn deadline_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn saturated_admission_sheds_with_typed_error() {
     let fleet = Fleet::new(FleetConfig::new(1).with_capacity(2), registry()).expect("fleet builds");
@@ -372,6 +379,7 @@ fn window_timeout_flushes_when_quorum_is_unreachable() {
 
 #[test]
 fn admission_deadline_refuses_uncompletable_requests() {
+    let _deadlines = deadline_lock();
     let mut config = FleetConfig::new(1);
     config.policy = Policy::Fifo.with_deadline_us(1);
     let fleet = Fleet::new(config, registry()).expect("fleet builds");
@@ -397,12 +405,17 @@ fn admission_deadline_refuses_uncompletable_requests() {
 
 #[test]
 fn held_launch_past_its_deadline_gets_a_typed_hold_error() {
+    let _deadlines = deadline_lock();
+    let telemetry = sigmavp_telemetry::install();
     let mut config = FleetConfig::new(1);
     config.policy = Policy::Fifo.with_sync_hold(true).with_sync_timeout_us(2).with_deadline_us(1);
     let fleet = Fleet::new(config, registry()).expect("fleet builds");
     let (a, b) = (VpId(0), VpId(1));
     fleet.admit(a).unwrap();
     fleet.admit(b).unwrap();
+    // One refusal at the front door, for the split asserted at the end.
+    let copy = Request::MemcpyH2D { handle: 1, data: vec![0u8; 4096], stream: 0 };
+    assert!(matches!(fleet.submit(b, copy), Err(FleetError::DeadlineExceeded { .. })));
 
     // A allocates (cheap, within budget) and launches on uninitialized
     // buffers; the launch parks in the sync window.
@@ -446,10 +459,15 @@ fn held_launch_past_its_deadline_gets_a_typed_hold_error() {
     };
     assert!(message.starts_with("deadline-exceeded:"), "{message}");
     assert!(message.contains("stage=hold"), "{message}");
-    let stats = fleet.stats();
+    let stats = fleet.shutdown().stats;
     assert_eq!(stats.timeout_flushes, 1, "{stats:?}");
-    assert_eq!(stats.deadline_misses, 1, "{stats:?}");
-    fleet.shutdown();
+    assert_eq!(stats.deadline_misses, 2, "{stats:?}");
+    // Each refusal is published once: the front's under `fleet.*`, the
+    // shard core's under `liveness.*`.
+    let snapshot = telemetry.snapshot();
+    sigmavp_telemetry::uninstall();
+    let published = |name| snapshot.counter(name).unwrap_or(0);
+    assert_eq!((published("fleet.deadline_misses"), published("liveness.deadline_misses")), (1, 1));
 }
 
 #[test]

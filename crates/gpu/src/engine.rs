@@ -249,27 +249,6 @@ impl Timeline {
     pub fn to_chrome_trace(&self) -> String {
         sigmavp_telemetry::export::chrome_trace_json(&self.trace_events())
     }
-
-    /// Publish this timeline's aggregates (per-engine busy seconds and
-    /// utilization, overlap fraction, makespan) to the global telemetry
-    /// recorder. No-op when telemetry is disabled.
-    pub fn record_metrics(&self) {
-        let r = sigmavp_telemetry::recorder();
-        if !r.enabled() {
-            return;
-        }
-        for (engine, key) in [
-            (Engine::CopyH2D, "engine.copy_h2d"),
-            (Engine::CopyD2H, "engine.copy_d2h"),
-            (Engine::Compute, "engine.compute"),
-        ] {
-            r.gauge_set(&format!("{key}.busy_s"), self.busy_s(engine));
-            r.gauge_set(&format!("{key}.utilization"), self.utilization(engine));
-        }
-        r.gauge_set("engine.overlap_fraction", self.overlap_fraction());
-        r.gauge_set("engine.makespan_s", self.makespan_s);
-        r.count("engine.ops", self.spans.len() as u64);
-    }
 }
 
 fn engine_lane(engine: Engine) -> Lane {

@@ -11,10 +11,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use sigmavp_telemetry::{Lane, TimeDomain};
 
 use crate::message::VpId;
 
@@ -73,46 +71,17 @@ pub struct Job {
     pub expected_duration_s: f64,
 }
 
-/// Queue state behind the mutex. The wall-clock enqueue instants live here
-/// (keyed by job id) rather than on [`Job`] itself so the queue — not its
-/// callers — owns the wait-time accounting across push/pop/drain/replace.
-#[derive(Debug, Default)]
-struct QueueInner {
-    deque: VecDeque<Job>,
-    enqueued_wall: HashMap<JobId, Instant>,
-}
-
 /// Thread-safe FIFO job queue with bulk drain/replace for rescheduling.
 ///
 /// **No runtime path uses this type.** The dispatch core has exactly one
 /// `&mut self` owner, so its async window is a plain `Vec` and it emits the
-/// queue metrics below itself. The type is still here only because sigmabench's
+/// queue metrics (`jobs.*`, `queue.wait_s`) itself. The type is still here only because sigmabench's
 /// `ipc.queue.push_pop_ns` micro-benchmark builds one and `benchmark/**`
 /// changes only in a `[benchmark]` PR (ROADMAP item 1 drops both).
-///
-/// When a telemetry collector is installed the queue reports
-/// `jobs.enqueued`/`jobs.dequeued` counters, a `queue.depth` gauge (plus a
-/// wall-clock counter track on the job-queue lane), and a `queue.wait_s`
-/// histogram of how long each job sat pending before leaving (popped or
-/// drained).
 #[derive(Debug, Default)]
 pub struct JobQueue {
-    inner: Mutex<QueueInner>,
+    inner: Mutex<VecDeque<Job>>,
     next_id: AtomicU64,
-}
-
-fn record_depth(depth: usize) {
-    let r = sigmavp_telemetry::recorder();
-    if r.enabled() {
-        r.gauge_set("queue.depth", depth as f64);
-        r.counter_event(
-            TimeDomain::Wall,
-            Lane::JobQueue,
-            "queue depth",
-            r.wall_now_s(),
-            depth as f64,
-        );
-    }
 }
 
 impl JobQueue {
@@ -128,69 +97,28 @@ impl JobQueue {
 
     /// Append a job.
     pub fn push(&self, job: Job) {
-        let depth = {
-            let mut q = self.inner.lock();
-            q.enqueued_wall.insert(job.id, Instant::now());
-            q.deque.push_back(job);
-            q.deque.len()
-        };
-        sigmavp_telemetry::recorder().count("jobs.enqueued", 1);
-        record_depth(depth);
+        self.inner.lock().push_back(job);
     }
 
     /// Remove and return the frontmost job.
     pub fn pop(&self) -> Option<Job> {
-        let (job, waited, depth) = {
-            let mut q = self.inner.lock();
-            let job = q.deque.pop_front()?;
-            let waited = q.enqueued_wall.remove(&job.id).map(|t| t.elapsed());
-            (job, waited, q.deque.len())
-        };
-        let r = sigmavp_telemetry::recorder();
-        if r.enabled() {
-            r.count("jobs.dequeued", 1);
-            if let Some(waited) = waited {
-                r.observe_s("queue.wait_s", waited.as_secs_f64());
-            }
-            record_depth(depth);
-        }
-        Some(job)
+        self.inner.lock().pop_front()
     }
 
     /// Number of pending jobs.
     pub fn len(&self) -> usize {
-        self.inner.lock().deque.len()
+        self.inner.lock().len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().deque.is_empty()
+        self.inner.lock().is_empty()
     }
 
     /// Remove and return all pending jobs in order — either to execute them
-    /// (the dispatcher's window) or to reorder and
-    /// [`replace`](JobQueue::replace) them. Each drained job's queue wait is
-    /// recorded here; a job that re-enters via `replace` starts a fresh wait
-    /// segment (its total residency is the sum of its recorded segments).
+    /// or to reorder and [`replace`](JobQueue::replace) them.
     pub fn drain_all(&self) -> Vec<Job> {
-        let (jobs, waits) = {
-            let mut q = self.inner.lock();
-            let jobs: Vec<Job> = q.deque.drain(..).collect();
-            let waits: Vec<_> = jobs
-                .iter()
-                .filter_map(|j| q.enqueued_wall.remove(&j.id).map(|t| t.elapsed()))
-                .collect();
-            (jobs, waits)
-        };
-        let r = sigmavp_telemetry::recorder();
-        if r.enabled() && !jobs.is_empty() {
-            r.count("jobs.dequeued", jobs.len() as u64);
-            for waited in waits {
-                r.observe_s("queue.wait_s", waited.as_secs_f64());
-            }
-            record_depth(0);
-        }
-        jobs
+        self.inner.lock().drain(..).collect()
     }
 
     /// Install a new pending-job order (after rescheduling).
@@ -202,21 +130,13 @@ impl JobQueue {
     /// jobs would be silently dropped or duplicated.
     pub fn replace(&self, jobs: Vec<Job>) {
         let mut q = self.inner.lock();
-        assert!(q.deque.is_empty(), "replace on a non-empty queue would lose jobs");
-        // Every replaced job (drained-and-reordered or injected by coalescing)
-        // starts a fresh wait segment; drain_all already closed the old ones.
-        let now = Instant::now();
-        for job in &jobs {
-            q.enqueued_wall.entry(job.id).or_insert(now);
-        }
-        q.deque.extend(jobs);
-        let live: std::collections::HashSet<JobId> = q.deque.iter().map(|j| j.id).collect();
-        q.enqueued_wall.retain(|id, _| live.contains(id));
+        assert!(q.is_empty(), "replace on a non-empty queue would lose jobs");
+        q.extend(jobs);
     }
 
     /// A copy of the pending jobs, front first, without removing them.
     pub fn snapshot(&self) -> Vec<Job> {
-        self.inner.lock().deque.iter().cloned().collect()
+        self.inner.lock().iter().cloned().collect()
     }
 }
 

@@ -492,7 +492,7 @@ mod tests {
         let recorder = FlightRecorder::new(FlightConfig::default());
         recorder.attach(telemetry);
         let r = telemetry.recorder();
-        r.count("fault.gpu_trips", 1);
+        r.count("trips", 1);
         let uid = sigmavp_telemetry::job_uid(2, 7);
         r.span_for_job(TimeDomain::Wall, Lane::Dispatcher, "request", 0.0, 1e-4, uid);
         r.span_for_job(TimeDomain::Wall, Lane::Dispatcher, "replay request", 1.0, 2e-4, uid);
@@ -506,7 +506,7 @@ mod tests {
         assert_eq!(bundles.len(), 1);
         assert_eq!(bundles[0].name, "postmortem-0000-breaker_trip");
         validate_bundle(&bundles[0].json).expect("bundle validates");
-        assert!(bundles[0].json.contains("\"fault.gpu_trips\": 1"));
+        assert!(bundles[0].json.contains("\"trips\": 1"));
         // The replayed span stitched into the same lifecycle, flagged migrated.
         assert!(bundles[0].json.contains("\"replays\": 1"));
         assert!(bundles[0].json.contains("\"migrated\": true"));

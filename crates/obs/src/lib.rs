@@ -16,9 +16,8 @@
 //!    analytic predictions — Eq. 7 interleaved makespan
 //!    `T = 2·Tm + N·max(Tm, Tk)`, the Eq. 8 speedup bound `3N/(N+2)`, and the
 //!    Eq. 9 coalescing alignment `T = To + Te·⌈ξ/λ⌉` — from *observed*
-//!    Tm/Tk/N/ξ/λ, and emits `model.eq7.residual_frac`-style gauges plus a
-//!    structured [`AuditReport`] flagging residuals above
-//!    tolerance.
+//!    Tm/Tk/N/ξ/λ, and a structured [`AuditReport`] flagging residuals
+//!    above tolerance.
 //!
 //! [`baseline`] closes the loop: a flat-JSON baseline store and comparator
 //! that the `audit` bench binary uses as a regression gate (`--check` exits

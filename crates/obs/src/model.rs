@@ -8,8 +8,8 @@
 //! device's alignment unit λ, its blocks-per-wave). The functions here compute
 //! those predictions from *observed* quantities so a run can be audited
 //! against the model it claims to implement; [`AuditReport`] collects the
-//! residuals, publishes `model.<name>.residual_frac` gauges, and flags any
-//! entry whose relative residual exceeds the tolerance.
+//! residuals and flags any entry whose relative residual exceeds the
+//! tolerance.
 
 use sigmavp::host::{JobRecord, RecordKind};
 
@@ -100,9 +100,7 @@ pub struct ResidualEntry {
 }
 
 /// A structured audit: every checked prediction with its residual, plus the
-/// tolerance verdicts. Pushing an entry also publishes a
-/// `model.<name>.residual_frac` gauge to the installed telemetry collector
-/// (no-op when none is installed).
+/// tolerance verdicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// Relative residual above which an entry is flagged.
@@ -121,7 +119,6 @@ impl AuditReport {
     pub fn push(&mut self, name: impl Into<String>, predicted: f64, measured: f64) {
         let name = name.into();
         let frac = residual_frac(predicted, measured);
-        sigmavp_telemetry::recorder().gauge_set(&format!("model.{name}.residual_frac"), frac);
         self.entries.push(ResidualEntry {
             within_tolerance: frac <= self.tolerance,
             name,
@@ -249,20 +246,5 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"eq7.makespan\""));
         assert!(json.contains("\"within_tolerance\": false"));
-    }
-
-    #[test]
-    fn audit_push_publishes_residual_gauges() {
-        // The recorder slot is process-wide: without the lock this install /
-        // uninstall wipes the events of whichever flight or lifecycle test is
-        // mid-run on another thread.
-        let _guard = crate::flight::test_bus_lock();
-        let telemetry = sigmavp_telemetry::install();
-        let mut report = AuditReport::new(0.10);
-        report.push("eq7.makespan", 2.0, 2.1);
-        let snap = telemetry.snapshot();
-        let g = snap.gauge("model.eq7.makespan.residual_frac").expect("gauge published");
-        assert!((g - 0.05).abs() < 1e-9);
-        sigmavp_telemetry::uninstall();
     }
 }

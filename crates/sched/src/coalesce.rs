@@ -41,10 +41,7 @@ impl MemoryLayout {
             offsets.push(cursor);
             cursor += len.div_ceil(alignment) * alignment;
         }
-        let layout = MemoryLayout { offsets, lens: sizes.to_vec(), total_len: cursor, alignment };
-        sigmavp_telemetry::recorder()
-            .count("coalesce.alignment_padding_bytes", layout.padding_bytes());
-        layout
+        MemoryLayout { offsets, lens: sizes.to_vec(), total_len: cursor, alignment }
     }
 
     /// Bytes lost to alignment padding: total length minus payload (the

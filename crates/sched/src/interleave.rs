@@ -46,10 +46,6 @@ impl EngineClock {
 /// [`preserves_partial_order`](sigmavp_ipc::queue::preserves_partial_order) with
 /// respect to the input (checked by property tests).
 pub fn reorder_async(jobs: Vec<Job>) -> Vec<Job> {
-    let recorder = sigmavp_telemetry::recorder();
-    let original_ids: Vec<_> =
-        if recorder.enabled() { jobs.iter().map(|j| j.id).collect() } else { Vec::new() };
-
     // Per-VP FIFO queues, in original order. BTreeMap gives deterministic VP
     // iteration order.
     let mut queues: BTreeMap<VpId, std::collections::VecDeque<Job>> = BTreeMap::new();
@@ -85,14 +81,6 @@ pub fn reorder_async(jobs: Vec<Job>) -> Vec<Job> {
         *slot = end;
         vp_free.insert(vp, end);
         out.push(job);
-    }
-
-    if recorder.enabled() {
-        recorder.count("reorder.calls", 1);
-        recorder.count("reorder.jobs", out.len() as u64);
-        let displaced =
-            out.iter().zip(&original_ids).filter(|(job, &original)| job.id != original).count();
-        recorder.count("reorder.displaced_jobs", displaced as u64);
     }
     out
 }

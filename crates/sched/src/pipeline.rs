@@ -26,10 +26,9 @@
 //!    expected time for each invocation" — the re-scheduler applies an
 //!    optimization only when it wins).
 //!
-//! Every pipeline run records per-pass planner metrics through the global
-//! telemetry [`Recorder`](sigmavp_telemetry::Recorder):
-//! `plan.pass.<name>.jobs`, `plan.pass.<name>.time_s`, and
-//! `plan.pipeline.depth`.
+//! Every pipeline run records each pass's planning time through the global
+//! telemetry [`Recorder`](sigmavp_telemetry::Recorder) as
+//! `plan.pass.<name>.time_s`.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -450,18 +449,14 @@ impl Pipeline {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Run every pass over `jobs`, recording per-pass planner metrics
-    /// (`plan.pass.<name>.jobs`, `plan.pass.<name>.time_s`,
-    /// `plan.pipeline.depth`) through the global telemetry recorder.
+    /// Run every pass over `jobs`, recording each pass's planning time
+    /// (`plan.pass.<name>.time_s`) through the global telemetry recorder.
     ///
     /// Debug builds assert the pass contract after every pass: the job list
     /// stays a partial-order-preserving permutation and all merge groups
     /// reference live job ids.
     pub fn plan(&self, jobs: Vec<Job>, ctx: &PassCtx<'_>) -> JobStream {
         let recorder = sigmavp_telemetry::recorder();
-        if recorder.enabled() {
-            recorder.gauge_set("plan.pipeline.depth", self.passes.len() as f64);
-        }
         let mut stream = JobStream::new(jobs);
         for pass in &self.passes {
             #[cfg(debug_assertions)]
@@ -469,12 +464,8 @@ impl Pipeline {
             let started = Instant::now();
             stream = pass.apply(stream, ctx);
             if recorder.enabled() {
-                let name = pass.name();
-                recorder.count(&format!("plan.pass.{name}.jobs"), stream.jobs.len() as u64);
-                recorder.observe_s(
-                    &format!("plan.pass.{name}.time_s"),
-                    started.elapsed().as_secs_f64(),
-                );
+                let name = format!("plan.pass.{}.time_s", pass.name());
+                recorder.observe_s(&name, started.elapsed().as_secs_f64());
             }
             #[cfg(debug_assertions)]
             {

@@ -155,7 +155,6 @@ impl Rebalance {
             return;
         }
         let projected = |d: usize, extra: &[f64]| view.queued_s[d] + extra[d];
-        let rec = sigmavp_telemetry::recorder();
 
         let mut seen: Vec<VpId> = Vec::new();
         for vp in stream.jobs.iter().map(|j| j.vp) {
@@ -202,7 +201,6 @@ impl Rebalance {
             extra[hot] -= cost;
             extra[cool] += cost;
             stream.migrations.push((vp, cool));
-            rec.count("fault.rebalance.load_triggered", 1);
         }
     }
 }

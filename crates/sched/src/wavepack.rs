@@ -80,12 +80,6 @@ impl SchedulePass for WavePack {
             })
             .collect();
         merged.sort_by_key(|(anchor_idx, _)| *anchor_idx);
-
-        let rec = sigmavp_telemetry::recorder();
-        if rec.enabled() && !merged.is_empty() {
-            rec.count("plan.wave_pack.groups", merged.len() as u64);
-            rec.count("plan.wave_pack.members", merged.iter().map(|(_, g)| g.size() as u64).sum());
-        }
         stream.groups.extend(merged.into_iter().map(|(_, g)| g));
         stream
     }

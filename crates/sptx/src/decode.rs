@@ -410,10 +410,6 @@ pub(crate) fn decode(program: &KernelProgram) -> Option<Arc<DecodedProgram>> {
         let map = cache().lock().expect("decode cache poisoned");
         if let Some(slots) = map.get(&key) {
             if let Some((_, dec)) = slots.iter().find(|(p, _)| p == program) {
-                let r = sigmavp_telemetry::recorder();
-                if r.enabled() {
-                    r.count("sptx.decode.hits", 1);
-                }
                 return dec.clone();
             }
         }
@@ -432,13 +428,8 @@ pub(crate) fn decode(program: &KernelProgram) -> Option<Arc<DecodedProgram>> {
             dec
         }
     };
-    let cached = map.values().map(Vec::len).sum::<usize>();
     drop(map);
-    let r = sigmavp_telemetry::recorder();
-    if r.enabled() {
-        r.count("sptx.decode.misses", 1);
-        r.gauge_set("sptx.decode.programs_cached", cached as f64);
-    }
+    sigmavp_telemetry::recorder().count("sptx.decode.misses", 1);
     out
 }
 

@@ -23,7 +23,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Number of participants the process-wide pool uses: the host's available
 /// parallelism, or 1 when it cannot be determined.
@@ -105,14 +104,7 @@ impl WorkerPool {
     /// with [`default_workers`] participants.
     pub fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| {
-            let pool = WorkerPool::new(default_workers());
-            let r = sigmavp_telemetry::recorder();
-            if r.enabled() {
-                r.gauge_set("sptx.parallel.workers", pool.workers() as f64);
-            }
-            pool
-        })
+        POOL.get_or_init(|| WorkerPool::new(default_workers()))
     }
 
     /// Total participants (background threads plus the submitting thread).
@@ -164,20 +156,10 @@ impl WorkerPool {
             drop(queue);
             let claimed = job.next_slot.load(Ordering::Acquire).min(participants);
 
-            let waited = Instant::now();
             let mut active = job.active.lock().expect("worker pool poisoned");
             *active -= 1;
-            let mut idled = false;
             while *active > 0 {
-                idled = true;
                 active = job.done.wait(active).expect("worker pool poisoned");
-            }
-            drop(active);
-            if idled {
-                let r = sigmavp_telemetry::recorder();
-                if r.enabled() {
-                    r.observe_s("sptx.parallel.idle_s", waited.elapsed().as_secs_f64());
-                }
             }
             claimed
         } else {

@@ -441,11 +441,6 @@ impl SpanLog {
             self.bytes.truncate(kept);
         }
     }
-
-    /// Bytes held: span headers plus the blob.
-    pub(crate) fn footprint(&self) -> usize {
-        self.spans.len() * std::mem::size_of::<(u64, u32)>() + self.bytes.len()
-    }
 }
 
 /// Selects how the interpreter executes a launch.

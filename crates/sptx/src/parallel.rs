@@ -323,7 +323,7 @@ pub(crate) fn run_parallel(
             }
         }
     };
-    let tasks = WorkerPool::global().run_scoped(participants, &task);
+    WorkerPool::global().run_scoped(participants, &task);
 
     let logs: Vec<WorkerLog> =
         logs.into_iter().map(|m| m.into_inner().expect("worker log poisoned")).collect();
@@ -390,14 +390,10 @@ pub(crate) fn run_parallel(
     }
 
     let mut total = Tally::new(nblocks);
-    let (mut journal_bytes, mut steals, mut indexed) = (0u64, 0u64, 0u64);
-    for (s, mut log) in logs.into_iter().enumerate() {
+    let mut indexed = 0u64;
+    for mut log in logs {
         total.absorb(&mut log.tally);
-        journal_bytes += log.log.footprint() as u64;
         indexed += log.indexed;
-        if s != 0 {
-            steals += log.records.len() as u64;
-        }
     }
     // The merge walk's count, which a re-run block may have corrected.
     total.executed = cum;
@@ -406,10 +402,6 @@ pub(crate) fn run_parallel(
     let r = sigmavp_telemetry::recorder();
     if r.enabled() {
         r.count("sptx.parallel.launches", 1);
-        r.count("sptx.parallel.tasks", tasks as u64);
-        r.count("sptx.parallel.blocks", grid as u64);
-        r.count("sptx.parallel.steals", steals);
-        r.count("sptx.parallel.journal_bytes", journal_bytes);
         r.count("sptx.parallel.indexed_blocks", indexed);
     }
     Ok(profile)

@@ -292,12 +292,6 @@ impl CtaCounters {
 /// by the drivers.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct WarpStats {
-    /// Warps run.
-    pub warps: u64,
-    /// Warp-wide loads where every active lane read the same address.
-    pub uniform_loads: u64,
-    /// Conditional branches where the warp's lanes took both sides.
-    pub divergent_branches: u64,
     /// CTAs that aborted lockstep and re-ran on the scalar tier, by
     /// [`Abort`] cause.
     pub fallback_ctas: [u64; 3],
@@ -305,9 +299,6 @@ pub(crate) struct WarpStats {
 
 impl WarpStats {
     pub(crate) fn absorb(&mut self, other: &WarpStats) {
-        self.warps += other.warps;
-        self.uniform_loads += other.uniform_loads;
-        self.divergent_branches += other.divergent_branches;
         for (a, b) in self.fallback_ctas.iter_mut().zip(other.fallback_ctas) {
             *a += b;
         }
@@ -316,17 +307,9 @@ impl WarpStats {
     pub(crate) fn emit(&self) {
         let r = sigmavp_telemetry::recorder();
         if r.enabled() {
-            r.count("sptx.warp.warps", self.warps);
-            r.count("sptx.warp.uniform_loads", self.uniform_loads);
-            r.count("sptx.warp.divergent_branches", self.divergent_branches);
-            let total: u64 = self.fallback_ctas.iter().sum();
-            if total > 0 {
-                r.count("sptx.warp.fallback_ctas", total);
-            }
+            r.count("sptx.warp.fallback_ctas", self.fallback_ctas.iter().sum());
             for (name, n) in Abort::COUNTERS.into_iter().zip(self.fallback_ctas) {
-                if n > 0 {
-                    r.count(name, n);
-                }
+                r.count(name, n);
             }
         }
     }
@@ -617,7 +600,6 @@ pub(crate) fn run_cta<M: DataSpace>(
         let base_tid = (w * WARP_WIDTH) as u32;
         let lanes = ((cfg.block_dim - base_tid) as usize).min(WARP_WIDTH);
         let full: u32 = if lanes == WARP_WIDTH { u32::MAX } else { (1u32 << lanes) - 1 };
-        cta.stats.warps += 1;
         let ctx = WarpCtx { cfg, params, ctaid, base_tid };
         run_warp(exec, &ctx, mem, full, budget, cta)?;
     }
@@ -698,7 +680,6 @@ fn run_warp<M: DataSpace>(
                 } else if taken == 0 {
                     top.next = if_false;
                 } else {
-                    cta.stats.divergent_branches += 1;
                     let r = blk.reconv;
                     // The current frame parks at the reconvergence point with
                     // the pre-divergence mask; each side that is not already
@@ -1019,7 +1000,6 @@ fn exec_mem<M: DataSpace>(
             stores.check_load(&acc, mask)?;
             let vals: Lanes<u64> = match acc.shape {
                 Shape::Uniform(first) => {
-                    cta.stats.uniform_loads += 1;
                     cta.tally.segments.insert(first / MEMORY_SEGMENT_BYTES);
                     [load_bits(mem, ty, first).map_err(fault)?; WARP_WIDTH]
                 }

@@ -26,11 +26,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -52,23 +47,6 @@ impl Gauge {
     /// Set the value.
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Add `delta` (compare-and-swap loop).
-    pub fn add(&self, delta: f64) {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
     }
 
     /// Current value.
@@ -375,13 +353,12 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(9);
         assert_eq!(c.get(), 10);
         let g = Gauge::new();
         g.set(2.5);
-        g.add(-0.5);
-        assert!((g.get() - 2.0).abs() < 1e-12);
+        assert_eq!(g.get(), 2.5);
     }
 
     #[test]

@@ -89,10 +89,23 @@ impl Recorder {
         }
     }
 
-    /// Add `delta` to gauge `name`.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
+    /// Add each count's change since `last` to its counter: the one way a
+    /// stats struct's ledger reaches the registry (rows pair up by position).
+    /// Adding deltas, not setting values, lets several ledgers share a name.
+    /// With no `last` every row is registered, moved or not, so which names
+    /// exist never depends on which events happened to occur.
+    pub fn count_changes<const N: usize>(
+        &self,
+        now: &[(&str, u64); N],
+        last: Option<&[(&str, u64); N]>,
+    ) {
         if let Some(core) = self.core {
-            core.registry.gauge(name).add(delta);
+            for (i, &(name, n)) in now.iter().enumerate() {
+                let before = last.map_or(0, |last| last[i].1);
+                if n != before || last.is_none() {
+                    core.registry.counter(name).add(n - before);
+                }
+            }
         }
     }
 
@@ -216,18 +229,30 @@ mod tests {
         assert!(r.enabled());
         r.count("jobs", 2);
         r.gauge_set("depth", 3.0);
-        r.gauge_add("depth", 1.0);
         r.observe_s("wait", 1e-5);
         r.span(TimeDomain::Sim, Lane::Compute, "k", 0.0, 1e-3);
         r.counter_event(TimeDomain::Wall, Lane::JobQueue, "queue depth", 0.0, 1.0);
         assert!(r.wall_now_s() >= 0.0);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("jobs"), Some(2));
-        assert_eq!(snap.gauge("depth"), Some(4.0));
+        assert_eq!(snap.gauge("depth"), Some(3.0));
         assert_eq!(snap.histogram("wait").unwrap().count, 1);
         let events = telemetry.drain_events();
         assert_eq!(events.len(), 2);
         assert_eq!(telemetry.dropped_events(), 0);
+        uninstall();
+    }
+
+    #[test]
+    fn count_changes_adds_deltas_and_registers_every_row_once() {
+        let _guard = global_lock();
+        let telemetry = install();
+        let r = recorder();
+        let (a, b) = ([("moved", 2), ("still", 0)], [("moved", 5), ("still", 0)]);
+        r.count_changes(&a, None);
+        r.count_changes(&b, Some(&a));
+        let snap = telemetry.snapshot();
+        assert_eq!((snap.counter("moved"), snap.counter("still")), (Some(5), Some(0)));
         uninstall();
     }
 

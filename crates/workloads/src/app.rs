@@ -83,7 +83,6 @@ pub trait Application {
 pub fn upload(cuda: &mut CudaContext<'_>, data: &[u8]) -> Result<GuestBuffer, VpError> {
     let buf = cuda.malloc(data.len() as u64)?;
     cuda.memcpy_h2d(buf, data)?;
-    sigmavp_telemetry::recorder().count("workloads.upload_bytes", data.len() as u64);
     Ok(buf)
 }
 
@@ -95,13 +94,11 @@ pub fn upload(cuda: &mut CudaContext<'_>, data: &[u8]) -> Result<GuestBuffer, Vp
 pub fn download(cuda: &mut CudaContext<'_>, buf: GuestBuffer) -> Result<Vec<u8>, VpError> {
     let mut out = vec![0u8; buf.len() as usize];
     cuda.memcpy_d2h(&mut out, buf)?;
-    sigmavp_telemetry::recorder().count("workloads.download_bytes", out.len() as u64);
     Ok(out)
 }
 
 /// Build a [`VpError::Validation`] for an application.
 pub fn validation_error(app: &str, message: impl Into<String>) -> VpError {
-    sigmavp_telemetry::recorder().count("workloads.validation_failures", 1);
     VpError::Validation { app: app.to_string(), message: message.into() }
 }
 

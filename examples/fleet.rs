@@ -11,8 +11,6 @@ use sigmavp_workloads::app::Application;
 use sigmavp_workloads::apps::VectorAddApp;
 
 fn main() {
-    // What the moves cost (`fleet.replayed_jobs`) is a telemetry counter.
-    let telemetry = sigmavp_telemetry::install();
     let registry: KernelRegistry = VectorAddApp { n: 256 }.kernels().into_iter().collect();
     let config = FleetConfig::new(2).with_steal_interval(32).with_capacity(64);
     let fleet = Fleet::new(config, registry).expect("fleet builds");
@@ -42,7 +40,7 @@ fn main() {
         outcome.stats.shed,
         outcome.stats.steals,
         outcome.stats.migrations,
-        telemetry.snapshot().counter("fleet.replayed_jobs").unwrap_or(0),
+        outcome.stats.replayed_jobs,
         outcome.stats.rescued_jobs,
         outcome.stats.session_trips,
     );

@@ -84,14 +84,6 @@ fn dispatcher_run_conserves_jobs_and_measures_waits() {
     assert!(wait.p99 >= wait.p50, "{wait:?}");
     assert!(wait.max > 0.0, "{wait:?}");
 
-    // The dispatcher measured per-VP latency for all four VPs.
-    for vp in 0..4 {
-        let h = snapshot
-            .histogram(&format!("dispatch.vp{vp}.latency_s"))
-            .unwrap_or_else(|| panic!("missing latency histogram for VP {vp}"));
-        assert!(h.count > 0 && h.p99 > 0.0, "VP {vp}: {h:?}");
-    }
-
     // The drained trace is well-formed: non-negative span times, and the
     // expected lanes (job queue + at least two VPs) are present.
     let events = telemetry.drain_events();
