@@ -50,6 +50,25 @@ dead_deps() {
   return $status
 }
 
+# Every committed `results/*.txt` regenerates byte-for-byte from this tree:
+# nine experiment binaries and four examples, each at its default arguments.
+# A results file without a generator here fails the diff too.
+results_reproduce() {
+  local out name file status=0
+  out=$(mktemp -d)
+  for name in table1 fig9a fig9b fig10a fig10b fig11 fig12 fig12_sweep fig13; do
+    cargo run -q --release -p sigmavp-bench --bin "$name" > "$out/$name.txt"
+  done
+  for name in design_space estimation interleaving quickstart; do
+    cargo run -q --release -p sigmavp --example "$name" > "$out/$name.txt"
+  done
+  for file in results/*.txt; do
+    diff -u "$file" "$out/$(basename "$file")" || status=1
+  done
+  rm -rf "$out"
+  return $status
+}
+
 step "cargo fmt --check" cargo fmt --all -- --check
 
 step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
@@ -81,6 +100,8 @@ step "audit: model residuals + same-seed ledgers, counts exact (results/baseline
 
 step "post-mortem bundle well-formedness (BENCH_postmortem.json)" \
   cargo run --release -p sigmavp-bench --bin top -- --check-bundle BENCH_postmortem.json
+
+step "committed results/*.txt reproduce byte-for-byte" results_reproduce
 
 # The benchmark's own guard: every sim_*/count.* bit-identical across repeats
 # and traced vs untraced — the check most likely to catch a change that

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sigmavp::dispatcher::DispatchedSigmaVp;
-use sigmavp::scenario::run_scenario_with;
+use sigmavp::scenario::run_scenario_multi_gpu;
 use sigmavp::Policy;
 use sigmavp_gpu::engine::{simulate, Engine, GpuOp, StreamId};
 use sigmavp_gpu::GpuArch;
@@ -26,10 +26,13 @@ use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::Application;
 use sigmavp_workloads::apps::{MandelbrotApp, MatrixMulApp, MergeSortApp, NbodyApp};
 
+/// Four VPs sorting `n` keys each.
+fn merge_sorts(n: u64) -> Vec<Box<dyn Application + Send>> {
+    (0..4).map(|_| Box::new(MergeSortApp { n }) as Box<_>).collect()
+}
+
 fn print_ablation_table() {
-    let app = MergeSortApp { n: 256 };
-    let apps: Vec<&dyn Application> = (0..4).map(|_| &app as &dyn Application).collect();
-    let arch = GpuArch::quadro_4000();
+    let archs = [GpuArch::quadro_4000()];
 
     println!("ablation: mergeSort x4 VPs, device makespans");
     for (label, mode, cost) in [
@@ -38,7 +41,7 @@ fn print_ablation_table() {
         ("plain + socket", Policy::Multiplexed, TransportCost::socket()),
         ("optimized + socket", Policy::MultiplexedOptimized, TransportCost::socket()),
     ] {
-        let r = run_scenario_with(&apps, mode, arch.clone(), cost).expect("scenario");
+        let r = run_scenario_multi_gpu(merge_sorts(256), mode, &archs, cost).expect("scenario");
         println!(
             "  {label:<20} makespan {:>10.1} us  ipc {:>8.1} us  groups {}",
             r.device_makespan_s * 1e6,
@@ -102,33 +105,24 @@ fn print_scheduler_ablation() {
 fn bench_ablation(c: &mut Criterion) {
     print_ablation_table();
     print_scheduler_ablation();
-    let app = MergeSortApp { n: 128 };
-    let apps: Vec<&dyn Application> = (0..4).map(|_| &app as &dyn Application).collect();
-    let arch = GpuArch::quadro_4000();
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
-    g.bench_function("plain", |b| {
-        b.iter(|| {
-            run_scenario_with(
-                &apps,
-                Policy::Multiplexed,
-                arch.clone(),
-                TransportCost::shared_memory(),
-            )
-            .expect("scenario")
-        })
-    });
-    g.bench_function("optimized", |b| {
-        b.iter(|| {
-            run_scenario_with(
-                &apps,
-                Policy::MultiplexedOptimized,
-                arch.clone(),
-                TransportCost::shared_memory(),
-            )
-            .expect("scenario")
-        })
-    });
+    for (name, mode) in
+        [("plain", Policy::Multiplexed), ("optimized", Policy::MultiplexedOptimized)]
+    {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let archs = [GpuArch::quadro_4000()];
+                run_scenario_multi_gpu(
+                    merge_sorts(128),
+                    mode,
+                    &archs,
+                    TransportCost::shared_memory(),
+                )
+                .expect("scenario")
+            })
+        });
+    }
     g.finish();
 }
 

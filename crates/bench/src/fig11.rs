@@ -39,17 +39,18 @@ pub struct Fig11Row {
 ///
 /// Panics if any scenario fails (the suite is self-validating).
 pub fn run(scale: u32, n_vps: usize) -> Vec<Fig11Row> {
-    fig11_suite(scale)
-        .iter()
-        .map(|app| {
-            let apps: Vec<&dyn Application> = (0..n_vps).map(|_| app.as_ref()).collect();
-            let emul = run_scenario(&apps, Policy::EmulatedOnVp).expect("emulation scenario");
-            let plain = run_scenario(&apps, Policy::Multiplexed).expect("multiplexed scenario");
-            let opt =
-                run_scenario(&apps, Policy::MultiplexedOptimized).expect("optimized scenario");
-            row(app.as_ref(), &emul, &plain, &opt)
-        })
-        .collect()
+    // Suite apps are parameter structs: a fresh suite per VP costs nothing.
+    let apps = fig11_suite(scale).len();
+    (0..apps).map(|i| run_app(&|| fig11_suite(scale).swap_remove(i), n_vps)).collect()
+}
+
+/// One app's three configurations, each on `n_vps` instances from `app`.
+fn run_app(app: &dyn Fn() -> Box<dyn Application + Send>, n_vps: usize) -> Fig11Row {
+    let vps = || (0..n_vps).map(|_| app()).collect();
+    let emul = run_scenario(vps(), Policy::EmulatedOnVp).expect("emulation scenario");
+    let plain = run_scenario(vps(), Policy::Multiplexed).expect("multiplexed scenario");
+    let opt = run_scenario(vps(), Policy::MultiplexedOptimized).expect("optimized scenario");
+    row(app().as_ref(), &emul, &plain, &opt)
 }
 
 fn row(
@@ -107,16 +108,9 @@ mod tests {
         let ms = MergeSortApp { n: 256 };
         let sf = SobelFilterApp { width: 32, height: 24 };
 
-        let run_one = |app: &dyn Application| {
-            let apps: Vec<&dyn Application> = (0..3).map(|_| app).collect();
-            let emul = run_scenario(&apps, Policy::EmulatedOnVp).unwrap();
-            let plain = run_scenario(&apps, Policy::Multiplexed).unwrap();
-            let opt = run_scenario(&apps, Policy::MultiplexedOptimized).unwrap();
-            row(app, &emul, &plain, &opt)
-        };
-        let r_bs = run_one(&bs);
-        let r_ms = run_one(&ms);
-        let r_sf = run_one(&sf);
+        let r_bs = run_app(&|| Box::new(bs.clone()), 3);
+        let r_ms = run_app(&|| Box::new(ms.clone()), 3);
+        let r_sf = run_app(&|| Box::new(sf.clone()), 3);
 
         // FP-heavy BlackScholes speeds up more than the integer SobelFilter
         // (paper: "applications that use less floating-point instructions ... have
@@ -136,5 +130,22 @@ mod tests {
         for r in [&r_bs, &r_ms, &r_sf] {
             assert!(r.optimized_speedup >= r.multiplexed_speedup * 0.999, "{}", r.app);
         }
+    }
+
+    /// The whole suite at scale 1 on two VPs: for every app emulation is the
+    /// slowest configuration and the optimizations never lose to plain
+    /// multiplexing, and mergeSort gains the most from them (the paper's
+    /// Fig. 11 shape).
+    #[test]
+    fn every_app_orders_emulation_above_plain_above_optimized() {
+        let rows = run(1, 2);
+        assert_eq!(rows.len(), 22);
+        for r in &rows {
+            assert!(r.multiplexed_speedup > 1.0, "{}: plain {:.2}x", r.app, r.multiplexed_speedup);
+            assert!(r.optimized_speedup >= r.multiplexed_speedup, "{}: {r:?}", r.app);
+        }
+        let gain = |r: &Fig11Row| r.optimized_speedup / r.multiplexed_speedup;
+        let best = rows.iter().max_by(|a, b| gain(a).total_cmp(&gain(b))).expect("22 rows");
+        assert_eq!(best.app, "mergeSort", "largest plain/optimized ratio: {best:?}");
     }
 }

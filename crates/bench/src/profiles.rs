@@ -1,19 +1,12 @@
 //! Shared plumbing: run applications on a chosen host GPU and harvest profiler
 //! logs for the estimation experiments.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use sigmavp::backend::MultiplexedGpu;
 use sigmavp::host::HostRuntime;
 use sigmavp_gpu::profiler::HardwareProfile;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
-use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sptx::counters::ExecutionProfile;
 use sigmavp_vp::platform::VirtualPlatform;
-use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::{AppEnv, Application};
 
 /// Run `app` once natively against a device of architecture `arch` and return the
@@ -24,19 +17,16 @@ use sigmavp_workloads::app::{AppEnv, Application};
 /// Panics if the application fails (these are the suite's own validated apps),
 /// or if it launched more kernels than the device's bounded log keeps.
 pub fn host_profiles(app: &dyn Application, arch: GpuArch) -> Vec<HardwareProfile> {
-    let registry: KernelRegistry = app.kernels().into_iter().collect();
-    let runtime = Arc::new(Mutex::new(HostRuntime::new(arch, registry)));
+    let mut host = HostRuntime::new(arch, app.kernels().into_iter().collect());
     let mut vp = VirtualPlatform::native(VpId(0));
-    let mut gpu = MultiplexedGpu::new(
-        VpId(0),
-        runtime.clone(),
-        TransportCost { latency_s: 0.0, per_byte_s: 0.0 },
-    );
-    let mut env = AppEnv::new(&mut vp, &mut gpu);
+    let mut env = AppEnv::new(&mut vp, &mut host);
     app.run_once(&mut env).unwrap_or_else(|e| panic!("{} failed: {e}", app.name()));
-    let rt = runtime.lock();
-    let log = rt.device().profiler_log();
-    assert_eq!(log.len() as u64, rt.device().stats().launches, "the bounded log dropped a launch");
+    let log = host.device().profiler_log();
+    assert_eq!(
+        log.len() as u64,
+        host.device().stats().launches,
+        "the bounded log dropped a launch"
+    );
     log.to_vec()
 }
 

@@ -574,6 +574,23 @@ mod tests {
     use super::*;
 
     #[test]
+    fn the_chaos_row_gates_the_same_values_on_every_run() {
+        // The outage fails a request over by its simulated stamp, never by
+        // which VP's request happens to reach the core first.
+        let telemetry = sigmavp_telemetry::install();
+        let chaos = Live::chaos();
+        let gates = || -> Vec<f64> {
+            let run = chaos.run(telemetry).expect("chaos row");
+            chaos.gates.iter().map(|(_, read)| read(&run)).collect()
+        };
+        let first = gates();
+        for _ in 1..5 {
+            assert_eq!(gates(), first);
+        }
+        sigmavp_telemetry::uninstall();
+    }
+
+    #[test]
     fn the_table_gates_exactly_the_committed_baseline_keys() {
         let (planned, live) = (Planned::all(), Live::all());
         let keys: Vec<&str> = (planned.iter().flat_map(|row| row.gates.iter().map(|g| g.0)))

@@ -18,7 +18,7 @@ pub const REPS: u32 = 2;
 pub fn run() -> Table1 {
     let app = MatrixMulApp::with_shape(MATRIX_N, REPS);
     let flops = 2 * MATRIX_N.pow(3) * REPS as u64;
-    run_table1(&app, flops).expect("table 1 paths run")
+    run_table1(Box::new(app), flops).expect("table 1 paths run")
 }
 
 /// Print the table in the paper's format.

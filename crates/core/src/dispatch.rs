@@ -357,7 +357,8 @@ struct VpRecord {
 #[derive(Clone)]
 struct DeviceRecord {
     breaker: CircuitBreaker,
-    /// The trip has been noticed (counted and marked) already.
+    /// The trip has been noticed (counted and announced) already; the
+    /// device is out of service for relocations and quarantine targets.
     down_noticed: bool,
     /// Attempted operations; indexes the plan's transient schedule.
     op_count: u64,
@@ -510,16 +511,21 @@ impl Supervision {
         pipeline.plan(jobs, &PassCtx::reorder_only().with_devices(&view))
     }
 
-    /// Take `device` out of service (idempotent): mark it unhealthy for
-    /// routing, trip its breaker, and publish the trip exactly once.
+    /// Notice that `device` is out of service and publish the trip exactly
+    /// once. A breaker tripped by transient errors takes the device out of
+    /// routing for good. A scheduled outage does not: the device stays down
+    /// only for requests stamped inside the outage
+    /// ([`FaultPlan::device_down`]), so which requests fail over follows their
+    /// simulated stamps, not the order they happen to reach the core.
     fn mark_down(&mut self, session: &mut ExecutionSession, device: usize) {
         let record = &mut self.devices[device];
+        if record.breaker.is_open() {
+            session.mark_down(device);
+        }
         if record.down_noticed {
             return;
         }
         record.down_noticed = true;
-        record.breaker.trip();
-        session.mark_down(device);
         self.stats.gpu_trips += 1;
         self.publish();
         // Incident hook: an installed flight recorder dumps a post-mortem here.
@@ -527,8 +533,9 @@ impl Supervision {
             kind: IncidentKind::BreakerTrip { device },
             wall_s: sigmavp_telemetry::recorder().wall_now_s(),
             detail: format!(
-                "device gpu{device} out of service; {} healthy remain",
-                session.healthy_count()
+                "device gpu{device} out of service; {} of {} in routing",
+                session.healthy_count(),
+                session.device_count()
             ),
         }));
     }
@@ -553,7 +560,7 @@ impl Supervision {
         };
         let recorder = sigmavp_telemetry::recorder();
         let started_wall_s = recorder.wall_now_s();
-        let source = session.is_healthy(current).then(|| session.runtime(current));
+        let source = (!self.devices[current].down_noticed).then(|| session.runtime(current));
         let moved = relocate_between(
             &mut self.vps.entry(vp).or_default().residency,
             vp,
@@ -600,7 +607,9 @@ impl Supervision {
         // Least simulated backlog, ties to the lowest index. Single-device
         // sessions keep the placement; quarantine still shrinks the quorum.
         let target = (0..session.device_count())
-            .filter(|&d| current.is_some_and(|current| d != current) && session.is_healthy(d))
+            .filter(|&d| {
+                current.is_some_and(|current| d != current) && !self.devices[d].down_noticed
+            })
             .min_by(|&a, &b| self.devices[a].free_s.total_cmp(&self.devices[b].free_s));
         if let Some(target) = target {
             self.relocate(session, vp, target);
@@ -1349,7 +1358,6 @@ pub(crate) fn refusals_lock() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
     use sigmavp_ipc::message::WireParam;
-    use sigmavp_ipc::transport::TransportCost;
     use sigmavp_vp::error::parse_deadline_violation;
 
     const N: u64 = 64;
@@ -1374,12 +1382,8 @@ mod tests {
 
         fn with_faults(policy: Policy, gpus: usize, vps: u32, faults: Option<FaultPlan>) -> Rig {
             let registry = [sigmavp_workloads::kernels::vector_add()].into_iter().collect();
-            let session = ExecutionSession::new(
-                vec![GpuArch::quadro_4000(); gpus],
-                registry,
-                TransportCost::shared_memory(),
-            )
-            .expect("at least one device");
+            let session = ExecutionSession::new(vec![GpuArch::quadro_4000(); gpus], registry)
+                .expect("at least one device");
             let session = Arc::new(Mutex::new(session));
             let mut core =
                 DispatchCore::new(session.clone(), &policy, faults.map(Arc::new), HashMap::new());

@@ -66,7 +66,7 @@ use sigmavp_workloads::app::{AppEnv, Application};
 
 pub use crate::dispatch::DispatchStats;
 use crate::dispatch::{DispatchCore, Turn, STALL_WALL_BACKSTOP};
-use crate::host::JobRecord;
+use crate::host::{unexpected, JobRecord};
 use crate::session::ExecutionSession;
 
 use rand::rngs::StdRng;
@@ -76,7 +76,7 @@ use rand::{Rng, SeedableRng};
 const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
 
 /// Guest-side [`GpuService`] over a real transport endpoint, with request-level
-/// retry.
+/// retry: the forwarding backend of every ΣVP guest.
 ///
 /// Every request carries a stable sequence number that retries *reuse*, so the
 /// host can deduplicate: a retry after a lost response gets the cached response
@@ -91,6 +91,12 @@ struct RemoteGpu {
     /// Shared view of the owning VP's simulated clock; stamps every request's
     /// `sent_at_s` so the host can measure guest-observed queueing delay.
     clock: SimClock,
+    /// The architecture of the device the VP was placed on at spawn: a
+    /// synchronous copy blocks the guest for its copy time on it. A VP
+    /// relocated later keeps this price.
+    arch: GpuArch,
+    /// Transport delay charged so far, both directions, seconds.
+    transport_s: f64,
     retry: RetryPolicy,
     /// Per-request end-to-end deadline budget in simulated microseconds
     /// (`Policy::deadline_us`); 0 disables deadlines and every envelope
@@ -213,6 +219,7 @@ impl RemoteGpu {
                             sent.elapsed().as_secs_f64(),
                             sigmavp_telemetry::job_uid(self.vp.0, seq),
                         );
+                        self.transport_s += out_delay + back_delay;
                         return Ok((other, out_delay + back_delay + extra_sim_s));
                     }
                 },
@@ -249,7 +256,7 @@ impl GpuService for RemoteGpu {
     fn malloc(&mut self, bytes: u64) -> Result<(u64, f64), VpError> {
         match self.round_trip(Request::Malloc { bytes })? {
             (Response::Malloc { handle }, delay) => Ok((handle, delay)),
-            (other, _) => Err(VpError::Device(format!("unexpected response {other:?}"))),
+            (other, _) => Err(unexpected(other)),
         }
     }
 
@@ -259,13 +266,28 @@ impl GpuService for RemoteGpu {
     }
 
     fn memcpy_h2d(&mut self, handle: u64, data: &[u8]) -> Result<f64, VpError> {
+        let delay = self.memcpy_h2d_async(0, handle, data)?;
+        Ok(delay + self.arch.copy_time_s(data.len() as u64))
+    }
+
+    fn memcpy_h2d_async(&mut self, stream: u32, handle: u64, data: &[u8]) -> Result<f64, VpError> {
         let (_, delay) =
-            self.round_trip(Request::MemcpyH2D { handle, data: data.to_vec(), stream: 0 })?;
+            self.round_trip(Request::MemcpyH2D { handle, data: data.to_vec(), stream })?;
         Ok(delay)
     }
 
     fn memcpy_d2h(&mut self, handle: u64, out: &mut [u8]) -> Result<f64, VpError> {
-        match self.round_trip(Request::MemcpyD2H { handle, len: out.len() as u64, stream: 0 })? {
+        let delay = self.memcpy_d2h_async(0, handle, out)?;
+        Ok(delay + self.arch.copy_time_s(out.len() as u64))
+    }
+
+    fn memcpy_d2h_async(
+        &mut self,
+        stream: u32,
+        handle: u64,
+        out: &mut [u8],
+    ) -> Result<f64, VpError> {
+        match self.round_trip(Request::MemcpyD2H { handle, len: out.len() as u64, stream })? {
             (Response::Data { data }, delay) => {
                 if data.len() != out.len() {
                     return Err(VpError::SizeMismatch {
@@ -276,7 +298,7 @@ impl GpuService for RemoteGpu {
                 out.copy_from_slice(&data);
                 Ok(delay)
             }
-            (other, _) => Err(VpError::Device(format!("unexpected response {other:?}"))),
+            (other, _) => Err(unexpected(other)),
         }
     }
 
@@ -311,7 +333,7 @@ impl GpuService for RemoteGpu {
             (Response::Launched { device_time_s }, delay) => {
                 Ok(if sync { delay + device_time_s } else { delay })
             }
-            (other, _) => Err(VpError::Device(format!("unexpected response {other:?}"))),
+            (other, _) => Err(unexpected(other)),
         }
     }
 
@@ -330,6 +352,11 @@ pub struct VpOutcome {
     pub app: String,
     /// Final simulated time of the VP's clock.
     pub simulated_time_s: f64,
+    /// The part of it not spent blocked on the GPU service: guest CPU work,
+    /// file I/O, software OpenGL.
+    pub non_gpu_time_s: f64,
+    /// Transport delay the VP was charged, both directions.
+    pub transport_time_s: f64,
     /// GPU API calls issued.
     pub gpu_calls: u64,
     /// Error message if the application failed (validation or backend).
@@ -342,13 +369,19 @@ pub struct ThreadedReport {
     /// Per-VP outcomes, in spawn order.
     pub outcomes: Vec<VpOutcome>,
     /// All job records, concatenated device by device (the full log for
-    /// single-device runs, in dispatch order).
+    /// single-device runs, in simulated send order).
     pub records: Vec<JobRecord>,
-    /// Per-device job logs, each in dispatch order.
+    /// Per-device job logs, each in simulated send order.
     pub device_records: Vec<Vec<JobRecord>>,
     /// Fleet device makespan: each device's planned job stream replayed through
     /// the engine model; the slowest device counts.
     pub device_makespan_s: f64,
+    /// Kernel groups the whole-stream plan merged by coalescing.
+    pub coalesced_groups: usize,
+    /// Member launches those groups absorbed.
+    pub coalesced_members: usize,
+    /// Best compute-engine utilization of the planned device timelines.
+    pub compute_utilization: f64,
     /// VPs whose thread failed (application error or panic), with the error.
     /// A failed VP does not abort the fleet: healthy VPs still complete and
     /// their outcomes are reported alongside.
@@ -399,6 +432,8 @@ fn collect_vp_outcomes(handles: Vec<VpHandle>) -> (Vec<VpOutcome>, Vec<(VpId, Vp
                     vp,
                     app,
                     simulated_time_s: 0.0,
+                    non_gpu_time_s: 0.0,
+                    transport_time_s: 0.0,
                     gpu_calls: 0,
                     error: Some(message),
                 });
@@ -484,7 +519,7 @@ impl DispatchedSigmaVp {
     /// Panics if the dispatch side itself panics — on the timer thread or under
     /// a guest's pump — which is a bug, not a guest failure.
     pub fn join(self) -> (ThreadedReport, DispatchStats) {
-        let mut session = ExecutionSession::new(self.archs, self.registry, self.cost)
+        let mut session = ExecutionSession::new(self.archs, self.registry)
             .expect("constructor checked for at least one device");
         session.set_workers(self.policy.workers);
 
@@ -498,7 +533,8 @@ impl DispatchedSigmaVp {
         let mut guests = Vec::new();
         for (vp, app) in self.pending {
             debug_assert_eq!(vp.0 as usize, host_ends.len(), "the pump indexes endpoints by VP id");
-            session.assign(vp);
+            let device = session.assign(vp);
+            let arch = session.arch(device).clone();
             let (vp_end, host_end) = pair(self.cost);
             let (host_end, guest_faults): (Box<dyn Transport>, _) = match &self.faults {
                 Some(plan) => {
@@ -512,7 +548,7 @@ impl DispatchedSigmaVp {
                 None => (Box::new(host_end), None),
             };
             host_ends.push(host_end);
-            guests.push((vp, app, vp_end, guest_faults));
+            guests.push((vp, app, arch, vp_end, guest_faults));
         }
 
         let retry = self.policy.retry;
@@ -528,7 +564,7 @@ impl DispatchedSigmaVp {
         let (driver, timer) = Driver::start(core, host_ends);
 
         let mut handles: Vec<VpHandle> = Vec::new();
-        for (vp, app, vp_end, guest_faults) in guests {
+        for (vp, app, arch, vp_end, guest_faults) in guests {
             let guest_transport: Box<dyn Transport> = match guest_faults {
                 Some((faults, notice)) => {
                     // A delayed request reaches the host when this end
@@ -557,6 +593,8 @@ impl DispatchedSigmaVp {
                     transport: guest_transport,
                     seq: 0,
                     clock: platform.clock_handle(),
+                    arch,
+                    transport_s: 0.0,
                     retry,
                     deadline_us,
                     rng: StdRng::seed_from_u64(jitter_seed),
@@ -581,6 +619,8 @@ impl DispatchedSigmaVp {
                     vp,
                     app: app.name().to_string(),
                     simulated_time_s: platform.now_s(),
+                    non_gpu_time_s: platform.now_s() - platform.stats().gpu_blocked_s,
+                    transport_time_s: service.transport_s,
                     gpu_calls: platform.stats().gpu_calls,
                     error: error.as_ref().map(|e| e.to_string()),
                 };
@@ -598,6 +638,9 @@ impl DispatchedSigmaVp {
             outcomes,
             records: outcome.flat_records(),
             device_makespan_s: outcome.makespan_s(),
+            coalesced_groups: outcome.coalesced_groups(),
+            coalesced_members: outcome.coalesced_members(),
+            compute_utilization: outcome.compute_utilization(),
             device_records: outcome.devices.into_iter().map(|d| d.records).collect(),
             failed_vps,
         };
@@ -1153,12 +1196,8 @@ mod tests {
         // so VP 0's `is_held` waits the whole session out and answers no —
         // with the response already on VP 0's link. That is an answer, not a
         // timeout that burns the only attempt.
-        let session = ExecutionSession::new(
-            vec![GpuArch::quadro_4000()],
-            KernelRegistry::new(),
-            TransportCost::shared_memory(),
-        )
-        .expect("one device");
+        let session = ExecutionSession::new(vec![GpuArch::quadro_4000()], KernelRegistry::new())
+            .expect("one device");
         let policy = Policy::MultiplexedOptimized.with_sync_hold(true);
         let core = DispatchCore::new(Arc::new(Mutex::new(session)), &policy, None, HashMap::new());
         let (guest0, host0) = pair(TransportCost::shared_memory());
@@ -1181,6 +1220,8 @@ mod tests {
                     transport: Box::new(guest0),
                     seq: 0,
                     clock: VirtualPlatform::new(VpId(0)).clock_handle(),
+                    arch: GpuArch::quadro_4000(),
+                    transport_s: 0.0,
                     retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT },
                     deadline_us: 0,
                     rng: StdRng::seed_from_u64(0),
@@ -1499,12 +1540,8 @@ mod tests {
         host_end: impl Fn(sigmavp_ipc::transport::ChannelTransport) -> Box<dyn Transport>,
     ) -> (Arc<Driver>, JoinHandle<DispatchStats>, Vec<sigmavp_ipc::transport::ChannelTransport>)
     {
-        let session = ExecutionSession::new(
-            vec![GpuArch::quadro_4000()],
-            KernelRegistry::new(),
-            TransportCost::shared_memory(),
-        )
-        .expect("one device");
+        let session = ExecutionSession::new(vec![GpuArch::quadro_4000()], KernelRegistry::new())
+            .expect("one device");
         let core =
             DispatchCore::new(Arc::new(Mutex::new(session)), &Policy::Fifo, None, HashMap::new());
         let (guest_ends, host_ends): (Vec<_>, Vec<_>) = (0..vps)
@@ -1586,6 +1623,74 @@ mod tests {
         // …and the panic surfaces where `join` expects the dispatcher's.
         let payload = timer.join().expect_err("the dispatch side panicked");
         assert_eq!(panic_message(&*payload), "boom under the pump");
+    }
+
+    /// One 4 KiB buffer copied in and out synchronously, then an asynchronous
+    /// `vector_add` over it.
+    struct CopyThenLaunch;
+    impl Application for CopyThenLaunch {
+        fn name(&self) -> &str {
+            "copyThenLaunch"
+        }
+        fn kernels(&self) -> Vec<sigmavp_sptx::KernelProgram> {
+            vec![sigmavp_workloads::kernels::vector_add()]
+        }
+        fn characteristics(&self) -> sigmavp_workloads::AppTraits {
+            sigmavp_workloads::AppTraits::pure_cuda()
+        }
+        fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
+            let mut cuda = env.cuda();
+            let buf = cuda.malloc(4096)?;
+            cuda.memcpy_h2d(buf, &[0; 4096])?;
+            cuda.memcpy_d2h(&mut [0; 4096], buf)?;
+            let params = [buf.param(), buf.param(), buf.param(), WireParam::I64(1024)];
+            cuda.launch_async("vector_add", 4, 256, &params)?;
+            cuda.synchronize()?;
+            cuda.free(buf)
+        }
+    }
+
+    #[test]
+    fn a_sync_copy_blocks_for_transport_and_copy_time_an_async_launch_for_transport() {
+        let app = CopyThenLaunch;
+        let registry: KernelRegistry = app.kernels().into_iter().collect();
+        let arch = GpuArch::grid_k520();
+        let mut sys = DispatchedSigmaVp::single(arch.clone(), registry, TransportCost::socket());
+        sys.spawn(Box::new(app));
+        let (report, _) = sys.join();
+        assert!(report.all_ok(), "{:?}", report.outcomes);
+        let vp = &report.outcomes[0];
+        // Six round trips, two of them 4 KiB copies priced on the VP's device.
+        let blocked_s = vp.simulated_time_s - vp.non_gpu_time_s;
+        let expected_s = vp.transport_time_s + 2.0 * arch.copy_time_s(4096);
+        assert!(vp.transport_time_s >= 6.0 * TransportCost::socket().latency_s, "{vp:?}");
+        assert!((blocked_s - expected_s).abs() < 1e-12, "blocked {blocked_s} vs {expected_s}");
+    }
+
+    #[test]
+    fn a_multiplexed_fleet_prices_the_same_on_every_run() {
+        // Eight VPs race one pump, so the device log's dispatch order varies
+        // run to run; the price reads it in simulated send order.
+        let run = || {
+            let app = sigmavp_workloads::apps::Dct8x8App::new(1);
+            let registry: KernelRegistry = app.kernels().into_iter().collect();
+            let mut sys = DispatchedSigmaVp::single(
+                GpuArch::quadro_4000(),
+                registry,
+                TransportCost::shared_memory(),
+            )
+            .with_policy(Policy::Multiplexed);
+            for _ in 0..8 {
+                sys.spawn(Box::new(app.clone()));
+            }
+            let (report, _) = sys.join();
+            assert!(report.all_ok(), "{:?}", report.outcomes);
+            report.device_makespan_s
+        };
+        let first = run();
+        for _ in 1..5 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@ use sigmavp_gpu::{GpuArch, GpuDevice};
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId, WireParam};
 use sigmavp_sptx::interp::{LaunchConfig, ParamValue};
 use sigmavp_telemetry::bus::{self, ObsEvent};
+use sigmavp_vp::error::VpError;
 use sigmavp_vp::registry::KernelRegistry;
+use sigmavp_vp::service::GpuService;
 
 /// What one dispatched job did on the device.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,6 +263,112 @@ impl HostRuntime {
                 WireParam::I64(v) => Ok(ParamValue::I64(*v)),
             })
             .collect()
+    }
+
+    /// Serve one request for the native process that owns this runtime.
+    fn native(&mut self, body: Request) -> Result<Response, VpError> {
+        let envelope = Envelope {
+            vp: VpId(0),
+            seq: 0,
+            sent_at_s: 0.0,
+            deadline_s: Envelope::NO_DEADLINE,
+            body,
+        };
+        match self.process(&envelope).body {
+            Response::Error { message } => Err(VpError::Device(message)),
+            response => Ok(response),
+        }
+    }
+}
+
+/// A guest's error for a response of the wrong kind.
+pub(crate) fn unexpected(response: Response) -> VpError {
+    VpError::Device(format!("unexpected response {response:?}"))
+}
+
+/// A native process driving its own GPU — Table 1's first row, the profiler
+/// harvest of Figs. 12–13. It is not a ΣVP guest: calls go straight to
+/// [`HostRuntime::process`], with no codec, no transport and no dispatcher,
+/// and block only for device time (a synchronous copy for its copy time, a
+/// synchronous launch for its kernel time).
+impl GpuService for HostRuntime {
+    fn malloc(&mut self, bytes: u64) -> Result<(u64, f64), VpError> {
+        match self.native(Request::Malloc { bytes })? {
+            Response::Malloc { handle } => Ok((handle, 0.0)),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    fn free(&mut self, handle: u64) -> Result<f64, VpError> {
+        self.native(Request::Free { handle }).map(|_| 0.0)
+    }
+
+    fn memcpy_h2d(&mut self, handle: u64, data: &[u8]) -> Result<f64, VpError> {
+        self.memcpy_h2d_async(0, handle, data)?;
+        Ok(self.device.arch().copy_time_s(data.len() as u64))
+    }
+
+    fn memcpy_h2d_async(&mut self, stream: u32, handle: u64, data: &[u8]) -> Result<f64, VpError> {
+        self.native(Request::MemcpyH2D { handle, data: data.to_vec(), stream }).map(|_| 0.0)
+    }
+
+    fn memcpy_d2h(&mut self, handle: u64, out: &mut [u8]) -> Result<f64, VpError> {
+        self.memcpy_d2h_async(0, handle, out)?;
+        Ok(self.device.arch().copy_time_s(out.len() as u64))
+    }
+
+    fn memcpy_d2h_async(
+        &mut self,
+        stream: u32,
+        handle: u64,
+        out: &mut [u8],
+    ) -> Result<f64, VpError> {
+        // The runtime refuses a length that differs from the buffer's.
+        match self.native(Request::MemcpyD2H { handle, len: out.len() as u64, stream })? {
+            Response::Data { data } => {
+                out.copy_from_slice(&data);
+                Ok(0.0)
+            }
+            other => Err(unexpected(other)),
+        }
+    }
+
+    fn launch(
+        &mut self,
+        kernel: &str,
+        grid_dim: u32,
+        block_dim: u32,
+        params: &[WireParam],
+        sync: bool,
+    ) -> Result<f64, VpError> {
+        self.launch_on_stream(0, kernel, grid_dim, block_dim, params, sync)
+    }
+
+    fn launch_on_stream(
+        &mut self,
+        stream: u32,
+        kernel: &str,
+        grid_dim: u32,
+        block_dim: u32,
+        params: &[WireParam],
+        sync: bool,
+    ) -> Result<f64, VpError> {
+        let launch = Request::Launch {
+            kernel: kernel.to_string(),
+            grid_dim,
+            block_dim,
+            params: params.to_vec(),
+            sync,
+            stream,
+        };
+        match self.native(launch)? {
+            Response::Launched { device_time_s } => Ok(if sync { device_time_s } else { 0.0 }),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    fn synchronize(&mut self) -> Result<f64, VpError> {
+        self.native(Request::Synchronize).map(|_| 0.0)
     }
 }
 

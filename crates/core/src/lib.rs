@@ -6,16 +6,19 @@
 //! * On each **VP side**: a guest application (from
 //!   [`sigmavp_workloads`]) talks to the CUDA-like GPU user library
 //!   ([`sigmavp_vp::cuda`]), which delegates either to software
-//!   [emulation](sigmavp_vp::emulation) (the slow path, Fig. 1a) or to this crate's
-//!   [`MultiplexedGpu`] forwarding backend (Fig. 1b).
-//! * On the **host side**: the [`HostRuntime`] decodes requests
-//!   arriving through the [IPC codec](sigmavp_ipc::codec), dispatches them to the
-//!   simulated [host GPU](sigmavp_gpu::GpuDevice), and records every job for
-//!   timeline analysis.
+//!   [emulation](sigmavp_vp::emulation) (the slow path, Fig. 1a) or, on a VP
+//!   thread of [`DispatchedSigmaVp`], to the forwarding backend that sends
+//!   every call over a transport to the host (Fig. 1b).
+//! * On the **host side**: the [`DispatchCore`] queues, plans and executes the
+//!   requests arriving through the [IPC codec](sigmavp_ipc::codec); the
+//!   [`HostRuntime`] runs them on the simulated
+//!   [host GPU](sigmavp_gpu::GpuDevice) and records every job for timeline
+//!   analysis.
 //! * The [`scenario`] module runs N virtual platforms through a complete
 //!   application and prices the result in three modes — GPU emulation on the VP,
 //!   plain host-GPU multiplexing, and multiplexing plus Kernel Interleaving and
-//!   Kernel Coalescing — producing the numbers behind the paper's Fig. 11.
+//!   Kernel Coalescing — producing the numbers behind the paper's Fig. 11. Its
+//!   ΣVP modes are live [`DispatchedSigmaVp`] runs, like every other guest.
 //! * The [`paths`] module reproduces Table 1's six execution paths for a single
 //!   workload.
 //!
@@ -25,19 +28,20 @@
 //! use sigmavp::scenario::run_scenario;
 //! use sigmavp::Policy;
 //! use sigmavp_workloads::apps::VectorAddApp;
+//! use sigmavp_workloads::Application;
 //!
 //! # fn main() -> Result<(), sigmavp::SigmaVpError> {
-//! let app = VectorAddApp { n: 1024 };
-//! let apps: Vec<&dyn sigmavp_workloads::Application> = vec![&app, &app];
-//! let slow = run_scenario(&apps, Policy::EmulatedOnVp)?;
-//! let fast = run_scenario(&apps, Policy::MultiplexedOptimized)?;
+//! let vps = || -> Vec<Box<dyn Application + Send>> {
+//!     (0..2).map(|_| Box::new(VectorAddApp { n: 1024 }) as Box<_>).collect()
+//! };
+//! let slow = run_scenario(vps(), Policy::EmulatedOnVp)?;
+//! let fast = run_scenario(vps(), Policy::MultiplexedOptimized)?;
 //! assert!(fast.total_time_s < slow.total_time_s);
 //! # Ok(())
 //! # }
 //! ```
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod dispatch;
 pub mod dispatcher;
 pub mod error;
@@ -172,13 +176,12 @@ pub mod threaded {
     }
 }
 
-pub use backend::MultiplexedGpu;
 pub use dispatch::{DispatchCore, DispatchStats};
 pub use dispatcher::DispatchedSigmaVp;
 pub use error::SigmaVpError;
 pub use host::HostRuntime;
 pub use plan::{op_job_uid, plan_device, DevicePlan, EngineEvaluator};
-pub use scenario::{run_scenario, run_scenario_with, ScenarioReport};
+pub use scenario::{run_scenario, ScenarioReport};
 pub use session::{DeviceOutcome, ExecutionSession, SessionOutcome, VpQueueWait};
 pub use sigmavp_fault::FaultPlan;
 pub use sigmavp_sched::{BackendKind, InterleaveMode, Pipeline, Policy, RetryPolicy};

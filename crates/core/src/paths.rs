@@ -26,8 +26,9 @@ use sigmavp_vp::platform::VirtualPlatform;
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::{AppEnv, Application};
 
+use crate::dispatcher::DispatchedSigmaVp;
 use crate::error::SigmaVpError;
-use crate::session::ExecutionSession;
+use crate::host::HostRuntime;
 
 /// One Table 1 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,27 +71,21 @@ pub fn c_program_instructions(useful_flops: u64) -> u64 {
 }
 
 /// Run all six Table 1 paths for `app`, with `c_flops` the useful arithmetic work
-/// of the equivalent C program.
+/// of the equivalent C program. The app is owned because row 4 runs it on a
+/// VP thread of its own.
 ///
 /// # Errors
 ///
 /// Propagates application or backend failures from any path.
-pub fn run_table1(app: &dyn Application, c_flops: u64) -> Result<Table1, SigmaVpError> {
+pub fn run_table1(app: Box<dyn Application + Send>, c_flops: u64) -> Result<Table1, SigmaVpError> {
     let registry: KernelRegistry = app.kernels().into_iter().collect();
     let arch = GpuArch::quadro_4000();
 
-    // Row 1: CUDA natively on the GPU. No VP, no translation: a native process
-    // drives the device directly; the only cost left is device time plus the
-    // (negligible) native driver overhead, which we model with a zero-latency
-    // transport and a native platform.
+    // Row 1: CUDA natively on the GPU. No VP, no translation, no transport: a
+    // native process drives the device directly and pays device time only.
     let row1 = {
-        let mut session = ExecutionSession::single(
-            arch.clone(),
-            registry.clone(),
-            TransportCost { latency_s: 0.0, per_byte_s: 0.0 },
-        );
         let mut vp = VirtualPlatform::native(VpId(0));
-        let mut gpu = session.connect(VpId(0));
+        let mut gpu = HostRuntime::new(arch.clone(), registry.clone());
         let mut env = AppEnv::new(&mut vp, &mut gpu);
         app.run_once(&mut env)?;
         PathResult {
@@ -131,17 +126,17 @@ pub fn run_table1(app: &dyn Application, c_flops: u64) -> Result<Table1, SigmaVp
 
     // Row 4: ΣVP — the VP forwards CUDA calls to the multiplexed host GPU.
     let row4 = {
-        let mut session =
-            ExecutionSession::single(arch.clone(), registry, TransportCost::shared_memory());
-        let mut vp = VirtualPlatform::new(VpId(0));
-        let mut gpu = session.connect(VpId(0));
-        let mut env = AppEnv::new(&mut vp, &mut gpu);
-        app.run_once(&mut env)?;
+        let mut sys = DispatchedSigmaVp::single(arch, registry, TransportCost::shared_memory());
+        sys.spawn(app);
+        let (mut report, _) = sys.join();
+        if let Some((_, error)) = report.failed_vps.pop() {
+            return Err(error.into());
+        }
         PathResult {
             label: "SigmaVP (this work)".into(),
             language: "CUDA",
             executed_by: "This work",
-            time_s: vp.now_s(),
+            time_s: report.outcomes[0].simulated_time_s,
         }
     };
 
@@ -175,7 +170,7 @@ mod tests {
         // wave, so ratios rather than magnitudes are the comparison target).
         let app = MatrixMulApp::with_shape(96, 1);
         let flops = 2 * 96u64.pow(3);
-        run_table1(&app, flops).unwrap()
+        run_table1(Box::new(app), flops).unwrap()
     }
 
     #[test]

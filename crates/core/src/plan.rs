@@ -445,17 +445,32 @@ impl DevicePlan {
 /// Plan one device's job log through `pipeline` and price the result on `arch`:
 /// convert records to jobs, run the passes (with the engine-model evaluator
 /// injected for adaptive selection), lower the surviving plan, and replay it.
+///
+/// The passes are heuristics, and a log in simulated send order may already
+/// interleave its VPs well: a plan that prices worse than the log as sent is
+/// dropped for the log as sent, so planning never costs makespan. (A one-VP
+/// log has no other order and nothing to merge.) The log as sent is priced
+/// first, so its pricing never holds memory alongside the plan's.
 pub fn plan_device(
     pipeline: &Pipeline,
     records: &[JobRecord],
     coalescible: &dyn Fn(VpId) -> bool,
     arch: &GpuArch,
 ) -> DevicePlan {
-    let jobs = records_to_jobs(records);
+    let price = |stream: &JobStream| {
+        simulate(arch, &lower_jobs(&stream.jobs, records, &stream.groups, arch))
+    };
+    let as_sent = || JobStream::new(records_to_jobs(records));
+    let one_vp = records.iter().all(|r| r.vp == records[0].vp);
+    let as_sent_s = (!one_vp).then(|| price(&as_sent()).makespan_s);
     let evaluator = EngineEvaluator::new(arch, records);
     let ctx = PassCtx::new(coalescible).with_evaluator(&evaluator);
-    let stream = pipeline.plan(jobs, &ctx);
-    let timeline = simulate(arch, &lower_jobs(&stream.jobs, records, &stream.groups, arch));
+    let stream = pipeline.plan(records_to_jobs(records), &ctx);
+    let timeline = price(&stream);
+    if as_sent_s.is_some_and(|s| s < timeline.makespan_s) {
+        let stream = as_sent();
+        return DevicePlan { timeline: price(&stream), stream };
+    }
     DevicePlan { stream, timeline }
 }
 

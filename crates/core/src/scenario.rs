@@ -9,15 +9,17 @@
 //! * Every VP **functionally executes** its application (inputs generated, kernels
 //!   run, outputs validated) over the chosen backend; nothing is faked at the data
 //!   level.
+//! * The two ΣVP configurations are **live runs**: one VP thread per app on a
+//!   [`DispatchedSigmaVp`], every call encoded, sent over a transport and
+//!   executed by the dispatch core — the one path every ΣVP guest takes.
 //! * **Timing** composes three ingredients: per-VP *non-GPU* simulated time
 //!   (guest CPU work, file I/O, software OpenGL — VPs run on separate host cores,
 //!   so these overlap and only the maximum counts), per-VP *IPC* time, and the
-//!   host-GPU *timeline makespan* of the recorded job stream, replayed through the
-//!   two-engine [`engine`](sigmavp_gpu::engine) model.
-//! * Planning is **not** done here: the recorded job stream flows through the
-//!   shared scheduling [`Pipeline`] (derived from the
-//!   run's [`Policy`]) and the [`ExecutionSession`] owns the device set — the
-//!   same spine the live runtimes drive. Under
+//!   host-GPU *timeline makespan* of the run's job stream, priced by
+//!   [`DispatchedSigmaVp::join`] through the two-engine
+//!   [`engine`](sigmavp_gpu::engine) model.
+//! * Planning is **not** done here: the job stream flows through the shared
+//!   scheduling pipeline derived from the run's [`Policy`]. Under
 //!   [`Policy::MultiplexedOptimized`], that pipeline interleaves the stream
 //!   (Fig. 4a) and merges matching kernels across VPs (Fig. 5), keeping the
 //!   merged plan only when the engine model prices it faster.
@@ -25,14 +27,17 @@
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::transport::TransportCost;
-use sigmavp_sched::{BackendKind, Pipeline, Policy};
+use sigmavp_sched::{BackendKind, Policy};
 use sigmavp_vp::emulation::EmulatedGpu;
 use sigmavp_vp::platform::VirtualPlatform;
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::{AppEnv, Application};
 
+use crate::dispatcher::DispatchedSigmaVp;
 use crate::error::SigmaVpError;
-use crate::session::ExecutionSession;
+
+/// The guests of a scenario, one per VP.
+pub type Guests = Vec<Box<dyn Application + Send>>;
 
 /// The outcome of one scenario run.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,26 +81,24 @@ impl ScenarioReport {
 ///
 /// Returns [`SigmaVpError::Config`] for an empty app list, or any application /
 /// backend failure (including output-validation failures).
-pub fn run_scenario(
-    apps: &[&dyn Application],
-    mode: Policy,
-) -> Result<ScenarioReport, SigmaVpError> {
-    run_scenario_with(apps, mode, GpuArch::quadro_4000(), TransportCost::shared_memory())
+pub fn run_scenario(apps: Guests, mode: Policy) -> Result<ScenarioReport, SigmaVpError> {
+    let archs = [GpuArch::quadro_4000()];
+    run_scenario_multi_gpu(apps, mode, &archs, TransportCost::shared_memory())
 }
 
 /// Multi-GPU multiplexing: the paper's framework "multiplexes the host GPUs" —
 /// hosts with several devices spread the VPs across them. The
-/// [`ExecutionSession`] routes each VP to the least-loaded device (round-robin
-/// for sequential arrivals); each device runs its own timeline, and the
-/// scenario completes when the slowest device (plus the slowest VP's non-GPU
-/// work) does.
+/// [`ExecutionSession`](crate::ExecutionSession) routes each VP to the
+/// least-loaded device (round-robin as they spawn); each device runs its own
+/// timeline, and the scenario completes when the slowest device (plus the
+/// slowest VP's non-GPU work) does.
 ///
 /// # Errors
 ///
 /// Returns [`SigmaVpError::Config`] for an empty app or device list, or any
 /// application/backend failure.
 pub fn run_scenario_multi_gpu(
-    apps: &[&dyn Application],
+    apps: Guests,
     mode: Policy,
     archs: &[GpuArch],
     transport: TransportCost,
@@ -107,31 +110,13 @@ pub fn run_scenario_multi_gpu(
         return Err(SigmaVpError::Config("scenario needs at least one vp".into()));
     }
     match mode.backend {
-        BackendKind::EmulatedOnVp => run_emulated(apps, mode),
+        BackendKind::EmulatedOnVp => run_emulated(&apps, mode),
         BackendKind::Multiplexed => run_multiplexed(apps, mode, archs, transport),
     }
 }
 
-/// [`run_scenario`] with explicit host-GPU architecture and transport cost.
-///
-/// # Errors
-///
-/// See [`run_scenario`].
-pub fn run_scenario_with(
-    apps: &[&dyn Application],
-    mode: Policy,
-    arch: GpuArch,
-    transport: TransportCost,
-) -> Result<ScenarioReport, SigmaVpError> {
-    run_scenario_multi_gpu(apps, mode, &[arch], transport)
-}
-
-fn union_registry(apps: &[&dyn Application]) -> KernelRegistry {
-    apps.iter().flat_map(|a| a.kernels()).collect()
-}
-
-fn run_emulated(apps: &[&dyn Application], mode: Policy) -> Result<ScenarioReport, SigmaVpError> {
-    let registry = union_registry(apps);
+fn run_emulated(apps: &Guests, mode: Policy) -> Result<ScenarioReport, SigmaVpError> {
+    let registry: KernelRegistry = apps.iter().flat_map(|a| a.kernels()).collect();
     let mut vp_times = Vec::with_capacity(apps.len());
     for (i, app) in apps.iter().enumerate() {
         let mut vp = VirtualPlatform::new(VpId(i as u32));
@@ -159,53 +144,40 @@ fn run_emulated(apps: &[&dyn Application], mode: Policy) -> Result<ScenarioRepor
 }
 
 fn run_multiplexed(
-    apps: &[&dyn Application],
+    apps: Guests,
     mode: Policy,
     archs: &[GpuArch],
     transport: TransportCost,
 ) -> Result<ScenarioReport, SigmaVpError> {
-    let registry = union_registry(apps);
-    let mut session = ExecutionSession::new(archs.to_vec(), registry, transport)?;
-    session.set_workers(mode.workers);
-
-    let mut vp_times = Vec::with_capacity(apps.len());
-    let mut non_gpu = Vec::with_capacity(apps.len());
-    let mut ipc = Vec::with_capacity(apps.len());
-    for (i, app) in apps.iter().enumerate() {
-        let mut vp = VirtualPlatform::new(VpId(i as u32));
-        let mut gpu = session.connect(VpId(i as u32));
-        let mut env = AppEnv::new(&mut vp, &mut gpu);
-        app.run_once(&mut env)?;
-        vp_times.push(vp.now_s());
-        non_gpu.push(vp.now_s() - vp.stats().gpu_blocked_s);
-        ipc.push(gpu.ipc_stats().transport_time_s);
+    let n_vps = apps.len();
+    let registry: KernelRegistry = apps.iter().flat_map(|a| a.kernels()).collect();
+    let mut sys = DispatchedSigmaVp::new(archs.to_vec(), registry, transport).with_policy(mode);
+    for app in apps {
+        sys.spawn(app);
+    }
+    let (report, _) = sys.join();
+    if let Some((_, error)) = report.failed_vps.into_iter().next() {
+        return Err(error.into());
     }
 
-    // Plan the recorded job stream through the shared pipeline. Coalescing only
-    // applies to VPs whose apps are coalescing-friendly, and the adaptive pass
-    // keeps the merged plan only when the engine model prices it faster.
-    let coalescible: Vec<bool> = apps.iter().map(|a| a.characteristics().coalescible).collect();
-    let pipeline = Pipeline::from_policy(&mode);
-    let outcome = session.drain_and_plan(&pipeline, &|vp: VpId| {
-        coalescible.get(vp.0 as usize).copied().unwrap_or(false)
-    });
-
-    let non_gpu_max = non_gpu.iter().copied().fold(0.0, f64::max);
-    let ipc_max = ipc.iter().copied().fold(0.0, f64::max);
-    let makespan = outcome.makespan_s();
-
+    let max = |f: fn(&crate::dispatcher::VpOutcome) -> f64| {
+        report.outcomes.iter().map(f).fold(0.0, f64::max)
+    };
+    let non_gpu_max = max(|o| o.non_gpu_time_s);
+    let ipc_max = max(|o| o.transport_time_s);
+    let makespan = report.device_makespan_s;
     Ok(ScenarioReport {
         mode,
-        n_vps: apps.len(),
+        n_vps,
         total_time_s: non_gpu_max + ipc_max + makespan,
-        vp_times_s: vp_times,
+        vp_times_s: report.outcomes.iter().map(|o| o.simulated_time_s).collect(),
         non_gpu_time_s: non_gpu_max,
         ipc_time_s: ipc_max,
         device_makespan_s: makespan,
-        gpu_jobs: outcome.gpu_jobs(),
-        coalesced_groups: outcome.coalesced_groups(),
-        coalesced_members: outcome.coalesced_members(),
-        compute_utilization: outcome.compute_utilization(),
+        gpu_jobs: report.records.len(),
+        coalesced_groups: report.coalesced_groups,
+        coalesced_members: report.coalesced_members,
+        compute_utilization: report.compute_utilization,
     })
 }
 
@@ -214,12 +186,13 @@ mod tests {
     use super::*;
     use sigmavp_workloads::apps::{MatrixMulApp, MergeSortApp, SobelFilterApp, VectorAddApp};
 
-    fn vector_adds(n_vps: usize) -> Vec<VectorAddApp> {
-        (0..n_vps).map(|_| VectorAddApp { n: 2048 }).collect()
+    /// `n_vps` VPs running copies of `app`.
+    fn fleet<A: Application + Clone + Send + 'static>(app: A, n_vps: usize) -> Guests {
+        (0..n_vps).map(|_| Box::new(app.clone()) as Box<dyn Application + Send>).collect()
     }
 
-    fn refs(apps: &[VectorAddApp]) -> Vec<&dyn Application> {
-        apps.iter().map(|a| a as &dyn Application).collect()
+    fn vector_adds(n_vps: usize) -> Guests {
+        fleet(VectorAddApp { n: 2048 }, n_vps)
     }
 
     #[test]
@@ -227,10 +200,9 @@ mod tests {
         // A compute-dense workload (O(n³) kernel over O(n²) guest prep), like the
         // paper's Table 1/Fig. 11 apps: the GPU work dominates, so multiplexing
         // shines. Tiny O(n) workloads are bounded by guest-side costs instead.
-        let apps: Vec<MatrixMulApp> = (0..4).map(|_| MatrixMulApp::with_shape(48, 1)).collect();
-        let refs: Vec<&dyn Application> = apps.iter().map(|a| a as &dyn Application).collect();
-        let slow = run_scenario(&refs, Policy::EmulatedOnVp).unwrap();
-        let fast = run_scenario(&refs, Policy::Multiplexed).unwrap();
+        let apps = || fleet(MatrixMulApp::with_shape(48, 1), 4);
+        let slow = run_scenario(apps(), Policy::EmulatedOnVp).unwrap();
+        let fast = run_scenario(apps(), Policy::Multiplexed).unwrap();
         let speedup = fast.speedup_vs(&slow);
         // At this toy scale guest-side prep still bounds the gain; the Fig. 11
         // harness at larger scales reaches the paper's hundreds-to-thousands band.
@@ -241,10 +213,8 @@ mod tests {
 
     #[test]
     fn optimizations_help_coalescible_apps() {
-        let apps = vector_adds(8);
-        let refs = refs(&apps);
-        let plain = run_scenario(&refs, Policy::Multiplexed).unwrap();
-        let optimized = run_scenario(&refs, Policy::MultiplexedOptimized).unwrap();
+        let plain = run_scenario(vector_adds(8), Policy::Multiplexed).unwrap();
+        let optimized = run_scenario(vector_adds(8), Policy::MultiplexedOptimized).unwrap();
         // Four groups: the a/b input copies, the kernel, and the output copy all
         // merge across the eight VPs.
         assert!(optimized.coalesced_groups >= 3, "groups {}", optimized.coalesced_groups);
@@ -260,20 +230,17 @@ mod tests {
 
     #[test]
     fn non_coalescible_apps_merge_nothing() {
-        let apps: Vec<SobelFilterApp> =
-            (0..4).map(|_| SobelFilterApp { width: 16, height: 12 }).collect();
-        let refs: Vec<&dyn Application> = apps.iter().map(|a| a as &dyn Application).collect();
-        let optimized = run_scenario(&refs, Policy::MultiplexedOptimized).unwrap();
+        let apps = fleet(SobelFilterApp { width: 16, height: 12 }, 4);
+        let optimized = run_scenario(apps, Policy::MultiplexedOptimized).unwrap();
         assert_eq!(optimized.coalesced_groups, 0);
     }
 
     #[test]
     fn merge_sort_coalesces_every_pass() {
         // Each of the log²(n) bitonic passes should merge across VPs.
-        let apps: Vec<MergeSortApp> = (0..4).map(|_| MergeSortApp { n: 64 }).collect();
-        let refs: Vec<&dyn Application> = apps.iter().map(|a| a as &dyn Application).collect();
-        let plain = run_scenario(&refs, Policy::Multiplexed).unwrap();
-        let optimized = run_scenario(&refs, Policy::MultiplexedOptimized).unwrap();
+        let apps = || fleet(MergeSortApp { n: 64 }, 4);
+        let plain = run_scenario(apps(), Policy::Multiplexed).unwrap();
+        let optimized = run_scenario(apps(), Policy::MultiplexedOptimized).unwrap();
         // 64 keys → k = 2..64 (6 stages), Σ passes = 21 per VP; every pass groups.
         assert!(optimized.coalesced_groups >= 20, "groups {}", optimized.coalesced_groups);
         assert!(optimized.device_makespan_s < plain.device_makespan_s * 0.5);
@@ -281,9 +248,7 @@ mod tests {
 
     #[test]
     fn reports_are_internally_consistent() {
-        let apps = vector_adds(2);
-        let refs = refs(&apps);
-        let r = run_scenario(&refs, Policy::Multiplexed).unwrap();
+        let r = run_scenario(vector_adds(2), Policy::Multiplexed).unwrap();
         assert_eq!(r.n_vps, 2);
         assert_eq!(r.vp_times_s.len(), 2);
         assert!(r.total_time_s >= r.device_makespan_s);
@@ -294,22 +259,18 @@ mod tests {
     fn two_host_gpus_halve_the_device_makespan() {
         // Eight compute-dense VPs on one Quadro vs spread over two: the paper's
         // multi-GPU multiplexing claim at its simplest.
-        let apps: Vec<MatrixMulApp> = (0..8).map(|_| MatrixMulApp::with_shape(24, 1)).collect();
-        let refs: Vec<&dyn Application> = apps.iter().map(|a| a as &dyn Application).collect();
-        let one = run_scenario_multi_gpu(
-            &refs,
-            Policy::Multiplexed,
-            &[GpuArch::quadro_4000()],
-            sigmavp_ipc::transport::TransportCost::shared_memory(),
-        )
-        .unwrap();
-        let two = run_scenario_multi_gpu(
-            &refs,
-            Policy::Multiplexed,
-            &[GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            sigmavp_ipc::transport::TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let apps = || fleet(MatrixMulApp::with_shape(24, 1), 8);
+        let run = |archs: &[GpuArch]| {
+            run_scenario_multi_gpu(
+                apps(),
+                Policy::Multiplexed,
+                archs,
+                TransportCost::shared_memory(),
+            )
+            .unwrap()
+        };
+        let one = run(&[GpuArch::quadro_4000()]);
+        let two = run(&[GpuArch::quadro_4000(), GpuArch::quadro_4000()]);
         assert_eq!(two.n_vps, 8);
         assert_eq!(two.gpu_jobs, one.gpu_jobs);
         let ratio = one.device_makespan_s / two.device_makespan_s;
@@ -319,22 +280,20 @@ mod tests {
 
     #[test]
     fn heterogeneous_host_gpus_are_supported() {
-        let apps: Vec<VectorAddApp> = (0..4).map(|_| VectorAddApp { n: 2048 }).collect();
-        let refs: Vec<&dyn Application> = apps.iter().map(|a| a as &dyn Application).collect();
         let r = run_scenario_multi_gpu(
-            &refs,
+            vector_adds(4),
             Policy::MultiplexedOptimized,
             &[GpuArch::quadro_4000(), GpuArch::grid_k520()],
-            sigmavp_ipc::transport::TransportCost::shared_memory(),
+            TransportCost::shared_memory(),
         )
         .unwrap();
         assert_eq!(r.n_vps, 4);
         assert!(r.total_time_s > 0.0);
         let err = run_scenario_multi_gpu(
-            &refs,
+            vector_adds(4),
             Policy::Multiplexed,
             &[],
-            sigmavp_ipc::transport::TransportCost::shared_memory(),
+            TransportCost::shared_memory(),
         )
         .unwrap_err();
         assert!(matches!(err, SigmaVpError::Config(_)));
@@ -342,16 +301,14 @@ mod tests {
 
     #[test]
     fn empty_scenario_is_rejected() {
-        let err = run_scenario(&[], Policy::Multiplexed).unwrap_err();
+        let err = run_scenario(Vec::new(), Policy::Multiplexed).unwrap_err();
         assert!(matches!(err, SigmaVpError::Config(_)));
     }
 
     #[test]
     fn more_vps_cost_more_emulation_but_sublinear_sigma_vp() {
-        let small = vector_adds(2);
-        let big = vector_adds(8);
-        let r2 = run_scenario(&refs(&small), Policy::MultiplexedOptimized).unwrap();
-        let r8 = run_scenario(&refs(&big), Policy::MultiplexedOptimized).unwrap();
+        let r2 = run_scenario(vector_adds(2), Policy::MultiplexedOptimized).unwrap();
+        let r8 = run_scenario(vector_adds(8), Policy::MultiplexedOptimized).unwrap();
         // Eight coalesced VPs must cost less than 4× the two-VP makespan.
         assert!(r8.device_makespan_s < 4.0 * r2.device_makespan_s);
     }

@@ -3,19 +3,19 @@
 //!
 //! The paper's framework "multiplexes the host GPUs": a host with several
 //! devices spreads the VPs across them. [`ExecutionSession`] is that ownership
-//! layer. The scenario engine, the dispatcher runtime, every fleet shard,
-//! and the Table 1 paths all build one, so multi-GPU routing, record keeping,
-//! and planner integration live in exactly one place:
+//! layer. The dispatcher runtime (and with it the scenario engine and the
+//! Table 1 ΣVP row) and every fleet shard build one, so multi-GPU routing,
+//! record keeping, and planner integration live in exactly one place:
 //!
 //! * **Device set** — N host GPUs, each with its own [`HostRuntime`] (device,
 //!   kernel registry, job log).
 //! * **Routing** — [`ExecutionSession::assign`] places each VP on the
 //!   least-loaded device (ties go to the lowest index, so sequential
-//!   connections produce the classic round-robin partition).
+//!   assignment produces the classic round-robin partition).
 //! * **Planning** — [`ExecutionSession::drain_and_plan`] drains every device's
-//!   [`JobRecord`] log and prices it through a shared scheduling
-//!   [`Pipeline`], yielding a [`SessionOutcome`] with
-//!   per-device timelines and fleet-level aggregates.
+//!   [`JobRecord`] log, puts it in simulated send order, and prices it
+//!   through a shared scheduling [`Pipeline`], yielding a [`SessionOutcome`]
+//!   with per-device timelines and fleet-level aggregates.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -25,11 +25,9 @@ use parking_lot::Mutex;
 use sigmavp_gpu::engine::Engine as GpuEngine;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
-use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sched::{Pipeline, Placement};
 use sigmavp_vp::registry::KernelRegistry;
 
-use crate::backend::MultiplexedGpu;
 use crate::error::SigmaVpError;
 use crate::host::{HostRuntime, JobRecord};
 use crate::plan::{plan_device, DevicePlan};
@@ -47,22 +45,16 @@ pub struct ExecutionSession {
     /// Per-device connection counts and health — the shared least-loaded
     /// routing policy from `sigmavp-sched`.
     placement: Placement,
-    transport: TransportCost,
     assignments: HashMap<VpId, usize>,
 }
 
 impl ExecutionSession {
-    /// A session over `archs` host GPUs, each serving kernels from `registry`,
-    /// reached through a transport with the given cost model.
+    /// A session over `archs` host GPUs, each serving kernels from `registry`.
     ///
     /// # Errors
     ///
     /// Returns [`SigmaVpError::Config`] if `archs` is empty.
-    pub fn new(
-        archs: Vec<GpuArch>,
-        registry: KernelRegistry,
-        transport: TransportCost,
-    ) -> Result<Self, SigmaVpError> {
+    pub fn new(archs: Vec<GpuArch>, registry: KernelRegistry) -> Result<Self, SigmaVpError> {
         if archs.is_empty() {
             return Err(SigmaVpError::Config("need at least one host gpu".into()));
         }
@@ -74,13 +66,7 @@ impl ExecutionSession {
             })
             .collect();
         let placement = Placement::new(devices.len());
-        Ok(ExecutionSession { devices, placement, transport, assignments: HashMap::new() })
-    }
-
-    /// A single-device session (the common case; cannot fail).
-    pub fn single(arch: GpuArch, registry: KernelRegistry, transport: TransportCost) -> Self {
-        Self::new(vec![arch], registry, transport)
-            .expect("single-device session always has a device")
+        Ok(ExecutionSession { devices, placement, assignments: HashMap::new() })
     }
 
     /// Number of host GPUs in the session.
@@ -91,11 +77,6 @@ impl ExecutionSession {
     /// Architecture of device `d`.
     pub fn arch(&self, d: usize) -> &GpuArch {
         &self.devices[d].arch
-    }
-
-    /// The transport cost model VPs connect through.
-    pub fn transport(&self) -> TransportCost {
-        self.transport
     }
 
     /// Shared handle to device `d`'s host runtime (for runtimes that drive the
@@ -192,17 +173,6 @@ impl ExecutionSession {
         vps
     }
 
-    /// Assign `vp` to a device and open a guest-side connection to it.
-    pub fn connect(&mut self, vp: VpId) -> MultiplexedGpu {
-        let d = self.assign(vp);
-        MultiplexedGpu::new(vp, self.devices[d].runtime.clone(), self.transport)
-    }
-
-    /// Drain every device's job log (per-device, in dispatch order).
-    pub fn take_records(&mut self) -> Vec<Vec<JobRecord>> {
-        self.devices.iter().map(|slot| slot.runtime.lock().take_records()).collect()
-    }
-
     /// Set the block-parallel worker count used for kernel launches on every
     /// device (`0` = one worker per core, `1` = sequential).
     pub fn set_workers(&mut self, workers: u32) {
@@ -214,9 +184,13 @@ impl ExecutionSession {
     /// Drain every device's job log and plan each through `pipeline`, pricing
     /// the results on the per-device engine models.
     ///
-    /// Host GPUs are independent, so devices are planned concurrently on the
-    /// shared SPTX [`WorkerPool`](sigmavp_sptx::exec::WorkerPool); results are
-    /// assembled back in device order, so the outcome is identical to planning
+    /// Each log is read in simulated send order, `(sent_at_s, vp, seq)`, not
+    /// in the order threads happened to dispatch it: a VP's clock never runs
+    /// backwards, so each VP's own order is kept, and the price of a live run
+    /// does not depend on thread timing. Host GPUs are independent, so devices
+    /// are planned concurrently on the shared SPTX
+    /// [`WorkerPool`](sigmavp_sptx::exec::WorkerPool); results are assembled
+    /// back in device order, so the outcome is identical to planning
     /// sequentially.
     pub fn drain_and_plan(
         &mut self,
@@ -228,7 +202,13 @@ impl ExecutionSession {
         let inputs: Vec<(GpuArch, Vec<JobRecord>)> = self
             .devices
             .iter()
-            .map(|slot| (slot.arch.clone(), slot.runtime.lock().take_records()))
+            .map(|slot| {
+                let mut records = slot.runtime.lock().take_records();
+                records.sort_by(|a, b| {
+                    (a.sent_at_s.total_cmp(&b.sent_at_s)).then((a.vp, a.seq).cmp(&(b.vp, b.seq)))
+                });
+                (slot.arch.clone(), records)
+            })
             .collect();
         let plans: Vec<Mutex<Option<DevicePlan>>> =
             inputs.iter().map(|_| Mutex::new(None)).collect();
@@ -258,7 +238,7 @@ impl ExecutionSession {
 pub struct DeviceOutcome {
     /// The device architecture.
     pub arch: GpuArch,
-    /// The jobs this device served, in dispatch order.
+    /// The jobs this device served, in simulated send order.
     pub records: Vec<JobRecord>,
     /// The planned, priced schedule.
     pub plan: DevicePlan,
@@ -401,8 +381,8 @@ impl SessionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigmavp_ipc::message::{Envelope, Request, Response};
     use sigmavp_sched::Policy;
-    use sigmavp_vp::service::GpuService;
     use sigmavp_workloads::app::Application;
     use sigmavp_workloads::apps::VectorAddApp;
 
@@ -410,14 +390,34 @@ mod tests {
         VectorAddApp { n: 256 }.kernels().into_iter().collect()
     }
 
+    /// Route `vp` and serve `body` on its device, stamped at simulated time 0.
+    fn serve(s: &mut ExecutionSession, vp: u32, seq: u64, body: Request) -> Response {
+        let d = s.assign(VpId(vp));
+        let envelope =
+            Envelope { vp: VpId(vp), seq, sent_at_s: 0.0, deadline_s: Envelope::NO_DEADLINE, body };
+        s.runtime(d).lock().process(&envelope).body
+    }
+
+    /// Allocate a `data`-sized buffer for `vp`, upload `data` `copies` times
+    /// and free it.
+    fn upload(s: &mut ExecutionSession, vp: u32, data: &[u8], copies: u64) {
+        let Response::Malloc { handle } =
+            serve(s, vp, 0, Request::Malloc { bytes: data.len() as u64 })
+        else {
+            panic!("malloc failed");
+        };
+        for seq in 1..=copies {
+            let copy = Request::MemcpyH2D { handle, data: data.to_vec(), stream: 0 };
+            assert_eq!(serve(s, vp, seq, copy), Response::Done);
+        }
+        assert_eq!(serve(s, vp, copies + 1, Request::Free { handle }), Response::Done);
+    }
+
     #[test]
     fn sequential_assignment_is_round_robin() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::grid_k520()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::grid_k520()], registry())
+                .unwrap();
         for vp in 0..6u32 {
             assert_eq!(s.assign(VpId(vp)), (vp % 2) as usize);
         }
@@ -429,12 +429,7 @@ mod tests {
 
     #[test]
     fn least_loaded_routing_fills_gaps() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(); 3],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s = ExecutionSession::new(vec![GpuArch::quadro_4000(); 3], registry()).unwrap();
         assert_eq!(s.assign(VpId(0)), 0);
         assert_eq!(s.assign(VpId(1)), 1);
         assert_eq!(s.assign(VpId(2)), 2);
@@ -445,12 +440,9 @@ mod tests {
 
     #[test]
     fn unhealthy_devices_are_routed_around() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
         assert_eq!(s.assign(VpId(0)), 0);
         s.mark_down(0);
         assert!(!s.is_healthy(0));
@@ -468,12 +460,9 @@ mod tests {
 
     #[test]
     fn try_assign_reports_all_devices_down_as_typed_error() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
         assert_eq!(s.try_assign(VpId(0)).unwrap(), 0);
         s.mark_down(0);
         assert_eq!(s.try_assign(VpId(1)).unwrap(), 1, "strict routing avoids the dead device");
@@ -487,12 +476,9 @@ mod tests {
 
     #[test]
     fn mark_down_is_idempotent() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
         s.mark_down(0);
         s.mark_down(0);
         assert_eq!(s.healthy_count(), 1);
@@ -502,12 +488,9 @@ mod tests {
 
     #[test]
     fn reassign_is_idempotent_and_keeps_counts_consistent() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
         assert_eq!(s.assign(VpId(0)), 0);
         assert_eq!(s.assign(VpId(1)), 1);
         // Reassigning a VP onto its current device is a no-op: the next fresh
@@ -529,19 +512,9 @@ mod tests {
 
     #[test]
     fn queue_waits_are_exposed_per_vp() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
-        let data = vec![1u8; 4096];
-        for vp in 0..3u32 {
-            let mut gpu = s.connect(VpId(vp));
-            let (h, _) = gpu.malloc(4096).unwrap();
-            gpu.memcpy_h2d(h, &data).unwrap();
-            gpu.memcpy_h2d(h, &data).unwrap();
-            gpu.free(h).unwrap();
+        let mut s = ExecutionSession::new(vec![GpuArch::quadro_4000()], registry()).unwrap();
+        for vp in 0..3 {
+            upload(&mut s, vp, &[1u8; 4096], 2);
         }
         let outcome = s.drain_and_plan(&Pipeline::from_policy(&Policy::Multiplexed), &|_| false);
         let waits = outcome.queue_wait_by_vp();
@@ -560,43 +533,30 @@ mod tests {
 
     #[test]
     fn empty_device_set_is_rejected() {
-        let err =
-            ExecutionSession::new(vec![], registry(), TransportCost::shared_memory()).unwrap_err();
+        let err = ExecutionSession::new(vec![], registry()).unwrap_err();
         assert!(matches!(err, SigmaVpError::Config(_)));
     }
 
     #[test]
     fn connections_share_the_assigned_device() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
-        let mut a = s.connect(VpId(0));
-        let mut b = s.connect(VpId(1));
-        let (ha, _) = a.malloc(64).unwrap();
-        let (hb, _) = b.malloc(64).unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
+        let malloc = Request::Malloc { bytes: 64 };
+        let a = serve(&mut s, 0, 0, malloc.clone());
+        let b = serve(&mut s, 1, 0, malloc);
         // Separate devices allocate independently: both get the first handle.
-        assert_eq!(ha, hb);
-        a.free(ha).unwrap();
-        b.free(hb).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(s.live_buffers(), 2);
     }
 
     #[test]
     fn drain_and_plan_aggregates_per_device() {
-        let mut s = ExecutionSession::new(
-            vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()],
-            registry(),
-            TransportCost::shared_memory(),
-        )
-        .unwrap();
-        let data = vec![1u8; 256];
-        for vp in 0..4u32 {
-            let mut gpu = s.connect(VpId(vp));
-            let (h, _) = gpu.malloc(256).unwrap();
-            gpu.memcpy_h2d(h, &data).unwrap();
-            gpu.free(h).unwrap();
+        let mut s =
+            ExecutionSession::new(vec![GpuArch::quadro_4000(), GpuArch::quadro_4000()], registry())
+                .unwrap();
+        for vp in 0..4 {
+            upload(&mut s, vp, &[1u8; 256], 1);
         }
         let outcome = s.drain_and_plan(&Pipeline::from_policy(&Policy::Multiplexed), &|_| false);
         assert_eq!(outcome.devices.len(), 2);
@@ -605,6 +565,7 @@ mod tests {
         assert_eq!(outcome.flat_records().len(), 4);
         assert!(outcome.makespan_s() > 0.0);
         // A second drain finds empty logs.
-        assert_eq!(s.take_records().iter().map(Vec::len).sum::<usize>(), 0);
+        let again = s.drain_and_plan(&Pipeline::from_policy(&Policy::Multiplexed), &|_| false);
+        assert_eq!(again.gpu_jobs(), 0);
     }
 }

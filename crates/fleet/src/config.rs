@@ -1,13 +1,12 @@
 //! Fleet sizing and policy knobs.
 
 use sigmavp_gpu::GpuArch;
-use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sched::Policy;
 
 /// Configuration for a [`Fleet`](crate::Fleet).
 ///
 /// Defaults are chosen so `FleetConfig::new(sessions)` gives a working fleet:
-/// one Quadro-4000 host GPU per session, shared-memory transport, a bounded
+/// one Quadro-4000 host GPU per session, a bounded
 /// admission queue of 1024 jobs, and a steal round every 64 admissions.
 /// Host runtimes are sequential (one interpreter worker): a fleet scales out
 /// with sessions, one shard thread each.
@@ -19,8 +18,6 @@ pub struct FleetConfig {
     pub gpus_per_session: usize,
     /// Architecture of every host GPU.
     pub arch: GpuArch,
-    /// Transport cost model between guests and the fleet.
-    pub transport: TransportCost,
     /// Scheduling policy used when draining sessions at shutdown.
     pub policy: Policy,
     /// Maximum in-flight jobs (queued + executing) across the whole fleet;
@@ -40,7 +37,6 @@ impl FleetConfig {
             sessions,
             gpus_per_session: 1,
             arch: GpuArch::quadro_4000(),
-            transport: TransportCost::shared_memory(),
             policy: Policy::Fifo,
             admission_capacity: 1024,
             steal_interval: 64,

@@ -496,7 +496,6 @@ impl Fleet {
             let mut session = ExecutionSession::new(
                 vec![config.arch.clone(); config.gpus_per_session],
                 registry.clone(),
-                config.transport,
             )
             .map_err(|e| FleetError::Config(e.to_string()))?;
             session.set_workers(1); // fleets scale out with sessions (`FleetConfig`)

@@ -7,8 +7,11 @@
 //!
 //! * [`emulation::EmulatedGpu`](crate::emulation::EmulatedGpu) — Mesa-style software
 //!   emulation in this crate;
-//! * `MultiplexedGpu` in the `sigmavp` core crate — forwarding through the IPC
-//!   manager to the multiplexed host GPU.
+//! * the forwarding backend of every ΣVP guest in the `sigmavp` core crate's
+//!   dispatcher — each call sent through the IPC manager to the multiplexed
+//!   host GPU;
+//! * `HostRuntime` in the same crate — a native process driving its own GPU,
+//!   with no VP and no transport.
 //!
 //! Every method returns the simulated time, in seconds, that the *calling VP is
 //! blocked* by the operation; asynchronous launches return only the submission cost.

@@ -4,8 +4,8 @@ use crate::app::Application;
 use crate::apps::*;
 
 /// All twenty-two suite applications at the given scale (1 = smallest), in the
-/// paper's Fig. 11 presentation order.
-pub fn fig11_suite(scale: u32) -> Vec<Box<dyn Application>> {
+/// paper's Fig. 11 presentation order, each ready to run on a VP thread.
+pub fn fig11_suite(scale: u32) -> Vec<Box<dyn Application + Send>> {
     vec![
         Box::new(SimpleGlApp::new(scale)),
         Box::new(MandelbrotApp::new(scale)),

@@ -11,18 +11,61 @@
 //! platforms like any built-in workload.
 
 use std::error::Error;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sigmavp::backend::MultiplexedGpu;
-use sigmavp::host::HostRuntime;
+use sigmavp::dispatcher::DispatchedSigmaVp;
 use sigmavp_gpu::GpuArch;
-use sigmavp_ipc::message::{VpId, WireParam};
+use sigmavp_ipc::message::WireParam;
 use sigmavp_ipc::transport::TransportCost;
-use sigmavp_sptx::{asm, opt};
-use sigmavp_vp::cuda::CudaContext;
-use sigmavp_vp::platform::VirtualPlatform;
+use sigmavp_sptx::{asm, opt, KernelProgram};
+use sigmavp_vp::error::VpError;
 use sigmavp_vp::registry::KernelRegistry;
+use sigmavp_workloads::app::{validation_error, AppEnv, AppTraits, Application};
+
+/// The guest: doubles 1024 floats with the custom `scale` kernel and checks
+/// the result.
+struct ScaleApp {
+    kernel: KernelProgram,
+}
+
+impl Application for ScaleApp {
+    fn name(&self) -> &str {
+        "customScale"
+    }
+
+    fn kernels(&self) -> Vec<KernelProgram> {
+        vec![self.kernel.clone()]
+    }
+
+    fn characteristics(&self) -> AppTraits {
+        AppTraits::pure_cuda()
+    }
+
+    fn run_once(&self, env: &mut AppEnv<'_>) -> Result<(), VpError> {
+        let mut cuda = env.cuda();
+        let n = 1024u64;
+        let data: Vec<u8> = (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect();
+        let buf = cuda.malloc(n * 4)?;
+        cuda.memcpy_h2d(buf, &data)?;
+        cuda.launch_sync(
+            "scale",
+            n.div_ceil(128) as u32,
+            128,
+            &[buf.param(), WireParam::I64(n as i64)],
+        )?;
+        let mut out = vec![0u8; (n * 4) as usize];
+        cuda.memcpy_d2h(&mut out, buf)?;
+        cuda.free(buf)?;
+
+        for i in [0usize, 1, 500, 1023] {
+            let v = f32::from_le_bytes(out[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+            if v != 2.0 * i as f32 {
+                return Err(validation_error(self.name(), format!("out[{i}] = {v}")));
+            }
+            println!("out[{i}] = {v}");
+        }
+        Ok(())
+    }
+}
 
 fn main() -> Result<(), Box<dyn Error>> {
     // 1. Load and optimize the kernel.
@@ -37,38 +80,22 @@ fn main() -> Result<(), Box<dyn Error>> {
         stats.removed
     );
 
-    // 2. Serve it from a host runtime.
+    // 2. Serve it from a ΣVP host GPU.
     let mut registry = KernelRegistry::new();
-    registry.register(program);
-    let runtime = Arc::new(Mutex::new(HostRuntime::new(GpuArch::quadro_4000(), registry)));
+    registry.register(program.clone());
+    let mut sigma =
+        DispatchedSigmaVp::single(GpuArch::quadro_4000(), registry, TransportCost::shared_memory());
 
     // 3. Drive it from a guest VP through the CUDA-like user library.
-    let mut vp = VirtualPlatform::new(VpId(0));
-    let mut gpu = MultiplexedGpu::new(VpId(0), runtime, TransportCost::shared_memory());
-    let mut cuda = CudaContext::new(&mut vp, &mut gpu);
-
-    let n = 1024u64;
-    let data: Vec<u8> = (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect();
-    let buf = cuda.malloc(n * 4)?;
-    cuda.memcpy_h2d(buf, &data)?;
-    cuda.launch_sync(
-        "scale",
-        n.div_ceil(128) as u32,
-        128,
-        &[buf.param(), WireParam::I64(n as i64)],
-    )?;
-    let mut out = vec![0u8; (n * 4) as usize];
-    cuda.memcpy_d2h(&mut out, buf)?;
-    cuda.free(buf)?;
-
-    for i in [0usize, 1, 500, 1023] {
-        let v = f32::from_le_bytes(out[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        assert_eq!(v, 2.0 * i as f32);
-        println!("out[{i}] = {v}");
+    sigma.spawn(Box::new(ScaleApp { kernel: program }));
+    let (report, _) = sigma.join();
+    let outcome = &report.outcomes[0];
+    if let Some(error) = &outcome.error {
+        return Err(error.clone().into());
     }
     println!(
         "custom kernel ran and validated over SigmaVP in {:.1} us simulated",
-        vp.now_s() * 1e6
+        outcome.simulated_time_s * 1e6
     );
     Ok(())
 }

@@ -28,14 +28,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     for n_vps in [1usize, 2, 4, 8, 16] {
         let app = BlackScholesApp { n: 8 * 1024, ..BlackScholesApp::new(1) };
-        let apps: Vec<&dyn Application> = (0..n_vps).map(|_| &app as &dyn Application).collect();
+        let apps = || (0..n_vps).map(|_| Box::new(app.clone()) as Box<dyn Application + Send>);
 
-        let emul = run_scenario(&apps, Policy::EmulatedOnVp)?;
-        let plain = run_scenario(&apps, Policy::Multiplexed)?;
-        let opt = run_scenario(&apps, Policy::MultiplexedOptimized)?;
+        let emul = run_scenario(apps().collect(), Policy::EmulatedOnVp)?;
+        let plain = run_scenario(apps().collect(), Policy::Multiplexed)?;
+        let opt = run_scenario(apps().collect(), Policy::MultiplexedOptimized)?;
         // The paper "multiplexes the host GPUs": a second device halves the load.
         let dual = run_scenario_multi_gpu(
-            &apps,
+            apps().collect(),
             Policy::MultiplexedOptimized,
             &[GpuArch::quadro_4000(), GpuArch::quadro_4000()],
             TransportCost::shared_memory(),

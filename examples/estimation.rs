@@ -11,17 +11,13 @@
 //! Eq. 6 — without ever running on the target.
 
 use std::error::Error;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sigmavp::backend::MultiplexedGpu;
 use sigmavp::host::HostRuntime;
 use sigmavp_estimate::compile::TargetCompilation;
 use sigmavp_estimate::power::estimate_power;
 use sigmavp_estimate::timing::estimate_timing;
 use sigmavp_gpu::{GpuArch, GpuDevice};
 use sigmavp_ipc::message::VpId;
-use sigmavp_ipc::transport::TransportCost;
 use sigmavp_sptx::counters::ExecutionProfile;
 use sigmavp_vp::platform::VirtualPlatform;
 use sigmavp_vp::registry::KernelRegistry;
@@ -36,16 +32,12 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 1. + 2. Compile for both architectures and execute on the host, gathering
     //         the profile.
+    //         A native process drives the host GPU directly.
     let registry: KernelRegistry = app.kernels().into_iter().collect();
-    let runtime = Arc::new(Mutex::new(HostRuntime::new(host.clone(), registry)));
+    let mut runtime = HostRuntime::new(host.clone(), registry);
     let mut vp = VirtualPlatform::native(VpId(0));
-    let mut gpu = MultiplexedGpu::new(
-        VpId(0),
-        runtime.clone(),
-        TransportCost { latency_s: 0.0, per_byte_s: 0.0 },
-    );
-    app.run_once(&mut AppEnv::new(&mut vp, &mut gpu))?;
-    let hw = runtime.lock().device().profiler_log().last().expect("one launch").clone();
+    app.run_once(&mut AppEnv::new(&mut vp, &mut runtime))?;
+    let hw = runtime.device().profiler_log().last().expect("one launch").clone();
     println!("profiled `{}` on {}:", hw.kernel, host.name);
     println!("  host time            : {:9.1} us", hw.time_s * 1e6);
     println!("  instructions         : {:9}", hw.counts.total());

@@ -11,11 +11,8 @@
 //! compatible guest code, two backends.
 
 use std::error::Error;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-use sigmavp::backend::MultiplexedGpu;
-use sigmavp::host::HostRuntime;
+use sigmavp::dispatcher::DispatchedSigmaVp;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::transport::TransportCost;
@@ -36,12 +33,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     let emulated_s = vp.now_s();
     println!("GPU emulation on the VP : {:10.3} ms (validated)", emulated_s * 1e3);
 
-    // Path 2: ΣVP — forward the same CUDA calls to the multiplexed host GPU.
-    let runtime = Arc::new(Mutex::new(HostRuntime::new(GpuArch::quadro_4000(), registry)));
-    let mut vp = VirtualPlatform::new(VpId(0));
-    let mut multiplexed = MultiplexedGpu::new(VpId(0), runtime, TransportCost::shared_memory());
-    app.run_once(&mut AppEnv::new(&mut vp, &mut multiplexed))?;
-    let sigma_s = vp.now_s();
+    // Path 2: ΣVP — a VP thread forwards the same CUDA calls over a transport
+    // to the multiplexed host GPU.
+    let mut sigma =
+        DispatchedSigmaVp::single(GpuArch::quadro_4000(), registry, TransportCost::shared_memory());
+    sigma.spawn(Box::new(app));
+    let (report, _) = sigma.join();
+    if let Some(error) = &report.outcomes[0].error {
+        return Err(error.clone().into());
+    }
+    let sigma_s = report.outcomes[0].simulated_time_s;
     println!("SigmaVP host-GPU path   : {:10.3} ms (validated)", sigma_s * 1e3);
 
     println!("speedup                 : {:10.1}x", emulated_s / sigma_s);

@@ -515,7 +515,6 @@ proptest! {
 
         use sigmavp::dispatch::{DispatchCore, Turn};
         use sigmavp::{ExecutionSession, Policy};
-        use sigmavp_ipc::transport::TransportCost;
         use sigmavp_sched::quorum_threshold;
 
         // Each VP is parked while one of its launches is held (guests are
@@ -524,11 +523,11 @@ proptest! {
         // never be left waiting for a launch that will not come.
         let vps = job_counts.len();
         let policy = Policy::MultiplexedOptimized.with_sync_hold(true).with_sync_quorum_pct(pct);
-        let session = ExecutionSession::single(
-            GpuArch::quadro_4000(),
+        let session = ExecutionSession::new(
+            vec![GpuArch::quadro_4000()],
             [sigmavp_workloads::kernels::vector_add()].into_iter().collect(),
-            TransportCost::shared_memory(),
-        );
+        )
+        .expect("one device");
         let mut core =
             DispatchCore::new(Arc::new(parking_lot::Mutex::new(session)), &policy, None, HashMap::new());
         let mut next_seq = vec![0u64; vps];
@@ -646,14 +645,12 @@ proptest! {
 
         use sigmavp::dispatch::{DispatchCore, Turn};
         use sigmavp::{ExecutionSession, Policy};
-        use sigmavp_ipc::transport::TransportCost;
 
         const VPS: usize = 3;
         let policy = Policy::MultiplexedOptimized.with_sync_hold(sync_hold);
         let session = ExecutionSession::new(
             vec![GpuArch::quadro_4000(); 2],
             [sigmavp_workloads::kernels::vector_add()].into_iter().collect(),
-            TransportCost::shared_memory(),
         )
         .expect("two devices");
         let mut core =
