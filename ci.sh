@@ -83,7 +83,7 @@ step "cargo build --examples" cargo build --examples
 
 step "cargo bench --no-run" cargo bench --workspace --no-run
 
-step "cargo test" cargo test -q --workspace
+step "cargo test" cargo test -q --workspace --no-fail-fast
 
 # The interpreter differentials again with a wider search. Seeds derive from
 # the test names, so these are the same 1024 cases on every run.

@@ -7,12 +7,12 @@
 //!
 //! [`DispatchCore`] owns everything between "a decoded request arrived" and "a
 //! response is ready": effect-once dedup, in-flight and deadline triage, the
-//! pending async window and its re-scheduling, held synchronous launches and
-//! the full → quorum → timeout window trigger, cross-VP planning of a flushed
-//! window, execution with failover, journaling and handle translation, the
-//! hung-VP watchdog, and the ledger ([`DispatchStats`]). It never touches an
-//! endpoint: every answer comes back as a [`Delivery`] for the *driver* to
-//! hand over. Two drivers exist — the caller-runs pump of
+//! pending async window (executed in arrival order), held synchronous
+//! launches and the full → quorum → timeout window trigger, cross-VP planning
+//! of a flushed window, execution with failover, journaling and handle
+//! translation, the hung-VP watchdog, and the ledger ([`DispatchStats`]). It
+//! never touches an endpoint: every answer comes back as a [`Delivery`] for
+//! the *driver* to hand over. Two drivers exist — the caller-runs pump of
 //! [`DispatchedSigmaVp`](crate::dispatcher::DispatchedSigmaVp) (whichever
 //! guest thread brought a request sweeps the transports, `offer`s each frame,
 //! `turn`s and sends) and each shard thread of `sigmavp-fleet` (pop
@@ -35,9 +35,9 @@
 //!   on a duplicate instead of re-executing, so a lost response never
 //!   double-applies a kernel or memcpy;
 //! * **failover** — per-device circuit breakers trip after consecutive
-//!   failures; VPs on a dead device move to the least-loaded survivor (planned
-//!   by the [`Rebalance`] pass), their device state rebuilt by
-//!   [`Residency::relocate`];
+//!   failures; VPs on a dead device move to a survivor (planned by the
+//!   [`Rebalance`] pass in a sync flush, the first one on the async path),
+//!   their device state rebuilt by [`Residency::relocate`];
 //! * **liveness** — partial-quorum and sim-time-timeout window flushing,
 //!   end-to-end deadlines, and quarantine of VPs that stop progressing
 //!   (DESIGN.md §15).
@@ -53,17 +53,16 @@ use sigmavp_fault::{CircuitBreaker, FaultPlan, Relocation, Residency, TRANSIENT_
 use sigmavp_gpu::engine::simulate;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
-use sigmavp_ipc::queue::{Job, JobId, JobKind};
+use sigmavp_ipc::queue::Job;
 use sigmavp_sched::{
-    quorum_met, quorum_threshold, DeviceView, JobStream, LoadRebalance, PassCtx, Pipeline, Policy,
-    Rebalance,
+    quorum_met, quorum_threshold, DeviceView, LoadRebalance, PassCtx, Pipeline, Policy, Rebalance,
 };
 use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::{job_uid, Lane, TimeDomain};
 use sigmavp_vp::error::{format_deadline_violation, DeadlineStage};
 
 use crate::host::{HostRuntime, JobRecord, RecordKind};
-use crate::plan::{lower_jobs, EngineEvaluator};
+use crate::plan::{lower_jobs, records_to_jobs, EngineEvaluator};
 use crate::session::ExecutionSession;
 
 /// How long a driver lets a held sync window sit without any arrival before
@@ -86,7 +85,7 @@ pub const STALL_WALL_BACKSTOP: Duration = Duration::from_millis(500);
 pub struct DispatchStats {
     /// Requests served.
     pub requests: u64,
-    /// Reordering passes in which the pending window held more than one job.
+    /// Turns whose async window held more than one job.
     pub multi_job_windows: u64,
     /// Largest pending window observed.
     pub max_window: usize,
@@ -314,11 +313,13 @@ fn unrecorded(vp: VpId, seq: u64, body: Request) -> Envelope {
 
 /// One accepted, not yet answered request — the same record whether it waits
 /// in the async window or is a synchronous launch held while its VP is
-/// stopped (Fig. 4b). Within a window being planned, `job.id` is the record's
-/// index in that window.
+/// stopped (Fig. 4b).
 struct Pending {
-    job: Job,
     envelope: Envelope,
+    /// Expected device time, priced only where it is read: a held launch's
+    /// window is planned on it, and the plan boundary projects a deadlined
+    /// request's completion with it. Zero otherwise.
+    expected_s: f64,
     /// When it arrived (collector wall clock; zero without a recorder): feeds
     /// the queue-wait and latency metrics only.
     wall_s: f64,
@@ -327,7 +328,7 @@ struct Pending {
 impl Pending {
     /// The canonical window-ordering key.
     fn key(&self) -> (u32, u64) {
-        (self.job.vp.0, self.job.seq)
+        (self.envelope.vp.0, self.envelope.seq)
     }
 }
 
@@ -392,42 +393,37 @@ fn record_dequeue(window: &[Pending]) {
     }
 }
 
-/// Trace-span name for a dispatched job.
-fn dispatch_span_name(job: &Job) -> String {
-    match &job.kind {
-        JobKind::CopyIn { bytes } => format!("h2d {bytes}B (VP {})", job.vp.0),
-        JobKind::CopyOut { bytes } => format!("d2h {bytes}B (VP {})", job.vp.0),
-        JobKind::Kernel { name, .. } => format!("{name} (VP {})", job.vp.0),
+/// Trace-span name for a dispatched request; control requests are named as
+/// zero-byte copies.
+fn dispatch_span_name(envelope: &Envelope) -> String {
+    let vp = envelope.vp.0;
+    match &envelope.body {
+        Request::MemcpyH2D { data, .. } => format!("h2d {}B (VP {vp})", data.len()),
+        Request::MemcpyD2H { len, .. } => format!("d2h {len}B (VP {vp})"),
+        Request::Launch { kernel, .. } => format!("{kernel} (VP {vp})"),
+        _ => format!("h2d 0B (VP {vp})"),
     }
 }
 
-/// Synthetic [`JobRecord`] for a held (not yet executed) job, so the live
-/// window can be planned with the same engine-model oracle as offline logs.
-/// Expected durations stand in for observed ones, and kernels are floored at
-/// the launch overhead so a never-profiled launch still prices its fixed cost.
+/// Synthetic [`JobRecord`] for a held (not yet executed) launch on `arch`, so
+/// the live window can be planned with the same engine-model oracle as
+/// offline logs ([`records_to_jobs`] turns it into the scheduler's `Job`). The
+/// expected duration stands in for an observed one.
 fn synth_record(h: &Pending, arch: &GpuArch) -> JobRecord {
-    let kind = match &h.job.kind {
-        JobKind::CopyIn { bytes } => RecordKind::H2d { bytes: *bytes, stream: 0 },
-        JobKind::CopyOut { bytes } => RecordKind::D2h { bytes: *bytes, stream: 0 },
-        JobKind::Kernel { name, grid_dim, block_dim } => {
-            let bpw = u64::from(arch.blocks_per_wave(*block_dim));
-            RecordKind::Kernel {
-                name: name.clone(),
-                grid_dim: *grid_dim,
-                block_dim: *block_dim,
-                launch_overhead_s: arch.launch_overhead_us * 1e-6,
-                waves: u64::from(*grid_dim).div_ceil(bpw).max(1),
-                stream: 0,
-            }
-        }
+    let Envelope { vp, seq, sent_at_s, ref body, .. } = h.envelope;
+    let Request::Launch { kernel, grid_dim, block_dim, .. } = body else {
+        unreachable!("only synchronous launches are held");
     };
-    JobRecord {
-        vp: h.job.vp,
-        seq: h.job.seq,
-        kind,
-        duration_s: h.job.expected_duration_s,
-        sent_at_s: h.envelope.sent_at_s,
-    }
+    let bpw = u64::from(arch.blocks_per_wave(*block_dim));
+    let kind = RecordKind::Kernel {
+        name: kernel.clone(),
+        grid_dim: *grid_dim,
+        block_dim: *block_dim,
+        launch_overhead_s: arch.launch_overhead_us * 1e-6,
+        waves: u64::from(*grid_dim).div_ceil(bpw).max(1),
+        stream: 0,
+    };
+    JobRecord { vp, seq, kind, duration_s: h.expected_s, sent_at_s }
 }
 
 /// The core's records — one per host GPU, one per VP — with the ledger and
@@ -489,16 +485,10 @@ impl Supervision {
             || self.plan.as_ref().is_some_and(|p| p.device_down(device, sim_s))
     }
 
-    /// Plan `jobs` through `pipeline` (reorder-only context) with a view of
-    /// per-device health and queued load, so its rebalance pass can plan
-    /// migrations off dead devices — and, given `load`, off overloaded ones.
-    fn plan_window(
-        &self,
-        session: &ExecutionSession,
-        pipeline: &Pipeline,
-        jobs: Vec<Job>,
-        load: Option<LoadRebalance>,
-    ) -> JobStream {
+    /// The migrations the [`Rebalance`] pass plans for the sync window `jobs`
+    /// over a view of per-device health and queued load: off dead devices,
+    /// and off overloaded ones.
+    fn plan_migrations(&self, session: &ExecutionSession, jobs: Vec<Job>) -> Vec<(VpId, usize)> {
         let mut queued = vec![0.0f64; session.device_count()];
         for job in &jobs {
             if let Some(d) = session.device_of(job.vp) {
@@ -507,8 +497,10 @@ impl Supervision {
         }
         let route = |vp: VpId| session.device_of(vp);
         let down_for = |d: usize, t: f64| self.is_down(session, d, t);
+        let load = Some(LoadRebalance::DEFAULT);
         let view = DeviceView { queued_s: &queued, route: &route, down_for: &down_for, load };
-        pipeline.plan(jobs, &PassCtx::reorder_only().with_devices(&view))
+        let rebalance = Pipeline::new().with_pass(Rebalance);
+        rebalance.plan(jobs, &PassCtx::reorder_only().with_devices(&view)).migrations
     }
 
     /// Notice that `device` is out of service and publish the trip exactly
@@ -633,7 +625,7 @@ pub struct DispatchCore {
     journal: bool,
     sup: Supervision,
     /// The async window: requests accepted since the last turn, in arrival
-    /// order (`pending[i].job.id == JobId(i)`).
+    /// order.
     pending: Vec<Pending>,
     /// Held sync launches (at most one per stopped VP), in canonical
     /// `(vp, seq)` order.
@@ -751,55 +743,10 @@ impl DispatchCore {
             self.refuse(envelope, DeadlineStage::Admission, now_s, false);
             return false;
         }
-        let kind = match &envelope.body {
-            Request::MemcpyH2D { data, .. } => JobKind::CopyIn { bytes: data.len() as u64 },
-            Request::MemcpyD2H { len, .. } => JobKind::CopyOut { bytes: *len },
-            Request::Launch { kernel, grid_dim, block_dim, .. } => {
-                JobKind::Kernel { name: kernel.clone(), grid_dim: *grid_dim, block_dim: *block_dim }
-            }
-            // Control requests (malloc/free/sync) are cheap; model them as
-            // zero-byte copies so they flow through the same queue.
-            _ => JobKind::CopyIn { bytes: 0 },
-        };
         let hold = holds_launch(&self.policy, &envelope.body);
-        let expected = {
-            let mut session = self.session.lock();
-            let device = session.assign(vp);
-            let arch = session.arch(device);
-            match &kind {
-                JobKind::CopyIn { bytes } | JobKind::CopyOut { bytes } => arch.copy_time_s(*bytes),
-                JobKind::Kernel { name, .. } => {
-                    // The profiler feedback loop, observed: a hit means a
-                    // previous launch of this kernel already taught the
-                    // re-scheduler its expected duration.
-                    let known = self.expected_kernel_s.get(name).copied();
-                    recorder.count(
-                        if known.is_some() {
-                            "profiler.feedback.hits"
-                        } else {
-                            "profiler.feedback.misses"
-                        },
-                        1,
-                    );
-                    // A held launch is floored at its launch overhead so the
-                    // window planner prices the fixed cost a merge would save.
-                    let floor = if hold { arch.launch_overhead_us * 1e-6 } else { 0.0 };
-                    known.unwrap_or(0.0).max(floor)
-                }
-            }
-        };
-        let job = Job {
-            // The async window's index; a sync window numbers its own jobs
-            // when it is flushed.
-            id: JobId(self.pending.len() as u64),
-            vp,
-            seq,
-            kind,
-            sync: true,
-            enqueued_at_s: envelope.sent_at_s,
-            expected_duration_s: expected,
-        };
-        let accepted = Pending { job, envelope, wall_s: recorder.wall_now_s() };
+        let expected_s =
+            if hold || envelope.has_deadline() { self.expected_s(&envelope, hold) } else { 0.0 };
+        let accepted = Pending { envelope, expected_s, wall_s: recorder.wall_now_s() };
         if hold {
             // Dedup and in-flight triage already ran, so a retry of an
             // executed or already-held request never holds twice. Holds are
@@ -819,7 +766,36 @@ impl DispatchCore {
         false
     }
 
-    /// One scheduling round: re-schedule and execute everything pending,
+    /// Expected device time of `envelope` on its VP's device: copies at the
+    /// copy rate (control requests as zero-byte copies), kernels at their last
+    /// observed duration (the profiler feedback loop; zero before a first
+    /// run). A held launch is floored at its launch overhead, the fixed cost a
+    /// merge saves.
+    fn expected_s(&self, envelope: &Envelope, hold: bool) -> f64 {
+        let mut session = self.session.lock();
+        let device = session.assign(envelope.vp);
+        let arch = session.arch(device);
+        match &envelope.body {
+            Request::MemcpyH2D { data, .. } => arch.copy_time_s(data.len() as u64),
+            Request::MemcpyD2H { len, .. } => arch.copy_time_s(*len),
+            Request::Launch { kernel, .. } => {
+                // The profiler feedback loop, observed: a hit means a
+                // previous launch of this kernel already taught the planner
+                // its expected duration.
+                let known = self.expected_kernel_s.get(kernel).copied();
+                let metric = match known {
+                    Some(_) => "profiler.feedback.hits",
+                    None => "profiler.feedback.misses",
+                };
+                sigmavp_telemetry::recorder().count(metric, 1);
+                let floor = if hold { arch.launch_overhead_us * 1e-6 } else { 0.0 };
+                known.unwrap_or(0.0).max(floor)
+            }
+            _ => arch.copy_time_s(0),
+        }
+    }
+
+    /// One scheduling round: execute everything pending in arrival order,
     /// flush a sync window if one is due, sweep the watchdog, publish the
     /// ledger — and return every response produced since the last call.
     pub fn turn(&mut self) -> Turn {
@@ -883,7 +859,7 @@ impl DispatchCore {
     /// definition of a stopped VP (Fig. 4b).
     pub(crate) fn is_held(&self, vp: VpId) -> bool {
         // `held` is sorted by (vp, seq), hence by vp.
-        self.held.binary_search_by_key(&vp.0, |h| h.job.vp.0).is_ok()
+        self.held.binary_search_by_key(&vp.0, |h| h.envelope.vp.0).is_ok()
     }
 
     fn quarantine_all(&mut self, vps: Vec<VpId>) {
@@ -906,10 +882,11 @@ impl DispatchCore {
         self.out.deliveries.push(Delivery { request: envelope, response, resume });
     }
 
-    /// Re-schedule the pending window (the paper's asynchronous reordering,
-    /// Fig. 4a) through the shared pipeline — including the rebalance pass,
-    /// which sees per-device health and plans migrations off dead GPUs — then
-    /// execute it.
+    /// Execute the pending window in arrival order. Kernel Interleaving
+    /// (Fig. 4a) is an engine-overlap effect, priced where it is planned —
+    /// each device log at the join and each held window at its flush — so
+    /// nothing here reorders; a request whose device is down fails over in
+    /// [`execute`](Self::execute).
     fn run_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -920,39 +897,13 @@ impl DispatchCore {
             self.sup.stats.multi_job_windows += 1;
         }
         self.sup.stats.max_window = self.sup.stats.max_window.max(window.len());
-        // Each job's planned position, by id (its window index).
-        let rank: Option<Vec<usize>> = {
-            let mut session = self.session.lock();
-            // One job on a healthy device: nothing to reorder, nowhere to
-            // migrate — planning would hand the window back unchanged.
-            let first = &window[0].job;
-            let trivial = window.len() == 1
-                && session
-                    .device_of(first.vp)
-                    .is_some_and(|d| !self.sup.is_down(&session, d, first.enqueued_at_s));
-            (!trivial).then(|| {
-                let jobs = window.iter().map(|p| p.job.clone()).collect();
-                let planned = self.sup.plan_window(&session, &self.pipeline, jobs, None);
-                for (vp, target) in planned.migrations {
-                    self.sup.fail_over(&mut session, vp, target);
-                }
-                let mut rank = vec![0; window.len()];
-                for (position, job) in planned.jobs.iter().enumerate() {
-                    rank[job.id.0 as usize] = position;
-                }
-                rank
-            })
-        };
-        if let Some(rank) = rank {
-            window.sort_by_key(|p| rank[p.job.id.0 as usize]);
-        }
         for p in window.drain(..) {
             // Plan boundary: refuse device work whose *projected* completion
             // already overshoots its deadline, instead of burning device time
             // on it. Control requests never reach an engine; they are not
             // priced.
             let envelope = &p.envelope;
-            let projected_s = envelope.sent_at_s + p.job.expected_duration_s;
+            let projected_s = envelope.sent_at_s + p.expected_s;
             let device_work = !matches!(
                 envelope.body,
                 Request::Malloc { .. } | Request::Free { .. } | Request::Synchronize
@@ -963,7 +914,7 @@ impl DispatchCore {
             }
             let response = self.execute(&p);
             self.sup.stats.requests += 1;
-            self.sup.clear_in_flight(p.job.vp, p.job.seq);
+            self.sup.clear_in_flight(envelope.vp, envelope.seq);
             self.out.deliveries.push(Delivery { request: p.envelope, response, resume: false });
         }
         // Emptied, not dropped: the steady state allocates no window.
@@ -1058,9 +1009,10 @@ impl DispatchCore {
         let (runtime, arch) = {
             let mut session = self.session.lock();
             let mut device = session.assign(vp);
-            // Safety net behind the rebalance pass: if the device went down
-            // after planning (or the plan saw an earlier timestamp), fail
-            // over now — or degrade to an error when no survivor is left.
+            // Failover: a device down for this request's stamp hands the VP
+            // to the first survivor — an async request's only failover, a
+            // sync window's safety net behind its rebalance — or the request
+            // degrades to an error when no survivor is left.
             if self.sup.is_down(&session, device, sent_at_s) {
                 self.sup.mark_down(&mut session, device);
                 let survivor = (0..session.device_count())
@@ -1126,10 +1078,11 @@ impl DispatchCore {
         let record = self.sup.vps.entry(vp).or_default();
         if recorder.enabled() {
             let uid = job_uid(vp.0, seq);
+            let name = dispatch_span_name(envelope);
             recorder.span_for_job(
                 TimeDomain::Wall,
                 Lane::Dispatcher,
-                dispatch_span_name(&p.job),
+                name.clone(),
                 exec_started_wall_s,
                 recorder.wall_now_s() - exec_started_wall_s,
                 uid,
@@ -1139,7 +1092,7 @@ impl DispatchCore {
             recorder.span_for_job(
                 TimeDomain::Wall,
                 Lane::JobQueue,
-                dispatch_span_name(&p.job),
+                name,
                 p.wall_s,
                 (exec_started_wall_s - p.wall_s).max(0.0),
                 uid,
@@ -1179,7 +1132,8 @@ impl DispatchCore {
         // Being flushed is a sign of life: a VP in this window is not behind
         // once the flush is counted.
         for h in &window {
-            self.sup.vps.entry(h.job.vp).or_default().last_activity_flush = self.flush_count + 1;
+            self.sup.vps.entry(h.envelope.vp).or_default().last_activity_flush =
+                self.flush_count + 1;
         }
 
         // Hold boundary: anything that expired while parked — by the newest
@@ -1197,15 +1151,16 @@ impl DispatchCore {
         let mut slices: Vec<(usize, GpuArch, Vec<usize>)> = Vec::new();
         {
             let mut session = self.session.lock();
-            let jobs: Vec<Job> = window
+            // The window on its current placement; the rebalance pass reads
+            // each job's VP, stamp and expected duration.
+            let placed: Vec<JobRecord> = window
                 .iter()
-                .enumerate()
-                .map(|(i, h)| Job { id: JobId(i as u64), ..h.job.clone() })
+                .map(|h| {
+                    let d = session.assign(h.envelope.vp);
+                    synth_record(h, session.arch(d))
+                })
                 .collect();
-            let rebalance = Pipeline::new().with_pass(Rebalance);
-            let load = Some(LoadRebalance::DEFAULT);
-            let migrations = self.sup.plan_window(&session, &rebalance, jobs, load).migrations;
-            for (vp, target) in migrations {
+            for (vp, target) in self.sup.plan_migrations(&session, records_to_jobs(&placed)) {
                 let current = session.device_of(vp);
                 if current.is_some_and(|current| self.sup.is_down(&session, current, t_now)) {
                     self.sup.fail_over(&mut session, vp, target);
@@ -1215,7 +1170,7 @@ impl DispatchCore {
                 }
             }
             for (i, h) in window.iter().enumerate() {
-                let d = session.assign(h.job.vp);
+                let d = session.assign(h.envelope.vp);
                 match slices.iter_mut().find(|(device, _, _)| *device == d) {
                     Some((_, _, members)) => members.push(i),
                     None => slices.push((d, session.arch(d).clone(), vec![i])),
@@ -1228,13 +1183,9 @@ impl DispatchCore {
         for (d, arch, members) in slices {
             // Local job ids index the device slice (the lowering contract:
             // `jobs[i].id == JobId(i)` into `records`).
-            let local_jobs: Vec<Job> = members
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| Job { id: JobId(i as u64), ..window[w].job.clone() })
-                .collect();
             let mut records: Vec<JobRecord> =
                 members.iter().map(|&w| synth_record(&window[w], &arch)).collect();
+            let local_jobs = records_to_jobs(&records);
             let planned = {
                 let coalescible = |vp: VpId| self.sup.vps.get(&vp).is_some_and(|r| r.coalescible);
                 let evaluator = EngineEvaluator::new(&arch, &records);
@@ -1282,8 +1233,8 @@ impl DispatchCore {
                 }
                 let geometry: Vec<(u32, u32)> = group
                     .member_ids()
-                    .filter_map(|id| match &window[members[id.0 as usize]].job.kind {
-                        JobKind::Kernel { grid_dim, block_dim, .. } => {
+                    .filter_map(|id| match &window[members[id.0 as usize]].envelope.body {
+                        Request::Launch { grid_dim, block_dim, .. } => {
                             Some((*grid_dim, *block_dim))
                         }
                         _ => None,
@@ -1324,14 +1275,14 @@ impl DispatchCore {
         // Deliver in planned completion order: the earliest-finishing VP
         // wakes first, exactly as the merged timeline completes (ties by VP).
         completions
-            .sort_by(|a, b| a.1.total_cmp(&b.1).then(window[a.0].job.vp.cmp(&window[b.0].job.vp)));
+            .sort_by(|a, b| a.1.total_cmp(&b.1).then(window[a.0].key().cmp(&window[b.0].key())));
         let jobs = window.len();
         let mut window: Vec<Option<Pending>> = window.into_iter().map(Some).collect();
         for (w, _, response) in completions {
             let h = window[w].take().expect("each held job completes once");
             self.sup.stats.requests += 1;
             self.sup.stats.resume_events += 1;
-            self.sup.clear_in_flight(h.job.vp, h.job.seq);
+            self.sup.clear_in_flight(h.envelope.vp, h.envelope.seq);
             self.out.deliveries.push(Delivery { request: h.envelope, response, resume: true });
         }
         recorder.span(
@@ -1767,11 +1718,11 @@ mod tests {
     }
 
     #[test]
-    fn a_reordered_window_answers_each_request_with_its_own_response() {
+    fn a_window_answers_each_request_with_its_own_response_in_arrival_order() {
         let mut rig = Rig::new(Policy::MultiplexedOptimized, 1, 3);
         let launches: Vec<Request> = (0..3).map(|vp| rig.prepare(vp, vp as f32)).collect();
-        // Teach the re-scheduler the kernel's duration, then land one window
-        // of copies and async launches from all three VPs before a turn.
+        // Land one window of copies and async launches from all three VPs
+        // before a turn.
         assert!(matches!(rig.serve(0, launches[0].clone()), Response::Launched { .. }));
         let upload = |launch: &Request| Request::MemcpyH2D {
             handle: buffers_of(launch)[0],
@@ -1806,8 +1757,49 @@ mod tests {
                 mismatch => panic!("answered with another request's response: {mismatch:?}"),
             }
         }
-        assert_ne!(vps_of(&turn), [0, 0, 1, 1, 2, 2], "the plan interleaved the VPs");
+        assert_eq!(vps_of(&turn), [0, 0, 1, 1, 2, 2], "the window ran in arrival order");
         assert_eq!(rig.core.stats().max_window, arrivals.len());
+    }
+
+    #[test]
+    fn an_async_window_fails_each_vp_over_off_a_dead_device() {
+        let outage = FaultPlan::seeded(1).with_outage(1, 1.0);
+        let mut rig = Rig::with_faults(Policy::MultiplexedOptimized, 2, 4, Some(outage));
+        // Placed at spawn, as both drivers do: VPs 1 and 3 land on gpu1.
+        for vp in 0..4 {
+            rig.session.lock().assign(VpId(vp));
+        }
+        // gpu1 dies; two of its VPs land one window before a turn.
+        rig.now_s = 2.0;
+        let arrivals = [
+            (1, Request::Malloc { bytes: N * 4 }),
+            (3, Request::Malloc { bytes: N * 4 }),
+            (1, Request::Synchronize),
+            (3, Request::Synchronize),
+        ];
+        let sent: Vec<(VpId, u64)> = arrivals
+            .into_iter()
+            .map(|(vp, body)| {
+                let envelope = rig.envelope(vp, body);
+                let key = (envelope.vp, envelope.seq);
+                assert!(!rig.core.offer(envelope));
+                key
+            })
+            .collect();
+        let turn = rig.core.turn();
+        let answered: Vec<(VpId, u64)> =
+            turn.deliveries.iter().map(|d| (d.response.vp, d.response.seq)).collect();
+        assert_eq!(answered, sent, "answered in arrival order");
+        for d in &turn.deliveries {
+            match (&d.request.body, &d.response.body) {
+                (Request::Malloc { .. }, Response::Malloc { .. })
+                | (Request::Synchronize, Response::Done) => {}
+                mismatch => panic!("wrong answer: {mismatch:?}"),
+            }
+        }
+        let stats = *rig.core.stats();
+        assert_eq!((stats.gpu_trips, stats.migrations), (1, 2), "one trip, each VP moved once");
+        assert_eq!(rig.live_per_device(), [2, 0], "both buffers landed on the survivor");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! * there is **no polling dispatcher thread**: the guest thread that brings a
 //!   request *pumps* the dispatch side itself (caller-runs, see `Driver`) —
 //!   it feeds the decoded requests to the [`DispatchCore`], which queues them
-//!   in its pending window (the paper's Job Queue), *re-orders that window*
-//!   with the scheduling [`Pipeline`] using expected
-//!   durations, executes each job on the device its VP was routed to by the
+//!   in its pending window (the paper's Job Queue), executes each job in
+//!   arrival order on the device its VP was routed to by the
 //!   [`ExecutionSession`], and hands back the responses to send. A VP is
 //!   stopped exactly while the core holds its synchronous launch in a sync
 //!   window (Fig. 4b); the response that ends the hold is its resume. A
@@ -24,10 +23,11 @@
 //!   observed time — exactly how the paper's Re-scheduler consumes the Profiler's
 //!   output ("by using the expected time for each invocation").
 //!
-//! Because guest calls are synchronous, the pending window holds at most one
-//! request per VP — which is precisely why the paper needs VP stop/resume to get
-//! deep interleaving; the window reordering captures what reordering *can* do
-//! without it, `Policy::with_sync_hold` the rest.
+//! Kernel Interleaving (Fig. 4a) is priced where it is planned: each device
+//! log at [`DispatchedSigmaVp::join`], in simulated send order, through the
+//! [`Pipeline`], and each held window at its flush. Because guest calls are
+//! synchronous, the pending window holds at most one request per VP — which
+//! is precisely why the paper needs VP stop/resume (`Policy::with_sync_hold`).
 //!
 //! # Fault tolerance
 //!
@@ -486,8 +486,8 @@ impl DispatchedSigmaVp {
     }
 
     /// Override the scheduling policy (defaults to [`Policy::Fifo`]: earliest-start
-    /// window reordering, no coalescing). The pipeline derived from it reorders
-    /// the live window and prices the final device timelines.
+    /// interleaving, no coalescing). The pipeline derived from it plans each
+    /// held window and prices the final device timelines.
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self

@@ -361,8 +361,7 @@ enum Wake {
 
 /// A shard thread: the [`DispatchCore`]'s inbox driver. Takes its whole inbox
 /// under one lock, applies each message in FIFO order with one core turn each
-/// (async windows stay single-job, so a 256-deep inbox never pays for
-/// planning) and completes the batch at the front under one lock and one wake,
+/// and completes the batch at the front under one lock and one wake,
 /// every shard-side lock released. Returns what a kill left unexecuted, for
 /// [`Fleet::kill_session`] to re-home.
 fn shard_loop(shard: Arc<Shard>, front: Arc<Front>, policy: Policy) -> Vec<Envelope> {

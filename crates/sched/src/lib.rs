@@ -12,8 +12,8 @@
 //!    the contiguous-memory layout planning of Fig. 5 and the grid-alignment
 //!    analysis behind Eq. 9.
 //!
-//! Both transformations operate on [`Job`](sigmavp_ipc::queue::Job) lists — the
-//! dispatch core's pending window — and are *order-contract checked*: every reordering they produce satisfies
+//! Both operate on [`Job`](sigmavp_ipc::queue::Job) lists — a device log at the join, or a held
+//! window — and are *order-contract checked*: every reordering they produce satisfies
 //! [`preserves_partial_order`](sigmavp_ipc::queue::preserves_partial_order).
 //!
 //! The [`pipeline`] module composes these mechanisms into the shared planning

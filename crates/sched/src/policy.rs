@@ -5,9 +5,9 @@
 //!
 //! * [`BackendKind`] — where GPU work executes (software emulation on the VP,
 //!   or host-GPU multiplexing through the ΣVP runtime);
-//! * [`InterleaveMode`] — which Kernel Interleaving pass reorders the pending
-//!   window (off, the greedy earliest-start scheduler of Fig. 4a, or the
-//!   critical-path list scheduler);
+//! * [`InterleaveMode`] — which Kernel Interleaving pass orders a device log
+//!   at the join and a held sync window (off, the greedy earliest-start
+//!   scheduler of Fig. 4a, or the critical-path list scheduler);
 //! * `coalesce` — whether Kernel Coalescing (plus the adaptive
 //!   keep-the-better-timeline selection) runs.
 //!
@@ -30,7 +30,7 @@ pub enum BackendKind {
     Multiplexed,
 }
 
-/// Which Kernel Interleaving pass reorders the pending job window.
+/// Which Kernel Interleaving pass orders a device log or a held sync window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterleaveMode {
     /// No reordering: jobs run in arrival order.
@@ -122,7 +122,7 @@ impl Default for RetryPolicy {
 pub struct Policy {
     /// Where GPU work executes.
     pub backend: BackendKind,
-    /// Which interleaving pass reorders the pending window.
+    /// Which interleaving pass orders a device log and a held window.
     pub interleave: InterleaveMode,
     /// Whether Kernel Coalescing (with adaptive selection) runs.
     pub coalesce: bool,
@@ -136,8 +136,8 @@ pub struct Policy {
     /// launches (a held launch is a stopped VP) until every live VP has
     /// one pending, then plans the whole window with the full pipeline —
     /// including the wave-packing pass — and resumes VPs in planned completion
-    /// order. Off, synchronous launches are answered as they arrive and only
-    /// reordering applies to the live window.
+    /// order. Off, synchronous launches are answered as they arrive, and
+    /// interleaving is priced on the device logs at the join only.
     pub sync_hold: bool,
     /// Sync-mode flush quorum, in percent of eligible (connected and not
     /// quarantined) VPs. `100` (the default) reproduces lockstep flushing:
@@ -205,8 +205,8 @@ impl Policy {
         deadline_us: 0,
         hang_windows: 0,
     };
-    /// Live VPs race for the host runtime; the pending window is interleaved
-    /// by the re-scheduler, nothing is coalesced.
+    /// Live VPs race for the host runtime; the device logs are interleaved
+    /// by the re-scheduler at the join, nothing is coalesced.
     pub const Fifo: Policy = Policy {
         backend: BackendKind::Multiplexed,
         interleave: InterleaveMode::EarliestStart,

@@ -382,7 +382,10 @@ fn hash_instr(i: &Instr, h: &mut impl Hasher) {
 /// Cached decode outcome: a program either lowered successfully (shared
 /// stream) or was rejected (cached too, so the scalar fallback also skips
 /// re-lowering on every launch).
-type CacheSlot = (KernelProgram, Option<Arc<DecodedProgram>>);
+type CacheSlot = (KernelProgram, Decoded);
+
+/// A decode outcome: the shared stream, or `None` for a rejected program.
+type Decoded = Option<Arc<DecodedProgram>>;
 
 /// Evict everything once the cache holds this many programs. Real fleets run
 /// dozens of kernels; this bound only guards unbounded program synthesis
@@ -404,33 +407,38 @@ pub(crate) fn cached_programs() -> usize {
 /// of the same kernel (the common ΣVP case) decode zero times. Returns
 /// `None` for programs the decoder rejects — the caller runs the scalar
 /// tier instead.
-pub(crate) fn decode(program: &KernelProgram) -> Option<Arc<DecodedProgram>> {
+pub(crate) fn decode(program: &KernelProgram) -> Decoded {
     let key = structural_hash(program);
-    {
-        let map = cache().lock().expect("decode cache poisoned");
-        if let Some(slots) = map.get(&key) {
-            if let Some((_, dec)) = slots.iter().find(|(p, _)| p == program) {
-                return dec.clone();
-            }
-        }
+    let map = cache().lock().expect("decode cache poisoned");
+    if let Some((_, dec)) = map.get(&key).into_iter().flatten().find(|(p, _)| p == program) {
+        return dec.clone();
     }
-    // Lower outside the lock; duplicate work on a race is harmless.
-    let dec = lower(program).map(Arc::new);
+    drop(map);
+    // Lower outside the lock; duplicate work on a race is harmless, and only
+    // the insert that wins counts as a miss.
+    let (out, inserted) = insert(key, program, lower(program).map(Arc::new));
+    if inserted {
+        sigmavp_telemetry::recorder().count("sptx.decode.misses", 1);
+    }
+    out
+}
+
+/// Cache `dec` as the decode of `program` (structural hash `key`) unless a
+/// racing call cached one first. Returns the cached slot and whether this
+/// call's insert won.
+fn insert(key: u64, program: &KernelProgram, dec: Decoded) -> (Decoded, bool) {
     let mut map = cache().lock().expect("decode cache poisoned");
     if map.values().map(Vec::len).sum::<usize>() >= CACHE_CAPACITY {
         map.clear();
     }
     let slots = map.entry(key).or_default();
-    let out = match slots.iter().find(|(p, _)| p == program) {
-        Some((_, existing)) => existing.clone(),
+    match slots.iter().find(|(p, _)| p == program) {
+        Some((_, existing)) => (existing.clone(), false),
         None => {
             slots.push((program.clone(), dec.clone()));
-            dec
+            (dec, true)
         }
-    };
-    drop(map);
-    sigmavp_telemetry::recorder().count("sptx.decode.misses", 1);
-    out
+    }
 }
 
 #[cfg(test)]
@@ -530,5 +538,21 @@ mod tests {
         let q = b.build().unwrap();
         let other = decode(&q).unwrap();
         assert!(!Arc::ptr_eq(&first, &other));
+    }
+
+    #[test]
+    fn an_insert_that_loses_the_race_returns_the_cached_slot_and_is_no_miss() {
+        // A program no other test decodes, so its slot is this test's alone.
+        let mut b = ProgramBuilder::new("lost_race");
+        let r = b.reg();
+        b.mov_imm_i(r, 7).ret();
+        let p = b.build().unwrap();
+        let key = structural_hash(&p);
+        let (won, inserted) = insert(key, &p, lower(&p).map(Arc::new));
+        assert!(inserted, "the first insert wins: one miss");
+        // A racing decode of the identical program lowered its own copy.
+        let (lost, inserted) = insert(key, &p, lower(&p).map(Arc::new));
+        assert!(!inserted, "the second insert counts nothing");
+        assert!(Arc::ptr_eq(&won.unwrap(), &lost.unwrap()), "it returns the cached slot");
     }
 }

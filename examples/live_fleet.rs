@@ -9,7 +9,8 @@
 //! share a Quadro-4000-class device through the dispatcher runtime: real
 //! transports, the dispatch core pumped by whichever guest thread brings a
 //! request. With FIFO the
-//! threads race and only the pending window is reordered; with sync-hold the
+//! threads race and requests run as they arrive (interleaving is priced on
+//! the device logs at the join); with sync-hold the
 //! dispatcher stops each VP at its synchronous launch and plans the cross-VP
 //! window (the paper's Fig. 4b stop/resume interleaving). A final run splits
 //! the same fleet across two host GPUs via the execution session's

@@ -8,6 +8,7 @@
 use std::sync::Mutex;
 
 use sigmavp::dispatcher::DispatchedSigmaVp;
+use sigmavp::Policy;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::transport::TransportCost;
 use sigmavp_telemetry::EventKind;
@@ -119,7 +120,8 @@ fn profiler_feedback_hits_show_up_under_repetition() {
     let mk = || BlackScholesApp { n: 1024, iterations: 4, ..BlackScholesApp::new(1) };
     let registry: KernelRegistry = mk().kernels().into_iter().collect();
     let mut sys =
-        DispatchedSigmaVp::single(GpuArch::quadro_4000(), registry, TransportCost::shared_memory());
+        DispatchedSigmaVp::single(GpuArch::quadro_4000(), registry, TransportCost::shared_memory())
+            .with_policy(Policy::MultiplexedOptimized.with_sync_hold(true));
     for _ in 0..3 {
         sys.spawn(Box::new(mk()));
     }
@@ -129,11 +131,15 @@ fn profiler_feedback_hits_show_up_under_repetition() {
     let snapshot = telemetry.snapshot();
     let hits = snapshot.counter("profiler.feedback.hits").unwrap_or(0);
     let misses = snapshot.counter("profiler.feedback.misses").unwrap_or(0);
-    // 3 VPs × 4 launches of one kernel. A VP's first launch may arrive before
-    // any launch has executed (a miss each, at worst), but every later launch
-    // of that VP issues only after its previous one completed, so it hits.
-    assert_eq!(hits + misses, 3 * 4, "every kernel arrival consults the feedback table");
-    assert!(hits >= 3 * (4 - 1), "expected ≥9 feedback hits, got {hits} (misses {misses})");
-    assert_eq!(snapshot.counter("jobs.enqueued"), Some(stats.requests));
-    assert_eq!(snapshot.counter("jobs.dequeued"), Some(stats.requests));
+    // 3 VPs × 4 held launches of one kernel, in lockstep windows: the first
+    // window's three launches are planned before any has run (a miss each),
+    // and every later window's launches hit. Only held launches (and
+    // deadlined requests) consult the feedback table.
+    assert_eq!((hits, misses), (9, 3));
+    assert_eq!(hits + misses, stats.holds, "every held launch consults the feedback table");
+    // The held launches skip the async queue; everything else flows through it.
+    let queued = stats.requests - stats.holds;
+    assert_eq!(queued, 36);
+    assert_eq!(snapshot.counter("jobs.enqueued"), Some(queued));
+    assert_eq!(snapshot.counter("jobs.dequeued"), Some(queued));
 }
