@@ -15,9 +15,8 @@
 //!   window (Fig. 4b); the response that ends the hold is its resume. A
 //!   guest that finds the pump busy blocks on its own response channel and
 //!   the holder serves its frame, so windows grow beyond one job exactly when
-//!   there is contention. A **timer thread** owns the only wall clock and
-//!   sleeps until a VP leaves, the stall backstop expires or a delayed frame
-//!   is due;
+//!   there is contention. A **timer thread** sleeps until a VP leaves, the
+//!   stall backstop expires or a delayed frame is due;
 //! * expected durations come from the device **profiler feedback loop**: the first
 //!   launch of a kernel is unknown (duration 0), subsequent launches use the last
 //!   observed time — exactly how the paper's Re-scheduler consumes the Profiler's
@@ -28,6 +27,16 @@
 //! [`Pipeline`], and each held window at its flush. Because guest calls are
 //! synchronous, the pending window holds at most one request per VP — which
 //! is precisely why the paper needs VP stop/resume (`Policy::with_sync_hold`).
+//!
+//! # The wall clock
+//!
+//! Decisions read simulated time. The driver reads the wall clock through
+//! `wall_now` only where a thread may wait: a guest whose answer is not on
+//! its link after the kick (it sets its receive backstop), a round that
+//! decodes a frame while the stall backstop is armed, and the timer. A
+//! request served inline reads none; at ≈ 50 ns a read, six reads were a
+//! tenth of a ≈ 3 µs request on a 2-vCPU host. Telemetry spans use the
+//! recorder's clock, read only while a recorder is installed.
 //!
 //! # Fault tolerance
 //!
@@ -75,6 +84,15 @@ use rand::{Rng, SeedableRng};
 /// Wall-clock floor on every receive wait; see the comment at its use site.
 const WALL_DEADLINE_BACKSTOP: Duration = Duration::from_secs(2);
 
+/// The driver's one wall-clock read (see the module doc for where it is
+/// taken). Tests count the calls made on their own thread.
+#[allow(clippy::disallowed_methods)]
+fn wall_now() -> Instant {
+    #[cfg(test)]
+    tests::CLOCK_READS.with(|reads| reads.set(reads.get() + 1));
+    Instant::now()
+}
+
 /// Guest-side [`GpuService`] over a real transport endpoint, with request-level
 /// retry: the forwarding backend of every ΣVP guest.
 ///
@@ -116,7 +134,6 @@ impl RemoteGpu {
         self.seq += 1;
         let recorder = sigmavp_telemetry::recorder();
         let sent_wall_s = recorder.wall_now_s();
-        let sent = Instant::now();
         // Simulated time spent waiting out timeouts and backoff; folded into the
         // returned delay so the guest clock reflects the recovery cost.
         let mut extra_sim_s = 0.0f64;
@@ -146,26 +163,34 @@ impl RemoteGpu {
             // RetryPolicy::timeout (the *simulated* wait charged to the
             // guest): a pump holder starved on a loaded CI machine must not be
             // mistaken for a dropped frame, or fault counters stop being
-            // reproducible.
-            let mut deadline = Instant::now() + self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
+            // reproducible. It is set only once a look finds the link empty:
+            // a request this thread served is already answered.
+            let backstop = self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
+            let mut deadline = None;
             // `Some` once a frame for *this* request decoded; stale responses
             // (retries answered twice) are discarded without ending the wait.
             let accepted = loop {
-                let frame = match self.transport.recv_deadline(deadline).map_err(VpError::Ipc)? {
+                let frame = match self.transport.try_recv().map_err(VpError::Ipc)? {
+                    Some(resp_frame) => Some(resp_frame),
+                    None => {
+                        let until = *deadline.get_or_insert_with(|| wall_now() + backstop);
+                        self.transport.recv_deadline(until).map_err(VpError::Ipc)?
+                    }
+                };
+                let frame = match frame {
                     Some(resp_frame) => Some(resp_frame),
                     None if self.driver.is_held(self.vp) => {
                         // The dispatcher is deliberately holding this sync
                         // request in a cross-VP window (the VP is stopped):
-                        // silence is not a fault. Keep listening without
-                        // charging a timeout or a retry.
-                        deadline =
-                            Instant::now() + self.retry.timeout().max(WALL_DEADLINE_BACKSTOP);
+                        // silence is not a fault. Keep listening, on a fresh
+                        // backstop, without charging a timeout or a retry.
+                        deadline = None;
                         continue;
                     }
                     // The backstop ran out (not an injected drop's notice), and
                     // `is_held` may have waited out the very pump session that
                     // flushed this window and sent the answer: look once more.
-                    None if Instant::now() >= deadline => {
+                    None if deadline.is_some_and(|until| wall_now() >= until) => {
                         self.transport.try_recv().map_err(VpError::Ipc)?
                     }
                     None => None,
@@ -216,7 +241,7 @@ impl RemoteGpu {
                             Lane::Vp(self.vp.0),
                             "request",
                             sent_wall_s,
-                            sent.elapsed().as_secs_f64(),
+                            recorder.wall_now_s() - sent_wall_s,
                             sigmavp_telemetry::job_uid(self.vp.0, seq),
                         );
                         self.transport_s += out_delay + back_delay;
@@ -602,7 +627,6 @@ impl DispatchedSigmaVp {
                 };
                 let recorder = sigmavp_telemetry::recorder();
                 let started_wall_s = recorder.wall_now_s();
-                let started = Instant::now();
                 let result = {
                     let mut env = AppEnv::new(&mut platform, &mut service);
                     app.run_once(&mut env)
@@ -612,7 +636,7 @@ impl DispatchedSigmaVp {
                     Lane::Vp(vp.0),
                     app.name().to_string(),
                     started_wall_s,
-                    started.elapsed().as_secs_f64(),
+                    recorder.wall_now_s() - started_wall_s,
                 );
                 let error = result.err();
                 let outcome = VpOutcome {
@@ -664,7 +688,8 @@ struct Pump {
     /// Host ends indexed by `VpId` (ids are handed out densely from 0); `None`
     /// once the VP disconnected.
     endpoints: Vec<Option<Box<dyn Transport>>>,
-    /// When a round last decoded a request; the stall backstop counts from here.
+    /// The last arrival while the stall backstop was armed (a held frame
+    /// arms it and stamps); the backstop counts from here.
     last_frame: Instant,
     /// What the timer thread is sleeping toward (`None`: until rung). A pump
     /// session that needs it up sooner rings it.
@@ -710,8 +735,8 @@ impl Pump {
                 }
             }
         }
-        if frames > 0 {
-            self.last_frame = Instant::now();
+        if frames > 0 && self.core.stall_armed() {
+            self.last_frame = wall_now();
         }
         let turn = self.core.turn();
         let idle = frames == 0 && turn.deliveries.is_empty();
@@ -736,11 +761,11 @@ impl Pump {
             while !self.round(who) {}
             let stalled = who == Pumper::Timer
                 && self.core.stall_armed()
-                && self.last_frame.elapsed() >= STALL_WALL_BACKSTOP;
+                && wall_now() >= self.last_frame + STALL_WALL_BACKSTOP;
             if !stalled {
                 return;
             }
-            self.last_frame = Instant::now();
+            self.last_frame = wall_now();
             let turn = self.core.on_stall();
             self.deliver(turn);
         }
@@ -763,11 +788,11 @@ impl Pump {
 /// the holder re-reads `pending` after every drain *and after unlocking*, so
 /// a frame that arrived behind its last sweep is never stranded.
 ///
-/// The timer thread owns the only wall clock. It sleeps on the bell and wakes
-/// for exactly three things: a VP end dropping (its [`RingOnDrop`]), the
-/// [`STALL_WALL_BACKSTOP`] while the core is armed, and the earliest
-/// delayed-frame release of a [`FaultyTransport`] host end. An idle system
-/// runs no rounds and wakes nobody.
+/// The timer thread sleeps on the bell and wakes for exactly three things: a
+/// VP end dropping (its [`RingOnDrop`]), the [`STALL_WALL_BACKSTOP`] while the
+/// core is armed, and the earliest delayed-frame release of a
+/// [`FaultyTransport`] host end. An idle system runs no rounds and wakes
+/// nobody.
 struct Driver {
     pump: Mutex<Pump>,
     /// Kicks no pump session has answered yet.
@@ -792,7 +817,7 @@ impl Driver {
             pump: Mutex::new(Pump {
                 core,
                 endpoints: host_ends.into_iter().map(Some).collect(),
-                last_frame: Instant::now(),
+                last_frame: wall_now(),
                 timer_due: None,
                 panic: None,
             }),
@@ -884,7 +909,7 @@ impl Driver {
             {
                 let mut rung = self.bell.lock();
                 while !*rung {
-                    match due.map(|due| due.saturating_duration_since(Instant::now())) {
+                    match due.map(|due| due.saturating_duration_since(wall_now())) {
                         None => self.bell_rung.wait(&mut rung),
                         Some(Duration::ZERO) => break,
                         Some(left) => {
@@ -932,10 +957,39 @@ impl Drop for RingOnDrop {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
     use super::*;
     use sigmavp_fault::LinkFaultConfig;
+    use sigmavp_ipc::transport::ChannelTransport;
     use sigmavp_workloads::apps::{BlackScholesApp, CopyStream, StaggeredAdd, VectorAddApp};
+    use std::cell::Cell;
     use std::sync::atomic::AtomicBool;
+
+    thread_local! {
+        /// Calls to [`wall_now`] made on this thread.
+        pub(super) static CLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// VP `vp`'s guest side over `transport`, kicking `driver`.
+    fn remote_gpu(
+        vp: u32,
+        transport: impl Transport + 'static,
+        driver: Arc<Driver>,
+        retry: RetryPolicy,
+    ) -> RemoteGpu {
+        RemoteGpu {
+            vp: VpId(vp),
+            transport: Box::new(transport),
+            seq: 0,
+            clock: VirtualPlatform::new(VpId(vp)).clock_handle(),
+            arch: GpuArch::quadro_4000(),
+            transport_s: 0.0,
+            retry,
+            deadline_us: 0,
+            rng: StdRng::seed_from_u64(0),
+            driver,
+        }
+    }
 
     #[test]
     fn dispatched_fleet_validates_end_to_end() {
@@ -1215,18 +1269,8 @@ mod tests {
         let vp0 = {
             let driver = driver.clone();
             std::thread::spawn(move || {
-                let mut service = RemoteGpu {
-                    vp: VpId(0),
-                    transport: Box::new(guest0),
-                    seq: 0,
-                    clock: VirtualPlatform::new(VpId(0)).clock_handle(),
-                    arch: GpuArch::quadro_4000(),
-                    transport_s: 0.0,
-                    retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT },
-                    deadline_us: 0,
-                    rng: StdRng::seed_from_u64(0),
-                    driver,
-                };
+                let retry = RetryPolicy { max_attempts: 1, ..RetryPolicy::DEFAULT };
+                let mut service = remote_gpu(0, guest0, driver, retry);
                 service.round_trip(launch()).map(|(response, _)| response)
             })
         };
@@ -1533,15 +1577,16 @@ mod tests {
         assert!(stats.pump_rounds <= 2 * (frames + stats.timer_wakeups), "{stats:?}");
     }
 
-    /// A hand-built driver over `vps` links, the test thread playing every
-    /// guest. `host_end` decorates each host end before the pump gets it.
+    /// A hand-built `Fifo` driver over `vps` links to a device that knows
+    /// `vector_add`, the test thread playing every guest. `host_end`
+    /// decorates each host end before the pump gets it.
     fn driver_rig(
         vps: u32,
-        host_end: impl Fn(sigmavp_ipc::transport::ChannelTransport) -> Box<dyn Transport>,
-    ) -> (Arc<Driver>, JoinHandle<DispatchStats>, Vec<sigmavp_ipc::transport::ChannelTransport>)
-    {
-        let session = ExecutionSession::new(vec![GpuArch::quadro_4000()], KernelRegistry::new())
-            .expect("one device");
+        host_end: impl Fn(ChannelTransport) -> Box<dyn Transport>,
+    ) -> (Arc<Driver>, JoinHandle<DispatchStats>, Vec<ChannelTransport>) {
+        let registry = vec![sigmavp_workloads::kernels::vector_add()].into_iter().collect();
+        let session =
+            ExecutionSession::new(vec![GpuArch::quadro_4000()], registry).expect("one device");
         let core =
             DispatchCore::new(Arc::new(Mutex::new(session)), &Policy::Fifo, None, HashMap::new());
         let (guest_ends, host_ends): (Vec<_>, Vec<_>) = (0..vps)
@@ -1589,10 +1634,90 @@ mod tests {
         assert_eq!((stats.inline_requests, stats.timer_wakeups), (8, 1), "{stats:?}");
     }
 
+    /// A 4 KiB buffer through malloc, copy in, synchronous `vector_add`,
+    /// copy out and free: five round trips.
+    fn buffer_lifetime(gpu: &mut RemoteGpu) {
+        let (buf, _) = gpu.malloc(4096).unwrap();
+        gpu.memcpy_h2d(buf, &[0; 4096]).unwrap();
+        let b = WireParam::Buffer(buf);
+        gpu.launch("vector_add", 4, 256, &[b, b, b, WireParam::I64(1024)], true).unwrap();
+        gpu.memcpy_d2h(buf, &mut [0; 4096]).unwrap();
+        gpu.free(buf).unwrap();
+    }
+
+    #[test]
+    fn an_inline_served_request_reads_no_clock() {
+        // One guest, nobody else pumping: every kick wins the pump, serves
+        // the frame on this thread and leaves the answer on the link.
+        let (driver, timer, mut guests) = driver_rig(1, |host| Box::new(host));
+        let mut gpu = remote_gpu(0, guests.remove(0), driver.clone(), RetryPolicy::DEFAULT);
+        let before = CLOCK_READS.with(Cell::get);
+        for _ in 0..100 {
+            buffer_lifetime(&mut gpu);
+        }
+        assert_eq!(CLOCK_READS.with(Cell::get), before, "500 inline round trips read no clock");
+        drop(gpu);
+        driver.ring();
+        let stats = timer.join().expect("dispatcher must not panic");
+        assert_eq!((stats.requests, stats.inline_requests), (500, 500), "{stats:?}");
+    }
+
+    #[test]
+    fn a_guest_that_finds_the_pump_held_reads_the_clock_and_is_answered() {
+        /// A guest end that raises its flag when its owner blocks on it.
+        struct Announcing(ChannelTransport, Arc<AtomicBool>);
+        impl Transport for Announcing {
+            fn send(&self, frame: bytes::Bytes) -> Result<f64, IpcError> {
+                self.0.send(frame)
+            }
+            fn recv(&self) -> Result<bytes::Bytes, IpcError> {
+                self.0.recv()
+            }
+            fn try_recv(&self) -> Result<Option<bytes::Bytes>, IpcError> {
+                self.0.try_recv()
+            }
+            fn recv_deadline(&self, deadline: Instant) -> Result<Option<bytes::Bytes>, IpcError> {
+                self.1.store(true, Ordering::Release);
+                self.0.recv_deadline(deadline)
+            }
+            fn cost(&self) -> TransportCost {
+                self.0.cost()
+            }
+        }
+        let (driver, timer, mut guests) = driver_rig(1, |host| Box::new(host));
+        let blocked = Arc::new(AtomicBool::new(false));
+        let guest = Announcing(guests.remove(0), blocked.clone());
+        let mut gpu = remote_gpu(0, guest, driver.clone(), RetryPolicy::DEFAULT);
+        // Another thread holds the pump until the guest blocks, then
+        // unlocks and re-reads `pending`, as every holder does.
+        let (locked_tx, locked) = std::sync::mpsc::channel();
+        let holder = {
+            let driver = driver.clone();
+            std::thread::spawn(move || {
+                let pump = driver.pump.lock();
+                locked_tx.send(()).unwrap();
+                while !blocked.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                drop(pump);
+                driver.combine(Pumper::Timer);
+            })
+        };
+        locked.recv().unwrap();
+        let before = CLOCK_READS.with(Cell::get);
+        gpu.malloc(4096).expect("the holder serves the blocked guest");
+        assert!(CLOCK_READS.with(Cell::get) > before, "a guest that blocks sets its backstop");
+        holder.join().expect("the holder must not panic");
+        drop(gpu);
+        driver.ring();
+        let stats = timer.join().expect("dispatcher must not panic");
+        assert_eq!((stats.requests, stats.combined_requests), (1, 1), "{stats:?}");
+    }
+
     #[test]
     fn a_panic_under_a_guests_pump_fails_the_dispatcher_not_the_guest() {
         /// A host end whose link is fine until the pump answers on it.
-        struct Exploding(sigmavp_ipc::transport::ChannelTransport);
+        struct Exploding(ChannelTransport);
         impl Transport for Exploding {
             fn send(&self, _frame: bytes::Bytes) -> Result<f64, IpcError> {
                 panic!("boom under the pump");

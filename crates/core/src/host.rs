@@ -9,12 +9,11 @@
 //! engine can replay the job stream through the two-engine timeline model with and
 //! without the re-scheduler's optimizations.
 
-use std::collections::HashMap;
-
 use sigmavp_gpu::alloc::DeviceBuffer;
 use sigmavp_gpu::{GpuArch, GpuDevice};
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId, WireParam};
 use sigmavp_sptx::interp::{LaunchConfig, ParamValue};
+use sigmavp_sptx::IntMap;
 use sigmavp_telemetry::bus::{self, ObsEvent};
 use sigmavp_vp::error::VpError;
 use sigmavp_vp::registry::KernelRegistry;
@@ -109,7 +108,7 @@ pub fn publish_record(arch: &GpuArch, record: &JobRecord) {
 pub struct HostRuntime {
     device: GpuDevice,
     registry: KernelRegistry,
-    handles: HashMap<u64, DeviceBuffer>,
+    handles: IntMap<u64, DeviceBuffer>,
     next_handle: u64,
     records: Vec<JobRecord>,
     recording: bool,
@@ -122,7 +121,7 @@ impl HostRuntime {
         HostRuntime {
             device: GpuDevice::new(arch),
             registry,
-            handles: HashMap::new(),
+            handles: IntMap::default(),
             next_handle: 1,
             records: Vec::new(),
             recording: true,
@@ -186,7 +185,10 @@ impl HostRuntime {
                 Ok(Response::Malloc { handle })
             }
             Request::Free { handle } => {
-                let buf = self.handles.remove(handle).ok_or(format!("unknown handle {handle}"))?;
+                let buf = self
+                    .handles
+                    .remove(handle)
+                    .ok_or_else(|| format!("unknown handle {handle}"))?;
                 self.device.free(buf).map_err(|e| e.to_string())?;
                 Ok(Response::Done)
             }
@@ -251,7 +253,7 @@ impl HostRuntime {
     }
 
     fn buffer(&self, handle: u64) -> Result<DeviceBuffer, String> {
-        self.handles.get(&handle).copied().ok_or(format!("unknown handle {handle}"))
+        self.handles.get(&handle).copied().ok_or_else(|| format!("unknown handle {handle}"))
     }
 
     fn resolve(&self, params: &[WireParam]) -> Result<Vec<ParamValue>, String> {

@@ -185,3 +185,4 @@ pub use scenario::{run_scenario, ScenarioReport};
 pub use session::{DeviceOutcome, ExecutionSession, SessionOutcome, VpQueueWait};
 pub use sigmavp_fault::FaultPlan;
 pub use sigmavp_sched::{BackendKind, InterleaveMode, Pipeline, Policy, RetryPolicy};
+pub use sigmavp_sptx::IntMap;

@@ -17,7 +17,7 @@
 //!   through a shared scheduling [`Pipeline`], yielding a [`SessionOutcome`]
 //!   with per-device timelines and fleet-level aggregates.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,6 +26,7 @@ use sigmavp_gpu::engine::Engine as GpuEngine;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_sched::{Pipeline, Placement};
+use sigmavp_sptx::IntMap;
 use sigmavp_vp::registry::KernelRegistry;
 
 use crate::error::SigmaVpError;
@@ -45,7 +46,7 @@ pub struct ExecutionSession {
     /// Per-device connection counts and health — the shared least-loaded
     /// routing policy from `sigmavp-sched`.
     placement: Placement,
-    assignments: HashMap<VpId, usize>,
+    assignments: IntMap<VpId, usize>,
 }
 
 impl ExecutionSession {
@@ -66,7 +67,7 @@ impl ExecutionSession {
             })
             .collect();
         let placement = Placement::new(devices.len());
-        Ok(ExecutionSession { devices, placement, assignments: HashMap::new() })
+        Ok(ExecutionSession { devices, placement, assignments: IntMap::default() })
     }
 
     /// Number of host GPUs in the session.

@@ -53,7 +53,7 @@ use parking_lot::{Condvar, Mutex};
 use sigmavp::dispatch::{
     holds_launch, relocate_between, DispatchCore, DispatchStats, Turn, STALL_WALL_BACKSTOP,
 };
-use sigmavp::{ExecutionSession, SessionOutcome, VpQueueWait};
+use sigmavp::{ExecutionSession, IntMap, SessionOutcome, VpQueueWait};
 use sigmavp_fault::Residency;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
@@ -199,14 +199,14 @@ impl VpState {
 
 #[derive(Debug)]
 struct FrontState {
-    vps: HashMap<VpId, VpState>,
+    vps: IntMap<VpId, VpState>,
     ring: HashRing,
     alive: Vec<bool>,
     /// Queued + executing jobs fleet-wide (the admission bound).
     depth: usize,
     admitted_in_window: u64,
     window_cost: Vec<f64>,
-    window_cost_by_vp: HashMap<VpId, f64>,
+    window_cost_by_vp: IntMap<VpId, f64>,
     /// The front's own counters; [`FrontState::stats`] adds the cores'.
     stats: FleetStats,
     /// The front's counters as the registry last saw them (`None`: never
@@ -509,13 +509,13 @@ impl Fleet {
         }
         let front = Arc::new(Front {
             state: Mutex::new(FrontState {
-                vps: HashMap::new(),
+                vps: IntMap::default(),
                 ring: HashRing::new(config.sessions, RING_VNODES),
                 alive: vec![true; config.sessions],
                 depth: 0,
                 admitted_in_window: 0,
                 window_cost: vec![0.0; config.sessions],
-                window_cost_by_vp: HashMap::new(),
+                window_cost_by_vp: IntMap::default(),
                 stats: FleetStats::default(),
                 published: None,
                 cores: vec![DispatchStats::default(); config.sessions],

@@ -7,6 +7,8 @@
 //! introspection (free/used bytes, largest hole) for the coalescing planner to decide
 //! whether a merged buffer fits.
 
+use sigmavp_sptx::IntMap;
+
 use crate::error::GpuError;
 
 /// Alignment of every allocation, in bytes. Matches the 128-byte transaction
@@ -50,8 +52,8 @@ struct FreeRange {
 #[derive(Debug, Clone)]
 pub struct DeviceAllocator {
     capacity: u64,
-    free: Vec<FreeRange>, // sorted by start, non-overlapping, coalesced
-    live: std::collections::HashMap<u64, u64>, // addr -> aligned length
+    free: Vec<FreeRange>,   // sorted by start, non-overlapping, coalesced
+    live: IntMap<u64, u64>, // addr -> aligned length
 }
 
 impl DeviceAllocator {
@@ -60,7 +62,7 @@ impl DeviceAllocator {
         Self {
             capacity,
             free: if capacity > 0 { vec![FreeRange { start: 0, len: capacity }] } else { vec![] },
-            live: std::collections::HashMap::new(),
+            live: IntMap::default(),
         }
     }
 

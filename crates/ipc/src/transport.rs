@@ -123,6 +123,7 @@ impl Transport for ChannelTransport {
         }
     }
 
+    #[allow(clippy::disallowed_methods)] // std's own timed wait needs a duration
     fn recv_deadline(&self, deadline: Instant) -> Result<Option<Bytes>, IpcError> {
         match self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(frame) => Ok(Some(frame)),
@@ -156,6 +157,7 @@ pub fn socket_pair() -> (ChannelTransport, ChannelTransport) {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)]
     use super::*;
 
     #[test]

@@ -76,4 +76,5 @@ mod warp;
 
 pub use error::SptxError;
 pub use interp::Tier;
+pub use parallel::{IntMap, SlotHasher};
 pub use program::KernelProgram;

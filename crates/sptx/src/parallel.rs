@@ -54,11 +54,17 @@ use crate::interp::{DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamVal
 use crate::program::KernelProgram;
 use crate::warp::{run_cta, CtaCounters, WarpExec, WarpStats};
 
-/// Identity-strength hasher for 8-byte-aligned slot indices (splitmix-style
-/// finalizer); cheaper than SipHash on the overlay's slot index. Also used
-/// by the warp tier's store-slot hazard map.
+/// The workspace's one integer hasher (splitmix-style finalizer), for maps
+/// keyed by integers the program generates itself: the overlay's slot index,
+/// the warp tier's store-slot hazard map, and on the request path the host's
+/// buffer handles, the allocator's addresses and VP ids. SipHash's defence
+/// against chosen keys buys nothing there — no guest picks an inserted key —
+/// and costs tens of nanoseconds a lookup.
 #[derive(Default)]
-pub(crate) struct SlotHasher(u64);
+pub struct SlotHasher(u64);
+
+/// A `HashMap` keyed by program-generated integers, hashed with [`SlotHasher`].
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<SlotHasher>>;
 
 impl Hasher for SlotHasher {
     fn finish(&self) -> u64 {
@@ -68,6 +74,9 @@ impl Hasher for SlotHasher {
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
     }
     fn write_u64(&mut self, n: u64) {
         let mut x = n;
@@ -88,7 +97,7 @@ impl Hasher for SlotHasher {
 const MAX_SPANS: usize = 32;
 
 /// A block's own bytes per 8-byte slot, each with a mask of the bytes set.
-type SlotIndex = HashMap<u64, ([u8; 8], u8), BuildHasherDefault<SlotHasher>>;
+type SlotIndex = IntMap<u64, ([u8; 8], u8)>;
 
 /// A block's view of global memory: launch-entry base bytes shadowed by the
 /// block's own writes, which are logged as spans for ordered replay.

@@ -65,9 +65,6 @@
 //! decoder rejects) every CTA goes straight to the scalar runner, with no undo
 //! log.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
 use crate::counters::{ExecutionProfile, SegmentSet, Tally};
 use crate::decode::{DOp, DTerm, DecodedProgram, EXIT, NO_INDEX};
 use crate::error::SptxError;
@@ -76,7 +73,7 @@ use crate::interp::{
     MEMORY_SEGMENT_BYTES,
 };
 use crate::isa::{BinOp, CmpOp, ScalarType, Special, UnaryOp};
-use crate::parallel::SlotHasher;
+use crate::parallel::IntMap;
 use crate::program::KernelProgram;
 
 /// Lanes per warp, matching the CUDA warp size the paper assumes.
@@ -342,7 +339,7 @@ const MAX_RANGES: usize = 8;
 #[derive(Default)]
 struct StoreTracker {
     ranges: Vec<StoreRange>,
-    map: HashMap<u64, u8, BuildHasherDefault<SlotHasher>>,
+    map: IntMap<u64, u8>,
 }
 
 impl StoreTracker {
