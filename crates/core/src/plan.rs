@@ -20,6 +20,7 @@ use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::queue::{Job, JobId, JobKind};
 use sigmavp_sched::{JobStream, MergeGroup, PassCtx, Pipeline, StreamEvaluator};
+use sigmavp_sptx::IntMap;
 use sigmavp_telemetry::{job_uid, Lane, TimeDomain, TraceEvent};
 
 use crate::host::{JobRecord, RecordKind};
@@ -358,12 +359,18 @@ impl DevicePlan {
                 anchor_of.insert(member.0, group.anchor.0);
             }
         }
+        // Op ids are record indices; the first span of each id is the one
+        // `Timeline::span` would find.
+        let mut span_of: IntMap<u64, usize> = IntMap::default();
+        for (k, span) in self.timeline.spans.iter().enumerate() {
+            span_of.entry(span.id).or_insert(k);
+        }
         records
             .iter()
             .enumerate()
             .filter_map(|(i, rec)| {
                 let op = anchor_of.get(&(i as u64)).copied().unwrap_or(i as u64);
-                let span = self.timeline.span(op)?;
+                let span = &self.timeline.spans[*span_of.get(&op)?];
                 Some((rec.vp, (span.start_s - rec.sent_at_s).max(0.0)))
             })
             .collect()
@@ -641,6 +648,40 @@ mod tests {
         assert_eq!(op_job_uid(&records, 0), Some(job_uid(0, 0)));
         assert_eq!(op_job_uid(&records, 4), Some(job_uid(1, 1)));
         assert_eq!(op_job_uid(&records, 99), None);
+    }
+
+    #[test]
+    fn queue_waits_match_a_per_record_span_scan() {
+        let arch = GpuArch::quadro_4000();
+        let mut records = fleet_records(6, &arch);
+        for (i, rec) in records.iter_mut().enumerate() {
+            rec.sent_at_s = i as f64 * 3e-5;
+        }
+        let plan = plan_device(
+            &Pipeline::from_policy(&Policy::MultiplexedOptimized),
+            &records,
+            &|_| true,
+            &arch,
+        );
+        assert!(plan.coalesced_members() >= 2, "scenario must exercise merging");
+        let mut anchor_of = HashMap::new();
+        for group in &plan.stream.groups {
+            for member in &group.dropped {
+                anchor_of.insert(member.0, group.anchor.0);
+            }
+        }
+        let scanned: Vec<(VpId, f64)> = records
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rec)| {
+                let op = anchor_of.get(&(i as u64)).copied().unwrap_or(i as u64);
+                let span = plan.timeline.span(op)?;
+                Some((rec.vp, (span.start_s - rec.sent_at_s).max(0.0)))
+            })
+            .collect();
+        assert_eq!(scanned.len(), records.len());
+        assert!(scanned.iter().any(|&(_, w)| w > 0.0));
+        assert_eq!(plan.queue_waits(&records), scanned);
     }
 
     #[test]

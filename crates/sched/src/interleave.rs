@@ -18,10 +18,12 @@
 
 use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::queue::{Job, JobKind};
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Engine availability tracked by the greedy scheduler. Mirrors the device model's
 /// duplex copy engine: independent H2D and D2H channels plus one compute engine.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineClock {
     h2d_free: f64,
@@ -29,6 +31,7 @@ struct EngineClock {
     compute_free: f64,
 }
 
+#[cfg(test)]
 impl EngineClock {
     fn slot(&mut self, kind: &JobKind) -> &mut f64 {
         match kind {
@@ -39,29 +42,166 @@ impl EngineClock {
     }
 }
 
+/// Which of the three engines a job runs on.
+fn engine(kind: &JobKind) -> usize {
+    match kind {
+        JobKind::CopyIn { .. } => 0,
+        JobKind::CopyOut { .. } => 1,
+        JobKind::Kernel { .. } => 2,
+    }
+}
+
+/// A time or duration as a heap key, ordered by value (`-0.0` is read as
+/// `0.0`, as `<` reads it).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Time(f64);
+
+impl Time {
+    fn new(t: f64) -> Self {
+        Time(t + 0.0)
+    }
+}
+
+impl Eq for Time {}
+
+impl PartialOrd for Time {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Time {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One engine and the VP heads waiting for it. A head whose VP is free by the
+/// time the engine is (`vp_free <= free`) can start at `free`, so among those
+/// the shortest, then the lowest VP, goes first (`ready`); the others start
+/// when their VP frees up (`waiting`). Every waiting head starts later than
+/// every ready one, and heads move from `waiting` to `ready` as `free`
+/// passes their VP's time — which only grows, since durations are
+/// non-negative.
+#[derive(Default)]
+struct Lane {
+    free: f64,
+    /// `(duration, vp index)`.
+    ready: BinaryHeap<Reverse<(Time, usize)>>,
+    /// `(vp_free, duration, vp index)`.
+    waiting: BinaryHeap<Reverse<(Time, Time, usize)>>,
+}
+
+impl Lane {
+    fn push(&mut self, vp_free: f64, duration: f64, vp: usize) {
+        if vp_free <= self.free {
+            self.ready.push(Reverse((Time::new(duration), vp)));
+        } else {
+            self.waiting.push(Reverse((Time::new(vp_free), Time::new(duration), vp)));
+        }
+    }
+
+    /// The lane's earliest head as `(start, duration, vp index)`.
+    fn best(&self) -> Option<(f64, f64, usize)> {
+        match self.ready.peek() {
+            Some(&Reverse((d, vp))) => Some((self.free, d.0, vp)),
+            None => self.waiting.peek().map(|&Reverse((s, d, vp))| (s.0, d.0, vp)),
+        }
+    }
+
+    /// Take the head [`Lane::best`] named.
+    fn pop(&mut self) {
+        if self.ready.pop().is_none() {
+            self.waiting.pop();
+        }
+    }
+
+    /// The engine is busy until `t`: every head whose VP is free by then
+    /// becomes ready.
+    fn advance(&mut self, t: f64) {
+        self.free = t;
+        while let Some(&Reverse((s, d, vp))) = self.waiting.peek() {
+            if s.0 > t {
+                break;
+            }
+            self.waiting.pop();
+            self.ready.push(Reverse((d, vp)));
+        }
+    }
+}
+
 /// Reorder pending asynchronous jobs to maximize copy/compute overlap while
 /// preserving each VP's submission order.
+///
+/// Each step issues the VP head with the least `(start, duration, vp)`, where
+/// `start` is the later of its engine's and its VP's free time. Each engine
+/// keeps its candidates in two heaps, so a step costs O(log V)
+/// rather than a scan of every VP: O(n log V) for n jobs over V VPs.
+/// Durations must be non-negative.
 ///
 /// The output always satisfies
 /// [`preserves_partial_order`](sigmavp_ipc::queue::preserves_partial_order) with
 /// respect to the input (checked by property tests).
 pub fn reorder_async(jobs: Vec<Job>) -> Vec<Job> {
-    // Per-VP FIFO queues, in original order. BTreeMap gives deterministic VP
-    // iteration order.
-    let mut queues: BTreeMap<VpId, std::collections::VecDeque<Job>> = BTreeMap::new();
+    let total = jobs.len();
+    // Per-VP FIFO queues, in original order; indices follow VP id order, so
+    // comparing indices breaks ties as comparing ids would.
+    let mut by_vp: BTreeMap<VpId, VecDeque<Job>> = BTreeMap::new();
+    for job in jobs {
+        by_vp.entry(job.vp).or_default().push_back(job);
+    }
+    let mut queues: Vec<VecDeque<Job>> = by_vp.into_values().collect();
+    // Per-VP completion time of the previously scheduled job (stream dependency).
+    let mut vp_free = vec![0.0f64; queues.len()];
+    let mut lanes: [Lane; 3] = Default::default();
+    for (vp, q) in queues.iter().enumerate() {
+        if let Some(head) = q.front() {
+            lanes[engine(&head.kind)].push(0.0, head.expected_duration_s, vp);
+        }
+    }
+
+    let mut out = Vec::with_capacity(total);
+    while out.len() < total {
+        let mut best: Option<(f64, f64, usize, usize)> = None;
+        for (e, lane) in lanes.iter().enumerate() {
+            if let Some((s, d, vp)) = lane.best() {
+                if best.is_none_or(|(bs, bd, bvp, _)| (s, d, vp) < (bs, bd, bvp)) {
+                    best = Some((s, d, vp, e));
+                }
+            }
+        }
+        let (_, _, vp, e) = best.expect("some queue is non-empty");
+        let lane = &mut lanes[e];
+        lane.pop();
+        let job = queues[vp].pop_front().expect("head exists");
+        debug_assert!(job.expected_duration_s >= 0.0, "negative duration {job:?}");
+        let start = lane.free.max(vp_free[vp]);
+        let end = start + job.expected_duration_s;
+        lane.advance(end);
+        vp_free[vp] = end;
+        if let Some(next) = queues[vp].front() {
+            lanes[engine(&next.kind)].push(end, next.expected_duration_s, vp);
+        }
+        out.push(job);
+    }
+    out
+}
+
+/// The scan [`reorder_async`] replaced, kept as its oracle: every step
+/// looks at every VP's head.
+#[cfg(test)]
+fn reorder_async_scan(jobs: Vec<Job>) -> Vec<Job> {
+    let mut queues: BTreeMap<VpId, VecDeque<Job>> = BTreeMap::new();
     for job in jobs {
         queues.entry(job.vp).or_default().push_back(job);
     }
 
     let mut clock = EngineClock::default();
-    // Per-VP completion time of the previously scheduled job (stream dependency).
     let mut vp_free: BTreeMap<VpId, f64> = BTreeMap::new();
     let total: usize = queues.values().map(|q| q.len()).sum();
     let mut out = Vec::with_capacity(total);
 
     while out.len() < total {
-        // Among the head job of every VP, pick the one with the earliest possible
-        // start; tie-break by shorter duration, then by VP id (deterministic).
         let mut best: Option<(f64, f64, VpId)> = None;
         for (&vp, q) in &queues {
             let Some(head) = q.front() else { continue };
@@ -197,6 +337,43 @@ mod tests {
         assert!(reorder_async(vec![]).is_empty());
         let one = vec![job(0, 0, 0, JobKind::CopyIn { bytes: 1 }, 1.0)];
         assert_eq!(reorder_async(one.clone()), one);
+    }
+
+    /// The heaps issue exactly what the scan issues, on random logs built
+    /// for ties: few distinct durations, many VPs per engine, equal VP and
+    /// engine free times.
+    #[test]
+    fn heaps_match_the_scan() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for case in 0..3000 {
+            let vps = 1 + next(12) as u32;
+            let mut seq = vec![0u64; vps as usize];
+            let jobs: Vec<Job> = (0..next(40))
+                .map(|id| {
+                    let vp = next(u64::from(vps)) as u32;
+                    let kind = match next(3) {
+                        0 => JobKind::CopyIn { bytes: 1 },
+                        1 => JobKind::CopyOut { bytes: 1 },
+                        _ => JobKind::Kernel { name: "k".into(), grid_dim: 1, block_dim: 32 },
+                    };
+                    let dur = [0.0, 0.5, 1.0, 1.0, 2.0, 3.0][next(6) as usize];
+                    seq[vp as usize] += 1;
+                    job(id, vp, seq[vp as usize], kind, dur)
+                })
+                .collect();
+            let ids = |js: Vec<Job>| js.into_iter().map(|j| j.id).collect::<Vec<_>>();
+            assert_eq!(
+                ids(reorder_async(jobs.clone())),
+                ids(reorder_async_scan(jobs)),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -461,10 +461,13 @@ impl Pipeline {
         for pass in &self.passes {
             #[cfg(debug_assertions)]
             let before = stream.jobs.clone();
-            let started = Instant::now();
+            // The clock is read only when a recorder will take the time.
+            #[allow(clippy::disallowed_methods)]
+            let started = recorder.enabled().then(Instant::now);
             stream = pass.apply(stream, ctx);
-            if recorder.enabled() {
+            if let Some(started) = started {
                 let name = format!("plan.pass.{}.time_s", pass.name());
+                #[allow(clippy::disallowed_methods)]
                 recorder.observe_s(&name, started.elapsed().as_secs_f64());
             }
             #[cfg(debug_assertions)]

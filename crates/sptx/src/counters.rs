@@ -8,6 +8,7 @@ use std::collections::HashMap;
 
 use crate::interp::LaunchConfig;
 use crate::isa::{BlockId, InstrClass};
+use crate::parallel::IntMap;
 use crate::program::ClassCounts;
 
 /// Summary of the memory behaviour of one kernel execution, consumed by the GPU
@@ -45,65 +46,71 @@ impl MemoryTraceSummary {
     }
 }
 
-/// Deduplicating accumulator for touched 128-byte memory segments.
+/// Exact set of touched 128-byte memory segments, as a paged bitmap.
 ///
-/// The interpreter previously tracked segments in a `HashSet<u64>`, paying a
-/// hash and probe on every load and store. Kernel access streams are strongly
-/// run-structured — consecutive accesses usually hit the same or an adjacent
-/// segment — so an append-only vec with a last-value fast path and periodic
-/// sort+dedup compaction is cheaper, and per-worker sets merge by
-/// concatenation followed by one final compaction.
-#[derive(Debug, Clone)]
+/// Segment `s` is bit `s % 64` of page `s / 64`. Kernel access streams are
+/// strongly run-structured — consecutive accesses usually hit the same or an
+/// adjacent segment — so the page being written is held in a register
+/// (`cur`, `cur_bits`) and only a page change touches the map. Sets merge by
+/// OR-ing pages and count by summing popcounts: no sort, no dedup, and the
+/// count is exact, so every cache-model input stays what a `HashSet<u64>`
+/// would give.
+#[derive(Debug, Clone, Default)]
 pub struct SegmentSet {
-    segs: Vec<u64>,
-    /// Compact when the raw vec reaches this length; doubled after each
-    /// compaction so the amortized cost per insert stays O(log n).
-    watermark: usize,
-}
-
-impl Default for SegmentSet {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Every page left behind, possibly including `cur` from an earlier visit.
+    pages: IntMap<u64, u64>,
+    /// The page the last insert hit, and its bits set since it became
+    /// current; not yet OR-ed into `pages`.
+    cur: u64,
+    cur_bits: u64,
 }
 
 impl SegmentSet {
     /// An empty set.
     pub fn new() -> Self {
-        SegmentSet { segs: Vec::new(), watermark: 1024 }
+        Self::default()
     }
 
     /// Record a touched segment.
-    #[inline]
+    #[inline(always)]
     pub fn insert(&mut self, seg: u64) {
-        if self.segs.last() == Some(&seg) {
-            return;
+        let page = seg >> 6;
+        if page != self.cur {
+            self.spill();
+            self.cur = page;
         }
-        self.segs.push(seg);
-        if self.segs.len() >= self.watermark {
-            self.compact();
+        self.cur_bits |= 1 << (seg & 63);
+    }
+
+    /// OR the current page's bits into the map.
+    #[inline(never)]
+    fn spill(&mut self) {
+        if self.cur_bits != 0 {
+            *self.pages.entry(self.cur).or_insert(0) |= self.cur_bits;
+            self.cur_bits = 0;
         }
     }
 
-    fn compact(&mut self) {
-        self.segs.sort_unstable();
-        self.segs.dedup();
-        self.watermark = (self.segs.len() * 2).max(1024);
+    /// Fold another set into this one, leaving `other` empty with its
+    /// allocation kept. Order-insensitive: the union does not depend on which
+    /// worker touched a segment first.
+    pub fn absorb(&mut self, other: &mut SegmentSet) {
+        other.spill();
+        for (page, bits) in other.pages.drain() {
+            *self.pages.entry(page).or_insert(0) |= bits;
+        }
     }
 
-    /// Fold another set into this one. Order-insensitive: the distinct count
-    /// of the union does not depend on which worker touched a segment first.
-    pub fn absorb(&mut self, other: SegmentSet) {
-        self.segs.extend(other.segs);
-        if self.segs.len() >= self.watermark {
-            self.compact();
-        }
+    /// Forget every segment, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.cur_bits = 0;
     }
 
     /// Number of distinct segments recorded so far.
     pub fn distinct(&mut self) -> u64 {
-        self.compact();
-        self.segs.len() as u64
+        self.spill();
+        self.pages.values().map(|bits| u64::from(bits.count_ones())).sum()
     }
 }
 
@@ -202,7 +209,7 @@ impl Tally {
     pub(crate) fn reset(&mut self) {
         self.class_counts = [0; 7];
         self.block_iters.fill(0);
-        self.segments = SegmentSet::new();
+        self.segments.clear();
         self.trace = MemoryTraceSummary::default();
         self.executed = 0;
     }
@@ -215,7 +222,7 @@ impl Tally {
         for (a, b) in self.block_iters.iter_mut().zip(&other.block_iters) {
             *a += b;
         }
-        self.segments.absorb(std::mem::take(&mut other.segments));
+        self.segments.absorb(&mut other.segments);
         self.trace.accesses += other.trace.accesses;
         self.trace.load_bytes += other.trace.load_bytes;
         self.trace.store_bytes += other.trace.store_bytes;
@@ -301,8 +308,8 @@ mod tests {
     #[test]
     fn segment_set_matches_a_hash_set() {
         use std::collections::HashSet;
-        // A run-structured stream with repeats, plus a scattered tail that
-        // forces several compactions past the (lowered) watermark.
+        // A run-structured stream with repeats that jumps between a few
+        // dozen pages.
         let mut set = SegmentSet::new();
         let mut reference = HashSet::new();
         let stream: Vec<u64> = (0..5000u64).map(|i| (i / 7) ^ ((i * 2654435761) % 97)).collect();
@@ -315,6 +322,54 @@ mod tests {
         assert_eq!(set.distinct(), reference.len() as u64);
     }
 
+    proptest::proptest! {
+        /// The paged bitmap is an exact set: runs that cross page edges, with
+        /// repeats and far jumps, split across any number of sets and folded
+        /// back together, count what a `BTreeSet` counts — also when the
+        /// count is read midway and inserts go on.
+        #[test]
+        fn segment_set_matches_a_btree_set(
+            runs in proptest::collection::vec((0u64..1 << 22, 1u64..300, 0u64..3), 0..24),
+            cuts in proptest::collection::vec(0usize..4000, 0..8),
+            peek in 0usize..4000,
+        ) {
+            let stream: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(start, len, step)| (0..len).map(move |i| start + i * step))
+                .collect();
+            let reference: std::collections::BTreeSet<u64> = stream.iter().copied().collect();
+            let mut cuts = cuts;
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let mut total = SegmentSet::new();
+            let mut part = SegmentSet::new();
+            let mut seen = std::collections::BTreeSet::new();
+            let mut seen_by_part = std::collections::BTreeSet::new();
+            for (i, &seg) in stream.iter().enumerate() {
+                while cuts.first().is_some_and(|&c| c <= i) {
+                    cuts.remove(0);
+                    total.absorb(&mut part);
+                    seen_by_part = std::collections::BTreeSet::new();
+                }
+                part.insert(seg);
+                seen.insert(seg);
+                seen_by_part.insert(seg);
+                if i == peek {
+                    proptest::prop_assert_eq!(part.clone().distinct(), seen_by_part.len() as u64);
+                    let mut both = total.clone();
+                    both.absorb(&mut part.clone());
+                    proptest::prop_assert_eq!(both.distinct(), seen.len() as u64);
+                }
+            }
+            total.absorb(&mut part);
+            proptest::prop_assert_eq!(part.distinct(), 0);
+            proptest::prop_assert_eq!(total.distinct(), reference.len() as u64);
+            proptest::prop_assert_eq!(total.distinct(), reference.len() as u64);
+            total.clear();
+            proptest::prop_assert_eq!(total.distinct(), 0);
+        }
+    }
+
     #[test]
     fn segment_set_absorb_unions() {
         let mut a = SegmentSet::new();
@@ -325,7 +380,7 @@ mod tests {
         for s in [3u64, 4, 5, 1] {
             b.insert(s);
         }
-        a.absorb(b);
+        a.absorb(&mut b);
         assert_eq!(a.distinct(), 5);
         assert_eq!(SegmentSet::default().distinct(), 0);
     }

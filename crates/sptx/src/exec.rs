@@ -25,9 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Number of participants the process-wide pool uses: the host's available
-/// parallelism, or 1 when it cannot be determined.
+/// parallelism, or 1 when it cannot be determined. Read once per process:
+/// `available_parallelism` reads cgroup files on Linux (tens of µs), and
+/// every launch at the default worker count asks.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// A borrowed parallel task, invoked once per claimed slot with a distinct

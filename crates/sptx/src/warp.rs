@@ -54,6 +54,26 @@
 //!   equals the scalar tier's per-thread sum. `SegmentSet` is an unordered
 //!   union.
 //!
+//! # Two compiled copies
+//!
+//! The CTA runner — [`run_cta`]'s body, the warp loop, the ALU and memory
+//! ops, the row views, the store tracker and [`SegmentSet::insert`] — is one
+//! source body compiled twice: once for the target's baseline (SSE2 on
+//! x86-64) and, on x86-64, once more under
+//! `#[target_feature(enable = "avx2,fma,bmi1,bmi2,lzcnt,popcnt")]`, where the
+//! 32-lane loops become 256-bit vector code and `f32::mul_add` one
+//! instruction instead of a libm call. [`run_cta`] picks the copy per CTA
+//! from std's cached CPUID result, checking every feature the copy enables;
+//! there is no knob. The copies compute the same bits: Rust never contracts
+//! `a * b + c` into a fused multiply-add, so `mad.f64` rounds twice in both,
+//! `f32::mul_add` is correctly rounded in both (`fmaf` or `vfmadd`), libm
+//! calls are the same calls, and every other lane op is an IEEE-exact
+//! operation or an integer one. To bound the duplicated code, the ALU ops
+//! (most of it) get one copy per ISA ([`Isa`]) shared by both data spaces;
+//! only the warp loop and the memory ops are instantiated per data space,
+//! and a row view converting between lane types is a call into one shared
+//! copy (it is rare, and inlining it at every op site tripled the code).
+//!
 //! Budget accounting is block-granular: each visit charges every active lane
 //! the block's cost. Since per-lane counts are non-negative, the sequential
 //! prefix sum over tids crosses the budget iff the total does — so one
@@ -173,6 +193,7 @@ struct Active {
 impl Active {
     const FULL: Active = Active { mask: u32::MAX, keep: [u64::MAX; WARP_WIDTH] };
 
+    #[inline(always)]
     fn new(mask: u32) -> Self {
         Self { mask, keep: std::array::from_fn(|l| 0u64.wrapping_sub(u64::from(mask >> l & 1))) }
     }
@@ -195,13 +216,21 @@ impl Row {
     /// The row as floats, `Value::as_f64` per lane. Only the lanes of `mask`
     /// are meaningful: when all of them hold floats (or none does) every lane
     /// is read that way, and an inactive lane of the other type yields a
-    /// value the masked write-back discards.
-    #[inline]
+    /// value the masked write-back discards. The usual case, a float row, is
+    /// a bit-cast inlined into the op's loop; conversions take a call, so
+    /// each op site carries one loop instead of three.
+    #[inline(always)]
     fn floats(&self, mask: u32) -> Lanes<f64> {
-        let held = self.fmask & mask;
-        if held == mask {
+        if self.fmask & mask == mask {
             map1(&self.bits, f64::from_bits)
-        } else if held == 0 {
+        } else {
+            self.floats_converted(mask)
+        }
+    }
+
+    #[inline(never)]
+    fn floats_converted(&self, mask: u32) -> Lanes<f64> {
+        if self.fmask & mask == 0 {
             map1(&self.bits, |b| b as i64 as f64)
         } else {
             let held = Active::new(self.fmask).keep;
@@ -210,12 +239,18 @@ impl Row {
     }
 
     /// The row as integers, `Value::as_i64` per lane; see [`Row::floats`].
-    #[inline]
+    #[inline(always)]
     fn ints(&self, mask: u32) -> Lanes<i64> {
-        let held = self.fmask & mask;
-        if held == 0 {
+        if self.fmask & mask == 0 {
             map1(&self.bits, |b| b as i64)
-        } else if held == mask {
+        } else {
+            self.ints_converted(mask)
+        }
+    }
+
+    #[inline(never)]
+    fn ints_converted(&self, mask: u32) -> Lanes<i64> {
+        if self.fmask & mask == mask {
             map1(&self.bits, |b| f64::from_bits(b) as i64)
         } else {
             let held = Active::new(self.fmask).keep;
@@ -225,7 +260,7 @@ impl Row {
 
     /// Write `bits` (typed by `fmask`) into the active lanes, leaving the
     /// others untouched.
-    #[inline]
+    #[inline(always)]
     fn put(&mut self, act: &Active, bits: &Lanes<u64>, fmask: u32) {
         if act.mask == u32::MAX {
             self.bits = *bits;
@@ -237,12 +272,12 @@ impl Row {
         self.fmask = (self.fmask & !act.mask) | (fmask & act.mask);
     }
 
-    #[inline]
+    #[inline(always)]
     fn put_f(&mut self, act: &Active, vals: &Lanes<f64>) {
         self.put(act, &map1(vals, f64::to_bits), u32::MAX);
     }
 
-    #[inline]
+    #[inline(always)]
     fn put_i(&mut self, act: &Active, vals: &Lanes<i64>) {
         self.put(act, &map1(vals, |v| v as u64), 0);
     }
@@ -351,6 +386,7 @@ impl StoreTracker {
     /// Whether the ranges alone prove bytes `lo..hi` hazard-free: the span
     /// misses every range, or the access is the very one (`key`) a range
     /// recorded, so each lane meets only its own slots.
+    #[inline(always)]
     fn ranges_clear(&self, lo: u64, hi: u64, key: Option<StoreRange>) -> bool {
         self.ranges.iter().all(|r| hi <= r.first || r.end <= lo || key == Some(*r))
     }
@@ -368,6 +404,7 @@ impl StoreTracker {
     }
 
     /// Abort if any active lane loads a slot another lane has stored.
+    #[inline(always)]
     fn check_load(&mut self, acc: &Access, mask: u32) -> Result<(), Abort> {
         if self.map.is_empty() {
             if self.ranges.is_empty() {
@@ -396,6 +433,7 @@ impl StoreTracker {
     /// Record a store's slots, aborting if another lane already owns one. A
     /// cross-lane overlap is a hazard even if the write itself would fault,
     /// so this runs before the data moves.
+    #[inline(always)]
     fn note_store(
         &mut self,
         acc: &Access,
@@ -451,7 +489,7 @@ struct Access {
 }
 
 impl Access {
-    #[inline]
+    #[inline(always)]
     fn new(regs: &[Row], base: u16, index: u16, offset: i64, w: u64, mask: u32) -> Self {
         let b = regs[base as usize].ints(mask);
         let addrs: Lanes<u64> = if index == NO_INDEX {
@@ -483,6 +521,7 @@ impl Access {
 
     /// A byte span covering every active lane's access (saturating: a span
     /// that would wrap only has to read as "overlaps everything above it").
+    #[inline(always)]
     fn extent(&self, mask: u32) -> (u64, u64) {
         match self.shape {
             Shape::Uniform(a) => (a, a.saturating_add(self.w)),
@@ -499,6 +538,7 @@ impl Access {
     }
 
     /// The range this access would be recorded as, if it is consecutive.
+    #[inline(always)]
     fn range(&self, mask: u32) -> Option<StoreRange> {
         match self.shape {
             Shape::Consecutive(first, end) => Some(StoreRange { first, end, w: self.w, mask }),
@@ -510,6 +550,7 @@ impl Access {
 /// Record the segments of `n` consecutive `w`-byte elements from `first`:
 /// one insert per distinct segment an element starts in, which leaves the set
 /// exactly as the per-lane inserts would.
+#[inline(always)]
 fn touch_span(segments: &mut SegmentSet, first: u64, n: u64, w: u64) {
     for seg in first / MEMORY_SEGMENT_BYTES..=(first + (n - 1) * w) / MEMORY_SEGMENT_BYTES {
         segments.insert(seg);
@@ -517,6 +558,7 @@ fn touch_span(segments: &mut SegmentSet, first: u64, n: u64, w: u64) {
 }
 
 /// Move the active lanes' values to the front, in lane order.
+#[inline(always)]
 fn compress(vals: &Lanes<u64>, mask: u32) -> Lanes<u64> {
     if mask == u32::MAX {
         return *vals;
@@ -531,6 +573,7 @@ fn compress(vals: &Lanes<u64>, mask: u32) -> Lanes<u64> {
 }
 
 /// Inverse of [`compress`]: the `k`-th value goes to the `k`-th active lane.
+#[inline(always)]
 fn expand(dense: &Lanes<u64>, mask: u32) -> Lanes<u64> {
     if mask == u32::MAX {
         return *dense;
@@ -583,7 +626,31 @@ struct WarpCtx<'a> {
 /// zeroed `cta`. `budget` is what the launch has left for this CTA. On `Err`
 /// the caller must roll back the CTA's writes, discard its counters, and
 /// re-run it on the scalar tier.
+///
+/// The CTA runs on the host's vector unit when it has one: [`Avx2::detect`]
+/// is one cached feature check, and its copy of the runner computes exactly
+/// what the portable copy does (module docs, *Two compiled copies*).
 pub(crate) fn run_cta<M: DataSpace>(
+    exec: &mut WarpExec,
+    cfg: &LaunchConfig,
+    params: &[ParamValue],
+    mem: &mut M,
+    ctaid: u32,
+    budget: u64,
+    cta: &mut CtaCounters,
+) -> Result<(), Abort> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(isa) = Avx2::detect() {
+        return isa.run_cta(exec, cfg, params, mem, ctaid, budget, cta);
+    }
+    run_cta_on(Portable, exec, cfg, params, mem, ctaid, budget, cta)
+}
+
+/// The one source body of the CTA runner, compiled once per [`Isa`].
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn run_cta_on<I: Isa, M: DataSpace>(
+    isa: I,
     exec: &mut WarpExec,
     cfg: &LaunchConfig,
     params: &[ParamValue],
@@ -598,14 +665,159 @@ pub(crate) fn run_cta<M: DataSpace>(
         let lanes = ((cfg.block_dim - base_tid) as usize).min(WARP_WIDTH);
         let full: u32 = if lanes == WARP_WIDTH { u32::MAX } else { (1u32 << lanes) - 1 };
         let ctx = WarpCtx { cfg, params, ctaid, base_tid };
-        run_warp(exec, &ctx, mem, full, budget, cta)?;
+        run_warp(isa, exec, &ctx, mem, full, budget, cta)?;
     }
     Ok(())
 }
 
+/// A compiled copy of the lane loops. The CTA runner and the memory ops are
+/// inlined into each copy's entry point; [`exec_alu`], which is most of the
+/// code and does not depend on the [`DataSpace`], gets one copy per `Isa`.
+trait Isa: Copy {
+    fn exec_alu(
+        self,
+        op: &DOp,
+        regs: &mut [Row],
+        preds: &mut [u32],
+        act: &Active,
+        ctx: &WarpCtx,
+    ) -> Result<(), Abort>;
+}
+
+/// The x86-64 baseline (or whatever the target compiles for by default).
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl Isa for Portable {
+    #[inline(always)]
+    fn exec_alu(
+        self,
+        op: &DOp,
+        regs: &mut [Row],
+        preds: &mut [u32],
+        act: &Active,
+        ctx: &WarpCtx,
+    ) -> Result<(), Abort> {
+        exec_alu_portable(op, regs, preds, act, ctx)
+    }
+}
+
+#[inline(never)]
+fn exec_alu_portable(
+    op: &DOp,
+    regs: &mut [Row],
+    preds: &mut [u32],
+    act: &Active,
+    ctx: &WarpCtx,
+) -> Result<(), Abort> {
+    exec_alu(op, regs, preds, act, ctx)
+}
+
+/// Proof that the host runs AVX2 with FMA and the BMI/LZCNT/POPCNT bit
+/// instructions: only [`Avx2::detect`] makes one, so holding it makes the
+/// feature-enabled copies safe to call.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(());
+
+/// Keep in step with [`Avx2::detect`]: every feature enabled here is checked
+/// there.
+#[cfg(target_arch = "x86_64")]
+macro_rules! avx2_features {
+    ($item:item) => {
+        #[target_feature(enable = "avx2,fma,bmi1,bmi2,lzcnt,popcnt")]
+        $item
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// `Some` when the host has every feature the copy is compiled with.
+    /// std caches the CPUID result, so after the first call this reads one
+    /// static word: no syscall, no environment.
+    #[inline]
+    fn detect() -> Option<Self> {
+        let all = std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+            && std::arch::is_x86_feature_detected!("bmi1")
+            && std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("lzcnt")
+            && std::arch::is_x86_feature_detected!("popcnt");
+        all.then_some(Avx2(()))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn run_cta<M: DataSpace>(
+        self,
+        exec: &mut WarpExec,
+        cfg: &LaunchConfig,
+        params: &[ParamValue],
+        mem: &mut M,
+        ctaid: u32,
+        budget: u64,
+        cta: &mut CtaCounters,
+    ) -> Result<(), Abort> {
+        // SAFETY: `self` exists only if `detect` saw every enabled feature.
+        unsafe { run_cta_avx2(self, exec, cfg, params, mem, ctaid, budget, cta) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Isa for Avx2 {
+    #[inline(always)]
+    fn exec_alu(
+        self,
+        op: &DOp,
+        regs: &mut [Row],
+        preds: &mut [u32],
+        act: &Active,
+        ctx: &WarpCtx,
+    ) -> Result<(), Abort> {
+        // SAFETY: `self` exists only if `detect` saw every enabled feature.
+        unsafe { exec_alu_avx2(op, regs, preds, act, ctx) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+avx2_features! {
+    /// The AVX2 copy of the CTA runner. Calling it needs the features it is
+    /// compiled with, which the `Avx2` it takes proves.
+    #[allow(clippy::too_many_arguments)]
+    fn run_cta_avx2<M: DataSpace>(
+        isa: Avx2,
+        exec: &mut WarpExec,
+        cfg: &LaunchConfig,
+        params: &[ParamValue],
+        mem: &mut M,
+        ctaid: u32,
+        budget: u64,
+        cta: &mut CtaCounters,
+    ) -> Result<(), Abort> {
+        run_cta_on(isa, exec, cfg, params, mem, ctaid, budget, cta)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+avx2_features! {
+    /// The AVX2 copy of [`exec_alu`]; only `Avx2::exec_alu` calls it.
+    #[inline(never)]
+    fn exec_alu_avx2(
+        op: &DOp,
+        regs: &mut [Row],
+        preds: &mut [u32],
+        act: &Active,
+        ctx: &WarpCtx,
+    ) -> Result<(), Abort> {
+        exec_alu(op, regs, preds, act, ctx)
+    }
+}
+
 /// Run one warp to completion; `budget` is what the launch has left for this
 /// CTA.
-fn run_warp<M: DataSpace>(
+#[inline(always)]
+fn run_warp<I: Isa, M: DataSpace>(
+    isa: I,
     exec: &mut WarpExec,
     ctx: &WarpCtx,
     mem: &mut M,
@@ -654,7 +866,7 @@ fn run_warp<M: DataSpace>(
                 DOp::Ld { .. } | DOp::St { .. } => {
                     exec_mem(&dop.op, &mut exec.regs, &mut exec.stores, cta, mem, &exec.act)?
                 }
-                _ => exec_alu(&dop.op, &mut exec.regs, &mut exec.preds, &exec.act, ctx)?,
+                _ => isa.exec_alu(&dop.op, &mut exec.regs, &mut exec.preds, &exec.act, ctx)?,
             }
         }
 
@@ -765,7 +977,8 @@ fn compare<T: Copy + PartialOrd>(cmp: CmpOp, a: &Lanes<T>, b: &Lanes<T>) -> u32 
 
 /// Every op that does not touch memory. Deliberately not generic over the
 /// [`DataSpace`]: the lane loops are most of the tier's code, and the
-/// sequential and block-parallel drivers share one copy of them.
+/// sequential and block-parallel drivers share one copy of them per [`Isa`].
+#[inline(always)]
 fn exec_alu(
     op: &DOp,
     regs: &mut [Row],
@@ -977,6 +1190,7 @@ fn exec_alu(
 }
 
 /// Loads and stores: the only ops that need the [`DataSpace`].
+#[inline(always)]
 fn exec_mem<M: DataSpace>(
     op: &DOp,
     regs: &mut [Row],
@@ -1078,6 +1292,7 @@ fn exec_mem<M: DataSpace>(
 }
 
 /// One element as a lane payload: floats widen to `f64`, like a scalar load.
+#[inline(always)]
 fn load_bits<M: DataSpace>(mem: &M, ty: ScalarType, addr: u64) -> Result<u64, SptxError> {
     Ok(match ty {
         ScalarType::F32 => (mem.read_f32(addr)? as f64).to_bits(),
@@ -1160,10 +1375,309 @@ pub(crate) fn run_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::InstrClass;
+    use crate::builder::ProgramBuilder;
+    use crate::counters::MemoryTraceSummary;
+    use crate::isa::{InstrClass, Reg};
 
     #[test]
     fn branch_class_index_matches_isa() {
         assert_eq!(BRANCH_CLASS, InstrClass::Branch.index());
+    }
+
+    /// Everything one CTA leaves behind: its abort cause, its counters, and
+    /// the memory image after it.
+    type CtaOutcome = (Option<usize>, [u64; 7], Vec<u64>, u64, MemoryTraceSummary, u64, Vec<u8>);
+
+    /// Run every CTA of `program`, in ctaid order, through `run` against one
+    /// memory image. An aborted CTA's partial writes stay, so both copies
+    /// must also agree on exactly where they stopped.
+    fn run_ctas(
+        program: &KernelProgram,
+        cfg: &LaunchConfig,
+        mem: &Memory,
+        run: impl Fn(&mut WarpExec, &mut Memory, u32, &mut CtaCounters) -> Result<(), Abort>,
+    ) -> Vec<CtaOutcome> {
+        let dec = crate::decode::decode(program).expect("test kernels decode");
+        let mut exec = WarpExec::new(&dec);
+        let mut cta = CtaCounters::new(program.blocks().len());
+        let mut mem = mem.clone();
+        (0..cfg.grid_dim)
+            .map(|ctaid| {
+                cta.reset();
+                let cause = run(&mut exec, &mut mem, ctaid, &mut cta).err().map(|c| c as usize);
+                let t = &mut cta.tally;
+                let distinct = t.segments.distinct();
+                let iters = t.block_iters.clone();
+                (
+                    cause,
+                    t.class_counts,
+                    iters,
+                    distinct,
+                    t.trace.clone(),
+                    t.executed,
+                    mem.as_bytes().to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// The portable runner and the AVX2 entry agree CTA by CTA on `program`
+    /// (trivially on a host without AVX2, where only the portable copy runs).
+    /// Returns how many CTAs aborted, by cause.
+    fn assert_copies_agree(
+        program: &KernelProgram,
+        cfg: &LaunchConfig,
+        params: &[ParamValue],
+        mem: &Memory,
+        budget: u64,
+        what: &str,
+    ) -> [usize; 3] {
+        let portable = run_ctas(program, cfg, mem, |e, m, c, cta| {
+            run_cta_on(Portable, e, cfg, params, m, c, budget, cta)
+        });
+        #[cfg(target_arch = "x86_64")]
+        if let Some(isa) = Avx2::detect() {
+            let accelerated = run_ctas(program, cfg, mem, |e, m, c, cta| {
+                isa.run_cta(e, cfg, params, m, c, budget, cta)
+            });
+            for (ctaid, (p, a)) in portable.iter().zip(&accelerated).enumerate() {
+                assert_eq!(p.0, a.0, "{what}: abort cause of CTA {ctaid}");
+                assert_eq!(p.1, a.1, "{what}: class counts of CTA {ctaid}");
+                assert_eq!(p.2, a.2, "{what}: block iterations of CTA {ctaid}");
+                assert_eq!(p.3, a.3, "{what}: distinct segments of CTA {ctaid}");
+                assert_eq!(p.4, a.4, "{what}: memory trace of CTA {ctaid}");
+                assert_eq!(p.5, a.5, "{what}: executed count of CTA {ctaid}");
+                assert!(p.6 == a.6, "{what}: memory bytes after CTA {ctaid}");
+            }
+        }
+        let mut aborts = [0; 3];
+        for (cause, ..) in &portable {
+            if let Some(c) = cause {
+                aborts[*c] += 1;
+            }
+        }
+        aborts
+    }
+
+    /// A small xorshift stream: the tests need many programs and inputs, not
+    /// a statistical generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        /// A float spread over many magnitudes, both signs, with the odd
+        /// zero, infinity and NaN.
+        fn float(&mut self) -> f64 {
+            match self.below(16) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                _ => {
+                    let m = (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    m * 2f64.powi(self.below(40) as i32 - 20)
+                }
+            }
+        }
+    }
+
+    /// Bytes of the image [`image`] lays out for `threads` threads: f64, f32
+    /// and i64 inputs, a 256-entry table, six 8-byte outputs per thread, and
+    /// a second table for scattered stores.
+    const TABLE: u64 = 256 * 8;
+
+    fn image(threads: u64, rng: &mut Rng) -> (Memory, [ParamValue; 6]) {
+        let (f64s, f32s, i64s) = (0, threads * 8, threads * 12);
+        let table = threads * 20;
+        let out = table + TABLE;
+        let table2 = out + threads * 48;
+        let mut mem = Memory::new((table2 + TABLE) as usize);
+        for t in 0..threads {
+            mem.write_f64(f64s + t * 8, rng.float()).unwrap();
+            mem.write_f32(f32s + t * 4, rng.float() as f32).unwrap();
+            mem.write_i64(i64s + t * 8, rng.next() as i64 >> rng.below(64)).unwrap();
+        }
+        for k in 0..256 {
+            mem.write_f64(table + k * 8, rng.float()).unwrap();
+        }
+        let params = [f64s, f32s, i64s, table, out, table2].map(ParamValue::Ptr);
+        (mem, params)
+    }
+
+    fn ty(sel: u64) -> ScalarType {
+        [ScalarType::F32, ScalarType::F64, ScalarType::I64][sel as usize % 3]
+    }
+
+    /// A random straight-line-and-diverge kernel over the [`image`] layout:
+    /// typed inputs, every ALU op at every type (integer `div`/`rem`
+    /// included, so lanes fault), gathers from the table, scattered stores
+    /// into the second one (so warps hazard), and a data-dependent branch
+    /// whose arms leave lanes of different types in one row.
+    fn random_kernel(rng: &mut Rng) -> KernelProgram {
+        let mut b = ProgramBuilder::new("copies");
+        let (gtid, tid) = (b.reg(), b.reg());
+        b.read_special(gtid, Special::GlobalTid).read_special(tid, Special::TidX);
+        let p: Vec<Reg> = (0..6).map(|_| b.reg()).collect();
+        for (i, &r) in p.iter().enumerate() {
+            b.ld_param(r, i);
+        }
+        let r: Vec<Reg> = (0..6).map(|_| b.reg()).collect();
+        b.ld_indexed(ScalarType::F64, r[0], p[0], gtid, 0)
+            .ld_indexed(ScalarType::F32, r[1], p[1], gtid, 0)
+            .ld_indexed(ScalarType::I64, r[2], p[2], gtid, 0)
+            .mov(r[3], gtid)
+            .mov_imm_f(r[4], rng.float())
+            .mov_imm_i(r[5], rng.next() as i64 >> 40);
+        let (idx, k) = (b.reg(), b.reg());
+        b.mov_imm_i(k, 255);
+        let ops = |b: &mut ProgramBuilder, rng: &mut Rng, n: u64| {
+            for _ in 0..n {
+                let mut reg = || r[rng.below(6) as usize];
+                let (d, x, y, z) = (reg(), reg(), reg(), reg());
+                match rng.below(24) {
+                    0..=7 => {
+                        let op = [
+                            BinOp::Add,
+                            BinOp::Sub,
+                            BinOp::Mul,
+                            BinOp::Div,
+                            BinOp::Rem,
+                            BinOp::Min,
+                            BinOp::Max,
+                            BinOp::And,
+                            BinOp::Or,
+                            BinOp::Xor,
+                            BinOp::Shl,
+                            BinOp::Shr,
+                        ][rng.below(12) as usize];
+                        b.binop(op, ty(rng.next()), d, x, y);
+                    }
+                    8 | 9 => {
+                        let op = [
+                            UnaryOp::Neg,
+                            UnaryOp::Abs,
+                            UnaryOp::Sqrt,
+                            UnaryOp::Exp,
+                            UnaryOp::Log,
+                            UnaryOp::Sin,
+                            UnaryOp::Cos,
+                            UnaryOp::Not,
+                        ][rng.below(8) as usize];
+                        b.unop(op, ty(rng.next()), d, x);
+                    }
+                    10..=15 => {
+                        b.mad(ty(rng.next()), d, x, y, z);
+                    }
+                    16 | 17 => {
+                        b.cvt(ty(rng.next()), ty(rng.next()), d, x);
+                    }
+                    18..=22 => {
+                        b.cvt(ScalarType::I64, ScalarType::I64, idx, x)
+                            .binop(BinOp::And, ScalarType::I64, idx, idx, k)
+                            .ld_indexed(ty(rng.next()), d, p[3], idx, 0);
+                    }
+                    _ => {
+                        b.cvt(ScalarType::I64, ScalarType::I64, idx, x)
+                            .binop(BinOp::And, ScalarType::I64, idx, idx, k)
+                            .st_indexed(ty(rng.next()), p[5], idx, 0, y);
+                    }
+                }
+            }
+        };
+        let (sel, zero, pr) = (b.reg(), b.reg(), b.pred());
+        b.mov_imm_i(sel, rng.below(8) as i64)
+            .binop(BinOp::And, ScalarType::I64, sel, tid, sel)
+            .mov_imm_i(zero, 0)
+            .setp(CmpOp::Ne, ScalarType::I64, pr, sel, zero);
+        let (then_blk, else_blk, merge) = (b.declare_block(), b.declare_block(), b.declare_block());
+        b.cond_bra(pr, then_blk, else_blk);
+        b.switch_to(then_blk);
+        let n = 1 + rng.below(10);
+        ops(&mut b, rng, n);
+        b.bra(merge);
+        b.switch_to(else_blk);
+        let n = rng.below(10);
+        ops(&mut b, rng, n);
+        b.bra(merge);
+        b.switch_to(merge);
+        let n = rng.below(6);
+        ops(&mut b, rng, n);
+        let (stride, addr) = (b.reg(), b.reg());
+        b.mov_imm_i(stride, 48).binop(BinOp::Mul, ScalarType::I64, addr, gtid, stride).binop(
+            BinOp::Add,
+            ScalarType::I64,
+            addr,
+            addr,
+            p[4],
+        );
+        for (i, &v) in r.iter().enumerate() {
+            let t = if i % 2 == 0 { ScalarType::F64 } else { ScalarType::I64 };
+            b.st(t, addr, i as i64 * 8, v);
+        }
+        b.ret();
+        b.build().expect("generated kernel is valid")
+    }
+
+    #[test]
+    fn both_compiled_copies_agree_on_random_kernels() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut aborts, mut ctas) = ([0; 3], 0);
+        for case in 0..200 {
+            let program = random_kernel(&mut rng);
+            let cfg = LaunchConfig::linear(1 + rng.below(4) as u32, 1 + rng.below(100) as u32);
+            let (mem, params) = image(cfg.total_threads(), &mut rng);
+            let budget = if rng.below(8) == 0 { rng.below(4000) } else { u64::MAX };
+            ctas += cfg.grid_dim as usize;
+            let a =
+                assert_copies_agree(&program, &cfg, &params, &mem, budget, &format!("case {case}"));
+            for (t, n) in aborts.iter_mut().zip(a) {
+                *t += n;
+            }
+        }
+        // The stream reaches every way out of lockstep, and most CTAs stay.
+        assert!(aborts.iter().all(|&n| n > 0), "abort causes {aborts:?}");
+        assert!(aborts.iter().sum::<usize>() * 2 < ctas, "{aborts:?} of {ctas} CTAs aborted");
+    }
+
+    /// Suite-style kernels: the shapes the workloads launch, each at a grid
+    /// with a partial last warp.
+    #[test]
+    fn both_compiled_copies_agree_on_suite_kernels() {
+        let kernels = [
+            // saxpy through `mad.f32`, coalesced both ways.
+            "rs r0, gtid\n ldp r1, 0\n ldp r2, 1\n ld.f32 r3, [r1 + r0]\n \
+             ld.f32 r4, [r2 + r0]\n mov.f32 r5, 1.75\n mad.f32 r4, r5, r3, r4\n \
+             st.f32 [r2 + r0], r4\n ret",
+            // Horner's rule in `mad.f64` over a counted loop.
+            "rs r0, gtid\n ldp r1, 0\n ldp r2, 4\n ld.f64 r3, [r1 + r0]\n \
+             mov.f64 r4, 0.3333333333333333\n mov r5, 0\n mov r6, 9\n mov r7, 1\n bra head\n\
+             head:\n setp.lt.i64 p0, r5, r6\n @p0 bra body, done\n\
+             body:\n mad.f64 r4, r4, r3, r3\n add.i64 r5, r5, r7\n bra head\n\
+             done:\n mov r8, 6\n mul.i64 r9, r0, r8\n st.f64 [r2 + r9], r4\n ret",
+            // A gather through a computed index, then an f32 scale.
+            "rs r0, gtid\n ldp r1, 3\n ldp r2, 1\n mov r3, 37\n mul.i64 r4, r0, r3\n \
+             mov r5, 255\n and.i64 r4, r4, r5\n ld.f64 r6, [r1 + r4]\n \
+             cvt.f32.f64 r6, r6\n sqrt.f32 r6, r6\n st.f32 [r2 + r0], r6\n ret",
+            // Integer divide by a lane-dependent divisor: lane 0 faults.
+            "rs r0, tid.x\n ldp r1, 2\n ld.i64 r2, [r1 + r0]\n div.i64 r3, r2, r0\n \
+             st.i64 [r1 + r0], r3\n ret",
+            // Every lane stores one slot: a cross-lane hazard.
+            "rs r0, gtid\n ldp r1, 5\n st.f64 [r1], r0\n ret",
+        ];
+        let mut rng = Rng(7);
+        for (i, body) in kernels.iter().enumerate() {
+            let program = crate::asm::parse(&format!(".kernel k{i}\nentry:\n {body}\n"))
+                .unwrap_or_else(|e| panic!("kernel {i}: {e}"));
+            let cfg = LaunchConfig::linear(3, 80);
+            let (mem, params) = image(cfg.total_threads(), &mut rng);
+            assert_copies_agree(&program, &cfg, &params, &mem, u64::MAX, &format!("kernel {i}"));
+        }
     }
 }
