@@ -50,6 +50,54 @@ dead_deps() {
   return $status
 }
 
+# Process-global state: every `static` item under crates/*/src outside a
+# `#[cfg(test)]` item, as `<crate>/src/<file> <NAME>`. Each must be on this
+# list and each entry must still exist, so a new global fails the step and
+# the list only shrinks as state moves into per-run owners (ROADMAP item 18).
+PROCESS_GLOBALS="sptx/src/exec.rs WORKERS
+sptx/src/exec.rs POOL
+telemetry/src/bus.rs SINKS
+telemetry/src/recorder.rs GLOBAL"
+
+# A `#[cfg(test)]` item ends on its first line if that line ends in `;` or
+# `}`, else at the first `}` back at the item's own indentation (rustfmt).
+list_statics() {
+  find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { skip = 0; pending = 0 }
+    skip { if ($0 == indent "}") skip = 0; next }
+    pending && !/^[ \t]*#\[/ {
+      pending = 0
+      match($0, /^[ \t]*/)
+      indent = substr($0, 1, RLENGTH)
+      skip = $0 !~ /[;}][ \t]*$/
+      next
+    }
+    /^[ \t]*#\[cfg\(test\)\]/ { pending = 1; next }
+    match($0, /^[ \t]*(pub(\([a-z]+\))? +)?static +(mut +)?[A-Za-z_][A-Za-z0-9_]*/) {
+      n = split(substr($0, RSTART, RLENGTH), words, / +/)
+      print substr(FILENAME, length("crates/") + 1), words[n]
+    }'
+}
+
+process_globals() {
+  local status=0 found entry
+  found=$(list_statics)
+  while read -r entry; do
+    echo "    $entry"
+    if ! grep -qxF "$entry" <<< "$PROCESS_GLOBALS"; then
+      echo "      ^ not on ci.sh's PROCESS_GLOBALS list: new process-global state"
+      status=1
+    fi
+  done <<< "$found"
+  while read -r entry; do
+    if ! grep -qxF "$entry" <<< "$found"; then
+      echo "    $entry is gone: drop it from ci.sh's PROCESS_GLOBALS list"
+      status=1
+    fi
+  done <<< "$PROCESS_GLOBALS"
+  return $status
+}
+
 # Every committed `results/*.txt` regenerates byte-for-byte from this tree:
 # nine experiment binaries and four examples, each at its default arguments.
 # A results file without a generator here fails the diff too.
@@ -109,6 +157,8 @@ step "committed results/*.txt reproduce byte-for-byte" results_reproduce
 step "sigmabench smoke" benchmark/run.sh --smoke
 
 step "no dead sigmavp dependency edges" dead_deps
+
+step "process-global statics are all on the list" process_globals
 
 step "non-test lines per crate (informational)" nontest_lines
 

@@ -535,11 +535,6 @@ impl Fleet {
         Ok(Fleet { config, shards, front, workers: Mutex::new(workers) })
     }
 
-    /// Number of sessions (shards), dead or alive.
-    pub fn session_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Whether session `s` is still alive.
     pub fn is_alive(&self, s: usize) -> bool {
         self.front.state.lock().alive.get(s).copied().unwrap_or(false)

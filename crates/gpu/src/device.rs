@@ -113,11 +113,6 @@ impl GpuDevice {
         self.allocator.free_bytes()
     }
 
-    /// Largest single allocation currently possible.
-    pub fn largest_allocatable(&self) -> u64 {
-        self.allocator.largest_hole()
-    }
-
     /// Allocate a device buffer (`cudaMalloc`).
     ///
     /// # Errors

@@ -44,13 +44,6 @@ pub enum JobKind {
     },
 }
 
-impl JobKind {
-    /// Whether this job runs on the copy engine.
-    pub fn is_copy(&self) -> bool {
-        matches!(self, JobKind::CopyIn { .. } | JobKind::CopyOut { .. })
-    }
-}
-
 /// A queued GPU job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {

@@ -7,10 +7,10 @@
 //! copy cost. The modeled delay is returned from [`Transport::send`] so the
 //! simulation clock can account for it; the ablation benches compare the two.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::IpcError;
 
@@ -140,8 +140,8 @@ impl Transport for ChannelTransport {
 /// Create a connected pair of endpoints with the given cost model. The first
 /// endpoint is conventionally the VP side, the second the host side.
 pub fn pair(cost: TransportCost) -> (ChannelTransport, ChannelTransport) {
-    let (a_tx, b_rx) = unbounded();
-    let (b_tx, a_rx) = unbounded();
+    let (a_tx, b_rx) = channel();
+    let (b_tx, a_rx) = channel();
     (ChannelTransport { tx: a_tx, rx: a_rx, cost }, ChannelTransport { tx: b_tx, rx: b_rx, cost })
 }
 

@@ -64,11 +64,6 @@ impl Estimate {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     fn to_json(self) -> String {
         format!(
             "{{\"count\": {}, \"mean\": {:.9e}, \"var\": {:.9e}, \"ewma\": {:.9e}}}",

@@ -7,10 +7,10 @@
 //! [`DecodedProgram`]: a flat, cache-friendly stream of [`DOp`]s with operands
 //! pre-resolved to dense `u16` register indices, immediates inlined as runtime
 //! [`Value`]s, per-op classes precomputed, and branch targets patched to block
-//! offsets in the stream. Because ΣVP's common case is many VPs launching the
-//! *same* kernels (that is what Kernel Coalescing exploits), decoded programs
-//! are held in a process-global cache keyed by program identity, so repeated
-//! launches decode zero times.
+//! offsets in the stream. ΣVP registers each kernel once and launches it by
+//! handle, so the lowering belongs to the program: [`decode`] stores it in the
+//! program's own slot on the first warp launch, and every later launch of that
+//! program reads it back without a lookup, a lock or a hash.
 //!
 //! The decoder also computes the per-block **immediate post-dominator**, which
 //! the warp tier uses as the reconvergence point for divergent branches (see
@@ -18,12 +18,10 @@
 //! reconverge at the virtual exit ([`EXIT`]): their lanes simply run until
 //! they retire or the instruction budget aborts the warp.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::interp::Value;
-use crate::isa::{BinOp, CmpOp, Imm, Instr, ScalarType, Special, Terminator, UnaryOp};
+use crate::isa::{BinOp, CmpOp, Instr, ScalarType, Special, Terminator, UnaryOp};
 use crate::program::KernelProgram;
 
 /// Sentinel block offset for the virtual exit node: reaching it means the
@@ -105,8 +103,9 @@ pub(crate) enum DTerm {
 }
 
 /// A kernel lowered for the warp tier: the flat op stream plus per-block
-/// metadata. Shared via `Arc` between the cache, the interpreter and the
-/// worker pool.
+/// metadata. Held in its [`KernelProgram`]'s decode slot, behind an `Arc` so
+/// clones of the program share it; the interpreter and the worker pool borrow
+/// it for the length of a launch.
 #[derive(Debug)]
 pub(crate) struct DecodedProgram {
     /// All blocks' ops, concatenated in block order.
@@ -316,129 +315,18 @@ fn immediate_postdominators(blocks: &[DecodedBlock]) -> Vec<u32> {
         .collect()
 }
 
-/// Structural hash of a program, strong enough to bucket the decode cache
-/// (hits are verified with full `PartialEq` afterwards, so collisions only
-/// cost a compare). Floats hash by bit pattern.
-fn structural_hash(program: &KernelProgram) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    program.name().hash(&mut h);
-    program.num_regs().hash(&mut h);
-    program.num_preds().hash(&mut h);
-    program.num_params().hash(&mut h);
-    program.blocks().len().hash(&mut h);
-    for b in program.blocks() {
-        b.instrs.len().hash(&mut h);
-        for i in &b.instrs {
-            hash_instr(i, &mut h);
-        }
-        match b.terminator {
-            Terminator::Ret => 0u8.hash(&mut h),
-            Terminator::Bra(t) => {
-                1u8.hash(&mut h);
-                t.0.hash(&mut h);
-            }
-            Terminator::CondBra { pred, if_true, if_false } => {
-                2u8.hash(&mut h);
-                pred.0.hash(&mut h);
-                if_true.0.hash(&mut h);
-                if_false.0.hash(&mut h);
-            }
-        }
-    }
-    h.finish()
-}
-
-fn hash_instr(i: &Instr, h: &mut impl Hasher) {
-    std::mem::discriminant(i).hash(h);
-    match i {
-        Instr::Bin { op, ty, dst, a, b } => {
-            (*op as u8, *ty as u8, dst.0, a.0, b.0).hash(h);
-        }
-        Instr::Un { op, ty, dst, a } => (*op as u8, *ty as u8, dst.0, a.0).hash(h),
-        Instr::Mad { ty, dst, a, b, c } => (*ty as u8, dst.0, a.0, b.0, c.0).hash(h),
-        Instr::MovImm { dst, imm } => {
-            dst.0.hash(h);
-            match imm {
-                Imm::F(v) => (0u8, v.to_bits()).hash(h),
-                Imm::I(v) => (1u8, *v).hash(h),
-            }
-        }
-        Instr::Mov { dst, src } => (dst.0, src.0).hash(h),
-        Instr::Cvt { to, from, dst, src } => (*to as u8, *from as u8, dst.0, src.0).hash(h),
-        Instr::Setp { cmp, ty, pred, a, b } => {
-            (*cmp as u8, *ty as u8, pred.0, a.0, b.0).hash(h);
-        }
-        Instr::ReadSpecial { dst, special } => (dst.0, *special as u8).hash(h),
-        Instr::LdParam { dst, index } => (dst.0, *index).hash(h),
-        Instr::Ld { ty, dst, base, index, offset } => {
-            (*ty as u8, dst.0, base.0, index.map(|r| r.0), *offset).hash(h);
-        }
-        Instr::St { ty, base, index, offset, src } => {
-            (*ty as u8, base.0, index.map(|r| r.0), *offset, src.0).hash(h);
-        }
-    }
-}
-
-/// Cached decode outcome: a program either lowered successfully (shared
-/// stream) or was rejected (cached too, so the scalar fallback also skips
-/// re-lowering on every launch).
-type CacheSlot = (KernelProgram, Decoded);
-
-/// A decode outcome: the shared stream, or `None` for a rejected program.
-type Decoded = Option<Arc<DecodedProgram>>;
-
-/// Evict everything once the cache holds this many programs. Real fleets run
-/// dozens of kernels; this bound only guards unbounded program synthesis
-/// (e.g. fuzzers), where losing the cache is harmless.
-const CACHE_CAPACITY: usize = 512;
-
-fn cache() -> &'static Mutex<HashMap<u64, Vec<CacheSlot>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Vec<CacheSlot>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Number of programs currently held in the decode cache (for tests).
-#[cfg(test)]
-pub(crate) fn cached_programs() -> usize {
-    cache().lock().expect("decode cache poisoned").values().map(Vec::len).sum()
-}
-
-/// Decode `program`, consulting the process-global cache: repeated launches
-/// of the same kernel (the common ΣVP case) decode zero times. Returns
-/// `None` for programs the decoder rejects — the caller runs the scalar
-/// tier instead.
-pub(crate) fn decode(program: &KernelProgram) -> Decoded {
-    let key = structural_hash(program);
-    let map = cache().lock().expect("decode cache poisoned");
-    if let Some((_, dec)) = map.get(&key).into_iter().flatten().find(|(p, _)| p == program) {
-        return dec.clone();
-    }
-    drop(map);
-    // Lower outside the lock; duplicate work on a race is harmless, and only
-    // the insert that wins counts as a miss.
-    let (out, inserted) = insert(key, program, lower(program).map(Arc::new));
-    if inserted {
-        sigmavp_telemetry::recorder().count("sptx.decode.misses", 1);
-    }
-    out
-}
-
-/// Cache `dec` as the decode of `program` (structural hash `key`) unless a
-/// racing call cached one first. Returns the cached slot and whether this
-/// call's insert won.
-fn insert(key: u64, program: &KernelProgram, dec: Decoded) -> (Decoded, bool) {
-    let mut map = cache().lock().expect("decode cache poisoned");
-    if map.values().map(Vec::len).sum::<usize>() >= CACHE_CAPACITY {
-        map.clear();
-    }
-    let slots = map.entry(key).or_default();
-    match slots.iter().find(|(p, _)| p == program) {
-        Some((_, existing)) => (existing.clone(), false),
-        None => {
-            slots.push((program.clone(), dec.clone()));
-            (dec, true)
-        }
-    }
+/// The warp tier's lowering of `program`, made on its first call and kept
+/// on the program itself: every later launch of the same program, or of a
+/// clone made after that first call, decodes zero times. `None` for a
+/// program the decoder rejects; the caller runs the scalar tier instead.
+pub(crate) fn decode(program: &KernelProgram) -> Option<&DecodedProgram> {
+    program
+        .decoded()
+        .get_or_init(|| {
+            sigmavp_telemetry::recorder().count("sptx.decode.misses", 1);
+            lower(program).map(Arc::new)
+        })
+        .as_deref()
 }
 
 #[cfg(test)]
@@ -525,34 +413,26 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_after_first_decode() {
+    fn a_program_decodes_once_and_its_clones_share_the_decode() {
         let p = loop_program();
         let first = decode(&p).unwrap();
-        let again = decode(&p).unwrap();
-        assert!(Arc::ptr_eq(&first, &again), "second decode must be a cache hit");
-        assert!(cached_programs() >= 1);
-        // A structurally different program gets its own entry.
-        let mut b = ProgramBuilder::new("loop");
-        let r = b.reg();
-        b.mov_imm_i(r, 42).ret();
-        let q = b.build().unwrap();
-        let other = decode(&q).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-    }
+        assert!(std::ptr::eq(first, decode(&p).unwrap()), "a second launch decodes nothing");
+        assert!(std::ptr::eq(first, decode(&p.clone()).unwrap()), "a clone carries the decode");
 
-    #[test]
-    fn an_insert_that_loses_the_race_returns_the_cached_slot_and_is_no_miss() {
-        // A program no other test decodes, so its slot is this test's alone.
-        let mut b = ProgramBuilder::new("lost_race");
-        let r = b.reg();
-        b.mov_imm_i(r, 7).ret();
-        let p = b.build().unwrap();
-        let key = structural_hash(&p);
-        let (won, inserted) = insert(key, &p, lower(&p).map(Arc::new));
-        assert!(inserted, "the first insert wins: one miss");
-        // A racing decode of the identical program lowered its own copy.
-        let (lost, inserted) = insert(key, &p, lower(&p).map(Arc::new));
-        assert!(!inserted, "the second insert counts nothing");
-        assert!(Arc::ptr_eq(&won.unwrap(), &lost.unwrap()), "it returns the cached slot");
+        // An equal program built separately is still `==`, and decodes on its own.
+        let q = loop_program();
+        assert_eq!(p, q);
+        assert!(!std::ptr::eq(first, decode(&q).unwrap()));
+
+        // Threads that race to the first decode of one shared program all get
+        // the stream the winner stored.
+        let shared = Arc::new(loop_program());
+        let program: &KernelProgram = &shared;
+        let seen: Vec<&DecodedProgram> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4).map(|_| s.spawn(|| decode(program).unwrap())).collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let stored = decode(program).unwrap();
+        assert!(seen.iter().all(|&d| std::ptr::eq(d, stored)), "every racer reads one decode");
     }
 }

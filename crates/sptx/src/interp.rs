@@ -550,11 +550,10 @@ impl Interpreter {
             });
         }
 
-        let decoded = match self.tier {
+        let dec = match self.tier {
             Tier::Warp => crate::decode::decode(program),
             Tier::Scalar => None,
         };
-        let dec = decoded.as_deref();
         let workers = self.effective_workers();
         if workers > 1 && cfg.grid_dim > 1 {
             crate::parallel::run_parallel(self, program, dec, cfg, params, mem, workers)

@@ -2,7 +2,10 @@
 //! structural queries.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use crate::decode::DecodedProgram;
 use crate::isa::{BlockId, Instr, InstrClass, Terminator};
 
 /// A straight-line sequence of instructions ended by a single [`Terminator`].
@@ -129,6 +132,27 @@ pub struct KernelProgram {
     num_regs: u16,
     num_preds: u8,
     num_params: usize,
+    decoded: DecodeSlot,
+}
+
+/// The warp tier's lowering of a program, set by its first warp launch
+/// ([`decode`](crate::decode::decode)); `None` inside marks a program the
+/// decoder rejects. A program never changes once built, so the slot never
+/// goes stale, and a clone carries whatever its original had decoded. It is
+/// derived data: `==` and `Debug` ignore it.
+#[derive(Clone, Default)]
+struct DecodeSlot(OnceLock<Option<Arc<DecodedProgram>>>);
+
+impl PartialEq for DecodeSlot {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for DecodeSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl KernelProgram {
@@ -141,7 +165,13 @@ impl KernelProgram {
         num_preds: u8,
         num_params: usize,
     ) -> Self {
-        Self { name, blocks, num_regs, num_preds, num_params }
+        Self { name, blocks, num_regs, num_preds, num_params, decoded: DecodeSlot::default() }
+    }
+
+    /// The slot [`decode`](crate::decode::decode) fills on the first warp
+    /// launch.
+    pub(crate) fn decoded(&self) -> &OnceLock<Option<Arc<DecodedProgram>>> {
+        &self.decoded.0
     }
 
     /// The kernel's name (used for kernel matching in coalescing).
@@ -193,29 +223,6 @@ impl KernelProgram {
     pub fn block_mixes(&self) -> HashMap<BlockId, ClassCounts> {
         self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i as u32), b.static_mix())).collect()
     }
-
-    /// A structural fingerprint of the program: name plus static mix. Two launches
-    /// are *coalescible* in ΣVP when their fingerprints match (the paper's "identical
-    /// kernel" test performed by the Kernel Match module).
-    pub fn fingerprint(&self) -> ProgramFingerprint {
-        ProgramFingerprint {
-            name: self.name.clone(),
-            mix: self.static_mix(),
-            blocks: self.blocks.len(),
-        }
-    }
-}
-
-/// Identity of a kernel for coalescing purposes. See
-/// [`KernelProgram::fingerprint`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProgramFingerprint {
-    /// Kernel name.
-    pub name: String,
-    /// Whole-program static instruction mix.
-    pub mix: ClassCounts,
-    /// Number of basic blocks.
-    pub blocks: usize,
 }
 
 #[cfg(test)]
@@ -263,17 +270,6 @@ mod tests {
         c.add(InstrClass::Fp64, 3);
         c.add(InstrClass::Int, 1);
         assert!((c.fp_fraction() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fingerprints_distinguish_kernels() {
-        let p = tiny_program();
-        let mut b = ProgramBuilder::new("other");
-        let r = b.reg();
-        b.mov_imm_i(r, 7).ret();
-        let q = b.build().unwrap();
-        assert_ne!(p.fingerprint(), q.fingerprint());
-        assert_eq!(p.fingerprint(), tiny_program().fingerprint());
     }
 
     #[test]

@@ -1398,7 +1398,7 @@ mod tests {
         run: impl Fn(&mut WarpExec, &mut Memory, u32, &mut CtaCounters) -> Result<(), Abort>,
     ) -> Vec<CtaOutcome> {
         let dec = crate::decode::decode(program).expect("test kernels decode");
-        let mut exec = WarpExec::new(&dec);
+        let mut exec = WarpExec::new(dec);
         let mut cta = CtaCounters::new(program.blocks().len());
         let mut mem = mem.clone();
         (0..cfg.grid_dim)
