@@ -133,11 +133,18 @@ step "cargo bench --no-run" cargo bench --workspace --no-run
 
 step "cargo test" cargo test -q --workspace --no-fail-fast
 
-# The interpreter differentials again with a wider search. Seeds derive from
-# the test names, so these are the same 1024 cases on every run.
-step "sptx differentials x1024 (warp vs scalar, workers N vs 1, optimised vs not)" \
-  env PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx \
-  --test warp_differential --test parallel_differential --test opt_differential
+# The interpreter differentials again, optimised and with a wider search.
+# Seeds derive from the test names, so these are the same 1024 cases on every
+# run. The warp tier's lane loops are vectorised only in a release build, so
+# its two compiled copies (`warp::` unit tests) and the full-suite tier
+# differential run here as well.
+release_differentials() {
+  PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx \
+    --test warp_differential --test parallel_differential --test opt_differential
+  cargo test --release -q -p sigmavp-sptx --lib warp::
+  cargo test --release -q -p sigmavp-workloads --test warp_suite
+}
+step "sptx differentials x1024, warp copies, suite tiers (release)" release_differentials
 
 # The fleet's threaded tests again, optimised: shard threads race guests and
 # hold toggles at full speed, where a lost wake-up strands a request.

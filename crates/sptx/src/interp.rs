@@ -324,6 +324,10 @@ pub(crate) fn canonical_nan(v: f64) -> f64 {
     }
 }
 
+/// The most bytes one [`DataSpace::read_with`] or [`DataSpace::write_with`]
+/// moves: a warp's 32 lanes of 8 bytes.
+pub(crate) const MAX_SPAN: usize = 256;
+
 /// The data space a thread's loads and stores resolve against.
 ///
 /// The sequential path executes directly on [`Memory`]; the block-parallel
@@ -332,22 +336,24 @@ pub(crate) fn canonical_nan(v: f64) -> f64 {
 /// same thread-execution code via this trait. Every access is one span of
 /// bytes: a coalesced warp access moves all its lanes' bytes at once.
 pub(crate) trait DataSpace {
-    /// Read `out.len()` bytes starting at `addr`.
-    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError>;
+    /// `f` over the `len` bytes starting at `addr`, at most [`MAX_SPAN`]: lent
+    /// in place where the space holds them as one slice, else assembled.
+    fn read_with<R>(
+        &self,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SptxError>;
     /// Write `bytes` starting at `addr`.
     fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError>;
     fn read_f32(&self, addr: u64) -> Result<f32, SptxError> {
-        let mut b = [0; 4];
-        self.read_span(addr, &mut b)?;
-        Ok(f32::from_le_bytes(b))
+        self.read_with(addr, 4, |b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
     fn read_f64(&self, addr: u64) -> Result<f64, SptxError> {
         Ok(f64::from_bits(self.read_i64(addr)? as u64))
     }
     fn read_i64(&self, addr: u64) -> Result<i64, SptxError> {
-        let mut b = [0; 8];
-        self.read_span(addr, &mut b)?;
-        Ok(i64::from_le_bytes(b))
+        self.read_with(addr, 8, |b| i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
     fn write_f32(&mut self, addr: u64, v: f32) -> Result<(), SptxError> {
         self.write_span(addr, &v.to_le_bytes())
@@ -361,9 +367,14 @@ pub(crate) trait DataSpace {
 }
 
 impl DataSpace for Memory {
-    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
-        out.copy_from_slice(self.read_slice(addr, out.len() as u64)?);
-        Ok(())
+    #[inline(always)]
+    fn read_with<R>(
+        &self,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SptxError> {
+        Ok(f(self.read_slice(addr, len as u64)?))
     }
     fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {
         self.write_slice(addr, bytes)

@@ -50,7 +50,9 @@ use crate::counters::{ExecutionProfile, Tally};
 use crate::decode::DecodedProgram;
 use crate::error::SptxError;
 use crate::exec::WorkerPool;
-use crate::interp::{DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog};
+use crate::interp::{
+    DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, MAX_SPAN,
+};
 use crate::program::KernelProgram;
 use crate::warp::{run_cta, CtaCounters, WarpExec, WarpStats};
 
@@ -165,12 +167,21 @@ fn index(slots: &mut SlotIndex, addr: u64, bytes: &[u8]) {
 }
 
 impl DataSpace for OverlayMem<'_> {
-    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
-        self.base.read_span(addr, out)?;
-        let end = addr + out.len() as u64;
+    #[inline(always)]
+    fn read_with<R>(
+        &self,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SptxError> {
+        let end = addr.saturating_add(len as u64);
         if end <= self.lo || self.hi <= addr {
-            return Ok(());
+            // No byte of the span has been written by the block.
+            return self.base.read_with(addr, len, f);
         }
+        let mut buf = [0; MAX_SPAN];
+        let out = &mut buf[..len];
+        out.copy_from_slice(self.base.read_slice(addr, len as u64)?);
         if self.slots.is_empty() {
             // Oldest first, so the newest write of each byte wins.
             for (a, b) in self.log.iter(self.start) {
@@ -181,7 +192,7 @@ impl DataSpace for OverlayMem<'_> {
                 }
             }
         } else {
-            for (s, r, at) in slots_of(addr, out.len()) {
+            for (s, r, at) in slots_of(addr, len) {
                 if let Some((bytes, mask)) = self.slots.get(&s) {
                     for (i, o) in r.zip(&mut out[at..]) {
                         if mask >> i & 1 != 0 {
@@ -191,7 +202,7 @@ impl DataSpace for OverlayMem<'_> {
                 }
             }
         }
-        Ok(())
+        Ok(f(out))
     }
 
     fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {

@@ -2,19 +2,31 @@
 //!
 //! The warp tier runs all 32 threads of a warp in lockstep over the decoded
 //! op stream from [`crate::decode`]. A register is a [`Row`]: 32 raw 64-bit
-//! lanes plus one bit per lane saying "this lane holds an `f64`". An op takes
-//! its operands through a float or integer *view* of the row (a bit-cast when
-//! every active lane already has the wanted type), computes **all 32 lanes**
-//! in a fixed-width loop the compiler vectorises, and writes back under the
-//! active mask. Inactive lanes are computed and discarded: none of the ops
-//! computed this way can fault, and the write-back never lets a discarded
-//! result reach a register. Ops that can fault or call libm keep a loop over
-//! the active lanes only. Control flow uses a SIMT divergence stack with
-//! reconvergence at each branch's immediate post-dominator; predicates are
-//! one `u32` per predicate register. Wide memory ops classify the lane
-//! addresses, so a coalesced access is one bounds check, one copy
-//! ([`DataSpace::read_span`] / [`DataSpace::write_span`]) and one
-//! [`SegmentSet`] insert per 128-byte segment instead of one of each per lane.
+//! lanes plus one bit per lane saying "this lane holds an `f64`". An op reads
+//! its source rows where they are: when every active lane of a source holds
+//! the type the op reads, the row's bits are the view. Only a row whose active
+//! lanes hold the other type, or both, is converted, into one of
+//! [`SCRATCH_ROWS`] rows past the program's registers; that is the one place
+//! a row is copied. A register op computes **all 32 lanes** from the source
+//! rows in a fixed-width loop the compiler vectorises and writes its
+//! destination row once, selecting by the active mask; the lanes land in a
+//! local array first, because the destination may also be a source. Inactive
+//! lanes are computed and discarded: none of the ops computed this way can
+//! fault, and the masked write never lets a discarded result reach a
+//! register. Ops that can fault or call libm keep a loop over the active
+//! lanes only, which reads each lane's sources before writing it. A setp
+//! packs its compare bits into the predicate as it compares. Control flow
+//! uses a SIMT divergence stack with reconvergence at each branch's immediate
+//! post-dominator; predicates are one `u32` per predicate register.
+//!
+//! Wide memory ops form each lane's address by shift (a width is 4 or 8
+//! bytes) and classify the lanes in the same pass, OR-reducing XOR distances
+//! from the first active address (uniform) and from where each lane would sit
+//! after it (consecutive), under any mask. So a coalesced access is one bounds
+//! check and one [`SegmentSet`] insert per 128-byte segment instead of one of
+//! each per lane: a load lands in its destination row straight from memory
+//! ([`DataSpace::read_with`]), and a store packs its source row into one
+//! buffer for one [`DataSpace::write_span`].
 //!
 //! # Byte-identity with the scalar tier
 //!
@@ -68,11 +80,14 @@
 //! `a * b + c` into a fused multiply-add, so `mad.f64` rounds twice in both,
 //! `f32::mul_add` is correctly rounded in both (`fmaf` or `vfmadd`), libm
 //! calls are the same calls, and every other lane op is an IEEE-exact
-//! operation or an integer one. To bound the duplicated code, the ALU ops
-//! (most of it) get one copy per ISA ([`Isa`]) shared by both data spaces;
-//! only the warp loop and the memory ops are instantiated per data space,
-//! and a row view converting between lane types is a call into one shared
-//! copy (it is rare, and inlining it at every op site tripled the code).
+//! operation or an integer one. Where `f32::mul_add` is one instruction (the
+//! AVX2 copy) `mad.f32` computes every lane; where it is a libm call, the
+//! active ones. To bound the duplicated code, the ALU ops (most of it) get
+//! one copy per ISA ([`Isa`]) shared by both data spaces, and each run of ALU
+//! ops between two memory ops is one call into it; only the warp loop and
+//! the memory ops are instantiated per data space, and a row conversion
+//! between lane types is a call into one shared copy (it is rare, and
+//! inlining it at every op site tripled the code).
 //!
 //! Budget accounting is block-granular: each visit charges every active lane
 //! the block's cost. Since per-lane counts are non-negative, the sequential
@@ -86,11 +101,11 @@
 //! log.
 
 use crate::counters::{ExecutionProfile, SegmentSet, Tally};
-use crate::decode::{DOp, DTerm, DecodedProgram, EXIT, NO_INDEX};
+use crate::decode::{DOp, DTerm, DecodedOp, DecodedProgram, EXIT, NO_INDEX};
 use crate::error::SptxError;
 use crate::interp::{
     canonical_nan, DataSpace, Interpreter, LaunchConfig, Mark, Memory, ParamValue, SpanLog, Value,
-    MEMORY_SEGMENT_BYTES,
+    MAX_SPAN, MEMORY_SEGMENT_BYTES,
 };
 use crate::isa::{BinOp, CmpOp, ScalarType, Special, UnaryOp};
 use crate::parallel::IntMap;
@@ -123,44 +138,6 @@ macro_rules! for_lanes {
     };
 }
 
-/// `f` over every lane of one or two operands. A zipped loop over fixed-width
-/// arrays is the shape the compiler turns into straight vector code.
-#[inline(always)]
-fn map1<A: Copy, R: Copy + Default>(a: &Lanes<A>, f: impl Fn(A) -> R) -> Lanes<R> {
-    let mut out = [R::default(); WARP_WIDTH];
-    for (o, &x) in out.iter_mut().zip(a) {
-        *o = f(x);
-    }
-    out
-}
-
-#[inline(always)]
-fn map2<A: Copy, B: Copy, R: Copy + Default>(
-    a: &Lanes<A>,
-    b: &Lanes<B>,
-    f: impl Fn(A, B) -> R,
-) -> Lanes<R> {
-    let mut out = [R::default(); WARP_WIDTH];
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = f(x, y);
-    }
-    out
-}
-
-/// `f(l)` for the active lanes only (the rest stay default): for ops that can
-/// fault on a discarded lane (integer `div`/`rem`) or call into libm, where
-/// one costs a full call — a loop of `exp.f64` or `cos.f64` with 1 lane in 32
-/// active ran 2.7x longer through [`map1`] (32 ms against 12 ms; 1 in 2: 34
-/// against 23 ms) and no faster under a full mask.
-#[inline(always)]
-fn map_active<R: Copy + Default>(mask: u32, f: impl Fn(usize) -> R) -> Lanes<R> {
-    let mut out = [R::default(); WARP_WIDTH];
-    for_lanes!(mask, l, {
-        out[l] = f(l);
-    });
-    out
-}
-
 /// Why a CTA left lockstep for the scalar tier.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Abort {
@@ -181,22 +158,30 @@ impl Abort {
     ];
 }
 
-/// The active mask of the block being executed and its per-lane expansion
-/// (`keep[l]` is all-ones where lane `l` is active), which makes a masked
-/// write-back a branch-free select. Unused for the full mask.
+/// The active mask of the block being executed, expanded per lane: `keep[l]`
+/// is all-ones where lane `l` is active, which makes a masked write a
+/// branch-free select, and `rank[l]` counts the active lanes below `l`, which
+/// is where lane `l` sits in a consecutive access. Built when the mask
+/// changes, not per op.
 #[derive(Clone, Copy)]
 struct Active {
     mask: u32,
     keep: Lanes<u64>,
+    rank: Lanes<u64>,
 }
 
 impl Active {
-    const FULL: Active = Active { mask: u32::MAX, keep: [u64::MAX; WARP_WIDTH] };
-
     #[inline(always)]
     fn new(mask: u32) -> Self {
-        Self { mask, keep: std::array::from_fn(|l| 0u64.wrapping_sub(u64::from(mask >> l & 1))) }
+        let rank = std::array::from_fn(|l| u64::from((mask & ((1 << l) - 1)).count_ones()));
+        Self { mask, keep: lanes_of(mask), rank }
     }
+}
+
+/// All-ones in the lanes of `mask`, zero in the others.
+#[inline(always)]
+fn lanes_of(mask: u32) -> Lanes<u64> {
+    std::array::from_fn(|l| 0u64.wrapping_sub(u64::from(mask >> l & 1)))
 }
 
 /// One register across the warp: raw 64-bit payloads, and in `fmask` one bit
@@ -204,6 +189,7 @@ impl Active {
 /// mask is per lane, not per row, because the arms of a divergent branch can
 /// leave floats in some lanes and integers in others.
 #[derive(Clone, Copy)]
+#[repr(align(32))] // so no 256-bit load or store of a row's lanes splits a cache line
 struct Row {
     bits: Lanes<u64>,
     fmask: u32,
@@ -213,74 +199,138 @@ impl Row {
     /// Thread-entry state: integer zero in every lane.
     const ZERO: Row = Row { bits: [0; WARP_WIDTH], fmask: 0 };
 
-    /// The row as floats, `Value::as_f64` per lane. Only the lanes of `mask`
-    /// are meaningful: when all of them hold floats (or none does) every lane
-    /// is read that way, and an inactive lane of the other type yields a
-    /// value the masked write-back discards. The usual case, a float row, is
-    /// a bit-cast inlined into the op's loop; conversions take a call, so
-    /// each op site carries one loop instead of three.
-    #[inline(always)]
-    fn floats(&self, mask: u32) -> Lanes<f64> {
-        if self.fmask & mask == mask {
-            map1(&self.bits, f64::from_bits)
-        } else {
-            self.floats_converted(mask)
-        }
-    }
-
+    /// The row as float bits, `Value::as_f64` per lane. This and
+    /// [`Row::ints_converted`] are the one place a row is copied (see
+    /// [`view`]).
     #[inline(never)]
-    fn floats_converted(&self, mask: u32) -> Lanes<f64> {
-        if self.fmask & mask == 0 {
-            map1(&self.bits, |b| b as i64 as f64)
-        } else {
-            let held = Active::new(self.fmask).keep;
-            map2(&self.bits, &held, |b, h| if h != 0 { f64::from_bits(b) } else { b as i64 as f64 })
-        }
+    fn floats_converted(&self) -> Lanes<u64> {
+        std::array::from_fn(|l| match self.bits[l] {
+            b if self.fmask >> l & 1 != 0 => b,
+            b => (b as i64 as f64).to_bits(),
+        })
     }
 
-    /// The row as integers, `Value::as_i64` per lane; see [`Row::floats`].
-    #[inline(always)]
-    fn ints(&self, mask: u32) -> Lanes<i64> {
-        if self.fmask & mask == 0 {
-            map1(&self.bits, |b| b as i64)
-        } else {
-            self.ints_converted(mask)
-        }
-    }
-
+    /// The row as integer bits, `Value::as_i64` per lane.
     #[inline(never)]
-    fn ints_converted(&self, mask: u32) -> Lanes<i64> {
-        if self.fmask & mask == mask {
-            map1(&self.bits, |b| f64::from_bits(b) as i64)
-        } else {
-            let held = Active::new(self.fmask).keep;
-            map2(&self.bits, &held, |b, h| if h != 0 { f64::from_bits(b) as i64 } else { b as i64 })
+    fn ints_converted(&self) -> Lanes<u64> {
+        std::array::from_fn(|l| match self.bits[l] {
+            b if self.fmask >> l & 1 != 0 => f64::from_bits(b) as i64 as u64,
+            b => b,
+        })
+    }
+
+    /// Type the lanes of `mask` by `fmask`, leaving the others' types alone.
+    #[inline(always)]
+    fn set_types(&mut self, mask: u32, fmask: u32) {
+        self.fmask = (self.fmask & !mask) | (fmask & mask);
+    }
+}
+
+/// Rows past the program's registers, one per operand of the widest op
+/// (`mad`): where a source whose active lanes are not all of the type the op
+/// reads gets its converted copy.
+const SCRATCH_ROWS: usize = 3;
+
+/// Lane types as an `fmask`: every lane a float, or every lane an integer.
+const FLOATS: u32 = u32::MAX;
+const INTS: u32 = 0;
+
+/// The rows to read registers `src` through, typed as `want` ([`FLOATS`]:
+/// `Value::as_f64` per lane, [`INTS`]: `Value::as_i64`): each register itself
+/// when its active lanes all hold that type (the usual case, which costs
+/// nothing), else scratch row `k` for operand `k`, holding the converted
+/// lanes. Only the active lanes are meaningful; an inactive lane of the other
+/// type reads as a value the masked write discards.
+#[inline(always)]
+fn view<const N: usize>(regs: &mut [Row], mut src: [usize; N], mask: u32, want: u32) -> [usize; N] {
+    for (k, r) in src.iter_mut().enumerate() {
+        if regs[*r].fmask & mask != want & mask {
+            *r = convert(regs, *r, k, want);
         }
     }
+    src
+}
 
-    /// Write `bits` (typed by `fmask`) into the active lanes, leaving the
-    /// others untouched.
-    #[inline(always)]
-    fn put(&mut self, act: &Active, bits: &Lanes<u64>, fmask: u32) {
-        if act.mask == u32::MAX {
-            self.bits = *bits;
-        } else {
-            for ((d, &v), &k) in self.bits.iter_mut().zip(bits).zip(&act.keep) {
-                *d = (v & k) | (*d & !k);
-            }
+/// Fill scratch row `k` with row `r` converted to `want`'s type, and name it.
+/// A call, so each op site carries one lane loop, not one per source type.
+#[inline(never)]
+fn convert(regs: &mut [Row], r: usize, k: usize, want: u32) -> usize {
+    let slot = regs.len() - SCRATCH_ROWS + k;
+    let row = &regs[r];
+    regs[slot].bits = if want == FLOATS { row.floats_converted() } else { row.ints_converted() };
+    slot
+}
+
+/// `regs[d] = f(lanes of regs[src])` in the active lanes, typed by `fmask`;
+/// the other lanes keep their bits and types. Every lane is computed and the
+/// masked select discards the inactive ones, so `f` must not fault or call
+/// libm. The sources are read where they are and `d` is written once, after
+/// every lane is computed, so `d` may be one of `src`.
+#[inline(always)]
+fn write_lanes<const N: usize>(
+    regs: &mut [Row],
+    act: &Active,
+    d: usize,
+    src: [usize; N],
+    fmask: u32,
+    f: impl Fn([u64; N]) -> u64,
+) {
+    // Plain loops, not `array::map`: that one is not always inlined, and a
+    // call per lane undoes the vector loop.
+    let mut rows = [&[0; WARP_WIDTH]; N];
+    for (r, &s) in rows.iter_mut().zip(&src) {
+        *r = &regs[s].bits;
+    }
+    let mut out = [0u64; WARP_WIDTH];
+    for (l, o) in out.iter_mut().enumerate() {
+        let mut x = [0; N];
+        for (x, r) in x.iter_mut().zip(&rows) {
+            *x = r[l];
         }
-        self.fmask = (self.fmask & !act.mask) | (fmask & act.mask);
+        *o = f(x);
     }
+    let row = &mut regs[d].bits;
+    if act.mask == u32::MAX {
+        *row = out;
+    } else {
+        for ((o, &v), &k) in row.iter_mut().zip(&out).zip(&act.keep) {
+            *o = (v & k) | (*o & !k);
+        }
+    }
+    regs[d].set_types(act.mask, fmask);
+}
 
-    #[inline(always)]
-    fn put_f(&mut self, act: &Active, vals: &Lanes<f64>) {
-        self.put(act, &map1(vals, f64::to_bits), u32::MAX);
+/// Every active lane of `row` becomes `bits`, typed by `fmask`.
+#[inline(always)]
+fn splat(row: &mut Row, act: &Active, bits: u64, fmask: u32) {
+    for (o, &k) in row.bits.iter_mut().zip(&act.keep) {
+        *o = (bits & k) | (*o & !k);
     }
+    row.set_types(act.mask, fmask);
+}
 
-    #[inline(always)]
-    fn put_i(&mut self, act: &Active, vals: &Lanes<i64>) {
-        self.put(act, &map1(vals, |v| v as u64), 0);
-    }
+/// [`write_lanes`] over the active lanes only, for the ops that may fault on
+/// a discarded lane (integer `div`/`rem`) or call into libm, where one costs
+/// a full call: a loop of `exp.f64` or `cos.f64` with 1 lane in 32 active ran
+/// 2.7x longer over all lanes (32 ms against 12 ms; 1 in 2: 34 against 23 ms)
+/// and no faster under a full mask.
+#[inline(always)]
+fn write_active<const N: usize>(
+    regs: &mut [Row],
+    act: &Active,
+    d: usize,
+    src: [usize; N],
+    fmask: u32,
+    f: impl Fn([u64; N]) -> u64,
+) {
+    for_lanes!(act.mask, l, {
+        let mut x = [0; N];
+        for (x, &s) in x.iter_mut().zip(&src) {
+            *x = regs[s].bits[l];
+        }
+        regs[d].bits[l] = f(x);
+    });
+    regs[d].set_types(act.mask, fmask);
 }
 
 /// A runtime [`Value`] as a lane payload and its type bit (splatted).
@@ -470,7 +520,7 @@ impl StoreTracker {
 }
 
 /// How a warp-wide access's active lanes are laid out in memory.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Shape {
     /// Every active lane has this address.
     Uniform(u64),
@@ -481,42 +531,72 @@ enum Shape {
 }
 
 /// One warp-wide load or store: every lane's effective address (only the
-/// active lanes' are meaningful), the access width, and the layout.
-struct Access {
-    addrs: Lanes<u64>,
+/// active lanes' are meaningful), the access width, and the layout. The
+/// addresses live in the warp's reusable buffer, so an access is formed
+/// where it is read and never moved.
+struct Access<'a> {
+    addrs: &'a Lanes<u64>,
     w: u64,
     shape: Shape,
 }
 
-impl Access {
+/// Write every lane's address, `addr(l)`, into `addrs` and say how the
+/// active lanes' addresses are laid out for an access `1 << shift` bytes
+/// wide, in one pass over the lanes: OR-reduced XOR distances from the first
+/// active address (uniform) and from where each lane of a consecutive access
+/// would sit (consecutive).
+#[inline(always)]
+fn classify(
+    addrs: &mut Lanes<u64>,
+    act: &Active,
+    shift: u32,
+    addr: impl Fn(usize) -> u64,
+) -> Shape {
+    let first = addr(act.mask.trailing_zeros() as usize);
+    let (mut uniform, mut consec) = (0, 0);
+    for (l, (o, (&k, &r))) in addrs.iter_mut().zip(act.keep.iter().zip(&act.rank)).enumerate() {
+        let a = addr(l);
+        *o = a;
+        uniform |= (a ^ first) & k;
+        consec |= (a ^ first.wrapping_add(r << shift)) & k;
+    }
+    let n = u64::from(act.mask.count_ones());
+    if uniform == 0 {
+        Shape::Uniform(first)
+    } else if let (0, Some(end)) = (consec, first.checked_add(n << shift)) {
+        Shape::Consecutive(first, end)
+    } else {
+        Shape::Scatter
+    }
+}
+
+impl<'a> Access<'a> {
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn new(regs: &[Row], base: u16, index: u16, offset: i64, w: u64, mask: u32) -> Self {
-        let b = regs[base as usize].ints(mask);
-        let addrs: Lanes<u64> = if index == NO_INDEX {
-            map1(&b, |b| b.wrapping_add(offset) as u64)
+    fn new(
+        addrs: &'a mut Lanes<u64>,
+        regs: &mut [Row],
+        act: &Active,
+        base: u16,
+        index: u16,
+        offset: i64,
+        w: u64,
+    ) -> Self {
+        let mask = act.mask;
+        // `w` is 4 or 8: a shift, where a multiply by a width known only at
+        // run time is a 64-bit lane multiply, which AVX2 does not have.
+        let shift = w.trailing_zeros();
+        let offset = offset as u64;
+        let [b] = view(regs, [base as usize], mask, INTS);
+        let shape = if index == NO_INDEX {
+            let b = &regs[b].bits;
+            classify(addrs, act, shift, |l| b[l].wrapping_add(offset))
         } else {
-            let i = regs[index as usize].ints(mask);
-            map2(&b, &i, |b, i| {
-                b.wrapping_add(i.wrapping_mul(w as i64)).wrapping_add(offset) as u64
-            })
+            let [b, i] = view(regs, [b, index as usize], mask, INTS);
+            let (b, i) = (&regs[b].bits, &regs[i].bits);
+            classify(addrs, act, shift, |l| b[l].wrapping_add(i[l] << shift).wrapping_add(offset))
         };
-        let first = addrs[mask.trailing_zeros() as usize];
-        let (mut uniform, mut consec, mut want) = (true, true, first);
-        for_lanes!(mask, l, {
-            uniform &= addrs[l] == first;
-            consec &= addrs[l] == want;
-            want = want.wrapping_add(w);
-        });
-        let shape = if uniform {
-            Shape::Uniform(first)
-        } else if let (true, Some(end)) =
-            (consec, first.checked_add(u64::from(mask.count_ones()) * w))
-        {
-            Shape::Consecutive(first, end)
-        } else {
-            Shape::Scatter
-        };
-        Self { addrs, w, shape }
+        Access { addrs, w, shape }
     }
 
     /// A byte span covering every active lane's access (saturating: a span
@@ -557,46 +637,59 @@ fn touch_span(segments: &mut SegmentSet, first: u64, n: u64, w: u64) {
     }
 }
 
-/// Move the active lanes' values to the front, in lane order.
+/// The `k`-th `W`-byte element of `span` into the `k`-th active lane of
+/// `row`, through `elem`: a coalesced load lands in its destination row.
 #[inline(always)]
-fn compress(vals: &Lanes<u64>, mask: u32) -> Lanes<u64> {
+fn unpack<const W: usize>(
+    span: &[u8],
+    row: &mut Lanes<u64>,
+    mask: u32,
+    elem: impl Fn([u8; W]) -> u64,
+) {
+    let mut elems = span.chunks_exact(W).map(|c| elem(c.try_into().expect("one element")));
     if mask == u32::MAX {
-        return *vals;
+        for (o, v) in row.iter_mut().zip(elems) {
+            *o = v;
+        }
+    } else {
+        for_lanes!(mask, l, {
+            row[l] = elems.next().expect("one element per active lane");
+        });
     }
-    let mut dense = [0; WARP_WIDTH];
-    let mut k = 0;
-    for_lanes!(mask, l, {
-        dense[k] = vals[l];
-        k += 1;
-    });
-    dense
 }
 
-/// Inverse of [`compress`]: the `k`-th value goes to the `k`-th active lane.
+/// Inverse of [`unpack`]: the `k`-th active lane of `row` becomes the `k`-th
+/// element of `span`, so a coalesced store leaves from its source row.
 #[inline(always)]
-fn expand(dense: &Lanes<u64>, mask: u32) -> Lanes<u64> {
+fn pack<const W: usize>(
+    span: &mut [u8],
+    row: &Lanes<u64>,
+    mask: u32,
+    elem: impl Fn(u64) -> [u8; W],
+) {
+    let mut elems = span.chunks_exact_mut(W);
     if mask == u32::MAX {
-        return *dense;
+        for (c, &v) in elems.zip(row) {
+            c.copy_from_slice(&elem(v));
+        }
+    } else {
+        for_lanes!(mask, l, {
+            elems.next().expect("one element per active lane").copy_from_slice(&elem(row[l]));
+        });
     }
-    let mut vals = [0; WARP_WIDTH];
-    let mut k = 0;
-    for_lanes!(mask, l, {
-        vals[l] = dense[k];
-        k += 1;
-    });
-    vals
 }
 
 /// Reusable warp-execution state for one decoded program: register rows,
-/// predicate masks, the SIMT stack, the store tracker, and the expansion of
-/// the last active mask seen. One of these lives per sequential launch or per
-/// parallel worker.
+/// predicate masks, the SIMT stack, the store tracker, the lane addresses of
+/// the current access, and the expansion of the last active mask seen. One of
+/// these lives per sequential launch or per parallel worker.
 pub(crate) struct WarpExec<'a> {
     dec: &'a DecodedProgram,
     regs: Vec<Row>,
     preds: Vec<u32>,
     stack: Vec<Frame>,
     stores: StoreTracker,
+    addrs: Lanes<u64>,
     act: Active,
 }
 
@@ -604,11 +697,12 @@ impl<'a> WarpExec<'a> {
     pub(crate) fn new(dec: &'a DecodedProgram) -> Self {
         Self {
             dec,
-            regs: vec![Row::ZERO; dec.num_regs as usize],
+            regs: vec![Row::ZERO; dec.num_regs as usize + SCRATCH_ROWS],
             preds: vec![0; dec.num_preds as usize],
             stack: Vec::with_capacity(8),
             stores: StoreTracker::default(),
-            act: Active::FULL,
+            addrs: [0; WARP_WIDTH],
+            act: Active::new(u32::MAX),
         }
     }
 }
@@ -676,7 +770,7 @@ fn run_cta_on<I: Isa, M: DataSpace>(
 trait Isa: Copy {
     fn exec_alu(
         self,
-        op: &DOp,
+        ops: &[DecodedOp],
         regs: &mut [Row],
         preds: &mut [u32],
         act: &Active,
@@ -692,25 +786,28 @@ impl Isa for Portable {
     #[inline(always)]
     fn exec_alu(
         self,
-        op: &DOp,
+        ops: &[DecodedOp],
         regs: &mut [Row],
         preds: &mut [u32],
         act: &Active,
         ctx: &WarpCtx,
     ) -> Result<(), Abort> {
-        exec_alu_portable(op, regs, preds, act, ctx)
+        exec_alu_portable(ops, regs, preds, act, ctx)
     }
 }
 
 #[inline(never)]
 fn exec_alu_portable(
-    op: &DOp,
+    ops: &[DecodedOp],
     regs: &mut [Row],
     preds: &mut [u32],
     act: &Active,
     ctx: &WarpCtx,
 ) -> Result<(), Abort> {
-    exec_alu(op, regs, preds, act, ctx)
+    for d in ops {
+        exec_alu::<false>(&d.op, regs, preds, act, ctx)?;
+    }
+    Ok(())
 }
 
 /// Proof that the host runs AVX2 with FMA and the BMI/LZCNT/POPCNT bit
@@ -768,14 +865,14 @@ impl Isa for Avx2 {
     #[inline(always)]
     fn exec_alu(
         self,
-        op: &DOp,
+        ops: &[DecodedOp],
         regs: &mut [Row],
         preds: &mut [u32],
         act: &Active,
         ctx: &WarpCtx,
     ) -> Result<(), Abort> {
         // SAFETY: `self` exists only if `detect` saw every enabled feature.
-        unsafe { exec_alu_avx2(op, regs, preds, act, ctx) }
+        unsafe { exec_alu_avx2(ops, regs, preds, act, ctx) }
     }
 }
 
@@ -803,13 +900,16 @@ avx2_features! {
     /// The AVX2 copy of [`exec_alu`]; only `Avx2::exec_alu` calls it.
     #[inline(never)]
     fn exec_alu_avx2(
-        op: &DOp,
+        ops: &[DecodedOp],
         regs: &mut [Row],
         preds: &mut [u32],
         act: &Active,
         ctx: &WarpCtx,
     ) -> Result<(), Abort> {
-        exec_alu(op, regs, preds, act, ctx)
+        for d in ops {
+            exec_alu::<true>(&d.op, regs, preds, act, ctx)?;
+        }
+        Ok(())
     }
 }
 
@@ -860,14 +960,23 @@ fn run_warp<I: Isa, M: DataSpace>(
         if exec.act.mask != mask {
             exec.act = Active::new(mask);
         }
-        for dop in &dec.ops[blk.start as usize..(blk.start + blk.len) as usize] {
-            cta.tally.class_counts[dop.class as usize] += active;
-            match dop.op {
-                DOp::Ld { .. } | DOp::St { .. } => {
-                    exec_mem(&dop.op, &mut exec.regs, &mut exec.stores, cta, mem, &exec.act)?
-                }
-                _ => isa.exec_alu(&dop.op, &mut exec.regs, &mut exec.preds, &exec.act, ctx)?,
+        let mut ops = &dec.ops[blk.start as usize..(blk.start + blk.len) as usize];
+        while let Some(dop) = ops.first() {
+            // A memory op, or the run of ALU ops up to the next one, which
+            // the ISA copy executes in one call.
+            let is_mem = |d: &DecodedOp| matches!(d.op, DOp::Ld { .. } | DOp::St { .. });
+            let n = if is_mem(dop) { 1 } else { ops.iter().take_while(|d| !is_mem(d)).count() };
+            let (run, rest) = ops.split_at(n);
+            for d in run {
+                cta.tally.class_counts[d.class as usize] += active;
             }
+            if is_mem(dop) {
+                let (regs, addrs) = (&mut exec.regs, &mut exec.addrs);
+                exec_mem(&dop.op, regs, &mut exec.stores, addrs, cta, mem, &exec.act)?;
+            } else {
+                isa.exec_alu(run, &mut exec.regs, &mut exec.preds, &exec.act, ctx)?;
+            }
+            ops = rest;
         }
 
         match blk.term {
@@ -919,9 +1028,10 @@ fn bin_f(
     b: usize,
     f: impl Fn(f64, f64) -> f64,
 ) {
-    let out =
-        map2(&regs[a].floats(act.mask), &regs[b].floats(act.mask), |x, y| canonical_nan(f(x, y)));
-    regs[dst].put_f(act, &out);
+    let [a, b] = view(regs, [a, b], act.mask, FLOATS);
+    write_lanes(regs, act, dst, [a, b], FLOATS, |[x, y]| {
+        canonical_nan(f(f64::from_bits(x), f64::from_bits(y))).to_bits()
+    });
 }
 
 /// Integer-view counterpart of [`bin_f`].
@@ -934,8 +1044,8 @@ fn bin_i(
     b: usize,
     f: impl Fn(i64, i64) -> i64,
 ) {
-    let out = map2(&regs[a].ints(act.mask), &regs[b].ints(act.mask), f);
-    regs[dst].put_i(act, &out);
+    let [a, b] = view(regs, [a, b], act.mask, INTS);
+    write_lanes(regs, act, dst, [a, b], INTS, |[x, y]| f(x as i64, y as i64) as u64);
 }
 
 /// Unary float op over one row; `f` already folds in any F32 round-tripping.
@@ -949,37 +1059,44 @@ fn un_f(
     all_lanes: bool,
     f: impl Fn(f64) -> f64,
 ) {
-    let x = regs[a].floats(act.mask);
-    let out = if all_lanes { map1(&x, f) } else { map_active(act.mask, |l| f(x[l])) };
-    regs[dst].put_f(act, &out);
+    let [a] = view(regs, [a], act.mask, FLOATS);
+    let f = |[x]: [u64; 1]| f(f64::from_bits(x)).to_bits();
+    if all_lanes {
+        write_lanes(regs, act, dst, [a], FLOATS, f);
+    } else {
+        write_active(regs, act, dst, [a], FLOATS, f);
+    }
 }
 
-/// One predicate bit per lane: `cmp(a, b)`.
+/// One predicate bit per lane: `cmp` of the lanes of `a` and `b` read
+/// through `read`, packed as they are compared.
 #[inline(always)]
-fn compare<T: Copy + PartialOrd>(cmp: CmpOp, a: &Lanes<T>, b: &Lanes<T>) -> u32 {
+fn compare<T: PartialOrd>(cmp: CmpOp, a: &Row, b: &Row, read: impl Fn(u64) -> T) -> u32 {
     #[inline(always)]
-    fn bits<T: Copy>(a: &Lanes<T>, b: &Lanes<T>, f: impl Fn(T, T) -> bool) -> u32 {
+    fn bits(a: &Row, b: &Row, f: impl Fn(u64, u64) -> bool) -> u32 {
         let mut bits = 0u32;
-        for (l, (&x, &y)) in a.iter().zip(b).enumerate() {
+        for (l, (&x, &y)) in a.bits.iter().zip(&b.bits).enumerate() {
             bits |= u32::from(f(x, y)) << l;
         }
         bits
     }
     match cmp {
-        CmpOp::Eq => bits(a, b, |x, y| x == y),
-        CmpOp::Ne => bits(a, b, |x, y| x != y),
-        CmpOp::Lt => bits(a, b, |x, y| x < y),
-        CmpOp::Le => bits(a, b, |x, y| x <= y),
-        CmpOp::Gt => bits(a, b, |x, y| x > y),
-        CmpOp::Ge => bits(a, b, |x, y| x >= y),
+        CmpOp::Eq => bits(a, b, |x, y| read(x) == read(y)),
+        CmpOp::Ne => bits(a, b, |x, y| read(x) != read(y)),
+        CmpOp::Lt => bits(a, b, |x, y| read(x) < read(y)),
+        CmpOp::Le => bits(a, b, |x, y| read(x) <= read(y)),
+        CmpOp::Gt => bits(a, b, |x, y| read(x) > read(y)),
+        CmpOp::Ge => bits(a, b, |x, y| read(x) >= read(y)),
     }
 }
 
 /// Every op that does not touch memory. Deliberately not generic over the
 /// [`DataSpace`]: the lane loops are most of the tier's code, and the
 /// sequential and block-parallel drivers share one copy of them per [`Isa`].
+/// `FMA` says the copy is compiled with a fused multiply-add instruction, so
+/// `f32::mul_add` is one instruction rather than a libm call.
 #[inline(always)]
-fn exec_alu(
+fn exec_alu<const FMA: bool>(
     op: &DOp,
     regs: &mut [Row],
     preds: &mut [u32],
@@ -1007,29 +1124,28 @@ fn exec_alu(
                         // Fault-capable: a zero divisor in any active lane
                         // aborts the CTA; the scalar rerun reproduces the
                         // exact error.
-                        let (x, y) = (regs[a].ints(mask), regs[b].ints(mask));
+                        let [a, b] = view(regs, [a, b], mask, INTS);
                         for_lanes!(mask, l, {
-                            if y[l] == 0 {
+                            if regs[b].bits[l] == 0 {
                                 return Err(Abort::Fault);
                             }
                         });
-                        let out = if matches!(op, B::Div) {
-                            map_active(mask, |l| x[l].wrapping_div(y[l]))
-                        } else {
-                            map_active(mask, |l| x[l].wrapping_rem(y[l]))
-                        };
-                        regs[d].put_i(act, &out);
+                        let div = matches!(op, B::Div);
+                        write_active(regs, act, d, [a, b], INTS, |[x, y]| {
+                            let (x, y) = (x as i64, y as i64);
+                            (if div { x.wrapping_div(y) } else { x.wrapping_rem(y) }) as u64
+                        });
                     }
                 }
             } else if matches!(op, B::Rem) {
                 // Float `%` is libm's `fmod`: active lanes only.
-                let (x, y) = (regs[a].floats(mask), regs[b].floats(mask));
-                let out = if ty == ScalarType::F32 {
-                    map_active(mask, |l| canonical_nan(((x[l] as f32) % (y[l] as f32)) as f64))
-                } else {
-                    map_active(mask, |l| canonical_nan(x[l] % y[l]))
-                };
-                regs[d].put_f(act, &out);
+                let [a, b] = view(regs, [a, b], mask, FLOATS);
+                let f32_round = ty == ScalarType::F32;
+                write_active(regs, act, d, [a, b], FLOATS, |[x, y]| {
+                    let (x, y) = (f64::from_bits(x), f64::from_bits(y));
+                    let r = if f32_round { ((x as f32) % (y as f32)) as f64 } else { x % y };
+                    canonical_nan(r).to_bits()
+                });
             } else if ty == ScalarType::F32 {
                 match op {
                     B::Add => bin_f(regs, act, d, a, b, |x, y| ((x as f32) + (y as f32)) as f64),
@@ -1069,17 +1185,13 @@ fn exec_alu(
                     }
                 }};
             }
-            if op.is_bitwise() {
-                let out = map1(&regs[a].ints(mask), |x| !x);
-                regs[d].put_i(act, &out);
-            } else if ty == ScalarType::I64 && matches!(op, U::Neg | U::Abs) {
-                let x = regs[a].ints(mask);
-                let out = if matches!(op, U::Neg) {
-                    map1(&x, i64::wrapping_neg)
-                } else {
-                    map1(&x, i64::wrapping_abs)
-                };
-                regs[d].put_i(act, &out);
+            if op.is_bitwise() || ty == ScalarType::I64 && matches!(op, U::Neg | U::Abs) {
+                let [a] = view(regs, [a], mask, INTS);
+                match op {
+                    U::Neg => write_lanes(regs, act, d, [a], INTS, |[x]| x.wrapping_neg()),
+                    U::Abs => write_lanes(regs, act, d, [a], INTS, |[x]| (x as i64).unsigned_abs()),
+                    _ => write_lanes(regs, act, d, [a], INTS, |[x]| !x),
+                }
             } else {
                 match op {
                     U::Neg => un_float!(true, |x: f64| -x),
@@ -1095,73 +1207,79 @@ fn exec_alu(
         }
         DOp::Mad { ty, dst, a, b, c } => {
             let (d, a, b, c) = (dst as usize, a as usize, b as usize, c as usize);
-            match ty {
-                ScalarType::F32 => {
-                    // `f32::mul_add` is a libm call without an FMA target
-                    // feature: active lanes only.
-                    let x = regs[a].floats(mask);
-                    let (y, z) = (regs[b].floats(mask), regs[c].floats(mask));
-                    let out = map_active(mask, |l| {
-                        canonical_nan((x[l] as f32).mul_add(y[l] as f32, z[l] as f32) as f64)
+            if ty == ScalarType::I64 {
+                let src = view(regs, [a, b, c], mask, INTS);
+                write_lanes(regs, act, d, src, INTS, |[x, y, z]| x.wrapping_mul(y).wrapping_add(z));
+            } else {
+                let src = view(regs, [a, b, c], mask, FLOATS);
+                let f32_mad = |[x, y, z]: [u64; 3]| {
+                    let f = |v| f64::from_bits(v) as f32;
+                    canonical_nan(f(x).mul_add(f(y), f(z)) as f64).to_bits()
+                };
+                if ty == ScalarType::F32 && FMA {
+                    write_lanes(regs, act, d, src, FLOATS, f32_mad);
+                } else if ty == ScalarType::F32 {
+                    // Without the instruction `f32::mul_add` is a libm call:
+                    // active lanes only.
+                    write_active(regs, act, d, src, FLOATS, f32_mad);
+                } else {
+                    write_lanes(regs, act, d, src, FLOATS, |[x, y, z]| {
+                        let f = f64::from_bits;
+                        canonical_nan(f(x) * f(y) + f(z)).to_bits()
                     });
-                    regs[d].put_f(act, &out);
-                }
-                ScalarType::F64 => {
-                    let xy = map2(&regs[a].floats(mask), &regs[b].floats(mask), |x, y| x * y);
-                    let out = map2(&xy, &regs[c].floats(mask), |xy, z| canonical_nan(xy + z));
-                    regs[d].put_f(act, &out);
-                }
-                ScalarType::I64 => {
-                    let xy = map2(&regs[a].ints(mask), &regs[b].ints(mask), i64::wrapping_mul);
-                    let out = map2(&xy, &regs[c].ints(mask), i64::wrapping_add);
-                    regs[d].put_i(act, &out);
                 }
             }
         }
         DOp::MovImm { dst, val } => {
             let (bits, fmask) = raw(val);
-            regs[dst as usize].put(act, &[bits; WARP_WIDTH], fmask);
+            splat(&mut regs[dst as usize], act, bits, fmask);
         }
         DOp::Mov { dst, src } => {
             if dst != src {
-                let s = regs[src as usize];
-                regs[dst as usize].put(act, &s.bits, s.fmask);
+                let fmask = regs[src as usize].fmask;
+                write_lanes(regs, act, dst as usize, [src as usize], fmask, |[x]| x);
             }
         }
         DOp::Cvt { to, from, dst, src } => {
-            let s = &regs[src as usize];
+            let (d, s) = (dst as usize, src as usize);
             match (from, to) {
                 (_, ScalarType::I64) => {
-                    let out = s.ints(mask);
-                    regs[dst as usize].put_i(act, &out);
+                    let [s] = view(regs, [s], mask, INTS);
+                    write_lanes(regs, act, d, [s], INTS, |[x]| x);
                 }
                 (ScalarType::I64, _) => {
+                    let [s] = view(regs, [s], mask, INTS);
                     let f32_round = to == ScalarType::F32;
-                    let out =
-                        map1(&s.ints(mask), |x| if f32_round { x as f32 as f64 } else { x as f64 });
-                    regs[dst as usize].put_f(act, &out);
+                    write_lanes(regs, act, d, [s], FLOATS, |[x]| {
+                        let x = x as i64;
+                        (if f32_round { x as f32 as f64 } else { x as f64 }).to_bits()
+                    });
                 }
                 (_, ScalarType::F32) => {
-                    let out = map1(&s.floats(mask), |x| x as f32 as f64);
-                    regs[dst as usize].put_f(act, &out);
+                    let [s] = view(regs, [s], mask, FLOATS);
+                    write_lanes(regs, act, d, [s], FLOATS, |[x]| {
+                        (f64::from_bits(x) as f32 as f64).to_bits()
+                    });
                 }
                 (_, ScalarType::F64) => {
-                    let out = s.floats(mask);
-                    regs[dst as usize].put_f(act, &out);
+                    let [s] = view(regs, [s], mask, FLOATS);
+                    write_lanes(regs, act, d, [s], FLOATS, |[x]| x);
                 }
             }
         }
         DOp::Setp { cmp, ty, pred, a, b } => {
-            let (a, b) = (&regs[a as usize], &regs[b as usize]);
-            let bits = match ty {
-                ScalarType::I64 => compare(cmp, &a.ints(mask), &b.ints(mask)),
-                // F32 compares the values after a round-trip through f32.
-                ScalarType::F32 => compare(
-                    cmp,
-                    &map1(&a.floats(mask), |x| x as f32 as f64),
-                    &map1(&b.floats(mask), |x| x as f32 as f64),
-                ),
-                ScalarType::F64 => compare(cmp, &a.floats(mask), &b.floats(mask)),
+            let (a, b) = (a as usize, b as usize);
+            let bits = if ty == ScalarType::I64 {
+                let [a, b] = view(regs, [a, b], mask, INTS);
+                compare(cmp, &regs[a], &regs[b], |x| x as i64)
+            } else {
+                let [a, b] = view(regs, [a, b], mask, FLOATS);
+                if ty == ScalarType::F32 {
+                    // F32 compares the values after a round-trip through f32.
+                    compare(cmp, &regs[a], &regs[b], |x| f64::from_bits(x) as f32)
+                } else {
+                    compare(cmp, &regs[a], &regs[b], f64::from_bits)
+                }
             };
             let p = &mut preds[pred as usize];
             *p = (*p & !mask) | (bits & mask);
@@ -1177,12 +1295,15 @@ fn exec_alu(
                 Special::CtaIdX => (ctx.ctaid as i64, 0),
                 Special::NCtaIdX => (ctx.cfg.grid_dim as i64, 0),
             };
-            let out: Lanes<u64> = std::array::from_fn(|l| (lane0 + step * l as i64) as u64);
-            regs[dst as usize].put(act, &out, 0);
+            let row = &mut regs[dst as usize];
+            for (l, (o, &k)) in row.bits.iter_mut().zip(&act.keep).enumerate() {
+                *o = ((lane0 + step * l as i64) as u64 & k) | (*o & !k);
+            }
+            row.set_types(mask, INTS);
         }
         DOp::LdParam { dst, index } => {
             let (bits, fmask) = raw((*ctx.params.get(index as usize).ok_or(Abort::Fault)?).into());
-            regs[dst as usize].put(act, &[bits; WARP_WIDTH], fmask);
+            splat(&mut regs[dst as usize], act, bits, fmask);
         }
         DOp::Ld { .. } | DOp::St { .. } => unreachable!("memory ops go to exec_mem"),
     }
@@ -1191,10 +1312,12 @@ fn exec_alu(
 
 /// Loads and stores: the only ops that need the [`DataSpace`].
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn exec_mem<M: DataSpace>(
     op: &DOp,
     regs: &mut [Row],
     stores: &mut StoreTracker,
+    addrs: &mut Lanes<u64>,
     cta: &mut CtaCounters,
     mem: &mut M,
     act: &Active,
@@ -1205,83 +1328,79 @@ fn exec_mem<M: DataSpace>(
     match *op {
         DOp::Ld { ty, dst, base, index, offset } => {
             let w = ty.width();
-            let acc = Access::new(regs, base, index, offset, w, mask);
+            let acc = Access::new(addrs, regs, act, base, index, offset, w);
             cta.tally.trace.accesses += n;
             cta.tally.trace.load_bytes += w * n;
             stores.check_load(&acc, mask)?;
-            let vals: Lanes<u64> = match acc.shape {
+            let (d, fmask) = (dst as usize, if ty == ScalarType::I64 { INTS } else { FLOATS });
+            match acc.shape {
                 Shape::Uniform(first) => {
                     cta.tally.segments.insert(first / MEMORY_SEGMENT_BYTES);
-                    [load_bits(mem, ty, first).map_err(fault)?; WARP_WIDTH]
+                    let bits = load_bits(mem, ty, first).map_err(fault)?;
+                    splat(&mut regs[d], act, bits, fmask);
                 }
                 Shape::Consecutive(first, _) => {
-                    // One bounds check and one copy cover the whole span.
+                    // One bounds check covers the whole span, which lands
+                    // in the row straight from memory.
                     touch_span(&mut cta.tally.segments, first, n, w);
-                    let mut buf = [0u8; 8 * WARP_WIDTH];
-                    let buf = &mut buf[..(n * w) as usize];
-                    mem.read_span(first, buf).map_err(fault)?;
-                    let mut dense = [0u64; WARP_WIDTH];
-                    if ty == ScalarType::F32 {
-                        for (v, c) in dense.iter_mut().zip(buf.chunks_exact(4)) {
-                            let x = f32::from_le_bytes(c.try_into().expect("chunk of 4"));
-                            *v = (x as f64).to_bits();
+                    let row = &mut regs[d];
+                    mem.read_with(first, (n * w) as usize, |span| {
+                        if ty == ScalarType::F32 {
+                            unpack(span, &mut row.bits, mask, |b| {
+                                (f32::from_le_bytes(b) as f64).to_bits()
+                            });
+                        } else {
+                            unpack(span, &mut row.bits, mask, u64::from_le_bytes);
                         }
-                    } else {
-                        for (v, c) in dense.iter_mut().zip(buf.chunks_exact(8)) {
-                            *v = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-                        }
-                    }
-                    expand(&dense, mask)
+                    })
+                    .map_err(fault)?;
+                    row.set_types(mask, fmask);
                 }
                 Shape::Scatter => {
-                    let mut vals = [0u64; WARP_WIDTH];
                     for_lanes!(mask, l, {
                         cta.tally.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
-                        vals[l] = load_bits(mem, ty, acc.addrs[l]).map_err(fault)?;
+                        regs[d].bits[l] = load_bits(mem, ty, acc.addrs[l]).map_err(fault)?;
                     });
-                    vals
+                    regs[d].set_types(mask, fmask);
                 }
-            };
-            let fmask = if ty == ScalarType::I64 { 0 } else { u32::MAX };
-            regs[dst as usize].put(act, &vals, fmask);
+            }
         }
         DOp::St { ty, base, index, offset, src } => {
             let w = ty.width();
-            let acc = Access::new(regs, base, index, offset, w, mask);
+            let acc = Access::new(addrs, regs, act, base, index, offset, w);
             cta.tally.trace.accesses += n;
             cta.tally.trace.store_bytes += w * n;
             // Coalesced: consecutive and slot-aligned, so no two lanes share
             // a 4-byte slot and the store can be tracked as one range.
             let coalesced = acc.range(mask).filter(|r| r.first % 4 == 0);
             stores.note_store(&acc, mask, coalesced)?;
-            // What `write_f32/f64/i64` of each lane's value puts in memory.
-            let src = &regs[src as usize];
-            let vals: Lanes<u64> = match ty {
-                ScalarType::F32 => map1(&src.floats(mask), |v| u64::from((v as f32).to_bits())),
-                ScalarType::F64 => map1(&src.floats(mask), f64::to_bits),
-                ScalarType::I64 => map1(&src.ints(mask), |v| v as u64),
-            };
+            let want = if ty == ScalarType::I64 { INTS } else { FLOATS };
+            let [src] = view(regs, [src as usize], mask, want);
+            let vals = &regs[src].bits;
+            // What `write_f32/f64/i64` of a lane's value puts in memory.
+            let f32_bytes = |v: u64| (f64::from_bits(v) as f32).to_le_bytes();
             match coalesced {
                 Some(StoreRange { first, .. }) => {
                     touch_span(&mut cta.tally.segments, first, n, w);
-                    let dense = compress(&vals, mask);
-                    let mut buf = [0u8; 8 * WARP_WIDTH];
-                    if w == 4 {
-                        for (c, &v) in buf.chunks_exact_mut(4).zip(&dense) {
-                            c.copy_from_slice(&(v as u32).to_le_bytes());
-                        }
+                    let mut buf = [0; MAX_SPAN];
+                    let span = &mut buf[..(n * w) as usize];
+                    if ty == ScalarType::F32 {
+                        pack(span, vals, mask, f32_bytes);
                     } else {
-                        for (c, &v) in buf.chunks_exact_mut(8).zip(&dense) {
-                            c.copy_from_slice(&v.to_le_bytes());
-                        }
+                        pack(span, vals, mask, u64::to_le_bytes);
                     }
-                    mem.write_span(first, &buf[..(n * w) as usize]).map_err(fault)?;
+                    mem.write_span(first, span).map_err(fault)?;
                 }
                 None => {
                     for_lanes!(mask, l, {
                         cta.tally.segments.insert(acc.addrs[l] / MEMORY_SEGMENT_BYTES);
                         let bytes = vals[l].to_le_bytes();
-                        mem.write_span(acc.addrs[l], &bytes[..w as usize]).map_err(fault)?;
+                        let bytes = if ty == ScalarType::F32 {
+                            &f32_bytes(vals[l])[..]
+                        } else {
+                            &bytes[..]
+                        };
+                        mem.write_span(acc.addrs[l], bytes).map_err(fault)?;
                     });
                 }
             }
@@ -1310,8 +1429,14 @@ struct DirectMem<'a> {
 }
 
 impl DataSpace for DirectMem<'_> {
-    fn read_span(&self, addr: u64, out: &mut [u8]) -> Result<(), SptxError> {
-        self.mem.read_span(addr, out)
+    #[inline(always)]
+    fn read_with<R>(
+        &self,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, SptxError> {
+        self.mem.read_with(addr, len, f)
     }
     fn write_span(&mut self, addr: u64, bytes: &[u8]) -> Result<(), SptxError> {
         self.undo.push(addr, self.mem.read_slice(addr, bytes.len() as u64)?);
@@ -1644,6 +1769,53 @@ mod tests {
         // The stream reaches every way out of lockstep, and most CTAs stay.
         assert!(aborts.iter().all(|&n| n > 0), "abort causes {aborts:?}");
         assert!(aborts.iter().sum::<usize>() * 2 < ctas, "{aborts:?} of {ctas} CTAs aborted");
+    }
+
+    /// `classify` on hand-made addresses: each mask and layout and the shape
+    /// it must come out as. A layout wrongly taken for a scatter changes no
+    /// result, only speed, so the differentials cannot see it; this can.
+    #[test]
+    fn classify_names_every_layout() {
+        const JUNK: u64 = 0xdead_beef;
+        let shape = |mask: u32, shift: u32, addr: &dyn Fn(u64) -> u64| {
+            let want: Lanes<u64> = std::array::from_fn(|l| addr(l as u64));
+            let mut got = [0; WARP_WIDTH];
+            let shape = classify(&mut got, &Active::new(mask), shift, |l| want[l]);
+            assert_eq!(got, want, "addresses of mask {mask:#x}");
+            shape
+        };
+        let full = u32::MAX;
+        assert_eq!(shape(full, 3, &|l| 1000 + 8 * l), Shape::Consecutive(1000, 1256));
+        assert_eq!(shape(full, 2, &|l| 1000 + 4 * l), Shape::Consecutive(1000, 1128));
+        assert_eq!(shape(full, 3, &|l| 1000 + 4 * l), Shape::Scatter);
+        assert_eq!(shape(full, 3, &|_| 77), Shape::Uniform(77));
+        assert_eq!(shape(full, 3, &|l| 1000 + 8 * l + u64::from(l == 17)), Shape::Scatter);
+        assert_eq!(shape(full, 3, &|l| 1000 + 8 * l + 8 * u64::from(l == 31)), Shape::Scatter);
+        // A partial last warp, and a contiguous run that starts past lane 0:
+        // inactive lanes hold anything.
+        let tail = |l| if l < 7 { 1000 + 8 * l } else { JUNK };
+        assert_eq!(shape(0x7f, 3, &tail), Shape::Consecutive(1000, 1056));
+        let run = |l| if (4..8).contains(&l) { 1000 + 8 * (l - 4) } else { JUNK };
+        assert_eq!(shape(0xf0, 3, &run), Shape::Consecutive(1000, 1032));
+        assert_eq!(shape(0x7f, 3, &|l| if l < 7 { 5 } else { JUNK }), Shape::Uniform(5));
+        assert_eq!(shape(1 << 9, 2, &|l| if l == 9 { 12 } else { JUNK }), Shape::Uniform(12));
+        // Scattered active lanes: the k-th active lane must sit k elements on.
+        let mask: u32 = 0b1010_0101;
+        let kth = |l: u64| match l {
+            0 | 2 | 5 | 7 => 1000 + 8 * u64::from((mask & ((1 << l) - 1)).count_ones()),
+            _ => JUNK,
+        };
+        assert_eq!(shape(mask, 3, &kth), Shape::Consecutive(1000, 1032));
+        assert_eq!(shape(mask, 3, &|l| 1000 + 8 * l), Shape::Scatter);
+        assert_eq!(shape(0b101, 3, &|l| if l == 1 { JUNK } else { 9 }), Shape::Uniform(9));
+        // Consecutive only in wrapping arithmetic: the span has no end.
+        let near_top = u64::MAX - 15;
+        assert_eq!(shape(full, 3, &|l| near_top.wrapping_add(8 * l)), Shape::Scatter);
+        assert_eq!(shape(full, 3, &|l| 0u64.wrapping_sub(256) + 8 * l), Shape::Scatter);
+        assert_eq!(
+            shape(full, 3, &|l| 0u64.wrapping_sub(264) + 8 * l),
+            Shape::Consecutive(u64::MAX - 263, u64::MAX - 7)
+        );
     }
 
     /// Suite-style kernels: the shapes the workloads launch, each at a grid

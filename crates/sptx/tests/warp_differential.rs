@@ -708,3 +708,89 @@ fn a_budget_crossing_is_counted_as_one() {
     assert_eq!(warp_fallbacks(&program, &cfg, 1, half), [0, 0, 1]);
     assert_eq!(warp_fallbacks(&program, &cfg, 4, half), [0, 0, 0]);
 }
+
+#[test]
+fn a_destination_that_is_also_a_source_matches_scalar() {
+    // Every op kind writing a register it also reads: each lane must read
+    // its sources before its destination lane is overwritten. `r4` holds five
+    // output slots per thread; each result goes to one of them. The gather
+    // `[r9 + r9]` reads bytes `9 * (gtid & 7)` of the input, which no thread
+    // writes, and the base register is stored to the i64 scratch array.
+    assert_tracker_case(
+        "destination aliases a source",
+        |_| {
+            "    mov r4, 5\n    mul.i64 r4, r0, r4\n    ld.f64 r5, [r2 + r0]\n    \
+             add.f64 r5, r5, r5\n    mad.f64 r5, r5, r5, r5\n    neg.f64 r5, r5\n    \
+             st.f64 [r3 + r4], r5\n    mov r6, 7\n    mov r7, 3\n    \
+             mad.i64 r6, r6, r7, r6\n    mad.i64 r6, r6, r0, r6\n    st.i64 [r3 + r4 + 8], r6\n    \
+             cvt.f32.f64 r5, r5\n    cvt.i64.f32 r5, r5\n    cvt.f64.i64 r5, r5\n    \
+             st.f64 [r3 + r4 + 16], r5\n    mov r8, r0\n    ld.i64 r8, [r2 + r8]\n    \
+             st.i64 [r3 + r4 + 24], r8\n    mov r9, 7\n    and.i64 r9, r0, r9\n    \
+             ld.i64 r9, [r9 + r9]\n    st.i64 [r3 + r4 + 32], r9\n    ldp r10, 4\n    \
+             st.i64 [r10 + r0], r10\n    ret\n"
+                .into()
+        },
+        |_| [0, 0, 0],
+    );
+}
+
+#[test]
+fn a_full_mask_read_of_a_mixed_type_row_matches_scalar() {
+    // After a divergent branch, even lanes of `r5` hold floats and odd lanes
+    // integers. The full warp then reads the row as floats and as integers,
+    // through the one conversion that copies a row.
+    assert_tracker_case(
+        "mixed-type row",
+        |_| {
+            "    mov r4, 1\n    and.i64 r4, r1, r4\n    mov r6, 0\n    setp.eq.i64 p0, r4, r6\n    \
+             @p0 bra even, odd\neven:\n    ld.f64 r5, [r2 + r0]\n    bra join\nodd:\n    \
+             mov r5, -9\n    mul.i64 r5, r5, r0\n    bra join\njoin:\n    add.f64 r7, r5, r5\n    \
+             add.i64 r8, r5, r5\n    setp.lt.f64 p1, r5, r7\n    @p1 bra lt, done\nlt:\n    \
+             cvt.f64.i64 r8, r8\n    bra done\ndone:\n    st.f64 [r3 + r0], r7\n    \
+             st.f64 [r2 + r0], r8\n    ret\n"
+                .into()
+        },
+        |_| [0, 0, 0],
+    );
+}
+
+#[test]
+fn a_coalesced_f32_round_trip_matches_scalar() {
+    // A coalesced f32 store fills the f32 scratch array, a coalesced f32 load
+    // reads it back into a row, and a second coalesced store writes that row
+    // out: every step moves whole spans, at every mask the shapes give.
+    assert_tracker_case(
+        "coalesced f32 load and store",
+        |_| {
+            "    ldp r4, 2\n    ld.f64 r5, [r2 + r0]\n    mov.f64 r6, 0.1\n    \
+             mul.f64 r5, r5, r6\n    st.f32 [r4 + r0], r5\n    ld.f32 r7, [r4 + r0]\n    \
+             st.f32 [r3 + r0], r7\n    ret\n"
+                .into()
+        },
+        |_| [0, 0, 0],
+    );
+}
+
+#[test]
+fn a_span_whose_end_would_wrap_faults_like_scalar() {
+    // The lanes' addresses run on past `u64::MAX` and wrap to 0: consecutive
+    // in wrapping arithmetic, but the span has no end, so the access is a
+    // scatter whose first lane faults. Loads and stores alike must stop
+    // where the scalar tier does.
+    for op in ["ld.i64 r5, [r4 + r0]", "st.i64 [r4 + r0], r0"] {
+        assert_tracker_case(
+            &format!("wrapping span: {op}"),
+            |_| format!("    mov r4, -16\n    {op}\n    ret\n"),
+            |_| [0, 1, 0],
+        );
+        let text = format!("{PROLOGUE}    mov r4, -16\n    {op}\n    ret\n");
+        let (outcome, _) = run_tier(
+            &asm::parse(&text).unwrap(),
+            &LaunchConfig::linear(1, 32),
+            Tier::Warp,
+            1,
+            None,
+        );
+        assert!(matches!(outcome, Err(SptxError::OutOfBoundsAccess { .. })), "{op}: {outcome:?}");
+    }
+}
