@@ -34,7 +34,7 @@ use sigmavp_bench::scenarios::{
 use sigmavp_ipc::transport::TransportCost;
 use sigmavp_obs::{
     check_baseline, format_flat_json, join_lifecycles, validate_bundle, write_baseline,
-    AuditReport, FlightConfig, FlightRecorder, PathPhase, ProfileStore, SharedProfileStore,
+    AuditReport, FlightRecorder, PathPhase, ProfileStore,
 };
 use sigmavp_telemetry::export::escape_json;
 use sigmavp_vp::registry::KernelRegistry;
@@ -176,19 +176,15 @@ fn run(args: &Args) -> Result<bool, String> {
     let arch = scenarios::arch();
     let mut report = AuditReport::new(args.tolerance);
 
-    // The always-on observability pair: every completed job (planned or live)
-    // folds into the online profile store, and the incidents of the chaos and
-    // hang rows must each leave a parseable post-mortem behind. The recorder
-    // samples once per phase below.
-    let profiles = SharedProfileStore::new();
-    profiles.install();
-    let recorder = FlightRecorder::new(FlightConfig::default());
+    // The always-on observability pair: every job log the audit holds (planned
+    // or live) folds into the profile store, and the incidents of the chaos
+    // and hang rows must each leave a parseable post-mortem behind. The
+    // recorder samples once per phase below.
+    let mut profiles = ProfileStore::new();
+    let recorder = FlightRecorder::new();
     recorder.attach(telemetry);
-    recorder.install_incident_sink();
 
     // --- Planned rows: Eq. 7 / 8 / 9 through the real pipeline. --------------
-    // The planned job logs feed the same profile ingest the dispatcher uses
-    // live, so the gated counters cover both paths.
     let mut planned = Vec::new();
     for row in Planned::all() {
         let run = row.run(args.inject_slowdown)?;
@@ -198,9 +194,10 @@ fn run(args: &Args) -> Result<bool, String> {
     }
 
     // --- Live FIFO fleet: plan.pass.* timings + wall lifecycles. --------------
-    // Run twice: the first run feeds the report, the second only proves the
+    // Run twice: the first run feeds the report, the second proves the
     // determinism contract — two same-seed live runs must fold to
-    // byte-identical serialized profiles despite thread-ordered arrival.
+    // byte-identical serialized profiles despite thread-ordered arrival. Both
+    // logs fold into the session profile.
     let live_fleet = |label: &str| {
         let registry: KernelRegistry = VectorAddApp { n: 4096 }.kernels().into_iter().collect();
         let mut sys =
@@ -228,11 +225,14 @@ fn run(args: &Args) -> Result<bool, String> {
     if fold(&fleet.records) != fold(&fleet_rerun.records) {
         return Err("same-seed live runs folded to different serialized profiles".into());
     }
+    profiles.observe_records(&arch, &fleet.records);
+    profiles.observe_records(&arch, &fleet_rerun.records);
     recorder.sample();
 
     // --- Live rows: each twice, window ledgers identical. ---------------------
-    let live: Vec<LiveRun> =
-        Live::all().iter().map(|row| row.run(telemetry)).collect::<Result<_, _>>()?;
+    let live: Vec<LiveRun> = (Live::all().iter())
+        .map(|row| row.run(telemetry, &mut profiles))
+        .collect::<Result<_, _>>()?;
     recorder.sample();
     let snapshot = telemetry.snapshot();
 
@@ -401,7 +401,6 @@ fn run(args: &Args) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let outcome = run(&parse_args());
-    sigmavp_telemetry::bus::clear_sinks();
     sigmavp_telemetry::uninstall();
     match outcome {
         Ok(false) => ExitCode::SUCCESS,

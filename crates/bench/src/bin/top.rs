@@ -6,12 +6,11 @@
 //! cargo run --release -p sigmavp-bench --bin top -- --check-bundle BENCH_postmortem.json
 //! ```
 //!
-//! The default mode drives a small sharded fleet with the always-on
-//! observability pair attached — the online profile store folding every
-//! completed job off the bus and the flight recorder sampling periodic
-//! snapshots — kills one session mid-run so the incident machinery fires, and
-//! renders what a resident `top(1)`-style view would show: the fleet header,
-//! per-shard rows, the newest metrics snapshot, the folded Tm/Tk/alignment
+//! The default mode drives a small sharded fleet with the flight recorder
+//! attached and sampling periodic snapshots, kills one session mid-run so the
+//! incident machinery fires, folds the sessions' job logs into Tm/Tk/alignment
+//! profiles, and renders what a resident `top(1)`-style view would show: the
+//! fleet header, per-shard rows, the newest metrics snapshot, the folded
 //! profiles, and any post-mortem bundles the run produced.
 //!
 //! `--check-bundle PATH` instead validates a dumped post-mortem (CI runs it on
@@ -22,7 +21,7 @@ use std::process::ExitCode;
 
 use sigmavp_fleet::{drive_with, Fleet, FleetConfig, VpScript};
 use sigmavp_ipc::message::VpId;
-use sigmavp_obs::{validate_bundle, FlightConfig, FlightRecorder, SharedProfileStore};
+use sigmavp_obs::{validate_bundle, FlightRecorder, ProfileStore};
 use sigmavp_telemetry::export::summary_table;
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::Application;
@@ -97,11 +96,8 @@ fn main() -> ExitCode {
     }
 
     let telemetry = sigmavp_telemetry::install();
-    let profiles = SharedProfileStore::new();
-    profiles.install();
-    let recorder = FlightRecorder::new(FlightConfig::default());
+    let recorder = FlightRecorder::new();
     recorder.attach(telemetry);
-    recorder.install_incident_sink();
 
     let registry: KernelRegistry = VectorAddApp { n: 256 }.kernels().into_iter().collect();
     let config = FleetConfig::new(args.sessions).with_capacity((args.vps as usize * 4).max(64));
@@ -168,6 +164,10 @@ fn main() -> ExitCode {
             shard.live_buffers
         );
     }
+    let mut profiles = ProfileStore::new();
+    for device in outcome.sessions.iter().flat_map(|session| &session.devices) {
+        profiles.observe_records(&device.arch, &device.records);
+    }
     let snapshot = profiles.snapshot();
     println!("profiles ({} updates over {} entries):", snapshot.updates, snapshot.entries());
     for (arch, s) in &snapshot.copies {
@@ -198,7 +198,6 @@ fn main() -> ExitCode {
         println!("post-mortem: {} ({} bytes)", bundle.name, bundle.json.len());
     }
 
-    sigmavp_telemetry::bus::clear_sinks();
     sigmavp_telemetry::uninstall();
     ExitCode::SUCCESS
 }

@@ -25,7 +25,7 @@ use sigmavp_ipc::message::VpId;
 use sigmavp_ipc::transport::TransportCost;
 use sigmavp_obs::{
     device_critical_path, eq7_makespan_s, eq8_speedup_bound, eq9_merged_kernel_s, join_lifecycles,
-    observed_inputs, residual_frac, CriticalPath, JobLifecycle,
+    observed_inputs, residual_frac, CriticalPath, JobLifecycle, ProfileStore,
 };
 use sigmavp_telemetry::Telemetry;
 use sigmavp_vp::registry::KernelRegistry;
@@ -527,11 +527,16 @@ impl Live {
     }
 
     /// Run the row twice — fault-free, then under its calibrated plan if it
-    /// has one — and return the second run. Fails unless, in both runs, every
-    /// guest validated, nobody was left stopped and no device executed a job
-    /// while the plan had it down; the two window ledgers are identical; and
-    /// every `expect` row holds.
-    pub fn run(&self, telemetry: Telemetry) -> Result<LiveRun, String> {
+    /// has one — fold both runs' job logs into `profiles`, and return the
+    /// second run. Fails unless, in both runs, every guest validated, nobody
+    /// was left stopped and no device executed a job while the plan had it
+    /// down; the two window ledgers are identical; and every `expect` row
+    /// holds.
+    pub fn run(
+        &self,
+        telemetry: Telemetry,
+        profiles: &mut ProfileStore,
+    ) -> Result<LiveRun, String> {
         let fail = |run: &LiveRun, what: &str| {
             format!("{} scenario: {what}: {:?} {:?}", self.name, run.stats, run.report.outcomes)
         };
@@ -546,9 +551,11 @@ impl Live {
         };
         let first = self.run_once(telemetry, None);
         vet(&first)?;
+        profiles.observe_records(&arch(), &first.report.records);
         let plan = self.calibrated(&first);
         let second = self.run_once(telemetry, plan.clone());
         vet(&second)?;
+        profiles.observe_records(&arch(), &second.report.records);
         let ran_while_down = plan.is_some_and(|plan| {
             (second.report.device_records.iter().enumerate())
                 .any(|(d, jobs)| jobs.iter().any(|r| plan.device_down(d, r.sent_at_s)))
@@ -580,7 +587,7 @@ mod tests {
         let telemetry = sigmavp_telemetry::install();
         let chaos = Live::chaos();
         let gates = || -> Vec<f64> {
-            let run = chaos.run(telemetry).expect("chaos row");
+            let run = chaos.run(telemetry, &mut ProfileStore::new()).expect("chaos row");
             chaos.gates.iter().map(|(_, read)| read(&run)).collect()
         };
         let first = gates();

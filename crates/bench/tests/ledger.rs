@@ -19,7 +19,7 @@ use sigmavp_bench::scenarios::{arch, Live};
 use sigmavp_fleet::{drive_with, Fleet, FleetConfig, FleetError, FleetStats, VpScript};
 use sigmavp_ipc::message::{Request, VpId};
 use sigmavp_ipc::transport::TransportCost;
-use sigmavp_obs::{Bundle, FlightConfig, FlightRecorder};
+use sigmavp_obs::{Bundle, FlightRecorder};
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_workloads::app::Application;
 use sigmavp_workloads::apps::VectorAddApp;
@@ -102,7 +102,7 @@ struct Traced {
     bundles: Vec<Bundle>,
 }
 
-/// The telemetry collector and the bus are process-global: one test at a time.
+/// The telemetry collector is process-global: one test at a time.
 fn exclusive() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -172,9 +172,8 @@ fn add(ledger: &mut BTreeMap<&'static str, u64>, counts: &[(&'static str, u64)])
 
 fn run() -> Traced {
     let telemetry = sigmavp_telemetry::install();
-    let flight = FlightRecorder::new(FlightConfig::default());
+    let flight = FlightRecorder::new();
     flight.attach(telemetry);
-    flight.install_incident_sink();
 
     let mut dispatch = BTreeMap::new();
     add(&mut dispatch, &two_worker_launch().counts());
@@ -196,7 +195,6 @@ fn run() -> Traced {
     let snapshot = telemetry.snapshot();
     counts.extend(fleet.into_iter().map(|(name, n)| (name, snapshot.counter(name), n)));
 
-    sigmavp_telemetry::bus::clear_sinks();
     sigmavp_telemetry::uninstall();
     let mut names: Vec<String> = (snapshot.counters.iter().map(|(name, _)| name))
         .chain(snapshot.gauges.iter().map(|(name, _)| name))

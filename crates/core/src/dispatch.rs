@@ -55,10 +55,9 @@ use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
 use sigmavp_ipc::queue::Job;
 use sigmavp_sched::{
-    quorum_met, quorum_threshold, DeviceView, LoadRebalance, PassCtx, Pipeline, Policy, Rebalance,
+    quorum_met, quorum_threshold, DeviceView, PassCtx, Pipeline, Policy, Rebalance,
 };
-use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
-use sigmavp_telemetry::{job_uid, Lane, TimeDomain};
+use sigmavp_telemetry::{job_uid, IncidentKind, Lane, TimeDomain};
 use sigmavp_vp::error::{format_deadline_violation, DeadlineStage};
 
 use crate::host::{HostRuntime, JobRecord, RecordKind};
@@ -497,8 +496,7 @@ impl Supervision {
         }
         let route = |vp: VpId| session.device_of(vp);
         let down_for = |d: usize, t: f64| self.is_down(session, d, t);
-        let load = Some(LoadRebalance::DEFAULT);
-        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down_for, load };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down_for };
         let rebalance = Pipeline::new().with_pass(Rebalance);
         rebalance.plan(jobs, &PassCtx::reorder_only().with_devices(&view)).migrations
     }
@@ -520,16 +518,14 @@ impl Supervision {
         record.down_noticed = true;
         self.stats.gpu_trips += 1;
         self.publish();
-        // Incident hook: an installed flight recorder dumps a post-mortem here.
-        bus::publish(&ObsEvent::Incident(Incident {
-            kind: IncidentKind::BreakerTrip { device },
-            wall_s: sigmavp_telemetry::recorder().wall_now_s(),
-            detail: format!(
+        // Incident hook: an attached flight recorder dumps a post-mortem here.
+        sigmavp_telemetry::recorder().incident(IncidentKind::BreakerTrip { device }, || {
+            format!(
                 "device gpu{device} out of service; {} of {} in routing",
                 session.healthy_count(),
                 session.device_count()
-            ),
-        }));
+            )
+        });
     }
 
     /// Failover: take `vp`'s current device out of service, then relocate the
@@ -586,16 +582,14 @@ impl Supervision {
         self.stats.quarantined += 1;
         self.publish();
         let current = session.device_of(vp);
-        bus::publish(&ObsEvent::Incident(Incident {
-            kind: IncidentKind::VpHung { vp: vp.0 },
-            wall_s: sigmavp_telemetry::recorder().wall_now_s(),
-            detail: format!(
+        sigmavp_telemetry::recorder().incident(IncidentKind::VpHung { vp: vp.0 }, || {
+            format!(
                 "VP {} stopped progressing for {idle_windows} flushed windows on gpu{}; \
                  quarantined out of the sync quorum",
                 vp.0,
                 current.map_or(-1i64, |d| d as i64),
-            ),
-        }));
+            )
+        });
         // Least simulated backlog, ties to the lowest index. Single-device
         // sessions keep the placement; quarantine still shrinks the quorum.
         let target = (0..session.device_count())
@@ -1006,7 +1000,7 @@ impl DispatchCore {
         let error = |message: String| error_reply(envelope, message);
         // The session lock covers only routing and health; execution below
         // holds nothing but the device's runtime lock.
-        let (runtime, arch) = {
+        let runtime = {
             let mut session = self.session.lock();
             let mut device = session.assign(vp);
             // Failover: a device down for this request's stamp hands the VP
@@ -1037,9 +1031,7 @@ impl DispatchCore {
                 return error(format!("{TRANSIENT_ERROR_PREFIX} injected device fault"));
             }
             record.breaker.record_success();
-            // The arch feeds observation publishing only; skip the clone when
-            // nothing on the bus is listening.
-            (session.runtime(device), bus::has_sinks().then(|| session.arch(device).clone()))
+            session.runtime(device)
         };
         // A relocated VP keeps its original guest handle space; everyone else
         // executes the request as it arrived, uncopied.
@@ -1057,13 +1049,10 @@ impl DispatchCore {
         let mut response = {
             let mut rt = runtime.lock();
             let response = rt.process(exec);
-            // Feed the profiler observation back into the expected-time table
-            // and publish it for any live profile store. Guard on (vp, seq):
-            // a non-device request leaves an older job as `last()`.
+            // Feed the profiler observation back into the expected-time table.
+            // Guard on (vp, seq): a non-device request leaves an older job as
+            // `last()`.
             if let Some(record) = rt.records().last().filter(|r| r.vp == vp && r.seq == seq) {
-                if let Some(arch) = &arch {
-                    crate::host::publish_record(arch, record);
-                }
                 if let RecordKind::Kernel { name, .. } = &record.kind {
                     match self.expected_kernel_s.get_mut(name) {
                         Some(expected) => *expected = record.duration_s,

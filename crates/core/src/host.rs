@@ -14,7 +14,6 @@ use sigmavp_gpu::{GpuArch, GpuDevice};
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId, WireParam};
 use sigmavp_sptx::interp::{LaunchConfig, ParamValue};
 use sigmavp_sptx::IntMap;
-use sigmavp_telemetry::bus::{self, ObsEvent};
 use sigmavp_vp::error::VpError;
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::service::GpuService;
@@ -68,39 +67,6 @@ pub struct JobRecord {
     /// [`Envelope::sent_at_s`](sigmavp_ipc::message::Envelope::sent_at_s)) —
     /// lets the host reconstruct guest-observed queueing delay.
     pub sent_at_s: f64,
-}
-
-/// Publish a completed job record onto the telemetry observation bus, where
-/// live profile stores (e.g. `sigmavp-obs`'s `ProfileStore`) consume it. One
-/// atomic load when no sink is installed; the event carries the stable
-/// `job_uid` so consumers can fold observations in canonical `(vp, seq)`
-/// order regardless of dispatch-thread interleaving.
-pub fn publish_record(arch: &GpuArch, record: &JobRecord) {
-    if !bus::has_sinks() {
-        return;
-    }
-    let uid = sigmavp_telemetry::job_uid(record.vp.0, record.seq);
-    let event = match &record.kind {
-        RecordKind::H2d { bytes, .. } | RecordKind::D2h { bytes, .. } => ObsEvent::CopyObserved {
-            arch: arch.name.clone(),
-            bytes: *bytes,
-            duration_s: record.duration_s,
-            uid,
-        },
-        RecordKind::Kernel { name, grid_dim, block_dim, launch_overhead_s, waves, .. } => {
-            ObsEvent::KernelObserved {
-                arch: arch.name.clone(),
-                kernel: name.clone(),
-                blocks: u64::from(*grid_dim),
-                waves: *waves,
-                lambda_blocks: u64::from(arch.blocks_per_wave(*block_dim)),
-                launch_overhead_s: *launch_overhead_s,
-                duration_s: record.duration_s,
-                uid,
-            }
-        }
-    };
-    bus::publish(&event);
 }
 
 /// The host-side runtime: device, kernel registry, handle table and job log.

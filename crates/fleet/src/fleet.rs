@@ -58,9 +58,8 @@ use sigmavp_fault::Residency;
 use sigmavp_gpu::GpuArch;
 use sigmavp_ipc::message::{Envelope, Request, Response, ResponseEnvelope, VpId};
 use sigmavp_sched::{HashRing, Pipeline, Policy};
-use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::metrics::MetricsSnapshot;
-use sigmavp_telemetry::{job_uid, recorder, Lane, Telemetry, TimeDomain};
+use sigmavp_telemetry::{job_uid, recorder, IncidentKind, Lane, Telemetry, TimeDomain};
 use sigmavp_vp::registry::KernelRegistry;
 use sigmavp_vp::{DeadlineStage, VpError};
 
@@ -635,14 +634,10 @@ impl Fleet {
             state.publish();
             // Incident hook: the flight recorder debounces shed bursts into
             // periodic post-mortem dumps.
-            bus::publish(&ObsEvent::Incident(Incident {
-                kind: IncidentKind::Shed {
-                    depth: state.depth as u64,
-                    capacity: self.config.admission_capacity as u64,
-                },
-                wall_s: rec.wall_now_s(),
-                detail: format!("vp {} shed at admission", vp.0),
-            }));
+            let capacity = self.config.admission_capacity as u64;
+            rec.incident(IncidentKind::Shed { depth: state.depth as u64, capacity }, || {
+                format!("vp {} shed at admission", vp.0)
+            });
             return Err(FleetError::Saturated {
                 depth: state.depth,
                 capacity: self.config.admission_capacity,
@@ -827,12 +822,10 @@ impl Fleet {
             state.stats.session_trips += 1;
             state.publish();
             let survivors = state.alive.iter().filter(|a| **a).count();
-            // Incident hook: an installed flight recorder dumps a post-mortem.
-            bus::publish(&ObsEvent::Incident(Incident {
-                kind: IncidentKind::SessionKilled { session: s },
-                wall_s: rec.wall_now_s(),
-                detail: format!("session s{s} killed; {survivors} survive"),
-            }));
+            // Incident hook: an attached flight recorder dumps a post-mortem.
+            rec.incident(IncidentKind::SessionKilled { session: s }, || {
+                format!("session s{s} killed; {survivors} survive")
+            });
         }
         // Stop the shard thread *without* holding the front lock — its final
         // in-flight completion needs it.

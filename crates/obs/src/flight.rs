@@ -1,65 +1,43 @@
 //! Always-on incident flight recorder.
 //!
 //! A bounded ring of periodic [`Snapshot`]s (full metrics + histogram
-//! quantiles) plus a rolling window of recent trace spans. When an incident
-//! crosses the bus — a circuit-breaker trip, a killed session, a sustained
-//! `Saturated` shed burst — the recorder freezes the last few snapshots, joins
-//! the span window into per-job lifecycles (migration replays stitched to
-//! their original uids), and emits a self-contained JSON post-mortem
-//! [`Bundle`]: the state *leading up to* the failure, captured without anyone
-//! having had to turn tracing on first.
+//! quantiles) plus a rolling window of recent trace spans. When the runtime
+//! raises an incident against the collector the recorder is attached to — a
+//! circuit-breaker trip, a hung VP, a killed session, a sustained `Saturated`
+//! shed burst — the recorder freezes the last few snapshots, joins the span
+//! window into per-job lifecycles (migration replays stitched to their
+//! original uids), and emits a self-contained JSON post-mortem [`Bundle`]: the
+//! state *leading up to* the failure, captured without anyone having had to
+//! turn tracing on first.
 //!
-//! Cost model: sampling is explicit (callers decide cadence), incident sinks
-//! are one atomic load when nothing is installed, and the ring/window are
-//! bounded — "always-on" stays cheap (the `flight` group of the `ablation`
-//! bench measures what it costs).
+//! Cost model: sampling is explicit (callers decide cadence), raising an
+//! incident with no collector installed is one atomic load, and the ring and
+//! window are bounded — "always-on" stays cheap (the `flight` group of the
+//! `ablation` bench measures what it costs).
 
 use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use sigmavp_telemetry::bus::{self, Incident, IncidentKind, ObsEvent};
 use sigmavp_telemetry::export::{escape_json, metrics_json};
 use sigmavp_telemetry::metrics::MetricsSnapshot;
-use sigmavp_telemetry::{Telemetry, TraceEvent};
+use sigmavp_telemetry::{Incident, IncidentKind, Telemetry, TraceEvent};
 
 use crate::lifecycle::{join_lifecycles, JobLifecycle};
 
 /// Post-mortem bundle schema tag (`"schema"` field of every bundle).
 pub const BUNDLE_SCHEMA: &str = "sigmavp-postmortem-v1";
 
-/// Sizing and policy for a [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightConfig {
-    /// Snapshots retained in the ring (oldest evicted first).
-    pub ring_capacity: usize,
-    /// Snapshots frozen into each post-mortem bundle (newest K).
-    pub dump_last: usize,
-    /// Recent trace spans retained for lifecycle joining on dump.
-    pub span_window: usize,
-    /// Whether [`FlightRecorder::sample`] drains the telemetry ring into the
-    /// span window. Leave off when another consumer (e.g. the audit's
-    /// lifecycle join) owns the drained events.
-    pub capture_spans: bool,
-    /// Consecutive [`IncidentKind::Shed`] incidents required before a burst
-    /// dump fires (debounce: one shed under load is routine, a run of them is
-    /// an incident). Breaker trips and session kills always dump immediately.
-    pub shed_burst_threshold: u64,
-    /// When set, each bundle is also written to `<dump_dir>/<name>.json`.
-    pub dump_dir: Option<String>,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            ring_capacity: 32,
-            dump_last: 8,
-            span_window: 4096,
-            capture_spans: true,
-            shed_burst_threshold: 8,
-            dump_dir: None,
-        }
-    }
-}
+/// Snapshots retained in the ring (oldest evicted first).
+const RING_CAPACITY: usize = 32;
+/// Snapshots frozen into each post-mortem bundle (the newest ones).
+const DUMP_LAST: usize = 8;
+/// Recent trace spans retained for lifecycle joining on dump.
+const SPAN_WINDOW: usize = 4096;
+/// Consecutive [`IncidentKind::Shed`] incidents that make a burst worth a
+/// dump (debounce: one shed under load is routine, a run of them is an
+/// incident). Every other kind dumps immediately.
+const SHED_BURST: u64 = 8;
 
 /// One periodic sample: a full metrics snapshot stamped with wall time.
 #[derive(Debug, Clone)]
@@ -93,44 +71,43 @@ struct FlightInner {
     shed_streak: u64,
 }
 
-/// The always-on recorder. Cloning shares the same ring (handles are handed
-/// to the bus sink and to dashboards alike).
+/// The always-on recorder. Cloning shares the same ring (one handle is held
+/// by the collector's incident sink, others by dashboards).
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    config: Arc<FlightConfig>,
+    /// When set, each bundle is also written to `<dump_dir>/<name>.json`.
+    dump_dir: Option<PathBuf>,
     inner: Arc<Mutex<FlightInner>>,
 }
 
 impl FlightRecorder {
-    /// A recorder with the given sizing; [`attach`](Self::attach) a collector
-    /// before sampling.
-    pub fn new(config: FlightConfig) -> Self {
-        FlightRecorder { config: Arc::new(config), inner: Arc::default() }
+    /// A recorder that keeps its bundles in memory only;
+    /// [`attach`](Self::attach) a collector before sampling.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A recorder that also writes each bundle into `dir` (created on the
+    /// first dump).
+    pub fn with_dump_dir(dir: impl Into<PathBuf>) -> Self {
+        FlightRecorder { dump_dir: Some(dir.into()), inner: Arc::default() }
     }
 
     fn lock(&self) -> MutexGuard<'_, FlightInner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Bind the collector that [`sample`](Self::sample) snapshots.
+    /// Bind the collector that [`sample`](Self::sample) snapshots, and
+    /// subscribe to the incidents raised against it: each one reaches
+    /// [`on_incident`](Self::on_incident).
     pub fn attach(&self, telemetry: Telemetry) {
         self.lock().telemetry = Some(telemetry);
-    }
-
-    /// Register this recorder on the global observation bus so published
-    /// [`Incident`]s trigger post-mortem dumps. Call [`bus::clear_sinks`] to
-    /// detach (drops every bus sink).
-    pub fn install_incident_sink(&self) {
         let recorder = self.clone();
-        bus::add_sink(Arc::new(move |event| {
-            if let ObsEvent::Incident(incident) = event {
-                recorder.on_incident(incident);
-            }
-        }));
+        telemetry.on_incident(move |incident| recorder.on_incident(incident));
     }
 
-    /// Take one snapshot into the ring (and, with `capture_spans`, drain the
-    /// telemetry ring into the rolling span window). Returns the sample index,
+    /// Take one snapshot into the ring and drain the telemetry ring into the
+    /// rolling span window. Returns the sample index,
     /// or `None` when no collector is attached.
     pub fn sample(&self) -> Option<u64> {
         let mut inner = self.lock();
@@ -146,14 +123,12 @@ impl FlightRecorder {
         };
         inner.taken += 1;
         inner.snapshots.push_back(snapshot);
-        while inner.snapshots.len() > self.config.ring_capacity.max(1) {
+        while inner.snapshots.len() > RING_CAPACITY {
             inner.snapshots.pop_front();
         }
-        if self.config.capture_spans {
-            inner.spans.extend(telemetry.drain_events());
-            while inner.spans.len() > self.config.span_window.max(1) {
-                inner.spans.pop_front();
-            }
+        inner.spans.extend(telemetry.drain_events());
+        while inner.spans.len() > SPAN_WINDOW {
+            inner.spans.pop_front();
         }
         Some(inner.taken - 1)
     }
@@ -180,7 +155,7 @@ impl FlightRecorder {
 
     /// Feed one incident. Breaker trips, session kills, and hung-VP
     /// quarantines dump immediately; sheds dump once a consecutive burst
-    /// reaches the configured threshold (then the streak resets so a
+    /// reaches `SHED_BURST` (then the streak resets so a
     /// sustained storm yields periodic bundles, not one per shed).
     pub fn on_incident(&self, incident: &Incident) {
         let mut inner = self.lock();
@@ -194,7 +169,7 @@ impl FlightRecorder {
             }
             IncidentKind::Shed { .. } => {
                 inner.shed_streak += 1;
-                if inner.shed_streak >= self.config.shed_burst_threshold.max(1) {
+                if inner.shed_streak >= SHED_BURST {
                     inner.shed_streak = 0;
                     true
                 } else {
@@ -213,7 +188,7 @@ impl FlightRecorder {
         self.sample_locked(inner);
         let seq = inner.bundles.len();
         let name = format!("postmortem-{seq:04}-{}", incident.kind.label());
-        let skip = inner.snapshots.len().saturating_sub(self.config.dump_last.max(1));
+        let skip = inner.snapshots.len().saturating_sub(DUMP_LAST);
         let snapshots: Vec<String> = inner
             .snapshots
             .iter()
@@ -242,8 +217,8 @@ impl FlightRecorder {
             snapshots.join(",\n"),
             lifecycles.join(",\n")
         );
-        if let Some(dir) = &self.config.dump_dir {
-            let path = std::path::Path::new(dir).join(format!("{name}.json"));
+        if let Some(dir) = &self.dump_dir {
+            let path = dir.join(format!("{name}.json"));
             let _ = std::fs::create_dir_all(dir);
             // Dump failures must never take down the runtime being observed.
             let _ = std::fs::write(path, &json);
@@ -441,10 +416,10 @@ pub fn validate_bundle(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-// Bus sinks and the global recorder slot are process-wide; tests across this
-// crate's modules that touch them serialize on this lock.
+// The global recorder slot is process-wide; tests across this crate's
+// modules that install a collector serialize on this lock.
 #[cfg(test)]
-pub(crate) fn test_bus_lock() -> MutexGuard<'static, ()> {
+pub(crate) fn test_global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -452,7 +427,7 @@ pub(crate) fn test_bus_lock() -> MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigmavp_telemetry::{install, uninstall, Lane, TimeDomain};
+    use sigmavp_telemetry::{install, recorder, uninstall, Lane, TimeDomain};
 
     fn shed(wall_s: f64) -> Incident {
         Incident {
@@ -464,32 +439,32 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_taken_is_monotonic() {
-        let _guard = test_bus_lock();
+        let _guard = test_global_lock();
         let telemetry = install();
-        let recorder = FlightRecorder::new(FlightConfig {
-            ring_capacity: 3,
-            capture_spans: false,
-            ..FlightConfig::default()
-        });
+        let recorder = FlightRecorder::new();
         assert!(recorder.sample().is_none(), "unattached recorder cannot sample");
         recorder.attach(telemetry);
-        for i in 0..5u64 {
+        let samples = RING_CAPACITY as u64 + 3;
+        for i in 0..samples {
             telemetry.recorder().count("jobs", 1);
             assert_eq!(recorder.sample(), Some(i));
         }
-        assert_eq!(recorder.taken(), 5);
+        assert_eq!(recorder.taken(), samples);
         let newest = recorder.newest().unwrap();
-        assert_eq!(newest.index, 4);
-        assert_eq!(newest.metrics.counter("jobs"), Some(5));
-        assert_eq!(recorder.lock().snapshots.len(), 3, "ring evicts oldest");
+        assert_eq!(newest.index, samples - 1);
+        assert_eq!(newest.metrics.counter("jobs"), Some(samples));
+        let inner = recorder.lock();
+        assert_eq!(inner.snapshots.len(), RING_CAPACITY, "ring evicts oldest");
+        assert_eq!(inner.snapshots.front().map(|s| s.index), Some(3));
+        drop(inner);
         uninstall();
     }
 
     #[test]
     fn breaker_trip_dumps_a_validating_bundle_with_lifecycles() {
-        let _guard = test_bus_lock();
+        let _guard = test_global_lock();
         let telemetry = install();
-        let recorder = FlightRecorder::new(FlightConfig::default());
+        let recorder = FlightRecorder::new();
         recorder.attach(telemetry);
         let r = telemetry.recorder();
         r.count("trips", 1);
@@ -516,19 +491,17 @@ mod tests {
 
     #[test]
     fn shed_bursts_are_debounced_to_the_threshold() {
-        let _guard = test_bus_lock();
+        let _guard = test_global_lock();
         let telemetry = install();
-        let recorder = FlightRecorder::new(FlightConfig {
-            shed_burst_threshold: 3,
-            ..FlightConfig::default()
-        });
+        let recorder = FlightRecorder::new();
         recorder.attach(telemetry);
-        for i in 0..7 {
+        let sheds = 2 * SHED_BURST + 1;
+        for i in 0..sheds {
             recorder.on_incident(&shed(i as f64));
         }
-        // 7 sheds at threshold 3 → dumps after #3 and #6, streak=1 residual.
+        // Two full bursts dump twice; the one shed after them only starts a streak.
         assert_eq!(recorder.bundles().len(), 2);
-        assert_eq!(recorder.incidents().len(), 7);
+        assert_eq!(recorder.incidents().len(), sheds as usize);
         for bundle in recorder.bundles() {
             validate_bundle(&bundle.json).expect("bundle validates");
             assert!(bundle.json.contains("\"kind\": \"shed\""));
@@ -537,36 +510,26 @@ mod tests {
     }
 
     #[test]
-    fn incident_sink_routes_bus_incidents_and_dumps_to_dir() {
-        let _guard = test_bus_lock();
-        bus::clear_sinks();
+    fn a_raised_incident_reaches_the_attached_recorder_and_its_dump_dir() {
+        let _guard = test_global_lock();
         let telemetry = install();
         let dir = std::env::temp_dir().join(format!("sigmavp-flight-test-{}", std::process::id()));
-        let recorder = FlightRecorder::new(FlightConfig {
-            dump_dir: Some(dir.to_string_lossy().into_owned()),
-            ..FlightConfig::default()
-        });
-        recorder.attach(telemetry);
-        recorder.install_incident_sink();
-        bus::publish(&ObsEvent::Incident(Incident {
-            kind: IncidentKind::SessionKilled { session: 1 },
-            wall_s: 0.25,
-            detail: "chaos".into(),
-        }));
-        // Non-incident traffic must not dump.
-        bus::publish(&ObsEvent::CopyObserved {
-            arch: "a".into(),
-            bytes: 1,
-            duration_s: 1e-9,
-            uid: 1,
-        });
-        let bundles = recorder.bundles();
+        let flight = FlightRecorder::with_dump_dir(&dir);
+        flight.attach(telemetry);
+        recorder().incident(IncidentKind::SessionKilled { session: 1 }, || "chaos".into());
+        let bundles = flight.bundles();
         assert_eq!(bundles.len(), 1);
+        assert_eq!(flight.incidents()[0].detail, "chaos");
         let path = dir.join(format!("{}.json", bundles[0].name));
         let on_disk = std::fs::read_to_string(&path).expect("bundle written to dump_dir");
         assert_eq!(on_disk, bundles[0].json);
         std::fs::remove_dir_all(&dir).ok();
-        bus::clear_sinks();
+
+        // A fresh collector has no sinks: the old recorder hears nothing more.
+        install();
+        recorder().incident(IncidentKind::BreakerTrip { device: 0 }, || "unheard".into());
+        assert_eq!(flight.incidents().len(), 1);
+        assert_eq!(flight.bundles().len(), 1);
         uninstall();
     }
 

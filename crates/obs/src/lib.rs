@@ -36,8 +36,7 @@ pub use baseline::{
     ParseError, Regression,
 };
 pub use flight::{
-    validate_bundle, well_formed_json, Bundle, FlightConfig, FlightRecorder, Snapshot,
-    BUNDLE_SCHEMA,
+    validate_bundle, well_formed_json, Bundle, FlightRecorder, Snapshot, BUNDLE_SCHEMA,
 };
 pub use lifecycle::{
     critical_path, device_critical_path, join_lifecycles, CriticalPath, JobLifecycle, PathPhase,
@@ -47,4 +46,4 @@ pub use model::{
     eq7_makespan_s, eq8_speedup_bound, eq9_merged_kernel_s, observed_inputs, residual_frac,
     AuditReport, ModelInputs, ResidualEntry,
 };
-pub use profile::{Estimate, ProfileSnapshot, ProfileStore, SharedProfileStore};
+pub use profile::{Estimate, ProfileSnapshot, ProfileStore};

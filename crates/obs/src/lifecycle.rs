@@ -502,7 +502,7 @@ mod tests {
         use sigmavp_workloads::app::Application;
         use sigmavp_workloads::apps::VectorAddApp;
 
-        let _guard = crate::flight::test_bus_lock();
+        let _guard = crate::flight::test_global_lock();
         // One full fleet run with a forced mid-run migration; returns the
         // stitched lifecycles of the migrated VP plus the device outcomes.
         let run = || {

@@ -42,5 +42,5 @@ pub use pipeline::{
 };
 pub use placement::{HashRing, Placement};
 pub use policy::{BackendKind, InterleaveMode, Policy, RetryPolicy};
-pub use rebalance::{DeviceView, LoadRebalance, Rebalance};
+pub use rebalance::{DeviceView, Rebalance};
 pub use wavepack::WavePack;

@@ -4,10 +4,10 @@
 //! The ROADMAP's cross-device rebalancing pass, landed as a [`SchedulePass`]:
 //! given a view of per-device health and queued load, [`Rebalance`] finds every
 //! VP in the window whose assigned device is down and plans its migration to
-//! the least-loaded surviving device. When the view carries a [`LoadRebalance`]
-//! threshold it additionally fires on *load imbalance* between healthy devices
-//! (not only on breaker trips), draining VPs from the hottest device toward
-//! the coolest. The pass never reorders jobs — it only fills
+//! the least-loaded surviving device. It also fires on *load imbalance*
+//! between healthy devices (not only on breaker trips), draining VPs from the
+//! hottest device toward the coolest while [`LOAD_RATIO`] and
+//! [`LOAD_MIN_ABS_S`] both hold. The pass never reorders jobs — it only fills
 //! [`JobStream::migrations`]; the runtime applies them (journal replay +
 //! reassignment) before executing the window.
 
@@ -15,37 +15,16 @@ use sigmavp_ipc::message::VpId;
 
 use crate::pipeline::{JobStream, PassCtx, SchedulePass};
 
-/// Deterministic load-imbalance trigger for [`Rebalance`].
-///
-/// Queued seconds are an integral of backlog: a gap of `min_abs_s` between the
-/// hottest and coolest healthy device can only accumulate over a *sustained*
-/// run of lopsided windows, so the absolute floor doubles as the "sustained"
-/// test — one busy window cannot trip it. Both conditions must hold before
-/// any migration is planned:
-///
-/// * `hot > ratio × cool` (relative imbalance), and
-/// * `hot − cool ≥ min_abs_s` (absolute backlog gap).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadRebalance {
-    /// Relative trigger: hottest projected load must exceed `ratio` times the
-    /// coolest.
-    pub ratio: f64,
-    /// Absolute trigger: the hot−cool gap, in queued seconds, below which the
-    /// imbalance is not considered sustained.
-    pub min_abs_s: f64,
-}
+/// Load trigger, relative: the hottest healthy device's projected load must
+/// exceed this many times the coolest's.
+pub const LOAD_RATIO: f64 = 2.0;
 
-impl LoadRebalance {
-    /// Default thresholds: 2× relative imbalance with at least 1 ms of backlog
-    /// gap.
-    pub const DEFAULT: LoadRebalance = LoadRebalance { ratio: 2.0, min_abs_s: 1e-3 };
-}
-
-impl Default for LoadRebalance {
-    fn default() -> Self {
-        LoadRebalance::DEFAULT
-    }
-}
+/// Load trigger, absolute: the hot−cool gap, in queued seconds, below which
+/// an imbalance is not considered sustained. Queued seconds are an integral of
+/// backlog, so a gap this wide can only accumulate over a run of lopsided
+/// windows: the floor doubles as the "sustained" test, and one busy window
+/// cannot trip it.
+pub const LOAD_MIN_ABS_S: f64 = 1e-3;
 
 /// A read-only snapshot of device state for one planning round.
 ///
@@ -61,8 +40,6 @@ pub struct DeviceView<'a> {
     /// Whether a device is down for a request stamped at the given simulated
     /// time (scheduled outage or tripped circuit breaker).
     pub down_for: &'a dyn Fn(usize, f64) -> bool,
-    /// Load-imbalance trigger; `None` keeps the pass failure-triggered only.
-    pub load: Option<LoadRebalance>,
 }
 
 impl std::fmt::Debug for DeviceView<'_> {
@@ -128,25 +105,18 @@ impl SchedulePass for Rebalance {
             }
         }
 
-        if let Some(cfg) = view.load {
-            self.apply_load_trigger(&mut stream, view, &mut extra, cfg);
-        }
+        self.apply_load_trigger(&mut stream, view, &mut extra);
         stream
     }
 }
 
 impl Rebalance {
-    /// Drain VPs from the hottest healthy device toward the coolest while the
-    /// [`LoadRebalance`] thresholds hold. Candidates move in first-appearance
+    /// Drain VPs from the hottest healthy device toward the coolest while
+    /// both load thresholds hold: `hot > LOAD_RATIO × cool` and
+    /// `hot − cool ≥ LOAD_MIN_ABS_S`. Candidates move in first-appearance
     /// order, each only if its window cost strictly shrinks the gap, so the
     /// plan is deterministic for a fixed window and view.
-    fn apply_load_trigger(
-        &self,
-        stream: &mut JobStream,
-        view: &DeviceView<'_>,
-        extra: &mut [f64],
-        cfg: LoadRebalance,
-    ) {
+    fn apply_load_trigger(&self, stream: &mut JobStream, view: &DeviceView<'_>, extra: &mut [f64]) {
         let t =
             stream.jobs.iter().map(|j| j.enqueued_at_s).fold(f64::NEG_INFINITY, f64::max).max(0.0);
         let healthy: Vec<usize> =
@@ -187,7 +157,7 @@ impl Rebalance {
                 .expect("len >= 2");
             let (load_hot, load_cool) = (projected(hot, extra), projected(cool, extra));
             let gap = load_hot - load_cool;
-            if hot == cool || load_hot <= cfg.ratio * load_cool || gap < cfg.min_abs_s {
+            if hot == cool || load_hot <= LOAD_RATIO * load_cool || gap < LOAD_MIN_ABS_S {
                 return; // thresholds no longer hold: done for this round
             }
             if (view.route)(vp) != Some(hot) {
@@ -234,7 +204,7 @@ mod tests {
         let route = |vp: VpId| Some(if vp.0 < 2 { 0 } else { 1 });
         let down = |d: usize, _t: f64| d == 0;
         let queued = [0.0, 0.3];
-        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down, load: None };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let jobs = vec![job(0, 0, 0, 1.0, 0.5), job(1, 1, 0, 1.0, 0.5), job(2, 2, 0, 1.0, 0.5)];
         let out = Rebalance.apply(JobStream::new(jobs), &ctx);
@@ -249,7 +219,7 @@ mod tests {
         let route = |_vp: VpId| Some(0);
         let down = |d: usize, _t: f64| d == 0;
         let queued = [0.0, 0.4, 0.1];
-        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down, load: None };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let jobs = vec![job(0, 0, 0, 1.0, 1.0), job(1, 1, 0, 1.0, 1.0)];
         let out = Rebalance.apply(JobStream::new(jobs), &ctx);
@@ -261,7 +231,7 @@ mod tests {
         let route = |_vp: VpId| Some(0);
         let down = |_d: usize, _t: f64| true;
         let queued = [0.0, 0.0];
-        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down, load: None };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let out = Rebalance.apply(JobStream::new(vec![job(0, 0, 0, 1.0, 0.5)]), &ctx);
         assert!(out.migrations.is_empty(), "nowhere to go: degrade, don't migrate");
@@ -272,7 +242,7 @@ mod tests {
         let route = |vp: VpId| Some(vp.0 as usize % 2);
         let down = |_d: usize, _t: f64| false;
         let queued = [0.0, 0.0];
-        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down, load: None };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let jobs = vec![job(0, 0, 0, 1.0, 0.5), job(1, 1, 0, 1.0, 0.5)];
         let out = Rebalance.apply(JobStream::new(jobs), &ctx);
@@ -288,12 +258,7 @@ mod tests {
         let route = |_vp: VpId| Some(0);
         let down = |_d: usize, _t: f64| false;
         let queued = [1.0, 0.0];
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down,
-            load: Some(LoadRebalance::DEFAULT),
-        };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let jobs = vec![job(0, 0, 0, 1.0, 0.2), job(1, 1, 0, 1.0, 0.2)];
         let out = Rebalance.apply(JobStream::new(jobs), &ctx);
@@ -308,23 +273,13 @@ mod tests {
 
         // Relative imbalance below the ratio: no trigger.
         let queued = [1.0, 0.9];
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down,
-            load: Some(LoadRebalance::DEFAULT),
-        };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         assert!(Rebalance.apply(JobStream::new(jobs()), &ctx).migrations.is_empty());
 
         // Huge ratio but a gap below the absolute floor: not sustained.
         let queued = [8e-4, 1e-5];
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down,
-            load: Some(LoadRebalance::DEFAULT),
-        };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         assert!(Rebalance.apply(JobStream::new(jobs()), &ctx).migrations.is_empty());
     }
@@ -336,12 +291,7 @@ mod tests {
         let route = |_vp: VpId| Some(0);
         let down = |_d: usize, _t: f64| false;
         let queued = [0.1, 0.0];
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down,
-            load: Some(LoadRebalance::DEFAULT),
-        };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let out = Rebalance.apply(JobStream::new(vec![job(0, 0, 0, 1.0, 0.5)]), &ctx);
         assert!(out.migrations.is_empty());
@@ -354,12 +304,7 @@ mod tests {
         let route = |vp: VpId| Some(if vp.0 == 0 { 0 } else { 1 });
         let down = |d: usize, _t: f64| d == 0;
         let queued = [0.0, 1.0, 0.0];
-        let view = DeviceView {
-            queued_s: &queued,
-            route: &route,
-            down_for: &down,
-            load: Some(LoadRebalance::DEFAULT),
-        };
+        let view = DeviceView { queued_s: &queued, route: &route, down_for: &down };
         let ctx = PassCtx::reorder_only().with_devices(&view);
         let jobs = vec![job(0, 0, 0, 1.0, 0.1), job(1, 1, 0, 1.0, 0.1)];
         let out = Rebalance.apply(JobStream::new(jobs), &ctx);

@@ -2,7 +2,7 @@
 //!
 //! ΣVP's claims are timing claims — engine overlap (paper Eq. 7), coalescing
 //! alignment (Eq. 9), profile-driven rescheduling — so the runtime needs one
-//! substrate that every layer reports into. This crate provides it, with three
+//! substrate that every layer reports into. This crate provides it, in four
 //! pieces:
 //!
 //! * [`metrics`] — a registry of atomic [`Counter`](metrics::Counter)s,
@@ -16,10 +16,13 @@
 //! * [`export`] — a unified Chrome-trace JSON writer (open in
 //!   `chrome://tracing` / Perfetto), a JSON metrics snapshot and a plaintext
 //!   summary table;
-//! * [`bus`] — a structured observation bus (completed copy/kernel work,
-//!   operational incidents) fanned out to installed sinks, so live
-//!   observability layers can consume payloads that don't fit a name-keyed
-//!   metric — same no-op-when-empty facade discipline as the recorder.
+//! * [`incident`] — operational incidents (breaker trip, VP hung, shed,
+//!   session killed), raised with [`Recorder::incident`] and handed to the
+//!   sinks registered on the installed collector with
+//!   [`Telemetry::on_incident`]; the flight recorder is the one subscriber.
+//!
+//! Completed copies and kernels are not published anywhere: every run returns
+//! its device job logs, and profiles fold from those.
 //!
 //! # The recorder handle
 //!
@@ -40,12 +43,12 @@
 
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod export;
+pub mod incident;
 pub mod metrics;
 pub mod recorder;
 pub mod trace;
 
-pub use bus::{Incident, IncidentKind, ObsEvent};
+pub use incident::{Incident, IncidentKind};
 pub use recorder::{install, recorder, uninstall, Recorder, Telemetry};
 pub use trace::{job_uid, job_uid_seq, job_uid_vp, EventKind, Lane, TimeDomain, TraceEvent};

@@ -8,19 +8,37 @@
 //! hot paths.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
+use crate::incident::{Incident, IncidentKind, IncidentSink};
 use crate::metrics::{MetricsSnapshot, Registry};
 use crate::trace::{Lane, SpanRing, TimeDomain, TraceEvent};
 
 /// Default ring capacity (events) for an installed collector.
 const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-#[derive(Debug)]
 struct Core {
     registry: Registry,
     ring: SpanRing,
     epoch: Instant,
+    incident_sinks: Mutex<Vec<IncidentSink>>,
+}
+
+impl std::fmt::Debug for Core {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Core")
+            .field("registry", &self.registry)
+            .field("ring", &self.ring)
+            .field("epoch", &self.epoch)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Core {
+    fn incident_sinks(&self) -> std::sync::MutexGuard<'_, Vec<IncidentSink>> {
+        self.incident_sinks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 static GLOBAL: AtomicPtr<Core> = AtomicPtr::new(std::ptr::null_mut());
@@ -35,6 +53,7 @@ pub fn install() -> Telemetry {
         registry: Registry::new(),
         ring: SpanRing::with_capacity(DEFAULT_RING_CAPACITY),
         epoch: Instant::now(),
+        incident_sinks: Mutex::default(),
     }));
     GLOBAL.store(core as *const Core as *mut Core, Ordering::Release);
     Telemetry { core }
@@ -122,6 +141,25 @@ impl Recorder {
         self.core.map_or(0.0, |core| core.epoch.elapsed().as_secs_f64())
     }
 
+    /// Raise an incident: stamp it with the collector's wall clock and hand
+    /// it to every sink registered with [`Telemetry::on_incident`], in
+    /// registration order, on this thread. `detail` runs only when a sink
+    /// listens, so an unobserved incident formats nothing.
+    pub fn incident(&self, kind: IncidentKind, detail: impl FnOnce() -> String) {
+        let Some(core) = self.core else {
+            return;
+        };
+        // Call the sinks outside the lock: a sink may take its own locks.
+        let sinks = core.incident_sinks().clone();
+        if sinks.is_empty() {
+            return;
+        }
+        let incident = Incident { kind, wall_s: self.wall_now_s(), detail: detail() };
+        for sink in &sinks {
+            sink(&incident);
+        }
+    }
+
     /// Record a span event.
     pub fn span(
         &self,
@@ -196,6 +234,13 @@ impl Telemetry {
     pub fn dropped_events(&self) -> u64 {
         self.core.ring.dropped()
     }
+
+    /// Subscribe `sink` to every incident raised against this collector
+    /// (see [`Recorder::incident`]). Sinks live as long as the collector; a
+    /// fresh [`install`] starts with none.
+    pub fn on_incident(&self, sink: impl Fn(&Incident) + Send + Sync + 'static) {
+        self.core.incident_sinks().push(Arc::new(sink));
+    }
 }
 
 #[cfg(test)]
@@ -254,6 +299,36 @@ mod tests {
         let snap = telemetry.snapshot();
         assert_eq!((snap.counter("moved"), snap.counter("still")), (Some(5), Some(0)));
         uninstall();
+    }
+
+    #[test]
+    fn incidents_reach_only_the_installed_collectors_sinks() {
+        let _guard = global_lock();
+        let telemetry = install();
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = heard.clone();
+        telemetry.on_incident(move |incident| log.lock().unwrap().push(incident.clone()));
+        recorder().incident(IncidentKind::BreakerTrip { device: 1 }, || "tripped".into());
+        let first = heard.lock().unwrap().clone();
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].kind, IncidentKind::BreakerTrip { device: 1 });
+        assert_eq!(first[0].detail, "tripped");
+        assert!(first[0].wall_s >= 0.0);
+
+        // A fresh collector starts with no sinks: nobody hears, nothing formats.
+        install();
+        recorder().incident(IncidentKind::VpHung { vp: 0 }, || panic!("nobody listens"));
+        assert_eq!(heard.lock().unwrap().len(), 1);
+        uninstall();
+    }
+
+    #[test]
+    fn an_incident_with_no_collector_never_formats_its_detail() {
+        let _guard = global_lock();
+        uninstall();
+        recorder().incident(IncidentKind::Shed { depth: 2, capacity: 1 }, || {
+            panic!("no collector is installed")
+        });
     }
 
     #[test]
