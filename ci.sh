@@ -136,11 +136,13 @@ step "cargo test" cargo test -q --workspace --no-fail-fast
 # Seeds derive from the test names, so these are the same 1024 cases on every
 # run. The warp tier's lane loops are vectorised only in a release build, so
 # its two compiled copies (`warp::` unit tests) and the full-suite tier
-# differential run here as well.
+# differential run here as well; the `warp::` tests include the strided sweep
+# of F32 `exp`/`log` against libm. The `SegmentSet` property runs wide too.
 release_differentials() {
   PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx \
     --test warp_differential --test parallel_differential --test opt_differential
   cargo test --release -q -p sigmavp-sptx --lib warp::
+  PROPTEST_CASES=1024 cargo test --release -q -p sigmavp-sptx --lib counters::
   cargo test --release -q -p sigmavp-workloads --test warp_suite
 }
 step "sptx differentials x1024, warp copies, suite tiers (release)" release_differentials

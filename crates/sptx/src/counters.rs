@@ -50,19 +50,21 @@ impl MemoryTraceSummary {
 ///
 /// Segment `s` is bit `s % 64` of page `s / 64`. Kernel access streams are
 /// strongly run-structured — consecutive accesses usually hit the same or an
-/// adjacent segment — so the page being written is held in a register
-/// (`cur`, `cur_bits`) and only a page change touches the map. Sets merge by
-/// OR-ing pages and count by summing popcounts: no sort, no dedup, and the
-/// count is exact, so every cache-model input stays what a `HashSet<u64>`
-/// would give.
+/// adjacent segment, or alternate between two buffers — so the two pages
+/// being written are held in registers (`cur`, `cur_bits`) and only a third
+/// page touches the map. Sets merge by OR-ing pages and count by summing
+/// popcounts: no sort, no dedup, and the count is exact, so every
+/// cache-model input stays what a `HashSet<u64>` would give.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentSet {
-    /// Every page left behind, possibly including `cur` from an earlier visit.
+    /// Every page left behind, possibly including a current one from an
+    /// earlier visit.
     pages: IntMap<u64, u64>,
-    /// The page the last insert hit, and its bits set since it became
-    /// current; not yet OR-ed into `pages`.
-    cur: u64,
-    cur_bits: u64,
+    /// The two pages used last, the latest first, and their bits set since
+    /// they became current; not yet OR-ed into `pages`. They differ whenever
+    /// both hold bits.
+    cur: [u64; 2],
+    cur_bits: [u64; 2],
 }
 
 impl SegmentSet {
@@ -75,27 +77,38 @@ impl SegmentSet {
     #[inline(always)]
     pub fn insert(&mut self, seg: u64) {
         let page = seg >> 6;
-        if page != self.cur {
-            self.spill();
-            self.cur = page;
+        if page != self.cur[0] {
+            // The older page comes first; if it is not `page` either, it
+            // makes way.
+            self.cur.swap(0, 1);
+            self.cur_bits.swap(0, 1);
+            if page != self.cur[0] {
+                self.spill(0, page);
+            }
         }
-        self.cur_bits |= 1 << (seg & 63);
+        self.cur_bits[0] |= 1 << (seg & 63);
     }
 
-    /// OR the current page's bits into the map.
+    /// OR current page `i`'s bits into the map and make `page` current there.
     #[inline(never)]
-    fn spill(&mut self) {
-        if self.cur_bits != 0 {
-            *self.pages.entry(self.cur).or_insert(0) |= self.cur_bits;
-            self.cur_bits = 0;
+    fn spill(&mut self, i: usize, page: u64) {
+        if self.cur_bits[i] != 0 {
+            *self.pages.entry(self.cur[i]).or_insert(0) |= self.cur_bits[i];
         }
+        (self.cur[i], self.cur_bits[i]) = (page, 0);
+    }
+
+    /// OR both current pages' bits into the map.
+    fn flush(&mut self) {
+        self.spill(0, self.cur[0]);
+        self.spill(1, self.cur[1]);
     }
 
     /// Fold another set into this one, leaving `other` empty with its
     /// allocation kept. Order-insensitive: the union does not depend on which
     /// worker touched a segment first.
     pub fn absorb(&mut self, other: &mut SegmentSet) {
-        other.spill();
+        other.flush();
         for (page, bits) in other.pages.drain() {
             *self.pages.entry(page).or_insert(0) |= bits;
         }
@@ -104,12 +117,12 @@ impl SegmentSet {
     /// Forget every segment, keeping the allocation.
     pub fn clear(&mut self) {
         self.pages.clear();
-        self.cur_bits = 0;
+        self.cur_bits = [0; 2];
     }
 
     /// Number of distinct segments recorded so far.
     pub fn distinct(&mut self) -> u64 {
-        self.spill();
+        self.flush();
         self.pages.values().map(|bits| u64::from(bits.count_ones())).sum()
     }
 }
@@ -332,10 +345,20 @@ mod tests {
             runs in proptest::collection::vec((0u64..1 << 22, 1u64..300, 0u64..3), 0..24),
             cuts in proptest::collection::vec(0usize..4000, 0..8),
             peek in 0usize..4000,
+            other in 0u64..1 << 22,
         ) {
+            // Every other run alternates element by element with a walk from
+            // `other` (one page, half pages or whole pages per step): two
+            // buffers' pages in turn, as `matrix_mul` reads A and B.
             let stream: Vec<u64> = runs
                 .iter()
-                .flat_map(|&(start, len, step)| (0..len).map(move |i| start + i * step))
+                .enumerate()
+                .flat_map(|(r, &(start, len, step))| {
+                    (0..len).flat_map(move |i| {
+                        let own = start + i * step;
+                        if r % 2 == 1 { vec![own, other + i * step * 32] } else { vec![own] }
+                    })
+                })
                 .collect();
             let reference: std::collections::BTreeSet<u64> = stream.iter().copied().collect();
             let mut cuts = cuts;

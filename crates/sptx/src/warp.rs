@@ -14,7 +14,9 @@
 //! lanes are computed and discarded: none of the ops computed this way can
 //! fault, and the masked write never lets a discarded result reach a
 //! register. Ops that can fault or call libm keep a loop over the active
-//! lanes only, which reads each lane's sources before writing it. A setp
+//! lanes only, which reads each lane's sources before writing it; F32 `exp`
+//! and `log` run a polynomial on all lanes and call libm only for the active
+//! ones it cannot certify ([`un_certified`]). A setp
 //! packs its compare bits into the predicate as it compares. Control flow
 //! uses a SIMT divergence stack with reconvergence at each branch's immediate
 //! post-dominator; predicates are one `u32` per predicate register.
@@ -80,7 +82,9 @@
 //! `a * b + c` into a fused multiply-add, so `mad.f64` rounds twice in both,
 //! `f32::mul_add` is correctly rounded in both (`fmaf` or `vfmadd`), libm
 //! calls are the same calls, and every other lane op is an IEEE-exact
-//! operation or an integer one. Where `f32::mul_add` is one instruction (the
+//! operation or an integer one. F32 `exp`/`log` polynomials fuse in the AVX2
+//! copy only, but a lane is either certified to round to libm's f32 or makes
+//! the same libm call. Where `f32::mul_add` is one instruction (the
 //! AVX2 copy) `mad.f32` computes every lane; where it is a libm call, the
 //! active ones. To bound the duplicated code, the ALU ops (most of it) get
 //! one copy per ISA ([`Isa`]) shared by both data spaces, and each run of ALU
@@ -196,7 +200,7 @@ struct Row {
 }
 
 impl Row {
-    /// Thread-entry state: integer zero in every lane.
+    /// Integer zero in every lane: the rows' state before the first warp.
     const ZERO: Row = Row { bits: [0; WARP_WIDTH], fmask: 0 };
 
     /// The row as float bits, `Value::as_f64` per lane. This and
@@ -289,15 +293,21 @@ fn write_lanes<const N: usize>(
         }
         *o = f(x);
     }
-    let row = &mut regs[d].bits;
+    store_row(&mut regs[d], act, &out, fmask);
+}
+
+/// The active lanes of `row` become those of `out`, typed by `fmask`: a plain
+/// store under the full mask, a branch-free select otherwise.
+#[inline(always)]
+fn store_row(row: &mut Row, act: &Active, out: &Lanes<u64>, fmask: u32) {
     if act.mask == u32::MAX {
-        *row = out;
+        row.bits = *out;
     } else {
-        for ((o, &v), &k) in row.iter_mut().zip(&out).zip(&act.keep) {
+        for ((o, &v), &k) in row.bits.iter_mut().zip(out).zip(&act.keep) {
             *o = (v & k) | (*o & !k);
         }
     }
-    regs[d].set_types(act.mask, fmask);
+    row.set_types(act.mask, fmask);
 }
 
 /// Every active lane of `row` becomes `bits`, typed by `fmask`.
@@ -310,10 +320,11 @@ fn splat(row: &mut Row, act: &Active, bits: u64, fmask: u32) {
 }
 
 /// [`write_lanes`] over the active lanes only, for the ops that may fault on
-/// a discarded lane (integer `div`/`rem`) or call into libm, where one costs
-/// a full call: a loop of `exp.f64` or `cos.f64` with 1 lane in 32 active ran
-/// 2.7x longer over all lanes (32 ms against 12 ms; 1 in 2: 34 against 23 ms)
-/// and no faster under a full mask.
+/// a discarded lane (integer `div`/`rem`) or call into libm (all but F32
+/// `exp`/`log`, see [`un_certified`]), where one costs a full call: a loop of
+/// `exp.f64` or `cos.f64` with 1 lane in 32 active ran 2.7x longer over all
+/// lanes (32 ms against 12 ms; 1 in 2: 34 against 23 ms) and no faster under
+/// a full mask.
 #[inline(always)]
 fn write_active<const N: usize>(
     regs: &mut [Row],
@@ -926,12 +937,10 @@ fn run_warp<I: Isa, M: DataSpace>(
     cta: &mut CtaCounters,
 ) -> Result<(), Abort> {
     let dec = exec.dec;
-    exec.regs.fill(Row::ZERO);
-    // Not `fill`: on an empty slice that is still a `memset` call, which a
-    // kernel without predicates would pay for on every warp.
-    for p in &mut exec.preds {
-        *p = 0;
-    }
+    // No register or predicate is reset: validation rejects a program in
+    // which some path reads one before writing it, so a lane always writes
+    // its lane of a row before reading it, and what the last warp left in
+    // the rows is never read.
     exec.stores.clear();
     exec.stack.clear();
     exec.stack.push(Frame { next: 0, mask: full_mask, reconv: EXIT });
@@ -1068,6 +1077,124 @@ fn un_f(
     }
 }
 
+/// F32 `exp`/`log` on every lane at once: each lane's `poly` result is
+/// [`certify`]-ed, and only the active lanes it fails call `libm`, with the
+/// round trips of [`eval_un`](crate::interp::eval_un); inactive lanes never
+/// do.
+#[inline(always)]
+fn un_certified(
+    regs: &mut [Row],
+    act: &Active,
+    dst: usize,
+    a: usize,
+    poly: impl Fn(f64) -> (f64, bool),
+    libm: impl Fn(f64) -> f64,
+) {
+    let [a] = view(regs, [a], act.mask, FLOATS);
+    let src = &regs[a].bits;
+    let (mut out, mut unsure) = ([0u64; WARP_WIDTH], 0u64);
+    for ((o, &x), &k) in out.iter_mut().zip(src).zip(&act.keep) {
+        *o = certify(poly(f64::from_bits(x) as f32 as f64));
+        unsure |= k & u64::from(*o == UNSURE);
+    }
+    if unsure != 0 {
+        for_lanes!(act.mask, l, {
+            if out[l] == UNSURE {
+                out[l] = (libm(f64::from_bits(src[l]) as f32 as f64) as f32 as f64).to_bits();
+            }
+        });
+    }
+    store_row(&mut regs[dst], act, &out, FLOATS);
+}
+
+/// What [`certify`] gives a lane it cannot vouch for: a NaN no result has.
+const UNSURE: u64 = u64::MAX;
+
+/// `y` rounded to f32, as `f64` bits, when its input is in the polynomial's
+/// domain and no f32 rounding boundary lies within 9 008 f64 ulps of it (the
+/// domains keep results f32-normal, where an f64 rounds to f32 at bit 29 with
+/// its tie at `1 << 28`); else [`UNSURE`]. 9 008 ulps span `y·(1 ± 1e-12)`,
+/// which holds the true value (the polynomials are within 2e-14 of it) and
+/// libm's f64 result (within 4 000 ulps of it; glibc's is within one), so
+/// all three lie between the same two boundaries and, rounding being
+/// monotone, round to the same f32. With no tie in reach, adding half an f32
+/// ulp and truncating rounds to nearest.
+#[inline(always)]
+fn certify((y, in_domain): (f64, bool)) -> u64 {
+    const LOW: u64 = (1 << 29) - 1;
+    const TIE: i64 = 1 << 28;
+    let off = (y.to_bits() & LOW) as i64 - TIE;
+    let sure = in_domain && !(-9008..=9008).contains(&off);
+    ((y.to_bits() + TIE as u64) & !LOW) | u64::from(!sure).wrapping_neg()
+}
+
+/// `a * b + c`, fused where the copy has the instruction (elsewhere
+/// `f64::mul_add` is a libm call); the polynomials' bounds hold either way.
+#[inline(always)]
+fn fma<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// `c[0] + c[1]·x + … + c[N-1]·x^(N-1)`, 9 ≤ N ≤ 12, by Estrin's scheme:
+/// terms in pairs, then pairs of pairs, so the chain of dependent operations
+/// is 4 long, not N.
+#[inline(always)]
+fn estrin<const FMA: bool, const N: usize>(x: f64, c: [f64; N]) -> f64 {
+    let f = fma::<FMA>;
+    let (x2, pair) = (x * x, |i: usize| if i + 1 < N { f(c[i + 1], x, c[i]) } else { c[i] });
+    let (x4, quad) = (x2 * x2, |i| if i + 2 < N { f(pair(i + 2), x2, pair(i)) } else { pair(i) });
+    f(quad(8), x4 * x4, f(quad(4), x4, quad(0)))
+}
+
+/// ln 2 split for Cody–Waite reduction: `k * LN2_HI` is exact for |k| < 2^20.
+const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+
+/// e^x within 2e-14 relative, and whether x is in the domain |x| < 87, where
+/// e^x is an f32 normal (NaN and ±inf are not). x = k·ln 2 + r, |r| ≤ ln 2 /
+/// 2, with k rounded by adding 1.5·2^52, whose low mantissa bits then hold
+/// it; e^r by its Taylor polynomial of degree 11 (remainder < e^|r|·|r|^12
+/// /12! < 1.3e-14); 2^k from exponent bits.
+#[inline(always)]
+fn exp_poly<const FMA: bool>(x: f64) -> (f64, bool) {
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    // 1/n! for n = 0..12.
+    const C: [f64; 12] = {
+        let (mut c, mut n) = ([1.0; 12], 2);
+        while n < 12 {
+            (c[n], n) = (c[n - 1] / n as f64, n + 1);
+        }
+        c
+    };
+    let t = fma::<FMA>(x, std::f64::consts::LOG2_E, SHIFT);
+    let k = t - SHIFT;
+    let r = fma::<FMA>(k, -LN2_LO, fma::<FMA>(k, -LN2_HI, x));
+    let two_k = f64::from_bits(t.to_bits().wrapping_sub(SHIFT.to_bits()).wrapping_add(1023) << 52);
+    (estrin::<FMA, 12>(r, C) * two_k, x.abs() < 87.0)
+}
+
+/// ln x within 2e-14 relative, and whether x is in the domain of finite
+/// x > 0. x = 2^k·m, m in [√½, √2); ln m = 2·atanh(s), s = (m − 1)/(m + 1),
+/// |s| ≤ 0.172, by its series through s^17 (the tail is below 1e-15 of it);
+/// k becomes a float through exponent bits, not an integer conversion.
+#[inline(always)]
+fn log_poly<const FMA: bool>(x: f64) -> (f64, bool) {
+    const SQRT_HALF: u64 = 0x3fe6_a09e_667f_3bcd;
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const C: [f64; 9] =
+        [2.0, 2.0 / 3.0, 0.4, 2.0 / 7.0, 2.0 / 9.0, 2.0 / 11.0, 2.0 / 13.0, 2.0 / 15.0, 2.0 / 17.0];
+    let ix = x.to_bits().wrapping_add(1.0f64.to_bits() - SQRT_HALF);
+    let m = f64::from_bits((ix & 0x000f_ffff_ffff_ffff) + SQRT_HALF);
+    let k = f64::from_bits(ix >> 52 | TWO_52.to_bits()) - (TWO_52 + 1023.0);
+    let s = (m - 1.0) / (m + 1.0);
+    let y = fma::<FMA>(k, LN2_HI, fma::<FMA>(k, LN2_LO, s * estrin::<FMA, 9>(s * s, C)));
+    (y, x > 0.0 && x < f64::INFINITY)
+}
+
 /// One predicate bit per lane: `cmp` of the lanes of `a` and `b` read
 /// through `read`, packed as they are compared.
 #[inline(always)]
@@ -1197,6 +1324,12 @@ fn exec_alu<const FMA: bool>(
                     U::Neg => un_float!(true, |x: f64| -x),
                     U::Abs => un_float!(true, |x: f64| x.abs()),
                     U::Sqrt => un_float!(true, |x: f64| x.sqrt()),
+                    U::Exp if ty == ScalarType::F32 => {
+                        un_certified(regs, act, d, a, exp_poly::<FMA>, f64::exp)
+                    }
+                    U::Log if ty == ScalarType::F32 => {
+                        un_certified(regs, act, d, a, log_poly::<FMA>, f64::ln)
+                    }
                     U::Exp => un_float!(false, |x: f64| x.exp()),
                     U::Log => un_float!(false, |x: f64| x.ln()),
                     U::Sin => un_float!(false, |x: f64| x.sin()),
@@ -1850,6 +1983,183 @@ mod tests {
             let cfg = LaunchConfig::linear(3, 80);
             let (mem, params) = image(cfg.total_threads(), &mut rng);
             assert_copies_agree(&program, &cfg, &params, &mem, u64::MAX, &format!("kernel {i}"));
+        }
+    }
+
+    /// What a test's destination row holds before an op writes it.
+    const JUNK_ROW: Row = Row { bits: [0x7ff8_dead_beef_0000; WARP_WIDTH], fmask: 0x5a5a_5a5a };
+
+    /// F32 `op` of the lanes `xs` (`f64` bits) as one warp-op of a compiled
+    /// copy under `mask`: the destination row, which starts as [`JUNK_ROW`].
+    fn un_row(isa: impl Isa, op: UnaryOp, xs: &Lanes<u64>, mask: u32) -> Row {
+        let mut regs = vec![JUNK_ROW; 2 + SCRATCH_ROWS];
+        regs[0] = Row { bits: *xs, fmask: FLOATS };
+        let op = DecodedOp { class: 0, op: DOp::Un { op, ty: ScalarType::F32, dst: 1, a: 0 } };
+        let cfg = LaunchConfig::linear(1, 32);
+        let ctx = WarpCtx { cfg: &cfg, params: &[], ctaid: 0, base_tid: 0 };
+        isa.exec_alu(&[op], &mut regs, &mut [], &Active::new(mask), &ctx).expect("no fault");
+        regs[1]
+    }
+
+    /// `op` of `xs` under `mask` in every compiled copy this host runs.
+    fn un_rows(op: UnaryOp, xs: &Lanes<u64>, mask: u32) -> Vec<Row> {
+        let mut rows = vec![un_row(Portable, op, xs, mask)];
+        #[cfg(target_arch = "x86_64")]
+        rows.extend(Avx2::detect().map(|isa| un_row(isa, op, xs, mask)));
+        rows
+    }
+
+    /// The bits the scalar engine gives F32 `op` of the lane `x`.
+    fn reference(op: UnaryOp, x: u64) -> u64 {
+        crate::interp::eval_un(op, ScalarType::F32, Value::F(f64::from_bits(x))).as_f64().to_bits()
+    }
+
+    /// F32 `exp` and `log` of every lane of `xs` (`f64` bits), 32 at a time
+    /// under a full mask, in every compiled copy: the bits `eval_un` gives.
+    fn assert_lanes_match_eval_un(xs: &[u64]) {
+        for op in [UnaryOp::Exp, UnaryOp::Log] {
+            for chunk in xs.chunks(WARP_WIDTH) {
+                let lanes = std::array::from_fn(|l| chunk.get(l).copied().unwrap_or(0));
+                for row in un_rows(op, &lanes, u32::MAX) {
+                    for (l, &x) in chunk.iter().enumerate() {
+                        assert_eq!(row.bits[l], reference(op, x), "{op:?} of {x:#018x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane path of F32 `exp`/`log` against `eval_un`, bit for bit, over
+    /// every 14 983rd f32 bit pattern (a prime stride: every sign, exponent
+    /// and many mantissas) and the edges by hand. The full 2^32 sweep is too
+    /// long for a unit test; it read 0 mismatches (CHANGES.md).
+    #[test]
+    fn certified_exp_and_log_have_the_bits_of_libm() {
+        let f = |v: f32| (v as f64).to_bits();
+        let near =
+            |v: f32| [-1i32, 0, 1].map(|d| f(f32::from_bits(v.to_bits().wrapping_add_signed(d))));
+        let mut xs: Vec<u64> =
+            (0..=u32::MAX).step_by(14_983).map(|b| f(f32::from_bits(b))).collect();
+        xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN].map(f));
+        // Quiet and signalling NaNs with payloads, as f64 and from f32.
+        xs.extend([
+            0x7ff8_0000_0000_0000,
+            0xfff8_0000_0000_0001,
+            0x7ff0_0000_0000_0001,
+            0x7ff4_dead_0000_0000,
+        ]);
+        xs.extend(
+            [0x7fc0_0001, 0xffc0_0000, 0x7f80_0001, 0x7fa0_0000].map(|b| f(f32::from_bits(b))),
+        );
+        // f32 subnormals, the smallest normal, and their negatives.
+        for b in [1, 2, 0x0040_0000, 0x007f_ffff, 0x0080_0000] {
+            xs.extend([f(f32::from_bits(b)), f(-f32::from_bits(b))]);
+        }
+        // `exp`'s overflow and underflow edges, and the edges of its domain.
+        for v in [88.722_84, -103.972_08, 87.0, -87.0, 88.0, -88.0] {
+            xs.extend(near(v));
+        }
+        // `log` around 1 and of negatives.
+        xs.extend(near(1.0));
+        xs.extend([-1.0, -0.5, -3.0e38].map(f));
+        assert_lanes_match_eval_un(&xs);
+
+        // The fast path carries the sweep: in each domain all but a few
+        // lanes certify (a lane that fell back would pass the check above
+        // through libm and prove nothing about the polynomials), and the
+        // polynomials are as close to libm's f64 result as the certificate
+        // assumes — a sample cannot be relied on to find a boundary case.
+        let check = |name: &str, poly: &dyn Fn(f64) -> (f64, bool), libm: fn(f64) -> f64| {
+            let (mut ok, mut of, mut worst) = (0, 0, 0f64);
+            for x in xs.iter().map(|&x| f64::from_bits(x) as f32 as f64) {
+                let (y, in_domain) = poly(x);
+                if in_domain {
+                    of += 1;
+                    ok += usize::from(certify((y, in_domain)) != UNSURE);
+                    worst = worst.max(if y == libm(x) { 0.0 } else { (y / libm(x) - 1.0).abs() });
+                }
+            }
+            assert!(of > 10_000 && ok + 5 >= of, "{name}: {ok} of {of} in-domain lanes certified");
+            assert!(worst < 2e-14, "{name}: relative error {worst:e}");
+        };
+        check("exp", &exp_poly::<false>, f64::exp);
+        check("log", &log_poly::<false>, f64::ln);
+        check("exp, fused", &exp_poly::<true>, f64::exp);
+        check("log, fused", &log_poly::<true>, f64::ln);
+    }
+
+    /// Inactive lanes holding NaN, negative, huge and infinite inputs leave
+    /// the destination's bits and types as they were; the active ones get
+    /// `eval_un`'s bits.
+    #[test]
+    fn exp_and_log_leave_inactive_lanes_alone() {
+        let bad = [f64::NAN, -1.0, -0.0, 1e30, f64::INFINITY, f64::NEG_INFINITY, 3e38, -200.0];
+        let xs = std::array::from_fn(|l| {
+            if l % 3 == 0 { 0.37 * l as f64 - 4.0 } else { bad[l % bad.len()] }.to_bits()
+        });
+        for mask in [0x4924_9249u32, 1, 1 << 30] {
+            for op in [UnaryOp::Exp, UnaryOp::Log] {
+                for row in un_rows(op, &xs, mask) {
+                    for (l, &x) in xs.iter().enumerate() {
+                        let (bits, float) = (row.bits[l], row.fmask >> l & 1);
+                        if mask >> l & 1 != 0 {
+                            assert_eq!((bits, float), (reference(op, x), 1), "{op:?} lane {l}");
+                        } else {
+                            assert_eq!((bits, float), (JUNK_ROW.bits[l], JUNK_ROW.fmask >> l & 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A divergent kernel whose `exp`/`log` arms see NaN, negative, zero,
+    /// huge and infinite inputs in their inactive lanes: the same memory on
+    /// the scalar tier, the warp tier and both compiled copies.
+    #[test]
+    fn divergent_exp_and_log_match_the_scalar_tier() {
+        let program = crate::asm::parse(
+            ".kernel k\nentry:\n rs r0, gtid\n ldp r1, 0\n ldp r2, 4\n ld.f64 r3, [r1 + r0]\n \
+             mov.f64 r4, 0.0\n setp.gt.f64 p0, r3, r4\n @p0 bra pos, other\n\
+             pos:\n log.f32 r5, r3\n exp.f32 r6, r5\n bra join\n\
+             other:\n exp.f32 r5, r3\n log.f32 r6, r3\n bra join\n\
+             join:\n mov r7, 6\n mul.i64 r8, r0, r7\n st.f64 [r2 + r8], r5\n \
+             st.f64 [r2 + r8 + 8], r6\n ret\n",
+        )
+        .expect("kernel parses");
+        let cfg = LaunchConfig::linear(3, 80);
+        let (mem, params) = image(cfg.total_threads(), &mut Rng(11));
+        assert_copies_agree(&program, &cfg, &params, &mem, u64::MAX, "divergent exp/log");
+        let run = |tier| {
+            let mut mem = mem.clone();
+            let interp = Interpreter::new().with_tier(tier).with_workers(1);
+            interp.run(&program, &cfg, &params, &mut mem).expect("runs");
+            mem.as_bytes().to_vec()
+        };
+        assert!(run(crate::Tier::Scalar) == run(crate::Tier::Warp), "memory after the launch");
+    }
+
+    /// Validation rejects a program in which some path reads a register or
+    /// predicate before writing it, so a warp never reads what the rows held
+    /// before it: CTAs that start from junk rows end exactly like CTAs that
+    /// start from zeroed ones.
+    #[test]
+    fn a_warp_never_reads_what_its_rows_held_before() {
+        let mut rng = Rng(0x5eed_1234_5678_9abc);
+        for case in 0..100 {
+            let program = random_kernel(&mut rng);
+            let cfg = LaunchConfig::linear(1 + rng.below(3) as u32, 1 + rng.below(100) as u32);
+            let (mem, params) = image(cfg.total_threads(), &mut rng);
+            let run = |junk: bool| {
+                run_ctas(&program, &cfg, &mem, |e, m, c, cta| {
+                    if junk {
+                        e.regs.fill(JUNK_ROW);
+                        e.preds.fill(0xa5a5_a5a5);
+                    }
+                    run_cta(e, &cfg, &params, m, c, u64::MAX, cta)
+                })
+            };
+            assert!(run(false) == run(true), "case {case}");
         }
     }
 }
